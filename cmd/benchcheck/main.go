@@ -20,13 +20,13 @@
 //	go run ./cmd/benchcheck -baseline BENCH_2.json -compare BENCH_3.json
 //
 // With -speedup/-min-speedup, benchcheck instead gates a ratio between two
-// benchmarks of the SAME run — the CI multi-core gate that requires the
-// parallel executor to beat the serial one by a factor:
+// benchmarks of the SAME run — e.g. the CI gate that requires the
+// pressure-domains model to beat the global one on the same 100k trace:
 //
-//	go test -run '^$' -bench 'BenchmarkScenario$/^grizzly-scale' -benchtime 1x -count=5 . \
+//	go test -run '^$' -bench 'BenchmarkScenario$/^(100k|100k-domains)$' -benchtime 1x -count=3 . \
 //	    | go run ./cmd/benchcheck \
-//	        -speedup 'BenchmarkScenario/grizzly-scale,BenchmarkScenario/grizzly-scale-parallel' \
-//	        -min-speedup 3.0
+//	        -speedup 'BenchmarkScenario/100k,BenchmarkScenario/100k-domains' \
+//	        -min-speedup 2.0
 //
 // Flags:
 //

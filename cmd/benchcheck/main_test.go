@@ -112,10 +112,10 @@ func TestBenchLineRegexp(t *testing.T) {
 
 func TestCheckSpeedup(t *testing.T) {
 	samples := map[string][]float64{
-		"BenchmarkScenario/grizzly-scale":          {3.0e9, 3.1e9, 2.9e9},
-		"BenchmarkScenario/grizzly-scale-parallel": {1.0e9, 0.9e9, 1.1e9},
+		"BenchmarkScenario/100k":         {3.0e9, 3.1e9, 2.9e9},
+		"BenchmarkScenario/100k-domains": {1.0e9, 0.9e9, 1.1e9},
 	}
-	pair := "BenchmarkScenario/grizzly-scale,BenchmarkScenario/grizzly-scale-parallel"
+	pair := "BenchmarkScenario/100k,BenchmarkScenario/100k-domains"
 	if code := checkSpeedup(samples, pair, 3.0); code != 0 {
 		t.Fatalf("3.0x achieved speedup failed the 3.0x gate: code %d", code)
 	}
@@ -125,7 +125,7 @@ func TestCheckSpeedup(t *testing.T) {
 	if code := checkSpeedup(samples, "only-one-name", 1.0); code != 2 {
 		t.Fatalf("malformed pair: code %d, want 2", code)
 	}
-	if code := checkSpeedup(samples, "BenchmarkScenario/grizzly-scale,BenchmarkMissing", 1.0); code != 1 {
+	if code := checkSpeedup(samples, "BenchmarkScenario/100k,BenchmarkMissing", 1.0); code != 1 {
 		t.Fatalf("missing benchmark: code %d, want 1", code)
 	}
 }

@@ -29,8 +29,30 @@ import (
 	"dismem/internal/server"
 )
 
+// Connection-level deadlines. A client gets readHeaderTimeout to send its
+// request headers, so a slow or stalled sender cannot pin a connection
+// forever, and an idle keep-alive connection is closed after idleTimeout.
+// There is deliberately no ReadTimeout or WriteTimeout: a scenario response
+// is written only when its sweep finishes, which can take minutes at the
+// full preset, and the request's own context already bounds that wait.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	os.Exit(realMain())
+}
+
+// newHTTPServer builds the daemon's listener with the connection deadlines
+// above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func realMain() (code int) {
@@ -63,7 +85,7 @@ func realMain() (code int) {
 		CacheEntries:      *cache,
 		TelemetryInterval: *sample,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -49,8 +49,6 @@ func realMain() (code int) {
 	seed := flag.Int64("seed", 1, "random seed")
 	seeds := flag.Int("seeds", 1, "replications for the headlines experiment (mean ± stdev)")
 	shards := flag.Int("shards", 0, "cluster-ledger shard count (0 = single shard)")
-	parallel := flag.Bool("parallel", false, "windowed executor with parallel refresh phases (bit-identical results)")
-	workers := flag.Int("workers", 0, "parallel refresh worker count (0 = GOMAXPROCS; needs -parallel)")
 	scenario := flag.String("scenario", "", "run a JSON scenario spec instead of a named experiment")
 	telDir := flag.String("telemetry", "", "with -scenario: write one JSONL event log per (memory, policy) cell into this directory")
 	telEvery := flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
@@ -122,8 +120,6 @@ func realMain() (code int) {
 	}
 	p.Seed = *seed
 	p.Shards = *shards
-	p.Parallel = *parallel
-	p.Workers = *workers
 
 	if *report != "" {
 		f, err := os.Create(*report)

@@ -151,21 +151,6 @@ func summarize(w io.Writer, name string, log *telemetry.Log, width, top int) err
 			counts[telemetry.KindBackfillPlace], counts[telemetry.KindBackfillHole])
 	}
 
-	if counts[telemetry.KindWindowStats] > 0 {
-		// The run-level executor counters: the last window_stats event wins
-		// (there is one per run; concatenated logs show the final run's).
-		for i := len(log.Events) - 1; i >= 0; i-- {
-			e := &log.Events[i]
-			if e.Kind != telemetry.KindWindowStats {
-				continue
-			}
-			fmt.Fprintln(w, "\nwindow executor")
-			fmt.Fprintf(w, "  windows   %10d popped, %d events fired\n", e.MB, e.Aux)
-			fmt.Fprintf(w, "  multi     %10d multi-event windows, %d proven independent\n", e.Node, e.Lender)
-			break
-		}
-	}
-
 	if counts[telemetry.KindBranch] > 0 {
 		// Branch events are emitted on the base run's stream, one per
 		// what-if variant: Detail names the variant, Aux is the prefix event

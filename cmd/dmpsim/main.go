@@ -40,8 +40,6 @@ func main() {
 		telEvery  = flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
 		promPath  = flag.String("prom", "", "write Prometheus text-format run aggregates here")
 		shards    = flag.Int("shards", 0, "cluster-ledger shard count (0 = single shard)")
-		parallel  = flag.Bool("parallel", false, "windowed executor with parallel refresh phases (bit-identical results)")
-		workers   = flag.Int("workers", 0, "parallel refresh worker count (0 = GOMAXPROCS; needs -parallel)")
 		pressure  = flag.String("pressure", "global", "contention model: global (one system-wide rho) or domains (per-rack pressure domains)")
 		domains   = flag.Int("domains", 0, "pressure-domain count (0 = derive from topology/shards; needs -pressure=domains)")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -57,7 +55,6 @@ func main() {
 	default:
 		fail("unknown pressure mode %q (want global or domains)", *pressure)
 	}
-	var ws core.WindowStats
 
 	var tl *core.Timeline
 	if *timeline != "" {
@@ -111,8 +108,6 @@ func main() {
 	}
 	p.Seed = *seed
 	p.Shards = *shards
-	p.Parallel = *parallel
-	p.Workers = *workers
 
 	mc, err := experiments.MemConfigByPct(*memPct)
 	if err != nil {
@@ -170,15 +165,10 @@ func main() {
 		if *shards > 0 {
 			cfg.Cluster.Shards = *shards
 		}
-		if *parallel {
-			cfg.Parallel = true
-			cfg.Workers = *workers
-		}
 		if pmode != core.PressureGlobal {
 			cfg.Pressure = pmode
 			cfg.Domains = *domains
 		}
-		cfg.WindowStatsOut = &ws
 		if tl != nil {
 			cfg.Observer = tl
 		}
@@ -203,7 +193,6 @@ func main() {
 				cfg.Pressure = pmode
 				cfg.Domains = *domains
 			}
-			cfg.WindowStatsOut = &ws
 			cfg.Telemetry = rec
 		})
 		if err != nil {
@@ -212,11 +201,6 @@ func main() {
 	}
 
 	if rec != nil {
-		if *parallel {
-			// One run-level window_stats event closes the log so dmpobs can
-			// report the executor's parallelism counters.
-			rec.WindowStats(ws.Windows, ws.Events, ws.Multi, ws.Independent)
-		}
 		// Close before reporting: it flushes the JSONL stream and surfaces
 		// the first write error of the whole run.
 		events, samples := rec.TotalEvents(), rec.Series().Len()
@@ -305,10 +289,6 @@ func main() {
 	fmt.Printf("makespan:               %.0f s\n", res.Makespan)
 	if pmode == core.PressureDomains {
 		fmt.Printf("pressure model:         domains\n")
-	}
-	if *parallel {
-		fmt.Printf("event windows:          %d windows, %d events, %d multi-event, %d independent\n",
-			ws.Windows, ws.Events, ws.Multi, ws.Independent)
 	}
 	fmt.Printf("throughput:             %.6f jobs/s\n", res.Throughput())
 	fmt.Printf("throughput per dollar:  %.3e jobs/s/$\n",

@@ -32,15 +32,14 @@ var recorderReadOnly = map[string]bool{
 	"TotalEvents": true, "Err": true, "Series": true,
 }
 
-// engineScheduling lists the Engine methods that enqueue, move, or dispatch
-// events; their relative order decides tie-breaking between same-time
-// events. ScheduleTag/AfterTag assign seqs exactly as their untagged forms
-// do, and FireWindowed dispatches a popped window member — calling any of
-// them from a map range would order the schedule (or the firing of a
-// window) by map iteration, which varies run to run.
+// engineScheduling lists the Engine methods that enqueue or move events;
+// their relative order decides tie-breaking between same-time events.
+// ScheduleTag/AfterTag assign seqs exactly as their untagged forms do —
+// calling any of them from a map range would order the schedule by map
+// iteration, which varies run to run.
 var engineScheduling = map[string]bool{
 	"Schedule": true, "After": true, "Every": true, "Reschedule": true,
-	"ScheduleTag": true, "AfterTag": true, "FireWindowed": true,
+	"ScheduleTag": true, "AfterTag": true,
 }
 
 func runMapOrder(pass *Pass) {

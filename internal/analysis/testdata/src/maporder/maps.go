@@ -12,11 +12,8 @@ func (r *Recorder) Now() float64  { return 0 }
 
 type Engine struct{}
 
-type Fired struct{}
-
 func (e *Engine) Schedule(at float64)                {}
 func (e *Engine) ScheduleTag(at float64, tag uint64) {}
-func (e *Engine) FireWindowed(f Fired) bool          { return true }
 func (e *Engine) Now() float64                       { return 0 }
 
 func appendUnsorted(m map[int]string) []int {
@@ -103,15 +100,6 @@ func schedule(m map[int]float64, e *Engine) {
 func scheduleTagged(m map[int]float64, e *Engine) {
 	for id, at := range m {
 		e.ScheduleTag(at, uint64(id)) // want `Engine\.ScheduleTag called inside range over map m`
-	}
-}
-
-// fireWindow is the window-era form of the same bug (this PR's precedent):
-// dispatching popped window members by map iteration order would break the
-// serial-order guarantee that makes windowed runs bit-identical.
-func fireWindow(m map[int]Fired, e *Engine) {
-	for _, f := range m {
-		e.FireWindowed(f) // want `Engine\.FireWindowed called inside range over map m`
 	}
 }
 

@@ -102,8 +102,7 @@ const (
 	// PressureDomains partitions the nodes into pressure domains (one per
 	// ledger shard, sized from the torus Z-planes when a topology is
 	// set). Each domain carries its own traffic sum and ρ; refresh is
-	// O(Δ) within the touched domains only, and window members whose
-	// jobs touch disjoint domain sets dispatch concurrently.
+	// O(Δ) within the touched domains only.
 	PressureDomains
 )
 
@@ -170,19 +169,6 @@ type Config struct {
 	MaxEvents       uint64  // runaway backstop: abort after this many events (0 = unlimited)
 	CheckInvariants bool    // verify the ledger after every event (slow; tests only)
 
-	// Parallel selects the windowed event executor: events are popped in
-	// same-timestamp batches and the contention refresh runs its
-	// data-parallel phases on a worker team. Results are bit-identical to
-	// the serial executor — the differential tests assert it — with one
-	// documented difference: the MaxEvents budget is enforced at window
-	// boundaries, so a run may fire the remainder of the current window
-	// past the budget before aborting. Off by default.
-	Parallel bool
-	// Workers sizes the parallel worker team (including the event-loop
-	// goroutine). Zero means GOMAXPROCS; 1 keeps the windowed executor but
-	// runs every phase inline. Ignored unless Parallel is set.
-	Workers int
-
 	// Pressure selects the contention scope: PressureGlobal (the paper's
 	// model, default, bit-identical to previous releases) or
 	// PressureDomains (per-rack pressure partitions). Each mode is
@@ -195,19 +181,14 @@ type Config struct {
 	// node count. Domains are identified with ledger shards, so Normalize
 	// forces Cluster.Shards to the resolved count in domains mode.
 	Domains int
-	// WindowStatsOut, when non-nil, receives a copy of the windowed
-	// executor's WindowStats after Run. Lets callers that only see the
-	// Config (preset runners, CLIs) observe window-parallelism efficacy.
-	WindowStatsOut *WindowStats
 
-	// Interrupt, when non-nil, is polled between events (every
-	// interruptStride firings on the serial executor; every window on the
-	// windowed one). A non-nil return aborts the run, and Run surfaces the
-	// returned error wrapped — the service daemon threads a request
-	// context's cancellation through it so a disconnecting client frees
-	// the simulation's slot mid-run. An Interrupt that returns nil
-	// throughout never perturbs the simulation: results stay a pure
-	// function of (Config, jobs, Seed).
+	// Interrupt, when non-nil, is polled every interruptStride events. A
+	// non-nil return aborts the run, and Run surfaces the returned error
+	// wrapped — the service daemon threads a request context's
+	// cancellation through it so a disconnecting client frees the
+	// simulation's slot mid-run. An Interrupt that returns nil throughout
+	// never perturbs the simulation: results stay a pure function of
+	// (Config, jobs, Seed).
 	Interrupt func() error
 }
 
@@ -300,14 +281,10 @@ func (c *Config) Normalize() error {
 			c.Domains = c.Cluster.Nodes
 		}
 		// Domains are identified with ledger shards: one shard per domain
-		// keeps every per-domain resource summary O(1) and makes
-		// disjoint-domain window members touch disjoint shard state.
+		// keeps every per-domain resource summary O(1).
 		c.Cluster.Shards = c.Domains
 	default:
 		return fmt.Errorf("core: unknown pressure mode %d", int(c.Pressure))
-	}
-	if c.Workers < 0 {
-		return errors.New("core: negative worker count")
 	}
 	return nil
 }

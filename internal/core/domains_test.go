@@ -6,36 +6,11 @@ import (
 	"reflect"
 	"testing"
 
-	"dismem/internal/cluster"
 	"dismem/internal/job"
 	"dismem/internal/memtrace"
 	"dismem/internal/policy"
 	"dismem/internal/slowdown"
-	"dismem/internal/telemetry"
 )
-
-// runLogged executes cfg with a JSONL recorder attached and returns the
-// Result plus the byte-exact telemetry log.
-func runLogged(t *testing.T, cfg Config, jobs []*job.Job) (*Result, []byte) {
-	t.Helper()
-	var buf bytes.Buffer
-	cfg.Telemetry = telemetry.New(telemetry.Options{
-		Sink:           telemetry.NewJSONL(&buf),
-		SampleInterval: 90,
-	})
-	s, err := New(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Telemetry.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return res, buf.Bytes()
-}
 
 // TestSingleDomainMatchesGlobal is the partition property test: one pressure
 // domain covering the whole cluster IS the global model. The single flat
@@ -49,12 +24,12 @@ func TestSingleDomainMatchesGlobal(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg, mkJobs := differentialScenario(seed)
-			gRes, gLog := runLogged(t, cfg, mkJobs())
+			gRes, gLog := runVariant(t, cfg, mkJobs(), 0, false)
 
 			dc := cfg
 			dc.Pressure = PressureDomains
 			dc.Domains = 1
-			dRes, dLog := runLogged(t, dc, mkJobs())
+			dRes, dLog := runVariant(t, dc, mkJobs(), 0, false)
 
 			if !reflect.DeepEqual(gRes, dRes) {
 				t.Fatalf("results diverged\nglobal:        %+v\nsingle-domain: %+v", gRes, dRes)
@@ -66,75 +41,6 @@ func TestSingleDomainMatchesGlobal(t *testing.T) {
 				t.Fatal("scenario exercised nothing")
 			}
 		})
-	}
-}
-
-// TestDifferentialDomainsWindowedVsSerial runs randomized multi-domain
-// scenarios through the serial event loop and the windowed executor and
-// asserts they agree. With telemetry attached the windowed executor
-// dispatches serially (the recorder orders the byte stream), so the logs
-// must be byte-identical; without telemetry the executor fires
-// proven-independent update windows concurrently on the worker team, and
-// the Results must still be deeply equal — the end-to-end proof that
-// parallel compute halves plus pop-order commits replay serial execution.
-// The suite as a whole must exercise at least one concurrent dispatch.
-func TestDifferentialDomainsWindowedVsSerial(t *testing.T) {
-	independent := 0
-	for seed := int64(0); seed < 30; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg, mkJobs := differentialScenario(seed)
-			cfg.Pressure = PressureDomains
-			cfg.Domains = 2 + int(seed)%3
-			cfg.UpdateJitter = 0 // same-tick updates: multi-event windows
-
-			serRes, serLog := runLogged(t, cfg, mkJobs())
-
-			wc := cfg
-			wc.Parallel = true
-			wc.Workers = 4
-			winRes, winLog := runLogged(t, wc, mkJobs())
-			if !reflect.DeepEqual(serRes, winRes) {
-				t.Fatalf("telemetry runs diverged\nserial:   %+v\nwindowed: %+v", serRes, winRes)
-			}
-			if !bytes.Equal(serLog, winLog) {
-				t.Fatalf("telemetry logs diverged (%d vs %d bytes)", len(serLog), len(winLog))
-			}
-
-			// Telemetry off: the windowed run may now dispatch independent
-			// windows concurrently.
-			quiet := cfg
-			quiet.Telemetry = nil
-			s, err := New(quiet, mkJobs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			qSer, err := s.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			qw := quiet
-			qw.Parallel = true
-			qw.Workers = 4
-			var ws WindowStats
-			qw.WindowStatsOut = &ws
-			sw, err := New(qw, mkJobs())
-			if err != nil {
-				t.Fatal(err)
-			}
-			qWin, err := sw.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(qSer, qWin) {
-				t.Fatalf("quiet runs diverged\nserial:   %+v\nwindowed: %+v", qSer, qWin)
-			}
-			independent += ws.Independent
-		})
-	}
-	if independent == 0 {
-		t.Fatal("no window was ever dispatched concurrently: the suite exercised nothing")
 	}
 }
 
@@ -286,84 +192,4 @@ func BenchmarkRefreshDomains(b *testing.B) {
 			}
 		})
 	}
-}
-
-// domainsBenchJobs handcrafts a mid-size workload for the windowed-dispatch
-// benchmark: many narrow jobs with identical update periods (no jitter) so
-// update events pile into multi-member windows, spread across the cluster so
-// frozen domain sets are usually disjoint. Derived from the job index — no
-// RNG — so the workload is reproducible.
-func domainsBenchJobs(n int) []*job.Job {
-	prof := &slowdown.Profile{
-		Name: "bench-stream", Nodes: 1, RuntimeSec: 3000, BandwidthGBs: 8,
-		Sens: slowdown.CurveStream,
-	}
-	jobs := make([]*job.Job, 0, n)
-	for i := 0; i < n; i++ {
-		runtime := 2000 + float64(i%200)*10
-		usage := memtrace.MustNew([]memtrace.Point{
-			{T: 0, MB: 2 * 1024},
-			{T: runtime * 0.7, MB: 5 * 1024},
-			{T: runtime, MB: 6 * 1024},
-		})
-		jobs = append(jobs, &job.Job{
-			ID:          i + 1,
-			SubmitTime:  float64(i % 60),
-			Nodes:       4,
-			RequestMB:   7 * 1024,
-			LimitSec:    runtime * 4,
-			BaseRuntime: runtime,
-			Usage:       usage,
-			Profile:     prof,
-		})
-	}
-	return jobs
-}
-
-// BenchmarkWindowedDispatch runs one mid-size domains-mode scenario through
-// the serial loop and the windowed executor. The windowed row's win over
-// serial is the cross-event parallelism the partitioned model unlocks; the
-// run fails if no window was actually dispatched concurrently, so the
-// benchmark cannot silently measure the serial path twice.
-func BenchmarkWindowedDispatch(b *testing.B) {
-	mkCfg := func() Config {
-		return Config{
-			Cluster:        cluster.Config{Nodes: 2048, Cores: 32, NormalMB: 8 * 1024},
-			Policy:         policy.Dynamic,
-			UpdateInterval: 200,
-			Pressure:       PressureDomains,
-			Domains:        32,
-			Seed:           1,
-		}
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := mkCfg()
-			s, err := New(cfg, domainsBenchJobs(400))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("windowed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := mkCfg()
-			cfg.Parallel = true
-			var ws WindowStats
-			cfg.WindowStatsOut = &ws
-			s, err := New(cfg, domainsBenchJobs(400))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			if ws.Independent == 0 {
-				b.Fatalf("no independent windows: stats %+v", ws)
-			}
-		}
-	})
 }

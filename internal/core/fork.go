@@ -50,9 +50,9 @@ func (s *Simulator) Telemetry() *telemetry.Recorder { return s.tel }
 // branch). For a byte-identical no-op branch, pass a recorder forked from
 // the base's via telemetry.Recorder.Fork with the same sink semantics; a
 // recorder with a different sampling interval changes the branch's sampler
-// cadence (never its Result). The fork drops the base's Observer,
-// WindowStatsOut, and Interrupt hooks — they are owned by the base's
-// caller, and invoking them from several branches would interleave.
+// cadence (never its Result). The fork drops the base's Observer and
+// Interrupt hooks — they are owned by the base's caller, and invoking them
+// from several branches would interleave.
 //
 // Fork must be called between events — after Start, typically after a
 // StepUntil, and before Finish. It is not safe to fork while the base is
@@ -77,7 +77,6 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	// Hooks stay with the base's caller (see doc comment); telemetry is the
 	// branch's own recorder.
 	f.cfg.Observer = nil
-	f.cfg.WindowStatsOut = nil
 	f.cfg.Interrupt = nil
 	f.cfg.Telemetry = tel
 	f.tel = tel
@@ -159,7 +158,6 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		f.domTraffic = append([]float64(nil), s.domTraffic...)
 		f.domRho = append([]float64(nil), s.domRho...)
 		f.domValid = append([]bool(nil), s.domValid...)
-		f.domStamp = append([]uint64(nil), s.domStamp...)
 		f.domJobs = make([][]*runningJob, len(s.domJobs))
 		for d, list := range s.domJobs {
 			if len(list) == 0 {
@@ -173,12 +171,8 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		}
 	}
 
-	// Executor and scratch state is never shared: the fork rebuilds what it
-	// needs lazily, exactly as a fresh simulator would.
-	f.team = nil
-	f.phaseBank, f.phaseSlow, f.phaseUpdate = nil, nil, nil
-	f.parFracs, f.bankBuf, f.winBuf = nil, nil, nil
-	f.adjPar, f.dispRJs, f.dispOuts = nil, nil, nil
+	// Scratch state is never shared: the fork rebuilds what it needs
+	// lazily, exactly as a fresh simulator would.
 	f.idsBuf, f.fracsBuf, f.relBuf = nil, nil, nil
 	f.prof = nil
 

@@ -80,6 +80,34 @@ func differentialScenario(seed int64) (Config, func() []*job.Job) {
 	return cfg, mkJobs
 }
 
+// runVariant executes one differential scenario on a ledger of the given
+// shard count, through the incremental refresh or (ref) the retained
+// full-rescan reference, and returns its Result plus the telemetry byte
+// stream.
+func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int, ref bool) (*Result, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	c := cfg
+	c.Cluster.Shards = shards
+	c.Telemetry = telemetry.New(telemetry.Options{
+		Sink:           telemetry.NewJSONL(&buf),
+		SampleInterval: 90,
+	})
+	s, err := New(c, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.refRescan = ref
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Telemetry.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
 // TestDifferentialRefreshIncrementalVsRescan runs randomized scenarios —
 // all three policies, all backfill modes, OOM restart/abandon paths, with
 // and without topology weighting — through the incremental refresh and the
@@ -92,29 +120,8 @@ func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg, mkJobs := differentialScenario(seed)
-			run := func(ref bool) (*Result, []byte) {
-				var buf bytes.Buffer
-				c := cfg
-				c.Telemetry = telemetry.New(telemetry.Options{
-					Sink:           telemetry.NewJSONL(&buf),
-					SampleInterval: 90,
-				})
-				s, err := New(c, mkJobs())
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.refRescan = ref
-				res, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Telemetry.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return res, buf.Bytes()
-			}
-			incRes, incLog := run(false)
-			refRes, refLog := run(true)
+			incRes, incLog := runVariant(t, cfg, mkJobs(), 0, false)
+			refRes, refLog := runVariant(t, cfg, mkJobs(), 0, true)
 			if !reflect.DeepEqual(incRes, refRes) {
 				t.Fatalf("results diverged\nincremental: %+v\nrescan:      %+v", incRes, refRes)
 			}
@@ -123,6 +130,37 @@ func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
 			}
 			if incRes.Completed+incRes.TimedOut+incRes.Abandoned == 0 && !incRes.Infeasible {
 				t.Fatal("scenario exercised nothing")
+			}
+		})
+	}
+}
+
+// TestDifferentialWindowedParallelVsSerial runs the same 30 randomized
+// scenarios as the incremental-vs-rescan suite on partitioned ledgers —
+// three shards, and one node per shard — against the single-shard run,
+// demanding deeply-equal Results and byte-identical telemetry. Sharding is
+// the only executor layout left besides the plain serial loop; the suite
+// keeps the name it had when it also covered the windowed executor.
+func TestDifferentialWindowedParallelVsSerial(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg, mkJobs := differentialScenario(seed)
+			wantRes, wantLog := runVariant(t, cfg, mkJobs(), 0, false)
+			for _, v := range []struct {
+				name   string
+				shards int
+			}{
+				{"sharded", 3},
+				{"sharded-max", 1 << 20}, // clamps to one node per shard
+			} {
+				res, log := runVariant(t, cfg, mkJobs(), v.shards, false)
+				if !reflect.DeepEqual(res, wantRes) {
+					t.Fatalf("%s: results diverged\nserial: %+v\n%s: %+v", v.name, wantRes, v.name, res)
+				}
+				if !bytes.Equal(log, wantLog) {
+					t.Fatalf("%s: telemetry logs diverged (%d vs %d bytes)", v.name, len(log), len(wantLog))
+				}
 			}
 		})
 	}
@@ -213,5 +251,34 @@ func BenchmarkRefresh(b *testing.B) {
 				s.refreshAll()
 			}
 		})
+	}
+}
+
+// TestShardSpanningJob covers the remaining shard-boundary case at the
+// simulator level: a job whose allocation spans every shard (Nodes equal to
+// the cluster size) with usage growth that borrows remote memory across
+// shard boundaries, compared against the single-shard ledger.
+func TestShardSpanningJob(t *testing.T) {
+	cfg := baseConfig(6, 1024, policy.Dynamic)
+	cfg.Seed = 11
+	cfg.UpdateInterval = 50
+	mk := func() []*job.Job {
+		grow := memtrace.MustNew([]memtrace.Point{
+			{T: 0, MB: 256}, {T: 2000, MB: 1500},
+		})
+		return []*job.Job{
+			mkJob(1, 0, 6, 512, 2000, grow), // spans all 6 nodes → all shards
+			mkJob(2, 100, 2, 700, 1200, memtrace.Constant(700)),
+		}
+	}
+	wantRes, wantLog := runVariant(t, cfg, mk(), 1, false)
+	for _, shards := range []int{2, 3, 6} {
+		res, log := runVariant(t, cfg, mk(), shards, false)
+		if !reflect.DeepEqual(res, wantRes) {
+			t.Fatalf("shards=%d: results diverged", shards)
+		}
+		if !bytes.Equal(log, wantLog) {
+			t.Fatalf("shards=%d: telemetry diverged", shards)
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"dismem/internal/sched"
 	"dismem/internal/sim"
 	"dismem/internal/slowdown"
-	"dismem/internal/sweep"
 	"dismem/internal/telemetry"
 )
 
@@ -66,20 +65,6 @@ type Simulator struct {
 	// byte-identical telemetry.
 	refRescan bool
 
-	// Parallel execution state, nil/unused unless cfg.Parallel selects the
-	// windowed executor and the machine has more than one worker. parMin is
-	// the running-set size below which fan-out costs more than it saves;
-	// tests poke it to force the parallel phases on small scenarios.
-	team      *sweep.Team
-	parMin    int
-	parRho    float64
-	phaseBank func(worker, start, end int) // prebuilt: Team fn escapes, so closures are one-time
-	phaseSlow func(worker, start, end int)
-	parFracs  [][]float64 // per-worker recontend scratch
-	bankBuf   []float64   // per-job banking deltas, reduced serially in runID order
-	winBuf    []sim.Fired
-	winStats  WindowStats
-
 	// Pressure-domain state (Config.Pressure == PressureDomains). nDom is 0
 	// in global mode, which disables every domain path. Domains are
 	// identified with ledger shards: domain d owns shard d's contiguous
@@ -93,16 +78,6 @@ type Simulator struct {
 	domJobs      [][]*runningJob // per-domain home-resident jobs, ascending job ID
 	domCapMB     []int64         // per-domain memory capacity (immutable)
 	refreshEpoch uint64          // refreshDomains per-phase job dedup stamp
-	winGen       uint64          // windowIndependentDomains generation
-	domStamp     []uint64        // per-domain winGen stamps (independence scratch)
-
-	// Parallel window-dispatch state (domains mode + worker team + no
-	// telemetry): per-worker adjusters and the taken members' jobs and
-	// compute outcomes for one window.
-	adjPar      []*policy.Adjuster
-	dispRJs     []*runningJob
-	dispOuts    []updateOutcome
-	phaseUpdate func(worker, start, end int)
 
 	// Scratch reused across refreshAll calls (the per-event hot path).
 	idsBuf   []int
@@ -220,7 +195,6 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 		s.domValid = make([]bool, s.nDom)
 		s.domJobs = make([][]*runningJob, s.nDom)
 		s.domCapMB = make([]int64, s.nDom)
-		s.domStamp = make([]uint64, s.nDom)
 		for i := 0; i < s.nDom; i++ {
 			s.domBW[i] = cfg.PerNodeRemoteBW * float64(s.cl.Shard(i).Nodes)
 		}
@@ -278,7 +252,7 @@ func (s *Simulator) Start() {
 		// are identical with it on or off. The periodic tick stops
 		// rescheduling once it is the only queued event, so it cannot keep
 		// the run alive on its own. The tick carries tagSample so Fork can
-		// rebind it; the window executor still treats it as unclassified.
+		// rebind it.
 		s.eng.EveryTag(0, iv, evTag(tagSample, 0), func(*sim.Engine) { s.sample() })
 	}
 	if s.cfg.Horizon > 0 {
@@ -289,12 +263,10 @@ func (s *Simulator) Start() {
 	}
 }
 
-// StepUntil fires every event due at or before t with the serial executor
-// and returns with the clock at the last fired event (≤ t). It is the pause
-// point for forking: after StepUntil the engine is between events, which is
-// the only state a Fork may be taken in. The windowed executor is not used
-// here — serial stepping is proven byte-identical to it — so StepUntil may
-// be freely mixed with a Finish that runs windowed.
+// StepUntil fires every event due at or before t and returns with the clock
+// at the last fired event (≤ t). It is the pause point for forking: after
+// StepUntil the engine is between events, which is the only state a Fork
+// may be taken in.
 func (s *Simulator) StepUntil(t float64) error {
 	if !s.started {
 		panic("core: StepUntil before Start")
@@ -310,8 +282,8 @@ func (s *Simulator) StepUntil(t float64) error {
 	return nil
 }
 
-// Finish drives the run to completion with the configured executor and
-// returns the Result. It must be called exactly once, after Start.
+// Finish drives the run to completion and returns the Result. It must be
+// called exactly once, after Start.
 func (s *Simulator) Finish() (*Result, error) {
 	if !s.started {
 		panic("core: Finish before Start")
@@ -325,13 +297,7 @@ func (s *Simulator) Finish() (*Result, error) {
 	}
 	exhausted := false
 	var runErr error
-	if s.cfg.Parallel {
-		s.setupParallel()
-		if s.team != nil {
-			defer s.team.Close()
-		}
-		exhausted, runErr = s.runWindows()
-	} else if s.cfg.Interrupt != nil {
+	if s.cfg.Interrupt != nil {
 		exhausted, runErr = s.runInterruptible()
 	} else {
 		s.eng.Run()
@@ -360,13 +326,10 @@ func (s *Simulator) Finish() (*Result, error) {
 			return nil, err
 		}
 	}
-	if s.cfg.WindowStatsOut != nil {
-		*s.cfg.WindowStatsOut = s.winStats
-	}
 	return s.res, nil
 }
 
-// interruptStride is how many events the serial executor fires between
+// interruptStride is how many events the event loop fires between
 // Interrupt polls: frequent enough that a cancelled request aborts within
 // microseconds of simulated work, rare enough that the poll never shows up
 // in the event hot path.
@@ -444,13 +407,10 @@ func (s *Simulator) poolCheck(rj *runningJob) {
 
 // ---------------------------------------------------------------- events
 
-// Event tags classify queue entries for the window executor without calling
-// into their actions: a kind in the top bits and the owning job (zero for
-// global events) in the low 32. Tag zero is "unclassified" and conservatively
-// conflicts with everything; tagSample marks the telemetry sampler's ticks,
-// which the window executor deliberately treats exactly like tag zero (see
-// windowIndependent) so tagging them — needed so Fork can rebind the tick —
-// changes no window verdicts.
+// Event tags classify queue entries without calling into their actions: a
+// kind in the top bits and the owning job (zero for global events) in the
+// low 32. Fork rebinds every pending event through its tag; tagSample marks
+// the telemetry sampler's ticks.
 const (
 	tagSubmit = iota + 1
 	tagTick
@@ -889,105 +849,71 @@ func (s *Simulator) teardown(rj *runningJob) {
 	s.poolCheck(rj) // rising free re-arms the watermark detector
 }
 
-// updateOutcome carries one memory update's results from the compute half
-// (banking + allocation resize, parallelisable across disjoint domain sets)
-// to the commit half (shared-accumulator and engine mutation, serial).
-type updateOutcome struct {
-	usedDelta     float64 // bankDelta contribution, reduced serially
-	before, after int64   // allocation totals around the resize
-	changed       bool    // any node's (total, remote) pair moved
-	oom           bool    // resize hit ErrOutOfMemory
-}
-
 // onMemoryUpdate is the Monitor→Decider→Actuator→Executor cycle for one job
 // (paper §2.2): read the usage the job will exhibit until the next update,
 // resize the allocation to it, handle OOM, refresh the contention model.
-// The body is split into updateCompute and updateCommit so the windowed
-// executor can run the compute halves of domain-disjoint updates in parallel
-// and replay the commit halves serially in pop order.
+//
+//dmp:hotpath
 func (s *Simulator) onMemoryUpdate(id int) {
 	s.accrue()
 	rj, ok := s.running[id]
 	if !ok {
 		return
 	}
-	out := s.updateCompute(rj, s.adj)
-	s.updateCommit(rj, out)
-}
-
-// updateCompute banks rj's progress and resizes its allocation to the usage
-// trace's next-window maximum. It mutates rj and the ledger entries of rj's
-// nodes and (in domains mode) lenders inside rj's frozen domain set only —
-// never the simulator's shared accumulators — so compute halves of jobs with
-// pairwise-disjoint domain sets commute and may run concurrently, each with
-// its own Adjuster.
-//
-//dmp:hotpath
-func (s *Simulator) updateCompute(rj *runningJob, adj *policy.Adjuster) updateOutcome {
-	var out updateOutcome
-	out.usedDelta = s.bankDelta(rj)
+	s.bank(rj)
 
 	// Decider: provision for the maximum usage between now and the next
 	// update, read from the offline usage trace at the job's progress.
 	window := rj.period / rj.slow // wallclock window mapped to progress time
 	target := rj.use.MaxIn(rj.progress, rj.progress+window)
 
-	out.before = rj.alloc.TotalMB()
+	before := rj.alloc.TotalMB()
+	oom := false
+	changed := false
 	for i := range rj.alloc.PerNode {
 		na := &rj.alloc.PerNode[i]
 		nodeBefore, remoteBefore := na.TotalMB(), na.RemoteMB()
 		var err error
 		if s.nDom > 0 {
-			err = adj.AdjustDomains(s.cl, rj.alloc, i, target, rj.domSet)
+			err = s.adj.AdjustDomains(s.cl, rj.alloc, i, target, rj.domSet)
 		} else {
-			err = adj.Adjust(s.cl, rj.alloc, i, target)
+			err = s.adj.Adjust(s.cl, rj.alloc, i, target)
 		}
 		if na.TotalMB() != nodeBefore || na.RemoteMB() != remoteBefore {
 			// One Adjust call either grows or shrinks a node's allocation,
 			// so an unchanged (total, remote) pair means untouched leases —
 			// the contention cache stays exact.
-			out.changed = true
+			changed = true
 		}
 		if s.tel != nil {
 			if d := na.TotalMB() - nodeBefore; d != 0 {
-				s.tel.LeaseAdjust(rj.j.ID, int(na.Node), d, na.RemoteMB()-remoteBefore)
+				s.tel.LeaseAdjust(id, int(na.Node), d, na.RemoteMB()-remoteBefore)
 			}
 		}
 		if err != nil {
 			if err == policy.ErrOutOfMemory {
-				out.oom = true
+				oom = true
 				break
 			}
 			panic(err)
 		}
 	}
-	out.after = rj.alloc.TotalMB()
-	return out
-}
-
-// updateCommit applies one update's shared-state effects: the utilisation
-// accumulators, cache invalidation, watermark checks, OOM handling, the next
-// update event, and the contention refresh. Always serial.
-//
-//dmp:hotpath
-func (s *Simulator) updateCommit(rj *runningJob, out updateOutcome) {
-	s.res.UsedMBSeconds += out.usedDelta
-	s.curAllocMB += out.after - out.before
-	if out.changed {
+	after := rj.alloc.TotalMB()
+	s.curAllocMB += after - before
+	if changed {
 		rj.dirty = true
 		s.invalidate(rj)
 	}
 	s.poolCheck(rj)
 
-	if out.oom {
+	if oom {
 		s.oomKill(rj)
 		return
 	}
-	if s.cfg.Observer != nil && out.after != out.before {
-		s.cfg.Observer.AllocationChanged(s.eng.Now(), rj.j, out.before, out.after)
+	if s.cfg.Observer != nil && after != before {
+		s.cfg.Observer.AllocationChanged(s.eng.Now(), rj.j, before, after)
 	}
-	id := rj.j.ID
-	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, id), func(*sim.Engine) { s.onMemoryUpdate(id) }) //dmplint:ignore hotpath-alloc one closure per update period, exactly as the pre-split handler allocated
+	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, id), func(*sim.Engine) { s.onMemoryUpdate(id) }) //dmplint:ignore hotpath-alloc one closure per update period
 	s.refreshAfter(rj)
 }
 
@@ -1046,21 +972,10 @@ func (s *Simulator) oomKill(rj *runningJob) {
 //
 //dmp:hotpath
 func (s *Simulator) bank(rj *runningJob) {
-	s.res.UsedMBSeconds += s.bankDelta(rj)
-}
-
-// bankDelta advances rj's progress and returns its used-memory integral
-// contribution without touching the shared accumulator. The parallel
-// refresh runs this per job concurrently (it mutates rj only) and then
-// reduces the deltas serially in runID order — the exact additions, in the
-// exact order, of the serial bank loop.
-//
-//dmp:hotpath
-func (s *Simulator) bankDelta(rj *runningJob) float64 {
 	now := s.eng.Now()
 	dt := now - rj.lastT
 	if dt <= 0 {
-		return 0
+		return
 	}
 	p0 := rj.progress
 	p1 := p0 + dt/rj.slow
@@ -1080,7 +995,7 @@ func (s *Simulator) bankDelta(rj *runningJob) float64 {
 	} else {
 		meanUse = float64(rj.use.At(p0))
 	}
-	return meanUse * float64(rj.j.Nodes) * dt
+	s.res.UsedMBSeconds += meanUse * float64(rj.j.Nodes) * dt
 }
 
 // remoteFraction returns the (possibly distance-weighted) remote share of
@@ -1116,25 +1031,15 @@ func (s *Simulator) remoteFraction(na *cluster.NodeAllocation) float64 {
 //
 //dmp:hotpath
 func (s *Simulator) recontend(rj *runningJob) {
-	s.fracsBuf = s.recontendInto(rj, s.fracsBuf)
-}
-
-// recontendInto is recontend with caller-supplied fraction scratch, so the
-// parallel refresh can rebuild several dirty jobs concurrently with one
-// scratch slice per worker. It writes rj's fields only.
-//
-//dmp:hotpath
-func (s *Simulator) recontendInto(rj *runningJob, fracs []float64) []float64 {
 	rj.nodeTraffic = rj.nodeTraffic[:0]
-	fracs = fracs[:0]
+	s.fracsBuf = s.fracsBuf[:0]
 	for i := range rj.alloc.PerNode {
 		na := &rj.alloc.PerNode[i]
 		rj.nodeTraffic = append(rj.nodeTraffic, slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()))
-		fracs = append(fracs, s.remoteFraction(na))
+		s.fracsBuf = append(s.fracsBuf, s.remoteFraction(na))
 	}
-	rj.maxFrac = slowdown.MaxWeightedFrac(fracs)
+	rj.maxFrac = slowdown.MaxWeightedFrac(s.fracsBuf)
 	rj.dirty = false
-	return fracs
 }
 
 // ---------------------------------------------------- pressure domains
@@ -1384,10 +1289,6 @@ func (s *Simulator) refreshAll() {
 		return
 	}
 	now := s.eng.Now()
-	if s.team != nil && len(s.runList) >= s.parMin {
-		s.refreshParallel(now)
-		return
-	}
 	for _, rj := range s.runList {
 		s.bank(rj)
 	}
@@ -1407,46 +1308,6 @@ func (s *Simulator) refreshAll() {
 		for _, rj := range s.runList {
 			rj.slow = slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho)
 		}
-	}
-	for _, rj := range s.runList {
-		s.refinish(rj, now)
-	}
-}
-
-// refreshParallel is refreshAll's data-parallel form, used by the windowed
-// executor when a worker team exists and the running set is large enough to
-// amortise the dispatch. It is bit-identical to the serial path by phase
-// construction:
-//
-//	A (parallel) banking deltas + dirty-job recontends — each touches one
-//	  job's state only, with per-worker fraction scratch;
-//	B (serial, runID order) the UsedMBSeconds reduction and the flat
-//	  traffic sum — float additions associate exactly as serially;
-//	C (parallel) per-job slowdowns — pure functions of (profile, maxFrac,
-//	  rho);
-//	D (serial, runID order) refinish — engine mutation, where the order of
-//	  Schedule calls assigns the seqs that break same-time firing ties.
-func (s *Simulator) refreshParallel(now float64) {
-	n := len(s.runList)
-	if cap(s.bankBuf) < n {
-		s.bankBuf = make([]float64, 0, 2*n)
-	}
-	s.bankBuf = s.bankBuf[:n]
-	s.team.Run(n, s.phaseBank)
-	for _, d := range s.bankBuf {
-		s.res.UsedMBSeconds += d
-	}
-	if !s.trafficValid {
-		var traffic float64
-		for _, rj := range s.runList {
-			for _, t := range rj.nodeTraffic {
-				traffic += t
-			}
-		}
-		s.cachedTraffic = traffic
-		s.trafficValid = true
-		s.parRho = s.model.Pressure(traffic)
-		s.team.Run(n, s.phaseSlow)
 	}
 	for _, rj := range s.runList {
 		s.refinish(rj, now)

@@ -454,32 +454,6 @@ func TestInterruptAbortsRun(t *testing.T) {
 	}
 }
 
-// The windowed executor polls Interrupt at window boundaries: a cause that
-// arrives mid-run aborts between windows, never tearing one.
-func TestInterruptWindowedExecutor(t *testing.T) {
-	cfg, jobs := interruptScenario()
-	cfg.Parallel = true
-	cfg.Workers = 1
-	polls := 0
-	cfg.Interrupt = func() error {
-		polls++
-		if polls > 3 {
-			return errInterruptTest
-		}
-		return nil
-	}
-	s, err := New(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); !errors.Is(err, errInterruptTest) {
-		t.Fatalf("err = %v, want wrapped interrupt cause", err)
-	}
-	if polls != 4 {
-		t.Fatalf("interrupt polled %d times, want 4 (aborts on first failure)", polls)
-	}
-}
-
 // An Interrupt that never fires must not perturb the simulation: the Result
 // is deeply equal to the run without one, polls included.
 func TestInterruptNilIsPure(t *testing.T) {

@@ -39,15 +39,10 @@ type Preset struct {
 	UpdateInterval float64 // dynamic-policy update period (paper: 300 s)
 	Seed           int64
 
-	// Shards partitions the cluster ledger (0 = single shard); Parallel
-	// selects the windowed executor with Workers-sized refresh fan-out
-	// (0 = GOMAXPROCS). All default off: results are bit-identical either
-	// way — the switches trade nothing but speed — but the golden digests
-	// are recorded against the serial executor, so experiments flip them
-	// only when explicitly asked (dmpsim/dmpexp -shards/-parallel).
-	Shards   int
-	Parallel bool
-	Workers  int
+	// Shards partitions the cluster ledger (0 = single shard). Results are
+	// bit-identical for every shard count, so experiments set it only when
+	// explicitly asked (dmpsim/dmpexp -shards).
+	Shards int
 }
 
 // Full is the paper-scale preset.
@@ -264,8 +259,6 @@ func (p Preset) ConfigFor(nodes int, mc MemConfig, pol policy.Kind) core.Config 
 		Policy:         pol,
 		UpdateInterval: p.UpdateInterval,
 		Seed:           p.Seed,
-		Parallel:       p.Parallel,
-		Workers:        p.Workers,
 	}
 }
 

@@ -76,9 +76,9 @@ func AdjustRanked(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetM
 // (the job's frozen pressure-domain set, sorted ascending): the grow path
 // borrows only from lenders in doms, preferring the compute node's own
 // shard first, and reports ErrOutOfMemory when those domains are exhausted
-// even if other domains still hold free memory. Strict confinement is what
-// makes window members with disjoint domain sets commute — a member can
-// neither read nor take memory outside its set. Shrinking releases existing
+// even if other domains still hold free memory. Strict confinement keeps a
+// job's contention footprint inside its frozen domain set: it can neither
+// read nor take memory outside that set. Shrinking releases existing
 // leases, which by construction already lie inside doms.
 //
 //dmp:hotpath
@@ -101,8 +101,7 @@ func (a *Adjuster) AdjustDomains(cl *cluster.Cluster, ja *cluster.JobAllocation,
 // first, then the borrower's home shard's lenders, then the remaining
 // domains in ascending order. With a single domain covering the whole
 // cluster it degenerates bit-exactly to growBy — the per-shard walk IS the
-// global lender walk. The per-shard walks use no shared cluster scratch, so
-// concurrent adjusters over disjoint domain sets are safe.
+// global lender walk.
 //
 //dmp:hotpath
 func (a *Adjuster) growByDomains(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, need int64, doms []int32) error {

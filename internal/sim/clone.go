@@ -31,8 +31,8 @@ func Periodic(interval float64, tag uint64, fn Action) Action {
 	return tick
 }
 
-// EveryTag is Every with a classification tag on the tick events, so a
-// window executor can recognise them and a fork can rebind them.
+// EveryTag is Every with a classification tag on the tick events, so a fork
+// can rebind them.
 func (e *Engine) EveryTag(start, interval float64, tag uint64, fn Action) {
 	if interval <= 0 || math.IsNaN(interval) {
 		panic(fmt.Sprintf("sim: EveryTag with interval %g", interval))
@@ -54,13 +54,8 @@ func (e *Engine) EveryTag(start, interval float64, tag uint64, fn Action) {
 // rebind must return a non-nil action for every pending tag (zero included,
 // if any untagged events are pending), and nonzero tags must be unique among
 // pending events — both panic otherwise, because a silently dropped or
-// misbound event would corrupt the branch's timeline. Cloning mid-window
-// (between NextWindow and the window's last FireWindowed) panics too: window
-// members live outside the heap and cannot be rebound.
+// misbound event would corrupt the branch's timeline.
 func (e *Engine) Clone(rebind func(tag uint64) Action) (*Engine, map[uint64]Handle) {
-	if e.windowed != 0 {
-		panic("sim: Clone mid-window")
-	}
 	c := &Engine{
 		now:       e.now,
 		seq:       e.seq,

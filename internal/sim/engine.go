@@ -28,17 +28,11 @@ type Action func(e *Engine)
 type Event struct {
 	at    float64
 	seq   uint64
-	index int // heap index; -1 when not queued, windowedIdx mid-window
+	index int // heap index; -1 when not queued
 	gen   uint64
 	tag   uint64
 	fire  Action
 }
-
-// windowedIdx marks an event popped into the current window by NextWindow
-// but not yet fired: it is out of the heap, yet its handle must stay pending
-// so earlier events in the same window can cancel or reschedule it exactly
-// as they could under serial stepping.
-const windowedIdx = -2
 
 // Handle identifies one scheduled event. The zero Handle refers to no event
 // and every operation on it is a no-op. A Handle is spent once its event
@@ -49,11 +43,9 @@ type Handle struct {
 	gen uint64
 }
 
-// Pending reports whether the event is still due to fire — queued in the
-// heap, or popped into the current window but not yet dispatched.
+// Pending reports whether the event is still queued to fire.
 func (h Handle) Pending() bool {
-	return h.ev != nil && h.ev.gen == h.gen &&
-		(h.ev.index >= 0 || h.ev.index == windowedIdx)
+	return h.ev != nil && h.ev.gen == h.gen && h.ev.index >= 0
 }
 
 // At returns the simulated time at which the event is due to fire, or NaN
@@ -103,7 +95,6 @@ type Engine struct {
 	seq       uint64
 	queue     eventQueue
 	free      []*Event // recycled event storage
-	windowed  int      // popped by NextWindow, not yet fired or cancelled
 	fired     uint64
 	maxT      float64
 	maxEvents uint64
@@ -130,12 +121,8 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still due to fire: queued in the
-// heap, plus any popped into the current window but not yet dispatched. The
-// latter term keeps handlers that read Pending mid-window (the sampler's
-// stop condition) observing exactly what they would under serial stepping,
-// where undelivered same-time events are still in the heap.
-func (e *Engine) Pending() int { return len(e.queue) + e.windowed }
+// Pending returns the number of events still queued to fire.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // SetHorizon stops the run when the clock would pass t. Events scheduled at
 // exactly t still fire.
@@ -152,9 +139,9 @@ func (e *Engine) Schedule(at float64, fn Action) Handle {
 }
 
 // ScheduleTag is Schedule with an opaque classification tag attached to the
-// event. The engine never interprets tags; window executors read them back
-// via Fired.Tag to decide event independence without calling into the
-// action. Plain Schedule leaves the tag zero ("unclassified").
+// event. The engine never interprets tags; Clone hands them back so a fork
+// can rebind each pending event's action. Plain Schedule leaves the tag
+// zero ("unclassified").
 func (e *Engine) ScheduleTag(at float64, tag uint64, fn Action) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
@@ -213,14 +200,6 @@ func (e *Engine) recycle(ev *Event) {
 // queue entries nor allocate per firing.
 func (e *Engine) Cancel(h Handle) {
 	if !h.Pending() {
-		return
-	}
-	if h.ev.index == windowedIdx {
-		// Popped into the current window but not yet fired: not in the heap.
-		// Recycling bumps the generation, so FireWindowed skips it — the
-		// same observable outcome as a serial cancel-before-fire.
-		e.windowed--
-		e.recycle(h.ev)
 		return
 	}
 	heap.Remove(&e.queue, h.ev.index)

@@ -67,13 +67,6 @@ const (
 	// after the original kinds so their numeric values — and with them the
 	// golden digests of logs containing no OOM events — are unchanged.
 	KindJobAttemptEnd
-	// KindWindowStats is emitted once at the end of a windowed-executor run
-	// with the window-parallelism counters: MB is the window count, Aux the
-	// fired-event count, Node the multi-member window count and Lender the
-	// proven-independent window count; Job is -1. Appended after the
-	// original kinds so their numeric values — and with them the golden
-	// digests of existing logs — are unchanged.
-	KindWindowStats
 
 	// KindBranch is emitted on the base run's recorder when a what-if
 	// branch forks off it: Aux is the shared-prefix event count the branch
@@ -100,7 +93,6 @@ var kindNames = [KindCount]string{
 	"backfill_place",
 	"pool_watermark",
 	"job_attempt_end",
-	"window_stats",
 	"branch",
 }
 

@@ -267,19 +267,6 @@ func (r *Recorder) PoolCheckDomain(dom int, freeMB, capacityMB int64) {
 	r.domLevels[dom] = level
 }
 
-// WindowStats records the windowed executor's run-level counters: windows
-// popped, members fired, multi-member windows, and multi-member windows
-// proven independent. Emitted once per run, after the event loop drains.
-func (r *Recorder) WindowStats(windows, events, multi, independent int) {
-	if r == nil {
-		return
-	}
-	r.emit(Event{
-		Kind: KindWindowStats, Job: -1, Node: multi, Lender: independent,
-		MB: int64(windows), Aux: int64(events),
-	})
-}
-
 // Branch records a what-if branch forking off this run: name identifies the
 // variant, sharedEvents is the prefix event count the branch inherited, and
 // nodeCopies/shardThaws are the branch's CoW materialisation counters at the

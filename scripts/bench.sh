@@ -11,15 +11,18 @@
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled
 # and serial, the replicated headlines, trace generation vs cache hit), the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
-# grizzly-scale, its parallel twin, and the 100k-node scenario separately at
-# 1x — one iteration is a full cluster-scale run), the refresh
+# grizzly-scale, its domains twin, and the same-trace 100k/100k-domains pair
+# separately at 1x — one iteration is a full cluster-scale run), the refresh
 # micro-benchmark (incremental, rescan, and elided modes), the per-domain
-# refresh and windowed-dispatch benchmarks, the copy-on-write fork suite
-# (snapshot cost, zero-alloc read path, first-write materialisation) and the
-# what-if branching headline (branched vs nine full runs), and the
-# micro-benchmarks for each indexed structure (lender ranking, sharded
-# ascend, dynamic placement, engine schedule/cancel, window dispatch, team
-# fan-out, trace cursor).
+# refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
+# read path, first-write materialisation) and the what-if branching headline
+# (branched vs nine full runs), and the micro-benchmarks for each indexed
+# structure (lender ranking, sharded ascend, dynamic placement, engine
+# schedule/cancel, trace cursor).
+#
+# The JSON header records the machine: nproc, GOMAXPROCS (the value the
+# benchmarks ran with; unset means nproc) and the CPU model, so a recorded
+# number can be read against the core count it was measured on.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,26 +52,25 @@ run .                    'BenchmarkScenario$/^(baseline|static|dynamic)$' 100x 5
 # as the code, and the cross-PR trajectory check diffs these recorded
 # numbers directly.
 run .                    'BenchmarkScenario$/^grizzly-scale$' 1x 3
-run .                    'BenchmarkScenario$/^grizzly-scale-parallel$' 1x 3
 run .                    'BenchmarkScenario$/^grizzly-scale-domains$' 1x 3
 run .                    'BenchmarkScenario$/^100k$'    1x 3
 run .                    'BenchmarkScenario$/^100k-domains$' 1x 3
 run .                    'BenchmarkWhatIf$'             1x 3
 run ./internal/core      'BenchmarkRefresh$'            1s 3
 run ./internal/core      'BenchmarkRefreshDomains'      1s 3
-run ./internal/core      'BenchmarkWindowedDispatch'    3x 3
 run ./internal/cluster   'BenchmarkFork$'               1s 3
 run ./internal/cluster   'BenchmarkLenderRank'          1s 3
 run ./internal/cluster   'BenchmarkShardedAscend'       1s 3
 run ./internal/policy    'BenchmarkPlaceDynamic'        1s 3
 run ./internal/sim       'BenchmarkEngineScheduleCancel' 1s 3
-run ./internal/sim       'BenchmarkWindowCycle'         1s 3
-run ./internal/sweep     'BenchmarkTeamDispatch'        1s 3
 run ./internal/memtrace  'BenchmarkTraceAtSequential'   1s 3
 
 awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-    -v goversion="$(go version | awk '{print $3}')" '
+    -v goversion="$(go version | awk '{print $3}')" \
+    -v nproc="$(nproc 2>/dev/null || echo 0)" \
+    -v gomaxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || echo 0)}" \
+    -v cpumodel="$(sed -n 's/^model name[[:space:]]*:[[:space:]]*//p' /proc/cpuinfo 2>/dev/null | head -n 1 | tr -d '"\\')" '
 # %.15g: exact for every integer ns/B/alloc count we record (< 2^50) without
 # the float64 round-trip artifacts %.17g prints (253.30000000000001).
 BEGIN { CONVFMT = "%.15g"; OFMT = "%.15g" }
@@ -99,7 +101,9 @@ function median(arr, name, cnt,    m, i, k, t, tmp) {
     return (tmp[m/2] + tmp[m/2+1]) / 2
 }
 END {
-    printf "{\n  \"commit\": \"%s\",\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [\n", commit, date, goversion
+    printf "{\n  \"commit\": \"%s\",\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n", commit, date, goversion
+    printf "  \"nproc\": %d,\n  \"gomaxprocs\": %d,\n  \"cpu\": \"%s\",\n", nproc, gomaxprocs, cpumodel
+    printf "  \"benchmarks\": [\n"
     for (j = 1; j <= names; j++) {
         name = order[j]
         printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
