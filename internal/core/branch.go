@@ -61,7 +61,7 @@ func (s *Simulator) DescheduleRepack() {
 	now := s.eng.Now()
 	victims := append([]*runningJob(nil), s.runList...) // teardown edits runList
 	for _, rj := range victims {
-		s.bank(rj)
+		s.bank(rj, now)
 		s.teardown(rj)
 		s.closeAttempt(rj.rec, AttemptPreempted)
 		id := rj.j.ID

@@ -134,6 +134,10 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	for i, rj := range s.runList {
 		f.runList[i] = f.running[rj.j.ID]
 	}
+	f.remote = make([]*runningJob, len(s.remote))
+	for i, rj := range s.remote {
+		f.remote[i] = f.running[rj.j.ID]
+	}
 
 	f.banked = make(map[int]float64, len(s.banked))
 	for id, v := range s.banked {

@@ -83,7 +83,8 @@ func differentialScenario(seed int64) (Config, func() []*job.Job) {
 // runVariant executes one differential scenario on a ledger of the given
 // shard count, through the incremental refresh or (ref) the retained
 // full-rescan reference, and returns its Result plus the telemetry byte
-// stream.
+// stream. It fires the events one at a time and checks the lazy-banking
+// cost contract (checkBankingContract) after each.
 func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int, ref bool) (*Result, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -98,7 +99,15 @@ func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int, ref bool)
 		t.Fatal(err)
 	}
 	s.refRescan = ref
-	res, err := s.Run()
+	s.Start()
+	for {
+		before := snapshotBanking(s)
+		if !s.eng.Step() {
+			break
+		}
+		checkBankingContract(t, s, before)
+	}
+	res, err := s.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,6 +190,12 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 		usage := memtrace.MustNew([]memtrace.Point{
 			{T: 0, MB: req / 2}, {T: 10000, MB: req + 512},
 		})
+		if i%4 == 0 {
+			// Outgrows its node from the start: holds remote memory, so
+			// the global refresh has contended jobs to walk.
+			req = 4096 + 1024
+			usage = memtrace.Constant(req)
+		}
 		j := mkJob(i, float64(i%40), 1+i%3, req, 20000, usage)
 		if i%2 == 0 {
 			j.Profile = streamProfile()
@@ -194,8 +209,8 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 	if _, err := s.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if len(s.running) == 0 {
-		tb.Fatal("no jobs running at the horizon")
+	if len(s.running) == 0 || len(s.remote) == 0 {
+		tb.Fatalf("%d jobs running at the horizon, %d holding remote memory; want both > 0", len(s.running), len(s.remote))
 	}
 	return s
 }
@@ -206,15 +221,16 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 // build reuses the pooled buffers.
 func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 	s := midRunSimulator(t, 32, 48, ConservativeBackfill)
-	s.refreshAll() // warm caches and scratch
+	rj := s.runList[0]
 	full := func() {
 		s.trafficValid = false // defeat the elision: measure the full recompute
-		s.refreshAll()
+		s.refreshAll(rj)
 	}
+	full() // warm caches and scratch
 	if got := testing.AllocsPerRun(50, full); got != 0 {
 		t.Fatalf("refreshAll allocates %.1f per call at steady state, want 0", got)
 	}
-	if got := testing.AllocsPerRun(50, func() { s.refreshAll() }); got != 0 {
+	if got := testing.AllocsPerRun(50, func() { s.refreshAll(rj) }); got != 0 {
 		t.Fatalf("elided refreshAll allocates %.1f per call, want 0", got)
 	}
 	if s.prof == nil {
@@ -230,8 +246,10 @@ func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 }
 
 // BenchmarkRefresh isolates one contention refresh — the unit of work every
-// start/finish/adjust/OOM event pays — at a high concurrent-running count,
-// comparing the incremental path against the retained full rescan.
+// start/finish/adjust/OOM event pays — at a high concurrent-running count:
+// the incremental path with the traffic cache invalidated (one event that
+// moved the running set or an allocation), the retained full rescan, and
+// the elided refresh of an event that moved nothing.
 func BenchmarkRefresh(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -241,14 +259,16 @@ func BenchmarkRefresh(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			s := midRunSimulator(b, 96, 128, EASYBackfill)
 			s.refRescan = mode.ref
-			s.refreshAll()
+			rj := s.runList[0]
+			s.trafficValid = false
+			s.refreshAll(rj)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !mode.elide {
 					s.trafficValid = false
 				}
-				s.refreshAll()
+				s.refreshAll(rj)
 			}
 		})
 	}

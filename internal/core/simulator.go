@@ -44,20 +44,23 @@ type Simulator struct {
 	tickScheduled bool
 
 	// runIDs mirrors the keys of running, kept sorted ascending; runList
-	// holds the corresponding *runningJob at the same index. The refresh and
-	// backfill hot paths iterate runList instead of chasing every ID through
-	// the map on every event.
+	// holds the corresponding *runningJob at the same index. The backfill
+	// hot paths iterate runList instead of chasing every ID through the map
+	// on every event.
 	runIDs  []int
 	runList []*runningJob
 
-	// cachedTraffic memoises the flat per-node traffic sum between
-	// refreshes. It is valid only while the running set and every member's
-	// allocation are unchanged (trafficValid), in which case rho — and with
-	// it every job's slowdown — is unchanged too and refreshAll elides the
-	// whole contention recomputation. Reuse is bit-exact: the cached value
-	// is the same flat sum over the same unchanged inputs.
-	cachedTraffic float64
-	trafficValid  bool
+	// remote lists the running jobs that hold remote memory, ascending job
+	// ID (global mode; recontend and teardown keep it current). Every other
+	// running job injects no traffic and runs at slowdown exactly 1, so the
+	// global refresh walks only this list.
+	remote []*runningJob
+
+	// trafficValid is set while the running set and every member's
+	// allocation are unchanged since the last global refresh, in which case
+	// rho — and with it every job's slowdown — is unchanged too and
+	// refreshAll has nothing to do.
+	trafficValid bool
 
 	// refRescan routes refreshAll/currentResources/releases through the
 	// retained full-rescan reference implementations. The differential tests
@@ -104,8 +107,8 @@ type runningJob struct {
 	alloc    *cluster.JobAllocation
 	start    float64         // dispatch time of this attempt
 	lastT    float64         // last progress-banking time
-	progress float64         // completed base-seconds of work
-	slow     float64         // current slowdown factor (≥1)
+	progress float64         // completed base-seconds of work at lastT
+	slow     float64         // slowdown factor (≥1) in force since lastT
 	period   float64         // this job's jittered memory-update period
 	use      memtrace.Cursor // usage-trace reader at this attempt's progress
 
@@ -122,6 +125,7 @@ type runningJob struct {
 	nodeTraffic []float64 // per alloc.PerNode entry: slowdown.NodeTraffic value
 	maxFrac     float64   // max distance-weighted remote fraction over nodes
 	dirty       bool      // allocation changed since recontend last ran
+	remote      bool      // member of Simulator.remote (global mode)
 
 	// Pressure-domain footprint (domains mode only), frozen at dispatch by
 	// domainize: the home domain of every compute node, the sorted unique
@@ -317,6 +321,12 @@ func (s *Simulator) Finish() (*Result, error) {
 	// with telemetry on or off.
 	s.res.Makespan = s.lastAcc
 	s.res.PeakQueue = s.queue.PeakLen()
+	// Jobs still running when a horizon cut the run off have progressed
+	// since their last slowdown change; bank them up to the makespan so the
+	// usage integral covers the whole run.
+	for _, rj := range s.runList {
+		s.bank(rj, s.lastAcc)
+	}
 
 	for _, j := range s.jobs {
 		s.res.Records = append(s.res.Records, *s.records[j.ID])
@@ -732,7 +742,7 @@ func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
 	if s.nDom > 0 {
 		s.domainize(rj)
 		for _, d := range rj.homeDoms {
-			s.domJobs[d] = insertDomJob(s.domJobs[d], rj)
+			s.domJobs[d] = insertByID(s.domJobs[d], rj)
 			s.domValid[d] = false
 		}
 	}
@@ -769,7 +779,7 @@ func (s *Simulator) onFinish(id int) {
 	if !ok {
 		return
 	}
-	s.bank(rj)
+	s.bank(rj, s.eng.Now())
 	s.teardown(rj)
 	s.closeAttempt(rj.rec, AttemptCompleted)
 	rj.rec.Outcome = Completed
@@ -789,7 +799,7 @@ func (s *Simulator) onTimeLimit(id int) {
 	if !ok {
 		return
 	}
-	s.bank(rj)
+	s.bank(rj, s.eng.Now())
 	s.teardown(rj)
 	s.closeAttempt(rj.rec, AttemptTimedOut)
 	rj.rec.Outcome = TimedOut
@@ -839,10 +849,14 @@ func (s *Simulator) teardown(rj *runningJob) {
 		s.runList[len(s.runList)-1] = nil
 		s.runList = s.runList[:len(s.runList)-1]
 	}
+	if rj.remote {
+		s.remote = removeByID(s.remote, rj)
+		rj.remote = false
+	}
 	s.trafficValid = false // departed member: the traffic sum changes
 	if s.nDom > 0 {
 		for _, d := range rj.homeDoms {
-			s.domJobs[d] = removeDomJob(s.domJobs[d], rj)
+			s.domJobs[d] = removeByID(s.domJobs[d], rj)
 			s.domValid[d] = false
 		}
 	}
@@ -860,7 +874,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 	if !ok {
 		return
 	}
-	s.bank(rj)
+	s.bank(rj, s.eng.Now())
 
 	// Decider: provision for the maximum usage between now and the next
 	// update, read from the offline usage trace at the job's progress.
@@ -966,13 +980,18 @@ func (s *Simulator) oomKill(rj *runningJob) {
 
 // ----------------------------------------------------- progress banking
 
-// bank converts wallclock elapsed since the last banking point into job
-// progress at the prevailing slowdown, and integrates actual memory use
-// into the utilisation counters.
+// bank converts wallclock elapsed from the last banking point to now into
+// job progress at the slowdown in force since then, and integrates actual
+// memory use into the utilisation counters.
+//
+// Slowdown is piecewise constant, so a job needs banking only when its
+// slowdown is about to change (reslow) or when something reads its
+// progress: its own memory-update, finish and time-limit handlers,
+// DescheduleRepack, and Finish for jobs a horizon left running. Between
+// those points its pending finish event already encodes the progress.
 //
 //dmp:hotpath
-func (s *Simulator) bank(rj *runningJob) {
-	now := s.eng.Now()
+func (s *Simulator) bank(rj *runningJob, now float64) {
 	dt := now - rj.lastT
 	if dt <= 0 {
 		return
@@ -1027,19 +1046,30 @@ func (s *Simulator) remoteFraction(na *cluster.NodeAllocation) float64 {
 // visits them exactly as the full rescan did) and the maximum
 // distance-weighted remote fraction its slowdown depends on. Each cached
 // value is a deterministic function of the allocation alone, so reusing it
-// across refreshes is bit-exact.
+// across refreshes is bit-exact. It also files rj in or out of the
+// remote-holding list.
 //
 //dmp:hotpath
 func (s *Simulator) recontend(rj *runningJob) {
 	rj.nodeTraffic = rj.nodeTraffic[:0]
 	s.fracsBuf = s.fracsBuf[:0]
+	holds := false
 	for i := range rj.alloc.PerNode {
 		na := &rj.alloc.PerNode[i]
 		rj.nodeTraffic = append(rj.nodeTraffic, slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()))
 		s.fracsBuf = append(s.fracsBuf, s.remoteFraction(na))
+		holds = holds || na.RemoteMB() > 0
 	}
 	rj.maxFrac = slowdown.MaxWeightedFrac(s.fracsBuf)
 	rj.dirty = false
+	if holds != rj.remote {
+		if holds {
+			s.remote = insertByID(s.remote, rj)
+		} else {
+			s.remote = removeByID(s.remote, rj)
+		}
+		rj.remote = holds
+	}
 }
 
 // ---------------------------------------------------- pressure domains
@@ -1089,10 +1119,12 @@ func domIndex(doms []int32, d int32) int {
 	return sort.Search(len(doms), func(k int) bool { return doms[k] >= d })
 }
 
-// insertDomJob adds rj to a domain's resident list, kept sorted by job ID so
-// per-domain traffic sums and refinish calls visit jobs in the same order
-// every run.
-func insertDomJob(list []*runningJob, rj *runningJob) []*runningJob {
+// insertByID adds rj to a job list kept sorted by job ID (a domain's
+// residents, the remote holders), so traffic sums and refinish calls visit
+// jobs in the same order every run.
+//
+//dmp:hotpath
+func insertByID(list []*runningJob, rj *runningJob) []*runningJob {
 	i := sort.Search(len(list), func(k int) bool { return list[k].j.ID >= rj.j.ID })
 	list = append(list, nil)
 	copy(list[i+1:], list[i:])
@@ -1100,8 +1132,10 @@ func insertDomJob(list []*runningJob, rj *runningJob) []*runningJob {
 	return list
 }
 
-// removeDomJob removes rj from a domain's resident list.
-func removeDomJob(list []*runningJob, rj *runningJob) []*runningJob {
+// removeByID removes rj from a job list kept sorted by job ID.
+//
+//dmp:hotpath
+func removeByID(list []*runningJob, rj *runningJob) []*runningJob {
 	i := sort.Search(len(list), func(k int) bool { return list[k].j.ID >= rj.j.ID })
 	if i < len(list) && list[i] == rj {
 		copy(list[i:], list[i+1:])
@@ -1134,45 +1168,35 @@ func (s *Simulator) refreshAfter(rj *runningJob) {
 		s.refreshDomains(rj)
 		return
 	}
-	s.refreshAll()
+	s.refreshAll(rj)
 }
 
 // refreshDomains is the contention refresh scoped to the domains rj calls
 // home. Jobs outside the touched domains are untouched by construction:
 // their domains' rho values did not move, so their slowdowns — and with them
-// their deferred progress banking and pending finish events — stay exact.
-// That is what makes an event's refresh cost O(touched domains' residents)
-// instead of O(running set).
+// their banked progress and pending finish events — stay exact. That is
+// what makes an event's refresh cost O(touched domains' residents) instead
+// of O(running set).
 //
-// The dirty-job invariant mirrors the global incremental path: at any
-// refreshAfter(rj) the only possibly-dirty job is rj itself, and every site
-// that marks rj dirty also invalidates all of rj's home domains, so the
-// phase-2 rebuild of invalid touched domains re-derives every stale cache.
+// The dirty-job invariant mirrors the global path: at any refreshAfter(rj)
+// the only possibly-dirty job is rj itself, and every site that marks rj
+// dirty also invalidates all of rj's home domains, so the rebuild of invalid
+// touched domains re-derives every stale cache.
 //
-// Phases (each deduplicating jobs resident in several touched domains with
-// an epoch stamp, visiting domains ascending and jobs in ID order):
+// Phases (visiting domains ascending and jobs in ID order):
 //
-//	1 bank touched residents' progress at their prevailing slowdown;
-//	2 rebuild each invalid touched domain's traffic sum and rho, merging
-//	  per-node traffic by the node's home domain;
-//	3 re-derive touched residents' slowdowns from the per-domain rho;
-//	4 refinish touched residents.
+//	1 rebuild each invalid touched domain's traffic sum and rho, merging
+//	  per-node traffic by the node's home domain; if every touched domain
+//	  was valid, no rho moved and the refresh ends here;
+//	2 re-derive touched residents' slowdowns from the per-domain rho,
+//	  deduplicating jobs resident in several touched domains with an epoch
+//	  stamp, and reslow them: only a job whose slowdown changed (or that
+//	  has no finish event yet) is banked and refinished.
 //
 //dmp:hotpath
 //dmp:domainmerge
 func (s *Simulator) refreshDomains(rj *runningJob) {
-	now := s.eng.Now()
 	touched := rj.homeDoms
-	s.refreshEpoch++
-	for _, d := range touched {
-		for _, oj := range s.domJobs[d] {
-			if oj.epoch == s.refreshEpoch {
-				continue
-			}
-			oj.epoch = s.refreshEpoch
-			s.bank(oj)
-		}
-	}
 	dirtyRho := false
 	for _, d := range touched {
 		if s.domValid[d] {
@@ -1194,18 +1218,10 @@ func (s *Simulator) refreshDomains(rj *runningJob) {
 		s.domValid[d] = true
 		dirtyRho = true
 	}
-	if dirtyRho {
-		s.refreshEpoch++
-		for _, d := range touched {
-			for _, oj := range s.domJobs[d] {
-				if oj.epoch == s.refreshEpoch {
-					continue
-				}
-				oj.epoch = s.refreshEpoch
-				oj.slow = s.domainSlowdown(oj)
-			}
-		}
+	if !dirtyRho {
+		return
 	}
+	now := s.eng.Now()
 	s.refreshEpoch++
 	for _, d := range touched {
 		for _, oj := range s.domJobs[d] {
@@ -1213,7 +1229,7 @@ func (s *Simulator) refreshDomains(rj *runningJob) {
 				continue
 			}
 			oj.epoch = s.refreshEpoch
-			s.refinish(oj, now)
+			s.reslow(oj, s.domainSlowdown(oj), now)
 		}
 	}
 }
@@ -1258,60 +1274,79 @@ func (s *Simulator) domainSlowdown(rj *runningJob) float64 {
 	return slow
 }
 
-// refreshAll recomputes the global contention pressure and every running
-// job's slowdown, rescheduling completion events accordingly. It must be
-// called after any change to memory placements.
+// refreshAll refreshes the global contention model after an event touching
+// rj, which may already have left the running set. It must be called after
+// any change to memory placements.
 //
-// The incremental path does per-node work only for jobs whose allocation
-// changed since the last refresh (flagged dirty at dispatch and in their own
-// memory-update handler): untouched jobs contribute their cached traffic
-// values and cached max fraction. Bit-identity with the full rescan —
-// asserted by golden digests and the differential tests — follows from three
-// facts: the traffic sum is flat over the same (job asc-ID, node) order, so
-// the float additions associate identically; the cached inputs are exact
-// (see recontend); and JobSlowdownFromMax over the cached max equals
-// JobSlowdownWeighted over the full fraction vector bit-for-bit.
+// Only jobs whose slowdown changes are banked and refinished (reslow); a job
+// whose slowdown did not move keeps its banked progress and its pending
+// finish event untouched. Every running job without remote memory injects
+// no traffic and runs at slowdown exactly 1, so the refresh walks the
+// remote-holding list plus rj, not the whole running set:
 //
-// Banking stays eager for every job each refresh: progress accrual divides
-// by the prevailing slowdown step by step, and collapsing steps would change
-// the float rounding and with it the golden digests.
+//   - A refresh with trafficValid still set — nothing started, finished, or
+//     resized since the last one — returns at once: rho and every slowdown
+//     are pure functions of state that has not changed. It costs O(1).
+//   - Otherwise rj's contention cache is rebuilt if its allocation changed
+//     (at any refresh rj is the only job that can be dirty), the traffic is
+//     summed over the remote holders, and each remote holder plus rj is
+//     reslowed in ascending ID order. It costs O(remote holders).
 //
-// A refresh with trafficValid still set — nothing started, finished, or
-// resized since the last one — skips the contention recomputation entirely:
-// the flat traffic sum, rho, and every job's slowdown are pure functions of
-// state that has not changed, so reusing them is bit-exact. Only banking
-// (time advanced) and refinishing (finish times shift with the clock) run.
+// The traffic sum is bit-identical to the flat sum over every running job's
+// nodes in (job ID, node) order that the rescan reference computes: the
+// skipped terms are exactly zero, and adding zero leaves a float sum
+// unchanged. With cached inputs exact (see recontend) and JobSlowdownFromMax
+// equal to JobSlowdownWeighted bit-for-bit, both paths reslow the same jobs
+// to the same values in the same order, which the differential tests
+// assert.
 //
 //dmp:hotpath
-func (s *Simulator) refreshAll() {
+func (s *Simulator) refreshAll(rj *runningJob) {
 	if s.refRescan {
 		s.refreshAllRescan()
 		return
 	}
+	if s.trafficValid {
+		return
+	}
+	live := s.running[rj.j.ID] == rj
+	if live && rj.dirty {
+		s.recontend(rj)
+	}
+	var traffic float64
+	for _, oj := range s.remote {
+		for _, t := range oj.nodeTraffic {
+			traffic += t
+		}
+	}
+	s.trafficValid = true
+	rho := s.model.Pressure(traffic)
 	now := s.eng.Now()
-	for _, rj := range s.runList {
-		s.bank(rj)
-	}
-	if !s.trafficValid {
-		var traffic float64
-		for _, rj := range s.runList {
-			if rj.dirty {
-				s.recontend(rj)
-			}
-			for _, t := range rj.nodeTraffic {
-				traffic += t
-			}
+	visit := live && !rj.remote // rj takes its ID-order turn among the holders
+	for _, oj := range s.remote {
+		if visit && rj.j.ID < oj.j.ID {
+			s.reslow(rj, slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho), now)
+			visit = false
 		}
-		s.cachedTraffic = traffic
-		s.trafficValid = true
-		rho := s.model.Pressure(traffic)
-		for _, rj := range s.runList {
-			rj.slow = slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho)
-		}
+		s.reslow(oj, slowdown.JobSlowdownFromMax(oj.j.Profile, oj.maxFrac, rho), now)
 	}
-	for _, rj := range s.runList {
-		s.refinish(rj, now)
+	if visit {
+		s.reslow(rj, slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho), now)
 	}
+}
+
+// reslow moves rj to slowdown slow. A job whose slowdown is unchanged and
+// whose finish event is pending is left alone; otherwise its progress is
+// banked at the old slowdown and its finish event recomputed at the new one.
+//
+//dmp:hotpath
+func (s *Simulator) reslow(rj *runningJob, slow, now float64) {
+	if slow == rj.slow && rj.finishEv.Pending() {
+		return
+	}
+	s.bank(rj, now)
+	rj.slow = slow
+	s.refinish(rj, now)
 }
 
 // refinish recomputes rj's completion time at the current slowdown and
@@ -1337,9 +1372,10 @@ func (s *Simulator) refinish(rj *runningJob, now float64) {
 
 // refreshAllRescan is the retained full-rescan reference implementation of
 // refreshAll: collect and sort the running set, then re-derive every job's
-// per-node fractions, traffic and slowdown from the ledger with no caching.
-// The differential tests run whole scenarios through it and assert Results
-// and telemetry stay byte-identical to the incremental path.
+// per-node fractions, traffic and slowdown from the ledger with no caching
+// and reslow every running job. The differential tests run whole scenarios
+// through it and assert Results and telemetry stay byte-identical to the
+// incremental path.
 //
 // Jobs are visited in ascending ID order: map iteration order varies
 // between runs, and floating-point summation of the traffic is not
@@ -1352,9 +1388,6 @@ func (s *Simulator) refreshAllRescan() {
 	}
 	sort.Ints(ids)
 	s.idsBuf = ids
-	for _, id := range ids {
-		s.bank(s.running[id])
-	}
 	var traffic float64
 	for _, id := range ids {
 		rj := s.running[id]
@@ -1371,7 +1404,6 @@ func (s *Simulator) refreshAllRescan() {
 			fracs = append(fracs, s.remoteFraction(&rj.alloc.PerNode[i]))
 		}
 		s.fracsBuf = fracs
-		rj.slow = slowdown.JobSlowdownWeighted(rj.j.Profile, fracs, rho)
-		s.refinish(rj, now)
+		s.reslow(rj, slowdown.JobSlowdownWeighted(rj.j.Profile, fracs, rho), now)
 	}
 }

@@ -303,6 +303,25 @@ func TestHorizonLeavesPending(t *testing.T) {
 	}
 }
 
+// TestHorizonBanksRunningJobs pins the usage integral of a horizon-cut
+// run: a job whose slowdown never changed is banked only at Finish, and must
+// still contribute its usage up to the makespan (the last event, job 2's
+// start at t=40).
+func TestHorizonBanksRunningJobs(t *testing.T) {
+	cfg := baseConfig(2, 1000, policy.Static)
+	cfg.Horizon = 50
+	res := runSim(t, cfg, []*job.Job{
+		mkJob(1, 0, 1, 100, 1000, memtrace.Constant(100)),
+		mkJob(2, 40, 1, 100, 1000, memtrace.Constant(100)),
+	})
+	if res.Makespan != 40 {
+		t.Fatalf("makespan = %g, want 40", res.Makespan)
+	}
+	if want := 100.0 * 40; math.Abs(res.UsedMBSeconds-want) > 1e-9 {
+		t.Fatalf("used MB·s = %g, want %g", res.UsedMBSeconds, want)
+	}
+}
+
 func TestUtilisationAccounting(t *testing.T) {
 	cfg := baseConfig(2, 1000, policy.Static)
 	j := mkJob(1, 0, 2, 600, 1000, memtrace.Constant(500))

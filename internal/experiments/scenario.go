@@ -117,6 +117,17 @@ func (s *ScenarioSpec) Validate() error {
 	if s.Trace.Overestimation < 0 {
 		return fmt.Errorf("scenario: field %q: %g is negative", "trace.overestimation", s.Trace.Overestimation)
 	}
+	// Zero selects the preset's value; a negative one is a typo, not a
+	// request for the default, so it is rejected rather than replaced.
+	if s.Trace.Load < 0 {
+		return fmt.Errorf("scenario: field %q: %g is negative", "trace.load", s.Trace.Load)
+	}
+	if s.Trace.Days < 0 {
+		return fmt.Errorf("scenario: field %q: %g is negative", "trace.days", s.Trace.Days)
+	}
+	if s.Trace.SystemNodes < 0 {
+		return fmt.Errorf("scenario: field %q: %d is negative", "trace.system_nodes", s.Trace.SystemNodes)
+	}
 	if s.UpdateInterval < 0 {
 		return fmt.Errorf("scenario: field %q: %g is negative", "update_interval_s", s.UpdateInterval)
 	}

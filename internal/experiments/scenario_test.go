@@ -43,6 +43,9 @@ func TestLoadScenarioRejections(t *testing.T) {
 		{"large_frac range", `{"trace": {"large_frac": 2}}`, `"trace.large_frac"`},
 		{"chain_frac range", `{"trace": {"chain_frac": -0.5}}`, `"trace.chain_frac"`},
 		{"negative overestimation", `{"trace": {"overestimation": -1}}`, `"trace.overestimation"`},
+		{"negative load", `{"trace": {"load": -0.5}}`, `"trace.load"`},
+		{"negative days", `{"trace": {"days": -2}}`, `"trace.days"`},
+		{"negative system nodes", `{"trace": {"system_nodes": -64}}`, `"trace.system_nodes"`},
 		{"negative update interval", `{"update_interval_s": -3}`, `"update_interval_s"`},
 		{"bad pressure", `{"pressure": "vibes"}`, `"pressure"`},
 		{"domains without pressure", `{"domains": 4}`, `"domains"`},

@@ -5,9 +5,9 @@
 # Usage:  scripts/bench.sh [output.json]
 #
 # The default output name is BENCH_<n>.json in the repo root, where <n> is
-# taken from the BENCH_SEQ environment variable (default 6, the PR that made
-# the live simulation state forkable copy-on-write and added concurrent
-# what-if branching off one frozen base).
+# taken from the BENCH_SEQ environment variable (default 7, the change that
+# made progress banking lazy — a job is banked only when its slowdown
+# changes — and the first baseline stamped with the core count and CPU).
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled
 # and serial, the replicated headlines, trace generation vs cache hit), the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
@@ -27,7 +27,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_${BENCH_SEQ:-6}.json}"
+out="${1:-BENCH_${BENCH_SEQ:-7}.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
