@@ -19,6 +19,10 @@
 //
 //	go run ./cmd/benchcheck -baseline BENCH_2.json -compare BENCH_3.json
 //
+// Two baselines stamped with different core counts (nproc or GOMAXPROCS)
+// are refused; when either file is unstamped, benchcheck prints a note and
+// compares anyway.
+//
 // With -speedup/-min-speedup, benchcheck instead gates a ratio between two
 // benchmarks of the SAME run — e.g. the CI gate that requires the
 // pressure-domains model to beat the global one on the same 100k trace:
@@ -39,7 +43,8 @@
 // Benchmarks present in the input but absent from the baseline (or vice
 // versa) are reported and skipped; only the intersection is compared.
 // Exit status 1 on regression, on a missed speedup, or if no benchmark
-// could be compared.
+// could be compared; 2 on bad usage, an unreadable file, or baselines from
+// different core counts.
 package main
 
 import (
@@ -56,7 +61,11 @@ import (
 )
 
 type baselineFile struct {
-	Commit     string `json:"commit"`
+	Commit string `json:"commit"`
+	// NProc and GOMAXPROCS stamp the machine a baseline was recorded on
+	// (scripts/bench.sh writes them; files before BENCH_7 have neither).
+	NProc      *int `json:"nproc"`
+	GOMAXPROCS *int `json:"gomaxprocs"`
 	Benchmarks []struct {
 		Name    string   `json:"name"`
 		NsPerOp *float64 `json:"ns_per_op"`
@@ -103,6 +112,14 @@ func realMain() int {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
 			return 2
+		}
+		note, err := sameCores(base, *baselinePath, cmp, *comparePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+			return 2
+		}
+		if note != "" {
+			fmt.Println(note)
 		}
 		samples, order = baselineSamples(cmp)
 	} else {
@@ -178,6 +195,27 @@ func checkSpeedup(samples map[string][]float64, pair string, min float64) int {
 	}
 	fmt.Printf("speedup %-40s %.2fx over %s (>= %.2fx required)\n", fast, ratio, slow, min)
 	return 0
+}
+
+// sameCores decides whether two recorded baselines may be compared: timings
+// taken with different core counts (nproc or GOMAXPROCS) are not
+// comparable, so two stamped files that differ are refused with an error.
+// When either file is unstamped the comparison goes ahead with a note,
+// since the core count cannot be checked.
+func sameCores(a baselineFile, aPath string, b baselineFile, bPath string) (note string, err error) {
+	for _, f := range []struct {
+		base baselineFile
+		path string
+	}{{a, aPath}, {b, bPath}} {
+		if f.base.NProc == nil || f.base.GOMAXPROCS == nil {
+			return fmt.Sprintf("note: %s is not stamped with its core count; comparing without checking it", f.path), nil
+		}
+	}
+	if *a.NProc != *b.NProc || *a.GOMAXPROCS != *b.GOMAXPROCS {
+		return "", fmt.Errorf("refusing to compare baselines from different core counts (nproc, GOMAXPROCS): %s (%d, %d), %s (%d, %d)",
+			aPath, *a.NProc, *a.GOMAXPROCS, bPath, *b.NProc, *b.GOMAXPROCS)
+	}
+	return "", nil
 }
 
 // loadBaseline reads a recorded BENCH_<n>.json and returns it plus a

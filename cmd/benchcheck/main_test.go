@@ -129,3 +129,35 @@ func TestCheckSpeedup(t *testing.T) {
 		t.Fatalf("missing benchmark: code %d, want 1", code)
 	}
 }
+
+func TestSameCoresRefusesDifferentCoreCounts(t *testing.T) {
+	stamp := func(nproc, gomaxprocs int) baselineFile {
+		return baselineFile{NProc: &nproc, GOMAXPROCS: &gomaxprocs}
+	}
+	if note, err := sameCores(stamp(2, 2), "a", stamp(2, 2), "b"); err != nil || note != "" {
+		t.Fatalf("equal stamps: note %q, err %v", note, err)
+	}
+	for _, b := range []baselineFile{stamp(4, 4), stamp(2, 1)} {
+		if _, err := sameCores(stamp(2, 2), "a", b, "b"); err == nil {
+			t.Fatalf("stamps (2, 2) and (%d, %d) were compared", *b.NProc, *b.GOMAXPROCS)
+		}
+	}
+	// An unstamped file (BENCH_1 to BENCH_6) is compared with a note.
+	note, err := sameCores(baselineFile{}, "BENCH_6.json", stamp(2, 2), "BENCH_7.json")
+	if err != nil || !strings.Contains(note, "BENCH_6.json") {
+		t.Fatalf("unstamped file: note %q, err %v", note, err)
+	}
+
+	// The loader reads the stamp.
+	path := filepath.Join(t.TempDir(), "BENCH_X.json")
+	if err := os.WriteFile(path, []byte(`{"nproc": 2, "gomaxprocs": 1, "benchmarks": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := loadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.NProc == nil || *base.NProc != 2 || base.GOMAXPROCS == nil || *base.GOMAXPROCS != 1 {
+		t.Fatalf("stamp not read: %+v", base)
+	}
+}

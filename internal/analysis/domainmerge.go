@@ -18,27 +18,25 @@ const DomainMergeDirective = "dmp:domainmerge"
 // slot says nothing about another domain, so any consumer must either merge
 // across the relevant domain set or be the rebuild step itself.
 var domainStateFields = map[string]bool{
-	"domTraffic": true,
-	"domRho":     true,
-	"domValid":   true,
+	"domRho": true,
 }
 
-// DomainMerge enforces the pressure-domain locality contract: the per-domain
-// caches (domTraffic, domRho, domValid) may be written anywhere — the
-// invalidation sites just drop a validity bit — but READ only inside a
+// DomainMerge enforces the pressure-domain locality contract: the
+// per-domain cache (domRho) may be written anywhere but READ only inside a
 // function annotated //dmp:domainmerge. The annotated functions
-// (refreshDomains, domainSlowdown) are the merge steps: they rebuild a
-// domain from per-node traffic or fold per-domain rho across a job's home
-// domains. A read anywhere else is a latent cross-domain leak: one domain's
-// rho applied to a job resident in another domain, exactly the bug class the
-// 30-seed domains-vs-global differential tests can detect but not localize.
+// (refreshAfter, domainSlowdown, Fork) are the merge steps: they rebuild a
+// domain from per-node traffic, fold per-domain rho across a job's home
+// domains, or copy the whole set. A read anywhere else is a latent
+// cross-domain leak: one domain's rho applied to a job resident in another
+// domain, exactly the bug class the per-event rescan oracles can detect but
+// not localize.
 //
 // Symmetrically, an annotated function that reads no domain state is
 // reported: a stale directive usually means the merge logic moved and took
 // the contract's documentation with it.
 var DomainMerge = &Analyzer{
 	Name: "domainmerge",
-	Doc: "per-domain contention state (domTraffic, domRho, domValid) may be read only in " +
+	Doc: "per-domain contention state (domRho) may be read only in " +
 		"functions annotated //dmp:domainmerge, which merge across the domain set; " +
 		"reads elsewhere leak one domain's pressure into another",
 	PathFilter: domainCorePath,
@@ -69,8 +67,8 @@ func checkDomainMerge(pass *Pass, fn *ast.FuncDecl) {
 	annotated := funcDocHasDirective(fn, DomainMergeDirective)
 
 	// Pre-pass: plain `=` assignment targets are writes, not reads — both
-	// whole-slice installs (s.domValid = make(...)) and per-slot stores
-	// (s.domValid[d] = false). Compound assignments (+=) and ++/-- read the
+	// whole-slice installs (s.domRho = make(...)) and per-slot stores
+	// (s.domRho[d] = rho). Compound assignments (+=) and ++/-- read the
 	// old value first and stay subject to the directive.
 	writes := make(map[*ast.SelectorExpr]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -97,7 +95,7 @@ func checkDomainMerge(pass *Pass, fn *ast.FuncDecl) {
 			pass.Reportf(sel.Pos(),
 				"per-domain contention state %s read in %s, which is not a merge step: one "+
 					"domain's cache says nothing about another; annotate //dmp:domainmerge and "+
-					"fold across the domain set, or route through refreshDomains/domainSlowdown",
+					"fold across the domain set, or route through refreshAfter/domainSlowdown",
 				sel.Sel.Name, fn.Name.Name)
 		}
 		return true
@@ -112,7 +110,7 @@ func checkDomainMerge(pass *Pass, fn *ast.FuncDecl) {
 
 // domainFieldTarget resolves an assignment LHS to the domain-state selector
 // it stores into: the selector itself, or the selector under an index or
-// parenthesis (s.domValid[d]).
+// parenthesis (s.domRho[d]).
 func domainFieldTarget(pass *Pass, lhs ast.Expr) *ast.SelectorExpr {
 	for {
 		switch x := lhs.(type) {

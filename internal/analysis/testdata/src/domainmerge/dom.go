@@ -1,27 +1,23 @@
 // Package domainmerge is the analysistest fixture for the domainmerge
 // analyzer. The sim struct stands in for core.Simulator; only the
-// domain-indexed cache fields are name-matched.
+// domain-indexed cache field is name-matched.
 package domainmerge
 
 type sim struct {
-	domTraffic []float64
-	domRho     []float64
-	domValid   []bool
-	nDom       int
+	domRho []float64
+	nDom   int
 }
 
-// invalidate drops validity bits: pure writes are allowed anywhere.
-func (s *sim) invalidate(doms []int) {
+// reset stores into single slots: pure writes are allowed anywhere.
+func (s *sim) reset(doms []int) {
 	for _, d := range doms {
-		s.domValid[d] = false
+		s.domRho[d] = 0
 	}
 }
 
-// install replaces the whole caches: still writes, still fine.
+// install replaces the whole cache: still a write, still fine.
 func (s *sim) install(n int) {
-	s.domTraffic = make([]float64, n)
 	s.domRho = make([]float64, n)
-	s.domValid = make([]bool, n)
 	s.nDom = n
 }
 
@@ -31,9 +27,9 @@ func (s *sim) leakRho(d int) float64 {
 	return s.domRho[d] // want `per-domain contention state domRho read in leakRho, which is not a merge step`
 }
 
-// skipValid consults the validity cache outside the rebuild step.
-func (s *sim) skipValid(d int) bool {
-	if s.domValid[d] { // want `per-domain contention state domValid read in skipValid`
+// skipIdle consults the cache outside the rebuild step.
+func (s *sim) skipIdle(d int) bool {
+	if s.domRho[d] == 0 { // want `per-domain contention state domRho read in skipIdle`
 		return true
 	}
 	return false
@@ -42,21 +38,19 @@ func (s *sim) skipValid(d int) bool {
 // accumulate is a compound assignment: it reads the old slot before
 // storing, so it is a read despite being spelled like a write.
 func (s *sim) accumulate(d int, t float64) {
-	s.domTraffic[d] += t // want `per-domain contention state domTraffic read in accumulate`
+	s.domRho[d] += t // want `per-domain contention state domRho read in accumulate`
 }
 
-// rebuild is the sanctioned merge step: annotated, it may read the caches
-// while re-deriving them from scratch.
+// rebuild is the sanctioned merge step: annotated, it may read the cache
+// while re-deriving it from scratch.
 //
 //dmp:domainmerge
 func (s *sim) rebuild(doms []int, traffic []float64) {
 	for _, d := range doms {
-		if s.domValid[d] {
+		if s.domRho[d] == traffic[d]/4 {
 			continue
 		}
-		s.domTraffic[d] = traffic[d]
 		s.domRho[d] = traffic[d] / 4
-		s.domValid[d] = true
 	}
 }
 
@@ -79,7 +73,7 @@ func (s *sim) worst(doms []int) float64 {
 //
 //dmp:domainmerge
 func (s *sim) writesOnly(d int) { // want `stale //dmp:domainmerge on writesOnly`
-	s.domValid[d] = false
+	s.domRho[d] = 0
 }
 
 // allowlisted pins the suppression path: an ignored read must stay silent.

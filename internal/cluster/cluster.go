@@ -310,19 +310,6 @@ func (c *Cluster) IdleComputeNodes() []NodeID {
 	return c.idleBuf
 }
 
-// idleComputeNodesRef is the retained pre-index reference implementation:
-// a full rescan of the node slice. The differential tests assert the bitset
-// stays byte-identical to it after every ledger operation.
-func (c *Cluster) idleComputeNodesRef() []NodeID {
-	var ids []NodeID
-	for i := range c.nodes {
-		if c.nodes[i].IsComputeAvailable() {
-			ids = append(ids, NodeID(i))
-		}
-	}
-	return ids
-}
-
 // IdleComputeCount returns the number of compute-available nodes (O(S) sum
 // of the per-shard bitset counts).
 func (c *Cluster) IdleComputeCount() int {
@@ -341,23 +328,6 @@ func (c *Cluster) IdleComputeSplit() (normal, large int) {
 	for i := range c.shards {
 		normal += c.shards[i].idleNormal
 		large += c.shards[i].idleLarge
-	}
-	return normal, large
-}
-
-// idleComputeSplitRef is the retained full-rescan reference for
-// IdleComputeSplit; the differential tests compare against it after every
-// ledger operation.
-func (c *Cluster) idleComputeSplitRef() (normal, large int) {
-	for i := range c.nodes {
-		if !c.nodes[i].IsComputeAvailable() {
-			continue
-		}
-		if c.nodes[i].CapacityMB > c.largeMB {
-			large++
-		} else {
-			normal++
-		}
 	}
 	return normal, large
 }
@@ -500,30 +470,6 @@ func (c *Cluster) LendersByFreeDesc(exclude map[NodeID]bool) []NodeID {
 	return ids
 }
 
-// lendersByFreeDescRef is the retained pre-index reference implementation
-// (rescan + sort per call). The differential tests assert the index walk
-// returns byte-identical orderings to it for arbitrary op sequences.
-func (c *Cluster) lendersByFreeDescRef(exclude map[NodeID]bool) []NodeID {
-	var ids []NodeID
-	for i := range c.nodes {
-		id := NodeID(i)
-		if exclude[id] {
-			continue
-		}
-		if c.nodes[i].FreeMB() > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := c.nodes[ids[a]].FreeMB(), c.nodes[ids[b]].FreeMB()
-		if fa != fb {
-			return fa > fb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
-}
-
 // AscendLenders walks the nodes with free memory in (free desc, ID asc)
 // order without materialising a slice, stopping when yield returns false.
 // Consumers that only need lenders until a deficit is covered use this to
@@ -612,7 +558,9 @@ func (c *Cluster) CheckInvariants() error {
 	if got := c.IdleComputeCount(); idle != got {
 		return fmt.Errorf("index: idle count %d, ledger count %d", got, idle)
 	}
-	// Per-shard summaries must mirror the ledger slice they own.
+	// Per-shard summaries must mirror the ledger slice they own, and their
+	// idle splits must add up to the cluster's.
+	idleNormal, idleLarge := 0, 0
 	for s := range c.shards {
 		sh := &c.shards[s]
 		var freeMB, lentMB int64
@@ -641,11 +589,12 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("index: shard %d idle split (normal=%d large=%d), ledger (normal=%d large=%d)",
 				s, sh.idleNormal, sh.idleLarge, shNormal, shLarge)
 		}
+		idleNormal += shNormal
+		idleLarge += shLarge
 	}
-	gotN, gotL := c.IdleComputeSplit()
-	if refN, refL := c.idleComputeSplitRef(); refN != gotN || refL != gotL {
+	if gotN, gotL := c.IdleComputeSplit(); idleNormal != gotN || idleLarge != gotL {
 		return fmt.Errorf("index: idle split (normal=%d large=%d), ledger (normal=%d large=%d)",
-			gotN, gotL, refN, refL)
+			gotN, gotL, idleNormal, idleLarge)
 	}
 	return nil
 }

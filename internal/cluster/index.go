@@ -19,9 +19,10 @@ import "math/bits"
 // Determinism matters more than speed here: the treap's heap priorities are
 // a fixed hash of the node ID, so the tree shape — and therefore every
 // traversal — depends only on the ledger state, never on insertion history
-// or randomness. The reference implementations the indexes replaced are
-// retained in cluster.go (lendersByFreeDescRef, idleComputeNodesRef) and the
-// differential tests assert byte-identical orderings against them.
+// or randomness. The reference implementations the indexes replaced live in
+// ref_test.go (lendersByFreeDescRef, idleComputeNodesRef,
+// idleComputeSplitRef), and the differential tests assert byte-identical
+// orderings against them.
 
 const nilIdx = int32(-1)
 

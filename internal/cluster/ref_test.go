@@ -1,0 +1,61 @@
+package cluster
+
+import "sort"
+
+// The full-rescan references the ledger indexes replaced. They live only in
+// tests: the differential tests assert the indexes stay byte-identical to
+// them after every ledger operation.
+
+// idleComputeNodesRef is the pre-index reference implementation:
+// a full rescan of the node slice. The differential tests assert the bitset
+// stays byte-identical to it after every ledger operation.
+func (c *Cluster) idleComputeNodesRef() []NodeID {
+	var ids []NodeID
+	for i := range c.nodes {
+		if c.nodes[i].IsComputeAvailable() {
+			ids = append(ids, NodeID(i))
+		}
+	}
+	return ids
+}
+
+// idleComputeSplitRef is the full-rescan reference for
+// IdleComputeSplit; the differential tests compare against it after every
+// ledger operation.
+func (c *Cluster) idleComputeSplitRef() (normal, large int) {
+	for i := range c.nodes {
+		if !c.nodes[i].IsComputeAvailable() {
+			continue
+		}
+		if c.nodes[i].CapacityMB > c.largeMB {
+			large++
+		} else {
+			normal++
+		}
+	}
+	return normal, large
+}
+
+// lendersByFreeDescRef is the pre-index reference implementation
+// (rescan + sort per call). The differential tests assert the index walk
+// returns byte-identical orderings to it for arbitrary op sequences.
+func (c *Cluster) lendersByFreeDescRef(exclude map[NodeID]bool) []NodeID {
+	var ids []NodeID
+	for i := range c.nodes {
+		id := NodeID(i)
+		if exclude[id] {
+			continue
+		}
+		if c.nodes[i].FreeMB() > 0 {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		fa, fb := c.nodes[ids[a]].FreeMB(), c.nodes[ids[b]].FreeMB()
+		if fa != fb {
+			return fa > fb
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
+}

@@ -33,7 +33,6 @@ func (s *Simulator) SetPolicy(k policy.Kind) {
 // SetBackfill swaps the backfill algorithm for all future scheduling passes.
 func (s *Simulator) SetBackfill(m BackfillMode) {
 	s.cfg.Backfill = m
-	s.cfg.DisableBackfill = m == NoBackfill
 }
 
 // SetUpdateInterval changes the mean memory-update period for jobs
@@ -77,10 +76,7 @@ func (s *Simulator) DescheduleRepack() {
 		}
 		s.tel.JobSubmit(id, true)
 	}
-	// The running set is empty: every contention cache is trivially stale.
-	s.trafficValid = false
-	for d := 0; d < s.nDom; d++ {
-		s.domValid[d] = false
-	}
+	// teardown marked the contention model stale; the next dispatch's
+	// refresh rebuilds its domains from the now-empty running set.
 	s.ensureTick(true)
 }

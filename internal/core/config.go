@@ -134,10 +134,8 @@ type Config struct {
 	// work since its last checkpoint. Zero models ideal continuous
 	// checkpointing.
 	CheckpointInterval float64
-	// DisableBackfill turns off the backfill pass, leaving strict
-	// FIFO — the scheduler ablation. Equivalent to Backfill: NoBackfill.
-	DisableBackfill bool
-	// Backfill selects the backfill algorithm (default EASYBackfill).
+	// Backfill selects the backfill algorithm (default EASYBackfill);
+	// NoBackfill leaves strict FIFO, the scheduler ablation.
 	Backfill BackfillMode
 	// Observer, when non-nil, receives lifecycle events.
 	Observer Observer
@@ -233,9 +231,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.CheckpointInterval < 0 {
 		return errors.New("core: negative checkpoint interval")
-	}
-	if c.DisableBackfill {
-		c.Backfill = NoBackfill
 	}
 	if c.LenderPolicy == NearestFirst && c.Topology == nil {
 		return errors.New("core: nearest-first lending requires a topology")

@@ -24,12 +24,12 @@ func TestSingleDomainMatchesGlobal(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg, mkJobs := differentialScenario(seed)
-			gRes, gLog := runVariant(t, cfg, mkJobs(), 0, false)
+			gRes, gLog := runVariant(t, cfg, mkJobs(), 0)
 
 			dc := cfg
 			dc.Pressure = PressureDomains
 			dc.Domains = 1
-			dRes, dLog := runVariant(t, dc, mkJobs(), 0, false)
+			dRes, dLog := runVariant(t, dc, mkJobs(), 0)
 
 			if !reflect.DeepEqual(gRes, dRes) {
 				t.Fatalf("results diverged\nglobal:        %+v\nsingle-domain: %+v", gRes, dRes)
@@ -166,11 +166,11 @@ func TestRefreshDomainsAllocationFree(t *testing.T) {
 	rj := s.runList[0]
 	s.refreshAfter(rj) // warm scratch
 	full := func() {
-		s.invalidate(rj) // defeat the elision: rebuild the touched domains
+		s.stale = true // defeat the elision: rebuild the touched domains
 		s.refreshAfter(rj)
 	}
 	if got := testing.AllocsPerRun(50, full); got != 0 {
-		t.Fatalf("refreshDomains allocates %.1f per call at steady state, want 0", got)
+		t.Fatalf("refreshAfter allocates %.1f per call at steady state, want 0", got)
 	}
 }
 
@@ -187,7 +187,7 @@ func BenchmarkRefreshDomains(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.invalidate(rj)
+				s.stale = true
 				s.refreshAfter(rj)
 			}
 		})

@@ -13,7 +13,7 @@ import (
 // started, paused run into an independent Simulator that can be driven to a
 // different future concurrently with the base. The expensive state is not
 // copied — the cluster ledger forks in O(shards) via its CoW layer, the
-// immutable inputs (jobs, slowdown model, domain capacities) are shared —
+// immutable inputs (jobs, domain bandwidths and capacities) are shared —
 // and everything event-bearing (engine heap, running set, records, queue,
 // caches) is deep-copied in O(live state), which is O(Δ) relative to the
 // work already simulated. A fork that re-runs the base's own configuration
@@ -82,7 +82,7 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	f.tel = tel
 	f.forkEvents = s.eng.Fired()
 
-	// Shared immutable state: jobs, byID, model, domBW, domCapMB — the
+	// Shared immutable state: jobs, byID, domBW, domCapMB — the
 	// struct copy above already aliases them, which is correct because no
 	// code path writes them after New.
 
@@ -134,10 +134,6 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	for i, rj := range s.runList {
 		f.runList[i] = f.running[rj.j.ID]
 	}
-	f.remote = make([]*runningJob, len(s.remote))
-	for i, rj := range s.remote {
-		f.remote[i] = f.running[rj.j.ID]
-	}
 
 	f.banked = make(map[int]float64, len(s.banked))
 	for id, v := range s.banked {
@@ -156,28 +152,24 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		f.res = nres
 	}
 
-	// Domain state: caches copy, per-domain job lists rebuild with the
-	// cloned runningJobs in the same order.
-	if s.nDom > 0 {
-		f.domTraffic = append([]float64(nil), s.domTraffic...)
-		f.domRho = append([]float64(nil), s.domRho...)
-		f.domValid = append([]bool(nil), s.domValid...)
-		f.domJobs = make([][]*runningJob, len(s.domJobs))
-		for d, list := range s.domJobs {
-			if len(list) == 0 {
-				continue
-			}
-			nl := make([]*runningJob, len(list))
-			for i, rj := range list {
-				nl[i] = f.running[rj.j.ID]
-			}
-			f.domJobs[d] = nl
+	// Contention state: rho copies, the per-domain remote-holder lists
+	// rebuild with the cloned runningJobs in the same order.
+	f.domRho = append([]float64(nil), s.domRho...)
+	f.domRemote = make([][]*runningJob, len(s.domRemote))
+	for d, list := range s.domRemote {
+		if len(list) == 0 {
+			continue
 		}
+		nl := make([]*runningJob, len(list))
+		for i, rj := range list {
+			nl[i] = f.running[rj.j.ID]
+		}
+		f.domRemote[d] = nl
 	}
 
 	// Scratch state is never shared: the fork rebuilds what it needs
 	// lazily, exactly as a fresh simulator would.
-	f.idsBuf, f.fracsBuf, f.relBuf = nil, nil, nil
+	f.relBuf = nil
 	f.prof = nil
 
 	// Engine: exact heap copy with every pending action rebound to the

@@ -135,7 +135,7 @@ func TestLazyBankingMatchesEager(t *testing.T) {
 			if w.Name != sc.name {
 				t.Fatalf("recording run %d is %q", i, w.Name)
 			}
-			res, _ := runVariant(t, sc.cfg, sc.jobs(), 0, false)
+			res, _ := runVariant(t, sc.cfg, sc.jobs(), 0)
 			g := summarizeBanking(sc.name, res)
 			if g.OOMKills != w.OOMKills || g.Infeasible != w.Infeasible || len(g.Jobs) != len(w.Jobs) {
 				t.Fatalf("run shape: eager oom=%d infeasible=%v jobs=%d, lazy oom=%d infeasible=%v jobs=%d",
@@ -187,9 +187,9 @@ func snapshotBanking(s *Simulator) map[*runningJob]bankingState {
 //   - a job that was running before and after the event, whose slowdown did
 //     not change and whose own memory update did not fire, was neither
 //     banked nor refinished: its lastT and finish-event time are untouched;
-//   - in global mode the remote-holding list holds exactly the running jobs
-//     with remote memory, in ascending ID order (the rescan reference does
-//     not maintain it).
+//   - every domain's remote-holding list holds exactly the running jobs
+//     with remote memory and a compute node in that domain, in ascending ID
+//     order, and each job's remote flag says whether it holds any.
 func checkBankingContract(t *testing.T, s *Simulator, before map[*runningJob]bankingState) {
 	t.Helper()
 	for _, rj := range s.runList {
@@ -202,24 +202,32 @@ func checkBankingContract(t *testing.T, s *Simulator, before map[*runningJob]ban
 				s.eng.Now(), rj.j.ID, rj.slow, b.lastT, rj.lastT, b.finishAt, rj.finishEv.At())
 		}
 	}
-	if s.nDom > 0 || s.refRescan {
-		return
-	}
-	var want []*runningJob
+	want := make([][]*runningJob, len(s.domRemote))
 	for _, rj := range s.runList {
-		if rj.alloc.RemoteMB() > 0 {
-			want = append(want, rj)
-		}
-		if rj.remote != (rj.alloc.RemoteMB() > 0) {
+		holds := rj.alloc.RemoteMB() > 0
+		if rj.remote != holds {
 			t.Fatalf("t=%v job %d: remote flag %v with %d MB remote", s.eng.Now(), rj.j.ID, rj.remote, rj.alloc.RemoteMB())
 		}
+		if !holds {
+			continue
+		}
+		seen := map[int]bool{}
+		for i := range rj.alloc.PerNode {
+			if d := rescanDomain(s, rj.alloc.PerNode[i].Node); !seen[d] {
+				seen[d] = true
+				want[d] = append(want[d], rj)
+			}
+		}
 	}
-	if len(want) != len(s.remote) {
-		t.Fatalf("t=%v: remote-holding list has %d jobs, want %d", s.eng.Now(), len(s.remote), len(want))
-	}
-	for i := range want {
-		if s.remote[i] != want[i] {
-			t.Fatalf("t=%v: remote-holding list[%d] is job %d, want job %d", s.eng.Now(), i, s.remote[i].j.ID, want[i].j.ID)
+	for d := range want {
+		got := s.domRemote[d]
+		if len(got) != len(want[d]) {
+			t.Fatalf("t=%v: domain %d remote-holding list has %d jobs, want %d", s.eng.Now(), d, len(got), len(want[d]))
+		}
+		for i := range want[d] {
+			if got[i] != want[d][i] {
+				t.Fatalf("t=%v: domain %d remote-holding list[%d] is job %d, want job %d", s.eng.Now(), d, i, got[i].j.ID, want[d][i].j.ID)
+			}
 		}
 	}
 }

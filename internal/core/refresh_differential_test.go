@@ -81,11 +81,20 @@ func differentialScenario(seed int64) (Config, func() []*job.Job) {
 }
 
 // runVariant executes one differential scenario on a ledger of the given
-// shard count, through the incremental refresh or (ref) the retained
-// full-rescan reference, and returns its Result plus the telemetry byte
-// stream. It fires the events one at a time and checks the lazy-banking
-// cost contract (checkBankingContract) after each.
-func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int, ref bool) (*Result, []byte) {
+// shard count and returns its Result plus the telemetry byte stream. It
+// fires the events one at a time and, after each, checks the lazy-banking
+// cost contract (checkBankingContract) and the incremental state against
+// the rescan oracles (checkRescanOracles).
+func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result, []byte) {
+	t.Helper()
+	res, log, _ := runChecked(t, cfg, jobs, shards)
+	return res, log
+}
+
+// runChecked is runVariant that also counts the events after which some
+// running job was slowed by contention, so a suite can tell that its
+// scenarios exercised the refresh.
+func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result, []byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	c := cfg
@@ -98,14 +107,17 @@ func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int, ref bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.refRescan = ref
 	s.Start()
+	contended := 0
 	for {
 		before := snapshotBanking(s)
 		if !s.eng.Step() {
 			break
 		}
 		checkBankingContract(t, s, before)
+		if checkRescanOracles(t, s) {
+			contended++
+		}
 	}
 	res, err := s.Finish()
 	if err != nil {
@@ -114,33 +126,43 @@ func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int, ref bool)
 	if err := c.Telemetry.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes()
+	return res, buf.Bytes(), contended
 }
 
 // TestDifferentialRefreshIncrementalVsRescan runs randomized scenarios —
 // all three policies, all backfill modes, OOM restart/abandon paths, with
-// and without topology weighting — through the incremental refresh and the
-// retained full-rescan reference, asserting the Results are deeply equal and
-// the telemetry JSONL logs are byte-identical. This is the end-to-end proof
-// that the cached contention state, the O(1) resource summary and the reused
-// scratch cannot change a single emitted byte.
+// and without topology weighting — under the global model and three
+// pressure domains, and after every event checks the incremental refresh,
+// the O(1) resource summary and the reused release scratch against the
+// full-rescan oracles (rescan_test.go): every domain's pressure and every
+// running job's slowdown must match the rescan bit for bit. Each scenario
+// also runs twice and must reproduce its Result and telemetry exactly.
 func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
+	contended := map[PressureMode]int{}
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg, mkJobs := differentialScenario(seed)
-			incRes, incLog := runVariant(t, cfg, mkJobs(), 0, false)
-			refRes, refLog := runVariant(t, cfg, mkJobs(), 0, true)
-			if !reflect.DeepEqual(incRes, refRes) {
-				t.Fatalf("results diverged\nincremental: %+v\nrescan:      %+v", incRes, refRes)
-			}
-			if !bytes.Equal(incLog, refLog) {
-				t.Fatalf("telemetry logs diverged (%d vs %d bytes)", len(incLog), len(refLog))
-			}
-			if incRes.Completed+incRes.TimedOut+incRes.Abandoned == 0 && !incRes.Infeasible {
-				t.Fatal("scenario exercised nothing")
+			dc := cfg
+			dc.Pressure = PressureDomains
+			dc.Domains = 3
+			for _, c := range []Config{cfg, dc} {
+				res, log, n := runChecked(t, c, mkJobs(), 0)
+				contended[c.Pressure] += n
+				again, againLog := runVariant(t, c, mkJobs(), 0)
+				if !reflect.DeepEqual(res, again) || !bytes.Equal(log, againLog) {
+					t.Fatalf("%s: two identical runs diverged", c.Pressure)
+				}
+				if res.Completed+res.TimedOut+res.Abandoned == 0 && !res.Infeasible {
+					t.Fatalf("%s: scenario exercised nothing", c.Pressure)
+				}
 			}
 		})
+	}
+	for _, m := range []PressureMode{PressureGlobal, PressureDomains} {
+		if contended[m] == 0 {
+			t.Errorf("%s: no event left a job slowed by contention; the oracles compared nothing but slowdown 1", m)
+		}
 	}
 }
 
@@ -155,7 +177,7 @@ func TestDifferentialWindowedParallelVsSerial(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg, mkJobs := differentialScenario(seed)
-			wantRes, wantLog := runVariant(t, cfg, mkJobs(), 0, false)
+			wantRes, wantLog := runVariant(t, cfg, mkJobs(), 0)
 			for _, v := range []struct {
 				name   string
 				shards int
@@ -163,7 +185,7 @@ func TestDifferentialWindowedParallelVsSerial(t *testing.T) {
 				{"sharded", 3},
 				{"sharded-max", 1 << 20}, // clamps to one node per shard
 			} {
-				res, log := runVariant(t, cfg, mkJobs(), v.shards, false)
+				res, log := runVariant(t, cfg, mkJobs(), v.shards)
 				if !reflect.DeepEqual(res, wantRes) {
 					t.Fatalf("%s: results diverged\nserial: %+v\n%s: %+v", v.name, wantRes, v.name, res)
 				}
@@ -209,8 +231,8 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 	if _, err := s.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if len(s.running) == 0 || len(s.remote) == 0 {
-		tb.Fatalf("%d jobs running at the horizon, %d holding remote memory; want both > 0", len(s.running), len(s.remote))
+	if len(s.running) == 0 || len(s.domRemote[0]) == 0 {
+		tb.Fatalf("%d jobs running at the horizon, %d holding remote memory; want both > 0", len(s.running), len(s.domRemote[0]))
 	}
 	return s
 }
@@ -223,15 +245,15 @@ func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 	s := midRunSimulator(t, 32, 48, ConservativeBackfill)
 	rj := s.runList[0]
 	full := func() {
-		s.trafficValid = false // defeat the elision: measure the full recompute
-		s.refreshAll(rj)
+		s.stale = true // defeat the elision: measure the full recompute
+		s.refreshAfter(rj)
 	}
 	full() // warm caches and scratch
 	if got := testing.AllocsPerRun(50, full); got != 0 {
-		t.Fatalf("refreshAll allocates %.1f per call at steady state, want 0", got)
+		t.Fatalf("refreshAfter allocates %.1f per call at steady state, want 0", got)
 	}
-	if got := testing.AllocsPerRun(50, func() { s.refreshAll(rj) }); got != 0 {
-		t.Fatalf("elided refreshAll allocates %.1f per call, want 0", got)
+	if got := testing.AllocsPerRun(50, func() { s.refreshAfter(rj) }); got != 0 {
+		t.Fatalf("elided refreshAfter allocates %.1f per call, want 0", got)
 	}
 	if s.prof == nil {
 		s.prof = &sched.Profile{}
@@ -245,30 +267,28 @@ func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkRefresh isolates one contention refresh — the unit of work every
-// start/finish/adjust/OOM event pays — at a high concurrent-running count:
-// the incremental path with the traffic cache invalidated (one event that
-// moved the running set or an allocation), the retained full rescan, and
-// the elided refresh of an event that moved nothing.
+// BenchmarkRefresh isolates one global-model contention refresh — the unit
+// of work every start/finish/adjust/OOM event pays — at a high
+// concurrent-running count: the incremental path with the model marked
+// stale (one event that moved the running set or an allocation), and the
+// elided refresh of an event that moved nothing.
 func BenchmarkRefresh(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
-		ref   bool
 		elide bool
-	}{{"incremental", false, false}, {"rescan", true, false}, {"elided", false, true}} {
+	}{{"incremental", false}, {"elided", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			s := midRunSimulator(b, 96, 128, EASYBackfill)
-			s.refRescan = mode.ref
 			rj := s.runList[0]
-			s.trafficValid = false
-			s.refreshAll(rj)
+			s.stale = true
+			s.refreshAfter(rj)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !mode.elide {
-					s.trafficValid = false
+					s.stale = true
 				}
-				s.refreshAll(rj)
+				s.refreshAfter(rj)
 			}
 		})
 	}
@@ -291,9 +311,9 @@ func TestShardSpanningJob(t *testing.T) {
 			mkJob(2, 100, 2, 700, 1200, memtrace.Constant(700)),
 		}
 	}
-	wantRes, wantLog := runVariant(t, cfg, mk(), 1, false)
+	wantRes, wantLog := runVariant(t, cfg, mk(), 1)
 	for _, shards := range []int{2, 3, 6} {
-		res, log := runVariant(t, cfg, mk(), shards, false)
+		res, log := runVariant(t, cfg, mk(), shards)
 		if !reflect.DeepEqual(res, wantRes) {
 			t.Fatalf("shards=%d: results diverged", shards)
 		}

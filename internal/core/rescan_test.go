@@ -1,0 +1,154 @@
+package core
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"dismem/internal/cluster"
+	"dismem/internal/sched"
+	"dismem/internal/slowdown"
+)
+
+// This file holds the full-rescan references for the simulator's
+// incremental state. They re-derive everything from the ledger and the
+// running map with no cache and no scratch, and write nothing: runVariant
+// compares the live simulator with them after every event.
+
+// rescanDomain is the reference node-to-domain map: one domain over the
+// whole fabric under the global model, the node's ledger shard in domains
+// mode.
+func rescanDomain(s *Simulator, id cluster.NodeID) int {
+	if s.cfg.Pressure != PressureDomains {
+		return 0
+	}
+	return s.cl.ShardOf(id)
+}
+
+// runningIDs returns the running jobs' IDs in ascending order: map
+// iteration order varies between runs, and a float sum is not associative.
+func runningIDs(s *Simulator) []int {
+	ids := make([]int, 0, len(s.running))
+	for id := range s.running {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+// refreshAllRescan is the reference for the contention refresh: every
+// domain's pressure from the flat sum of every running job's per-node
+// traffic in (job ID, node) order, and every running job's slowdown as the
+// worst per-node slowdown at its node's domain pressure. Under the global
+// model the pressure is the fabric model's, as the paper defines it.
+func refreshAllRescan(s *Simulator) (rho []float64, slow map[int]float64) {
+	nDom := 1
+	if s.cfg.Pressure == PressureDomains {
+		nDom = s.cl.ShardCount()
+	}
+	ids := runningIDs(s)
+	traffic := make([]float64, nDom)
+	for _, id := range ids {
+		rj := s.running[id]
+		for i := range rj.alloc.PerNode {
+			na := &rj.alloc.PerNode[i]
+			traffic[rescanDomain(s, na.Node)] += slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction())
+		}
+	}
+	rho = make([]float64, nDom)
+	if s.cfg.Pressure == PressureDomains {
+		for d := range rho {
+			rho[d] = slowdown.PressureBW(traffic[d], s.cfg.PerNodeRemoteBW*float64(s.cl.Shard(d).Nodes))
+		}
+	} else {
+		rho[0] = slowdown.NewModel(s.cfg.Cluster.Nodes, s.cfg.PerNodeRemoteBW).Pressure(traffic[0])
+	}
+	slow = make(map[int]float64, len(ids))
+	for _, id := range ids {
+		rj := s.running[id]
+		v := 1.0
+		for i := range rj.alloc.PerNode {
+			na := &rj.alloc.PerNode[i]
+			if x := slowdown.NodeSlowdownWeighted(rj.j.Profile, s.remoteFraction(na), rho[rescanDomain(s, na.Node)]); x > v {
+				v = x
+			}
+		}
+		slow[id] = v
+	}
+	return rho, slow
+}
+
+// currentResourcesRescan is the reference for currentResources: a walk
+// over every node of the ledger.
+func currentResourcesRescan(s *Simulator) sched.Resources {
+	normalMB := s.cfg.Cluster.NormalMB
+	var r sched.Resources
+	for _, n := range s.cl.Nodes() {
+		if n.IsComputeAvailable() {
+			if n.CapacityMB > normalMB {
+				r.LargeNodes++
+			} else {
+				r.NormalNodes++
+			}
+		}
+	}
+	r.FreeMB = s.cl.TotalFreeMB()
+	return r
+}
+
+// releasesRescan is the reference for releases: a fresh list built from
+// the running map in ascending job ID order.
+func releasesRescan(s *Simulator) []sched.Release {
+	ids := runningIDs(s)
+	out := make([]sched.Release, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, s.releaseOf(s.running[id]))
+	}
+	return out
+}
+
+// checkRescanOracles compares the simulator's incremental state with the
+// rescan references between events: every running job's slowdown and the
+// pressure of every domain with a running resident must match bit for bit,
+// every running job must have a pending finish event, and the resource
+// summary and release list must be equal. It reports whether some running
+// job is slowed by contention.
+func checkRescanOracles(t *testing.T, s *Simulator) (contended bool) {
+	t.Helper()
+	rho, slow := refreshAllRescan(s)
+	if len(s.domRho) != len(rho) {
+		t.Fatalf("t=%v: %d pressure domains, rescan has %d", s.eng.Now(), len(s.domRho), len(rho))
+	}
+	resident := make([]bool, len(rho))
+	for _, id := range runningIDs(s) {
+		rj := s.running[id]
+		if math.Float64bits(rj.slow) != math.Float64bits(slow[id]) {
+			t.Fatalf("t=%v job %d: slowdown %v, rescan %v", s.eng.Now(), id, rj.slow, slow[id])
+		}
+		if !rj.finishEv.Pending() {
+			t.Fatalf("t=%v job %d: running without a finish event", s.eng.Now(), id)
+		}
+		contended = contended || rj.slow > 1
+		for i := range rj.alloc.PerNode {
+			resident[rescanDomain(s, rj.alloc.PerNode[i].Node)] = true
+		}
+	}
+	for d := range rho {
+		if resident[d] && math.Float64bits(s.domRho[d]) != math.Float64bits(rho[d]) {
+			t.Fatalf("t=%v domain %d: pressure %v, rescan %v", s.eng.Now(), d, s.domRho[d], rho[d])
+		}
+	}
+	if got, want := s.currentResources(), currentResourcesRescan(s); got != want {
+		t.Fatalf("t=%v: resources %+v, rescan %+v", s.eng.Now(), got, want)
+	}
+	got, want := s.releases(), releasesRescan(s)
+	if len(got) != len(want) {
+		t.Fatalf("t=%v: %d releases, rescan %d", s.eng.Now(), len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("t=%v: release %d is %+v, rescan %+v", s.eng.Now(), i, got[i], want[i])
+		}
+	}
+	return contended
+}

@@ -27,7 +27,6 @@ type Simulator struct {
 	ranker policy.LenderRanker
 	adj    *policy.Adjuster
 	eng    *sim.Engine
-	model  *slowdown.Model
 	rng    *rand.Rand
 	tel    *telemetry.Recorder // nil when telemetry is disabled
 
@@ -50,43 +49,26 @@ type Simulator struct {
 	runIDs  []int
 	runList []*runningJob
 
-	// remote lists the running jobs that hold remote memory, ascending job
-	// ID (global mode; recontend and teardown keep it current). Every other
-	// running job injects no traffic and runs at slowdown exactly 1, so the
-	// global refresh walks only this list.
-	remote []*runningJob
+	// Contention state. Pressure is scoped to domains: the global model is
+	// the one-domain case (nDom 1, every node in domain 0, whatever the
+	// ledger's shard count), and PressureDomains identifies domains with
+	// ledger shards, so domain d owns shard d's contiguous node-ID range and
+	// every per-domain resource summary is the shard's O(1) summary.
+	nDom      int
+	domBW     []float64       // per-domain aggregate remote bandwidth (GB/s, immutable)
+	domRho    []float64       // per-domain contention pressure
+	domRemote [][]*runningJob // per-domain resident jobs holding remote memory, ascending job ID
+	domCapMB  []int64         // per-domain memory capacity (immutable)
+	// stale is set whenever the running set or a running job's allocation
+	// changes, and cleared by the refresh that rebuilds the touched
+	// domains. While it is clear, every rho and slowdown is a pure function
+	// of state that has not moved, and the refresh returns at once.
+	stale        bool
+	refreshEpoch uint64 // refreshAfter's job dedup stamp across touched domains
 
-	// trafficValid is set while the running set and every member's
-	// allocation are unchanged since the last global refresh, in which case
-	// rho — and with it every job's slowdown — is unchanged too and
-	// refreshAll has nothing to do.
-	trafficValid bool
-
-	// refRescan routes refreshAll/currentResources/releases through the
-	// retained full-rescan reference implementations. The differential tests
-	// run every scenario both ways and assert identical Results and
-	// byte-identical telemetry.
-	refRescan bool
-
-	// Pressure-domain state (Config.Pressure == PressureDomains). nDom is 0
-	// in global mode, which disables every domain path. Domains are
-	// identified with ledger shards: domain d owns shard d's contiguous
-	// node-ID range, so a node's home domain is cl.ShardOf(id) and every
-	// per-domain resource summary is the shard's O(1) summary.
-	nDom         int
-	domBW        []float64       // per-domain aggregate remote bandwidth (GB/s)
-	domTraffic   []float64       // per-domain cached traffic sum
-	domRho       []float64       // per-domain contention pressure
-	domValid     []bool          // per-domain traffic-cache validity
-	domJobs      [][]*runningJob // per-domain home-resident jobs, ascending job ID
-	domCapMB     []int64         // per-domain memory capacity (immutable)
-	refreshEpoch uint64          // refreshDomains per-phase job dedup stamp
-
-	// Scratch reused across refreshAll calls (the per-event hot path).
-	idsBuf   []int
-	fracsBuf []float64
-	relBuf   []sched.Release
-	prof     *sched.Profile // pooled conservative-backfill profile
+	// Scratch reused across scheduling passes (the per-event hot path).
+	relBuf []sched.Release
+	prof   *sched.Profile // pooled conservative-backfill profile
 
 	// Lifecycle state for the Start/StepUntil/Finish decomposition of Run
 	// and for Fork (see fork.go). rngDraws counts Float64 draws taken from
@@ -111,6 +93,7 @@ type runningJob struct {
 	slow     float64         // slowdown factor (≥1) in force since lastT
 	period   float64         // this job's jittered memory-update period
 	use      memtrace.Cursor // usage-trace reader at this attempt's progress
+	gone     bool            // torn down: no longer in the running set
 
 	finishEv sim.Handle
 	limitEv  sim.Handle
@@ -120,20 +103,20 @@ type runningJob struct {
 	// fractions depend only on its own allocation, which changes only at
 	// dispatch and in its own memory-update handler — never when other jobs
 	// borrow from or return memory to the same lenders — so the cache is
-	// invalidated exactly there and refreshAll does no per-node work for
+	// invalidated exactly there and the refresh does no per-node work for
 	// untouched jobs.
 	nodeTraffic []float64 // per alloc.PerNode entry: slowdown.NodeTraffic value
 	maxFrac     float64   // max distance-weighted remote fraction over nodes
 	dirty       bool      // allocation changed since recontend last ran
-	remote      bool      // member of Simulator.remote (global mode)
+	remote      bool      // holds remote memory: listed in domRemote of every home domain
 
-	// Pressure-domain footprint (domains mode only), frozen at dispatch by
-	// domainize: the home domain of every compute node, the sorted unique
-	// home-domain list, and the domain set — home domains plus the shards
-	// of every placement lease's lender — that confines all later growth.
+	// Pressure-domain footprint, frozen at dispatch by domainize: the home
+	// domain of every compute node, the sorted unique home-domain list, and
+	// the domain set — home domains plus the domains of every placement
+	// lease's lender — that confines all later growth in domains mode.
 	// domFrac caches, per home domain, the maximum weighted remote fraction
-	// of the job's nodes resident there; epoch is the refreshDomains dedup
-	// stamp for jobs spanning several touched domains.
+	// of the job's nodes resident there; epoch is the refresh's dedup stamp
+	// for jobs spanning several touched domains.
 	nodeDom  []int32
 	homeDoms []int32
 	domSet   []int32
@@ -185,26 +168,27 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 		banked:  make(map[int]float64),
 		prio:    make(map[int]int),
 	}
-	s.model = slowdown.NewModel(cfg.Cluster.Nodes, cfg.PerNodeRemoteBW)
 	s.adj.Tel = cfg.Telemetry
+	// The global model is one domain over the whole fabric; domains mode
+	// has one per ledger shard (Normalize forced Cluster.Shards == Domains).
+	// A domain's bandwidth budget scales with the nodes it contains, the
+	// fabric's per-node provisioning.
+	s.nDom = 1
 	if cfg.Pressure == PressureDomains {
-		// One pressure domain per ledger shard (Normalize forced
-		// Cluster.Shards == Domains). A domain's bandwidth budget scales
-		// with the nodes it contains, mirroring the global model's
-		// per-node fabric provisioning.
 		s.nDom = s.cl.ShardCount()
-		s.domBW = make([]float64, s.nDom)
-		s.domTraffic = make([]float64, s.nDom)
-		s.domRho = make([]float64, s.nDom)
-		s.domValid = make([]bool, s.nDom)
-		s.domJobs = make([][]*runningJob, s.nDom)
-		s.domCapMB = make([]int64, s.nDom)
-		for i := 0; i < s.nDom; i++ {
-			s.domBW[i] = cfg.PerNodeRemoteBW * float64(s.cl.Shard(i).Nodes)
-		}
-		for _, n := range s.cl.Nodes() {
-			s.domCapMB[s.cl.ShardOf(n.ID)] += n.CapacityMB
-		}
+	}
+	s.domBW = make([]float64, s.nDom)
+	s.domRho = make([]float64, s.nDom)
+	s.domRemote = make([][]*runningJob, s.nDom)
+	s.domCapMB = make([]int64, s.nDom)
+	nodes := make([]int, s.nDom)
+	for _, n := range s.cl.Nodes() {
+		d := s.domainOf(n.ID)
+		nodes[d]++
+		s.domCapMB[d] += n.CapacityMB
+	}
+	for d, n := range nodes {
+		s.domBW[d] = cfg.PerNodeRemoteBW * float64(n)
 	}
 	return s, nil
 }
@@ -602,71 +586,29 @@ func (s *Simulator) conservativePass() {
 // currentResources summarises present availability for the reservation
 // arithmetic. The node-class counts come straight from the cluster's idle
 // split (O(1)); the class threshold there is NormalMB, the same comparison
-// the retained rescan applies per node.
+// the rescan oracle in the tests applies per node.
 //
 //dmp:hotpath
 func (s *Simulator) currentResources() sched.Resources {
-	if s.refRescan {
-		return s.currentResourcesRescan()
-	}
 	var r sched.Resources
 	r.NormalNodes, r.LargeNodes = s.cl.IdleComputeSplit()
 	r.FreeMB = s.cl.TotalFreeMB()
 	return r
 }
 
-// currentResourcesRescan is the retained full-rescan reference for
-// currentResources.
-func (s *Simulator) currentResourcesRescan() sched.Resources {
-	normalMB := s.cfg.Cluster.NormalMB
-	var r sched.Resources
-	for _, n := range s.cl.Nodes() {
-		if n.IsComputeAvailable() {
-			if n.CapacityMB > normalMB {
-				r.LargeNodes++
-			} else {
-				r.NormalNodes++
-			}
-		}
-	}
-	r.FreeMB = s.cl.TotalFreeMB()
-	return r
-}
-
 // releases lists running jobs' conservative completions (start + limit) into
-// a scratch slice reused across scheduling passes. Jobs are visited in
-// ascending ID order; the consumers (Profile, ShadowTime) sort by release
-// time and combine resources with commutative integer arithmetic, so the
-// iteration order cannot affect results — the retained reference walks the
-// map instead and the differential tests confirm the equivalence.
+// a scratch slice reused across scheduling passes, visiting jobs in
+// ascending ID order (the release list feeds the backfill planner, where
+// order breaks ties). The tests check it after every event against an
+// oracle that walks the running map instead.
 //
 //dmp:hotpath
 func (s *Simulator) releases() []sched.Release {
-	if s.refRescan {
-		return s.releasesRescan()
-	}
 	out := s.relBuf[:0]
 	for _, rj := range s.runList {
 		out = append(out, s.releaseOf(rj))
 	}
 	s.relBuf = out
-	return out
-}
-
-// releasesRescan is the retained reference implementation of releases: a
-// fresh allocation per call, visiting jobs in ascending ID order so the
-// reference path is as reproducible as the incremental one (the release
-// list feeds the backfill planner, where order breaks ties).
-func (s *Simulator) releasesRescan() []sched.Release {
-	ids := make([]int, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]sched.Release, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.releaseOf(s.running[id]))
-	}
 	return out
 }
 
@@ -738,14 +680,8 @@ func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
 	s.runList = append(s.runList, nil)
 	copy(s.runList[i+1:], s.runList[i:])
 	s.runList[i] = rj
-	s.trafficValid = false // new member: the traffic sum changes
-	if s.nDom > 0 {
-		s.domainize(rj)
-		for _, d := range rj.homeDoms {
-			s.domJobs[d] = insertByID(s.domJobs[d], rj)
-			s.domValid[d] = false
-		}
-	}
+	s.domainize(rj)
+	s.stale = true // new member: its home domains' traffic changes
 	s.curAllocMB += ja.TotalMB()
 	s.curBusyNodes += len(ja.PerNode)
 
@@ -843,6 +779,7 @@ func (s *Simulator) teardown(rj *runningJob) {
 		panic(err) // ledger corruption: fail loudly
 	}
 	delete(s.running, rj.j.ID)
+	rj.gone = true
 	if i := sort.SearchInts(s.runIDs, rj.j.ID); i < len(s.runIDs) && s.runIDs[i] == rj.j.ID {
 		s.runIDs = append(s.runIDs[:i], s.runIDs[i+1:]...)
 		copy(s.runList[i:], s.runList[i+1:])
@@ -850,16 +787,12 @@ func (s *Simulator) teardown(rj *runningJob) {
 		s.runList = s.runList[:len(s.runList)-1]
 	}
 	if rj.remote {
-		s.remote = removeByID(s.remote, rj)
+		for _, d := range rj.homeDoms {
+			s.domRemote[d] = removeByID(s.domRemote[d], rj)
+		}
 		rj.remote = false
 	}
-	s.trafficValid = false // departed member: the traffic sum changes
-	if s.nDom > 0 {
-		for _, d := range rj.homeDoms {
-			s.domJobs[d] = removeByID(s.domJobs[d], rj)
-			s.domValid[d] = false
-		}
-	}
+	s.stale = true  // departed member: its home domains' traffic changes
 	s.poolCheck(rj) // rising free re-arms the watermark detector
 }
 
@@ -888,7 +821,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 		na := &rj.alloc.PerNode[i]
 		nodeBefore, remoteBefore := na.TotalMB(), na.RemoteMB()
 		var err error
-		if s.nDom > 0 {
+		if s.cfg.Pressure == PressureDomains {
 			err = s.adj.AdjustDomains(s.cl, rj.alloc, i, target, rj.domSet)
 		} else {
 			err = s.adj.Adjust(s.cl, rj.alloc, i, target)
@@ -916,7 +849,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 	s.curAllocMB += after - before
 	if changed {
 		rj.dirty = true
-		s.invalidate(rj)
+		s.stale = true
 	}
 	s.poolCheck(rj)
 
@@ -1041,57 +974,35 @@ func (s *Simulator) remoteFraction(na *cluster.NodeAllocation) float64 {
 	return weighted / float64(total)
 }
 
-// recontend rebuilds rj's contention cache from its current allocation: the
-// per-node traffic contributions (in PerNode order, so the global flat sum
-// visits them exactly as the full rescan did) and the maximum
-// distance-weighted remote fraction its slowdown depends on. Each cached
-// value is a deterministic function of the allocation alone, so reusing it
-// across refreshes is bit-exact. It also files rj in or out of the
-// remote-holding list.
-//
-//dmp:hotpath
-func (s *Simulator) recontend(rj *runningJob) {
-	rj.nodeTraffic = rj.nodeTraffic[:0]
-	s.fracsBuf = s.fracsBuf[:0]
-	holds := false
-	for i := range rj.alloc.PerNode {
-		na := &rj.alloc.PerNode[i]
-		rj.nodeTraffic = append(rj.nodeTraffic, slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()))
-		s.fracsBuf = append(s.fracsBuf, s.remoteFraction(na))
-		holds = holds || na.RemoteMB() > 0
-	}
-	rj.maxFrac = slowdown.MaxWeightedFrac(s.fracsBuf)
-	rj.dirty = false
-	if holds != rj.remote {
-		if holds {
-			s.remote = insertByID(s.remote, rj)
-		} else {
-			s.remote = removeByID(s.remote, rj)
-		}
-		rj.remote = holds
-	}
-}
-
 // ---------------------------------------------------- pressure domains
 
+// domainOf returns a node's pressure domain: 0 under the global model, its
+// ledger shard in domains mode.
+func (s *Simulator) domainOf(id cluster.NodeID) int32 {
+	if s.nDom == 1 {
+		return 0
+	}
+	return int32(s.cl.ShardOf(id))
+}
+
 // domainize freezes rj's pressure-domain footprint at dispatch: each compute
-// node's home domain (its ledger shard), the sorted unique home-domain list,
-// and the domain set — home domains plus every placement lease's lender
-// shard. All later growth is confined to the domain set (AdjustDomains), so
+// node's home domain, the sorted unique home-domain list, and the domain
+// set — home domains plus every placement lease's lender domain. In domains
+// mode all later growth is confined to the domain set (AdjustDomains), so
 // the footprint never widens mid-attempt; an OOM restart re-places the job
 // and freezes a fresh one.
 func (s *Simulator) domainize(rj *runningJob) {
 	rj.nodeDom = rj.nodeDom[:0]
 	rj.homeDoms = rj.homeDoms[:0]
 	for i := range rj.alloc.PerNode {
-		d := int32(s.cl.ShardOf(rj.alloc.PerNode[i].Node))
+		d := s.domainOf(rj.alloc.PerNode[i].Node)
 		rj.nodeDom = append(rj.nodeDom, d)
 		rj.homeDoms = addDom(rj.homeDoms, d)
 	}
 	rj.domSet = append(rj.domSet[:0], rj.homeDoms...)
 	for i := range rj.alloc.PerNode {
 		for _, l := range rj.alloc.PerNode[i].Leases {
-			rj.domSet = addDom(rj.domSet, int32(s.cl.ShardOf(l.Lender)))
+			rj.domSet = addDom(rj.domSet, s.domainOf(l.Lender))
 		}
 	}
 	if cap(rj.domFrac) < len(rj.homeDoms) {
@@ -1145,67 +1056,95 @@ func removeByID(list []*runningJob, rj *runningJob) []*runningJob {
 	return list
 }
 
-// invalidate marks the contention caches stale after rj's allocation
-// changed: rj's home domains in domains mode, the flat global sum otherwise.
+// recontend rebuilds rj's contention cache from its current allocation: the
+// per-node traffic contributions (in PerNode order, so a domain's traffic sum
+// visits them exactly as a full rescan does), the maximum distance-weighted
+// remote fraction of rj's nodes resident in each home domain, and their
+// maximum over all nodes. Each cached value is a deterministic function of
+// the allocation alone, so reusing it across refreshes is bit-exact. It also
+// files rj in or out of its home domains' remote-holding lists.
 //
 //dmp:hotpath
-func (s *Simulator) invalidate(rj *runningJob) {
-	if s.nDom > 0 {
-		for _, d := range rj.homeDoms {
-			s.domValid[d] = false
+func (s *Simulator) recontend(rj *runningJob) {
+	rj.nodeTraffic = rj.nodeTraffic[:0]
+	for k := range rj.domFrac {
+		rj.domFrac[k] = 0
+	}
+	holds := false
+	for i := range rj.alloc.PerNode {
+		na := &rj.alloc.PerNode[i]
+		rj.nodeTraffic = append(rj.nodeTraffic, slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()))
+		k := 0
+		if len(rj.homeDoms) > 1 {
+			k = domIndex(rj.homeDoms, rj.nodeDom[i])
 		}
-		return
+		if wf := s.remoteFraction(na); wf > rj.domFrac[k] {
+			rj.domFrac[k] = wf
+		}
+		holds = holds || na.RemoteMB() > 0
 	}
-	s.trafficValid = false
+	rj.maxFrac = slowdown.MaxWeightedFrac(rj.domFrac)
+	rj.dirty = false
+	if holds != rj.remote {
+		for _, d := range rj.homeDoms {
+			if holds {
+				s.domRemote[d] = insertByID(s.domRemote[d], rj)
+			} else {
+				s.domRemote[d] = removeByID(s.domRemote[d], rj)
+			}
+		}
+		rj.remote = holds
+	}
 }
 
-// refreshAfter refreshes the contention model after an event touching rj:
-// the O(Δ) per-domain path in domains mode, the global refresh otherwise.
+// refreshAfter refreshes the contention model after an event touching rj,
+// which may already have left the running set. It must be called after any
+// change to memory placements. The global model is its one-domain case.
 //
-//dmp:hotpath
-func (s *Simulator) refreshAfter(rj *runningJob) {
-	if s.nDom > 0 {
-		s.refreshDomains(rj)
-		return
-	}
-	s.refreshAll(rj)
-}
-
-// refreshDomains is the contention refresh scoped to the domains rj calls
-// home. Jobs outside the touched domains are untouched by construction:
-// their domains' rho values did not move, so their slowdowns — and with them
-// their banked progress and pending finish events — stay exact. That is
-// what makes an event's refresh cost O(touched domains' residents) instead
-// of O(running set).
+// Only the domains rj calls home can have changed: every site that sets
+// stale (dispatch, teardown, a resize) changes rj's own allocation, and a
+// job's traffic lands in its nodes' home domains. Jobs outside those domains
+// keep their rho, and with it their slowdown, banked progress and pending
+// finish event. Inside them, a job without remote memory injects no traffic
+// and runs at slowdown exactly 1 whatever the pressure, so the refresh walks
+// only the touched domains' remote holders plus rj:
 //
-// The dirty-job invariant mirrors the global path: at any refreshAfter(rj)
-// the only possibly-dirty job is rj itself, and every site that marks rj
-// dirty also invalidates all of rj's home domains, so the rebuild of invalid
-// touched domains re-derives every stale cache.
+//   - With stale clear — nothing started, finished or resized since the
+//     last refresh — it returns at once: O(1).
+//   - Otherwise rj's contention cache is rebuilt if its allocation changed
+//     (at any refresh rj is the only job that can be dirty); each touched
+//     domain's traffic is summed over its remote holders' nodes resident
+//     there, in (job ID, node) order; and each touched domain's remote
+//     holders plus rj are reslowed, domains ascending and jobs in ascending
+//     ID order, a job spanning several touched domains once. Only a job
+//     whose slowdown changed (or that has no finish event yet) is banked
+//     and refinished: O(touched domains' remote holders).
 //
-// Phases (visiting domains ascending and jobs in ID order):
-//
-//	1 rebuild each invalid touched domain's traffic sum and rho, merging
-//	  per-node traffic by the node's home domain; if every touched domain
-//	  was valid, no rho moved and the refresh ends here;
-//	2 re-derive touched residents' slowdowns from the per-domain rho,
-//	  deduplicating jobs resident in several touched domains with an epoch
-//	  stamp, and reslow them: only a job whose slowdown changed (or that
-//	  has no finish event yet) is banked and refinished.
+// The traffic sums are bit-identical to the flat per-domain sums over every
+// running job that the rescan oracle in the tests computes: the skipped
+// terms are exactly zero, and adding zero leaves a float sum unchanged. The
+// skipped jobs' reslow would do nothing, so the walk reslows the same jobs
+// to the same values in the same order as a walk over every resident.
 //
 //dmp:hotpath
 //dmp:domainmerge
-func (s *Simulator) refreshDomains(rj *runningJob) {
-	touched := rj.homeDoms
-	dirtyRho := false
-	for _, d := range touched {
-		if s.domValid[d] {
-			continue
-		}
+func (s *Simulator) refreshAfter(rj *runningJob) {
+	if !s.stale {
+		return
+	}
+	s.stale = false
+	live := !rj.gone
+	if live && rj.dirty {
+		s.recontend(rj)
+	}
+	for _, d := range rj.homeDoms {
 		var traffic float64
-		for _, oj := range s.domJobs[d] {
-			if oj.dirty {
-				s.recontendDomains(oj)
+		for _, oj := range s.domRemote[d] {
+			if len(oj.homeDoms) == 1 { // every node resident in d
+				for _, t := range oj.nodeTraffic {
+					traffic += t
+				}
+				continue
 			}
 			for i, t := range oj.nodeTraffic {
 				if oj.nodeDom[i] == d {
@@ -1213,58 +1152,46 @@ func (s *Simulator) refreshDomains(rj *runningJob) {
 				}
 			}
 		}
-		s.domTraffic[d] = traffic
 		s.domRho[d] = slowdown.PressureBW(traffic, s.domBW[d])
-		s.domValid[d] = true
-		dirtyRho = true
-	}
-	if !dirtyRho {
-		return
 	}
 	now := s.eng.Now()
 	s.refreshEpoch++
-	for _, d := range touched {
-		for _, oj := range s.domJobs[d] {
+	visit := live && !rj.remote // rj takes its ID-order turn in its first home domain
+	for _, d := range rj.homeDoms {
+		rho := s.domRho[d]
+		for _, oj := range s.domRemote[d] {
+			if visit && rj.j.ID < oj.j.ID {
+				s.reslow(rj, s.domainSlowdown(rj), now)
+				visit = false
+			}
 			if oj.epoch == s.refreshEpoch {
 				continue
 			}
 			oj.epoch = s.refreshEpoch
-			s.reslow(oj, s.domainSlowdown(oj), now)
+			if len(oj.homeDoms) == 1 {
+				s.reslow(oj, slowdown.JobSlowdownFromMax(oj.j.Profile, oj.maxFrac, rho), now)
+			} else {
+				s.reslow(oj, s.domainSlowdown(oj), now)
+			}
+		}
+		if visit {
+			s.reslow(rj, s.domainSlowdown(rj), now)
+			visit = false
 		}
 	}
-}
-
-// recontendDomains rebuilds rj's contention caches in domains mode: the
-// per-node traffic contributions (as recontend does) plus, per home domain,
-// the maximum distance-weighted remote fraction of rj's nodes resident
-// there. It writes rj's fields only.
-//
-//dmp:hotpath
-func (s *Simulator) recontendDomains(rj *runningJob) {
-	rj.nodeTraffic = rj.nodeTraffic[:0]
-	for k := range rj.domFrac {
-		rj.domFrac[k] = 0
-	}
-	for i := range rj.alloc.PerNode {
-		na := &rj.alloc.PerNode[i]
-		rj.nodeTraffic = append(rj.nodeTraffic, slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()))
-		wf := s.remoteFraction(na)
-		if k := domIndex(rj.homeDoms, rj.nodeDom[i]); wf > rj.domFrac[k] {
-			rj.domFrac[k] = wf
-		}
-	}
-	rj.maxFrac = slowdown.MaxWeightedFrac(rj.domFrac)
-	rj.dirty = false
 }
 
 // domainSlowdown derives rj's slowdown as the worst over its home domains:
 // each domain contributes the single-rho slowdown of rj's nodes resident
-// there at that domain's pressure. With one domain this degenerates to the
-// global formula bit-for-bit.
+// there at that domain's pressure. With one home domain it is the global
+// formula over rj's maximum fraction, bit-for-bit.
 //
 //dmp:hotpath
 //dmp:domainmerge
 func (s *Simulator) domainSlowdown(rj *runningJob) float64 {
+	if len(rj.homeDoms) == 1 {
+		return slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, s.domRho[rj.homeDoms[0]])
+	}
 	slow := 1.0
 	for k, d := range rj.homeDoms {
 		if v := slowdown.JobSlowdownFromMax(rj.j.Profile, rj.domFrac[k], s.domRho[d]); v > slow {
@@ -1272,67 +1199,6 @@ func (s *Simulator) domainSlowdown(rj *runningJob) float64 {
 		}
 	}
 	return slow
-}
-
-// refreshAll refreshes the global contention model after an event touching
-// rj, which may already have left the running set. It must be called after
-// any change to memory placements.
-//
-// Only jobs whose slowdown changes are banked and refinished (reslow); a job
-// whose slowdown did not move keeps its banked progress and its pending
-// finish event untouched. Every running job without remote memory injects
-// no traffic and runs at slowdown exactly 1, so the refresh walks the
-// remote-holding list plus rj, not the whole running set:
-//
-//   - A refresh with trafficValid still set — nothing started, finished, or
-//     resized since the last one — returns at once: rho and every slowdown
-//     are pure functions of state that has not changed. It costs O(1).
-//   - Otherwise rj's contention cache is rebuilt if its allocation changed
-//     (at any refresh rj is the only job that can be dirty), the traffic is
-//     summed over the remote holders, and each remote holder plus rj is
-//     reslowed in ascending ID order. It costs O(remote holders).
-//
-// The traffic sum is bit-identical to the flat sum over every running job's
-// nodes in (job ID, node) order that the rescan reference computes: the
-// skipped terms are exactly zero, and adding zero leaves a float sum
-// unchanged. With cached inputs exact (see recontend) and JobSlowdownFromMax
-// equal to JobSlowdownWeighted bit-for-bit, both paths reslow the same jobs
-// to the same values in the same order, which the differential tests
-// assert.
-//
-//dmp:hotpath
-func (s *Simulator) refreshAll(rj *runningJob) {
-	if s.refRescan {
-		s.refreshAllRescan()
-		return
-	}
-	if s.trafficValid {
-		return
-	}
-	live := s.running[rj.j.ID] == rj
-	if live && rj.dirty {
-		s.recontend(rj)
-	}
-	var traffic float64
-	for _, oj := range s.remote {
-		for _, t := range oj.nodeTraffic {
-			traffic += t
-		}
-	}
-	s.trafficValid = true
-	rho := s.model.Pressure(traffic)
-	now := s.eng.Now()
-	visit := live && !rj.remote // rj takes its ID-order turn among the holders
-	for _, oj := range s.remote {
-		if visit && rj.j.ID < oj.j.ID {
-			s.reslow(rj, slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho), now)
-			visit = false
-		}
-		s.reslow(oj, slowdown.JobSlowdownFromMax(oj.j.Profile, oj.maxFrac, rho), now)
-	}
-	if visit {
-		s.reslow(rj, slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho), now)
-	}
 }
 
 // reslow moves rj to slowdown slow. A job whose slowdown is unchanged and
@@ -1367,43 +1233,5 @@ func (s *Simulator) refinish(rj *runningJob, now float64) {
 		rj.finishEv = s.eng.ScheduleTag(at, evTag(tagFinish, id), func(*sim.Engine) { s.onFinish(id) }) //dmplint:ignore hotpath-alloc scheduled once per finish-time move, not per refresh step; Reschedule reuses the handle below
 	} else if rj.finishEv.At() != at {
 		rj.finishEv = s.eng.Reschedule(rj.finishEv, at)
-	}
-}
-
-// refreshAllRescan is the retained full-rescan reference implementation of
-// refreshAll: collect and sort the running set, then re-derive every job's
-// per-node fractions, traffic and slowdown from the ledger with no caching
-// and reslow every running job. The differential tests run whole scenarios
-// through it and assert Results and telemetry stay byte-identical to the
-// incremental path.
-//
-// Jobs are visited in ascending ID order: map iteration order varies
-// between runs, and floating-point summation of the traffic is not
-// associative, so unordered iteration would make results irreproducible.
-func (s *Simulator) refreshAllRescan() {
-	now := s.eng.Now()
-	ids := s.idsBuf[:0]
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	s.idsBuf = ids
-	var traffic float64
-	for _, id := range ids {
-		rj := s.running[id]
-		for i := range rj.alloc.PerNode {
-			remoteFrac := 1 - rj.alloc.PerNode[i].LocalFraction()
-			traffic += slowdown.NodeTraffic(rj.j.Profile, remoteFrac)
-		}
-	}
-	rho := s.model.Pressure(traffic)
-	for _, id := range ids {
-		rj := s.running[id]
-		fracs := s.fracsBuf[:0]
-		for i := range rj.alloc.PerNode {
-			fracs = append(fracs, s.remoteFraction(&rj.alloc.PerNode[i]))
-		}
-		s.fracsBuf = fracs
-		s.reslow(rj, slowdown.JobSlowdownWeighted(rj.j.Profile, fracs, rho), now)
 	}
 }

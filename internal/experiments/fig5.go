@@ -28,7 +28,7 @@ var Fig5Overests = []float64{0, 0.60}
 // wait on, trace generations dedupe through the tracegen cache, and panel
 // sweeps from different columns interleave freely — nothing waits behind a
 // barrier it does not depend on. Results are bit-identical to the serial
-// pipeline (RunFig5Serial); the golden tests enforce it.
+// pre-pipeline driver; the golden tests enforce it.
 func RunFig5(p Preset, includeGrizzly bool) (*Fig5, error) {
 	pool := sweep.SharedPool()
 	var panels []*sweep.Future[*ThroughputGrid]
@@ -71,52 +71,6 @@ func RunFig5(p Preset, includeGrizzly bool) (*Fig5, error) {
 		return nil, err
 	}
 	return &Fig5{Panels: grids}, nil
-}
-
-// RunFig5Serial is the retained pre-pipeline implementation: every stage
-// in sequence, every trace generated from scratch, barriers between
-// stages. The golden tests and benchmarks use it as the reference the
-// barrier-free pipeline must match bit-for-bit (and beat on wall-clock).
-func RunFig5Serial(p Preset, includeGrizzly bool) (*Fig5, error) {
-	out := &Fig5{}
-	for _, lf := range Fig5LargeFracs {
-		label := fmt.Sprintf("large %.0f%%", lf*100)
-		// Normalisation uses the +0 % trace, shared by the column; every
-		// generation bypasses the cache, as the pre-pipeline code did.
-		trace0, err := p.SyntheticTraceUncached(lf, 0)
-		if err != nil {
-			return nil, err
-		}
-		norm, err := p.BaselineNorm(trace0.Jobs, p.SystemNodes)
-		if err != nil {
-			return nil, err
-		}
-		for _, ov := range Fig5Overests {
-			jobs := trace0.Jobs
-			if ov != 0 {
-				tr, err := p.SyntheticTraceUncached(lf, ov)
-				if err != nil {
-					return nil, err
-				}
-				jobs = tr.Jobs
-			}
-			g, err := p.ThroughputSweep(jobs, p.SystemNodes, norm, label, ov)
-			if err != nil {
-				return nil, err
-			}
-			out.Panels = append(out.Panels, g)
-		}
-	}
-	if includeGrizzly {
-		for _, ov := range Fig5Overests {
-			g, err := p.GrizzlyGrid(ov)
-			if err != nil {
-				return nil, err
-			}
-			out.Panels = append(out.Panels, g)
-		}
-	}
-	return out, nil
 }
 
 // RunFig5Panel executes a single (largeFrac, overest) panel — the unit the

@@ -217,7 +217,7 @@ func TestFig5PipelineMatchesSerial(t *testing.T) {
 		t.Skip("two full Fig. 5 runs are expensive; skipped with -short")
 	}
 	p := Quick()
-	serial, err := RunFig5Serial(p, false)
+	serial, err := runFig5Serial(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,4 +229,41 @@ func TestFig5PipelineMatchesSerial(t *testing.T) {
 	if ds != dp {
 		t.Fatalf("pooled+cached pipeline diverged from the serial reference:\n  serial %s\n  pooled %s", ds, dp)
 	}
+}
+
+// runFig5Serial is the pre-pipeline Fig. 5 driver for the synthetic
+// columns, kept as a test reference: every stage in sequence, every trace
+// generated from scratch, barriers between stages. The barrier-free
+// pipeline must match it bit-for-bit.
+func runFig5Serial(p Preset) (*Fig5, error) {
+	out := &Fig5{}
+	for _, lf := range Fig5LargeFracs {
+		label := fmt.Sprintf("large %.0f%%", lf*100)
+		// Normalisation uses the +0 % trace, shared by the column; every
+		// generation bypasses the cache, as the pre-pipeline code did.
+		trace0, err := p.SyntheticTraceUncached(lf, 0)
+		if err != nil {
+			return nil, err
+		}
+		norm, err := p.BaselineNorm(trace0.Jobs, p.SystemNodes)
+		if err != nil {
+			return nil, err
+		}
+		for _, ov := range Fig5Overests {
+			jobs := trace0.Jobs
+			if ov != 0 {
+				tr, err := p.SyntheticTraceUncached(lf, ov)
+				if err != nil {
+					return nil, err
+				}
+				jobs = tr.Jobs
+			}
+			g, err := p.ThroughputSweep(jobs, p.SystemNodes, norm, label, ov)
+			if err != nil {
+				return nil, err
+			}
+			out.Panels = append(out.Panels, g)
+		}
+	}
+	return out, nil
 }

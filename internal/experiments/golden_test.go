@@ -28,6 +28,9 @@ var goldenScenarioDigests = map[string]string{
 	"baseline": "d3e5ba7b5ade33f87867007770910bdfd98be75793b6878f4cb9bbad0ed91b15",
 	"static":   "11ea89970ee0ed1e001f04abecb38328b2ec065eebd2733db5c848979969af60",
 	"dynamic":  "224167f5d7db675aa0228999ada8e0511559e5ae85659fda4c3defdd8eb8f1a9",
+
+	"static-domains":  "02e3dc1b202ce60c3420d9dea6a94b9f54e75ff49096effe66295084458dd58b",
+	"dynamic-domains": "7279d64395088b2b8e96e339115b426aed948056d80fe0d9f844abb6350f044b",
 }
 
 // digestResult folds every determinism-relevant field of a Result — job
@@ -64,7 +67,10 @@ func digestResult(r *core.Result) string {
 // TestGoldenScenarioDigest is the determinism regression gate for the
 // incremental cluster-ledger indexes: it runs the BenchmarkScenario cell
 // twice per policy and asserts (a) the two runs are bit-identical and
-// (b) they match the digest recorded before the indexes existed.
+// (b) they match the digest recorded before the indexes existed. The
+// "-domains" rows run the dynamic-memory policies under 16 pressure
+// domains; they were recorded before the global model became the
+// one-domain case of the domain refresh, and pin the D>1 path the same way.
 func TestGoldenScenarioDigest(t *testing.T) {
 	p := Bench()
 	trace, err := p.SyntheticTrace(0.5, 0.6)
@@ -75,13 +81,27 @@ func TestGoldenScenarioDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic} {
-		t.Run(kind.String(), func(t *testing.T) {
-			res1, err := p.RunScenario(trace.Jobs, p.SystemNodes, mc, kind)
+	domains := func(c *core.Config) {
+		c.Pressure = core.PressureDomains
+		c.Domains = 16
+	}
+	for _, row := range []struct {
+		name   string
+		kind   policy.Kind
+		mutate func(*core.Config)
+	}{
+		{"baseline", policy.Baseline, nil},
+		{"static", policy.Static, nil},
+		{"dynamic", policy.Dynamic, nil},
+		{"static-domains", policy.Static, domains},
+		{"dynamic-domains", policy.Dynamic, domains},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			res1, err := p.RunScenarioWith(trace.Jobs, p.SystemNodes, mc, row.kind, row.mutate)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res2, err := p.RunScenario(trace.Jobs, p.SystemNodes, mc, kind)
+			res2, err := p.RunScenarioWith(trace.Jobs, p.SystemNodes, mc, row.kind, row.mutate)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,11 +109,11 @@ func TestGoldenScenarioDigest(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("two identical runs diverged: %s vs %s", d1, d2)
 			}
-			want := goldenScenarioDigests[kind.String()]
+			want := goldenScenarioDigests[row.name]
 			if d1 != want {
 				t.Fatalf("digest mismatch for %s:\n  got  %s\n  want %s\n"+
 					"(events fired: run1=%d jobs, completed=%d oom=%d)",
-					kind, d1, want, len(res1.Records), res1.Completed, res1.OOMKills)
+					row.name, d1, want, len(res1.Records), res1.Completed, res1.OOMKills)
 			}
 		})
 	}

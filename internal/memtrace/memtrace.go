@@ -36,8 +36,10 @@ var (
 )
 
 // New validates and wraps pts as a Trace. Points must be strictly increasing
-// in time with non-negative times and memory values. The slice is not copied;
-// the caller must not modify it afterwards.
+// in time with non-negative times and memory values. A slice with no spare
+// capacity is not copied, and the caller must not modify it afterwards; one
+// with spare capacity is copied into exact-size storage, so a trace never
+// pins a larger array than its points need.
 func New(pts []Point) (*Trace, error) {
 	if len(pts) == 0 {
 		return nil, ErrEmpty
@@ -49,6 +51,9 @@ func New(pts []Point) (*Trace, error) {
 		if i > 0 && pts[i-1].T >= p.T {
 			return nil, fmt.Errorf("%w: points %d..%d", ErrUnsorted, i-1, i)
 		}
+	}
+	if cap(pts) > len(pts) {
+		pts = append(make([]Point, 0, len(pts)), pts...)
 	}
 	return &Trace{pts: pts}, nil
 }

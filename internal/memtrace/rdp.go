@@ -8,10 +8,10 @@ package memtrace
 // vertical deviation, the standard choice for time series, and document the
 // tolerance in MB.
 
-// RDP returns a simplified copy of the trace in which every removed point
-// deviates vertically by at most epsMB from the line joining the retained
-// neighbours. The first and last points are always kept. epsMB <= 0 returns
-// the trace unchanged.
+// RDP returns a simplified copy of the trace, in storage of exactly its
+// length, in which every removed point deviates vertically by at most epsMB
+// from the line joining the retained neighbours. The first and last points
+// are always kept. epsMB <= 0 returns the trace unchanged.
 func (tr *Trace) RDP(epsMB float64) *Trace {
 	if epsMB <= 0 || len(tr.pts) <= 2 {
 		return tr
@@ -19,7 +19,15 @@ func (tr *Trace) RDP(epsMB float64) *Trace {
 	keep := make([]bool, len(tr.pts))
 	keep[0], keep[len(tr.pts)-1] = true, true
 	rdpMark(tr.pts, 0, len(tr.pts)-1, epsMB, keep)
-	out := make([]Point, 0, len(tr.pts))
+	n := 0
+	for _, k := range keep {
+		if k {
+			n++
+		}
+	}
+	// Exact-size storage: a reduced trace must not pin the raw series'
+	// backing array.
+	out := make([]Point, 0, n)
 	for i, k := range keep {
 		if k {
 			out = append(out, tr.pts[i])

@@ -8,12 +8,12 @@
 # taken from the BENCH_SEQ environment variable (default 7, the change that
 # made progress banking lazy — a job is banked only when its slowdown
 # changes — and the first baseline stamped with the core count and CPU).
-# Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled
-# and serial, the replicated headlines, trace generation vs cache hit), the
+# Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5, the
+# replicated headlines, trace generation vs cache hit), the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
 # grizzly-scale, its domains twin, and the same-trace 100k/100k-domains pair
 # separately at 1x — one iteration is a full cluster-scale run), the refresh
-# micro-benchmark (incremental, rescan, and elided modes), the per-domain
+# micro-benchmark (incremental and elided modes), the per-domain
 # refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
 # read path, first-write materialisation) and the what-if branching headline
 # (branched vs nine full runs), and the micro-benchmarks for each indexed
@@ -42,7 +42,6 @@ run() {
 }
 
 run .                    'BenchmarkFig5$'               5x
-run .                    'BenchmarkFig5Serial$'         5x
 run .                    'BenchmarkHeadlines$'          3x
 run .                    'BenchmarkTraceGeneration$'    1s 3
 run .                    'BenchmarkTraceCacheHit$'      1s 3
