@@ -218,8 +218,7 @@ func BenchmarkScenario(b *testing.B) {
 	// benchmark isolates simulator cost, not generation cost. One iteration
 	// must stay under a minute on a single core (gated in CI).
 	b.Run("100k", func(b *testing.B) {
-		jobs := hundredKJobs()
-		cfg := core.Config{
+		runHundredK(b, core.Config{
 			Cluster: cluster.Config{
 				Nodes:    100_000,
 				Cores:    32,
@@ -229,29 +228,35 @@ func BenchmarkScenario(b *testing.B) {
 			Policy:         policy.Dynamic,
 			UpdateInterval: 200,
 			Seed:           1,
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s, err := core.New(cfg, jobs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		})
+	})
+
+	// 100k-unsharded: the 100k run with Cluster.Shards unset, which picks
+	// ⌈100000/2048⌉ = 49 shards. A flush of the free-memory order is linear
+	// in its shard, so this row guards the default cap: one 100k-node shard
+	// would make every ordered read pay for the whole cluster.
+	b.Run("100k-unsharded", func(b *testing.B) {
+		runHundredK(b, core.Config{
+			Cluster: cluster.Config{
+				Nodes:    100_000,
+				Cores:    32,
+				NormalMB: experiments.NormalNodeMB,
+			},
+			Policy:         policy.Dynamic,
+			UpdateInterval: 200,
+			Seed:           1,
+		})
 	})
 
 	// 100k-domains: the same trace as 100k under the partitioned pressure
 	// model (64 domains, hence 64 ledger shards as in 100k). Both models
 	// run one refresh, which walks only the touched domains' jobs holding
-	// remote memory; the global model is its one-domain case. The two now
+	// remote memory; the global model is its one-domain case. The two
 	// cost about the same: on a 2-vCPU Xeon with go1.24 (-benchtime 1x,
-	// five runs) 0.21-0.31 s for 100k and 0.21-0.30 s for 100k-domains.
-	// CI gates each against its own BENCH_7 median, not their ratio.
+	// three runs) 0.09-0.12 s for 100k and 0.11-0.12 s for 100k-domains.
+	// CI gates each against its own BENCH_8 median, not their ratio.
 	b.Run("100k-domains", func(b *testing.B) {
-		jobs := hundredKJobs()
-		cfg := core.Config{
+		runHundredK(b, core.Config{
 			Cluster: cluster.Config{
 				Nodes:    100_000,
 				Cores:    32,
@@ -262,18 +267,23 @@ func BenchmarkScenario(b *testing.B) {
 			Pressure:       core.PressureDomains,
 			Domains:        64,
 			Seed:           1,
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s, err := core.New(cfg, jobs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		})
 	})
+}
+
+// runHundredK times b.N full runs of the hundredKJobs trace under cfg.
+func runHundredK(b *testing.B, cfg core.Config) {
+	jobs := hundredKJobs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := core.New(cfg, jobs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // hundredKJobs handcrafts the 100k-node workload: 2000 jobs of 48 nodes each

@@ -39,7 +39,7 @@ func main() {
 		telPath   = flag.String("telemetry", "", "write a JSONL telemetry event log here (inspect with dmpobs)")
 		telEvery  = flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
 		promPath  = flag.String("prom", "", "write Prometheus text-format run aggregates here")
-		shards    = flag.Int("shards", 0, "cluster-ledger shard count (0 = single shard)")
+		shards    = flag.Int("shards", 0, "cluster-ledger shard count (0 = one shard per 2048 nodes)")
 		pressure  = flag.String("pressure", "global", "contention model: global (one system-wide rho) or domains (per-rack pressure domains)")
 		domains   = flag.Int("domains", 0, "pressure-domain count (0 = derive from topology/shards; needs -pressure=domains)")
 		seed      = flag.Int64("seed", 1, "random seed")

@@ -1,6 +1,6 @@
 // Package cowalias is the analysistest fixture for the cowalias analyzer.
 // The ledger struct stands in for cluster.Cluster; only the CoW-shared
-// array fields (nodes, key, left, right, bits) are name-matched.
+// array fields (nodes, key, filed, order, mark, bits) are name-matched.
 package cowalias
 
 type row struct {
@@ -8,11 +8,12 @@ type row struct {
 	LentMB  int64
 }
 
-type treap struct {
+type freeOrder struct {
 	key   []int64
-	left  []int32
-	right []int32
-	prio  []uint64 // immutable, shared forever: not a CoW field
+	filed []int64
+	order []int32
+	mark  []bool
+	dirty []int32 // per-fork scratch, never shared: not a CoW field
 }
 
 type bitset struct {
@@ -21,7 +22,7 @@ type bitset struct {
 
 type ledger struct {
 	nodes []row
-	free  treap
+	free  freeOrder
 	idle  bitset
 }
 
@@ -30,8 +31,9 @@ type ledger struct {
 func (l *ledger) install(n int) {
 	l.nodes = make([]row, n)
 	l.free.key = make([]int64, n)
-	l.free.left = make([]int32, n)
-	l.free.right = make([]int32, n)
+	l.free.filed = make([]int64, n)
+	l.free.order = make([]int32, n)
+	l.free.mark = make([]bool, n)
 	l.idle.bits = make([]uint64, (n+63)/64)
 }
 
@@ -47,11 +49,13 @@ func (l *ledger) poke(i int, mb int64) {
 	l.nodes[i].LocalMB = mb // want `element write to CoW-shared nodes in poke`
 }
 
-// rewire writes the treap child links and keys outside any helper.
-func (l *ledger) rewire(n int32) {
-	l.free.left[n] = -1  // want `element write to CoW-shared left in rewire`
-	l.free.right[n] = -1 // want `element write to CoW-shared right in rewire`
-	l.free.key[n]++      // want `element write to CoW-shared key in rewire`
+// refile writes the free-memory order, filed key, dirty mark and key
+// outside any helper.
+func (l *ledger) refile(k int, n int32) {
+	l.free.order[k] = n   // want `element write to CoW-shared order in refile`
+	l.free.filed[n] = 0   // want `element write to CoW-shared filed in refile`
+	l.free.mark[n] = true // want `element write to CoW-shared mark in refile`
+	l.free.key[n]++       // want `element write to CoW-shared key in refile`
 }
 
 // mask compound-assigns a bitset word: reads old, writes new, both on the
@@ -84,9 +88,9 @@ func (l *ledger) rebind(i int, spare *row, mb int64) {
 	n.LocalMB = mb
 }
 
-// prioStore writes the immutable-priority array, which is not CoW state.
-func (l *ledger) prioStore(n int32, p uint64) {
-	l.free.prio[n] = p
+// scratchStore writes the per-fork dirty list, which is not CoW state.
+func (l *ledger) scratchStore(k int, n int32) {
+	l.free.dirty[k] = n
 }
 
 // thaw is a sanctioned helper: annotated, it may store elements after

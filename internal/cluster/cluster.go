@@ -62,7 +62,7 @@ var (
 // Cluster owns the node ledgers and enforces the accounting invariants.
 //
 // Alongside the flat ledger it maintains incremental indexes (see index.go):
-// an ordered free-memory treap, a compute-available bitset, a static
+// a lazily repaired free-memory order, a compute-available bitset, a static
 // capacity ordering, and O(1) running aggregates. Every mutating method
 // keeps them in sync, so the placement and dynamic-adjustment hot paths read
 // them instead of rescanning the node slice.
@@ -70,10 +70,10 @@ type Cluster struct {
 	nodes []Node
 
 	// The node ID space is partitioned into contiguous shards (see
-	// shard.go), each with its own free-memory treap, idle bitset, and
+	// shard.go), each with its own free-memory order, idle bitset, and
 	// aggregate summary. shardSize is the owned range of every shard but
-	// the last. With one shard (the default) the layout and every walk are
-	// exactly the pre-sharding single-treap ledger.
+	// the last. Every walk is identical for every shard count; with one
+	// shard the merge walk is a plain slice scan.
 	shards    []shardIx
 	shardSize int
 	mergeIts  []freeIter // per-shard merge iterators, persistent scratch
@@ -102,13 +102,20 @@ type Cluster struct {
 	cow cowState
 }
 
+// defaultShardNodes bounds the shard size when the caller leaves the shard
+// count unset. A flush costs up to linear time in its shard (see index.go),
+// so one unbounded shard lets an ordered read of a large cluster pay for
+// the whole node range.
+const defaultShardNodes = 2048
+
 // initIndexes builds the incremental indexes from the freshly constructed
-// node slice, partitioned into nShards contiguous shards. Nodes start idle
-// and empty, so free == capacity everywhere.
+// node slice, partitioned into nShards contiguous shards (< 1: ⌈n/2048⌉,
+// see defaultShardNodes). Nodes start idle and empty, so free == capacity
+// everywhere.
 func (c *Cluster) initIndexes(nShards int) {
 	n := len(c.nodes)
 	if nShards < 1 {
-		nShards = 1
+		nShards = max(1, (n+defaultShardNodes-1)/defaultShardNodes)
 	}
 	if nShards > n {
 		nShards = n
@@ -136,7 +143,7 @@ func (c *Cluster) initIndexes(nShards int) {
 				sh.lenders++
 			}
 		}
-		sh.free.init(frees, sh.base)
+		sh.free.init(frees)
 		sh.idle.init(sh.n)
 		for i := 0; i < sh.n; i++ {
 			if d := sh.idle.setTo(i, c.nodes[sh.base+i].IsComputeAvailable()); d != 0 {
@@ -200,10 +207,11 @@ type Config struct {
 	NormalMB  int64 // capacity of a normal node
 	LargeFrac float64
 	// Shards partitions the ledger indexes into this many contiguous
-	// shards (see shard.go). 0 or 1 keeps the single-shard layout, which
-	// is bit-identical to the pre-sharding ledger; values above Nodes are
-	// clamped. Results are identical for every shard count — only the
-	// index update and scan costs change.
+	// shards (see shard.go). 0 picks ⌈Nodes/2048⌉ shards, so no shard's
+	// flush spans more than 2048 nodes (one shard up to 2048 nodes, which
+	// covers every paper-scale preset); values above Nodes are clamped.
+	// Results are identical for every shard count — only the index
+	// update and scan costs change.
 	Shards int
 }
 
@@ -447,8 +455,8 @@ func (c *Cluster) LendersByFreeDesc(exclude map[NodeID]bool) []NodeID {
 	ids := c.lendersBuf[:0]
 	if len(c.shards) == 1 {
 		// Single-shard fast path: local index == NodeID, so the consumer
-		// logic runs directly in the treap walk's yield — one dynamic call
-		// per node, same as the pre-shard ledger.
+		// logic runs directly in the slice walk's yield — one dynamic call
+		// per node.
 		c.shards[0].free.ascend(func(local int32, free int64) bool {
 			if free <= 0 {
 				return false // descending order: everything after is empty too
@@ -558,6 +566,11 @@ func (c *Cluster) CheckInvariants() error {
 	if got := c.IdleComputeCount(); idle != got {
 		return fmt.Errorf("index: idle count %d, ledger count %d", got, idle)
 	}
+	for s := range c.shards {
+		if err := c.checkFreeOrder(s); err != nil {
+			return err
+		}
+	}
 	// Per-shard summaries must mirror the ledger slice they own, and their
 	// idle splits must add up to the cluster's.
 	idleNormal, idleLarge := 0, 0
@@ -595,6 +608,54 @@ func (c *Cluster) CheckInvariants() error {
 	if gotN, gotL := c.IdleComputeSplit(); idleNormal != gotN || idleLarge != gotL {
 		return fmt.Errorf("index: idle split (normal=%d large=%d), ledger (normal=%d large=%d)",
 			gotN, gotL, idleNormal, idleLarge)
+	}
+	return nil
+}
+
+// checkFreeOrder verifies shard s's free-memory order without flushing it:
+// order is a permutation of the shard sorted strictly by filed pairs,
+// exactly the nodes on the dirty list are marked, every clean node is filed
+// under its exact key (so the clean entries are in (free desc, ID asc)
+// order), and a shard still shared with a fork is clean.
+func (c *Cluster) checkFreeOrder(s int) error {
+	ix := &c.shards[s].free
+	n := len(ix.key)
+	if len(ix.filed) != n || len(ix.order) != n || len(ix.mark) != n {
+		return fmt.Errorf("index: shard %d filed/order/mark lengths %d/%d/%d, %d nodes",
+			s, len(ix.filed), len(ix.order), len(ix.mark), n)
+	}
+	seen := make([]bool, n)
+	for i, x := range ix.order {
+		if x < 0 || int(x) >= n || seen[x] {
+			return fmt.Errorf("index: shard %d order is not a permutation (entry %d)", s, x)
+		}
+		seen[x] = true
+		if i > 0 && !ix.filedBefore(ix.order[i-1], x) {
+			return fmt.Errorf("index: shard %d nodes %d (filed %d) and %d (filed %d) out of order",
+				s, ix.order[i-1], ix.filed[ix.order[i-1]], x, ix.filed[x])
+		}
+		if !ix.mark[x] && ix.filed[x] != ix.key[x] {
+			return fmt.Errorf("index: shard %d clean node %d filed under %d, key %d", s, x, ix.filed[x], ix.key[x])
+		}
+	}
+	marked := 0
+	for _, m := range ix.mark {
+		if m {
+			marked++
+		}
+	}
+	onList := make([]bool, n)
+	for _, x := range ix.dirty {
+		if x < 0 || int(x) >= n || !ix.mark[x] || onList[x] {
+			return fmt.Errorf("index: shard %d dirty list entry %d is unmarked or repeated", s, x)
+		}
+		onList[x] = true
+	}
+	if marked != len(ix.dirty) {
+		return fmt.Errorf("index: shard %d has %d marked nodes, %d on the dirty list", s, marked, len(ix.dirty))
+	}
+	if c.cow.shardShared != nil && c.cow.shardShared[s] && len(ix.dirty) > 0 {
+		return fmt.Errorf("index: shard %d is shared with a fork but has %d dirty nodes", s, len(ix.dirty))
 	}
 	return nil
 }

@@ -4,20 +4,21 @@ package cluster
 // foundation of simulation snapshots and what-if branching.
 //
 // A fork is O(S) in the shard count: both sides of the fork keep the exact
-// same index arrays (treap key/left/right, idle bitset, node ledger slice)
-// and merely mark them shared. The first mutation on either side copies the
-// touched structure — the whole node slice once, and each shard's mutable
-// index arrays on first touch — so a branch that diverges late pays only for
-// the shards it actually dirties. Treap priorities are a pure function of
-// the global node ID and never change after construction, so they are shared
-// by every fork forever.
+// same index arrays (free-memory key/filed/order/mark, idle bitset, node
+// ledger slice) and merely mark them shared. The first mutation on either
+// side copies the touched structure — the whole node slice once, and each
+// shard's index arrays on first touch — so a branch that diverges late pays
+// only for the shards it actually dirties.
 //
 // Safety model: frozen (shared) arrays are only ever read. Every writer —
 // base or fork, any number of generations deep — copies a structure before
 // its first write to it, so concurrent branches never race as long as the
-// fork itself happens before the branches start running. Per-walk scratch
-// (treap stacks, merge iterators, result buffers) is never shared: the fork
-// starts with fresh scratch and regrows it on first use.
+// fork itself happens before the branches start running. Ordered reads
+// repair a shard's order in place (see index.go), so Fork first flushes the
+// receiver: a shared shard is always clean, and a flush of a clean shard
+// writes nothing. Per-walk scratch (dirty lists, merge cursors, result
+// buffers) is never shared: the fork starts with fresh scratch and regrows
+// it on first use.
 //
 // The mutation discipline is enforced statically: every ledger write path
 // must go through own() (see the dmplint cowalias analyzer), which is the
@@ -32,7 +33,7 @@ type cowState struct {
 
 	nodesShared bool   // node ledger slice shared with another fork
 	shardShared []bool // per shard: index arrays shared with another fork
-	sharedLeft  int    // shards still shared (incl. the node slice? no: shards only)
+	sharedLeft  int    // shards still shared; the node slice is tracked by nodesShared
 
 	// Copy counters, reported via CowStats and surfaced as branch
 	// telemetry: how much of the snapshot this fork actually paid for.
@@ -44,18 +45,23 @@ type cowState struct {
 // no node or index data is copied. Both the receiver and the returned branch
 // keep reading the now-frozen arrays; whichever side mutates a structure
 // first pays a one-time copy of that structure (the node slice, or one
-// shard's treap/bitset arrays). Any number of forks may be taken, including
-// forks of forks; all of them may run concurrently afterwards.
+// shard's index arrays). Any number of forks may be taken, including forks
+// of forks; all of them may run concurrently afterwards. The receiver's
+// pending refiles are flushed first, so nothing shared is ever dirty.
 func (c *Cluster) Fork() *Cluster {
+	for i := range c.shards {
+		c.shards[i].free.flush()
+	}
 	f := &Cluster{}
 	*f = *c
 	// Each side owns its shard headers and aggregates (freeMB, lentMB,
 	// lender/idle counts are plain struct fields), but the array backing of
-	// the treaps and bitsets stays shared until thawed.
+	// the free-memory indexes and bitsets stays shared until thawed.
 	f.shards = append([]shardIx(nil), c.shards...)
-	// Scratch is never shared across forks: the branch regrows its own.
+	// Scratch is never shared across forks: the branch regrows its own
+	// dirty lists (both sides append to theirs after thawing).
 	for i := range f.shards {
-		f.shards[i].free.stack = nil
+		f.shards[i].free.dirty = nil
 	}
 	f.mergeIts = make([]freeIter, len(f.shards))
 	f.mergeHeap = nil
@@ -135,14 +141,16 @@ func (c *Cluster) materialize(s int) {
 	}
 }
 
-// thaw copies shard s's mutable index arrays — treap key and child links,
-// idle bitset — so this fork can write them. Priorities are immutable and
-// stay shared; traversal scratch was already private.
+// thaw copies shard s's index arrays — free-memory keys, filed keys, order
+// and dirty marks, idle bitset — so this fork can write them. A shared
+// shard is clean, so the copied order is flushed and the marks all false;
+// the dirty list is per-fork scratch and needs no copy.
 func (c *Cluster) thaw(s int) {
 	sh := &c.shards[s]
 	sh.free.key = append([]int64(nil), sh.free.key...)
-	sh.free.left = append([]int32(nil), sh.free.left...)
-	sh.free.right = append([]int32(nil), sh.free.right...)
+	sh.free.filed = append([]int64(nil), sh.free.filed...)
+	sh.free.order = append([]int32(nil), sh.free.order...)
+	sh.free.mark = append([]bool(nil), sh.free.mark...)
 	sh.idle.bits = append([]uint64(nil), sh.idle.bits...)
 	c.cow.shardShared[s] = false
 	c.cow.sharedLeft--

@@ -5,7 +5,8 @@ import "testing"
 // benchForkCluster builds the paper-scale ledger the fork benchmarks run
 // against: 1490 nodes, 16 shards, every node busy with a live allocation and
 // every fourth node lending — a loaded mid-run state, not an empty one, so
-// the snapshot cost includes realistic treap and bitset population.
+// the snapshot cost includes realistic free-memory order and bitset
+// population.
 func benchForkCluster(b *testing.B) *Cluster {
 	b.Helper()
 	c := NewSharded(1490, 32, 65536, 16)

@@ -13,47 +13,50 @@ import (
 func applyOps(t *testing.T, c *Cluster, rng *rand.Rand, nOps int) {
 	t.Helper()
 	for op := 0; op < nOps; op++ {
-		id := NodeID(rng.Intn(c.Len()))
-		n := c.Node(id)
-		switch rng.Intn(6) {
-		case 0:
-			if n.RunningJob == NoJob && n.IsComputeAvailable() {
-				if err := c.StartJob(id, op); err != nil {
-					t.Fatalf("StartJob(%d): %v", id, err)
-				}
-			}
-		case 1:
-			if n.RunningJob != NoJob && n.LocalMB == 0 {
-				if err := c.EndJob(id); err != nil {
-					t.Fatalf("EndJob(%d): %v", id, err)
-				}
-			}
-		case 2:
-			if n.RunningJob != NoJob && n.FreeMB() > 0 {
-				if err := c.AllocLocal(id, rng.Int63n(n.FreeMB())+1); err != nil {
-					t.Fatalf("AllocLocal(%d): %v", id, err)
-				}
-			}
-		case 3:
-			if n.LocalMB > 0 {
-				if err := c.ReleaseLocal(id, rng.Int63n(n.LocalMB)+1); err != nil {
-					t.Fatalf("ReleaseLocal(%d): %v", id, err)
-				}
-			}
-		case 4:
-			if n.FreeMB() > 0 {
-				if err := c.Lend(id, rng.Int63n(n.FreeMB())+1); err != nil {
-					t.Fatalf("Lend(%d): %v", id, err)
-				}
-			}
-		case 5:
-			if n.LentMB > 0 {
-				if err := c.ReturnLend(id, rng.Int63n(n.LentMB)+1); err != nil {
-					t.Fatalf("ReturnLend(%d): %v", id, err)
-				}
-			}
+		if err := applyOp(c, rng, op); err != nil {
+			t.Fatal(err)
 		}
 	}
+}
+
+// applyOp performs one state-guarded random ledger operation (job is the
+// job ID a start uses). It returns an error only when the ledger rejects an
+// operation its guard admitted, so it is safe to call off the test
+// goroutine.
+func applyOp(c *Cluster, rng *rand.Rand, job int) error {
+	id := NodeID(rng.Intn(c.Len()))
+	n := c.Node(id)
+	var err error
+	switch rng.Intn(6) {
+	case 0:
+		if n.RunningJob == NoJob && n.IsComputeAvailable() {
+			err = c.StartJob(id, job)
+		}
+	case 1:
+		if n.RunningJob != NoJob && n.LocalMB == 0 {
+			err = c.EndJob(id)
+		}
+	case 2:
+		if n.RunningJob != NoJob && n.FreeMB() > 0 {
+			err = c.AllocLocal(id, rng.Int63n(n.FreeMB())+1)
+		}
+	case 3:
+		if n.LocalMB > 0 {
+			err = c.ReleaseLocal(id, rng.Int63n(n.LocalMB)+1)
+		}
+	case 4:
+		if n.FreeMB() > 0 {
+			err = c.Lend(id, rng.Int63n(n.FreeMB())+1)
+		}
+	case 5:
+		if n.LentMB > 0 {
+			err = c.ReturnLend(id, rng.Int63n(n.LentMB)+1)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("node %d: %w", id, err)
+	}
+	return nil
 }
 
 // fingerprint captures every observable of the ledger: per-node fields, the

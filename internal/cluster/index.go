@@ -1,223 +1,219 @@
 package cluster
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // This file implements the incrementally maintained indexes that replace the
 // full-cluster rescans on the simulator's hot paths:
 //
-//   - freeIndex: a treap over all nodes keyed by (free memory descending,
-//     node ID ascending) — exactly the order LendersByFreeDesc and the
+//   - freeIndex: one shard's nodes kept in (free memory descending, node ID
+//     ascending) order — exactly the order LendersByFreeDesc and the
 //     static-placement candidate sort used to produce with a fresh sort per
-//     call. Every ledger operation that changes a node's free memory
-//     repositions that one node in O(log N) expected time, so ranking
-//     lenders becomes an in-order walk instead of an O(N log N) rebuild.
+//     call. The ledger refiles nodes far more often than it reads them in
+//     order (the dynamic policy resizes every running job at each update
+//     interval), so a refile only records the node's new key and marks it
+//     dirty; the next ordered read flushes the shard, sorting the k dirty
+//     nodes and merging them back into the clean ones within the window
+//     of positions they leave and enter. Walks are slice scans.
 //   - idleSet: a bitset of compute-available nodes maintained by
 //     StartJob/EndJob and by the lending operations (lending more than half
 //     a node's capacity flips it to a memory node), making the
 //     idle-compute-count check O(1) and enumeration O(N/64).
 //
-// Determinism matters more than speed here: the treap's heap priorities are
-// a fixed hash of the node ID, so the tree shape — and therefore every
-// traversal — depends only on the ledger state, never on insertion history
-// or randomness. The reference implementations the indexes replaced live in
-// ref_test.go (lendersByFreeDescRef, idleComputeNodesRef,
-// idleComputeSplitRef), and the differential tests assert byte-identical
-// orderings against them.
+// Determinism matters more than speed here: a flush leaves the order equal
+// to the total (free desc, ID asc) order over the current keys, whatever
+// the refile history, so every walk depends only on the ledger state. The
+// reference implementations the indexes replaced live in ref_test.go
+// (lendersByFreeDescRef, idleComputeNodesRef, idleComputeSplitRef), and the
+// differential tests assert byte-identical orderings against them.
 
-const nilIdx = int32(-1)
-
-// splitmix64 is the fixed per-node priority hash (Steele et al., the
-// SplitMix64 finaliser). Any fixed bijective mixer works; this one has no
-// short cycles and is cheap.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// freeIndex is a treap over one shard's dense local index space
-// [0, len(key)). All nodes are always present; a node's key is the
-// free-memory value it was last filed under. Storage is flat arrays indexed
-// by the shard-local node index, so the index allocates nothing after
-// construction. The owning shard translates local indices to global node
-// IDs by adding its base; within a shard local order and global ID order
-// coincide, so the comparator below still realises (free desc, ID asc).
+// freeIndex orders one shard's dense local index space [0, len(key)). All
+// nodes are always present. The owning shard translates local indices to
+// global node IDs by adding its base; within a shard local order and global
+// ID order coincide, so the comparator below still realises
+// (free desc, ID asc).
+//
+// key is always exact; filed is the key each node had at the last flush,
+// and order is sorted by (filed desc, index asc) at all times. A clean node
+// has filed == key, so the clean entries are in comparator order, while a
+// dirty node sits at its stale position until the next flush. dirty lists
+// the marked nodes, each once. A shard shared with a fork is always clean
+// (Fork flushes first), so a flush never writes an array another fork
+// reads.
 type freeIndex struct {
-	key   []int64 // free MB the node is currently filed under
-	prio  []uint64
-	left  []int32
-	right []int32
-	root  int32
-	stack []int32 // iterative-traversal scratch, reused across walks
+	key   []int64 // the node's free MB
+	filed []int64 // the free MB the node is positioned under in order
+	order []int32 // local indices by (filed desc, index asc)
+	mark  []bool  // mark[n]: n was refiled since the last flush
+	dirty []int32 // the marked nodes; scratch, never shared across forks
 }
 
-// init builds the treap. base is the owning shard's first global node ID:
-// priorities hash the global ID, so the tree shape for a node set depends
-// only on which nodes it holds, never on the shard layout history.
+// init files every node under its initial free memory.
 //
 //dmp:cowsafe
-func (ix *freeIndex) init(frees []int64, base int) {
+func (ix *freeIndex) init(frees []int64) {
 	n := len(frees)
-	ix.key = make([]int64, n)
-	ix.prio = make([]uint64, n)
-	ix.left = make([]int32, n)
-	ix.right = make([]int32, n)
-	ix.root = nilIdx
-	for i := 0; i < n; i++ {
-		ix.prio[i] = splitmix64(uint64(base+i) + 1)
-		ix.key[i] = frees[i]
+	ix.key = frees
+	ix.filed = append([]int64(nil), frees...)
+	ix.order = make([]int32, n)
+	ix.mark = make([]bool, n)
+	for i := range ix.order {
+		ix.order[i] = int32(i)
 	}
-	for i := 0; i < n; i++ {
-		ix.root = ix.insertAt(ix.root, int32(i))
-	}
+	slices.SortFunc(ix.order, ix.cmp)
 }
 
-// before reports whether node a orders before node b: larger free memory
-// first, ties by ascending ID — the exact comparator of the retired sort.
-func (ix *freeIndex) before(a, b int32) bool {
-	if ix.key[a] != ix.key[b] {
-		return ix.key[a] > ix.key[b]
-	}
-	return a < b
-}
-
-// insertAt, removeAt, and merge are the treap's structural mutators. They
-// write the key/left/right arrays, which a cluster fork shares copy-on-write
-// until thawed; every call chain starts at a Cluster method that privatised
-// the shard first (own → materialize → thaw), so writing here is safe.
-//
-//dmp:cowsafe
-func (ix *freeIndex) insertAt(root, n int32) int32 {
-	if root == nilIdx {
-		ix.left[n], ix.right[n] = nilIdx, nilIdx
-		return n
-	}
-	if ix.before(n, root) {
-		l := ix.insertAt(ix.left[root], n)
-		ix.left[root] = l
-		if ix.prio[l] > ix.prio[root] { // rotate right
-			ix.left[root] = ix.right[l]
-			ix.right[l] = root
-			return l
+// cmp orders node a before node b when it has more free memory, ties by
+// ascending ID — the exact comparator of the retired sort.
+func (ix *freeIndex) cmp(a, b int32) int {
+	if ka, kb := ix.key[a], ix.key[b]; ka != kb {
+		if ka > kb {
+			return -1
 		}
-		return root
+		return 1
 	}
-	r := ix.insertAt(ix.right[root], n)
-	ix.right[root] = r
-	if ix.prio[r] > ix.prio[root] { // rotate left
-		ix.right[root] = ix.left[r]
-		ix.left[r] = root
-		return r
-	}
-	return root
+	return int(a - b)
 }
 
-//dmp:cowsafe
-func (ix *freeIndex) removeAt(root, n int32) int32 {
-	if root == nilIdx {
-		panic("cluster: freeIndex: removing a node that is not filed")
-	}
-	if root == n {
-		return ix.merge(ix.left[n], ix.right[n])
-	}
-	if ix.before(n, root) {
-		ix.left[root] = ix.removeAt(ix.left[root], n)
-	} else {
-		ix.right[root] = ix.removeAt(ix.right[root], n)
-	}
-	return root
+// filedBefore reports whether node a is positioned before node b in order.
+func (ix *freeIndex) filedBefore(a, b int32) bool {
+	fa, fb := ix.filed[a], ix.filed[b]
+	return fa > fb || fa == fb && a < b
 }
 
-//dmp:cowsafe
-func (ix *freeIndex) merge(l, r int32) int32 {
-	if l == nilIdx {
-		return r
+// rank returns how many entries of order are positioned strictly before
+// the pair (free, n): binary search over the filed pairs, which order
+// keeps sorted, dirty nodes included.
+func (ix *freeIndex) rank(free int64, n int32) int {
+	o := ix.order
+	lo, hi := 0, len(o)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := o[m]; ix.filed[x] > free || ix.filed[x] == free && x < n {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	if r == nilIdx {
-		return l
-	}
-	if ix.prio[l] > ix.prio[r] {
-		ix.right[l] = ix.merge(ix.right[l], r)
-		return l
-	}
-	ix.left[r] = ix.merge(l, ix.left[r])
-	return r
+	return lo
 }
 
-// update refiles local node n under its new free-memory key: O(log N/S)
-// expected in the shard size. Callers hold shard ownership (see insertAt).
+// update refiles local node n under its new free-memory key in O(1): the
+// node is only marked, and the next ordered read repositions it. Callers
+// hold shard ownership: every call chain starts at a Cluster method that
+// privatised the shard first (own → materialize → thaw).
 //
 //dmp:cowsafe
 func (ix *freeIndex) update(n int32, newFree int64) {
 	if ix.key[n] == newFree {
 		return
 	}
-	ix.root = ix.removeAt(ix.root, n)
 	ix.key[n] = newFree
-	ix.root = ix.insertAt(ix.root, n)
-}
-
-// ascend walks all nodes in (free desc, local index asc) order, stopping
-// early when yield returns false. The walk is allocation-free after the
-// stack scratch has grown once. The ledger must not be mutated during the
-// walk.
-func (ix *freeIndex) ascend(yield func(local int32, free int64) bool) {
-	st := ix.stack[:0]
-	cur := ix.root
-	for cur != nilIdx || len(st) > 0 {
-		for cur != nilIdx {
-			st = append(st, cur)
-			cur = ix.left[cur]
-		}
-		cur = st[len(st)-1]
-		st = st[:len(st)-1]
-		if !yield(cur, ix.key[cur]) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
-			break
-		}
-		cur = ix.right[cur]
+	if !ix.mark[n] {
+		ix.mark[n] = true
+		ix.dirty = append(ix.dirty, n)
 	}
-	ix.stack = st[:0]
 }
 
-// freeIter is a pull-based in-order iterator over one shard's treap, the
-// building block of the cross-shard merge walk. Unlike ascend it yields one
-// node per next call, so an S-way merge can interleave shards while
-// preserving the global (free desc, ID asc) order. The stack scratch
-// persists across walks; the ledger must not be mutated mid-iteration.
+// flush restores order to the exact comparator order. Only the window
+// [lo, hi) can change: it spans every dirty node's stale position and
+// every position a dirty node moves to, and the clean nodes outside it
+// already sit where the result puts them. Within the window the clean
+// nodes are compacted (keeping their relative order, which is already
+// correct), the k dirty nodes are sorted, and the two runs are merged from
+// the back: O(k log k + log n + window). A clean shard returns at once
+// without writing, which is what makes ordered reads of a fork-shared
+// shard safe.
+//
+//dmp:cowsafe
+//dmp:hotpath
+func (ix *freeIndex) flush() {
+	d := ix.dirty
+	if len(d) == 0 {
+		return
+	}
+	slices.SortFunc(d, ix.cmp)
+	first, last := d[0], d[0] // the dirty nodes positioned first and last
+	for _, n := range d[1:] {
+		if ix.filedBefore(n, first) {
+			first = n
+		}
+		if ix.filedBefore(last, n) {
+			last = n
+		}
+	}
+	top, bottom := d[0], d[len(d)-1]
+	lo := min(ix.rank(ix.filed[first], first), ix.rank(ix.key[top], top))
+	hi := max(ix.rank(ix.filed[last], last)+1, ix.rank(ix.key[bottom], bottom))
+
+	o, mark := ix.order[lo:hi], ix.mark
+	w := 0
+	for _, n := range o {
+		if !mark[n] {
+			o[w] = n
+			w++
+		}
+	}
+	i, j := w-1, len(d)-1
+	for k := len(o) - 1; j >= 0; k-- {
+		if i >= 0 && ix.cmp(d[j], o[i]) < 0 {
+			o[k] = o[i]
+			i--
+		} else {
+			o[k] = d[j]
+			j--
+		}
+	}
+	for _, n := range d {
+		ix.filed[n] = ix.key[n]
+		ix.mark[n] = false
+	}
+	ix.dirty = d[:0]
+}
+
+// ascend flushes the shard and walks all nodes in (free desc, local index
+// asc) order, stopping early when yield returns false. The ledger must not
+// be mutated during the walk.
+func (ix *freeIndex) ascend(yield func(local int32, free int64) bool) {
+	ix.flush()
+	for _, n := range ix.order {
+		if !yield(n, ix.key[n]) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
+			return
+		}
+	}
+}
+
+// freeIter is a pull-based cursor over one shard's order, the building
+// block of the cross-shard merge walk. Unlike ascend it yields one node per
+// next call, so an S-way merge can interleave shards while preserving the
+// global (free desc, ID asc) order. The ledger must not be mutated
+// mid-iteration.
 type freeIter struct {
-	ix    *freeIndex
-	stack []int32
+	order []int32
+	pos   int
 	head  int32 // most recently yielded node (maintained by the merge)
 }
 
-// init points the iterator at the treap's in-order start.
+// init flushes the shard and points the cursor at its first node.
 //
 //dmp:hotpath
 func (it *freeIter) init(ix *freeIndex) {
-	it.ix = ix
-	st := it.stack[:0]
-	for cur := ix.root; cur != nilIdx; cur = ix.left[cur] {
-		st = append(st, cur)
-	}
-	it.stack = st
+	ix.flush()
+	it.order = ix.order
+	it.pos = 0
 }
 
 // next yields the next local node index in (free desc, index asc) order.
 //
 //dmp:hotpath
 func (it *freeIter) next() (int32, bool) {
-	st := it.stack
-	if len(st) == 0 {
+	if it.pos == len(it.order) {
 		return 0, false
 	}
-	n := st[len(st)-1]
-	st = st[:len(st)-1]
-	for cur := it.ix.right[n]; cur != nilIdx; cur = it.ix.left[cur] {
-		st = append(st, cur)
-	}
-	it.stack = st
-	return n, true
+	it.pos++
+	return it.order[it.pos-1], true
 }
 
 // idleSet tracks compute-available nodes as a bitset with a running count.

@@ -59,3 +59,24 @@ func (c *Cluster) lendersByFreeDescRef(exclude map[NodeID]bool) []NodeID {
 	})
 	return ids
 }
+
+// freeOrderRef is the sort-based reference for every ordered walk: the IDs
+// in [lo, hi) sorted by (free desc, ID asc), restricted to nodes with free
+// memory when lendersOnly. AscendFree is the whole range, AscendLenders the
+// whole range's lenders, AscendShardLenders one shard's lenders.
+func (c *Cluster) freeOrderRef(lo, hi NodeID, lendersOnly bool) []NodeID {
+	var ids []NodeID
+	for id := lo; id < hi; id++ {
+		if !lendersOnly || c.nodes[id].FreeMB() > 0 {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		fa, fb := c.nodes[ids[a]].FreeMB(), c.nodes[ids[b]].FreeMB()
+		if fa != fb {
+			return fa > fb
+		}
+		return ids[a] < ids[b]
+	})
+	return ids
+}

@@ -1,20 +1,22 @@
 package cluster
 
 // This file implements the sharded ledger indexes: the node ID space is
-// partitioned into contiguous shards, each with its own free-memory treap,
+// partitioned into contiguous shards, each with its own free-memory order,
 // idle-compute bitset, and O(1) aggregate summary (free, lent, lender count,
-// idle count). Mutations touch exactly one shard's treap — O(log(N/S))
-// instead of O(log N) — and the placement/borrow scans consult the per-shard
-// summaries first (the two-level lender index), descending into a shard's
-// treap only when its summary says it can contribute.
+// idle count). A mutation touches exactly one shard, and a flush (see
+// index.go) is at most linear in its shard's size, which is why the default
+// layout bounds shards at defaultShardNodes nodes. The placement/borrow scans
+// consult the per-shard summaries first (the two-level lender index),
+// entering — and so flushing — a shard only when its summary says it can
+// contribute.
 //
 // Determinism is non-negotiable: the global lender order must stay
-// bit-identical to the single-treap order — (free desc, node ID asc) — for
+// bit-identical to the single-shard order — (free desc, node ID asc) — for
 // every shard count. Global walks therefore run an S-way merge over the
-// per-shard in-order iterators using the exact same comparator; with one
-// shard the merge degenerates to the plain treap walk, so shard count 1 IS
-// the serial ledger. The shard-boundary differential tests assert identical
-// orderings across shard counts for arbitrary operation sequences.
+// per-shard cursors using the exact same comparator; with one shard the
+// merge degenerates to the plain slice scan, so shard count 1 IS the serial
+// ledger. The shard-boundary differential tests assert identical orderings
+// across shard counts for arbitrary operation sequences.
 
 // shardIx is one shard's indexes and running aggregates.
 type shardIx struct {
@@ -55,7 +57,7 @@ func (sh *shardIx) refile(local int32, newFree int64) {
 
 // ShardSummary is the O(1) top level of the two-level lender index: enough
 // aggregate state to decide whether a shard can contribute lenders or idle
-// compute nodes without touching its treap or bitset.
+// compute nodes without touching its free-memory order or bitset.
 type ShardSummary struct {
 	Base    NodeID // first node ID in the shard
 	Nodes   int    // nodes owned by the shard
@@ -88,7 +90,8 @@ func (c *Cluster) Shard(i int) ShardSummary {
 
 // AscendShardLenders walks shard i's nodes with free memory in
 // (free desc, ID asc) order — the second level of the two-level lender
-// index. The ledger must not be mutated during the walk.
+// index. It flushes the shard first. The ledger must not be mutated during
+// the walk.
 func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bool) {
 	sh := &c.shards[i]
 	base := NodeID(sh.base)
@@ -102,12 +105,13 @@ func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bo
 
 // ------------------------------------------------------------ merge walk
 
-// ascendAll walks every shard's treap in a single globally ordered pass:
-// an S-way merge on (free desc, ID asc), the exact single-treap order.
+// ascendAll walks every shard's order in a single globally ordered pass:
+// an S-way merge on (free desc, ID asc), the exact single-shard order.
 // includeEmpty selects whether nodes with no free memory are visited
 // (AscendFree) or pruned — per shard, the moment its head drops to zero,
 // and whole shards up front when their summary says lenders == 0
-// (AscendLenders / LendersByFreeDesc).
+// (AscendLenders / LendersByFreeDesc). Every shard it enters is flushed
+// first; a skipped shard stays dirty until a read needs it.
 //
 //dmp:hotpath
 func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64) bool) {

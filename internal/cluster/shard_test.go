@@ -16,7 +16,7 @@ func shardCountsFor(nodes int) []int {
 // through clusters built with different shard counts and asserts every
 // derived ordering and aggregate stays byte-identical to the single-shard
 // (serial) ledger after every mutation. This is the shard-boundary oracle:
-// the S-way merge must reproduce the single-treap (free desc, ID asc) order
+// the S-way merge must reproduce the single-shard (free desc, ID asc) order
 // exactly, the two-level skip must never hide a lender, and shard count 1
 // must be exactly the serial ledger (it runs the same code path).
 func TestShardedLedgerDifferential(t *testing.T) {
@@ -179,8 +179,9 @@ func (c *Cluster) AllocLocalForTest(id NodeID, mb int64) error {
 }
 
 // TestShardedWalkAllocationFree asserts the merge walk allocates nothing at
-// steady state: the per-shard iterators and the merge heap are persistent
-// scratch.
+// steady state: the per-shard cursors, the merge heap and the dirty lists
+// are persistent scratch, so a walk that first flushes pending refiles
+// allocates nothing either.
 func TestShardedWalkAllocationFree(t *testing.T) {
 	c := NewSharded(256, 8, 2048, 8)
 	for i := 0; i < 64; i++ {
@@ -195,9 +196,25 @@ func TestShardedWalkAllocationFree(t *testing.T) {
 			return true
 		})
 	}
-	walk() // grow iterator stacks once
+	walk() // grow the merge heap once
 	if got := testing.AllocsPerRun(20, walk); got != 0 {
 		t.Fatalf("sharded AscendLenders allocates %.1f per walk, want 0", got)
+	}
+	step := 0
+	refileAndWalk := func() {
+		step++
+		id := NodeID(step * 3 % 192)
+		if err := c.Lend(id, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.ReturnLend(id+1, c.Node(id+1).LentMB); err != nil {
+			t.Fatal(err)
+		}
+		walk()
+	}
+	refileAndWalk() // grow the dirty lists once
+	if got := testing.AllocsPerRun(20, refileAndWalk); got != 0 {
+		t.Fatalf("refile + flushing AscendLenders allocates %.1f per walk, want 0", got)
 	}
 }
 
@@ -212,7 +229,7 @@ func BenchmarkShardedAscend(b *testing.B) {
 			c := NewSharded(nodes, 8, 2048, shards)
 			// Exhaust everything except the first 16 nodes: the surviving
 			// lender set is concentrated in the first shard, so with many
-			// shards the walk consults one treap and S−1 summaries.
+			// shards the walk enters one shard and reads S−1 summaries.
 			for i := 16; i < nodes; i++ {
 				if err := c.Lend(NodeID(i), 2048); err != nil {
 					b.Fatal(err)

@@ -39,9 +39,10 @@ type Preset struct {
 	UpdateInterval float64 // dynamic-policy update period (paper: 300 s)
 	Seed           int64
 
-	// Shards partitions the cluster ledger (0 = single shard). Results are
-	// bit-identical for every shard count, so experiments set it only when
-	// explicitly asked (dmpsim/dmpexp -shards).
+	// Shards partitions the cluster ledger (0 = ⌈nodes/2048⌉ shards, one
+	// shard for every paper-scale system). Results are bit-identical for
+	// every shard count, so experiments set it only when explicitly asked
+	// (dmpsim/dmpexp -shards).
 	Shards int
 }
 

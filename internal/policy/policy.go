@@ -18,7 +18,7 @@
 // Placement runs millions of times inside the event loop, so the policies
 // are stateful only in the sense of holding reusable scratch buffers: with
 // the default most-free lender order they read the cluster's incremental
-// indexes (free-memory treap, idle-compute bitset, capacity order) instead
+// indexes (free-memory order, idle-compute bitset, capacity order) instead
 // of rescanning and sorting the node slice, and they allocate nothing on
 // the steady-state path. A Policy instance is consequently not safe for
 // concurrent use; each simulator builds its own.

@@ -5,14 +5,16 @@
 # Usage:  scripts/bench.sh [output.json]
 #
 # The default output name is BENCH_<n>.json in the repo root, where <n> is
-# taken from the BENCH_SEQ environment variable (default 7, the change that
-# made progress banking lazy — a job is banked only when its slowdown
-# changes — and the first baseline stamped with the core count and CPU).
+# taken from the BENCH_SEQ environment variable (default 8, the change that
+# replaced the ledger's free-memory treap with a sorted slice repaired
+# lazily before ordered reads; BENCH_7 was the first baseline stamped with
+# the core count and CPU).
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5, the
 # replicated headlines, trace generation vs cache hit), the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
-# grizzly-scale, its domains twin, and the same-trace 100k/100k-domains pair
-# separately at 1x — one iteration is a full cluster-scale run), the refresh
+# grizzly-scale, its domains twin, and the same-trace 100k, 100k-unsharded
+# (default shard count) and 100k-domains rows separately at 1x — one
+# iteration is a full cluster-scale run), the refresh
 # micro-benchmark (incremental and elided modes), the per-domain
 # refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
 # read path, first-write materialisation) and the what-if branching headline
@@ -27,7 +29,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_${BENCH_SEQ:-7}.json}"
+out="${1:-BENCH_${BENCH_SEQ:-8}.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -53,6 +55,7 @@ run .                    'BenchmarkScenario$/^(baseline|static|dynamic)$' 100x 5
 run .                    'BenchmarkScenario$/^grizzly-scale$' 1x 3
 run .                    'BenchmarkScenario$/^grizzly-scale-domains$' 1x 3
 run .                    'BenchmarkScenario$/^100k$'    1x 3
+run .                    'BenchmarkScenario$/^100k-unsharded$' 1x 3
 run .                    'BenchmarkScenario$/^100k-domains$' 1x 3
 run .                    'BenchmarkWhatIf$'             1x 3
 run ./internal/core      'BenchmarkRefresh$'            1s 3
