@@ -48,7 +48,6 @@ func realMain() (code int) {
 	plot := flag.Bool("plot", false, "render terminal charts where available")
 	seed := flag.Int64("seed", 1, "random seed")
 	seeds := flag.Int("seeds", 1, "replications for the headlines experiment (mean ± stdev)")
-	shards := flag.Int("shards", 0, "cluster-ledger shard count (0 = one shard per 2048 nodes)")
 	scenario := flag.String("scenario", "", "run a JSON scenario spec instead of a named experiment")
 	telDir := flag.String("telemetry", "", "with -scenario: write one JSONL event log per (memory, policy) cell into this directory")
 	telEvery := flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
@@ -119,7 +118,6 @@ func realMain() (code int) {
 		return 2
 	}
 	p.Seed = *seed
-	p.Shards = *shards
 
 	if *report != "" {
 		f, err := os.Create(*report)

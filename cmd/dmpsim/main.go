@@ -39,9 +39,8 @@ func main() {
 		telPath   = flag.String("telemetry", "", "write a JSONL telemetry event log here (inspect with dmpobs)")
 		telEvery  = flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
 		promPath  = flag.String("prom", "", "write Prometheus text-format run aggregates here")
-		shards    = flag.Int("shards", 0, "cluster-ledger shard count (0 = one shard per 2048 nodes)")
 		pressure  = flag.String("pressure", "global", "contention model: global (one system-wide rho) or domains (per-rack pressure domains)")
-		domains   = flag.Int("domains", 0, "pressure-domain count (0 = derive from topology/shards; needs -pressure=domains)")
+		domains   = flag.Int("domains", 0, "pressure-domain count (0 = the torus Z extent with a topology, else 16; needs -pressure=domains)")
 		seed      = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -107,7 +106,6 @@ func main() {
 		fail("unknown preset %q", *preset)
 	}
 	p.Seed = *seed
-	p.Shards = *shards
 
 	mc, err := experiments.MemConfigByPct(*memPct)
 	if err != nil {
@@ -162,9 +160,6 @@ func main() {
 			fail("%s: %v", *confPath, err)
 		}
 		cfg.Seed = *seed
-		if *shards > 0 {
-			cfg.Cluster.Shards = *shards
-		}
 		if pmode != core.PressureGlobal {
 			cfg.Pressure = pmode
 			cfg.Domains = *domains

@@ -94,8 +94,7 @@ type Cluster struct {
 	// CapacityMB > largeMB is "large" in the idle-split summary.
 	largeMB int64
 
-	lendersBuf []NodeID // scratch returned by LendersByFreeDesc
-	idleBuf    []NodeID // scratch returned by IdleComputeNodes
+	idleBuf []NodeID // scratch returned by IdleComputeNodes
 
 	// cow tracks which structures are frozen because another fork still
 	// reads them (see cow.go). Zero value = nothing shared.
@@ -440,42 +439,6 @@ func (c *Cluster) ReturnLend(id NodeID, mb int64) error {
 	c.reindexMem(n, -mb)
 	c.reindexIdle(n)
 	return nil
-}
-
-// LendersByFreeDesc returns the IDs of all nodes with free memory, sorted by
-// free memory descending (ties by ascending ID), excluding the nodes in
-// exclude. The static policy borrows from the most-free nodes first to
-// minimise the number of lenders per job.
-//
-// The slice is read from the incremental free-memory index — no rescan, no
-// sort, no allocation beyond the first call. It is a scratch buffer owned by
-// the cluster: valid until the next LendersByFreeDesc call, and it must not
-// be retained, mutated, or read across ledger mutations.
-func (c *Cluster) LendersByFreeDesc(exclude map[NodeID]bool) []NodeID {
-	ids := c.lendersBuf[:0]
-	if len(c.shards) == 1 {
-		// Single-shard fast path: local index == NodeID, so the consumer
-		// logic runs directly in the slice walk's yield — one dynamic call
-		// per node.
-		c.shards[0].free.ascend(func(local int32, free int64) bool {
-			if free <= 0 {
-				return false // descending order: everything after is empty too
-			}
-			if id := NodeID(local); !exclude[id] {
-				ids = append(ids, id)
-			}
-			return true
-		})
-	} else {
-		c.ascendAll(false, func(id NodeID, free int64) bool {
-			if !exclude[id] {
-				ids = append(ids, id)
-			}
-			return true
-		})
-	}
-	c.lendersBuf = ids
-	return ids
 }
 
 // AscendLenders walks the nodes with free memory in (free desc, ID asc)

@@ -157,13 +157,26 @@ func TestIdleComputeNodesExcludesBusyAndMemoryNodes(t *testing.T) {
 	}
 }
 
+// collectLenders is AscendLenders collected into a slice, skipping
+// exclude: the most-free order the policies' borrow planner walks.
+func (c *Cluster) collectLenders(exclude map[NodeID]bool) []NodeID {
+	var ids []NodeID
+	c.AscendLenders(func(id NodeID, _ int64) bool {
+		if !exclude[id] {
+			ids = append(ids, id)
+		}
+		return true
+	})
+	return ids
+}
+
 func TestLendersByFreeDesc(t *testing.T) {
 	c := New(4, 32, 1000)
 	mustAllocLocal(t, c, 0, 900) // free 100
 	mustAllocLocal(t, c, 1, 100) // free 900
 	mustAllocLocal(t, c, 2, 500) // free 500
 	mustAllocLocal(t, c, 3, 1000)
-	got := c.LendersByFreeDesc(map[NodeID]bool{})
+	got := c.collectLenders(map[NodeID]bool{})
 	want := []NodeID{1, 2, 0}
 	if len(got) != len(want) {
 		t.Fatalf("lenders = %v, want %v", got, want)
@@ -174,7 +187,7 @@ func TestLendersByFreeDesc(t *testing.T) {
 		}
 	}
 	// Exclusion removes the job's own compute nodes from candidates.
-	got = c.LendersByFreeDesc(map[NodeID]bool{1: true})
+	got = c.collectLenders(map[NodeID]bool{1: true})
 	if len(got) != 2 || got[0] != 2 || got[1] != 0 {
 		t.Fatalf("lenders with exclusion = %v, want [2 0]", got)
 	}
@@ -182,7 +195,7 @@ func TestLendersByFreeDesc(t *testing.T) {
 
 func TestLendersTieBreakByID(t *testing.T) {
 	c := New(3, 32, 1000)
-	got := c.LendersByFreeDesc(nil)
+	got := c.collectLenders(nil)
 	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("equal-free lenders = %v, want ascending IDs", got)
 	}
@@ -349,7 +362,7 @@ func TestQuickLedgerConservation(t *testing.T) {
 				if ja.GrowLocal(c, 0, local) != nil {
 					return false
 				}
-				lenders := c.LendersByFreeDesc(map[NodeID]bool{id: true})
+				lenders := c.collectLenders(map[NodeID]bool{id: true})
 				if len(lenders) > 0 {
 					l := lenders[rng.Intn(len(lenders))]
 					mb := rng.Int63n(c.Node(l).FreeMB() + 1)
@@ -444,20 +457,6 @@ func TestQuickAllocationMirrorsLedger(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkLendersByFreeDesc(b *testing.B) {
-	c := New(1024, 32, 65536)
-	for i := 0; i < 512; i++ {
-		if err := c.Lend(NodeID(i), int64(i%32)*1024); err != nil {
-			b.Fatal(err)
-		}
-	}
-	exclude := map[NodeID]bool{1: true, 5: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.LendersByFreeDesc(exclude)
 	}
 }
 

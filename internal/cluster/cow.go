@@ -65,7 +65,6 @@ func (c *Cluster) Fork() *Cluster {
 	}
 	f.mergeIts = make([]freeIter, len(f.shards))
 	f.mergeHeap = nil
-	f.lendersBuf = nil
 	f.idleBuf = nil
 	// Mark everything shared on both sides; the first writer copies.
 	c.markShared()
@@ -80,11 +79,6 @@ func (c *Cluster) Fork() *Cluster {
 	}
 	return f
 }
-
-// Snapshot is Fork under the name the branching literature uses: an O(S)
-// frozen copy of the ledger. The receiver stays usable (its next write
-// privatises the touched structure, exactly like the returned branch).
-func (c *Cluster) Snapshot() *Cluster { return c.Fork() }
 
 // markShared flags every mutable index structure on the receiver as shared.
 // Earlier thaw progress is discarded: after a new fork every structure is

@@ -9,7 +9,7 @@ import (
 // full-cluster rescans on the simulator's hot paths:
 //
 //   - freeIndex: one shard's nodes kept in (free memory descending, node ID
-//     ascending) order — exactly the order LendersByFreeDesc and the
+//     ascending) order — exactly the order the lender ranking and the
 //     static-placement candidate sort used to produce with a fresh sort per
 //     call. The ledger refiles nodes far more often than it reads them in
 //     order (the dynamic policy resizes every running job at each update

@@ -17,9 +17,9 @@ func (c *Cluster) dirtyNodes() int {
 }
 
 // checkOrderedRead performs one random ordered read — AscendLenders,
-// AscendFree, AscendShardLenders or LendersByFreeDesc — stopping the walks
-// after a random number of nodes, and compares what it saw with the
-// sort-based references. It returns an error instead of failing so
+// AscendFree, AscendShardLenders, or a full AscendLenders walk skipping a
+// random exclusion set — stopping the first three after a random number of
+// nodes, and compares what it saw with the sort-based references. It returns an error instead of failing so
 // concurrent branches can call it.
 func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 	limit := 1 + rng.Intn(c.Len()+1)
@@ -50,12 +50,12 @@ func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 		sum := c.Shard(s)
 		want = c.freeOrderRef(sum.Base, sum.Base+NodeID(sum.Nodes), true)
 	default:
-		what = "LendersByFreeDesc"
+		what = "AscendLenders with exclusions"
 		exclude := map[NodeID]bool{}
 		for i := rng.Intn(4); i > 0; i-- {
 			exclude[NodeID(rng.Intn(c.Len()))] = true
 		}
-		got = append(got, c.LendersByFreeDesc(exclude)...)
+		got = append(got, c.collectLenders(exclude)...)
 		want, limit = c.lendersByFreeDescRef(exclude), c.Len()+1
 	}
 	if bad != nil {

@@ -110,7 +110,7 @@ func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bo
 // includeEmpty selects whether nodes with no free memory are visited
 // (AscendFree) or pruned — per shard, the moment its head drops to zero,
 // and whole shards up front when their summary says lenders == 0
-// (AscendLenders / LendersByFreeDesc). Every shard it enters is flushed
+// (AscendLenders). Every shard it enters is flushed
 // first; a skipped shard stays dirty until a read needs it.
 //
 //dmp:hotpath

@@ -72,7 +72,7 @@ func TestShardedLedgerDifferential(t *testing.T) {
 			continue
 		}
 		ref := cs[0]
-		wantLenders := append([]NodeID(nil), ref.LendersByFreeDesc(exclude)...)
+		wantLenders := ref.collectLenders(exclude)
 		wantRef := ref.lendersByFreeDescRef(exclude)
 		if !reflect.DeepEqual(wantLenders, wantRef) {
 			t.Fatalf("step %d: single-shard walk diverged from rescan reference", step)
@@ -87,8 +87,8 @@ func TestShardedLedgerDifferential(t *testing.T) {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("step %d shards=%d: %v", step, c.ShardCount(), err)
 			}
-			got := c.LendersByFreeDesc(exclude)
-			if !reflect.DeepEqual(append([]NodeID(nil), got...), wantLenders) {
+			got := c.collectLenders(exclude)
+			if !reflect.DeepEqual(got, wantLenders) {
 				t.Fatalf("step %d shards=%d: lender order diverged\n got %v\nwant %v",
 					step, c.ShardCount(), got, wantLenders)
 			}

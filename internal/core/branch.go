@@ -20,11 +20,7 @@ import (
 // the end, branch overlays included.
 func (s *Simulator) SetPolicy(k policy.Kind) {
 	s.cfg.Policy = k
-	pol := policy.NewWithRanker(k, s.ranker)
-	if s.cfg.Pressure == PressureDomains {
-		pol = policy.NewDomainFirst(k)
-	}
-	s.pol = pol
+	s.pol = policy.New(k, s.cfg.lenders())
 	if s.res != nil {
 		s.res.Policy = k.String()
 	}

@@ -174,10 +174,10 @@ type Config struct {
 	// trajectories.
 	Pressure PressureMode
 	// Domains sets the pressure-domain count for PressureDomains. Zero
-	// resolves to the torus Z extent when a topology is set, else to the
-	// ledger shard count when sharded, else 16; always clamped to the
-	// node count. Domains are identified with ledger shards, so Normalize
-	// forces Cluster.Shards to the resolved count in domains mode.
+	// resolves to the torus Z extent when a topology is set, else 16;
+	// always clamped to the node count. Domains are identified with
+	// ledger shards, so Normalize forces Cluster.Shards to the resolved
+	// count in domains mode.
 	Domains int
 
 	// Interrupt, when non-nil, is polled every interruptStride events. A
@@ -263,13 +263,9 @@ func (c *Config) Normalize() error {
 			return errors.New("core: nearest-first lending is incompatible with pressure domains")
 		}
 		if c.Domains == 0 {
-			switch {
-			case c.Topology != nil:
+			c.Domains = 16
+			if c.Topology != nil {
 				c.Domains = c.Topology.Z
-			case c.Cluster.Shards > 1:
-				c.Domains = c.Cluster.Shards
-			default:
-				c.Domains = 16
 			}
 		}
 		if c.Domains > c.Cluster.Nodes {
@@ -282,4 +278,17 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("core: unknown pressure mode %d", int(c.Pressure))
 	}
 	return nil
+}
+
+// lenders is the lender order placement and growth borrow in: domain-first
+// under pressure domains (Normalize rules out nearest-first there),
+// nearest-first on the torus when configured, else most-free.
+func (c *Config) lenders() policy.Order {
+	switch {
+	case c.Pressure == PressureDomains:
+		return policy.DomainFirst()
+	case c.LenderPolicy == NearestFirst:
+		return policy.NearestFirst(*c.Topology)
+	}
+	return policy.Order{}
 }

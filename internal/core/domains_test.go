@@ -115,12 +115,24 @@ func TestDomainsConfigValidation(t *testing.T) {
 
 	cfg = baseConfig(8, 1024, policy.Dynamic)
 	cfg.Pressure = PressureDomains
+	cfg.Domains = 4
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Domains != 4 || cfg.Cluster.Shards != 4 {
+		t.Fatalf("want 4 domains on 4 shards, got Domains=%d Shards=%d", cfg.Domains, cfg.Cluster.Shards)
+	}
+
+	// The default domain count ignores the ledger's shard count: 16,
+	// clamped to the 8 nodes, and the shards follow the domains.
+	cfg = baseConfig(8, 1024, policy.Dynamic)
+	cfg.Pressure = PressureDomains
 	cfg.Cluster.Shards = 4
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Domains != 4 {
-		t.Fatalf("want Domains derived from Shards=4, got %d", cfg.Domains)
+	if cfg.Domains != 8 || cfg.Cluster.Shards != 8 {
+		t.Fatalf("want the default 16 domains clamped to 8, got Domains=%d Shards=%d", cfg.Domains, cfg.Cluster.Shards)
 	}
 }
 

@@ -89,18 +89,11 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	// The ledger forks copy-on-write in O(shards).
 	f.cl = s.cl.Fork()
 
-	// Policy, ranker, and adjuster hold only scratch buffers (no decision
-	// state), so fresh instances behave identically and must not be shared
-	// across concurrently running branches. Mirrors New.
-	f.ranker = nil
-	if f.cfg.LenderPolicy == NearestFirst {
-		f.ranker = policy.NearestFirstRanker(*f.cfg.Topology)
-	}
-	f.pol = policy.NewWithRanker(f.cfg.Policy, f.ranker)
-	if f.cfg.Pressure == PressureDomains {
-		f.pol = policy.NewDomainFirst(f.cfg.Policy)
-	}
-	f.adj = policy.NewAdjuster(f.ranker)
+	// Policy and adjuster hold only scratch buffers (no decision state),
+	// so fresh instances behave identically and must not be shared across
+	// concurrently running branches. Mirrors New.
+	f.pol = policy.New(f.cfg.Policy, f.cfg.lenders())
+	f.adj = policy.NewAdjuster(f.cfg.lenders())
 	f.adj.Tel = tel
 
 	// Replay the RNG to the base's draw position so the branch's future

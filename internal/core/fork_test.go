@@ -16,11 +16,13 @@ import (
 // the seed, so 30 seeds cover every policy × pressure × sharding cell.
 func forkScenario(seed int64) (Config, func() []*job.Job) {
 	cfg, mkJobs := differentialScenario(seed)
-	cfg.Cluster.Shards = []int{0, 3, 8}[int(seed)%3]
 	if seed%2 == 1 {
-		// Domains mode: Normalize forces Cluster.Shards to the domain count.
+		// Domains mode has one ledger shard per domain, so it sweeps the
+		// domain count instead.
 		cfg.Pressure = PressureDomains
-		cfg.Domains = []int{2, 4}[int(seed/2)%2]
+		cfg.Domains = []int{2, 3, 4, 8}[int(seed/2)%4]
+	} else {
+		cfg.Cluster.Shards = []int{0, 3, 8}[int(seed/2)%3]
 	}
 	return cfg, mkJobs
 }

@@ -19,16 +19,15 @@ import (
 // Simulator runs one scenario: a job trace against a cluster under one
 // allocation policy. Create it with New and call Run once.
 type Simulator struct {
-	cfg    Config
-	jobs   []*job.Job
-	byID   map[int]*job.Job
-	cl     *cluster.Cluster
-	pol    policy.Policy
-	ranker policy.LenderRanker
-	adj    *policy.Adjuster
-	eng    *sim.Engine
-	rng    *rand.Rand
-	tel    *telemetry.Recorder // nil when telemetry is disabled
+	cfg  Config
+	jobs []*job.Job
+	byID map[int]*job.Job
+	cl   *cluster.Cluster
+	pol  policy.Policy
+	adj  *policy.Adjuster
+	eng  *sim.Engine
+	rng  *rand.Rand
+	tel  *telemetry.Recorder // nil when telemetry is disabled
 
 	queue   sched.Queue
 	running map[int]*runningJob
@@ -142,24 +141,13 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 	if err := checkDependencies(jobs, byID); err != nil {
 		return nil, err
 	}
-	// A nil ranker selects the most-free lender order served directly from
-	// the cluster's free-memory index — no ranking is materialised.
-	var ranker policy.LenderRanker
-	if cfg.LenderPolicy == NearestFirst {
-		ranker = policy.NearestFirstRanker(*cfg.Topology)
-	}
-	pol := policy.NewWithRanker(cfg.Policy, ranker)
-	if cfg.Pressure == PressureDomains {
-		pol = policy.NewDomainFirst(cfg.Policy)
-	}
 	s := &Simulator{
 		cfg:     cfg,
 		jobs:    jobs,
 		byID:    byID,
 		cl:      cluster.NewMixed(cfg.Cluster),
-		pol:     pol,
-		ranker:  ranker,
-		adj:     policy.NewAdjuster(ranker),
+		pol:     policy.New(cfg.Policy, cfg.lenders()),
+		adj:     policy.NewAdjuster(cfg.lenders()),
 		eng:     sim.New(),
 		tel:     cfg.Telemetry,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -820,12 +808,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 	for i := range rj.alloc.PerNode {
 		na := &rj.alloc.PerNode[i]
 		nodeBefore, remoteBefore := na.TotalMB(), na.RemoteMB()
-		var err error
-		if s.cfg.Pressure == PressureDomains {
-			err = s.adj.AdjustDomains(s.cl, rj.alloc, i, target, rj.domSet)
-		} else {
-			err = s.adj.Adjust(s.cl, rj.alloc, i, target)
-		}
+		err := s.adj.Adjust(s.cl, rj.alloc, i, target, rj.domSet)
 		if na.TotalMB() != nodeBefore || na.RemoteMB() != remoteBefore {
 			// One Adjust call either grows or shrinks a node's allocation,
 			// so an unchanged (total, remote) pair means untouched leases —
@@ -988,7 +971,7 @@ func (s *Simulator) domainOf(id cluster.NodeID) int32 {
 // domainize freezes rj's pressure-domain footprint at dispatch: each compute
 // node's home domain, the sorted unique home-domain list, and the domain
 // set — home domains plus every placement lease's lender domain. In domains
-// mode all later growth is confined to the domain set (AdjustDomains), so
+// mode all later growth is confined to the domain set (Adjuster.Adjust), so
 // the footprint never widens mid-attempt; an OOM restart re-places the job
 // and freezes a fresh one.
 func (s *Simulator) domainize(rj *runningJob) {

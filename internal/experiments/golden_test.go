@@ -10,6 +10,7 @@ import (
 
 	"dismem/internal/core"
 	"dismem/internal/policy"
+	"dismem/internal/topology"
 )
 
 // Golden digests of one Bench()-preset scenario per policy (job mix 50 %,
@@ -31,6 +32,9 @@ var goldenScenarioDigests = map[string]string{
 
 	"static-domains":  "02e3dc1b202ce60c3420d9dea6a94b9f54e75ff49096effe66295084458dd58b",
 	"dynamic-domains": "7279d64395088b2b8e96e339115b426aed948056d80fe0d9f844abb6350f044b",
+
+	"static-nearest":  "be7b760322319617a6a0a1681c24eb5bedd7f13de6877b0bbc7b8133ff05cf1b",
+	"dynamic-nearest": "151656e76337784ead8bb65be7258374f8617e9a2750866baf3b1708fa8ab064",
 }
 
 // digestResult folds every determinism-relevant field of a Result — job
@@ -71,6 +75,9 @@ func digestResult(r *core.Result) string {
 // "-domains" rows run the dynamic-memory policies under 16 pressure
 // domains; they were recorded before the global model became the
 // one-domain case of the domain refresh, and pin the D>1 path the same way.
+// The "-nearest" rows borrow nearest-first on the designed torus with a
+// 0.5 hop penalty; they were recorded before placement and growth became
+// one borrow planner, and pin the nearest-first lender order.
 func TestGoldenScenarioDigest(t *testing.T) {
 	p := Bench()
 	trace, err := p.SyntheticTrace(0.5, 0.6)
@@ -85,6 +92,12 @@ func TestGoldenScenarioDigest(t *testing.T) {
 		c.Pressure = core.PressureDomains
 		c.Domains = 16
 	}
+	torus := topology.Design(p.SystemNodes)
+	nearest := func(c *core.Config) {
+		c.Topology = &torus
+		c.LenderPolicy = core.NearestFirst
+		c.HopPenalty = 0.5
+	}
 	for _, row := range []struct {
 		name   string
 		kind   policy.Kind
@@ -95,6 +108,8 @@ func TestGoldenScenarioDigest(t *testing.T) {
 		{"dynamic", policy.Dynamic, nil},
 		{"static-domains", policy.Static, domains},
 		{"dynamic-domains", policy.Dynamic, domains},
+		{"static-nearest", policy.Static, nearest},
+		{"dynamic-nearest", policy.Dynamic, nearest},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			res1, err := p.RunScenarioWith(trace.Jobs, p.SystemNodes, mc, row.kind, row.mutate)

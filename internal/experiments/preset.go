@@ -38,12 +38,6 @@ type Preset struct {
 
 	UpdateInterval float64 // dynamic-policy update period (paper: 300 s)
 	Seed           int64
-
-	// Shards partitions the cluster ledger (0 = ⌈nodes/2048⌉ shards, one
-	// shard for every paper-scale system). Results are bit-identical for
-	// every shard count, so experiments set it only when explicitly asked
-	// (dmpsim/dmpexp -shards).
-	Shards int
 }
 
 // Full is the paper-scale preset.
@@ -255,7 +249,6 @@ func (p Preset) ConfigFor(nodes int, mc MemConfig, pol policy.Kind) core.Config 
 			Cores:     32,
 			NormalMB:  mc.NormalMB,
 			LargeFrac: mc.LargeFrac,
-			Shards:    p.Shards,
 		},
 		Policy:         pol,
 		UpdateInterval: p.UpdateInterval,

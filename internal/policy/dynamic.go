@@ -12,27 +12,28 @@ import (
 // out-of-memory handling (Fail/Restart or Checkpoint/Restart).
 var ErrOutOfMemory = errors.New("policy: out of disaggregated memory")
 
-// Adjuster is the Decider + Actuator of the dynamic policy. It carries the
-// scratch buffers the grow path needs, so one Adjuster per simulator makes
-// every adjustment tick allocation-free. It is not safe for concurrent use.
+// Adjuster is the Decider + Actuator of the dynamic policy. Growth borrows
+// through the same planner as placement, one node at a time, so one
+// Adjuster per simulator makes every adjustment tick allocation-free. It is
+// not safe for concurrent use.
 type Adjuster struct {
-	ranker LenderRanker // nil = most-free via the cluster index
-
 	// Tel, when non-nil, receives a LeaseGrant event for every remote
 	// borrow the grow path performs. The Actuator is the only place that
 	// knows which lender satisfied which deficit, so the emission lives
 	// here rather than in the simulator.
 	Tel *telemetry.Recorder
 
-	own   []cluster.NodeID // the adjusted job's compute nodes
-	takes []cluster.Lease  // planned borrows for one grow
-	exc   map[cluster.NodeID]bool
+	planner
+	one [1]plan          // the grown node's plan
+	own []cluster.NodeID // the adjusted job's compute nodes
 }
 
-// NewAdjuster returns an Adjuster with the given lender order for growth;
-// nil selects the default most-free order, served from the cluster's
-// free-memory index without materialising a ranking.
-func NewAdjuster(ranker LenderRanker) *Adjuster { return &Adjuster{ranker: ranker} }
+// NewAdjuster returns an Adjuster that grows in lender order o.
+func NewAdjuster(o Order) *Adjuster {
+	a := &Adjuster{}
+	a.init(o)
+	return a
+}
 
 // Adjust resizes compute node i of the job's allocation to targetMB.
 //
@@ -40,12 +41,21 @@ func NewAdjuster(ranker LenderRanker) *Adjuster { return &Adjuster{ranker: ranke
 // allocates local memory first and borrows remotely only for the remainder,
 // maximising the local-to-remote ratio as described in §2.2.
 //
+// doms is the job's frozen pressure-domain set (ledger shards, sorted
+// ascending). Only the domain-first order reads it: growth then borrows
+// from the compute node's own shard first and then from the other shards
+// in doms, and reports ErrOutOfMemory when those are exhausted even if
+// other domains still hold free memory, so a job's contention footprint
+// never leaves its frozen domain set; nil doms spills to the global order,
+// as placement does. Shrinking releases existing leases, which by
+// construction already lie inside doms.
+//
 // On ErrOutOfMemory the allocation retains whatever it held plus any
 // partial growth — the caller is expected to kill and resubmit the job,
 // which releases everything.
 //
 //dmp:hotpath
-func (a *Adjuster) Adjust(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64) error {
+func (a *Adjuster) Adjust(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64, doms []int32) error {
 	if targetMB < 0 {
 		return cluster.ErrNegativeAmount
 	}
@@ -55,109 +65,15 @@ func (a *Adjuster) Adjust(cl *cluster.Cluster, ja *cluster.JobAllocation, i int,
 	case targetMB < cur:
 		return shrinkTo(cl, ja, i, cur-targetMB)
 	case targetMB > cur:
-		return a.growBy(cl, ja, i, targetMB-cur)
+		return a.grow(cl, ja, i, targetMB-cur, doms)
 	}
 	return nil
 }
 
-// Adjust is the one-shot form of Adjuster.Adjust with the default lender
+// Adjust is the one-shot form of Adjuster.Adjust with the most-free lender
 // order, kept for tests and callers outside the simulation loop.
 func Adjust(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64) error {
-	return NewAdjuster(nil).Adjust(cl, ja, i, targetMB)
-}
-
-// AdjustRanked is Adjust with a custom lender order for growth (used by
-// the topology-aware configuration); nil means the default order.
-func AdjustRanked(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64, ranker LenderRanker) error {
-	return NewAdjuster(ranker).Adjust(cl, ja, i, targetMB)
-}
-
-// AdjustDomains is Adjust with growth confined to the given ledger shards
-// (the job's frozen pressure-domain set, sorted ascending): the grow path
-// borrows only from lenders in doms, preferring the compute node's own
-// shard first, and reports ErrOutOfMemory when those domains are exhausted
-// even if other domains still hold free memory. Strict confinement keeps a
-// job's contention footprint inside its frozen domain set: it can neither
-// read nor take memory outside that set. Shrinking releases existing
-// leases, which by construction already lie inside doms.
-//
-//dmp:hotpath
-func (a *Adjuster) AdjustDomains(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64, doms []int32) error {
-	if targetMB < 0 {
-		return cluster.ErrNegativeAmount
-	}
-	na := &ja.PerNode[i]
-	cur := na.TotalMB()
-	switch {
-	case targetMB < cur:
-		return shrinkTo(cl, ja, i, cur-targetMB)
-	case targetMB > cur:
-		return a.growByDomains(cl, ja, i, targetMB-cur, doms)
-	}
-	return nil
-}
-
-// growByDomains is growBy restricted to the doms shards: local memory
-// first, then the borrower's home shard's lenders, then the remaining
-// domains in ascending order. With a single domain covering the whole
-// cluster it degenerates bit-exactly to growBy — the per-shard walk IS the
-// global lender walk.
-//
-//dmp:hotpath
-func (a *Adjuster) growByDomains(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, need int64, doms []int32) error {
-	na := &ja.PerNode[i]
-	// Local first.
-	if free := cl.Node(na.Node).FreeMB(); free > 0 {
-		take := minInt64(need, free)
-		if err := ja.GrowLocal(cl, i, take); err != nil {
-			return err
-		}
-		need -= take
-	}
-	if need == 0 {
-		return nil
-	}
-	own := a.own[:0]
-	for k := range ja.PerNode {
-		own = append(own, ja.PerNode[k].Node)
-	}
-	a.own = own
-	// Plan from the walks, then apply: the ledger must not change mid-walk.
-	home := cl.ShardOf(na.Node)
-	takes := a.takes[:0]
-	rem := need
-	scan := func(id cluster.NodeID, free int64) bool { //dmplint:ignore hotpath-alloc one closure per grow call so the same walk body serves the home shard and each remaining domain
-		if containsNode(own, id) {
-			return true
-		}
-		take := minInt64(rem, free)
-		takes = append(takes, cluster.Lease{Lender: id, MB: take})
-		rem -= take
-		return rem > 0
-	}
-	cl.AscendShardLenders(home, scan)
-	for _, d := range doms {
-		if rem <= 0 {
-			break
-		}
-		if int(d) == home {
-			continue
-		}
-		cl.AscendShardLenders(int(d), scan)
-	}
-	a.takes = takes
-	for _, t := range takes {
-		if err := ja.GrowRemote(cl, i, t.Lender, t.MB); err != nil {
-			return err
-		}
-		a.Tel.LeaseGrant(ja.Job, int(na.Node), int(t.Lender), t.MB)
-	}
-	if rem > 0 {
-		// Partial growth is retained; the caller kills and resubmits, which
-		// releases everything and re-places with a fresh domain set.
-		return ErrOutOfMemory
-	}
-	return nil
+	return NewAdjuster(Order{}).Adjust(cl, ja, i, targetMB, nil)
 }
 
 //
@@ -175,88 +91,42 @@ func shrinkTo(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, excess int6
 	return nil
 }
 
+// grow plans node i's growth as a one-node placement — local memory first,
+// then the deficit from the lender sequence, excluding the job's own
+// compute nodes — and applies the plan, partial or not.
 //
 //dmp:hotpath
-func (a *Adjuster) growBy(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, need int64) error {
+func (a *Adjuster) grow(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, need int64, doms []int32) error {
 	na := &ja.PerNode[i]
-	// Local first.
-	if free := cl.Node(na.Node).FreeMB(); free > 0 {
-		take := minInt64(need, free)
-		if err := ja.GrowLocal(cl, i, take); err != nil {
+	pl := &a.one[0]
+	pl.node = na.Node
+	pl.local = min(need, max(cl.Node(na.Node).FreeMB(), 0))
+	pl.need = need - pl.local
+	pl.borrow = pl.borrow[:0]
+	ok := true
+	if pl.need > 0 {
+		own := a.own[:0]
+		for k := range ja.PerNode {
+			own = append(own, ja.PerNode[k].Node)
+		}
+		a.own = own
+		ok = a.borrow(cl, a.one[:], own, doms)
+	}
+	if pl.local > 0 {
+		if err := ja.GrowLocal(cl, i, pl.local); err != nil {
 			return err
 		}
-		need -= take
 	}
-	if need == 0 {
-		return nil
-	}
-	// Borrow the rest in lender order, excluding the job's own compute
-	// nodes (their free memory belongs to their local side).
-	if a.ranker != nil {
-		return a.growRanked(cl, ja, i, need)
-	}
-	own := a.own[:0]
-	for k := range ja.PerNode {
-		own = append(own, ja.PerNode[k].Node)
-	}
-	a.own = own
-	// Plan from the index walk, then apply: the ledger must not change
-	// mid-walk, and the walk stops as soon as the deficit is covered, so
-	// the common first-lender-suffices case touches O(log N) nodes.
-	takes := a.takes[:0]
-	rem := need
-	cl.AscendLenders(func(id cluster.NodeID, free int64) bool {
-		if containsNode(own, id) {
-			return true
-		}
-		take := minInt64(rem, free)
-		takes = append(takes, cluster.Lease{Lender: id, MB: take})
-		rem -= take
-		return rem > 0
-	})
-	a.takes = takes
-	for _, t := range takes {
-		if err := ja.GrowRemote(cl, i, t.Lender, t.MB); err != nil {
+	for _, l := range pl.borrow {
+		if err := ja.GrowRemote(cl, i, l.Lender, l.MB); err != nil {
 			return err
 		}
-		a.Tel.LeaseGrant(ja.Job, int(na.Node), int(t.Lender), t.MB)
+		a.Tel.LeaseGrant(ja.Job, int(na.Node), int(l.Lender), l.MB)
 	}
-	if rem > 0 {
-		// Partial growth is retained, exactly as the pre-index grow loop
-		// left it when the pool ran dry mid-iteration.
+	if !ok {
+		// Partial growth is retained; the caller kills and resubmits, which
+		// releases everything and re-places the job.
 		return ErrOutOfMemory
 	}
 	return nil
-}
-
-// growRanked is the custom-ranker grow path, identical to the pre-index
-// implementation apart from the reused exclusion map.
-//
-//dmp:hotpath
-func (a *Adjuster) growRanked(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, need int64) error {
-	na := &ja.PerNode[i]
-	if a.exc == nil {
-		a.exc = make(map[cluster.NodeID]bool, len(ja.PerNode))
-	}
-	for id := range a.exc {
-		delete(a.exc, id)
-	}
-	for k := range ja.PerNode {
-		a.exc[ja.PerNode[k].Node] = true
-	}
-	for _, lender := range a.ranker(cl, na.Node, a.exc) { //dmplint:ignore hotpath-reach ranker is the policy's pluggable lender-ordering strategy; both in-tree rankers reuse the arena's scratch slice
-		take := minInt64(need, cl.Node(lender).FreeMB())
-		if take == 0 {
-			continue
-		}
-		if err := ja.GrowRemote(cl, i, lender, take); err != nil {
-			return err
-		}
-		a.Tel.LeaseGrant(ja.Job, int(na.Node), int(lender), take)
-		need -= take
-		if need == 0 {
-			return nil
-		}
-	}
-	return ErrOutOfMemory
 }

@@ -12,7 +12,7 @@ import (
 // node's local memory and borrows the deficit from the most-free lender.
 func ExamplePolicy_place() {
 	cl := cluster.New(3, 32, 1000)
-	pol := policy.New(policy.Static)
+	pol := policy.New(policy.Static, policy.Order{})
 	alloc, ok := pol.Place(cl, &job.Job{ID: 1, Nodes: 1, RequestMB: 1500})
 	fmt.Println("placed:", ok,
 		"local:", alloc.PerNode[0].LocalMB,
@@ -25,7 +25,7 @@ func ExamplePolicy_place() {
 // then trims local memory.
 func ExampleAdjust() {
 	cl := cluster.New(3, 32, 1000)
-	pol := policy.New(policy.Dynamic)
+	pol := policy.New(policy.Dynamic, policy.Order{})
 	alloc, _ := pol.Place(cl, &job.Job{ID: 1, Nodes: 1, RequestMB: 1500})
 
 	_ = policy.Adjust(cl, alloc, 0, 800)

@@ -25,7 +25,7 @@ func TestKindString(t *testing.T) {
 
 func TestNewReturnsMatchingKinds(t *testing.T) {
 	for _, k := range []Kind{Baseline, Static, Dynamic} {
-		p := New(k)
+		p := New(k, Order{})
 		if p.Kind() != k {
 			t.Fatalf("New(%v).Kind() = %v", k, p.Kind())
 		}
@@ -37,7 +37,7 @@ func TestNewReturnsMatchingKinds(t *testing.T) {
 
 func TestBaselineCanEverRun(t *testing.T) {
 	cl := cluster.NewMixed(cluster.Config{Nodes: 4, Cores: 32, NormalMB: 1000, LargeFrac: 0.5})
-	p := New(Baseline)
+	p := New(Baseline, Order{})
 	if !p.CanEverRun(cl, testJob(1, 2, 2000)) {
 		t.Fatal("2 large nodes exist; 2x2000MB must be runnable")
 	}
@@ -54,7 +54,7 @@ func TestBaselineCanEverRun(t *testing.T) {
 
 func TestBaselinePlaceExclusiveWholeNode(t *testing.T) {
 	cl := cluster.New(3, 32, 1000)
-	p := New(Baseline)
+	p := New(Baseline, Order{})
 	ja, ok := p.Place(cl, testJob(1, 2, 400))
 	if !ok {
 		t.Fatal("placement failed")
@@ -75,7 +75,7 @@ func TestBaselinePlaceExclusiveWholeNode(t *testing.T) {
 
 func TestBaselinePrefersSmallNodes(t *testing.T) {
 	cl := cluster.NewMixed(cluster.Config{Nodes: 4, Cores: 32, NormalMB: 1000, LargeFrac: 0.5})
-	p := New(Baseline)
+	p := New(Baseline, Order{})
 	ja, ok := p.Place(cl, testJob(1, 2, 500))
 	if !ok {
 		t.Fatal("placement failed")
@@ -89,7 +89,7 @@ func TestBaselinePrefersSmallNodes(t *testing.T) {
 
 func TestBaselineRejectsWhenBusy(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	p := New(Baseline)
+	p := New(Baseline, Order{})
 	if _, ok := p.Place(cl, testJob(1, 2, 100)); !ok {
 		t.Fatal("first placement failed")
 	}
@@ -100,7 +100,7 @@ func TestBaselineRejectsWhenBusy(t *testing.T) {
 
 func TestStaticCanEverRunUsesPool(t *testing.T) {
 	cl := cluster.New(4, 32, 1000) // 4000 MB pool
-	p := New(Static)
+	p := New(Static, Order{})
 	if !p.CanEverRun(cl, testJob(1, 1, 3000)) {
 		t.Fatal("3000MB on one node is borrowable from a 4000MB pool")
 	}
@@ -114,7 +114,7 @@ func TestStaticCanEverRunUsesPool(t *testing.T) {
 
 func TestStaticPlaceWithoutBorrowing(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	p := New(Static)
+	p := New(Static, Order{})
 	ja, ok := p.Place(cl, testJob(1, 1, 800))
 	if !ok {
 		t.Fatal("placement failed")
@@ -131,7 +131,7 @@ func TestStaticPlaceWithoutBorrowing(t *testing.T) {
 
 func TestStaticPlaceBorrowsDeficit(t *testing.T) {
 	cl := cluster.New(3, 32, 1000)
-	p := New(Static)
+	p := New(Static, Order{})
 	ja, ok := p.Place(cl, testJob(1, 1, 1500))
 	if !ok {
 		t.Fatal("placement failed")
@@ -150,7 +150,7 @@ func TestStaticPlaceBorrowsDeficit(t *testing.T) {
 
 func TestStaticLenderBecomesMemoryNode(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	p := New(Static)
+	p := New(Static, Order{})
 	// Job borrows 600 from the second node, pushing it past half.
 	_, ok := p.Place(cl, testJob(1, 1, 1600))
 	if !ok {
@@ -167,7 +167,7 @@ func TestStaticLenderBecomesMemoryNode(t *testing.T) {
 
 func TestStaticPlaceFailsWhenPoolExhausted(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	p := New(Static)
+	p := New(Static, Order{})
 	if _, ok := p.Place(cl, testJob(1, 1, 2500)); ok {
 		t.Fatal("placement exceeding total pool succeeded")
 	}
@@ -179,7 +179,7 @@ func TestStaticPlaceFailsWhenPoolExhausted(t *testing.T) {
 
 func TestStaticMultiNodePlacement(t *testing.T) {
 	cl := cluster.New(4, 32, 1000)
-	p := New(Static)
+	p := New(Static, Order{})
 	ja, ok := p.Place(cl, testJob(1, 3, 1200))
 	if !ok {
 		t.Fatal("placement failed")
@@ -201,8 +201,8 @@ func TestDynamicPlaceMatchesStatic(t *testing.T) {
 	j := testJob(1, 2, 900)
 	clS := cluster.New(4, 32, 1000)
 	clD := cluster.New(4, 32, 1000)
-	jaS, okS := New(Static).Place(clS, j)
-	jaD, okD := New(Dynamic).Place(clD, j)
+	jaS, okS := New(Static, Order{}).Place(clS, j)
+	jaD, okD := New(Dynamic, Order{}).Place(clD, j)
 	if !okS || !okD {
 		t.Fatal("placement failed")
 	}
@@ -213,7 +213,7 @@ func TestDynamicPlaceMatchesStatic(t *testing.T) {
 
 func TestAdjustShrinkRemoteFirst(t *testing.T) {
 	cl := cluster.New(3, 32, 1000)
-	ja, ok := New(Dynamic).Place(cl, testJob(1, 1, 1500))
+	ja, ok := New(Dynamic, Order{}).Place(cl, testJob(1, 1, 1500))
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -236,7 +236,7 @@ func TestAdjustShrinkRemoteFirst(t *testing.T) {
 
 func TestAdjustGrowLocalFirst(t *testing.T) {
 	cl := cluster.New(3, 32, 1000)
-	ja, ok := New(Dynamic).Place(cl, testJob(1, 1, 500))
+	ja, ok := New(Dynamic, Order{}).Place(cl, testJob(1, 1, 500))
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -255,7 +255,7 @@ func TestAdjustGrowLocalFirst(t *testing.T) {
 
 func TestAdjustNoChange(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	ja, _ := New(Dynamic).Place(cl, testJob(1, 1, 500))
+	ja, _ := New(Dynamic, Order{}).Place(cl, testJob(1, 1, 500))
 	before := cl.TotalFreeMB()
 	if err := Adjust(cl, ja, 0, 500); err != nil {
 		t.Fatal(err)
@@ -270,12 +270,12 @@ func TestAdjustNoChange(t *testing.T) {
 
 func TestAdjustOutOfMemory(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	ja, ok := New(Dynamic).Place(cl, testJob(1, 1, 1000))
+	ja, ok := New(Dynamic, Order{}).Place(cl, testJob(1, 1, 1000))
 	if !ok {
 		t.Fatal("placement failed")
 	}
 	// Consume the other node's memory with a second job.
-	ja2, ok := New(Dynamic).Place(cl, testJob(2, 1, 900))
+	ja2, ok := New(Dynamic, Order{}).Place(cl, testJob(2, 1, 900))
 	if !ok {
 		t.Fatal("second placement failed")
 	}
@@ -296,7 +296,7 @@ func TestAdjustOutOfMemory(t *testing.T) {
 
 func TestAdjustGrowToExactPoolBoundary(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
-	ja, _ := New(Dynamic).Place(cl, testJob(1, 1, 1000))
+	ja, _ := New(Dynamic, Order{}).Place(cl, testJob(1, 1, 1000))
 	// Exactly the remaining 1000 (the whole second node) is available.
 	if err := Adjust(cl, ja, 0, 2000); err != nil {
 		t.Fatal(err)
@@ -307,101 +307,149 @@ func TestAdjustGrowToExactPoolBoundary(t *testing.T) {
 }
 
 // Property: under any sequence of placements, usage adjustments, and
-// releases, cluster invariants hold and total memory is conserved.
+// releases, cluster invariants hold and total memory is conserved, for
+// every lender order.
 func TestQuickPolicyLifecycleInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cl := cluster.New(10, 32, 2048)
-		pol := New(Dynamic)
-		type running struct{ ja *cluster.JobAllocation }
-		var jobs []running
-		nextID := 1
-		for op := 0; op < 300; op++ {
-			switch rng.Intn(3) {
-			case 0:
-				j := testJob(nextID, 1+rng.Intn(4), rng.Int63n(3000))
-				nextID++
-				if ja, ok := pol.Place(cl, j); ok {
-					jobs = append(jobs, running{ja})
+	for _, oc := range testOrders(10) {
+		t.Run(oc.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				cl := cluster.NewSharded(10, 32, 2048, 3)
+				pol := New(Dynamic, oc.o)
+				adj := NewAdjuster(oc.o)
+				type running struct {
+					ja   *cluster.JobAllocation
+					doms []int32
 				}
-			case 1:
-				if len(jobs) == 0 {
-					continue
+				var jobs []running
+				nextID := 1
+				for op := 0; op < 300; op++ {
+					switch rng.Intn(3) {
+					case 0:
+						j := testJob(nextID, 1+rng.Intn(4), rng.Int63n(3000))
+						nextID++
+						if ja, ok := pol.Place(cl, j); ok {
+							jobs = append(jobs, running{ja, domSet(cl, ja)})
+						}
+					case 1:
+						if len(jobs) == 0 {
+							continue
+						}
+						r := jobs[rng.Intn(len(jobs))]
+						i := rng.Intn(len(r.ja.PerNode))
+						target := rng.Int63n(3000)
+						if err := adj.Adjust(cl, r.ja, i, target, r.doms); err != nil &&
+							!errors.Is(err, ErrOutOfMemory) {
+							return false
+						}
+					case 2:
+						if len(jobs) == 0 {
+							continue
+						}
+						i := rng.Intn(len(jobs))
+						if jobs[i].ja.Release(cl) != nil {
+							return false
+						}
+						jobs = append(jobs[:i], jobs[i+1:]...)
+					}
+					if cl.CheckInvariants() != nil {
+						return false
+					}
+					if cl.TotalFreeMB()+cl.TotalAllocatedMB() != cl.TotalCapacityMB() {
+						return false
+					}
 				}
-				r := jobs[rng.Intn(len(jobs))]
-				i := rng.Intn(len(r.ja.PerNode))
-				target := rng.Int63n(3000)
-				if err := Adjust(cl, r.ja, i, target); err != nil &&
-					!errors.Is(err, ErrOutOfMemory) {
-					return false
-				}
-			case 2:
-				if len(jobs) == 0 {
-					continue
-				}
-				i := rng.Intn(len(jobs))
-				if jobs[i].ja.Release(cl) != nil {
-					return false
-				}
-				jobs = append(jobs[:i], jobs[i+1:]...)
+				return true
 			}
-			if cl.CheckInvariants() != nil {
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Fatal(err)
 			}
-			if cl.TotalFreeMB()+cl.TotalAllocatedMB() != cl.TotalCapacityMB() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 
 // Property: a successful placement always allocates exactly nodes×request MB
 // for the disaggregated policies, and placement failure leaves the ledger
-// untouched.
+// untouched, for every lender order.
 func TestQuickPlacementExactness(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		cl := cluster.NewMixed(cluster.Config{
-			Nodes: 8, Cores: 32, NormalMB: 1024, LargeFrac: 0.25,
-		})
-		pol := New(Static)
-		var placed []*cluster.JobAllocation
-		for id := 1; id <= 30; id++ {
-			j := testJob(id, 1+rng.Intn(3), rng.Int63n(2500))
-			freeBefore := cl.TotalFreeMB()
-			busyBefore := cl.BusyNodes()
-			ja, ok := pol.Place(cl, j)
-			if !ok {
-				if cl.TotalFreeMB() != freeBefore || cl.BusyNodes() != busyBefore {
-					return false
+	for _, oc := range testOrders(8) {
+		t.Run(oc.name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				cl := cluster.NewMixed(cluster.Config{
+					Nodes: 8, Cores: 32, NormalMB: 1024, LargeFrac: 0.25, Shards: 3,
+				})
+				pol := New(Static, oc.o)
+				var placed []*cluster.JobAllocation
+				for id := 1; id <= 30; id++ {
+					j := testJob(id, 1+rng.Intn(3), rng.Int63n(2500))
+					freeBefore := cl.TotalFreeMB()
+					busyBefore := cl.BusyNodes()
+					ja, ok := pol.Place(cl, j)
+					if !ok {
+						if cl.TotalFreeMB() != freeBefore || cl.BusyNodes() != busyBefore {
+							return false
+						}
+						continue
+					}
+					if ja.TotalMB() != j.TotalRequestMB() {
+						return false
+					}
+					placed = append(placed, ja)
 				}
-				continue
+				for _, ja := range placed {
+					if ja.Release(cl) != nil {
+						return false
+					}
+				}
+				return cl.TotalFreeMB() == cl.TotalCapacityMB() && cl.CheckInvariants() == nil
 			}
-			if ja.TotalMB() != j.TotalRequestMB() {
-				return false
+			if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+				t.Fatal(err)
 			}
-			placed = append(placed, ja)
-		}
-		for _, ja := range placed {
-			if ja.Release(cl) != nil {
-				return false
-			}
-		}
-		return cl.TotalFreeMB() == cl.TotalCapacityMB() && cl.CheckInvariants() == nil
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+}
+
+// TestWarmPlanAndAdjustAllocationFree: once its scratch has grown, the
+// borrow planner allocates nothing under any lender order — neither the
+// planning half of Place (all of Place but the returned allocation) nor a
+// borrowing grow and the shrink back.
+func TestWarmPlanAndAdjustAllocationFree(t *testing.T) {
+	for _, oc := range testOrders(64) {
+		t.Run(oc.name, func(t *testing.T) {
+			cl := cluster.NewSharded(64, 32, 1000, 4)
+			pol := New(Dynamic, oc.o).(*disaggPolicy)
+			adj := NewAdjuster(oc.o)
+			ja, ok := pol.Place(cl, testJob(1, 4, 1500))
+			if !ok {
+				t.Fatal("placement failed")
+			}
+			doms := domSet(cl, ja)
+			big := testJob(2, 8, 1800)
+			cycle := func() {
+				if !pol.choose(cl, big) {
+					t.Fatal("no plan for a job that fits")
+				}
+				if err := adj.Adjust(cl, ja, 0, 2600, doms); err != nil {
+					t.Fatal(err)
+				}
+				if err := adj.Adjust(cl, ja, 0, 1500, doms); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cycle()
+			if got := testing.AllocsPerRun(50, cycle); got != 0 {
+				t.Fatalf("warm plan+grow+shrink allocates %v times", got)
+			}
+		})
 	}
 }
 
 func BenchmarkStaticPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cl := cluster.New(128, 32, 65536)
-		pol := New(Static)
+		pol := New(Static, Order{})
 		for id := 1; id <= 32; id++ {
 			if _, ok := pol.Place(cl, testJob(id, 4, 96*1024)); !ok {
 				break
@@ -412,7 +460,7 @@ func BenchmarkStaticPlacement(b *testing.B) {
 
 func BenchmarkDynamicAdjust(b *testing.B) {
 	cl := cluster.New(64, 32, 65536)
-	pol := New(Dynamic)
+	pol := New(Dynamic, Order{})
 	var allocs []*cluster.JobAllocation
 	for id := 1; id <= 16; id++ {
 		ja, ok := pol.Place(cl, testJob(id, 2, 80*1024))
@@ -441,7 +489,7 @@ func BenchmarkPlaceDynamic(b *testing.B) {
 	cl := cluster.New(1490, 32, 65536)
 	// Occupy most of the cluster so candidate selection and borrow planning
 	// both do real work: jobs of 8 nodes at 48 GB/node leave a thin pool.
-	p := New(Dynamic)
+	p := New(Dynamic, Order{})
 	var held []*cluster.JobAllocation
 	id := 0
 	for {
