@@ -456,6 +456,18 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkGrizzlyDataset generates the synthetic Grizzly dataset that the
+// grizzly-scale scenario samples its week from (Bench preset, 1490 nodes):
+// the raw series drawn from the dataset RNG and their RDP reductions on the
+// shared pool.
+func BenchmarkGrizzlyDataset(b *testing.B) {
+	p := benchPreset()
+	p.GrizzlyNodes = 1490
+	for i := 0; i < b.N; i++ {
+		p.GrizzlyDataset()
+	}
+}
+
 // BenchmarkTraceCacheHit is the other side: the cost of re-requesting an
 // already-generated trace, which is what every figure after the first pays.
 func BenchmarkTraceCacheHit(b *testing.B) {

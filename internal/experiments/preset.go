@@ -194,6 +194,11 @@ func (p Preset) GrizzlyDataset() *grizzly.Dataset {
 // overestimation (paper §3.2.1: seven sampled weeks, simulated
 // independently).
 func (p Preset) GrizzlyTraces(overest float64) ([][]*job.Job, error) {
+	return p.buildGrizzly(p.grizzlyWeeks(), overest)
+}
+
+// grizzlyWeeks generates the dataset and samples the weeks to simulate.
+func (p Preset) grizzlyWeeks() []*grizzly.Week {
 	d := p.GrizzlyDataset()
 	n := p.GrizzlySample
 	if n <= 0 {
@@ -210,6 +215,13 @@ func (p Preset) GrizzlyTraces(overest float64) ([][]*job.Job, error) {
 		}
 		weeks = []*grizzly.Week{best}
 	}
+	return weeks
+}
+
+// buildGrizzly builds one job trace per sampled week. Building reads the
+// weeks without changing them and the usage traces are immutable, so any
+// number of overestimations can be built from one set of weeks.
+func (p Preset) buildGrizzly(weeks []*grizzly.Week, overest float64) ([][]*job.Job, error) {
 	out := make([][]*job.Job, 0, len(weeks))
 	for _, w := range weeks {
 		jobs, err := w.BuildJobs(grizzly.BuildParams{

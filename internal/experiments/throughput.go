@@ -93,20 +93,19 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 // GrizzlyGrid runs the sweep over every sampled Grizzly week and averages
 // the normalised throughputs point-wise, as the paper aggregates its seven
 // simulated weeks. Each week is normalised against its own +0 % baseline.
-// A cell is infeasible if any week cannot run its jobs there.
+// A cell is infeasible if any week cannot run its jobs there. The dataset is
+// generated and sampled once; both job sets are built from the same weeks.
 func (p Preset) GrizzlyGrid(overest float64) (*ThroughputGrid, error) {
-	traces0, err := p.GrizzlyTraces(0)
+	weeks := p.grizzlyWeeks()
+	traces0, err := p.buildGrizzly(weeks, 0)
 	if err != nil {
 		return nil, err
 	}
 	tracesOv := traces0
 	if overest != 0 {
-		if tracesOv, err = p.GrizzlyTraces(overest); err != nil {
+		if tracesOv, err = p.buildGrizzly(weeks, overest); err != nil {
 			return nil, err
 		}
-	}
-	if len(tracesOv) != len(traces0) {
-		return nil, fmt.Errorf("experiments: grizzly week count changed across overestimations")
 	}
 	// One norm-then-sweep chain per sampled week, all weeks in flight at
 	// once on the shared pool.

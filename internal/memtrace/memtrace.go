@@ -31,21 +31,23 @@ type Trace struct {
 var (
 	ErrEmpty     = errors.New("memtrace: empty trace")
 	ErrUnsorted  = errors.New("memtrace: points not strictly increasing in time")
-	ErrNegative  = errors.New("memtrace: negative time or memory")
+	ErrNegative  = errors.New("memtrace: negative or NaN time, or negative memory")
 	ErrBadWindow = errors.New("memtrace: non-positive window or duration")
 )
 
 // New validates and wraps pts as a Trace. Points must be strictly increasing
-// in time with non-negative times and memory values. A slice with no spare
-// capacity is not copied, and the caller must not modify it afterwards; one
-// with spare capacity is copied into exact-size storage, so a trace never
-// pins a larger array than its points need.
+// in time with non-negative times and memory values; a NaN time, which
+// compares false both ways and would defeat the order check, is rejected
+// with the negative ones. A slice with no spare capacity is not copied, and
+// the caller must not modify it afterwards; one with spare capacity is
+// copied into exact-size storage, so a trace never pins a larger array than
+// its points need.
 func New(pts []Point) (*Trace, error) {
 	if len(pts) == 0 {
 		return nil, ErrEmpty
 	}
 	for i, p := range pts {
-		if p.T < 0 || p.MB < 0 {
+		if !(p.T >= 0) || p.MB < 0 {
 			return nil, fmt.Errorf("%w: point %d = %+v", ErrNegative, i, p)
 		}
 		if i > 0 && pts[i-1].T >= p.T {

@@ -34,6 +34,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]Point{{T: 0, MB: -5}}); !errors.Is(err, ErrNegative) {
 		t.Fatalf("negative MB: err = %v, want ErrNegative", err)
 	}
+	// A NaN time would pass both the sign and the order comparisons.
+	if _, err := New([]Point{{T: 2, MB: 5}, {T: math.NaN(), MB: 6}, {T: 1, MB: 7}}); !errors.Is(err, ErrNegative) {
+		t.Fatalf("NaN time: err = %v, want ErrNegative", err)
+	}
 }
 
 func TestAtStepSemantics(t *testing.T) {

@@ -125,6 +125,11 @@ func Submit[T any](p *Pool, t Task[T]) *Future[T] {
 	f := &Future[T]{n: &node{done: make(chan struct{})}}
 	f.n.run = func() {
 		f.res = call(t)
+		// A task a waiter ran inline stays in the queue until a worker
+		// pops it, which can take as long as every worker is busy.
+		// Dropping the closure keeps that node from pinning the task's
+		// captures and its result.
+		f.n.run = nil
 		f.n.state.Store(nodeDone)
 		close(f.n.done)
 	}

@@ -81,6 +81,34 @@ func TestWaitHelpsWhenPoolSaturated(t *testing.T) {
 	}
 }
 
+// A task a waiter ran inline stays queued until a worker pops it, which
+// takes as long as every worker is busy. Meanwhile its node must not pin the
+// task's captures or its result: a submitter that runs one task per trace
+// inline on a saturated pool would otherwise keep every trace alive.
+func TestInlineRunNodeReleasesTask(t *testing.T) {
+	p := NewPool(1)
+	release := make(chan struct{})
+	slow := Submit(p, func() (int, error) { <-release; return 1, nil })
+	big := make([]byte, 1<<20)
+	f := Submit(p, func() ([]byte, error) { return big, nil })
+	if v, _ := f.Get(); len(v) != len(big) {
+		t.Fatalf("result has %d bytes, want %d", len(v), len(big))
+	}
+	p.mu.Lock()
+	queued := len(p.queue) > 0 && p.queue[len(p.queue)-1] == f.n
+	p.mu.Unlock()
+	if !queued {
+		t.Fatal("the node run inline left the queue while the worker was busy")
+	}
+	if f.n.run != nil {
+		t.Fatal("a node run inline still holds its task closure")
+	}
+	close(release)
+	if v, _ := slow.Get(); v != 1 {
+		t.Fatal("slow task lost")
+	}
+}
+
 // Nested submit-and-wait to several levels on a tiny pool: the helping
 // rule must keep the DAG progressing with no deadlock and no worker
 // goroutines beyond the pool size.

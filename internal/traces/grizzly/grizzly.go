@@ -21,6 +21,7 @@ import (
 	"dismem/internal/job"
 	"dismem/internal/memtrace"
 	"dismem/internal/slowdown"
+	"dismem/internal/sweep"
 	"dismem/internal/workload"
 )
 
@@ -114,10 +115,30 @@ func (p *Params) normalize() {
 	}
 }
 
-// Generate synthesises the dataset.
+// Generate synthesises the dataset. Every job's skeleton and raw usage
+// series are drawn from rng in one serial stream; the RDP reduction of each
+// series uses no randomness, so it runs as a task on the shared sweep pool
+// and its result is stored back by index. At most 2 × the pool size
+// reductions are in flight: before submitting job k the generator waits on
+// job k − window, and a wait on a task that has not started runs it inline,
+// so raw series never pile up and a Generate nested inside a pool task
+// cannot deadlock. The dataset is identical to a serial reduction.
 func Generate(p Params, rng *rand.Rand) *Dataset {
 	p.normalize()
-	d := &Dataset{Nodes: p.Nodes}
+	d := &Dataset{Nodes: p.Nodes, Weeks: make([]Week, 0, p.WeekCount)}
+	pool := sweep.SharedPool()
+	type reduction struct {
+		week, job int
+		f         *sweep.Future[*memtrace.Trace]
+	}
+	ring := make([]reduction, 2*pool.Size())
+	settle := func(r reduction) {
+		res := r.f.Wait()
+		if res.Err != nil {
+			panic(res.Err)
+		}
+		d.Weeks[r.week].Jobs[r.job].Usage = res.Value
+	}
 	id := 1
 	for w := 0; w < p.WeekCount; w++ {
 		util := p.MeanUtil + rng.NormFloat64()*p.UtilSigma
@@ -127,26 +148,39 @@ func Generate(p Params, rng *rand.Rand) *Dataset {
 		if util > 0.95 {
 			util = 0.95
 		}
-		week := Week{Index: w, Utilization: util}
+		d.Weeks = append(d.Weeks, Week{Index: w, Utilization: util})
+		week := &d.Weeks[w]
 		target := util * float64(p.Nodes) * WeekSec
 		var accum float64
 		for accum < target {
-			tj := generateJob(rng, id, p)
+			tj, raw, eps := generateJob(rng, id, p)
+			slot := &ring[(id-1)%len(ring)]
+			if slot.f != nil {
+				settle(*slot)
+			}
+			*slot = reduction{w, len(week.Jobs), sweep.Submit(pool, func() (*memtrace.Trace, error) {
+				return raw.RDP(eps), nil
+			})}
 			id++
 			week.Jobs = append(week.Jobs, tj)
 			accum += float64(tj.Nodes) * tj.Duration
 		}
 		// Recompute the achieved utilisation (the last job overshoots).
 		week.Utilization = accum / (float64(p.Nodes) * WeekSec)
-		d.Weeks = append(d.Weeks, week)
+	}
+	for i := range ring {
+		if r := ring[(id-1+i)%len(ring)]; r.f != nil {
+			settle(r)
+		}
 	}
 	return d
 }
 
 // generateJob draws one LDMS job: CIRNE-like size/duration, Table 2
-// (Grizzly column) memory by size class, and a 10-second usage trace
-// reduced with RDP.
-func generateJob(rng *rand.Rand, id int, p Params) TraceJob {
+// (Grizzly column) memory by size class, and a raw 10-second usage trace,
+// returned with the RDP tolerance that reduces it. The job's Usage is left
+// for the caller to fill with the reduction.
+func generateJob(rng *rand.Rand, id int, p Params) (tj TraceJob, raw *memtrace.Trace, eps float64) {
 	nodes := sampleSize(rng)
 	if nodes > p.Nodes {
 		nodes = p.Nodes // a job cannot outsize the system it ran on
@@ -161,8 +195,8 @@ func generateJob(rng *rand.Rand, id int, p Params) TraceJob {
 	if peak > NodeMemMB {
 		peak = NodeMemMB
 	}
-	usage := ldmsTrace(rng, peak, duration, p.RDPEpsilonFrac)
-	return TraceJob{ID: id, Nodes: nodes, Duration: duration, Usage: usage}
+	raw = ldmsTrace(rng, peak, duration)
+	return TraceJob{ID: id, Nodes: nodes, Duration: duration}, raw, p.RDPEpsilonFrac * float64(peak)
 }
 
 func sampleSize(rng *rand.Rand) int {
@@ -191,11 +225,11 @@ func sampleDuration(rng *rand.Rand) float64 {
 	return d
 }
 
-// ldmsTrace builds a 10-second-cadence usage series with an HPC phase
-// structure (low mean, occasional peak phase) and reduces it with RDP.
-// The raw series is capped at 20k samples; longer jobs are sampled
-// proportionally coarser, which RDP would do anyway.
-func ldmsTrace(rng *rand.Rand, peak int64, duration, epsFrac float64) *memtrace.Trace {
+// ldmsTrace builds a raw 10-second-cadence usage series with an HPC phase
+// structure (low mean, occasional peak phase). The series is capped at 20k
+// samples; longer jobs are sampled proportionally coarser, which RDP would
+// do anyway.
+func ldmsTrace(rng *rand.Rand, peak int64, duration float64) *memtrace.Trace {
 	n := int(duration / SampleInterval)
 	if n < 2 {
 		n = 2
@@ -226,8 +260,7 @@ func ldmsTrace(rng *rand.Rand, peak int64, duration, epsFrac float64) *memtrace.
 		pts[i] = memtrace.Point{T: float64(i) * step, MB: int64(level)}
 	}
 	pts[peakStart].MB = peak // the peak value is exact
-	tr := memtrace.MustNew(pts)
-	return tr.RDP(epsFrac * float64(peak))
+	return memtrace.MustNew(pts)
 }
 
 // SampleWeeks implements the paper's Fig. 2 sampling: keep weeks with

@@ -3,14 +3,84 @@ package grizzly
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"dismem/internal/sweep"
 	"dismem/internal/workload"
 )
 
 func smallParams(weeks int) Params {
 	return Params{Nodes: 64, WeekCount: weeks}
+}
+
+// generateSerialRef is Generate with every job's RDP reduction run inline,
+// in draw order: the oracle for the pool pipeline.
+func generateSerialRef(p Params, rng *rand.Rand) *Dataset {
+	p.normalize()
+	d := &Dataset{Nodes: p.Nodes}
+	id := 1
+	for w := 0; w < p.WeekCount; w++ {
+		util := p.MeanUtil + rng.NormFloat64()*p.UtilSigma
+		if util < 0.2 {
+			util = 0.2
+		}
+		if util > 0.95 {
+			util = 0.95
+		}
+		week := Week{Index: w, Utilization: util}
+		target := util * float64(p.Nodes) * WeekSec
+		var accum float64
+		for accum < target {
+			tj, raw, eps := generateJob(rng, id, p)
+			tj.Usage = raw.RDP(eps)
+			id++
+			week.Jobs = append(week.Jobs, tj)
+			accum += float64(tj.Nodes) * tj.Duration
+		}
+		week.Utilization = accum / (float64(p.Nodes) * WeekSec)
+		d.Weeks = append(d.Weeks, week)
+	}
+	return d
+}
+
+// TestGenerateMatchesSerial holds the pipelined generator to the serial
+// reference: the same weeks, job IDs, sizes, durations, utilisations and
+// reduced points, at several system sizes and week counts, both from a
+// plain caller and from inside a pool task (the nesting Fig 5 and Fig 8
+// use, where the waits must help rather than block).
+func TestGenerateMatchesSerial(t *testing.T) {
+	cases := []Params{
+		{Nodes: 16, WeekCount: 1},
+		{Nodes: 64, WeekCount: 3},
+		{Nodes: 144, WeekCount: 2},
+		{Nodes: 256, WeekCount: 1, RDPEpsilonFrac: 0.005},
+	}
+	for i, p := range cases {
+		seed := int64(100 + i)
+		want := generateSerialRef(p, rand.New(rand.NewSource(seed)))
+		got := Generate(p, rand.New(rand.NewSource(seed)))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: pipelined dataset differs from the serial reference", p)
+		}
+		// Nested: two generations at once, each inside a pool task.
+		futs := make([]*sweep.Future[*Dataset], 2)
+		for k := range futs {
+			futs[k] = sweep.Submit(sweep.SharedPool(), func() (*Dataset, error) {
+				return Generate(p, rand.New(rand.NewSource(seed))), nil
+			})
+		}
+		for k, f := range futs {
+			d, err := f.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(d, want) {
+				t.Fatalf("%+v: nested generation %d differs from the serial reference", p, k)
+			}
+		}
+	}
 }
 
 func TestGenerateWeeks(t *testing.T) {

@@ -5,12 +5,13 @@
 # Usage:  scripts/bench.sh [output.json]
 #
 # The default output name is BENCH_<n>.json in the repo root, where <n> is
-# taken from the BENCH_SEQ environment variable (default 8, the change that
-# replaced the ledger's free-memory treap with a sorted slice repaired
-# lazily before ordered reads; BENCH_7 was the first baseline stamped with
-# the core count and CPU).
+# taken from the BENCH_SEQ environment variable (default 9, the next
+# baseline after BENCH_8 and the first to carry BenchmarkGrizzlyDataset and
+# BenchmarkRDP; BENCH_7 was the first baseline stamped with the core count
+# and CPU).
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5, the
-# replicated headlines, trace generation vs cache hit), the
+# replicated headlines, trace generation vs cache hit), the 1490-node
+# Grizzly dataset generation and the RDP reduction it runs per job, the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
 # grizzly-scale, its domains twin, and the same-trace 100k, 100k-unsharded
 # (default shard count) and 100k-domains rows separately at 1x — one
@@ -29,7 +30,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_${BENCH_SEQ:-8}.json}"
+out="${1:-BENCH_${BENCH_SEQ:-9}.json}"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -47,6 +48,7 @@ run .                    'BenchmarkFig5$'               5x
 run .                    'BenchmarkHeadlines$'          3x
 run .                    'BenchmarkTraceGeneration$'    1s 3
 run .                    'BenchmarkTraceCacheHit$'      1s 3
+run .                    'BenchmarkGrizzlyDataset$'     1x 3
 run .                    'BenchmarkScenario$/^(baseline|static|dynamic)$' 100x 5
 # The cluster-scale scenarios record the median of three single-iteration
 # runs: one shot of a multi-second benchmark tracks recorder load as much
@@ -66,8 +68,15 @@ run ./internal/cluster   'BenchmarkShardedAscend'       1s 3
 run ./internal/policy    'BenchmarkPlaceDynamic'        1s 3
 run ./internal/sim       'BenchmarkEngineScheduleCancel' 1s 3
 run ./internal/memtrace  'BenchmarkTraceAtSequential'   1s 3
+run ./internal/memtrace  'BenchmarkRDP$'                1s 3
 
-awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
+# The commit stamp is the checked-out commit, suffixed -dirty when tracked
+# files differ from it: a recording of uncommitted changes names the commit
+# they sit on, not a commit that contains them.
+commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+git diff --quiet HEAD -- 2>/dev/null || commit="$commit-dirty"
+
+awk -v commit="$commit" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     -v goversion="$(go version | awk '{print $3}')" \
     -v nproc="$(nproc 2>/dev/null || echo 0)" \
