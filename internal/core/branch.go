@@ -49,7 +49,7 @@ func (s *Simulator) SetUpdateInterval(v float64) {
 // mid-run state from a clean slate" — and is deterministic: jobs are
 // descheduled in ascending job-ID order and requeued in that same order.
 func (s *Simulator) DescheduleRepack() {
-	if len(s.running) == 0 {
+	if len(s.runList) == 0 {
 		return
 	}
 	s.accrue() // integrate utilisation up to now before the ledger moves
@@ -63,10 +63,11 @@ func (s *Simulator) DescheduleRepack() {
 		s.tel.JobAttemptEnd(id, AttemptPreempted.String(), rj.rec.Restarts)
 		// Full progress is retained regardless of the OOM mode: the branch
 		// models a coordinated checkpoint-then-migrate, not a crash.
+		e := &s.table[rj.idx]
 		if rj.progress > 0 {
-			s.banked[id] = rj.progress
+			e.banked = rj.progress
 		}
-		s.queue.Push(sched.Entry{JobID: id, Enqueue: now, Priority: s.prio[id]})
+		s.queue.Push(sched.Entry{Job: rj.idx, Enqueue: now, Priority: e.prio})
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.JobSubmitted(now, rj.j, true)
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"dismem/internal/job"
-)
+import "fmt"
 
 // Job dependencies (SWF "Preceding Job Number", Slurm's
 // --dependency=afterok): a dependent job is held in the queue until its
@@ -12,38 +8,44 @@ import (
 // abandonment) the dependent can never run and is abandoned, as Slurm
 // cancels afterok dependents of failed jobs.
 
-// checkDependencies validates that every dependency exists and that the
-// dependency graph is acyclic.
-func checkDependencies(jobs []*job.Job, byID map[int]*job.Job) error {
-	for _, j := range jobs {
-		if j.DependsOn == 0 {
+// checkDependencies links every job in the table to its predecessor's table
+// index, through index (job ID to table index, used only here), and
+// validates that every dependency exists and that the dependency graph is
+// acyclic.
+func checkDependencies(table []jobEntry, index map[int]int) error {
+	for i := range table {
+		e := &table[i]
+		e.dep = -1
+		if e.j.DependsOn == 0 {
 			continue
 		}
-		if _, ok := byID[j.DependsOn]; !ok {
-			return fmt.Errorf("core: job %d depends on unknown job %d", j.ID, j.DependsOn)
+		k, ok := index[e.j.DependsOn]
+		if !ok {
+			return fmt.Errorf("core: job %d depends on unknown job %d", e.j.ID, e.j.DependsOn)
 		}
+		e.dep = k
 	}
 	// Cycle check: follow each chain with a visited set.
-	state := make(map[int]int, len(jobs)) // 0 unseen, 1 in progress, 2 done
-	var follow func(id int) error
-	follow = func(id int) error {
-		switch state[id] {
+	state := make([]uint8, len(table)) // 0 unseen, 1 in progress, 2 done
+	var follow func(i int) error
+	follow = func(i int) error {
+		switch state[i] {
 		case 2:
 			return nil
 		case 1:
-			return fmt.Errorf("core: dependency cycle through job %d", id)
+			return fmt.Errorf("core: dependency cycle through job %d", table[i].j.ID)
 		}
-		state[id] = 1
-		if dep := byID[id].DependsOn; dep != 0 {
+		state[i] = 1
+		if dep := table[i].dep; dep >= 0 {
 			if err := follow(dep); err != nil {
 				return err
 			}
 		}
-		state[id] = 2
+		state[i] = 2
 		return nil
 	}
-	for _, j := range jobs {
-		if err := follow(j.ID); err != nil {
+	for i := range table {
+		if err := follow(i); err != nil {
 			return err
 		}
 	}
@@ -60,15 +62,11 @@ const (
 )
 
 // dependencyState reports whether the job may be scheduled.
-func (s *Simulator) dependencyState(j *job.Job) depState {
-	if j.DependsOn == 0 {
+func (s *Simulator) dependencyState(e *jobEntry) depState {
+	if e.dep < 0 {
 		return depSatisfied
 	}
-	rec, ok := s.records[j.DependsOn]
-	if !ok {
-		return depFailed // unreachable after checkDependencies
-	}
-	switch rec.Outcome {
+	switch s.table[e.dep].rec.Outcome {
 	case Completed:
 		return depSatisfied
 	case TimedOut, Abandoned:
@@ -78,27 +76,27 @@ func (s *Simulator) dependencyState(j *job.Job) depState {
 }
 
 // cancelDependents abandons every *queued* job whose dependency chain is
-// now unsatisfiable because job `failed` terminated without completing.
-// Cancellation cascades: an abandoned dependent fails its own queued
-// dependents. Jobs not yet submitted are rejected at submission time
+// now unsatisfiable because the job at table index failed terminated without
+// completing. Cancellation cascades: an abandoned dependent fails its own
+// queued dependents. Jobs not yet submitted are rejected at submission time
 // instead (onSubmit checks dependencyState).
 func (s *Simulator) cancelDependents(failed int) {
-	for _, j := range s.jobs {
-		if j.DependsOn != failed {
+	for i := range s.table {
+		e := &s.table[i]
+		if e.dep != failed {
 			continue
 		}
-		if !s.queue.Contains(j.ID) {
+		if !s.queue.Contains(i) {
 			continue // running, finished, or not yet submitted
 		}
-		rec := s.records[j.ID]
-		s.queue.Remove(j.ID)
-		rec.Outcome = Abandoned
-		rec.Finish = s.eng.Now()
+		s.queue.Remove(i)
+		e.rec.Outcome = Abandoned
+		e.rec.Finish = s.eng.Now()
 		s.res.Abandoned++
 		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobFinished(s.eng.Now(), j, Abandoned)
+			s.cfg.Observer.JobFinished(s.eng.Now(), e.j, Abandoned)
 		}
-		s.tel.JobEnd(j.ID, Abandoned.String(), rec.Restarts)
-		s.cancelDependents(j.ID)
+		s.tel.JobEnd(e.j.ID, Abandoned.String(), e.rec.Restarts)
+		s.cancelDependents(i)
 	}
 }

@@ -84,6 +84,23 @@ func TestDependencyOnFailedJobAbandons(t *testing.T) {
 	}
 }
 
+func TestFailedJobZeroSparesIndependentJobs(t *testing.T) {
+	// Job 0 times out while a job without a dependency waits for its nodes.
+	// DependsOn 0 means "no dependency", not "depends on job 0", so the
+	// waiting job must run, not be abandoned with job 0's dependents.
+	j0 := mkJob(0, 0, 1, 1500, 1000, memtrace.Constant(1500))
+	j0.Profile = streamProfile()
+	j0.LimitSec = 1000
+	j2 := mkJob(2, 10, 2, 300, 100, memtrace.Constant(300)) // needs both nodes
+	cfg := baseConfig(2, 1000, policy.Static)
+	cfg.PerNodeRemoteBW = 1
+	cfg.EnforceTimeLimit = true
+	res := runSim(t, cfg, []*job.Job{j0, j2})
+	if res.TimedOut != 1 || res.Completed != 1 || res.Abandoned != 0 {
+		t.Fatalf("timed out %d, completed %d, abandoned %d; want 1, 1, 0", res.TimedOut, res.Completed, res.Abandoned)
+	}
+}
+
 func TestDependencySubmittedAfterFailure(t *testing.T) {
 	// The dependent is submitted after its predecessor already failed.
 	j1 := mkJob(1, 0, 1, 1500, 1000, memtrace.Constant(1500))

@@ -165,7 +165,7 @@ func midRunSimulatorDomains(tb testing.TB, nJobs, nodes, doms int) *Simulator {
 	if _, err := s.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if len(s.running) == 0 {
+	if len(s.runList) == 0 {
 		tb.Fatal("no jobs running at the horizon")
 	}
 	return s

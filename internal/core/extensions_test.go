@@ -181,8 +181,8 @@ func TestNearestFirstLenderSelection(t *testing.T) {
 	if res.Records[0].FirstStart != 0 {
 		t.Fatalf("job did not start: %+v", res.Records[0])
 	}
-	rj, ok := s.running[1]
-	if !ok {
+	rj := s.table[0].run
+	if rj == nil {
 		t.Fatal("job not in running set at horizon")
 	}
 	borrower := int(rj.alloc.PerNode[0].Node)

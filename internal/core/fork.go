@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"dismem/internal/policy"
 	"dismem/internal/sim"
@@ -14,10 +15,11 @@ import (
 // different future concurrently with the base. The expensive state is not
 // copied — the cluster ledger forks in O(shards) via its CoW layer, the
 // immutable inputs (jobs, domain bandwidths and capacities) are shared —
-// and everything event-bearing (engine heap, running set, records, queue,
-// caches) is deep-copied in O(live state), which is O(Δ) relative to the
-// work already simulated. A fork that re-runs the base's own configuration
-// is byte-identical to a fresh run: same Results, same telemetry stream.
+// and everything event-bearing (engine heap, running set, queue, caches) is
+// deep-copied in O(live state), which is O(Δ) relative to the work already
+// simulated, beside one flat copy of the job table. A fork that re-runs the
+// base's own configuration is byte-identical to a fresh run: same Results,
+// same telemetry stream.
 
 // BranchStats describes what a forked simulator inherited for free: the
 // number of events the shared prefix had already fired (work a branch does
@@ -82,9 +84,9 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	f.tel = tel
 	f.forkEvents = s.eng.Fired()
 
-	// Shared immutable state: jobs, byID, domBW, domCapMB — the
-	// struct copy above already aliases them, which is correct because no
-	// code path writes them after New.
+	// Shared immutable state: domBW, domCapMB — the struct copy above
+	// already aliases them, which is correct because no code path writes
+	// them after New.
 
 	// The ledger forks copy-on-write in O(shards).
 	f.cl = s.cl.Fork()
@@ -103,38 +105,21 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		f.rng.Float64()
 	}
 
-	// Records: cloned per job so a branch's outcomes never write into the
-	// base's. The Job pointer stays shared (immutable).
-	f.records = make(map[int]*JobRecord, len(s.records))
-	for id, rec := range s.records {
-		nr := &JobRecord{}
-		*nr = *rec
-		if rec.Attempts != nil { // preserve nil-ness: Results are DeepEqual-compared
-			nr.Attempts = make([]Attempt, len(rec.Attempts))
-			copy(nr.Attempts, rec.Attempts)
-		}
-		f.records[id] = nr
+	// Job table: one copy, so a branch's outcomes never write into the
+	// base's records. The Job pointers stay shared (immutable).
+	f.table = slices.Clone(s.table)
+	for i := range f.table {
+		// slices.Clone keeps nil-ness: Results are DeepEqual-compared.
+		f.table[i].rec.Attempts = slices.Clone(f.table[i].rec.Attempts)
 	}
 
-	// Running jobs: full clones, with handles re-attached after the engine
-	// clone below.
-	f.running = make(map[int]*runningJob, len(s.running))
-	for id, rj := range s.running {
-		f.running[id] = cloneRunning(rj, f.records[id])
-	}
-	f.runIDs = append([]int(nil), s.runIDs...)
+	// Running jobs: full clones pointing into the fork's table, with
+	// handles re-attached after the engine clone below.
 	f.runList = make([]*runningJob, len(s.runList))
-	for i, rj := range s.runList {
-		f.runList[i] = f.running[rj.j.ID]
-	}
-
-	f.banked = make(map[int]float64, len(s.banked))
-	for id, v := range s.banked {
-		f.banked[id] = v
-	}
-	f.prio = make(map[int]int, len(s.prio))
-	for id, v := range s.prio {
-		f.prio[id] = v
+	for k, rj := range s.runList {
+		n := cloneRunning(rj, &f.table[rj.idx].rec)
+		f.table[rj.idx].run = n
+		f.runList[k] = n
 	}
 	f.queue = s.queue.Clone()
 
@@ -155,7 +140,7 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		}
 		nl := make([]*runningJob, len(list))
 		for i, rj := range list {
-			nl[i] = f.running[rj.j.ID]
+			nl[i] = f.table[rj.idx].run
 		}
 		f.domRemote[d] = nl
 	}
@@ -170,19 +155,19 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	eng, handles := s.eng.Clone(func(tag uint64) sim.Action {
 		switch tagKind(tag) {
 		case tagSubmit:
-			id := int(uint32(tag))
-			return func(*sim.Engine) { f.onSubmit(id) }
+			i := tagIndex(tag)
+			return func(*sim.Engine) { f.onSubmit(i) }
 		case tagTick:
 			return func(*sim.Engine) { f.onTick() }
 		case tagFinish:
-			id := int(uint32(tag))
-			return func(*sim.Engine) { f.onFinish(id) }
+			i := tagIndex(tag)
+			return func(*sim.Engine) { f.onFinish(i) }
 		case tagLimit:
-			id := int(uint32(tag))
-			return func(*sim.Engine) { f.onTimeLimit(id) }
+			i := tagIndex(tag)
+			return func(*sim.Engine) { f.onTimeLimit(i) }
 		case tagUpdate:
-			id := int(uint32(tag))
-			return func(*sim.Engine) { f.onMemoryUpdate(id) }
+			i := tagIndex(tag)
+			return func(*sim.Engine) { f.onMemoryUpdate(i) }
 		case tagSample:
 			if iv := tel.SampleInterval(); iv > 0 {
 				return sim.Periodic(iv, tag, func(*sim.Engine) { f.sample() })
@@ -195,10 +180,10 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		return nil // untagged pending event: impossible by construction, Clone panics
 	})
 	f.eng = eng
-	for id, rj := range f.running {
-		rj.finishEv = handles[evTag(tagFinish, id)]
-		rj.limitEv = handles[evTag(tagLimit, id)]
-		rj.updateEv = handles[evTag(tagUpdate, id)]
+	for _, rj := range f.runList {
+		rj.finishEv = handles[evTag(tagFinish, rj.idx)]
+		rj.limitEv = handles[evTag(tagLimit, rj.idx)]
+		rj.updateEv = handles[evTag(tagUpdate, rj.idx)]
 	}
 	return f, nil
 }

@@ -256,3 +256,35 @@ func TestForkBranchDivergence(t *testing.T) {
 		t.Fatalf("no-op branch diverged\nfresh: %+v\n  got: %+v", wantRes, bres)
 	}
 }
+
+// TestForkWideJobIDs forks runs whose job IDs do not fit 32 bits, or are
+// negative: a branch must bind every pending event to the job it belongs
+// to, so a no-op branch still reproduces a fresh run exactly. The event
+// budget turns a misbound branch, which loops, into an error.
+func TestForkWideJobIDs(t *testing.T) {
+	for _, shift := range []int{-1000, 1 << 32} {
+		t.Run(fmt.Sprintf("shift=%d", shift), func(t *testing.T) {
+			cfg, mkJobs := forkScenario(4)
+			cfg.MaxEvents = 1_000_000
+			shifted := func() []*job.Job {
+				jobs := mkJobs()
+				for _, j := range jobs {
+					j.ID += shift
+					if j.DependsOn != 0 {
+						j.DependsOn += shift
+					}
+				}
+				return jobs
+			}
+			wantRes, _ := freshRun(t, cfg, shifted())
+			_, branch := mustFork(t, cfg, shifted(), 0.5*wantRes.Makespan)
+			res, err := branch.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, wantRes) {
+				t.Fatalf("branch diverged from fresh run\nfresh:  %+v\nbranch: %+v", wantRes, res)
+			}
+		})
+	}
+}

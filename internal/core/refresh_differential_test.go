@@ -231,8 +231,8 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 	if _, err := s.Run(); err != nil {
 		tb.Fatal(err)
 	}
-	if len(s.running) == 0 || len(s.domRemote[0]) == 0 {
-		tb.Fatalf("%d jobs running at the horizon, %d holding remote memory; want both > 0", len(s.running), len(s.domRemote[0]))
+	if len(s.runList) == 0 || len(s.domRemote[0]) == 0 {
+		tb.Fatalf("%d jobs running at the horizon, %d holding remote memory; want both > 0", len(s.runList), len(s.domRemote[0]))
 	}
 	return s
 }

@@ -12,8 +12,8 @@ import (
 
 // This file holds the full-rescan references for the simulator's
 // incremental state. They re-derive everything from the ledger and the
-// running map with no cache and no scratch, and write nothing: runVariant
-// compares the live simulator with them after every event.
+// job table's live entries with no cache and no scratch, and write nothing:
+// runVariant compares the live simulator with them after every event.
 
 // rescanDomain is the reference node-to-domain map: one domain over the
 // whole fabric under the global model, the node's ledger shard in domains
@@ -25,15 +25,18 @@ func rescanDomain(s *Simulator, id cluster.NodeID) int {
 	return s.cl.ShardOf(id)
 }
 
-// runningIDs returns the running jobs' IDs in ascending order: map
-// iteration order varies between runs, and a float sum is not associative.
-func runningIDs(s *Simulator) []int {
-	ids := make([]int, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
+// runningJobs returns the job table's live attempts in ascending job ID
+// order, independently of the simulator's running list: table order is
+// trace order, and a float sum is not associative.
+func runningJobs(s *Simulator) []*runningJob {
+	var out []*runningJob
+	for i := range s.table {
+		if rj := s.table[i].run; rj != nil {
+			out = append(out, rj)
+		}
 	}
-	sort.Ints(ids)
-	return ids
+	sort.Slice(out, func(a, b int) bool { return out[a].j.ID < out[b].j.ID })
+	return out
 }
 
 // refreshAllRescan is the reference for the contention refresh: every
@@ -46,10 +49,9 @@ func refreshAllRescan(s *Simulator) (rho []float64, slow map[int]float64) {
 	if s.cfg.Pressure == PressureDomains {
 		nDom = s.cl.ShardCount()
 	}
-	ids := runningIDs(s)
+	live := runningJobs(s)
 	traffic := make([]float64, nDom)
-	for _, id := range ids {
-		rj := s.running[id]
+	for _, rj := range live {
 		for i := range rj.alloc.PerNode {
 			na := &rj.alloc.PerNode[i]
 			traffic[rescanDomain(s, na.Node)] += slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction())
@@ -63,9 +65,8 @@ func refreshAllRescan(s *Simulator) (rho []float64, slow map[int]float64) {
 	} else {
 		rho[0] = slowdown.NewModel(s.cfg.Cluster.Nodes, s.cfg.PerNodeRemoteBW).Pressure(traffic[0])
 	}
-	slow = make(map[int]float64, len(ids))
-	for _, id := range ids {
-		rj := s.running[id]
+	slow = make(map[int]float64, len(live))
+	for _, rj := range live {
 		v := 1.0
 		for i := range rj.alloc.PerNode {
 			na := &rj.alloc.PerNode[i]
@@ -73,7 +74,7 @@ func refreshAllRescan(s *Simulator) (rho []float64, slow map[int]float64) {
 				v = x
 			}
 		}
-		slow[id] = v
+		slow[rj.j.ID] = v
 	}
 	return rho, slow
 }
@@ -97,12 +98,12 @@ func currentResourcesRescan(s *Simulator) sched.Resources {
 }
 
 // releasesRescan is the reference for releases: a fresh list built from
-// the running map in ascending job ID order.
+// the job table in ascending job ID order.
 func releasesRescan(s *Simulator) []sched.Release {
-	ids := runningIDs(s)
-	out := make([]sched.Release, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.releaseOf(s.running[id]))
+	live := runningJobs(s)
+	out := make([]sched.Release, 0, len(live))
+	for _, rj := range live {
+		out = append(out, s.releaseOf(rj))
 	}
 	return out
 }
@@ -110,18 +111,28 @@ func releasesRescan(s *Simulator) []sched.Release {
 // checkRescanOracles compares the simulator's incremental state with the
 // rescan references between events: every running job's slowdown and the
 // pressure of every domain with a running resident must match bit for bit,
-// every running job must have a pending finish event, and the resource
-// summary and release list must be equal. It reports whether some running
-// job is slowed by contention.
+// every running job must have a pending finish event, the running list must
+// hold the table's live entries in ID order, and the resource summary and
+// release list must be equal. It reports whether some running job is slowed
+// by contention.
 func checkRescanOracles(t *testing.T, s *Simulator) (contended bool) {
 	t.Helper()
 	rho, slow := refreshAllRescan(s)
 	if len(s.domRho) != len(rho) {
 		t.Fatalf("t=%v: %d pressure domains, rescan has %d", s.eng.Now(), len(s.domRho), len(rho))
 	}
+	live := runningJobs(s)
+	if len(s.runList) != len(live) {
+		t.Fatalf("t=%v: running list has %d jobs, the table %d live", s.eng.Now(), len(s.runList), len(live))
+	}
+	for i, rj := range live {
+		if s.runList[i] != rj {
+			t.Fatalf("t=%v: running list[%d] is job %d, want job %d", s.eng.Now(), i, s.runList[i].j.ID, rj.j.ID)
+		}
+	}
 	resident := make([]bool, len(rho))
-	for _, id := range runningIDs(s) {
-		rj := s.running[id]
+	for _, rj := range live {
+		id := rj.j.ID
 		if math.Float64bits(rj.slow) != math.Float64bits(slow[id]) {
 			t.Fatalf("t=%v job %d: slowdown %v, rescan %v", s.eng.Now(), id, rj.slow, slow[id])
 		}

@@ -19,34 +19,29 @@ import (
 // Simulator runs one scenario: a job trace against a cluster under one
 // allocation policy. Create it with New and call Run once.
 type Simulator struct {
-	cfg  Config
-	jobs []*job.Job
-	byID map[int]*job.Job
-	cl   *cluster.Cluster
-	pol  policy.Policy
-	adj  *policy.Adjuster
-	eng  *sim.Engine
-	rng  *rand.Rand
-	tel  *telemetry.Recorder // nil when telemetry is disabled
+	cfg Config
+	cl  *cluster.Cluster
+	pol policy.Policy
+	adj *policy.Adjuster
+	eng *sim.Engine
+	rng *rand.Rand
+	tel *telemetry.Recorder // nil when telemetry is disabled
 
-	queue   sched.Queue
-	running map[int]*runningJob
-	records map[int]*JobRecord
-	banked  map[int]float64 // retained progress for CheckpointRestart
-	prio    map[int]int     // priority boost after repeated OOM failures
+	// table holds every job's state in trace order; a job's table index is
+	// its key everywhere inside the simulator (event tags, queue entries,
+	// dependency links), and only telemetry and the Observer see its ID.
+	// The table never grows after New, so pointers into it stay valid.
+	table []jobEntry
+	queue sched.Queue
+	// runList is the running set: the live attempts, ascending job ID, so
+	// refreshes and the release list visit them in the same order every run.
+	runList []*runningJob
 
 	res           *Result
 	lastAcc       float64
 	curAllocMB    int64
 	curBusyNodes  int
 	tickScheduled bool
-
-	// runIDs mirrors the keys of running, kept sorted ascending; runList
-	// holds the corresponding *runningJob at the same index. The backfill
-	// hot paths iterate runList instead of chasing every ID through the map
-	// on every event.
-	runIDs  []int
-	runList []*runningJob
 
 	// Contention state. Pressure is scoped to domains: the global model is
 	// the one-domain case (nDom 1, every node in domain 0, whatever the
@@ -81,10 +76,22 @@ type Simulator struct {
 	forkEvents uint64
 }
 
+// jobEntry is one job's row in the simulator's job table: its lifecycle
+// from submission to its terminal outcome, across every attempt.
+type jobEntry struct {
+	j      *job.Job
+	rec    JobRecord
+	run    *runningJob // the live attempt; nil while not running
+	banked float64     // progress the next attempt resumes from (C/R, repack)
+	prio   int         // priority boost after repeated OOM failures
+	dep    int         // table index of the predecessor; -1 for none
+}
+
 // runningJob is the live state of one dispatched job.
 type runningJob struct {
 	j        *job.Job
-	rec      *JobRecord
+	rec      *JobRecord // the job's table record
+	idx      int        // the job's table index
 	alloc    *cluster.JobAllocation
 	start    float64         // dispatch time of this attempt
 	lastT    float64         // last progress-banking time
@@ -128,33 +135,33 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	byID := make(map[int]*job.Job, len(jobs))
-	for _, j := range jobs {
+	table := make([]jobEntry, len(jobs))
+	index := make(map[int]int, len(jobs))
+	for i, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := byID[j.ID]; dup {
+		if _, dup := index[j.ID]; dup {
 			return nil, fmt.Errorf("core: duplicate job ID %d", j.ID)
 		}
-		byID[j.ID] = j
+		index[j.ID] = i
+		table[i] = jobEntry{
+			j:   j,
+			rec: JobRecord{Job: j, Submit: j.SubmitTime, FirstStart: -1, LastStart: -1, Finish: -1},
+		}
 	}
-	if err := checkDependencies(jobs, byID); err != nil {
+	if err := checkDependencies(table, index); err != nil {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:     cfg,
-		jobs:    jobs,
-		byID:    byID,
-		cl:      cluster.NewMixed(cfg.Cluster),
-		pol:     policy.New(cfg.Policy, cfg.lenders()),
-		adj:     policy.NewAdjuster(cfg.lenders()),
-		eng:     sim.New(),
-		tel:     cfg.Telemetry,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		running: make(map[int]*runningJob),
-		records: make(map[int]*JobRecord, len(jobs)),
-		banked:  make(map[int]float64),
-		prio:    make(map[int]int),
+		cfg:   cfg,
+		table: table,
+		cl:    cluster.NewMixed(cfg.Cluster),
+		pol:   policy.New(cfg.Policy, cfg.lenders()),
+		adj:   policy.NewAdjuster(cfg.lenders()),
+		eng:   sim.New(),
+		tel:   cfg.Telemetry,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.adj.Tel = cfg.Telemetry
 	// The global model is one domain over the whole fabric; domains mode
@@ -210,18 +217,16 @@ func (s *Simulator) Start() {
 	// run is reported as infeasible (the paper's missing bars) rather
 	// than deadlocking the queue. Nothing is scheduled; StepUntil and
 	// Finish both honour the flag.
-	for _, j := range s.jobs {
-		if !s.pol.CanEverRun(s.cl, j) {
+	for i := range s.table {
+		if j := s.table[i].j; !s.pol.CanEverRun(s.cl, j) {
 			s.res.Infeasible = true
 			s.res.InfeasibleJob = j.ID
 			return
 		}
 	}
 
-	for _, j := range s.jobs {
-		s.records[j.ID] = &JobRecord{Job: j, Submit: j.SubmitTime, FirstStart: -1, LastStart: -1, Finish: -1}
-		id := j.ID
-		s.eng.ScheduleTag(j.SubmitTime, evTag(tagSubmit, id), func(*sim.Engine) { s.onSubmit(id) })
+	for i := range s.table {
+		s.eng.ScheduleTag(s.table[i].j.SubmitTime, evTag(tagSubmit, i), func(*sim.Engine) { s.onSubmit(i) })
 	}
 	if iv := s.tel.SampleInterval(); iv > 0 {
 		// The sampler reads state and emits; it mutates nothing, so results
@@ -271,20 +276,21 @@ func (s *Simulator) Finish() (*Result, error) {
 	if s.res.Infeasible {
 		return s.res, nil
 	}
-	exhausted := false
-	var runErr error
-	if s.cfg.Interrupt != nil {
-		exhausted, runErr = s.runInterruptible()
-	} else {
-		s.eng.Run()
-		exhausted = s.eng.Exhausted()
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if exhausted {
-		return nil, fmt.Errorf("core: event budget (%d) exhausted at t=%.0f — runaway simulation",
-			s.cfg.MaxEvents, s.eng.Now())
+	// The event loop: Engine.Run's, plus an Interrupt poll every
+	// interruptStride events when a hook is set.
+	for n := uint64(0); ; n++ {
+		if s.cfg.MaxEvents > 0 && s.eng.Fired() >= s.cfg.MaxEvents {
+			return nil, fmt.Errorf("core: event budget (%d) exhausted at t=%.0f — runaway simulation",
+				s.cfg.MaxEvents, s.eng.Now())
+		}
+		if s.cfg.Interrupt != nil && n%interruptStride == 0 {
+			if err := s.cfg.Interrupt(); err != nil {
+				return nil, fmt.Errorf("core: run interrupted at t=%.0f: %w", s.eng.Now(), err)
+			}
+		}
+		if !s.eng.Step() {
+			break
+		}
 	}
 	// The clock may sit on a trailing sampler tick; the makespan is the time
 	// of the last *simulation* event, which every handler recorded in
@@ -300,8 +306,8 @@ func (s *Simulator) Finish() (*Result, error) {
 		s.bank(rj, s.lastAcc)
 	}
 
-	for _, j := range s.jobs {
-		s.res.Records = append(s.res.Records, *s.records[j.ID])
+	for i := range s.table {
+		s.res.Records = append(s.res.Records, s.table[i].rec)
 	}
 	if s.cfg.CheckInvariants {
 		if err := s.cl.CheckInvariants(); err != nil {
@@ -316,26 +322,6 @@ func (s *Simulator) Finish() (*Result, error) {
 // microseconds of simulated work, rare enough that the poll never shows up
 // in the event hot path.
 const interruptStride = 1024
-
-// runInterruptible is the serial event loop with Config.Interrupt polling:
-// identical to Engine.Run plus a cancellation check every interruptStride
-// events. Used only when Interrupt is set, so the common path keeps the
-// engine's tight loop.
-func (s *Simulator) runInterruptible() (exhausted bool, err error) {
-	for n := uint64(0); ; n++ {
-		if s.cfg.MaxEvents > 0 && s.eng.Fired() >= s.cfg.MaxEvents {
-			return true, nil
-		}
-		if n%interruptStride == 0 {
-			if ierr := s.cfg.Interrupt(); ierr != nil {
-				return false, fmt.Errorf("core: run interrupted at t=%.0f: %w", s.eng.Now(), ierr)
-			}
-		}
-		if !s.eng.Step() {
-			return false, nil
-		}
-	}
-}
 
 // randFloat draws from the simulator's deterministic RNG, counting the draw
 // so Fork can replay an equal-seeded stream to the same position and a
@@ -365,7 +351,7 @@ func (s *Simulator) accrue() {
 // produces the same Result as one with telemetry off.
 func (s *Simulator) sample() {
 	s.tel.Sample(s.eng.Now(), s.cl.TotalFreeMB(), s.cl.TotalLentMB(),
-		s.queue.Len(), s.cl.BusyNodes(), len(s.running))
+		s.queue.Len(), s.cl.BusyNodes(), len(s.runList))
 }
 
 // poolCheck feeds the free-pool watermark detector after any change to the
@@ -390,9 +376,9 @@ func (s *Simulator) poolCheck(rj *runningJob) {
 // ---------------------------------------------------------------- events
 
 // Event tags classify queue entries without calling into their actions: a
-// kind in the top bits and the owning job (zero for global events) in the
-// low 32. Fork rebinds every pending event through its tag; tagSample marks
-// the telemetry sampler's ticks.
+// kind in the top bits and the owning job's table index (zero for global
+// events) in the low 32. Fork rebinds every pending event through its tag;
+// tagSample marks the telemetry sampler's ticks.
 const (
 	tagSubmit = iota + 1
 	tagTick
@@ -402,32 +388,35 @@ const (
 	tagSample
 )
 
-// evTag packs an event kind and job ID into an engine tag.
-func evTag(kind, id int) uint64 { return uint64(kind)<<32 | uint64(uint32(id)) }
+// evTag packs an event kind and a job's table index into an engine tag. No
+// trace holds 2³² jobs, so the index fits the low half whatever the job IDs.
+func evTag(kind, idx int) uint64 { return uint64(kind)<<32 | uint64(idx) }
 
 func tagKind(tag uint64) int { return int(tag >> 32) }
 
-func (s *Simulator) onSubmit(id int) {
+// tagIndex unpacks the table index from an engine tag.
+func tagIndex(tag uint64) int { return int(uint32(tag)) }
+
+func (s *Simulator) onSubmit(i int) {
 	s.accrue()
-	j := s.byID[id]
+	e := &s.table[i]
 	if s.cfg.Observer != nil {
-		s.cfg.Observer.JobSubmitted(s.eng.Now(), j, false)
+		s.cfg.Observer.JobSubmitted(s.eng.Now(), e.j, false)
 	}
-	s.tel.JobSubmit(id, false)
-	if s.dependencyState(j) == depFailed {
+	s.tel.JobSubmit(e.j.ID, false)
+	if s.dependencyState(e) == depFailed {
 		// The predecessor already failed: the job can never run.
-		rec := s.records[id]
-		rec.Outcome = Abandoned
-		rec.Finish = s.eng.Now()
+		e.rec.Outcome = Abandoned
+		e.rec.Finish = s.eng.Now()
 		s.res.Abandoned++
 		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobFinished(s.eng.Now(), j, Abandoned)
+			s.cfg.Observer.JobFinished(s.eng.Now(), e.j, Abandoned)
 		}
-		s.tel.JobEnd(id, Abandoned.String(), rec.Restarts)
-		s.cancelDependents(id)
+		s.tel.JobEnd(e.j.ID, Abandoned.String(), e.rec.Restarts)
+		s.cancelDependents(i)
 		return
 	}
-	s.queue.Push(sched.Entry{JobID: id, Enqueue: s.eng.Now(), Priority: s.prio[id]})
+	s.queue.Push(sched.Entry{Job: i, Enqueue: s.eng.Now(), Priority: e.prio})
 	s.ensureTick(true)
 }
 
@@ -468,17 +457,17 @@ func (s *Simulator) schedulePass() {
 	// eligible job that does not fit.
 	for {
 		progressed := false
-		for _, e := range s.queue.Items(s.cfg.QueueDepth) {
-			j := s.byID[e.JobID]
-			if s.dependencyState(j) != depSatisfied {
+		for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+			e := &s.table[q.Job]
+			if s.dependencyState(e) != depSatisfied {
 				continue // held
 			}
-			ja, placed := s.pol.Place(s.cl, j)
+			ja, placed := s.pol.Place(s.cl, e.j)
 			if !placed {
 				goto backfill
 			}
-			s.queue.Remove(e.JobID)
-			s.start(j, ja) //dmplint:ignore hotpath-reach job start is per-admission, not per-tick; its event-registration closures and telemetry are sanctioned slow-path work
+			s.queue.Remove(q.Job)
+			s.start(q.Job, ja) //dmplint:ignore hotpath-reach job start is per-admission, not per-tick; its event-registration closures and telemetry are sanctioned slow-path work
 			progressed = true
 			break // re-read the queue: priorities may interleave
 		}
@@ -501,33 +490,34 @@ backfill:
 // easyPass is the EASY backfill: reserve for the first eligible queued job,
 // let later short jobs jump it.
 func (s *Simulator) easyPass() {
-	var head *job.Job
-	for _, e := range s.queue.Items(s.cfg.QueueDepth) {
-		if j := s.byID[e.JobID]; s.dependencyState(j) == depSatisfied {
-			head = j
+	head := -1
+	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+		if s.dependencyState(&s.table[q.Job]) == depSatisfied {
+			head = q.Job
 			break
 		}
 	}
-	if head == nil {
+	if head < 0 {
 		return
 	}
-	shadow := s.shadowTimeFor(head)
-	s.tel.BackfillHole(head.ID, shadow)
-	for _, e := range s.queue.Items(s.cfg.QueueDepth) {
-		if e.JobID == head.ID {
+	hj := s.table[head].j
+	shadow := s.shadowTimeFor(hj)
+	s.tel.BackfillHole(hj.ID, shadow)
+	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+		if q.Job == head {
 			continue
 		}
-		j := s.byID[e.JobID]
-		if s.dependencyState(j) != depSatisfied {
+		e := &s.table[q.Job]
+		if s.dependencyState(e) != depSatisfied {
 			continue
 		}
-		if !sched.CanBackfill(s.eng.Now(), j.LimitSec, shadow) {
+		if !sched.CanBackfill(s.eng.Now(), e.j.LimitSec, shadow) {
 			continue
 		}
-		if ja, placed := s.pol.Place(s.cl, j); placed {
-			s.queue.Remove(e.JobID)
-			s.tel.BackfillPlace(j.ID)
-			s.start(j, ja) //dmplint:ignore hotpath-reach job start is per-admission, not per-tick; its event-registration closures and telemetry are sanctioned slow-path work
+		if ja, placed := s.pol.Place(s.cl, e.j); placed {
+			s.queue.Remove(q.Job)
+			s.tel.BackfillPlace(e.j.ID)
+			s.start(q.Job, ja) //dmplint:ignore hotpath-reach job start is per-admission, not per-tick; its event-registration closures and telemetry are sanctioned slow-path work
 		}
 	}
 }
@@ -544,18 +534,19 @@ func (s *Simulator) conservativePass() {
 	}
 	profile := s.prof
 	profile.Reset(now, s.currentResources(), s.releases())
-	for _, e := range s.queue.Items(s.cfg.QueueDepth) {
-		j := s.byID[e.JobID]
-		if s.dependencyState(j) != depSatisfied {
+	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+		e := &s.table[q.Job]
+		if s.dependencyState(e) != depSatisfied {
 			continue // held: no reservation until the dependency resolves
 		}
+		j := e.j
 		d := s.demandFor(j)
 		fit := profile.EarliestFit(d, now, j.LimitSec)
 		if fit == now {
 			if ja, placed := s.pol.Place(s.cl, j); placed {
-				s.queue.Remove(e.JobID)
+				s.queue.Remove(q.Job)
 				s.tel.BackfillPlace(j.ID)
-				s.start(j, ja) //dmplint:ignore hotpath-reach job start is per-admission, not per-tick; its event-registration closures and telemetry are sanctioned slow-path work
+				s.start(q.Job, ja) //dmplint:ignore hotpath-reach job start is per-admission, not per-tick; its event-registration closures and telemetry are sanctioned slow-path work
 				profile.Reserve(d, now, j.LimitSec)
 				continue
 			}
@@ -588,7 +579,7 @@ func (s *Simulator) currentResources() sched.Resources {
 // a scratch slice reused across scheduling passes, visiting jobs in
 // ascending ID order (the release list feeds the backfill planner, where
 // order breaks ties). The tests check it after every event against an
-// oracle that walks the running map instead.
+// oracle that walks the job table instead.
 //
 //dmp:hotpath
 func (s *Simulator) releases() []sched.Release {
@@ -637,10 +628,11 @@ func (s *Simulator) shadowTimeFor(j *job.Job) float64 {
 	return sched.ShadowTime(s.eng.Now(), s.currentResources(), s.releases(), s.demandFor(j))
 }
 
-// start dispatches a placed job.
-func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
+// start dispatches the placed job at table index i.
+func (s *Simulator) start(i int, ja *cluster.JobAllocation) {
 	now := s.eng.Now()
-	rec := s.records[j.ID]
+	e := &s.table[i]
+	j, rec := e.j, &e.rec
 	if rec.FirstStart < 0 {
 		rec.FirstStart = now
 	}
@@ -650,36 +642,29 @@ func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
 	rj := &runningJob{
 		j:        j,
 		rec:      rec,
+		idx:      i,
 		alloc:    ja,
 		start:    now,
 		lastT:    now,
-		progress: s.banked[j.ID],
+		progress: e.banked,
 		slow:     1,
 		period:   s.cfg.UpdateInterval * (1 + s.cfg.UpdateJitter*(2*s.randFloat()-1)),
 		use:      j.Usage.Cursor(),
 		dirty:    true,
 	}
-	delete(s.banked, j.ID)
-	s.running[j.ID] = rj
-	i := sort.SearchInts(s.runIDs, j.ID)
-	s.runIDs = append(s.runIDs, 0)
-	copy(s.runIDs[i+1:], s.runIDs[i:])
-	s.runIDs[i] = j.ID
-	s.runList = append(s.runList, nil)
-	copy(s.runList[i+1:], s.runList[i:])
-	s.runList[i] = rj
+	e.banked = 0
+	e.run = rj
+	s.runList = insertByID(s.runList, rj)
 	s.domainize(rj)
 	s.stale = true // new member: its home domains' traffic changes
 	s.curAllocMB += ja.TotalMB()
 	s.curBusyNodes += len(ja.PerNode)
 
 	if s.cfg.EnforceTimeLimit {
-		id := j.ID
-		rj.limitEv = s.eng.AfterTag(j.LimitSec, evTag(tagLimit, id), func(*sim.Engine) { s.onTimeLimit(id) })
+		rj.limitEv = s.eng.AfterTag(j.LimitSec, evTag(tagLimit, i), func(*sim.Engine) { s.onTimeLimit(i) })
 	}
 	if s.pol.Tracks() {
-		id := j.ID
-		rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, id), func(*sim.Engine) { s.onMemoryUpdate(id) })
+		rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), func(*sim.Engine) { s.onMemoryUpdate(i) })
 	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.JobStarted(now, j, ja.TotalMB()-ja.RemoteMB(), ja.RemoteMB())
@@ -697,10 +682,10 @@ func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
 	s.refreshAfter(rj)
 }
 
-func (s *Simulator) onFinish(id int) {
+func (s *Simulator) onFinish(i int) {
 	s.accrue()
-	rj, ok := s.running[id]
-	if !ok {
+	rj := s.table[i].run
+	if rj == nil {
 		return
 	}
 	s.bank(rj, s.eng.Now())
@@ -712,15 +697,15 @@ func (s *Simulator) onFinish(id int) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, Completed)
 	}
-	s.tel.JobEnd(id, Completed.String(), rj.rec.Restarts)
+	s.tel.JobEnd(rj.j.ID, Completed.String(), rj.rec.Restarts)
 	s.refreshAfter(rj)
 	s.ensureTick(true)
 }
 
-func (s *Simulator) onTimeLimit(id int) {
+func (s *Simulator) onTimeLimit(i int) {
 	s.accrue()
-	rj, ok := s.running[id]
-	if !ok {
+	rj := s.table[i].run
+	if rj == nil {
 		return
 	}
 	s.bank(rj, s.eng.Now())
@@ -732,8 +717,8 @@ func (s *Simulator) onTimeLimit(id int) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, TimedOut)
 	}
-	s.tel.JobEnd(id, TimedOut.String(), rj.rec.Restarts)
-	s.cancelDependents(rj.j.ID)
+	s.tel.JobEnd(rj.j.ID, TimedOut.String(), rj.rec.Restarts)
+	s.cancelDependents(i)
 	s.refreshAfter(rj)
 	s.ensureTick(true)
 }
@@ -766,14 +751,9 @@ func (s *Simulator) teardown(rj *runningJob) {
 	if err := rj.alloc.Release(s.cl); err != nil { //dmplint:ignore hotpath-reach teardown runs once per job completion; Release's error wrapping exists only on the ledger-corruption path
 		panic(err) // ledger corruption: fail loudly
 	}
-	delete(s.running, rj.j.ID)
+	s.table[rj.idx].run = nil
 	rj.gone = true
-	if i := sort.SearchInts(s.runIDs, rj.j.ID); i < len(s.runIDs) && s.runIDs[i] == rj.j.ID {
-		s.runIDs = append(s.runIDs[:i], s.runIDs[i+1:]...)
-		copy(s.runList[i:], s.runList[i+1:])
-		s.runList[len(s.runList)-1] = nil
-		s.runList = s.runList[:len(s.runList)-1]
-	}
+	s.runList = removeByID(s.runList, rj)
 	if rj.remote {
 		for _, d := range rj.homeDoms {
 			s.domRemote[d] = removeByID(s.domRemote[d], rj)
@@ -789,10 +769,10 @@ func (s *Simulator) teardown(rj *runningJob) {
 // resize the allocation to it, handle OOM, refresh the contention model.
 //
 //dmp:hotpath
-func (s *Simulator) onMemoryUpdate(id int) {
+func (s *Simulator) onMemoryUpdate(i int) {
 	s.accrue()
-	rj, ok := s.running[id]
-	if !ok {
+	rj := s.table[i].run
+	if rj == nil {
 		return
 	}
 	s.bank(rj, s.eng.Now())
@@ -817,7 +797,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 		}
 		if s.tel != nil {
 			if d := na.TotalMB() - nodeBefore; d != 0 {
-				s.tel.LeaseAdjust(id, int(na.Node), d, na.RemoteMB()-remoteBefore)
+				s.tel.LeaseAdjust(rj.j.ID, int(na.Node), d, na.RemoteMB()-remoteBefore)
 			}
 		}
 		if err != nil {
@@ -843,7 +823,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 	if s.cfg.Observer != nil && after != before {
 		s.cfg.Observer.AllocationChanged(s.eng.Now(), rj.j, before, after)
 	}
-	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, id), func(*sim.Engine) { s.onMemoryUpdate(id) }) //dmplint:ignore hotpath-alloc one closure per update period
+	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), func(*sim.Engine) { s.onMemoryUpdate(i) }) //dmplint:ignore hotpath-alloc one closure per update period
 	s.refreshAfter(rj)
 }
 
@@ -870,8 +850,9 @@ func (s *Simulator) oomKill(rj *runningJob) {
 			s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, Abandoned)
 		}
 		s.tel.JobEnd(id, Abandoned.String(), rj.rec.Restarts)
-		s.cancelDependents(id)
+		s.cancelDependents(rj.idx)
 	} else {
+		e := &s.table[rj.idx]
 		if s.cfg.OOM == CheckpointRestart {
 			// Resume from the last checkpoint boundary, not the kill
 			// point: a real C/R library snapshots periodically.
@@ -879,12 +860,12 @@ func (s *Simulator) oomKill(rj *runningJob) {
 			if ci := s.cfg.CheckpointInterval; ci > 0 {
 				banked = math.Floor(progress/ci) * ci
 			}
-			s.banked[id] = banked
+			e.banked = banked
 		}
 		if rj.rec.Restarts >= s.cfg.PriorityBoost {
-			s.prio[id] = rj.rec.Restarts
+			e.prio = rj.rec.Restarts
 		}
-		s.queue.Push(sched.Entry{JobID: id, Enqueue: s.eng.Now(), Priority: s.prio[id]})
+		s.queue.Push(sched.Entry{Job: rj.idx, Enqueue: s.eng.Now(), Priority: e.prio})
 		if s.cfg.Observer != nil {
 			s.cfg.Observer.JobSubmitted(s.eng.Now(), rj.j, true)
 		}
@@ -1013,8 +994,8 @@ func domIndex(doms []int32, d int32) int {
 	return sort.Search(len(doms), func(k int) bool { return doms[k] >= d })
 }
 
-// insertByID adds rj to a job list kept sorted by job ID (a domain's
-// residents, the remote holders), so traffic sums and refinish calls visit
+// insertByID adds rj to a job list kept sorted by job ID (the running set,
+// a domain's remote holders), so traffic sums and refinish calls visit
 // jobs in the same order every run.
 //
 //dmp:hotpath
@@ -1212,8 +1193,8 @@ func (s *Simulator) refinish(rj *runningJob, now float64) {
 		panic(fmt.Sprintf("core: bad finish time for job %d", rj.j.ID))
 	}
 	if !rj.finishEv.Pending() {
-		id := rj.j.ID
-		rj.finishEv = s.eng.ScheduleTag(at, evTag(tagFinish, id), func(*sim.Engine) { s.onFinish(id) }) //dmplint:ignore hotpath-alloc scheduled once per finish-time move, not per refresh step; Reschedule reuses the handle below
+		i := rj.idx
+		rj.finishEv = s.eng.ScheduleTag(at, evTag(tagFinish, i), func(*sim.Engine) { s.onFinish(i) }) //dmplint:ignore hotpath-alloc scheduled once per finish-time move, not per refresh step; Reschedule reuses the handle below
 	} else if rj.finishEv.At() != at {
 		rj.finishEv = s.eng.Reschedule(rj.finishEv, at)
 	}

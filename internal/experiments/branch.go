@@ -49,12 +49,12 @@ func (v *BranchVariant) Validate() error {
 	}
 	if v.Policy != "" {
 		if _, err := parsePolicy(v.Policy); err != nil {
-			return fmt.Errorf("branch: variant %q: %v", v.Name, err)
+			return fmt.Errorf("branch: variant %q: field %q: %v", v.Name, "policy", err)
 		}
 	}
 	if v.Backfill != "" {
 		if _, err := parseBackfill(v.Backfill); err != nil {
-			return fmt.Errorf("branch: variant %q: %v", v.Name, err)
+			return fmt.Errorf("branch: variant %q: field %q: %v", v.Name, "backfill", err)
 		}
 	}
 	if v.UpdateInterval < 0 {
@@ -75,16 +75,18 @@ func parsePolicy(name string) (policy.Kind, error) {
 	return 0, fmt.Errorf("unknown policy %q (want baseline, static, or dynamic)", name)
 }
 
+// parseBackfill maps a backfill name to its mode; the empty name is EASY,
+// the simulator's default.
 func parseBackfill(name string) (core.BackfillMode, error) {
 	switch strings.ToLower(name) {
-	case "easy":
+	case "", "easy":
 		return core.EASYBackfill, nil
 	case "conservative":
 		return core.ConservativeBackfill, nil
 	case "none":
 		return core.NoBackfill, nil
 	}
-	return 0, fmt.Errorf("unknown backfill mode %q (want easy, conservative, or none)", name)
+	return 0, fmt.Errorf("unknown mode %q (want easy, conservative, or none)", name)
 }
 
 // applyVariant applies one overlay to a freshly forked simulator.
@@ -156,7 +158,7 @@ func Branch(base *core.Simulator, variants []BranchVariant,
 	for _, f := range forks {
 		tasks = append(tasks, f.Finish)
 	}
-	results, err := sweep.Values(sweep.Run(tasks, 0))
+	results, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, nil, err
 	}

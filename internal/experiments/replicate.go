@@ -38,7 +38,7 @@ func Replicate(p Preset, seeds int, metric func(Preset) (float64, error)) (Stat,
 		q.Seed = p.Seed + int64(i)*7919 // distinct, deterministic seeds
 		tasks[i] = func() (float64, error) { return metric(q) }
 	}
-	values, err := sweep.Values(sweep.Run(tasks, 0))
+	values, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return Stat{}, err
 	}

@@ -138,34 +138,23 @@ func (s *ScenarioSpec) policies() ([]policy.Kind, error) {
 	if len(s.Policies) == 0 {
 		return []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}, nil
 	}
-	var out []policy.Kind
+	out := make([]policy.Kind, len(s.Policies))
 	for i, name := range s.Policies {
-		switch strings.ToLower(name) {
-		case "baseline":
-			out = append(out, policy.Baseline)
-		case "static":
-			out = append(out, policy.Static)
-		case "dynamic":
-			out = append(out, policy.Dynamic)
-		default:
-			return nil, fmt.Errorf("scenario: field %q: unknown policy %q (want baseline, static, or dynamic)",
-				fmt.Sprintf("policies[%d]", i), name)
+		k, err := parsePolicy(name)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: field %q: %v", fmt.Sprintf("policies[%d]", i), err)
 		}
+		out[i] = k
 	}
 	return out, nil
 }
 
 func (s *ScenarioSpec) backfill() (core.BackfillMode, error) {
-	switch strings.ToLower(s.Backfill) {
-	case "", "easy":
-		return core.EASYBackfill, nil
-	case "conservative":
-		return core.ConservativeBackfill, nil
-	case "none":
-		return core.NoBackfill, nil
+	m, err := parseBackfill(s.Backfill)
+	if err != nil {
+		return 0, fmt.Errorf("scenario: field %q: %v", "backfill", err)
 	}
-	return 0, fmt.Errorf("scenario: field %q: unknown mode %q (want easy, conservative, or none)",
-		"backfill", s.Backfill)
+	return m, nil
 }
 
 func (s *ScenarioSpec) oom() (core.OOMMode, error) {
@@ -409,7 +398,7 @@ func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*Scena
 			})
 		}
 	}
-	rows, err := sweep.Values(sweep.Run(tasks, 0))
+	rows, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, err
 	}

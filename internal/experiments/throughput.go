@@ -72,7 +72,7 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 			})
 		}
 	}
-	values, err := sweep.Values(sweep.Run(tasks, 0))
+	values, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func RunUtilization(p Preset) (*Utilization, error) {
 			})
 		}
 	}
-	rows, err := sweep.Values(sweep.Run(tasks, 0))
+	rows, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,11 @@ package sched
 
 import "sort"
 
-// Entry is one pending job in the queue.
+// Entry is one pending job in the queue. The queue orders entries by
+// priority, enqueue time and insertion order only, so Job is an opaque key
+// the caller chooses (the simulator uses the job's table index).
 type Entry struct {
-	JobID    int
+	Job      int
 	Enqueue  float64 // time the job (re)entered the queue
 	Priority int     // higher runs first; restarts can bump priority
 	seq      int     // insertion order for stable FIFO
@@ -78,10 +80,10 @@ func (q *Queue) Items(limit int) []Entry {
 	return out
 }
 
-// Remove deletes the entry for jobID, reporting whether it was present.
-func (q *Queue) Remove(jobID int) bool {
+// Remove deletes the entry for job, reporting whether it was present.
+func (q *Queue) Remove(job int) bool {
 	for i := range q.items {
-		if q.items[i].JobID == jobID {
+		if q.items[i].Job == job {
 			q.items = append(q.items[:i], q.items[i+1:]...)
 			return true
 		}
@@ -89,10 +91,10 @@ func (q *Queue) Remove(jobID int) bool {
 	return false
 }
 
-// Contains reports whether jobID is pending.
-func (q *Queue) Contains(jobID int) bool {
+// Contains reports whether job is pending.
+func (q *Queue) Contains(job int) bool {
 	for i := range q.items {
-		if q.items[i].JobID == jobID {
+		if q.items[i].Job == job {
 			return true
 		}
 	}

@@ -9,13 +9,13 @@ import (
 
 func TestQueueFIFO(t *testing.T) {
 	var q Queue
-	q.Push(Entry{JobID: 1, Enqueue: 10})
-	q.Push(Entry{JobID: 2, Enqueue: 5})
-	q.Push(Entry{JobID: 3, Enqueue: 20})
+	q.Push(Entry{Job: 1, Enqueue: 10})
+	q.Push(Entry{Job: 2, Enqueue: 5})
+	q.Push(Entry{Job: 3, Enqueue: 20})
 	got := q.Items(0)
 	want := []int{2, 1, 3}
 	for i, e := range got {
-		if e.JobID != want[i] {
+		if e.Job != want[i] {
 			t.Fatalf("order = %v, want %v", ids(got), want)
 		}
 	}
@@ -23,10 +23,10 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueuePriorityBeatsEnqueue(t *testing.T) {
 	var q Queue
-	q.Push(Entry{JobID: 1, Enqueue: 0, Priority: 0})
-	q.Push(Entry{JobID: 2, Enqueue: 100, Priority: 5})
+	q.Push(Entry{Job: 1, Enqueue: 0, Priority: 0})
+	q.Push(Entry{Job: 2, Enqueue: 100, Priority: 5})
 	h, ok := q.Head()
-	if !ok || h.JobID != 2 {
+	if !ok || h.Job != 2 {
 		t.Fatalf("head = %+v, want prioritised job 2", h)
 	}
 }
@@ -34,7 +34,7 @@ func TestQueuePriorityBeatsEnqueue(t *testing.T) {
 func TestQueueStableOnTies(t *testing.T) {
 	var q Queue
 	for i := 1; i <= 5; i++ {
-		q.Push(Entry{JobID: i, Enqueue: 7})
+		q.Push(Entry{Job: i, Enqueue: 7})
 	}
 	got := ids(q.Items(0))
 	for i, id := range got {
@@ -47,7 +47,7 @@ func TestQueueStableOnTies(t *testing.T) {
 func TestQueueItemsLimit(t *testing.T) {
 	var q Queue
 	for i := 0; i < 10; i++ {
-		q.Push(Entry{JobID: i, Enqueue: float64(i)})
+		q.Push(Entry{Job: i, Enqueue: float64(i)})
 	}
 	if got := len(q.Items(3)); got != 3 {
 		t.Fatalf("limited items = %d, want 3", got)
@@ -62,8 +62,8 @@ func TestQueueItemsLimit(t *testing.T) {
 
 func TestQueueRemoveContains(t *testing.T) {
 	var q Queue
-	q.Push(Entry{JobID: 1})
-	q.Push(Entry{JobID: 2})
+	q.Push(Entry{Job: 1})
+	q.Push(Entry{Job: 2})
 	if !q.Contains(1) {
 		t.Fatal("Contains(1) = false")
 	}
@@ -84,7 +84,7 @@ func TestQueueRemoveContains(t *testing.T) {
 func ids(es []Entry) []int {
 	out := make([]int, len(es))
 	for i, e := range es {
-		out[i] = e.JobID
+		out[i] = e.Job
 	}
 	return out
 }
@@ -241,19 +241,19 @@ func TestQueuePeakLen(t *testing.T) {
 	if q.PeakLen() != 0 {
 		t.Fatalf("empty queue peak = %d", q.PeakLen())
 	}
-	q.Push(Entry{JobID: 1})
-	q.Push(Entry{JobID: 2})
-	q.Push(Entry{JobID: 3})
+	q.Push(Entry{Job: 1})
+	q.Push(Entry{Job: 2})
+	q.Push(Entry{Job: 3})
 	q.Remove(2)
 	q.Remove(1)
 	// The high-watermark survives drains and is not raised by a push that
 	// stays below it.
-	q.Push(Entry{JobID: 4})
+	q.Push(Entry{Job: 4})
 	if q.Len() != 2 || q.PeakLen() != 3 {
 		t.Fatalf("len = %d peak = %d, want 2 and 3", q.Len(), q.PeakLen())
 	}
-	q.Push(Entry{JobID: 5})
-	q.Push(Entry{JobID: 6})
+	q.Push(Entry{Job: 5})
+	q.Push(Entry{Job: 6})
 	if q.PeakLen() != 4 {
 		t.Fatalf("peak = %d after growing past the old mark, want 4", q.PeakLen())
 	}

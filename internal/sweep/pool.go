@@ -22,7 +22,7 @@ type Pool struct {
 	size int
 
 	mu      sync.Mutex
-	queue   []*node //dmp:guardedby(mu) pending submissions; claimed nodes are skipped on pop
+	queue   []*node //dmp:guardedby(mu) pending submissions; claimed nodes are skipped on pop and dropped from the head on push
 	workers int     //dmp:guardedby(mu) live worker goroutines
 	peak    int     //dmp:guardedby(mu) high-water mark of workers (never exceeds size)
 }
@@ -75,6 +75,14 @@ func (p *Pool) PeakWorkers() int {
 
 func (p *Pool) enqueue(n *node) {
 	p.mu.Lock()
+	// Drop the claimed nodes at the head: a task a waiter ran inline stays
+	// queued until a worker pops it, which can take as long as every worker
+	// is busy. A submitter that waits on its oldest task before submitting
+	// the next thus keeps the queue at the size of its window.
+	for len(p.queue) > 0 && p.queue[0].state.Load() != nodeQueued {
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+	}
 	p.queue = append(p.queue, n)
 	if p.workers < p.size {
 		p.workers++
@@ -126,9 +134,9 @@ func Submit[T any](p *Pool, t Task[T]) *Future[T] {
 	f.n.run = func() {
 		f.res = call(t)
 		// A task a waiter ran inline stays in the queue until a worker
-		// pops it, which can take as long as every worker is busy.
-		// Dropping the closure keeps that node from pinning the task's
-		// captures and its result.
+		// pops it or it reaches the head at a later push. Dropping the
+		// closure keeps that node from pinning the task's captures and
+		// its result meanwhile.
 		f.n.run = nil
 		f.n.state.Store(nodeDone)
 		close(f.n.done)

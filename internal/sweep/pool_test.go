@@ -109,6 +109,45 @@ func TestInlineRunNodeReleasesTask(t *testing.T) {
 	}
 }
 
+// A submitter that keeps a window of tasks in flight and waits on its
+// oldest before submitting the next (the Grizzly generator's pattern) runs
+// every task inline while the workers are busy. The queue must still stay at
+// the size of the window, not grow by one claimed node per task.
+func TestInlineWindowKeepsQueueBounded(t *testing.T) {
+	p := NewPool(1)
+	release := make(chan struct{})
+	blocked := make(chan struct{})
+	slow := Submit(p, func() (int, error) { close(blocked); <-release; return 1, nil })
+	<-blocked // the only worker is busy from here on
+	const window, tasks = 8, 10_000
+	ring := make([]*Future[int], window)
+	peak := 0
+	for i := 0; i < tasks; i++ {
+		slot := &ring[i%window]
+		if *slot != nil {
+			if v, _ := (*slot).Get(); v != i-window {
+				t.Fatalf("task %d returned %d", i-window, v)
+			}
+		}
+		*slot = Submit(p, func() (int, error) { return i, nil })
+		p.mu.Lock()
+		if n := len(p.queue); n > peak {
+			peak = n
+		}
+		p.mu.Unlock()
+	}
+	for _, f := range ring {
+		f.Wait()
+	}
+	if peak > window+1 {
+		t.Fatalf("queue reached %d nodes for a window of %d", peak, window)
+	}
+	close(release)
+	if v, _ := slow.Get(); v != 1 {
+		t.Fatal("slow task lost")
+	}
+}
+
 // Nested submit-and-wait to several levels on a tiny pool: the helping
 // rule must keep the DAG progressing with no deadlock and no worker
 // goroutines beyond the pool size.
@@ -168,7 +207,7 @@ func TestNestedRunBorrowsSharedPool(t *testing.T) {
 			i := i
 			tasks[i] = func() (int, error) { return i, nil }
 		}
-		return Run(tasks, 0), nil
+		return Run(tasks), nil
 	}
 	outer := make([]Task[int], 8)
 	for i := range outer {
@@ -181,40 +220,13 @@ func TestNestedRunBorrowsSharedPool(t *testing.T) {
 			return sum, nil
 		}
 	}
-	for _, r := range Run(outer, 0) {
+	for _, r := range Run(outer) {
 		if r.Err != nil || r.Value != 28 {
 			t.Fatalf("nested run result %d, %v", r.Value, r.Err)
 		}
 	}
 	if peak, size := p.PeakWorkers(), p.Size(); peak > size {
 		t.Fatalf("worker layer grew to %d goroutines, pool size is %d", peak, size)
-	}
-}
-
-// Run with an explicit window keeps at most that many of the call's tasks
-// unfinished at once.
-func TestRunWindowBound(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	tasks := make([]Task[int], 20)
-	for i := range tasks {
-		tasks[i] = func() (int, error) {
-			n := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			return 0, nil
-		}
-	}
-	if err := FirstError(Run(tasks, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() > 3 {
-		t.Fatalf("window of 3 reached %d tasks in flight", peak.Load())
 	}
 }
 

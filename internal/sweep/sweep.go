@@ -28,42 +28,17 @@ type Result[T any] struct {
 
 // Run executes all tasks on the shared pool and returns the results in
 // task order. It never short-circuits: every task runs even if an earlier
-// one fails, so partial grids remain inspectable.
-//
-// workers bounds how many of *this call's* tasks are unfinished at once:
-// 0 submits everything up front (global concurrency is still capped by the
-// shared pool), 1 runs serially inline, and n > 1 keeps a window of n
-// tasks in flight. Unlike the retired per-call worker set, no goroutines
-// are spawned beyond the shared pool's bound, no matter how deeply Run
-// calls nest.
-func Run[T any](tasks []Task[T], workers int) []Result[T] {
-	results := make([]Result[T], len(tasks))
-	if len(tasks) == 0 {
-		return results
-	}
-	if workers == 1 || len(tasks) == 1 {
-		for i := range tasks {
-			results[i] = call(tasks[i])
-		}
-		return results
-	}
-	if workers <= 0 || workers > len(tasks) {
-		workers = len(tasks)
-	}
+// one fails, so partial grids remain inspectable. Every task is submitted up
+// front; the shared pool bounds global concurrency, and waiting runs a task
+// that has not started inline, so however deeply Run calls nest no
+// goroutines are spawned beyond the pool's bound.
+func Run[T any](tasks []Task[T]) []Result[T] {
 	p := SharedPool()
 	futs := make([]*Future[T], len(tasks))
-	next := 0
-	for ; next < workers; next++ {
-		futs[next] = Submit(p, tasks[next])
+	for i, t := range tasks {
+		futs[i] = Submit(p, t)
 	}
-	for i := range tasks {
-		results[i] = futs[i].Wait()
-		if next < len(tasks) {
-			futs[next] = Submit(p, tasks[next])
-			next++
-		}
-	}
-	return results
+	return Collect(futs)
 }
 
 // call runs one task, converting a panic into ErrPanic so a single bad

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -14,7 +13,7 @@ func TestRunPreservesOrder(t *testing.T) {
 		i := i
 		tasks = append(tasks, func() (int, error) { return i * i, nil })
 	}
-	results := Run(tasks, 8)
+	results := Run(tasks)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
@@ -32,25 +31,11 @@ func TestRunPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestRunSerialFallback(t *testing.T) {
-	n := 0
-	tasks := []Task[int]{
-		func() (int, error) { n++; return n, nil },
-		func() (int, error) { n++; return n, nil },
-	}
-	// workers=1 must not race on n.
-	results := Run(tasks, 1)
-	if results[0].Value != 1 || results[1].Value != 2 {
-		t.Fatalf("serial execution out of order: %+v", results)
-	}
-}
-
 func TestRunEmptyAndBounds(t *testing.T) {
-	if got := Run[int](nil, 4); len(got) != 0 {
+	if got := Run[int](nil); len(got) != 0 {
 		t.Fatal("empty task list produced results")
 	}
-	// workers > len(tasks) must still work.
-	results := Run([]Task[int]{func() (int, error) { return 7, nil }}, 64)
+	results := Run([]Task[int]{func() (int, error) { return 7, nil }})
 	if results[0].Value != 7 {
 		t.Fatal("single task broken")
 	}
@@ -64,7 +49,7 @@ func TestErrorsDoNotShortCircuit(t *testing.T) {
 		func() (int, error) { ran.Add(1); return 2, nil },
 		func() (int, error) { ran.Add(1); return 3, nil },
 	}
-	results := Run(tasks, 2)
+	results := Run(tasks)
 	if ran.Load() != 3 {
 		t.Fatalf("ran %d tasks, want all 3", ran.Load())
 	}
@@ -84,7 +69,7 @@ func TestPanicBecomesError(t *testing.T) {
 		func() (string, error) { panic("kaboom") },
 		func() (string, error) { return "fine", nil },
 	}
-	results := Run(tasks, 2)
+	results := Run(tasks)
 	if !errors.Is(results[0].Err, ErrPanic) {
 		t.Fatalf("panic err = %v, want ErrPanic", results[0].Err)
 	}
@@ -93,12 +78,11 @@ func TestPanicBecomesError(t *testing.T) {
 	}
 }
 
-// Property: for any task count and worker count, each task runs exactly
-// once and results align with inputs.
+// Property: for any task count, each task runs exactly once and results
+// align with inputs.
 func TestQuickExactlyOnce(t *testing.T) {
-	f := func(rawN, rawW uint8) bool {
+	f := func(rawN uint8) bool {
 		n := int(rawN) % 64
-		w := int(rawW)%8 + 1
 		counts := make([]atomic.Int32, n)
 		tasks := make([]Task[int], n)
 		for i := 0; i < n; i++ {
@@ -108,7 +92,7 @@ func TestQuickExactlyOnce(t *testing.T) {
 				return i, nil
 			}
 		}
-		results := Run(tasks, w)
+		results := Run(tasks)
 		for i := range counts {
 			if counts[i].Load() != 1 {
 				return false
@@ -136,11 +120,7 @@ func BenchmarkRunParallelism(b *testing.B) {
 	for i := range tasks {
 		tasks[i] = work
 	}
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Run(tasks, w)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		Run(tasks)
 	}
 }
