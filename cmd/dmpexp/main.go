@@ -9,6 +9,9 @@
 //	dmpexp -scenario study.json
 //	dmpexp -report report.md
 //
+// Each stage's header gives its wall time, CPU seconds and peak live heap;
+// a run of several stages ends with the same figures as a table.
+//
 // Experiments: table2, table3, fig2, fig4, fig5, fig6, fig7, fig8, fig9,
 // util (allocated/used/stranded memory), xmodel (CIRNE vs Lublin
 // robustness), ab-update, ab-oom, ab-backfill, ab-lender, ab-priority
@@ -175,14 +178,19 @@ func realMain() (code int) {
 	case "ablations":
 		names = []string{"ab-update", "ab-oom", "ab-backfill", "ab-lender", "ab-priority"}
 	}
+	meter := startCostMeter()
+	defer meter.close()
+	var costs []stageCost
 	for _, name := range names {
-		start := time.Now()
+		meter.begin()
 		out, cw, err := run(name, p, *withGrizzly, *seeds)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dmpexp: %s: %v\n", name, err)
 			return 1
 		}
-		fmt.Printf("=== %s (preset %s, %.1fs) ===\n%s\n", name, p.Name, time.Since(start).Seconds(), out)
+		cost := meter.end(name)
+		costs = append(costs, cost)
+		fmt.Printf("=== %s (preset %s, %s) ===\n%s\n", name, p.Name, cost, out)
 		if *plot {
 			if pl, ok := cw.(interface{ Plot() string }); ok {
 				fmt.Println(pl.Plot())
@@ -196,6 +204,9 @@ func realMain() (code int) {
 			}
 			fmt.Printf("wrote %s\n\n", path)
 		}
+	}
+	if len(costs) > 1 {
+		writeCostTable(os.Stdout, p.Name, costs)
 	}
 	return 0
 }

@@ -16,6 +16,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -78,6 +79,7 @@ type Cluster struct {
 	shardSize int
 	mergeIts  []freeIter // per-shard merge iterators, persistent scratch
 	mergeHeap []int32    // merge-heap scratch (shard indices)
+	flushKeys []uint64   // every shard's flush-sort scratch (see freeIndex.flush)
 
 	capOrder []NodeID // node IDs sorted by (CapacityMB asc, ID asc); immutable
 
@@ -113,13 +115,7 @@ const defaultShardNodes = 2048
 // everywhere.
 func (c *Cluster) initIndexes(nShards int) {
 	n := len(c.nodes)
-	if nShards < 1 {
-		nShards = max(1, (n+defaultShardNodes-1)/defaultShardNodes)
-	}
-	if nShards > n {
-		nShards = n
-	}
-	c.shardSize = (n + nShards - 1) / nShards
+	c.shardSize = shardSize(n, nShards)
 	nShards = (n + c.shardSize - 1) / c.shardSize // drop empty tail shards
 	c.shards = make([]shardIx, nShards)
 	c.mergeIts = make([]freeIter, nShards)
@@ -157,6 +153,18 @@ func (c *Cluster) initIndexes(nShards int) {
 		}
 		return c.capOrder[a] < c.capOrder[b]
 	})
+}
+
+// shardSize is the node count of every shard but the last when n nodes are
+// split into nShards (< 1: ⌈n/2048⌉) contiguous shards.
+func shardSize(n, nShards int) int {
+	if nShards < 1 {
+		nShards = max(1, (n+defaultShardNodes-1)/defaultShardNodes)
+	}
+	if nShards > n {
+		nShards = n
+	}
+	return (n + nShards - 1) / nShards
 }
 
 func minInt(a, b int) int {
@@ -214,6 +222,30 @@ type Config struct {
 	Shards int
 }
 
+// Validate reports a configuration whose ledger indexes cannot be built:
+// there must be nodes, and the largest node capacity must fit a shard's
+// packed flush-sort key beside its index bits (see freeIndex). Any NormalMB a real machine has
+// passes by many orders of magnitude.
+func (cfg Config) Validate() error {
+	if cfg.Nodes <= 0 {
+		return fmt.Errorf("cluster: Nodes %d: a ledger needs at least one node", cfg.Nodes)
+	}
+	maxMB := cfg.NormalMB
+	if cfg.largeNodes() > 0 {
+		if cfg.NormalMB > math.MaxInt64/2 {
+			return fmt.Errorf("cluster: NormalMB %d: large nodes (2× NormalMB) overflow int64", cfg.NormalMB)
+		}
+		maxMB = 2 * cfg.NormalMB
+	}
+	if err := packRoom(maxMB, shardSize(cfg.Nodes, cfg.Shards)); err != nil {
+		return fmt.Errorf("cluster: NormalMB %d: largest node capacity %w", cfg.NormalMB, err)
+	}
+	return nil
+}
+
+// largeNodes is the number of large nodes NewMixed builds.
+func (cfg Config) largeNodes() int { return int(float64(cfg.Nodes)*cfg.LargeFrac + 0.5) }
+
 // New builds a single-shard cluster of n homogeneous nodes. All nodes count
 // as "normal" in the idle-split summary: the large class is defined as
 // capacity above the normal size, and a homogeneous cluster has none.
@@ -223,7 +255,8 @@ func New(n, cores int, capacityMB int64) *Cluster {
 
 // NewSharded is New with an explicit ledger shard count. The node array it
 // fills is freshly allocated and unshared: no fork can exist before the
-// constructor returns.
+// constructor returns. It panics on a capacity Config.Validate would
+// reject.
 //
 //dmp:cowsafe
 func NewSharded(n, cores int, capacityMB int64, shards int) *Cluster {
@@ -238,12 +271,12 @@ func NewSharded(n, cores int, capacityMB int64, shards int) *Cluster {
 // NewMixed builds a cluster per Config: the first round(LargeFrac·Nodes)
 // nodes are large (2× NormalMB), the rest normal. The paper sweeps LargeFrac
 // over {0, 0.15, 0.25, 0.50, 0.75, 1.0}. Like NewSharded, it writes a node
-// array no fork can share yet.
+// array no fork can share yet, and it panics unless cfg.Validate passes.
 //
 //dmp:cowsafe
 func NewMixed(cfg Config) *Cluster {
 	c := &Cluster{nodes: make([]Node, cfg.Nodes), largeMB: cfg.NormalMB}
-	nLarge := int(float64(cfg.Nodes)*cfg.LargeFrac + 0.5)
+	nLarge := cfg.largeNodes()
 	for i := range c.nodes {
 		cap := cfg.NormalMB
 		if i < nLarge {
@@ -338,6 +371,10 @@ func (c *Cluster) IdleComputeSplit() (normal, large int) {
 	}
 	return normal, large
 }
+
+// LargeMB returns the capacity-class threshold of IdleComputeSplit: a node
+// with CapacityMB above it counts as large.
+func (c *Cluster) LargeMB() int64 { return c.largeMB }
 
 // BusyNodes returns the number of nodes currently running a job (O(1)).
 func (c *Cluster) BusyNodes() int { return c.busy }
@@ -450,7 +487,7 @@ func (c *Cluster) ReturnLend(id NodeID, mb int64) error {
 // order. The ledger must not be mutated during the walk.
 func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
 	if len(c.shards) == 1 {
-		c.shards[0].free.ascend(func(local int32, free int64) bool {
+		c.shards[0].free.ascend(&c.flushKeys, func(local int32, free int64) bool {
 			if free <= 0 {
 				return false
 			}
@@ -468,7 +505,7 @@ func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
 // during the walk.
 func (c *Cluster) AscendFree(yield func(id NodeID, free int64) bool) {
 	if len(c.shards) == 1 {
-		c.shards[0].free.ascend(func(local int32, free int64) bool {
+		c.shards[0].free.ascend(&c.flushKeys, func(local int32, free int64) bool {
 			return yield(NodeID(local), free)
 		})
 		return

@@ -50,7 +50,7 @@ type cowState struct {
 // pending refiles are flushed first, so nothing shared is ever dirty.
 func (c *Cluster) Fork() *Cluster {
 	for i := range c.shards {
-		c.shards[i].free.flush()
+		c.shards[i].free.flush(&c.flushKeys)
 	}
 	f := &Cluster{}
 	*f = *c
@@ -65,6 +65,7 @@ func (c *Cluster) Fork() *Cluster {
 	}
 	f.mergeIts = make([]freeIter, len(f.shards))
 	f.mergeHeap = nil
+	f.flushKeys = nil
 	f.idleBuf = nil
 	// Mark everything shared on both sides; the first writer copies.
 	c.markShared()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -15,8 +16,9 @@ import (
 //     order (the dynamic policy resizes every running job at each update
 //     interval), so a refile only records the node's new key and marks it
 //     dirty; the next ordered read flushes the shard, sorting the k dirty
-//     nodes and merging them back into the clean ones within the window
-//     of positions they leave and enter. Walks are slice scans.
+//     nodes (as packed integer keys) and merging them back into the clean
+//     ones within the window of positions they leave and enter. Walks are
+//     slice scans.
 //   - idleSet: a bitset of compute-available nodes maintained by
 //     StartJob/EndJob and by the lending operations (lending more than half
 //     a node's capacity flips it to a memory node), making the
@@ -48,13 +50,38 @@ type freeIndex struct {
 	order []int32 // local indices by (filed desc, index asc)
 	mark  []bool  // mark[n]: n was refiled since the last flush
 	dirty []int32 // the marked nodes; scratch, never shared across forks
+
+	// The flush sorts each dirty node n as one packed integer,
+	// (bound − key[n]) << idxBits | n: ascending packed order is
+	// (free desc, index asc). bound is the shard's largest capacity, so no
+	// free value exceeds it, and idxBits holds every local index.
+	bound   int64
+	idxBits uint
 }
 
-// init files every node under its initial free memory.
+// packRoom reports whether every (bound − free, local index) pair of a
+// shard of n nodes whose capacities are at most bound fits one uint64, and
+// if not, why.
+func packRoom(bound int64, n int) error {
+	idx := bits.Len(uint(n - 1))
+	if bits.Len64(uint64(bound)) > 64-idx {
+		return fmt.Errorf("%d MB needs %d bits, and a %d-node ledger shard leaves %d beside its %d index bits",
+			bound, bits.Len64(uint64(bound)), n, 64-idx, idx)
+	}
+	return nil
+}
+
+// init files every node under its initial free memory, which is its
+// capacity: frees' maximum bounds every later free value.
 //
 //dmp:cowsafe
 func (ix *freeIndex) init(frees []int64) {
 	n := len(frees)
+	ix.bound = slices.Max(frees)
+	if err := packRoom(ix.bound, n); err != nil {
+		panic("cluster: node capacity " + err.Error())
+	}
+	ix.idxBits = uint(bits.Len(uint(n - 1)))
 	ix.key = frees
 	ix.filed = append([]int64(nil), frees...)
 	ix.order = make([]int32, n)
@@ -75,6 +102,13 @@ func (ix *freeIndex) cmp(a, b int32) int {
 		return 1
 	}
 	return int(a - b)
+}
+
+// pack is node n's flush sort key: ascending pack order is the cmp order.
+//
+//dmp:hotpath
+func (ix *freeIndex) pack(n int32) uint64 {
+	return uint64(ix.bound-ix.key[n])<<ix.idxBits | uint64(n)
 }
 
 // filedBefore reports whether node a is positioned before node b in order.
@@ -123,18 +157,29 @@ func (ix *freeIndex) update(n int32, newFree int64) {
 // already sit where the result puts them. Within the window the clean
 // nodes are compacted (keeping their relative order, which is already
 // correct), the k dirty nodes are sorted, and the two runs are merged from
-// the back: O(k log k + log n + window). A clean shard returns at once
-// without writing, which is what makes ordered reads of a fork-shared
-// shard safe.
+// the back: O(k log k + log n + window). The sort and the merge compare
+// packed integer keys (see pack), the sort's held in keys, the owning
+// cluster's scratch: machine words, not comparator calls. A clean shard
+// returns at once without writing, which is what makes ordered reads of a
+// fork-shared shard safe.
 //
 //dmp:cowsafe
 //dmp:hotpath
-func (ix *freeIndex) flush() {
+func (ix *freeIndex) flush(keys *[]uint64) {
 	d := ix.dirty
 	if len(d) == 0 {
 		return
 	}
-	slices.SortFunc(d, ix.cmp)
+	packed := (*keys)[:0]
+	for _, n := range d {
+		packed = append(packed, ix.pack(n))
+	}
+	slices.Sort(packed)
+	mask := uint64(1)<<ix.idxBits - 1
+	for i, k := range packed {
+		d[i] = int32(k & mask)
+	}
+	*keys = packed
 	first, last := d[0], d[0] // the dirty nodes positioned first and last
 	for _, n := range d[1:] {
 		if ix.filedBefore(n, first) {
@@ -158,7 +203,7 @@ func (ix *freeIndex) flush() {
 	}
 	i, j := w-1, len(d)-1
 	for k := len(o) - 1; j >= 0; k-- {
-		if i >= 0 && ix.cmp(d[j], o[i]) < 0 {
+		if i >= 0 && packed[j] < ix.pack(o[i]) {
 			o[k] = o[i]
 			i--
 		} else {
@@ -173,11 +218,11 @@ func (ix *freeIndex) flush() {
 	ix.dirty = d[:0]
 }
 
-// ascend flushes the shard and walks all nodes in (free desc, local index
-// asc) order, stopping early when yield returns false. The ledger must not
-// be mutated during the walk.
-func (ix *freeIndex) ascend(yield func(local int32, free int64) bool) {
-	ix.flush()
+// ascend flushes the shard (sorting in keys) and walks all nodes in
+// (free desc, local index asc) order, stopping early when yield returns
+// false. The ledger must not be mutated during the walk.
+func (ix *freeIndex) ascend(keys *[]uint64, yield func(local int32, free int64) bool) {
+	ix.flush(keys)
 	for _, n := range ix.order {
 		if !yield(n, ix.key[n]) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
 			return
@@ -196,11 +241,12 @@ type freeIter struct {
 	head  int32 // most recently yielded node (maintained by the merge)
 }
 
-// init flushes the shard and points the cursor at its first node.
+// init flushes the shard (sorting in keys) and points the cursor at its
+// first node.
 //
 //dmp:hotpath
-func (it *freeIter) init(ix *freeIndex) {
-	ix.flush()
+func (it *freeIter) init(ix *freeIndex, keys *[]uint64) {
+	ix.flush(keys)
 	it.order = ix.order
 	it.pos = 0
 }

@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -90,11 +93,42 @@ func mutateAndRead(c *Cluster, rng *rand.Rand, rounds int) error {
 	return c.CheckInvariants()
 }
 
+// dirtyWholeShard refiles every node of shard s without flushing: a node
+// with free memory lends it down to 0, 256 or 512 MB (whichever is below
+// what it has), and an exhausted node gets its loans or its local memory
+// back, so most keys land on a few shared values.
+func dirtyWholeShard(c *Cluster, s int, rng *rand.Rand) error {
+	sum := c.Shard(s)
+	for id := sum.Base; id < sum.Base+NodeID(sum.Nodes); id++ {
+		n := c.Node(id)
+		var err error
+		switch free := n.FreeMB(); {
+		case free == 0 && n.LentMB > 0:
+			err = c.ReturnLend(id, n.LentMB)
+		case free == 0:
+			err = c.ReleaseLocal(id, n.LocalMB)
+		default:
+			target := int64(rng.Intn(3)) * 256
+			if target >= free {
+				target = 0
+			}
+			err = c.Lend(id, free-target)
+		}
+		if err != nil {
+			return fmt.Errorf("node %d: %w", id, err)
+		}
+	}
+	if k := len(c.shards[s].free.dirty); k != sum.Nodes {
+		return fmt.Errorf("shard %d: %d of %d nodes dirty", s, k, sum.Nodes)
+	}
+	return nil
+}
+
 // TestLazyOrderDifferential is the oracle for the lazily repaired
 // free-memory order: refiles only mark nodes, so every ordered read must
 // flush the shards it enters and see exactly the order a fresh sort gives.
-// Reads stop early at random, forks are taken while nodes are still dirty,
-// and both sides of each fork — and concurrent sibling branches, under
+// Reads stop early at random, whole shards are read with every node dirty,
+// forks are taken while nodes are still dirty, and both sides of each fork — and concurrent sibling branches, under
 // -race — keep mutating and reading.
 func TestLazyOrderDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 7, 64} {
@@ -106,6 +140,22 @@ func TestLazyOrderDifferential(t *testing.T) {
 			}
 			if err := mutateAndRead(c, rng, 200); err != nil {
 				t.Fatal(err)
+			}
+
+			// Every node of every shard dirty at once, most of them on a
+			// few shared free values (runs of equal keys) or on 0.
+			for r := 0; r < 10; r++ {
+				for s := 0; s < c.ShardCount(); s++ {
+					if err := dirtyWholeShard(c, s, rng); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if err := checkOrderedRead(c, rng); err != nil {
+					t.Fatalf("all-dirty round %d: %v", r, err)
+				}
 			}
 
 			// Fork with refiles pending: Fork flushes the receiver, so
@@ -186,5 +236,138 @@ func TestLazyOrderReadsSeeDirtyNodes(t *testing.T) {
 	}
 	if dirtyReads < 50 {
 		t.Fatalf("only %d of 100 reads found pending refiles", dirtyReads)
+	}
+}
+
+// TestPackedKeyRoom pins the capacity bound of the flush's packed sort key
+// at its boundary: the largest capacity whose (bound − free) fits beside a
+// shard's index bits is accepted, one more MB is not, and Config.Validate
+// names the field that set it.
+func TestPackedKeyRoom(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 2048, 2049} {
+		idx := bits.Len(uint(n - 1))
+		limit := int64(1)<<(64-idx) - 1
+		if err := packRoom(limit, n); err != nil {
+			t.Errorf("%d nodes, capacity %d: %v", n, limit, err)
+		}
+		if err := packRoom(limit+1, n); err == nil {
+			t.Errorf("%d nodes, capacity %d: accepted", n, limit+1)
+		}
+	}
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{Nodes: 2048, NormalMB: 1<<53 - 1}, true},
+		{Config{Nodes: 2048, NormalMB: 1 << 53}, false},
+		{Config{Nodes: 2048, NormalMB: 1<<52 - 1, LargeFrac: 0.5}, true},
+		{Config{Nodes: 2048, NormalMB: 1 << 52, LargeFrac: 0.5}, false},
+		{Config{Nodes: 2048, NormalMB: 1 << 62, LargeFrac: 0.5}, false},        // 2× overflows
+		{Config{Nodes: 4096, NormalMB: 1 << 53, Shards: 2}, false},             // 2048-node shards
+		{Config{Nodes: 4096, NormalMB: 1<<52 - 1, Shards: 1}, true},            // one 4096-node shard
+		{Config{Nodes: 4096, NormalMB: 1 << 52, Shards: 1}, false},             // ... one bit short
+		{Config{Nodes: 192, NormalMB: 2048, LargeFrac: 0.25, Shards: 7}, true}, // the tests' usual ledger
+		{Config{Nodes: 0, NormalMB: 2048}, false},
+	} {
+		err := tc.cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: Validate() = %v, want ok=%v", tc.cfg, err, tc.ok)
+		}
+		field := "NormalMB"
+		if tc.cfg.Nodes == 0 {
+			field = "Nodes"
+		}
+		if err != nil && !strings.Contains(err.Error(), field) {
+			t.Errorf("%+v: error %q does not name %s", tc.cfg, err, field)
+		}
+	}
+}
+
+// TestFlushAtKeyBound flushes a shard whose capacity is the largest the
+// packed key admits, with keys at both ends of the range (0 and the full
+// capacity) and in equal runs, and checks the order against the
+// comparator sort.
+func TestFlushAtKeyBound(t *testing.T) {
+	const n = 37
+	bound := int64(1)<<(64-bits.Len(uint(n-1))) - 1
+	frees := make([]int64, n)
+	for i := range frees {
+		frees[i] = bound
+	}
+	var ix freeIndex
+	ix.init(frees)
+	rng := rand.New(rand.NewSource(7))
+	values := []int64{0, 1, bound / 2, bound - 1, bound}
+	var keys []uint64
+	for r := 0; r < 200; r++ {
+		for k := rng.Intn(n + 1); k > 0; k-- {
+			ix.update(int32(rng.Intn(n)), values[rng.Intn(len(values))])
+		}
+		ix.flush(&keys)
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortFunc(want, ix.cmp)
+		if !slices.Equal(ix.order, want) {
+			t.Fatalf("round %d: order %v, comparator sort %v", r, ix.order, want)
+		}
+	}
+}
+
+// TestLedgerFlushAllocationFree asserts a warm flush of a whole dirty
+// shard allocates nothing: the packed keys reuse the cluster's scratch.
+func TestLedgerFlushAllocationFree(t *testing.T) {
+	c := NewSharded(512, 8, 2048, 2)
+	rng := rand.New(rand.NewSource(4))
+	var err error
+	flush := func() {
+		for s := 0; s < c.ShardCount() && err == nil; s++ {
+			err = dirtyWholeShard(c, s, rng)
+		}
+		c.AscendFree(func(NodeID, int64) bool { return false })
+	}
+	flush() // size the scratch
+	if got := testing.AllocsPerRun(20, flush); got != 0 {
+		t.Fatalf("dirtying and flushing every shard allocates %.1f per round, want 0", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkLedgerFlush measures the ordered read that a placement forces
+// after a scheduling tick's worth of refiles: dirty nodes of one
+// grizzly-sized shard are refiled (each lends or gets back one MB) and an
+// AscendFree read of one node flushes them. 282 is the mean dirty count
+// per flush of the grizzly-week workload.
+func BenchmarkLedgerFlush(b *testing.B) {
+	for _, dirty := range []int{16, 282, 1490} {
+		b.Run(fmt.Sprintf("dirty=%d", dirty), func(b *testing.B) {
+			const nodes = 1490
+			c := NewSharded(nodes, 8, 2048, 1)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < nodes; i++ {
+				if err := c.Lend(NodeID(i), rng.Int63n(2048)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ids := rng.Perm(nodes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < dirty; k++ {
+					id := NodeID(ids[(i*dirty+k)%nodes])
+					if n := c.Node(id); n.FreeMB() > 0 {
+						if err := c.Lend(id, 1); err != nil {
+							b.Fatal(err)
+						}
+					} else if err := c.ReturnLend(id, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+				c.AscendFree(func(NodeID, int64) bool { return false })
+			}
+		})
 	}
 }

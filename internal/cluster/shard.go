@@ -95,7 +95,7 @@ func (c *Cluster) Shard(i int) ShardSummary {
 func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bool) {
 	sh := &c.shards[i]
 	base := NodeID(sh.base)
-	sh.free.ascend(func(local int32, free int64) bool {
+	sh.free.ascend(&c.flushKeys, func(local int32, free int64) bool {
 		if free <= 0 {
 			return false
 		}
@@ -117,7 +117,7 @@ func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bo
 func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64) bool) {
 	if len(c.shards) == 1 {
 		sh := &c.shards[0]
-		sh.free.ascend(func(local int32, free int64) bool {
+		sh.free.ascend(&c.flushKeys, func(local int32, free int64) bool {
 			if !includeEmpty && free <= 0 {
 				return false
 			}
@@ -133,7 +133,7 @@ func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64)
 		if !includeEmpty && sh.lenders == 0 {
 			continue // two-level skip: summary proves no contribution
 		}
-		its[i].init(&sh.free)
+		its[i].init(&sh.free, &c.flushKeys)
 		head, ok := its[i].next()
 		if !ok {
 			continue

@@ -277,7 +277,7 @@ func (c *Config) Normalize() error {
 	default:
 		return fmt.Errorf("core: unknown pressure mode %d", int(c.Pressure))
 	}
-	return nil
+	return c.Cluster.Validate()
 }
 
 // lenders is the lender order placement and growth borrow in: domain-first

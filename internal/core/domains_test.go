@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dismem/internal/job"
@@ -133,6 +134,20 @@ func TestDomainsConfigValidation(t *testing.T) {
 	}
 	if cfg.Domains != 8 || cfg.Cluster.Shards != 8 {
 		t.Fatalf("want the default 16 domains clamped to 8, got Domains=%d Shards=%d", cfg.Domains, cfg.Cluster.Shards)
+	}
+}
+
+// TestConfigRejectsUnindexableCapacity checks that Normalize turns a node
+// capacity the ledger's packed flush key cannot hold into an error naming
+// the field, rather than a panic in the cluster constructor.
+func TestConfigRejectsUnindexableCapacity(t *testing.T) {
+	cfg := baseConfig(8, 1<<61, policy.Dynamic)
+	err := cfg.Normalize()
+	if err == nil || !strings.Contains(err.Error(), "NormalMB") {
+		t.Fatalf("Normalize() = %v, want an error naming NormalMB", err)
+	}
+	if _, err := New(baseConfig(8, 1<<61, policy.Dynamic), nil); err == nil {
+		t.Fatal("New accepted the capacity")
 	}
 }
 

@@ -121,6 +121,10 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 		f.table[rj.idx].run = n
 		f.runList[k] = n
 	}
+	f.ends = make(endOrder, len(s.ends))
+	for k, rj := range s.ends {
+		f.ends[k] = f.table[rj.idx].run
+	}
 	f.queue = s.queue.Clone()
 
 	if f.res != nil {
@@ -147,7 +151,6 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 
 	// Scratch state is never shared: the fork rebuilds what it needs
 	// lazily, exactly as a fresh simulator would.
-	f.relBuf = nil
 	f.prof = nil
 
 	// Engine: exact heap copy with every pending action rebound to the

@@ -288,3 +288,50 @@ func TestForkWideJobIDs(t *testing.T) {
 		})
 	}
 }
+
+// TestForkReleaseOrder checks the release order a fork inherits: at the fork
+// point and at later pauses it must list the same jobs with the same
+// releases as a fresh run paused at the same instants, and every entry must
+// be the fork's own running job, never the base's.
+func TestForkReleaseOrder(t *testing.T) {
+	for _, seed := range []int64{1, 2, 4, 5} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg, mkJobs := forkScenario(seed)
+			wantRes, _ := freshRun(t, cfg, mkJobs())
+			at := 0.4 * wantRes.Makespan
+			base, branch := mustFork(t, cfg, mkJobs(), at)
+			fresh, err := New(cfg, mkJobs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.Start()
+			checked := 0
+			for _, until := range []float64{at, 0.6 * wantRes.Makespan, 0.8 * wantRes.Makespan} {
+				if err := fresh.StepUntil(until); err != nil {
+					t.Fatal(err)
+				}
+				if err := branch.StepUntil(until); err != nil {
+					t.Fatal(err)
+				}
+				checked += len(branch.ends)
+				if len(branch.ends) != len(fresh.ends) {
+					t.Fatalf("t=%v: fork lists %d releases, fresh run %d", until, len(branch.ends), len(fresh.ends))
+				}
+				for i, rj := range branch.ends {
+					if rj != branch.table[rj.idx].run || rj == base.table[rj.idx].run {
+						t.Fatalf("t=%v: fork release %d (job %d) is not the fork's running job", until, i, rj.j.ID)
+					}
+					if rj.j.ID != fresh.ends[i].j.ID {
+						t.Fatalf("t=%v: fork release %d is job %d, fresh run job %d", until, i, rj.j.ID, fresh.ends[i].j.ID)
+					}
+					if got, want := branch.ends.Release(i), fresh.ends.Release(i); got != want {
+						t.Fatalf("t=%v: fork release %d is %+v, fresh run %+v", until, i, got, want)
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("no job running at any pause (infeasible %v): the scenario checks nothing", wantRes.Infeasible)
+			}
+		})
+	}
+}

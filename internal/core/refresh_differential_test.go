@@ -239,8 +239,9 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 
 // TestRefreshAndBackfillPassAllocationFree asserts the per-event hot paths
 // allocate nothing at steady state: the incremental refresh works entirely
-// out of cached and scratch storage, and one conservative-backfill profile
-// build reuses the pooled buffers.
+// out of cached and scratch storage, one conservative-backfill profile
+// build reuses the pooled buffers, and the EASY shadow time walks the
+// release order without building anything.
 func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 	s := midRunSimulator(t, 32, 48, ConservativeBackfill)
 	rj := s.runList[0]
@@ -259,11 +260,16 @@ func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 		s.prof = &sched.Profile{}
 	}
 	rebuild := func() {
-		s.prof.Reset(s.eng.Now(), s.currentResources(), s.releases())
+		s.prof.Reset(s.eng.Now(), s.currentResources(), &s.ends)
 	}
 	rebuild() // size the pooled buffers
 	if got := testing.AllocsPerRun(50, rebuild); got != 0 {
 		t.Fatalf("backfill profile rebuild allocates %.1f per pass, want 0", got)
+	}
+	// The EASY reservation walks the release order in place.
+	hj := s.runList[len(s.runList)-1].j
+	if got := testing.AllocsPerRun(50, func() { s.shadowTimeFor(hj) }); got != 0 {
+		t.Fatalf("EASY shadow time allocates %.1f per pass, want 0", got)
 	}
 }
 

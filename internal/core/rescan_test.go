@@ -97,23 +97,38 @@ func currentResourcesRescan(s *Simulator) sched.Resources {
 	return r
 }
 
-// releasesRescan is the reference for releases: a fresh list built from
-// the job table in ascending job ID order.
-func releasesRescan(s *Simulator) []sched.Release {
+// releasesRescan is the reference for the release order: the job table's
+// live attempts sorted by (start + limit, job ID), each release's node
+// classes derived from the ledger node by node.
+func releasesRescan(s *Simulator) ([]*runningJob, []sched.Release) {
 	live := runningJobs(s)
+	sort.SliceStable(live, func(a, b int) bool {
+		return live[a].start+live[a].j.LimitSec < live[b].start+live[b].j.LimitSec
+	})
+	normalMB := s.cfg.Cluster.NormalMB
 	out := make([]sched.Release, 0, len(live))
 	for _, rj := range live {
-		out = append(out, s.releaseOf(rj))
+		var res sched.Resources
+		for i := range rj.alloc.PerNode {
+			if s.cl.Node(rj.alloc.PerNode[i].Node).CapacityMB > normalMB {
+				res.LargeNodes++
+			} else {
+				res.NormalNodes++
+			}
+		}
+		res.FreeMB = rj.alloc.TotalMB()
+		out = append(out, sched.Release{At: rj.start + rj.j.LimitSec, Res: res})
 	}
-	return out
+	return live, out
 }
 
 // checkRescanOracles compares the simulator's incremental state with the
 // rescan references between events: every running job's slowdown and the
 // pressure of every domain with a running resident must match bit for bit,
 // every running job must have a pending finish event, the running list must
-// hold the table's live entries in ID order, and the resource summary and
-// release list must be equal. It reports whether some running job is slowed
+// hold the table's live entries in ID order, the release order must hold
+// them in (start + limit, ID) order, and the resource summary and every
+// release must be equal. It reports whether some running job is slowed
 // by contention.
 func checkRescanOracles(t *testing.T, s *Simulator) (contended bool) {
 	t.Helper()
@@ -152,13 +167,16 @@ func checkRescanOracles(t *testing.T, s *Simulator) (contended bool) {
 	if got, want := s.currentResources(), currentResourcesRescan(s); got != want {
 		t.Fatalf("t=%v: resources %+v, rescan %+v", s.eng.Now(), got, want)
 	}
-	got, want := s.releases(), releasesRescan(s)
-	if len(got) != len(want) {
-		t.Fatalf("t=%v: %d releases, rescan %d", s.eng.Now(), len(got), len(want))
+	order, want := releasesRescan(s)
+	if len(s.ends) != len(order) {
+		t.Fatalf("t=%v: release order has %d jobs, the table %d live", s.eng.Now(), len(s.ends), len(order))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("t=%v: release %d is %+v, rescan %+v", s.eng.Now(), i, got[i], want[i])
+		if s.ends[i] != order[i] {
+			t.Fatalf("t=%v: release order[%d] is job %d, want job %d", s.eng.Now(), i, s.ends[i].j.ID, order[i].j.ID)
+		}
+		if got := s.ends.Release(i); got != want[i] {
+			t.Fatalf("t=%v: release %d (job %d) is %+v, rescan %+v", s.eng.Now(), i, order[i].j.ID, got, want[i])
 		}
 	}
 	return contended

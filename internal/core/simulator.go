@@ -34,8 +34,10 @@ type Simulator struct {
 	table []jobEntry
 	queue sched.Queue
 	// runList is the running set: the live attempts, ascending job ID, so
-	// refreshes and the release list visit them in the same order every run.
+	// refreshes visit them in the same order every run. ends holds the same
+	// attempts in release order, the sequence the backfill passes walk.
 	runList []*runningJob
+	ends    endOrder
 
 	res           *Result
 	lastAcc       float64
@@ -60,9 +62,7 @@ type Simulator struct {
 	stale        bool
 	refreshEpoch uint64 // refreshAfter's job dedup stamp across touched domains
 
-	// Scratch reused across scheduling passes (the per-event hot path).
-	relBuf []sched.Release
-	prof   *sched.Profile // pooled conservative-backfill profile
+	prof *sched.Profile // pooled conservative-backfill profile, reused across passes
 
 	// Lifecycle state for the Start/StepUntil/Finish decomposition of Run
 	// and for Fork (see fork.go). rngDraws counts Float64 draws taken from
@@ -100,6 +100,11 @@ type runningJob struct {
 	period   float64         // this job's jittered memory-update period
 	use      memtrace.Cursor // usage-trace reader at this attempt's progress
 	gone     bool            // torn down: no longer in the running set
+	end      float64         // conservative release time: start + the job's limit
+
+	// The attempt's compute nodes by capacity class (above the cluster's
+	// NormalMB or not), fixed at dispatch: the node counts of its release.
+	normal, large int
 
 	finishEv sim.Handle
 	limitEv  sim.Handle
@@ -533,7 +538,7 @@ func (s *Simulator) conservativePass() {
 		s.prof = &sched.Profile{}
 	}
 	profile := s.prof
-	profile.Reset(now, s.currentResources(), s.releases())
+	profile.Reset(now, s.currentResources(), &s.ends)
 	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
 		e := &s.table[q.Job]
 		if s.dependencyState(e) != depSatisfied {
@@ -575,37 +580,54 @@ func (s *Simulator) currentResources() sched.Resources {
 	return r
 }
 
-// releases lists running jobs' conservative completions (start + limit) into
-// a scratch slice reused across scheduling passes, visiting jobs in
-// ascending ID order (the release list feeds the backfill planner, where
-// order breaks ties). The tests check it after every event against an
-// oracle that walks the job table instead.
+// endOrder is the running set in release order: ascending conservative end
+// (start + limit), ties by ascending job ID. It is the sched.Releases
+// sequence both backfill passes walk, so neither builds nor sorts a release
+// list. A release's node counts were fixed at dispatch; its FreeMB is read
+// live from the allocation, and only for the releases a walk reaches, so
+// dynamic resizing stays exact. The tests check the order and every release
+// after every event against an oracle that walks the job table instead.
+type endOrder []*runningJob
+
+// Len implements sched.Releases.
+func (o *endOrder) Len() int { return len(*o) }
+
+// Release implements sched.Releases.
 //
 //dmp:hotpath
-func (s *Simulator) releases() []sched.Release {
-	out := s.relBuf[:0]
-	for _, rj := range s.runList {
-		out = append(out, s.releaseOf(rj))
-	}
-	s.relBuf = out
-	return out
+func (o *endOrder) Release(i int) sched.Release {
+	rj := (*o)[i]
+	return sched.Release{At: rj.end, Res: sched.Resources{
+		NormalNodes: rj.normal,
+		LargeNodes:  rj.large,
+		FreeMB:      rj.alloc.TotalMB(),
+	}}
 }
 
-// releaseOf summarises one running job's conservative release.
-//
-//dmp:hotpath
-func (s *Simulator) releaseOf(rj *runningJob) sched.Release {
-	normalMB := s.cfg.Cluster.NormalMB
-	var res sched.Resources
-	for i := range rj.alloc.PerNode {
-		if s.cl.Node(rj.alloc.PerNode[i].Node).CapacityMB > normalMB {
-			res.LargeNodes++
-		} else {
-			res.NormalNodes++
-		}
+// endsBefore reports whether a is released before b: (end, job ID) order.
+func endsBefore(a, b *runningJob) bool {
+	return a.end < b.end || a.end == b.end && a.j.ID < b.j.ID
+}
+
+// insert files rj at its release-order position.
+func (o *endOrder) insert(rj *runningJob) {
+	l := *o
+	i := sort.Search(len(l), func(k int) bool { return !endsBefore(l[k], rj) })
+	l = append(l, nil)
+	copy(l[i+1:], l[i:])
+	l[i] = rj
+	*o = l
+}
+
+// remove drops rj from the release order.
+func (o *endOrder) remove(rj *runningJob) {
+	l := *o
+	i := sort.Search(len(l), func(k int) bool { return !endsBefore(l[k], rj) })
+	if i < len(l) && l[i] == rj {
+		copy(l[i:], l[i+1:])
+		l[len(l)-1] = nil
+		*o = l[:len(l)-1]
 	}
-	res.FreeMB = rj.alloc.TotalMB()
-	return sched.Release{At: rj.start + rj.j.LimitSec, Res: res}
 }
 
 // demandFor maps a job to the aggregate demand vector under the active
@@ -625,7 +647,7 @@ func (s *Simulator) demandFor(j *job.Job) sched.Demand {
 // the earliest time it fits assuming running jobs release their resources
 // at their conservative ends (start + wallclock limit).
 func (s *Simulator) shadowTimeFor(j *job.Job) float64 {
-	return sched.ShadowTime(s.eng.Now(), s.currentResources(), s.releases(), s.demandFor(j))
+	return sched.ShadowTime(s.eng.Now(), s.currentResources(), &s.ends, s.demandFor(j))
 }
 
 // start dispatches the placed job at table index i.
@@ -650,11 +672,20 @@ func (s *Simulator) start(i int, ja *cluster.JobAllocation) {
 		slow:     1,
 		period:   s.cfg.UpdateInterval * (1 + s.cfg.UpdateJitter*(2*s.randFloat()-1)),
 		use:      j.Usage.Cursor(),
+		end:      now + j.LimitSec,
 		dirty:    true,
+	}
+	for k := range ja.PerNode {
+		if s.cl.Node(ja.PerNode[k].Node).CapacityMB > s.cfg.Cluster.NormalMB {
+			rj.large++
+		} else {
+			rj.normal++
+		}
 	}
 	e.banked = 0
 	e.run = rj
 	s.runList = insertByID(s.runList, rj)
+	s.ends.insert(rj)
 	s.domainize(rj)
 	s.stale = true // new member: its home domains' traffic changes
 	s.curAllocMB += ja.TotalMB()
@@ -754,6 +785,7 @@ func (s *Simulator) teardown(rj *runningJob) {
 	s.table[rj.idx].run = nil
 	rj.gone = true
 	s.runList = removeByID(s.runList, rj)
+	s.ends.remove(rj)
 	if rj.remote {
 		for _, d := range rj.homeDoms {
 			s.domRemote[d] = removeByID(s.domRemote[d], rj)

@@ -137,9 +137,7 @@ func TestAblationPriority(t *testing.T) {
 
 func TestReplicate(t *testing.T) {
 	p := tiny()
-	calls := 0
 	s, err := Replicate(p, 4, func(q Preset) (float64, error) {
-		calls++
 		return float64(q.Seed % 10), nil
 	})
 	if err != nil {

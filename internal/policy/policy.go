@@ -116,7 +116,20 @@ func (*baselinePolicy) CanEverRun(cl *cluster.Cluster, j *job.Job) bool {
 // for large jobs. The job receives the node's entire memory (exclusive use).
 // The cluster's static capacity order replaces the per-call candidate sort;
 // the walk stops as soon as enough nodes are found.
+//
+// Before the walk, two O(1) counts reject a job that cannot fit. The
+// baseline never lends, so a node is compute-available exactly when it runs
+// no job: the idle count bounds the candidates from above, and a request
+// above the large-class threshold can only land on idle large nodes.
 func (p *baselinePolicy) Place(cl *cluster.Cluster, j *job.Job) (*cluster.JobAllocation, bool) {
+	if cl.Len()-cl.BusyNodes() < j.Nodes {
+		return nil, false
+	}
+	if j.RequestMB > cl.LargeMB() {
+		if _, large := cl.IdleComputeSplit(); large < j.Nodes {
+			return nil, false
+		}
+	}
 	cand := p.cand[:0]
 	for _, id := range cl.CapacityOrder() {
 		node := cl.Node(id)

@@ -357,3 +357,93 @@ func sharedLenders(ja *cluster.JobAllocation) int {
 	}
 	return shared
 }
+
+// refBaselinePlace is the baseline placement as a plain walk of the
+// capacity order, with no count-based reject: the first j.Nodes idle nodes
+// whose capacity covers the request, each given its whole memory.
+func refBaselinePlace(cl *cluster.Cluster, j *job.Job) (*cluster.JobAllocation, bool) {
+	var cand []cluster.NodeID
+	for _, id := range cl.CapacityOrder() {
+		if n := cl.Node(id); n.RunningJob == cluster.NoJob && n.CapacityMB >= j.RequestMB {
+			cand = append(cand, id)
+		}
+	}
+	if len(cand) < j.Nodes {
+		return nil, false
+	}
+	ja := &cluster.JobAllocation{Job: j.ID}
+	for i, id := range cand[:j.Nodes] {
+		mustStart(cl, id, j.ID)
+		ja.PerNode = append(ja.PerNode, cluster.NodeAllocation{Node: id})
+		mustGrowLocal(cl, ja, i, cl.Node(id).CapacityMB)
+	}
+	return ja, true
+}
+
+// TestBaselineMatchesReference holds the baseline's Place, with its O(1)
+// rejects, to the plain capacity-order walk on mixed-capacity ledgers kept
+// nearly full, where most placements fail. It also checks the premise the
+// rejects rest on: the baseline never lends, so a node is compute-available
+// exactly when it runs no job, and the idle count is Len − BusyNodes.
+func TestBaselineMatchesReference(t *testing.T) {
+	var rejects, largeRejects, places int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := cluster.Config{
+			Nodes: 16 + rng.Intn(48), Cores: 32, NormalMB: 1024,
+			LargeFrac: []float64{0, 0.15, 0.25, 0.5, 1}[rng.Intn(5)], Shards: 1 + rng.Intn(4),
+		}
+		cl, ref := cluster.NewMixed(cfg), cluster.NewMixed(cfg)
+		pol := New(Baseline, Order{})
+		var running [][2]*cluster.JobAllocation
+		for op := 0; op < 400; op++ {
+			// Place three times as often as release: the ledger runs
+			// nearly full.
+			if rng.Intn(4) > 0 || len(running) == 0 {
+				j := testJob(op+1, 1+rng.Intn(6), 1+rng.Int63n(2*cfg.NormalMB))
+				idle := cl.Len() - cl.BusyNodes()
+				_, idleLarge := cl.IdleComputeSplit()
+				got, okGot := pol.Place(cl, j)
+				want, okWant := refBaselinePlace(ref, j)
+				if okGot != okWant {
+					t.Fatalf("seed %d op %d: %d×%d MB placed %t, reference %t", seed, op, j.Nodes, j.RequestMB, okGot, okWant)
+				}
+				switch {
+				case okGot:
+					if !reflect.DeepEqual(got.PerNode, want.PerNode) {
+						t.Fatalf("seed %d op %d:\n got  %+v\n want %+v", seed, op, got.PerNode, want.PerNode)
+					}
+					running = append(running, [2]*cluster.JobAllocation{got, want})
+					places++
+				case idle < j.Nodes:
+					rejects++
+				case j.RequestMB > cl.LargeMB() && idleLarge < j.Nodes:
+					largeRejects++
+				}
+			} else {
+				k := rng.Intn(len(running))
+				if err := running[k][0].Release(cl); err != nil {
+					t.Fatal(err)
+				}
+				if err := running[k][1].Release(ref); err != nil {
+					t.Fatal(err)
+				}
+				running = append(running[:k], running[k+1:]...)
+			}
+			if err := sameLedger(cl, ref); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
+			for _, n := range cl.Nodes() {
+				if n.IsComputeAvailable() != (n.RunningJob == cluster.NoJob) || n.LentMB != 0 {
+					t.Fatalf("seed %d op %d: node %d idle %t with job %d, lent %d MB", seed, op, n.ID, n.IsComputeAvailable(), n.RunningJob, n.LentMB)
+				}
+			}
+			if idle := cl.Len() - cl.BusyNodes(); idle != cl.IdleComputeCount() {
+				t.Fatalf("seed %d op %d: Len−BusyNodes %d, idle count %d", seed, op, idle, cl.IdleComputeCount())
+			}
+		}
+	}
+	if places == 0 || rejects == 0 || largeRejects == 0 {
+		t.Fatalf("differential exercised too little: %d placed, %d idle-count rejects, %d large-class rejects", places, rejects, largeRejects)
+	}
+}

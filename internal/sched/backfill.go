@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Resources is an aggregate availability vector. Compute nodes are split by
 // capacity class because the baseline policy can only place large-memory
@@ -53,24 +50,38 @@ type Release struct {
 	Res Resources
 }
 
+// Releases is a sequence of future releases in ascending At order, read by
+// index. The simulator keeps its running jobs in that order, so the
+// reservation arithmetic below walks the sequence front to back and never
+// sorts or copies it; Release(i) may compute its entry on demand, and a
+// walk that stops early reads no entry past the one it stopped at. Ties in
+// At may come in any order: every Resources component is a non-negative
+// count, so availability only grows along the sequence and Fits, once true,
+// stays true.
+type Releases interface {
+	Len() int
+	Release(i int) Release
+}
+
 // ShadowTime returns the earliest time the demand fits, assuming the current
 // availability now plus the given future releases (typically the running
 // jobs' conservative completion times, i.e. start + wallclock limit), and no
 // new work starting. It returns +Inf if the demand never fits even after all
-// releases — the scenario is infeasible.
+// releases — the scenario is infeasible. The walk stops at the first release
+// after which the demand fits.
 //
 // This is the EASY-backfill reservation: the queue head is guaranteed to
 // start no later than the shadow time, and backfilled jobs must not push it
 // past that point.
-func ShadowTime(nowTime float64, now Resources, releases []Release, d Demand) float64 {
+//
+//dmp:hotpath
+func ShadowTime(nowTime float64, now Resources, releases Releases, d Demand) float64 {
 	if d.Fits(now) {
 		return nowTime
 	}
-	rel := make([]Release, len(releases))
-	copy(rel, releases)
-	sort.Slice(rel, func(i, j int) bool { return rel[i].At < rel[j].At })
 	avail := now
-	for _, r := range rel {
+	for i, n := 0, releases.Len(); i < n; i++ {
+		r := releases.Release(i)
 		avail = avail.Add(r.Res)
 		if d.Fits(avail) {
 			if r.At < nowTime {

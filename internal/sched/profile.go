@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -16,64 +15,43 @@ import (
 type Profile struct {
 	times []float64   // breakpoints, ascending; times[0] is "now"
 	avail []Resources // availability in [times[i], times[i+1])
-	rel   []Release   // sort scratch, reused across Reset calls
 }
 
 // NewProfile builds a profile from current availability and future
-// releases (running jobs' conservative ends).
-func NewProfile(now float64, current Resources, releases []Release) *Profile {
+// releases (running jobs' conservative ends, in ascending At order).
+func NewProfile(now float64, current Resources, releases Releases) *Profile {
 	p := &Profile{}
 	p.Reset(now, current, releases)
 	return p
 }
 
 // Reset rebuilds the profile in place from current availability and future
-// releases, reusing the breakpoint and sort buffers from previous builds.
+// releases, reusing the breakpoint buffers from previous builds.
 // Conservative backfill constructs a profile every scheduling pass; pooling
 // one Profile makes that pass allocation-free at steady state. Results are
 // identical to NewProfile: the arithmetic is all integer Resources math, so
 // buffer reuse cannot perturb anything.
 //
-//dmp:hotpath
-func (p *Profile) Reset(now float64, current Resources, releases []Release) {
-	p.times = append(p.times[:0], now)
-	p.avail = append(p.avail[:0], current)
-	rel := append(p.rel[:0], releases...)
-	// slices.SortFunc rather than sort.Slice: no interface boxing, so the
-	// rebuild stays allocation-free. Both sorts are unstable; ties in At are
-	// combined with commutative integer adds, so tie order is immaterial.
-	slices.SortFunc(rel, func(a, b Release) int {
-		switch {
-		case a.At < b.At:
-			return -1
-		case a.At > b.At:
-			return 1
-		}
-		return 0
-	})
-	p.rel = rel
-	for _, r := range rel {
-		at := r.At
-		if at < now {
-			at = now // overdue release: counts as available now
-		}
-		p.splitAt(at)
-		i := p.indexFor(at)
-		for k := i; k < len(p.avail); k++ {
-			p.avail[k] = p.avail[k].Add(r.Res)
-		}
-	}
-}
-
-// indexFor returns the segment index covering time t (t >= times[0]).
+// The releases arrive in ascending At order, and an overdue one (At before
+// now) counts as available now, so each release lands on the last
+// breakpoint or opens a new one after it: the profile is built in one pass
+// with no search. Ties in At fold into one breakpoint with commutative
+// integer adds, so their order is immaterial.
 //
 //dmp:hotpath
-func (p *Profile) indexFor(t float64) int {
-	i := sort.SearchFloat64s(p.times, t)
-	if i < len(p.times) && p.times[i] == t {
-		return i
+func (p *Profile) Reset(now float64, current Resources, releases Releases) {
+	p.times = append(p.times[:0], now)
+	p.avail = append(p.avail[:0], current)
+	last := 0
+	for i, n := 0, releases.Len(); i < n; i++ {
+		r := releases.Release(i)
+		if r.At > p.times[last] {
+			p.times = append(p.times, r.At)
+			p.avail = append(p.avail, p.avail[last])
+			last++
+		}
+		p.avail[last] = p.avail[last].Add(r.Res)
 	}
-	return i - 1
 }
 
 // splitAt inserts a breakpoint at t if none exists.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestProfileImmediateFit(t *testing.T) {
-	p := NewProfile(0, Resources{NormalNodes: 4, FreeMB: 1000}, nil)
+	p := NewProfile(0, Resources{NormalNodes: 4, FreeMB: 1000}, releaseList(nil))
 	d := Demand{Nodes: 2, UsePool: true, PooledMB: 500}
 	if got := p.EarliestFit(d, 0, 100); got != 0 {
 		t.Fatalf("fit = %g, want 0", got)
@@ -16,10 +16,10 @@ func TestProfileImmediateFit(t *testing.T) {
 }
 
 func TestProfileWaitsForRelease(t *testing.T) {
-	p := NewProfile(0, Resources{NormalNodes: 1}, []Release{
+	p := NewProfile(0, Resources{NormalNodes: 1}, ordered([]Release{
 		{At: 50, Res: Resources{NormalNodes: 1}},
 		{At: 200, Res: Resources{NormalNodes: 2}},
-	})
+	}))
 	if got := p.EarliestFit(Demand{Nodes: 2}, 0, 100); got != 50 {
 		t.Fatalf("2-node fit = %g, want 50", got)
 	}
@@ -32,14 +32,14 @@ func TestProfileWaitsForRelease(t *testing.T) {
 }
 
 func TestProfileOverdueReleaseCountsNow(t *testing.T) {
-	p := NewProfile(100, Resources{}, []Release{{At: 30, Res: Resources{NormalNodes: 1}}})
+	p := NewProfile(100, Resources{}, ordered([]Release{{At: 30, Res: Resources{NormalNodes: 1}}}))
 	if got := p.EarliestFit(Demand{Nodes: 1}, 100, 10); got != 100 {
 		t.Fatalf("fit = %g, want now (100)", got)
 	}
 }
 
 func TestProfileReserveBlocksWindow(t *testing.T) {
-	p := NewProfile(0, Resources{NormalNodes: 2, FreeMB: 1000}, nil)
+	p := NewProfile(0, Resources{NormalNodes: 2, FreeMB: 1000}, releaseList(nil))
 	d := Demand{Nodes: 2, UsePool: true, PooledMB: 600}
 	// Reserve both nodes over [100, 200).
 	p.Reserve(d, 100, 100)
@@ -58,7 +58,7 @@ func TestProfileReserveBlocksWindow(t *testing.T) {
 }
 
 func TestProfileSubtractLargeNodes(t *testing.T) {
-	p := NewProfile(0, Resources{NormalNodes: 2, LargeNodes: 2}, nil)
+	p := NewProfile(0, Resources{NormalNodes: 2, LargeNodes: 2}, releaseList(nil))
 	// A large-only demand consumes large nodes.
 	p.Reserve(Demand{Nodes: 2, LargeOnly: true}, 0, 100)
 	if got := p.EarliestFit(Demand{Nodes: 1, LargeOnly: true}, 0, 10); got != 100 {
@@ -71,7 +71,7 @@ func TestProfileSubtractLargeNodes(t *testing.T) {
 }
 
 func TestProfileSubtractOverflowsToLarge(t *testing.T) {
-	p := NewProfile(0, Resources{NormalNodes: 1, LargeNodes: 2}, nil)
+	p := NewProfile(0, Resources{NormalNodes: 1, LargeNodes: 2}, releaseList(nil))
 	// A 2-node unrestricted demand takes the normal node plus one large.
 	p.Reserve(Demand{Nodes: 2}, 0, 100)
 	if got := p.EarliestFit(Demand{Nodes: 1, LargeOnly: true}, 0, 10); got != 0 {
@@ -87,9 +87,9 @@ func TestProfileConservativeNoDelayInvariant(t *testing.T) {
 	// earlier ones (re-probing an earlier demand still fits at its
 	// reserved time).
 	rng := rand.New(rand.NewSource(9))
-	p := NewProfile(0, Resources{NormalNodes: 8, FreeMB: 8000}, []Release{
+	p := NewProfile(0, Resources{NormalNodes: 8, FreeMB: 8000}, ordered([]Release{
 		{At: 500, Res: Resources{NormalNodes: 4, FreeMB: 4000}},
-	})
+	}))
 	type reserved struct {
 		d       Demand
 		at, dur float64
@@ -125,10 +125,10 @@ func TestQuickEarliestFitMonotone(t *testing.T) {
 			NormalNodes: rng.Intn(8),
 			LargeNodes:  rng.Intn(4),
 			FreeMB:      rng.Int63n(4000),
-		}, []Release{
+		}, ordered([]Release{
 			{At: rng.Float64() * 100, Res: Resources{NormalNodes: rng.Intn(4), FreeMB: rng.Int63n(2000)}},
 			{At: rng.Float64() * 300, Res: Resources{LargeNodes: rng.Intn(3)}},
-		})
+		}))
 		d := Demand{Nodes: 1 + rng.Intn(6), UsePool: true, PooledMB: rng.Int63n(3000)}
 		dur := 1 + rng.Float64()*200
 		a := rng.Float64() * 100

@@ -112,7 +112,7 @@ func TestDemandFits(t *testing.T) {
 
 func TestShadowTimeImmediate(t *testing.T) {
 	now := Resources{NormalNodes: 10, FreeMB: 1000}
-	got := ShadowTime(42, now, nil, Demand{Nodes: 5})
+	got := ShadowTime(42, now, releaseList(nil), Demand{Nodes: 5})
 	if got != 42 {
 		t.Fatalf("shadow = %g, want now (42)", got)
 	}
@@ -128,11 +128,11 @@ func TestShadowTimeAccumulatesReleases(t *testing.T) {
 	// Needs 4 nodes and 400 MB: satisfied after the t=300 release
 	// (1+1+1+2 nodes, 100+100+100+200 MB).
 	d := Demand{Nodes: 4, UsePool: true, PooledMB: 400}
-	if got := ShadowTime(0, now, releases, d); got != 300 {
+	if got := ShadowTime(0, now, ordered(releases), d); got != 300 {
 		t.Fatalf("shadow = %g, want 300", got)
 	}
 	// Needs 2 nodes only: the t=100 release suffices.
-	if got := ShadowTime(0, now, releases, Demand{Nodes: 2}); got != 100 {
+	if got := ShadowTime(0, now, ordered(releases), Demand{Nodes: 2}); got != 100 {
 		t.Fatalf("shadow = %g, want 100", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestShadowTimeAccumulatesReleases(t *testing.T) {
 func TestShadowTimeInfeasible(t *testing.T) {
 	now := Resources{NormalNodes: 1}
 	rel := []Release{{At: 10, Res: Resources{NormalNodes: 1}}}
-	got := ShadowTime(0, now, rel, Demand{Nodes: 5})
+	got := ShadowTime(0, now, ordered(rel), Demand{Nodes: 5})
 	if !math.IsInf(got, 1) {
 		t.Fatalf("shadow = %g, want +Inf", got)
 	}
@@ -151,7 +151,7 @@ func TestShadowTimePastReleaseClampsToNow(t *testing.T) {
 	// produce a shadow time before now.
 	now := Resources{}
 	rel := []Release{{At: 5, Res: Resources{NormalNodes: 1}}}
-	if got := ShadowTime(50, now, rel, Demand{Nodes: 1}); got != 50 {
+	if got := ShadowTime(50, now, ordered(rel), Demand{Nodes: 1}); got != 50 {
 		t.Fatalf("shadow = %g, want clamped to now 50", got)
 	}
 }
@@ -191,8 +191,8 @@ func TestQuickShadowMonotoneInDemand(t *testing.T) {
 		}
 		small := Demand{Nodes: 1 + rng.Intn(5), UsePool: true, PooledMB: rng.Int63n(800)}
 		big := Demand{Nodes: small.Nodes + rng.Intn(5), UsePool: true, PooledMB: small.PooledMB + rng.Int63n(500)}
-		ts := ShadowTime(0, now, rel, small)
-		tb := ShadowTime(0, now, rel, big)
+		ts := ShadowTime(0, now, ordered(rel), small)
+		tb := ShadowTime(0, now, ordered(rel), big)
 		return ts <= tb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -214,7 +214,7 @@ func TestQuickShadowSufficient(t *testing.T) {
 			})
 		}
 		d := Demand{Nodes: rng.Intn(8), UsePool: true, PooledMB: rng.Int63n(600)}
-		ts := ShadowTime(0, now, rel, d)
+		ts := ShadowTime(0, now, ordered(rel), d)
 		if math.IsInf(ts, 1) {
 			// Must genuinely not fit even with everything released.
 			avail := now
