@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dismem/internal/bundle"
@@ -23,41 +24,130 @@ import (
 	"dismem/internal/telemetry"
 )
 
+// options is the command line that selects what runs; the output paths
+// stay in main.
+type options struct {
+	policy, trace, preset, conf, pressure string
+	nodes, memPct, domains                int
+	largeFrac, overest                    float64
+	seed                                  int64
+}
+
+// configure turns the options into the one configuration that runs and its
+// workload. A -conf file fully specifies the system and policy; without one
+// the preset's ConfigFor builds the configuration from -policy, -nodes and
+// -mem. -pressure and -domains apply to either.
+func configure(o options) (core.Config, []*job.Job, error) {
+	var cfg core.Config
+	pmode, err := core.ParsePressure(o.pressure)
+	if err != nil {
+		return cfg, nil, fmt.Errorf("-pressure: %v", err)
+	}
+	kind, err := policy.ParseKind(o.policy)
+	if err != nil {
+		return cfg, nil, fmt.Errorf("-policy: %v", err)
+	}
+	var p experiments.Preset
+	switch o.preset {
+	case "quick":
+		p = experiments.Quick()
+	case "full":
+		p = experiments.Full()
+	default:
+		return cfg, nil, fmt.Errorf("unknown preset %q", o.preset)
+	}
+	p.Seed = o.seed
+	mc, err := experiments.MemConfigByPct(o.memPct)
+	if err != nil {
+		return cfg, nil, err
+	}
+
+	var jobs []*job.Job
+	sysNodes := p.SystemNodes
+	switch o.trace {
+	case "synthetic":
+		out, err := p.SyntheticTrace(o.largeFrac, o.overest)
+		if err != nil {
+			return cfg, nil, fmt.Errorf("trace generation: %v", err)
+		}
+		jobs = out.Jobs
+	case "grizzly":
+		if jobs, err = p.GrizzlyTrace(o.overest); err != nil {
+			return cfg, nil, fmt.Errorf("grizzly trace: %v", err)
+		}
+		sysNodes = p.GrizzlyNodes
+	default:
+		// Anything else is a bundle path written by dmptrace -bundle.
+		f, err := os.Open(o.trace)
+		if err != nil {
+			return cfg, nil, fmt.Errorf("unknown trace %q and no such bundle file: %v", o.trace, err)
+		}
+		jobs, err = bundle.Read(f)
+		f.Close()
+		if err != nil {
+			return cfg, nil, fmt.Errorf("bundle %s: %v", o.trace, err)
+		}
+	}
+	if o.nodes > 0 {
+		sysNodes = o.nodes
+	}
+
+	if o.conf != "" {
+		f, err := os.Open(o.conf)
+		if err != nil {
+			return cfg, nil, err
+		}
+		parsed, err := slurmconf.Parse(f)
+		f.Close()
+		if err != nil {
+			return cfg, nil, fmt.Errorf("%s: %v", o.conf, err)
+		}
+		if cfg, err = parsed.CoreConfig(); err != nil {
+			return cfg, nil, fmt.Errorf("%s: %v", o.conf, err)
+		}
+		cfg.Seed = o.seed
+	} else {
+		cfg = p.ConfigFor(sysNodes, mc, kind)
+	}
+	if pmode != core.PressureGlobal {
+		cfg.Pressure = pmode
+		cfg.Domains = o.domains
+	}
+	return cfg, jobs, nil
+}
+
 func main() {
+	var o options
+	flag.StringVar(&o.policy, "policy", "dynamic", "allocation policy: baseline, static, dynamic")
+	flag.StringVar(&o.trace, "trace", "synthetic", "trace: synthetic, grizzly, or a dismem bundle path")
+	flag.IntVar(&o.nodes, "nodes", 0, "system size (0 = preset default)")
+	flag.IntVar(&o.memPct, "mem", 100, "total system memory %: 37 43 50 57 62 75 87 100")
+	flag.Float64Var(&o.largeFrac, "large-jobs", 0.5, "fraction of large-memory jobs (synthetic trace)")
+	flag.Float64Var(&o.overest, "overest", 0, "memory request overestimation factor (0.6 = +60%)")
+	flag.StringVar(&o.preset, "preset", "quick", "scale preset: quick or full")
+	flag.StringVar(&o.conf, "conf", "", "slurm.conf-style configuration file (overrides -policy/-nodes/-mem)")
+	flag.StringVar(&o.pressure, "pressure", "global", "contention model: global (one system-wide rho) or domains (per-rack pressure domains)")
+	flag.IntVar(&o.domains, "domains", 0, "pressure-domain count (0 = the torus Z extent with a topology, else 16; needs -pressure=domains)")
+	flag.Int64Var(&o.seed, "seed", 1, "random seed")
 	var (
-		polName   = flag.String("policy", "dynamic", "allocation policy: baseline, static, dynamic")
-		trace     = flag.String("trace", "synthetic", "trace: synthetic, grizzly, or a dismem bundle path")
-		nodes     = flag.Int("nodes", 0, "system size (0 = preset default)")
-		memPct    = flag.Int("mem", 100, "total system memory %: 37 43 50 57 62 75 87 100")
-		largeFrac = flag.Float64("large-jobs", 0.5, "fraction of large-memory jobs (synthetic trace)")
-		overest   = flag.Float64("overest", 0, "memory request overestimation factor (0.6 = +60%)")
-		preset    = flag.String("preset", "quick", "scale preset: quick or full")
-		confPath  = flag.String("conf", "", "slurm.conf-style configuration file (overrides -policy/-nodes/-mem)")
-		timeline  = flag.String("timeline", "", "write an occupancy timeline CSV (t, alloc_mb, busy_nodes, queued, running) here")
-		jobsCSV   = flag.String("jobs", "", "write per-job results (schedule, response, stretch, outcome) as CSV here")
-		dumpConf  = flag.String("dump-conf", "", "write the resolved configuration as a slurm.conf file here")
-		telPath   = flag.String("telemetry", "", "write a JSONL telemetry event log here (inspect with dmpobs)")
-		telEvery  = flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
-		promPath  = flag.String("prom", "", "write Prometheus text-format run aggregates here")
-		pressure  = flag.String("pressure", "global", "contention model: global (one system-wide rho) or domains (per-rack pressure domains)")
-		domains   = flag.Int("domains", 0, "pressure-domain count (0 = the torus Z extent with a topology, else 16; needs -pressure=domains)")
-		seed      = flag.Int64("seed", 1, "random seed")
+		timeline = flag.String("timeline", "", "write an occupancy timeline CSV (t, alloc_mb, busy_nodes, queued, running) here")
+		jobsCSV  = flag.String("jobs", "", "write per-job results (schedule, response, stretch, outcome) as CSV here")
+		dumpConf = flag.String("dump-conf", "", "write the configuration that ran as a slurm.conf file here")
+		telPath  = flag.String("telemetry", "", "write a JSONL telemetry event log here (inspect with dmpobs)")
+		telEvery = flag.Float64("telemetry-interval", 300, "telemetry pool-sampling period in simulated seconds (0 = events only)")
+		promPath = flag.String("prom", "", "write Prometheus text-format run aggregates here")
 	)
 	flag.Parse()
 
-	var pmode core.PressureMode
-	switch *pressure {
-	case "global":
-		pmode = core.PressureGlobal
-	case "domains":
-		pmode = core.PressureDomains
-	default:
-		fail("unknown pressure mode %q (want global or domains)", *pressure)
+	cfg, jobs, err := configure(o)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	var tl *core.Timeline
 	if *timeline != "" {
 		tl = core.NewTimeline()
+		cfg.Observer = tl
 	}
 
 	// Telemetry: a nil recorder keeps the simulation's emit path at one
@@ -82,117 +172,16 @@ func main() {
 			sink = sinks[0]
 		}
 		rec = telemetry.New(telemetry.Options{Sink: sink, SampleInterval: *telEvery})
-	}
-
-	var kind policy.Kind
-	switch *polName {
-	case "baseline":
-		kind = policy.Baseline
-	case "static":
-		kind = policy.Static
-	case "dynamic":
-		kind = policy.Dynamic
-	default:
-		fail("unknown policy %q", *polName)
-	}
-
-	var p experiments.Preset
-	switch *preset {
-	case "quick":
-		p = experiments.Quick()
-	case "full":
-		p = experiments.Full()
-	default:
-		fail("unknown preset %q", *preset)
-	}
-	p.Seed = *seed
-
-	mc, err := experiments.MemConfigByPct(*memPct)
-	if err != nil {
-		fail("%v", err)
-	}
-
-	var jobs []*job.Job
-	sysNodes := p.SystemNodes
-	switch *trace {
-	case "synthetic":
-		out, err := p.SyntheticTrace(*largeFrac, *overest)
-		if err != nil {
-			fail("trace generation: %v", err)
-		}
-		jobs = out.Jobs
-	case "grizzly":
-		jobs, err = p.GrizzlyTrace(*overest)
-		if err != nil {
-			fail("grizzly trace: %v", err)
-		}
-		sysNodes = p.GrizzlyNodes
-	default:
-		// Anything else is a bundle path written by dmptrace -bundle.
-		f, err := os.Open(*trace)
-		if err != nil {
-			fail("unknown trace %q and no such bundle file: %v", *trace, err)
-		}
-		jobs, err = bundle.Read(f)
-		f.Close()
-		if err != nil {
-			fail("bundle %s: %v", *trace, err)
-		}
-	}
-	if *nodes > 0 {
-		sysNodes = *nodes
-	}
-
-	var res *core.Result
-	if *confPath != "" {
-		// A slurm.conf file fully specifies the system and policy.
-		f, err := os.Open(*confPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		parsed, err := slurmconf.Parse(f)
-		f.Close()
-		if err != nil {
-			fail("%s: %v", *confPath, err)
-		}
-		cfg, err := parsed.CoreConfig()
-		if err != nil {
-			fail("%s: %v", *confPath, err)
-		}
-		cfg.Seed = *seed
-		if pmode != core.PressureGlobal {
-			cfg.Pressure = pmode
-			cfg.Domains = *domains
-		}
-		if tl != nil {
-			cfg.Observer = tl
-		}
 		cfg.Telemetry = rec
-		sysNodes = cfg.Cluster.Nodes
-		kind = cfg.Policy
-		mc = experiments.MemConfig{LabelPct: *memPct, NormalMB: cfg.Cluster.NormalMB, LargeFrac: cfg.Cluster.LargeFrac}
-		s, err := core.New(cfg, jobs)
-		if err != nil {
-			fail("simulation: %v", err)
-		}
-		if res, err = s.Run(); err != nil {
-			fail("simulation: %v", err)
-		}
-	} else {
-		var err error
-		res, err = p.RunScenarioWith(jobs, sysNodes, mc, kind, func(cfg *core.Config) {
-			if tl != nil {
-				cfg.Observer = tl
-			}
-			if pmode != core.PressureGlobal {
-				cfg.Pressure = pmode
-				cfg.Domains = *domains
-			}
-			cfg.Telemetry = rec
-		})
-		if err != nil {
-			fail("simulation: %v", err)
-		}
+	}
+
+	s, err := core.New(cfg, jobs)
+	if err != nil {
+		fail("simulation: %v", err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		fail("simulation: %v", err)
 	}
 
 	if rec != nil {
@@ -222,7 +211,6 @@ func main() {
 	}
 
 	if *dumpConf != "" {
-		cfg := p.ConfigFor(sysNodes, mc, kind)
 		f, err := os.Create(*dumpConf)
 		if err != nil {
 			fail("%v", err)
@@ -269,38 +257,53 @@ func main() {
 	}
 	if res.Infeasible {
 		fmt.Printf("scenario infeasible: job %d can never run under %s on this system\n",
-			res.InfeasibleJob, kind)
+			res.InfeasibleJob, cfg.Policy)
 		os.Exit(0)
 	}
 
-	totalMem := mc.TotalMemMB(sysNodes)
-	fmt.Printf("policy:                 %s\n", res.Policy)
-	fmt.Printf("system:                 %d nodes, %.1f GB total (%d%%)\n",
-		sysNodes, float64(totalMem)/1024, *memPct)
-	fmt.Printf("jobs:                   %d submitted, %d completed, %d timed out, %d abandoned\n",
-		len(res.Records), res.Completed, res.TimedOut, res.Abandoned)
-	fmt.Printf("OOM kills:              %d\n", res.OOMKills)
-	fmt.Printf("peak queue depth:       %d\n", res.PeakQueue)
-	fmt.Printf("makespan:               %.0f s\n", res.Makespan)
-	if pmode == core.PressureDomains {
-		fmt.Printf("pressure model:         domains\n")
+	if err := summary(os.Stdout, o, cfg, res); err != nil {
+		fail("%v", err)
 	}
-	fmt.Printf("throughput:             %.6f jobs/s\n", res.Throughput())
-	fmt.Printf("throughput per dollar:  %.3e jobs/s/$\n",
+}
+
+// summary writes the run's report.
+func summary(w io.Writer, o options, cfg core.Config, res *core.Result) error {
+	sysNodes := cfg.Cluster.Nodes
+	totalMem := experiments.MemConfig{NormalMB: cfg.Cluster.NormalMB, LargeFrac: cfg.Cluster.LargeFrac}.TotalMemMB(sysNodes)
+	// The -mem label names a point on the paper's memory axis; a -conf
+	// system need not sit on that axis, so it gets no percentage.
+	share := ""
+	if o.conf == "" {
+		share = fmt.Sprintf(" (%d%%)", o.memPct)
+	}
+	fmt.Fprintf(w, "policy:                 %s\n", res.Policy)
+	fmt.Fprintf(w, "system:                 %d nodes, %.1f GB total%s\n",
+		sysNodes, float64(totalMem)/1024, share)
+	fmt.Fprintf(w, "jobs:                   %d submitted, %d completed, %d timed out, %d abandoned\n",
+		len(res.Records), res.Completed, res.TimedOut, res.Abandoned)
+	fmt.Fprintf(w, "OOM kills:              %d\n", res.OOMKills)
+	fmt.Fprintf(w, "peak queue depth:       %d\n", res.PeakQueue)
+	fmt.Fprintf(w, "makespan:               %.0f s\n", res.Makespan)
+	if cfg.Pressure == core.PressureDomains {
+		fmt.Fprintf(w, "pressure model:         domains\n")
+	}
+	fmt.Fprintf(w, "throughput:             %.6f jobs/s\n", res.Throughput())
+	fmt.Fprintf(w, "throughput per dollar:  %.3e jobs/s/$\n",
 		metrics.ThroughputPerDollar(res.Throughput(), sysNodes, totalMem))
-	fmt.Printf("mean stretch:           %.3f (1.0 = contention-free)\n", res.MeanStretch())
-	fmt.Printf("node utilisation:       %.1f%%\n", res.NodeUtilisation()*100)
-	fmt.Printf("memory allocated:       %.1f%% of capacity\n", res.AllocationUtilisation()*100)
-	fmt.Printf("memory actually used:   %.1f%% of capacity\n", res.MemoryUtilisation()*100)
+	fmt.Fprintf(w, "mean stretch:           %.3f (1.0 = contention-free)\n", res.MeanStretch())
+	fmt.Fprintf(w, "node utilisation:       %.1f%%\n", res.NodeUtilisation()*100)
+	fmt.Fprintf(w, "memory allocated:       %.1f%% of capacity\n", res.AllocationUtilisation()*100)
+	fmt.Fprintf(w, "memory actually used:   %.1f%% of capacity\n", res.MemoryUtilisation()*100)
 
 	if rts := res.ResponseTimes(); len(rts) > 0 {
 		e, err := metrics.NewECDF(rts)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
-		fmt.Printf("response time (s):      p25=%.0f p50=%.0f p75=%.0f p90=%.0f max=%.0f\n",
+		fmt.Fprintf(w, "response time (s):      p25=%.0f p50=%.0f p75=%.0f p90=%.0f max=%.0f\n",
 			e.Quantile(0.25), e.Median(), e.Quantile(0.75), e.Quantile(0.9), e.Max())
 	}
+	return nil
 }
 
 func fail(format string, args ...any) {

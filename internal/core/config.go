@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"unicode"
 
 	"dismem/internal/cluster"
 	"dismem/internal/policy"
@@ -45,6 +46,12 @@ func (l LenderPolicy) String() string {
 	return "most-free"
 }
 
+// ParseLenderPolicy maps a lender-order name to its policy; the empty name
+// is MostFree.
+func ParseLenderPolicy(name string) (LenderPolicy, error) {
+	return parseName(name, "unknown lender policy %q (want most_free or nearest_first)", MostFree, NearestFirst)
+}
+
 // OOMMode selects how a job that outgrows the available pool is handled.
 type OOMMode int
 
@@ -64,6 +71,11 @@ func (m OOMMode) String() string {
 		return "checkpoint/restart"
 	}
 	return "fail/restart"
+}
+
+// ParseOOM maps an OOM-mode name to its mode; the empty name is FailRestart.
+func ParseOOM(name string) (OOMMode, error) {
+	return parseName(name, "unknown mode %q (want fail_restart or checkpoint_restart)", FailRestart, CheckpointRestart)
 }
 
 // BackfillMode selects the scheduler's backfill algorithm.
@@ -91,6 +103,13 @@ func (b BackfillMode) String() string {
 	return "easy"
 }
 
+// ParseBackfill maps a backfill name to its mode; the empty name is EASY,
+// the simulator's default.
+func ParseBackfill(name string) (BackfillMode, error) {
+	return parseName(name, "unknown mode %q (want easy, conservative, or none)",
+		EASYBackfill, ConservativeBackfill, NoBackfill)
+}
+
 // PressureMode selects how remote-memory contention pressure is scoped.
 type PressureMode int
 
@@ -111,6 +130,47 @@ func (m PressureMode) String() string {
 		return "domains"
 	}
 	return "global"
+}
+
+// ParsePressure maps a pressure-mode name to its mode; the empty name is
+// PressureGlobal.
+func ParsePressure(name string) (PressureMode, error) {
+	return parseName(name, "unknown mode %q (want global or domains)", PressureGlobal, PressureDomains)
+}
+
+// parseName returns the value among vals, the first of them the zero value,
+// whose String spells name; the empty name is the zero value, and any other
+// name is reported with unknown. Case is ignored and '/', '-' and '_' are
+// one separator, so every mode accepts both what it prints
+// ("checkpoint/restart") and the underscore form configuration files use
+// ("checkpoint_restart").
+func parseName[T fmt.Stringer](name, unknown string, vals ...T) (T, error) {
+	for _, v := range vals {
+		if name == "" || spells(name, v.String()) {
+			return v, nil
+		}
+	}
+	return vals[0], fmt.Errorf(unknown, name)
+}
+
+// spells reports whether name lower-cases to want, an ASCII name, once every
+// separator in either is folded to '/'.
+func spells(name, want string) bool {
+	i := 0
+	for _, r := range name {
+		if i == len(want) || foldSep(unicode.ToLower(r)) != foldSep(rune(want[i])) {
+			return false
+		}
+		i++
+	}
+	return i == len(want)
+}
+
+func foldSep(r rune) rune {
+	if r == '-' || r == '_' {
+		return '/'
+	}
+	return r
 }
 
 // Config parameterises one simulation scenario. Defaults (applied by

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"dismem/internal/core"
@@ -48,12 +49,12 @@ func (v *BranchVariant) Validate() error {
 		return fmt.Errorf("branch: variant with empty %q", "name")
 	}
 	if v.Policy != "" {
-		if _, err := parsePolicy(v.Policy); err != nil {
+		if _, err := policy.ParseKind(v.Policy); err != nil {
 			return fmt.Errorf("branch: variant %q: field %q: %v", v.Name, "policy", err)
 		}
 	}
 	if v.Backfill != "" {
-		if _, err := parseBackfill(v.Backfill); err != nil {
+		if _, err := core.ParseBackfill(v.Backfill); err != nil {
 			return fmt.Errorf("branch: variant %q: field %q: %v", v.Name, "backfill", err)
 		}
 	}
@@ -63,43 +64,17 @@ func (v *BranchVariant) Validate() error {
 	return nil
 }
 
-func parsePolicy(name string) (policy.Kind, error) {
-	switch strings.ToLower(name) {
-	case "baseline":
-		return policy.Baseline, nil
-	case "static":
-		return policy.Static, nil
-	case "dynamic":
-		return policy.Dynamic, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (want baseline, static, or dynamic)", name)
-}
-
-// parseBackfill maps a backfill name to its mode; the empty name is EASY,
-// the simulator's default.
-func parseBackfill(name string) (core.BackfillMode, error) {
-	switch strings.ToLower(name) {
-	case "", "easy":
-		return core.EASYBackfill, nil
-	case "conservative":
-		return core.ConservativeBackfill, nil
-	case "none":
-		return core.NoBackfill, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want easy, conservative, or none)", name)
-}
-
 // applyVariant applies one overlay to a freshly forked simulator.
 func applyVariant(f *core.Simulator, v BranchVariant) error {
 	if v.Policy != "" {
-		k, err := parsePolicy(v.Policy)
+		k, err := policy.ParseKind(v.Policy)
 		if err != nil {
 			return err
 		}
 		f.SetPolicy(k)
 	}
 	if v.Backfill != "" {
-		m, err := parseBackfill(v.Backfill)
+		m, err := core.ParseBackfill(v.Backfill)
 		if err != nil {
 			return err
 		}
@@ -190,7 +165,7 @@ func (b *BranchSpec) Validate() error {
 	if _, err := MemConfigByPct(b.MemPct); err != nil {
 		return fmt.Errorf("branch: field %q: %v", "mem_pct", err)
 	}
-	if _, err := parsePolicy(b.Policy); err != nil {
+	if _, err := policy.ParseKind(b.Policy); err != nil {
 		return fmt.Errorf("branch: field %q: %v", "policy", err)
 	}
 	if b.AtTime < 0 {
@@ -218,8 +193,15 @@ func (b *BranchSpec) Validate() error {
 // never ran would silently answer a different question than the cached
 // result the client branched from.
 func (b *BranchSpec) ValidateFor(s *ScenarioSpec) error {
+	_, _, err := b.cellOf(s)
+	return err
+}
+
+// cellOf validates the request against s and returns the scenario's
+// resolved modes and the branched cell's policy.
+func (b *BranchSpec) cellOf(s *ScenarioSpec) (specModes, policy.Kind, error) {
 	if err := b.Validate(); err != nil {
-		return err
+		return specModes{}, 0, err
 	}
 	mem := false
 	for _, pct := range s.resolvedMemPcts() {
@@ -229,22 +211,20 @@ func (b *BranchSpec) ValidateFor(s *ScenarioSpec) error {
 		}
 	}
 	if !mem {
-		return fmt.Errorf("branch: scenario %q has no %d%% memory cell", s.Name, b.MemPct)
+		return specModes{}, 0, fmt.Errorf("branch: scenario %q has no %d%% memory cell", s.Name, b.MemPct)
 	}
-	k, err := parsePolicy(b.Policy)
+	k, err := policy.ParseKind(b.Policy)
 	if err != nil {
-		return err
+		return specModes{}, 0, err
 	}
-	pols, err := s.policies()
+	m, err := s.resolve()
 	if err != nil {
-		return err
+		return m, 0, err
 	}
-	for _, p := range pols {
-		if p == k {
-			return nil
-		}
+	if !slices.Contains(m.policies, k) {
+		return m, 0, fmt.Errorf("branch: scenario %q has no %q policy cell", s.Name, b.Policy)
 	}
-	return fmt.Errorf("branch: scenario %q has no %q policy cell", s.Name, b.Policy)
+	return m, k, nil
 }
 
 // LoadBranchSpec parses and validates a branch request document. Unknown
@@ -336,26 +316,11 @@ func branchRow(name string, res *core.Result, st core.BranchStats) BranchRow {
 // the prefix between events; the concurrent branch runs are not
 // interruptible (they own no connection state and finish in bounded time).
 func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSpec) (*BranchResult, error) {
-	if err := br.ValidateFor(s); err != nil {
+	m, pol, err := br.cellOf(s)
+	if err != nil {
 		return nil, err
 	}
 	mc, err := MemConfigByPct(br.MemPct)
-	if err != nil {
-		return nil, err
-	}
-	polKind, err := parsePolicy(br.Policy)
-	if err != nil {
-		return nil, err
-	}
-	bf, err := s.backfill()
-	if err != nil {
-		return nil, err
-	}
-	oom, err := s.oom()
-	if err != nil {
-		return nil, err
-	}
-	pm, err := s.pressure()
 	if err != nil {
 		return nil, err
 	}
@@ -364,18 +329,7 @@ func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSp
 		return nil, err
 	}
 
-	cfg := p.ConfigFor(params.SystemNodes, mc, polKind)
-	cfg.Backfill = bf
-	cfg.OOM = oom
-	cfg.Pressure = pm
-	cfg.Domains = s.Domains
-	cfg.EnforceTimeLimit = s.EnforceTimeLimit
-	if s.UpdateInterval > 0 {
-		cfg.UpdateInterval = s.UpdateInterval
-	}
-	if ctx.Done() != nil {
-		cfg.Interrupt = ctx.Err
-	}
+	cfg := m.config(ctx, p, params.SystemNodes, mc, pol)
 	base, err := core.New(cfg, jobs)
 	if err != nil {
 		return nil, err

@@ -48,7 +48,7 @@ func pausedBase(t *testing.T, tel *telemetry.Recorder, at float64) *core.Simulat
 
 func corePolicy(t *testing.T, name string) policy.Kind {
 	t.Helper()
-	k, err := parsePolicy(name)
+	k, err := policy.ParseKind(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,8 @@ func TestRunBranchSpec(t *testing.T) {
 	}
 }
 
-// TestBranchSpecValidate covers the request validation table.
+// TestBranchSpecValidate covers the request validation table. Daemon
+// clients see these errors verbatim, so each text is pinned byte for byte.
 func TestBranchSpecValidate(t *testing.T) {
 	ok := func() *BranchSpec {
 		return &BranchSpec{MemPct: 75, Policy: "dynamic", AtTime: 100,
@@ -179,21 +180,39 @@ func TestBranchSpecValidate(t *testing.T) {
 	if err := ok().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for name, mut := range map[string]func(*BranchSpec){
-		"bad-mem":      func(b *BranchSpec) { b.MemPct = 33 },
-		"bad-policy":   func(b *BranchSpec) { b.Policy = "bogus" },
-		"neg-time":     func(b *BranchSpec) { b.AtTime = -1 },
-		"no-variants":  func(b *BranchSpec) { b.Variants = nil },
-		"dup-variant":  func(b *BranchSpec) { b.Variants = append(b.Variants, BranchVariant{Name: "a"}) },
-		"unnamed":      func(b *BranchSpec) { b.Variants[0].Name = "" },
-		"bad-backfill": func(b *BranchSpec) { b.Variants[0].Backfill = "bogus" },
-		"bad-vpolicy":  func(b *BranchSpec) { b.Variants[0].Policy = "bogus" },
-		"neg-update":   func(b *BranchSpec) { b.Variants[0].UpdateInterval = -5 },
+	for _, tc := range []struct {
+		name, want string
+		mut        func(*BranchSpec)
+	}{
+		{"bad-mem", `branch: field "mem_pct": experiments: no memory configuration labelled 33%`,
+			func(b *BranchSpec) { b.MemPct = 33 }},
+		{"bad-policy", `branch: field "policy": unknown policy "bogus" (want baseline, static, or dynamic)`,
+			func(b *BranchSpec) { b.Policy = "bogus" }},
+		{"empty-policy", `branch: field "policy": unknown policy "" (want baseline, static, or dynamic)`,
+			func(b *BranchSpec) { b.Policy = "" }},
+		{"neg-time", `branch: field "at_time_s": negative time -1`,
+			func(b *BranchSpec) { b.AtTime = -1 }},
+		{"no-variants", `branch: field "variants": at least one variant required`,
+			func(b *BranchSpec) { b.Variants = nil }},
+		{"dup-variant", `branch: duplicate variant name "a"`,
+			func(b *BranchSpec) { b.Variants = append(b.Variants, BranchVariant{Name: "a"}) }},
+		{"unnamed", `branch: variant with empty "name"`,
+			func(b *BranchSpec) { b.Variants[0].Name = "" }},
+		{"bad-backfill", `branch: variant "a": field "backfill": unknown mode "bogus" (want easy, conservative, or none)`,
+			func(b *BranchSpec) { b.Variants[0].Backfill = "bogus" }},
+		{"bad-vpolicy", `branch: variant "a": field "policy": unknown policy "bogus" (want baseline, static, or dynamic)`,
+			func(b *BranchSpec) { b.Variants[0].Policy = "bogus" }},
+		{"neg-update", `branch: variant "a": negative update_interval_s`,
+			func(b *BranchSpec) { b.Variants[0].UpdateInterval = -5 }},
 	} {
 		b := ok()
-		mut(b)
-		if err := b.Validate(); err == nil {
-			t.Fatalf("%s: validation passed", name)
+		tc.mut(b)
+		err := b.Validate()
+		if err == nil {
+			t.Fatalf("%s: validation passed", tc.name)
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 )
 
 // scenarioSeeds are the documents FuzzLoadScenario starts from: the dmpd
-// smoke scenario, the sample spec, and the rejection table's inputs.
+// smoke scenario, the sample spec, the rejection table's inputs, and every
+// mode name the spec accepts, both as the simulator prints it and in the
+// documented underscore form.
 func scenarioSeeds(f *testing.F) {
 	smoke, err := os.ReadFile("../../cmd/dmpd/testdata/smoke.json")
 	if err != nil {
@@ -32,6 +34,10 @@ func scenarioSeeds(f *testing.F) {
 		`{"domains": 4}`,
 		`{"pressure": "domains", "domains": -1}`,
 		`{"pressure": "domains", "domains": 8, "oom": "checkpoint_restart", "enforce_time_limit": true}`,
+		`{"policies": ["baseline", "static", "dynamic"], "backfill": "easy", "oom": "fail/restart", "pressure": "global"}`,
+		`{"policies": ["Dynamic"], "backfill": "conservative", "oom": "checkpoint/restart"}`,
+		`{"backfill": "none", "oom": "fail_restart"}`,
+		`{"oom": "checkpoint_restart", "pressure": "domains"}`,
 		`{"unknown_field": 1}`,
 		`not json`,
 		``,

@@ -275,6 +275,11 @@ func (p Preset) RunScenarioWith(jobs []*job.Job, nodes int, mc MemConfig, pol po
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	return run(cfg, jobs)
+}
+
+// run simulates jobs under cfg to completion.
+func run(cfg core.Config, jobs []*job.Job) (*core.Result, error) {
 	s, err := core.New(cfg, jobs)
 	if err != nil {
 		return nil, err

@@ -91,16 +91,7 @@ func LoadScenario(r io.Reader) (*ScenarioSpec, error) {
 // Validate checks every enum and range field, naming the JSON field in each
 // error so a daemon client can map the message back to its document.
 func (s *ScenarioSpec) Validate() error {
-	if _, err := s.policies(); err != nil {
-		return err
-	}
-	if _, err := s.backfill(); err != nil {
-		return err
-	}
-	if _, err := s.oom(); err != nil {
-		return err
-	}
-	if _, err := s.pressure(); err != nil {
+	if _, err := s.resolve(); err != nil {
 		return err
 	}
 	for _, pct := range s.MemPcts {
@@ -134,56 +125,77 @@ func (s *ScenarioSpec) Validate() error {
 	return nil
 }
 
-func (s *ScenarioSpec) policies() ([]policy.Kind, error) {
-	if len(s.Policies) == 0 {
-		return []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}, nil
-	}
-	out := make([]policy.Kind, len(s.Policies))
-	for i, name := range s.Policies {
-		k, err := parsePolicy(name)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: field %q: %v", fmt.Sprintf("policies[%d]", i), err)
-		}
-		out[i] = k
-	}
-	return out, nil
+// specModes is a spec's mode names parsed once. Validate, ScenarioKey,
+// RunScenarioSpecCtx and RunBranchSpec all read the spec's modes through
+// it, and every cell's core.Config is built by its config method.
+type specModes struct {
+	spec     *ScenarioSpec
+	policies []policy.Kind
+	backfill core.BackfillMode
+	oom      core.OOMMode
+	pressure core.PressureMode
 }
 
-func (s *ScenarioSpec) backfill() (core.BackfillMode, error) {
-	m, err := parseBackfill(s.Backfill)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: field %q: %v", "backfill", err)
+// allPolicies is the policy axis of a spec that names none. Read only.
+var allPolicies = []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}
+
+// resolve parses the spec's mode names, naming the JSON field in each error.
+func (s *ScenarioSpec) resolve() (specModes, error) {
+	m := specModes{spec: s, policies: allPolicies}
+	if len(s.Policies) > 0 {
+		m.policies = make([]policy.Kind, len(s.Policies))
+	}
+	var err error
+	for i, name := range s.Policies {
+		if m.policies[i], err = policy.ParseKind(name); err != nil {
+			return m, fmt.Errorf("scenario: field %q: %v", fmt.Sprintf("policies[%d]", i), err)
+		}
+	}
+	if m.backfill, err = core.ParseBackfill(s.Backfill); err != nil {
+		return m, fmt.Errorf("scenario: field %q: %v", "backfill", err)
+	}
+	if m.oom, err = core.ParseOOM(s.OOM); err != nil {
+		return m, fmt.Errorf("scenario: field %q: %v", "oom", err)
+	}
+	if m.pressure, err = core.ParsePressure(s.Pressure); err != nil {
+		return m, fmt.Errorf("scenario: field %q: %v", "pressure", err)
+	}
+	switch {
+	case m.pressure == core.PressureGlobal && s.Domains != 0:
+		return m, fmt.Errorf("scenario: field %q: set to %d without %q: %q",
+			"domains", s.Domains, "pressure", "domains")
+	case s.Domains < 0:
+		return m, fmt.Errorf("scenario: field %q: negative count %d", "domains", s.Domains)
 	}
 	return m, nil
 }
 
-func (s *ScenarioSpec) oom() (core.OOMMode, error) {
-	switch strings.ToLower(s.OOM) {
-	case "", "fail_restart":
-		return core.FailRestart, nil
-	case "checkpoint_restart":
-		return core.CheckpointRestart, nil
+// updateInterval is the mean memory-update period the spec's cells run with.
+func (m specModes) updateInterval(p Preset) float64 {
+	if m.spec.UpdateInterval > 0 {
+		return m.spec.UpdateInterval
 	}
-	return 0, fmt.Errorf("scenario: field %q: unknown mode %q (want fail_restart or checkpoint_restart)",
-		"oom", s.OOM)
+	return p.UpdateInterval
 }
 
-func (s *ScenarioSpec) pressure() (core.PressureMode, error) {
-	switch strings.ToLower(s.Pressure) {
-	case "", "global":
-		if s.Domains != 0 {
-			return 0, fmt.Errorf("scenario: field %q: set to %d without %q: %q",
-				"domains", s.Domains, "pressure", "domains")
-		}
-		return core.PressureGlobal, nil
-	case "domains":
-		if s.Domains < 0 {
-			return 0, fmt.Errorf("scenario: field %q: negative count %d", "domains", s.Domains)
-		}
-		return core.PressureDomains, nil
+// config is the core.Config of one (memory, policy) cell: the preset's
+// ConfigFor with the spec's simulator knobs on top. A sweep cell and a
+// branch of it both build their configuration here, so a branch replays
+// exactly the configuration of the cell it branched from.
+func (m specModes) config(ctx context.Context, p Preset, nodes int, mc MemConfig, pol policy.Kind) core.Config {
+	cfg := p.ConfigFor(nodes, mc, pol)
+	cfg.Backfill = m.backfill
+	cfg.OOM = m.oom
+	cfg.Pressure = m.pressure
+	cfg.Domains = m.spec.Domains
+	cfg.EnforceTimeLimit = m.spec.EnforceTimeLimit
+	cfg.UpdateInterval = m.updateInterval(p)
+	if ctx.Done() != nil {
+		// ctx.Err is nil until cancellation, so an uncancelled run is
+		// provably unperturbed (core's nil-interrupt purity test).
+		cfg.Interrupt = ctx.Err
 	}
-	return 0, fmt.Errorf("scenario: field %q: unknown mode %q (want global or domains)",
-		"pressure", s.Pressure)
+	return cfg
 }
 
 // ScenarioResult is the sweep outcome: one row per (memory, policy).
@@ -258,19 +270,7 @@ func (s *ScenarioSpec) resolvedMemPcts() []int {
 // The trace portion reuses tracegen.Key on the resolved parameters, which
 // already canonicalises default spellings and pointer identity.
 func (p Preset) ScenarioKey(s *ScenarioSpec) (string, error) {
-	pols, err := s.policies()
-	if err != nil {
-		return "", err
-	}
-	bf, err := s.backfill()
-	if err != nil {
-		return "", err
-	}
-	oom, err := s.oom()
-	if err != nil {
-		return "", err
-	}
-	pm, err := s.pressure()
+	m, err := s.resolve()
 	if err != nil {
 		return "", err
 	}
@@ -281,18 +281,14 @@ func (p Preset) ScenarioKey(s *ScenarioSpec) (string, error) {
 	for _, pct := range s.resolvedMemPcts() {
 		c.Int("mem", int64(pct))
 	}
-	for _, pol := range pols {
+	for _, pol := range m.policies {
 		c.Str("pol", pol.String())
 	}
-	c.Str("backfill", bf.String())
-	c.Str("oom", oom.String())
-	c.Str("pressure", pm.String())
+	c.Str("backfill", m.backfill.String())
+	c.Str("oom", m.oom.String())
+	c.Str("pressure", m.pressure.String())
 	c.Int("domains", int64(s.Domains))
-	update := p.UpdateInterval
-	if s.UpdateInterval > 0 {
-		update = s.UpdateInterval
-	}
-	c.Float("update", update)
+	c.Float("update", m.updateInterval(p))
 	enforce := int64(0)
 	if s.EnforceTimeLimit {
 		enforce = 1
@@ -314,19 +310,7 @@ func (p Preset) RunScenarioSpec(s *ScenarioSpec) (*ScenarioResult, error) {
 // shared pool. An uncancelled context changes nothing — results are
 // byte-identical to RunScenarioSpec.
 func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*ScenarioResult, error) {
-	pols, err := s.policies()
-	if err != nil {
-		return nil, err
-	}
-	bf, err := s.backfill()
-	if err != nil {
-		return nil, err
-	}
-	oom, err := s.oom()
-	if err != nil {
-		return nil, err
-	}
-	pm, err := s.pressure()
+	m, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +331,7 @@ func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*Scena
 		if err != nil {
 			return nil, err
 		}
-		for _, pol := range pols {
+		for _, pol := range m.policies {
 			mc, pol := mc, pol
 			tasks = append(tasks, func() (ScenarioRow, error) {
 				row := ScenarioRow{MemPct: mc.LabelPct, Policy: pol.String(),
@@ -359,23 +343,9 @@ func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*Scena
 				if s.Telemetry != nil {
 					rec = s.Telemetry(mc.LabelPct, pol.String())
 				}
-				res, err := p.RunScenarioWith(jobs, nodes, mc, pol, func(cfg *core.Config) {
-					cfg.Backfill = bf
-					cfg.OOM = oom
-					cfg.Pressure = pm
-					cfg.Domains = s.Domains
-					cfg.EnforceTimeLimit = s.EnforceTimeLimit
-					if s.UpdateInterval > 0 {
-						cfg.UpdateInterval = s.UpdateInterval
-					}
-					if ctx.Done() != nil {
-						// ctx.Err is nil until cancellation, so an
-						// uncancelled run is provably unperturbed
-						// (core's nil-interrupt purity test).
-						cfg.Interrupt = ctx.Err
-					}
-					cfg.Telemetry = rec
-				})
+				cfg := m.config(ctx, p, nodes, mc, pol)
+				cfg.Telemetry = rec
+				res, err := run(cfg, jobs)
 				if cerr := rec.Close(); cerr != nil && err == nil {
 					err = cerr
 				}

@@ -32,28 +32,31 @@ func TestLoadScenario(t *testing.T) {
 
 func TestLoadScenarioRejections(t *testing.T) {
 	// Every validation error must name the offending JSON field (or say
-	// what's structurally wrong) — daemon clients see these verbatim.
+	// what's structurally wrong) — daemon clients see these verbatim, so
+	// each text is pinned byte for byte.
 	cases := []struct {
 		name, in, wantErr string
 	}{
-		{"bad policy", `{"policies": ["magic"]}`, `policies[0]`},
-		{"bad backfill", `{"backfill": "optimistic"}`, `"backfill"`},
-		{"bad oom", `{"oom": "panic"}`, `"oom"`},
-		{"bad mem pct", `{"mem_pcts": [99]}`, `"mem_pcts"`},
-		{"large_frac range", `{"trace": {"large_frac": 2}}`, `"trace.large_frac"`},
-		{"chain_frac range", `{"trace": {"chain_frac": -0.5}}`, `"trace.chain_frac"`},
-		{"negative overestimation", `{"trace": {"overestimation": -1}}`, `"trace.overestimation"`},
-		{"negative load", `{"trace": {"load": -0.5}}`, `"trace.load"`},
-		{"negative days", `{"trace": {"days": -2}}`, `"trace.days"`},
-		{"negative system nodes", `{"trace": {"system_nodes": -64}}`, `"trace.system_nodes"`},
-		{"negative update interval", `{"update_interval_s": -3}`, `"update_interval_s"`},
-		{"bad pressure", `{"pressure": "vibes"}`, `"pressure"`},
-		{"domains without pressure", `{"domains": 4}`, `"domains"`},
-		{"negative domains", `{"pressure": "domains", "domains": -1}`, `"domains"`},
-		{"unknown field", `{"unknown_field": 1}`, `unknown_field`},
-		{"not json", `not json`, `scenario:`},
-		{"empty input", ``, `empty spec`},
-		{"whitespace only", "  \n\t", `empty spec`},
+		{"bad policy", `{"policies": ["magic"]}`, `scenario: field "policies[0]": unknown policy "magic" (want baseline, static, or dynamic)`},
+		{"empty policy", `{"policies": ["static", ""]}`, `scenario: field "policies[1]": unknown policy "" (want baseline, static, or dynamic)`},
+		{"bad backfill", `{"backfill": "optimistic"}`, `scenario: field "backfill": unknown mode "optimistic" (want easy, conservative, or none)`},
+		{"bad oom", `{"oom": "panic"}`, `scenario: field "oom": unknown mode "panic" (want fail_restart or checkpoint_restart)`},
+		{"bad mem pct", `{"mem_pcts": [99]}`, `scenario: field "mem_pcts": experiments: no memory configuration labelled 99%`},
+		{"large_frac range", `{"trace": {"large_frac": 2}}`, `scenario: field "trace.large_frac": 2 out of [0,1]`},
+		{"chain_frac range", `{"trace": {"chain_frac": -0.5}}`, `scenario: field "trace.chain_frac": -0.5 out of [0,1]`},
+		{"negative overestimation", `{"trace": {"overestimation": -1}}`, `scenario: field "trace.overestimation": -1 is negative`},
+		{"negative load", `{"trace": {"load": -0.5}}`, `scenario: field "trace.load": -0.5 is negative`},
+		{"negative days", `{"trace": {"days": -2}}`, `scenario: field "trace.days": -2 is negative`},
+		{"negative system nodes", `{"trace": {"system_nodes": -64}}`, `scenario: field "trace.system_nodes": -64 is negative`},
+		{"negative update interval", `{"update_interval_s": -3}`, `scenario: field "update_interval_s": -3 is negative`},
+		{"bad pressure", `{"pressure": "vibes"}`, `scenario: field "pressure": unknown mode "vibes" (want global or domains)`},
+		{"domains without pressure", `{"domains": 4}`, `scenario: field "domains": set to 4 without "pressure": "domains"`},
+		{"negative domains without pressure", `{"domains": -4}`, `scenario: field "domains": set to -4 without "pressure": "domains"`},
+		{"negative domains", `{"pressure": "domains", "domains": -1}`, `scenario: field "domains": negative count -1`},
+		{"unknown field", `{"unknown_field": 1}`, `scenario: json: unknown field "unknown_field"`},
+		{"not json", `not json`, `scenario: invalid character 'o' in literal null (expecting 'u')`},
+		{"empty input", ``, `scenario: empty spec (want a JSON object)`},
+		{"whitespace only", "  \n\t", `scenario: empty spec (want a JSON object)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,8 +64,8 @@ func TestLoadScenarioRejections(t *testing.T) {
 			if err == nil {
 				t.Fatalf("accepted %q", tc.in)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not name %q", err, tc.wantErr)
+			if err.Error() != tc.wantErr {
+				t.Fatalf("error %q, want %q", err, tc.wantErr)
 			}
 		})
 	}

@@ -35,6 +35,9 @@
 package policy
 
 import (
+	"fmt"
+	"strings"
+
 	"dismem/internal/cluster"
 	"dismem/internal/job"
 )
@@ -59,6 +62,18 @@ func (k Kind) String() string {
 		return "dynamic"
 	}
 	return "unknown"
+}
+
+// ParseKind maps a policy name, in any case, to its Kind. Unlike the
+// simulator's mode names there is no default: the empty name is rejected.
+func ParseKind(name string) (Kind, error) {
+	lower := strings.ToLower(name)
+	for _, k := range [...]Kind{Baseline, Static, Dynamic} {
+		if lower == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want baseline, static, or dynamic)", name)
 }
 
 // Policy decides job placement and whether allocations track usage.

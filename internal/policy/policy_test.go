@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +13,32 @@ import (
 
 func testJob(id, nodes int, reqMB int64) *job.Job {
 	return &job.Job{ID: id, Nodes: nodes, RequestMB: reqMB}
+}
+
+// TestParseKind: every Kind parses back from what String prints, in any
+// case; the empty name and unknown names are rejected with the text that
+// spec and branch errors quote.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{Baseline, Static, Dynamic} {
+		for _, name := range []string{k.String(), strings.ToUpper(k.String()),
+			strings.ToUpper(k.String()[:1]) + k.String()[1:]} {
+			got, err := ParseKind(name)
+			if err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	for name, want := range map[string]string{
+		"":        `unknown policy "" (want baseline, static, or dynamic)`,
+		"magic":   `unknown policy "magic" (want baseline, static, or dynamic)`,
+		"unknown": `unknown policy "unknown" (want baseline, static, or dynamic)`,
+		"static ": `unknown policy "static " (want baseline, static, or dynamic)`,
+	} {
+		_, err := ParseKind(name)
+		if err == nil || err.Error() != want {
+			t.Errorf("ParseKind(%q) error = %v, want %q", name, err, want)
+		}
+	}
 }
 
 func TestKindString(t *testing.T) {

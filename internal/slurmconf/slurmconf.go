@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -203,8 +204,8 @@ func (f *File) CoreConfig() (core.Config, error) {
 	}
 
 	if v, ok := f.Options["schedulerparameters.bf_interval"]; ok {
-		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec <= 0 {
+		sec, ok := parseFinite(v)
+		if !ok || sec <= 0 {
 			return cfg, fmt.Errorf("slurmconf: bf_interval=%q", v)
 		}
 		cfg.SchedInterval = sec
@@ -216,55 +217,41 @@ func (f *File) CoreConfig() (core.Config, error) {
 		}
 		cfg.QueueDepth = n
 	}
-	switch strings.ToLower(f.Options["schedulerparameters.bf_algorithm"]) {
-	case "", "easy":
-		cfg.Backfill = core.EASYBackfill
-	case "conservative":
-		cfg.Backfill = core.ConservativeBackfill
-	case "none":
-		cfg.Backfill = core.NoBackfill
-	default:
-		return cfg, fmt.Errorf("slurmconf: bf_algorithm=%q", f.Options["schedulerparameters.bf_algorithm"])
+	var err error
+	bf := f.Options["schedulerparameters.bf_algorithm"]
+	if cfg.Backfill, err = core.ParseBackfill(bf); err != nil {
+		return cfg, fmt.Errorf("slurmconf: bf_algorithm=%q", bf)
 	}
 
-	switch strings.ToLower(f.Options["disaggpolicy"]) {
-	case "", "baseline":
-		cfg.Policy = policy.Baseline
-	case "static":
-		cfg.Policy = policy.Static
-	case "dynamic":
-		cfg.Policy = policy.Dynamic
-	default:
-		return cfg, fmt.Errorf("slurmconf: DisaggPolicy=%q", f.Options["disaggpolicy"])
+	// An absent DisaggPolicy is baseline: a plain slurm.conf describes a
+	// cluster without disaggregated memory.
+	if v := f.Options["disaggpolicy"]; v != "" {
+		if cfg.Policy, err = policy.ParseKind(v); err != nil {
+			return cfg, fmt.Errorf("slurmconf: DisaggPolicy=%q", v)
+		}
 	}
 	if v, ok := f.Options["disaggupdateinterval"]; ok {
-		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec <= 0 {
+		sec, ok := parseFinite(v)
+		if !ok || sec <= 0 {
 			return cfg, fmt.Errorf("slurmconf: DisaggUpdateInterval=%q", v)
 		}
 		cfg.UpdateInterval = sec
 	}
-	switch strings.ToLower(f.Options["disaggoom"]) {
-	case "", "fail_restart":
-		cfg.OOM = core.FailRestart
-	case "checkpoint_restart":
-		cfg.OOM = core.CheckpointRestart
-	default:
-		return cfg, fmt.Errorf("slurmconf: DisaggOOM=%q", f.Options["disaggoom"])
+	oom := f.Options["disaggoom"]
+	if cfg.OOM, err = core.ParseOOM(oom); err != nil {
+		return cfg, fmt.Errorf("slurmconf: DisaggOOM=%q", oom)
 	}
-	switch strings.ToLower(f.Options["disagglenderpolicy"]) {
-	case "", "most_free":
-		cfg.LenderPolicy = core.MostFree
-	case "nearest_first":
-		cfg.LenderPolicy = core.NearestFirst
+	lender := f.Options["disagglenderpolicy"]
+	if cfg.LenderPolicy, err = core.ParseLenderPolicy(lender); err != nil {
+		return cfg, fmt.Errorf("slurmconf: DisaggLenderPolicy=%q", lender)
+	}
+	if cfg.LenderPolicy == core.NearestFirst {
 		t := topology.Design(cfg.Cluster.Nodes)
 		cfg.Topology = &t
-	default:
-		return cfg, fmt.Errorf("slurmconf: DisaggLenderPolicy=%q", f.Options["disagglenderpolicy"])
 	}
 	if v, ok := f.Options["disagghoppenalty"]; ok {
-		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 {
+		p, ok := parseFinite(v)
+		if !ok || p < 0 {
 			return cfg, fmt.Errorf("slurmconf: DisaggHopPenalty=%q", v)
 		}
 		cfg.HopPenalty = p
@@ -274,4 +261,12 @@ func (f *File) CoreConfig() (core.Config, error) {
 		}
 	}
 	return cfg, nil
+}
+
+// parseFinite parses a finite number. NaN and infinities are rejected:
+// they pass every range check and then stop the simulation at its first
+// event that uses them.
+func parseFinite(v string) (float64, bool) {
+	x, err := strconv.ParseFloat(v, 64)
+	return x, err == nil && !math.IsNaN(x) && !math.IsInf(x, 0)
 }

@@ -3,6 +3,7 @@ package slurmconf
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,28 +102,43 @@ func TestSyntaxErrors(t *testing.T) {
 	}
 }
 
+// TestCoreConfigRejections pins each rejection's text byte for byte: a
+// bad value is reported under its documented key, whatever parsed it.
 func TestCoreConfigRejections(t *testing.T) {
 	cases := []struct {
-		name string
-		conf string
+		name, conf, want string
 	}{
-		{"no nodes", "DisaggPolicy=static\n"},
-		{"non-double large", "NodeName=a[0-1] CPUs=4 RealMemory=1000\nNodeName=b[0-1] CPUs=4 RealMemory=1500\n"},
-		{"three capacities", "NodeName=a CPUs=4 RealMemory=1000\nNodeName=b CPUs=4 RealMemory=2000\nNodeName=c CPUs=4 RealMemory=4000\n"},
-		{"mixed cpus", "NodeName=a CPUs=4 RealMemory=1000\nNodeName=b CPUs=8 RealMemory=2000\n"},
-		{"bad policy", "NodeName=a CPUs=4 RealMemory=1000\nDisaggPolicy=magic\n"},
-		{"bad oom", "NodeName=a CPUs=4 RealMemory=1000\nDisaggOOM=retry\n"},
-		{"bad interval", "NodeName=a CPUs=4 RealMemory=1000\nDisaggUpdateInterval=-5\n"},
-		{"bad lender", "NodeName=a CPUs=4 RealMemory=1000\nDisaggLenderPolicy=random\n"},
-		{"bad hop penalty", "NodeName=a CPUs=4 RealMemory=1000\nDisaggHopPenalty=-1\n"},
+		{"no nodes", "DisaggPolicy=static\n", "slurmconf: no NodeName entries"},
+		{"non-double large", "NodeName=a[0-1] CPUs=4 RealMemory=1000\nNodeName=b[0-1] CPUs=4 RealMemory=1500\n",
+			"slurmconf: large nodes must have double memory (1500 vs 1000)"},
+		{"three capacities", "NodeName=a CPUs=4 RealMemory=1000\nNodeName=b CPUs=4 RealMemory=2000\nNodeName=c CPUs=4 RealMemory=4000\n",
+			"slurmconf: more than two node capacities"},
+		{"mixed cpus", "NodeName=a CPUs=4 RealMemory=1000\nNodeName=b CPUs=8 RealMemory=2000\n",
+			"slurmconf: heterogeneous CPU counts are not supported"},
+		{"bad policy", "NodeName=a CPUs=4 RealMemory=1000\nDisaggPolicy=magic\n", `slurmconf: DisaggPolicy="magic"`},
+		{"bad oom", "NodeName=a CPUs=4 RealMemory=1000\nDisaggOOM=retry\n", `slurmconf: DisaggOOM="retry"`},
+		{"bad interval", "NodeName=a CPUs=4 RealMemory=1000\nDisaggUpdateInterval=-5\n", `slurmconf: DisaggUpdateInterval="-5"`},
+		{"bad lender", "NodeName=a CPUs=4 RealMemory=1000\nDisaggLenderPolicy=random\n", `slurmconf: DisaggLenderPolicy="random"`},
+		{"bad hop penalty", "NodeName=a CPUs=4 RealMemory=1000\nDisaggHopPenalty=-1\n", `slurmconf: DisaggHopPenalty="-1"`},
+		{"bad bf_algorithm", "NodeName=a CPUs=4 RealMemory=1000\nSchedulerParameters=bf_algorithm=magic\n", `slurmconf: bf_algorithm="magic"`},
+		{"bad bf_interval", "NodeName=a CPUs=4 RealMemory=1000\nSchedulerParameters=bf_interval=0\n", `slurmconf: bf_interval="0"`},
+		{"NaN bf_interval", "NodeName=a CPUs=4 RealMemory=1000\nSchedulerParameters=bf_interval=NaN\n", `slurmconf: bf_interval="NaN"`},
+		{"infinite interval", "NodeName=a CPUs=4 RealMemory=1000\nDisaggUpdateInterval=+Inf\n", `slurmconf: DisaggUpdateInterval="+Inf"`},
+		{"NaN hop penalty", "NodeName=a CPUs=4 RealMemory=1000\nDisaggHopPenalty=nan\n", `slurmconf: DisaggHopPenalty="nan"`},
+		{"bad queue depth", "NodeName=a CPUs=4 RealMemory=1000\nSchedulerParameters=default_queue_depth=x\n", `slurmconf: default_queue_depth="x"`},
 	}
 	for _, tc := range cases {
 		f, err := Parse(strings.NewReader(tc.conf))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
-		if _, err := f.CoreConfig(); err == nil {
+		_, err = f.CoreConfig()
+		if err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -205,41 +221,101 @@ func TestBackfillAlgorithmKey(t *testing.T) {
 	}
 }
 
+// TestWriteConfigRoundTrip: for every policy × backfill × OOM × lender
+// combination, CoreConfig∘Parse∘WriteConfig gives back every field the
+// file models, and writing the result again reproduces the file byte for
+// byte. Only the dynamic policy writes (and so keeps) its OOM mode and
+// update interval.
 func TestWriteConfigRoundTrip(t *testing.T) {
-	var cfg core.Config
-	cfg.Cluster = cluster.Config{Nodes: 64, Cores: 32, NormalMB: 65536, LargeFrac: 0.25}
-	cfg.Policy = policy.Dynamic
-	cfg.SchedInterval = 30
-	cfg.QueueDepth = 100
-	cfg.UpdateInterval = 300
-	cfg.Backfill = core.ConservativeBackfill
-	cfg.OOM = core.CheckpointRestart
-	cfg.HopPenalty = 0.5
-	torus := topology.Design(cfg.Cluster.Nodes)
-	cfg.Topology = &torus
+	for _, pol := range []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic} {
+		for _, bf := range []core.BackfillMode{core.EASYBackfill, core.ConservativeBackfill, core.NoBackfill} {
+			for _, oom := range []core.OOMMode{core.FailRestart, core.CheckpointRestart} {
+				for _, lender := range []core.LenderPolicy{core.MostFree, core.NearestFirst} {
+					name := fmt.Sprintf("%s/%s/%s/%s", pol, bf, oom, lender)
+					var cfg core.Config
+					cfg.Cluster = cluster.Config{Nodes: 64, Cores: 32, NormalMB: 65536, LargeFrac: 0.25}
+					cfg.Policy = pol
+					cfg.SchedInterval = 60
+					cfg.QueueDepth = 50
+					cfg.UpdateInterval = 120
+					cfg.Backfill = bf
+					cfg.OOM = oom
+					cfg.LenderPolicy = lender
+					cfg.HopPenalty = 0.5
+					torus := topology.Design(cfg.Cluster.Nodes)
+					cfg.Topology = &torus
 
-	var buf bytes.Buffer
-	if err := WriteConfig(&buf, cfg); err != nil {
-		t.Fatal(err)
+					var buf bytes.Buffer
+					if err := WriteConfig(&buf, cfg); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					written := buf.String()
+					f, err := Parse(&buf)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					back, err := f.CoreConfig()
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want := cfg
+					if pol != policy.Dynamic {
+						want.OOM, want.UpdateInterval = core.FailRestart, 0
+					}
+					if back.Cluster != want.Cluster {
+						t.Fatalf("%s: cluster mismatch:\n%+v\n%+v", name, back.Cluster, want.Cluster)
+					}
+					if back.Policy != want.Policy || back.SchedInterval != want.SchedInterval ||
+						back.QueueDepth != want.QueueDepth || back.UpdateInterval != want.UpdateInterval ||
+						back.Backfill != want.Backfill || back.OOM != want.OOM ||
+						back.LenderPolicy != want.LenderPolicy || back.HopPenalty != want.HopPenalty {
+						t.Fatalf("%s: config mismatch:\n%+v\n%+v", name, back, want)
+					}
+					if back.Topology == nil {
+						t.Fatalf("%s: hop penalty must re-create a topology", name)
+					}
+					buf.Reset()
+					if err := WriteConfig(&buf, back); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if buf.String() != written {
+						t.Fatalf("%s: rewrite differs:\n%s\nvs\n%s", name, buf.String(), written)
+					}
+				}
+			}
+		}
 	}
-	f, err := Parse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := f.CoreConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cluster != cfg.Cluster {
-		t.Fatalf("cluster mismatch:\n%+v\n%+v", back.Cluster, cfg.Cluster)
-	}
-	if back.Policy != cfg.Policy || back.SchedInterval != cfg.SchedInterval ||
-		back.QueueDepth != cfg.QueueDepth || back.UpdateInterval != cfg.UpdateInterval ||
-		back.Backfill != cfg.Backfill || back.OOM != cfg.OOM || back.HopPenalty != cfg.HopPenalty {
-		t.Fatalf("config mismatch:\n%+v\n%+v", back, cfg)
-	}
-	if back.Topology == nil {
-		t.Fatal("hop penalty must re-create a topology")
+}
+
+// TestCoreConfigModeSpellings: every mode key accepts what the simulator
+// prints as well as the documented underscore form, in any case.
+func TestCoreConfigModeSpellings(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		ok   func(core.Config) bool
+	}{
+		{"DisaggOOM=checkpoint/restart", func(c core.Config) bool { return c.OOM == core.CheckpointRestart }},
+		{"DisaggOOM=checkpoint_restart", func(c core.Config) bool { return c.OOM == core.CheckpointRestart }},
+		{"DisaggOOM=Fail/Restart", func(c core.Config) bool { return c.OOM == core.FailRestart }},
+		{"DisaggLenderPolicy=nearest-first", func(c core.Config) bool { return c.LenderPolicy == core.NearestFirst }},
+		{"DisaggLenderPolicy=NEAREST_FIRST", func(c core.Config) bool { return c.LenderPolicy == core.NearestFirst }},
+		{"DisaggLenderPolicy=most-free", func(c core.Config) bool { return c.LenderPolicy == core.MostFree }},
+		{"DisaggLenderPolicy=most_free", func(c core.Config) bool { return c.LenderPolicy == core.MostFree }},
+		{"DisaggPolicy=Dynamic", func(c core.Config) bool { return c.Policy == policy.Dynamic }},
+		{"DisaggPolicy=", func(c core.Config) bool { return c.Policy == policy.Baseline }},
+		{"SchedulerParameters=bf_algorithm=CONSERVATIVE", func(c core.Config) bool { return c.Backfill == core.ConservativeBackfill }},
+	} {
+		f, err := Parse(strings.NewReader("NodeName=n[0-7] CPUs=4 RealMemory=1000\n" + tc.line + "\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		cfg, err := f.CoreConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		if !tc.ok(cfg) {
+			t.Errorf("%s: parsed to %+v", tc.line, cfg)
+		}
 	}
 }
 
