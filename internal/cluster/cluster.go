@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -80,6 +81,12 @@ type Cluster struct {
 	mergeIts  []freeIter // per-shard merge iterators, persistent scratch
 	mergeHeap []int32    // merge-heap scratch (shard indices)
 	flushKeys []uint64   // every shard's flush-sort scratch (see freeIndex.flush)
+	topFree   []int64    // TopIdle's selection scratch: the held nodes' free MB
+
+	// boundFrom[s] is the largest node capacity in shards s.. (and 0 at
+	// len(shards)): no node TopIdle has yet to scan can have more free
+	// memory. Immutable, like the capacities it is built from.
+	boundFrom []int64
 
 	capOrder []NodeID // node IDs sorted by (CapacityMB asc, ID asc); immutable
 
@@ -95,8 +102,6 @@ type Cluster struct {
 	// largeMB is the capacity-class threshold: a node with
 	// CapacityMB > largeMB is "large" in the idle-split summary.
 	largeMB int64
-
-	idleBuf []NodeID // scratch returned by IdleComputeNodes
 
 	// cow tracks which structures are frozen because another fork still
 	// reads them (see cow.go). Zero value = nothing shared.
@@ -145,6 +150,10 @@ func (c *Cluster) initIndexes(nShards int) {
 				c.bumpIdleSplit(sh, sh.base+i, d)
 			}
 		}
+	}
+	c.boundFrom = make([]int64, nShards+1)
+	for s := nShards - 1; s >= 0; s-- {
+		c.boundFrom[s] = max(c.boundFrom[s+1], c.shards[s].free.bound)
 	}
 	sort.Slice(c.capOrder, func(a, b int) bool {
 		ca, cb := c.nodes[c.capOrder[a]].CapacityMB, c.nodes[c.capOrder[b]].CapacityMB
@@ -334,22 +343,6 @@ func (c *Cluster) TotalLentMB() int64 {
 	return lent
 }
 
-// IdleComputeNodes returns the IDs of nodes able to start a new job, in
-// ascending ID order. The returned slice is a scratch buffer owned by the
-// cluster: it is valid until the next IdleComputeNodes call and must not be
-// retained or mutated.
-func (c *Cluster) IdleComputeNodes() []NodeID {
-	// Shards own contiguous ascending ID ranges, so concatenating the
-	// per-shard bitset walks in shard order yields ascending IDs — the
-	// exact single-bitset enumeration.
-	buf := c.idleBuf[:0]
-	for i := range c.shards {
-		buf = c.shards[i].idle.appendIDs(buf, c.shards[i].base)
-	}
-	c.idleBuf = buf
-	return c.idleBuf
-}
-
 // IdleComputeCount returns the number of compute-available nodes (O(S) sum
 // of the per-shard bitset counts).
 func (c *Cluster) IdleComputeCount() int {
@@ -478,39 +471,55 @@ func (c *Cluster) ReturnLend(id NodeID, mb int64) error {
 	return nil
 }
 
-// AscendLenders walks the nodes with free memory in (free desc, ID asc)
-// order without materialising a slice, stopping when yield returns false.
-// Consumers that only need lenders until a deficit is covered use this to
-// touch O(answer) nodes instead of ranking the whole cluster. With a
-// sharded ledger the walk is the two-level lender index: shards whose O(1)
-// summary shows no lenders are never entered, the rest merge in global
-// order. The ledger must not be mutated during the walk.
-func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
-	if len(c.shards) == 1 {
-		c.shards[0].free.ascend(&c.flushKeys, func(local int32, free int64) bool {
-			if free <= 0 {
-				return false
+// TopIdle returns the k compute-available nodes with the most free memory
+// in (free desc, ID asc) order — all of them when fewer than k are idle —
+// in dst's storage. It reads the idle bitsets and the exact free keys, not
+// the free-memory order, so it flushes nothing: it scans idle nodes in ID
+// order, keeps the best k seen in a bounded insertion buffer (a tie keeps
+// the earlier node, which has the lower ID), and stops once the k-th held
+// node has at least as much free memory as any unscanned node could
+// (boundFrom). A mostly idle, untouched cluster is answered from its first
+// k idle nodes. The selection scratch is the cluster's, so a warm call
+// allocates nothing.
+//
+//dmp:hotpath
+func (c *Cluster) TopIdle(k int, dst []NodeID) []NodeID {
+	dst, free := dst[:0], c.topFree[:0]
+scan:
+	for s := range c.shards {
+		if k <= 0 || len(dst) == k && free[k-1] >= c.boundFrom[s] {
+			break
+		}
+		sh := &c.shards[s]
+		if sh.idle.count == 0 {
+			continue
+		}
+		key := sh.free.key
+		for w, word := range sh.idle.bits {
+			for ; word != 0; word &= word - 1 {
+				local := w<<6 | bits.TrailingZeros64(word)
+				f := key[local]
+				i := len(dst)
+				if i == k {
+					if f <= free[k-1] {
+						continue
+					}
+					i-- // the last held node drops out
+				} else {
+					dst, free = append(dst, 0), append(free, 0)
+				}
+				for ; i > 0 && free[i-1] < f; i-- {
+					dst[i], free[i] = dst[i-1], free[i-1]
+				}
+				dst[i], free[i] = NodeID(sh.base+local), f
+				if len(dst) == k && free[k-1] >= c.boundFrom[s] {
+					break scan
+				}
 			}
-			return yield(NodeID(local), free) //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
-		})
-		return
+		}
 	}
-	c.ascendAll(false, yield)
-}
-
-// AscendFree walks all nodes — including those with no free memory — in
-// (free desc, ID asc) order, stopping when yield returns false. The
-// disaggregated placement uses it to pick compute nodes in the same order
-// the retired candidate sort produced. The ledger must not be mutated
-// during the walk.
-func (c *Cluster) AscendFree(yield func(id NodeID, free int64) bool) {
-	if len(c.shards) == 1 {
-		c.shards[0].free.ascend(&c.flushKeys, func(local int32, free int64) bool {
-			return yield(NodeID(local), free)
-		})
-		return
-	}
-	c.ascendAll(true, yield)
+	c.topFree = free
+	return dst
 }
 
 // CheckInvariants verifies the ledger is consistent and the incremental

@@ -151,7 +151,7 @@ func TestIdleComputeNodesExcludesBusyAndMemoryNodes(t *testing.T) {
 	if err := c.Lend(1, 600); err != nil {
 		t.Fatal(err)
 	}
-	ids := c.IdleComputeNodes()
+	ids := c.idleIDs()
 	if len(ids) != 1 || ids[0] != 2 {
 		t.Fatalf("idle compute nodes = %v, want [2]", ids)
 	}
@@ -349,7 +349,7 @@ func TestQuickLedgerConservation(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			switch rng.Intn(4) {
 			case 0: // place a 1-node job with local + remote memory
-				ids := c.IdleComputeNodes()
+				ids := c.idleIDs()
 				if len(ids) == 0 {
 					continue
 				}
@@ -427,7 +427,7 @@ func TestQuickAllocationMirrorsLedger(t *testing.T) {
 		c := New(6, 32, 2048)
 		var allocs []*JobAllocation
 		for op := 0; op < 100; op++ {
-			ids := c.IdleComputeNodes()
+			ids := c.idleIDs()
 			if len(ids) > 0 && rng.Intn(2) == 0 {
 				id := ids[0]
 				if c.StartJob(id, op) != nil {

@@ -66,7 +66,7 @@ func (c *Cluster) Fork() *Cluster {
 	f.mergeIts = make([]freeIter, len(f.shards))
 	f.mergeHeap = nil
 	f.flushKeys = nil
-	f.idleBuf = nil
+	f.topFree = nil
 	// Mark everything shared on both sides; the first writer copies.
 	c.markShared()
 	f.cow = cowState{

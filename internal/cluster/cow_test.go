@@ -60,7 +60,8 @@ func applyOp(c *Cluster, rng *rand.Rand, job int) error {
 }
 
 // fingerprint captures every observable of the ledger: per-node fields, the
-// aggregate getters, shard summaries, and the two globally ordered walks.
+// aggregate getters, shard summaries, the idle bitsets, the lender walk and
+// the idle selection.
 func fingerprint(c *Cluster) string {
 	s := fmt.Sprintf("free=%d lent=%d alloc=%d busy=%d idle=%d",
 		c.TotalFreeMB(), c.TotalLentMB(), c.TotalAllocatedMB(), c.BusyNodes(), c.IdleComputeCount())
@@ -74,7 +75,7 @@ func fingerprint(c *Cluster) string {
 		s += fmt.Sprintf("|%+v", c.Shard(i))
 	}
 	s += "|idle"
-	for _, id := range c.IdleComputeNodes() {
+	for _, id := range c.idleIDs() {
 		s += fmt.Sprintf(",%d", id)
 	}
 	s += "|lend"
@@ -82,11 +83,10 @@ func fingerprint(c *Cluster) string {
 		s += fmt.Sprintf(",%d:%d", id, free)
 		return true
 	})
-	s += "|all"
-	c.AscendFree(func(id NodeID, free int64) bool {
-		s += fmt.Sprintf(",%d:%d", id, free)
-		return true
-	})
+	s += "|top"
+	for _, id := range c.TopIdle(c.Len(), nil) {
+		s += fmt.Sprintf(",%d:%d", id, c.Node(id).FreeMB())
+	}
 	return s
 }
 
@@ -143,9 +143,10 @@ func TestForkNoWriteNoCopies(t *testing.T) {
 	// After scratch has warmed once, reads through the fork are
 	// allocation-free, same as an unforked ledger.
 	_ = fingerprint(f)
+	top := make([]NodeID, 0, f.Len())
 	allocs := testing.AllocsPerRun(10, func() {
 		f.AscendLenders(func(NodeID, int64) bool { return true })
-		f.AscendFree(func(NodeID, int64) bool { return true })
+		top = f.TopIdle(f.Len(), top)
 		_ = f.TotalFreeMB()
 		_ = f.IdleComputeCount()
 	})

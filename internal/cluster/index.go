@@ -295,16 +295,3 @@ func (s *idleSet) setTo(i int, avail bool) int {
 	s.count--
 	return -1
 }
-
-// appendIDs appends the set members to dst in ascending ID order, offset by
-// the owning shard's base.
-func (s *idleSet) appendIDs(dst []NodeID, base int) []NodeID {
-	for w, word := range s.bits {
-		wbase := base + w<<6
-		for word != 0 {
-			dst = append(dst, NodeID(wbase+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return dst
-}

@@ -27,7 +27,7 @@ func equalIDs(a, b []NodeID) bool {
 //   - the index-backed AscendLenders walk returns byte-identical orderings
 //     to the retained reference implementation, for empty and non-trivial
 //     exclude sets,
-//   - the bitset-backed IdleComputeNodes matches the reference rescan,
+//   - the idle bitsets' enumeration matches the reference rescan,
 //   - the O(1) aggregates match their O(N) definitions, and
 //   - CheckInvariants (which now cross-checks every index against the
 //     ledger) still passes.
@@ -47,7 +47,7 @@ func TestDifferentialIndexes(t *testing.T) {
 			n := c.Node(id)
 			switch rng.Intn(6) {
 			case 0: // start a job on a compute-available node
-				ids := c.IdleComputeNodes()
+				ids := c.idleIDs()
 				if len(ids) == 0 {
 					continue
 				}
@@ -122,7 +122,7 @@ func TestDifferentialIndexes(t *testing.T) {
 				t.Logf("op %d: lenders (no exclude) diverged", op)
 				return false
 			}
-			gotIdle := append([]NodeID(nil), c.IdleComputeNodes()...)
+			gotIdle := append([]NodeID(nil), c.idleIDs()...)
 			if want := c.idleComputeNodesRef(); !equalIDs(gotIdle, want) {
 				t.Logf("op %d: idle set diverged\n got %v\nwant %v", op, gotIdle, want)
 				return false
@@ -192,29 +192,15 @@ func TestAscendMatchesLenders(t *testing.T) {
 		t.Fatalf("early-stop walk = %v, want %v", first3, want[:3])
 	}
 
-	// AscendFree includes empty nodes and visits every node exactly once.
-	if err := c.ReturnLend(3, c.Node(3).LentMB); err != nil {
+	// TopIdle skips the nodes that lent more than half their memory and
+	// ranks the rest, a zero-free idle node included, like the sort.
+	if err := c.Lend(0, 500); err != nil { // node 0 lent exactly half: idle, 0 free
 		t.Fatal(err)
 	}
-	if err := c.Lend(3, 1000); err != nil { // node 3 now has zero free
-		t.Fatal(err)
-	}
-	seen := map[NodeID]bool{}
-	prev := NodeID(-1)
-	prevFree := int64(-1)
-	c.AscendFree(func(id NodeID, free int64) bool {
-		if seen[id] {
-			t.Fatalf("node %d visited twice", id)
+	for k := 1; k <= c.Len(); k++ {
+		if got, want := c.TopIdle(k, nil), c.topIdleRef(k); !equalIDs(got, want) {
+			t.Fatalf("TopIdle(%d) = %v, want %v", k, got, want)
 		}
-		seen[id] = true
-		if prevFree >= 0 && (free > prevFree || (free == prevFree && id < prev)) {
-			t.Fatalf("order violation at node %d", id)
-		}
-		prev, prevFree = id, free
-		return true
-	})
-	if len(seen) != c.Len() {
-		t.Fatalf("AscendFree visited %d of %d nodes", len(seen), c.Len())
 	}
 }
 

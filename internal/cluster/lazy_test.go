@@ -20,9 +20,10 @@ func (c *Cluster) dirtyNodes() int {
 }
 
 // checkOrderedRead performs one random ordered read — AscendLenders,
-// AscendFree, AscendShardLenders, or a full AscendLenders walk skipping a
+// TopIdle, AscendShardLenders, or a full AscendLenders walk skipping a
 // random exclusion set — stopping the first three after a random number of
-// nodes, and compares what it saw with the sort-based references. It returns an error instead of failing so
+// nodes, and compares what it saw with the sort-based references. TopIdle
+// must also leave every pending refile pending. It returns an error instead of failing so
 // concurrent branches can call it.
 func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 	limit := 1 + rng.Intn(c.Len()+1)
@@ -43,9 +44,13 @@ func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 		c.AscendLenders(collect)
 		want = c.freeOrderRef(0, NodeID(c.Len()), true)
 	case 1:
-		what = "AscendFree"
-		c.AscendFree(collect)
-		want = c.freeOrderRef(0, NodeID(c.Len()), false)
+		what = "TopIdle"
+		dirty := c.dirtyNodes()
+		got = c.TopIdle(limit, nil)
+		want = c.topIdleRef(limit)
+		if c.dirtyNodes() != dirty {
+			bad = fmt.Errorf("flushed: %d dirty nodes before, %d after", dirty, c.dirtyNodes())
+		}
 	case 2:
 		s := rng.Intn(c.ShardCount())
 		what = fmt.Sprintf("AscendShardLenders(%d)", s)
@@ -229,7 +234,7 @@ func TestLazyOrderReadsSeeDirtyNodes(t *testing.T) {
 		if c.dirtyNodes() > 0 {
 			dirtyReads++
 		}
-		c.AscendFree(func(NodeID, int64) bool { return false })
+		c.AscendLenders(func(NodeID, int64) bool { return false })
 		if k := c.dirtyNodes(); k != 0 {
 			t.Fatalf("round %d: %d nodes still dirty after an ordered read", r, k)
 		}
@@ -325,7 +330,10 @@ func TestLedgerFlushAllocationFree(t *testing.T) {
 		for s := 0; s < c.ShardCount() && err == nil; s++ {
 			err = dirtyWholeShard(c, s, rng)
 		}
-		c.AscendFree(func(NodeID, int64) bool { return false })
+		c.AscendLenders(func(NodeID, int64) bool { return false })
+		if err == nil && c.dirtyNodes() != 0 {
+			err = fmt.Errorf("%d nodes still dirty after the read", c.dirtyNodes())
+		}
 	}
 	flush() // size the scratch
 	if got := testing.AllocsPerRun(20, flush); got != 0 {
@@ -339,7 +347,7 @@ func TestLedgerFlushAllocationFree(t *testing.T) {
 // BenchmarkLedgerFlush measures the ordered read that a placement forces
 // after a scheduling tick's worth of refiles: dirty nodes of one
 // grizzly-sized shard are refiled (each lends or gets back one MB) and an
-// AscendFree read of one node flushes them. 282 is the mean dirty count
+// AscendLenders read of one node flushes them. 282 is the mean dirty count
 // per flush of the grizzly-week workload.
 func BenchmarkLedgerFlush(b *testing.B) {
 	for _, dirty := range []int{16, 282, 1490} {
@@ -366,7 +374,7 @@ func BenchmarkLedgerFlush(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				c.AscendFree(func(NodeID, int64) bool { return false })
+				c.AscendLenders(func(NodeID, int64) bool { return false })
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package cluster
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // The full-rescan references the ledger indexes replaced. They live only in
 // tests: the differential tests assert the indexes stay byte-identical to
@@ -14,6 +17,22 @@ func (c *Cluster) idleComputeNodesRef() []NodeID {
 	for i := range c.nodes {
 		if c.nodes[i].IsComputeAvailable() {
 			ids = append(ids, NodeID(i))
+		}
+	}
+	return ids
+}
+
+// idleIDs enumerates the idle bitsets shard by shard, each in ascending
+// ID order: the bitset side of the differential against
+// idleComputeNodesRef.
+func (c *Cluster) idleIDs() []NodeID {
+	var ids []NodeID
+	for s := range c.shards {
+		sh := &c.shards[s]
+		for w, word := range sh.idle.bits {
+			for ; word != 0; word &= word - 1 {
+				ids = append(ids, NodeID(sh.base+w<<6+bits.TrailingZeros64(word)))
+			}
 		}
 	}
 	return ids
@@ -62,8 +81,9 @@ func (c *Cluster) lendersByFreeDescRef(exclude map[NodeID]bool) []NodeID {
 
 // freeOrderRef is the sort-based reference for every ordered walk: the IDs
 // in [lo, hi) sorted by (free desc, ID asc), restricted to nodes with free
-// memory when lendersOnly. AscendFree is the whole range, AscendLenders the
-// whole range's lenders, AscendShardLenders one shard's lenders.
+// memory when lendersOnly. AscendLenders is the whole range's lenders,
+// AscendShardLenders one shard's lenders, and TopIdle a prefix of the whole
+// range's compute-available nodes (topIdleRef).
 func (c *Cluster) freeOrderRef(lo, hi NodeID, lendersOnly bool) []NodeID {
 	var ids []NodeID
 	for id := lo; id < hi; id++ {
@@ -78,5 +98,17 @@ func (c *Cluster) freeOrderRef(lo, hi NodeID, lendersOnly bool) []NodeID {
 		}
 		return ids[a] < ids[b]
 	})
+	return ids
+}
+
+// topIdleRef is the sort-based reference for TopIdle: every node in
+// (free desc, ID asc) order, filtered by IsComputeAvailable, cut at k.
+func (c *Cluster) topIdleRef(k int) []NodeID {
+	var ids []NodeID
+	for _, id := range c.freeOrderRef(0, NodeID(c.Len()), false) {
+		if len(ids) < k && c.nodes[id].IsComputeAvailable() {
+			ids = append(ids, id)
+		}
+	}
 	return ids
 }

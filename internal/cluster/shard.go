@@ -105,20 +105,24 @@ func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bo
 
 // ------------------------------------------------------------ merge walk
 
-// ascendAll walks every shard's order in a single globally ordered pass:
+// AscendLenders walks the nodes with free memory in (free desc, ID asc)
+// order without materialising a slice, stopping when yield returns false.
+// Consumers that only need lenders until a deficit is covered use this to
+// touch O(answer) nodes instead of ranking the whole cluster. The ledger
+// must not be mutated during the walk.
+//
+// With a sharded ledger the walk is the two-level lender index: shards
+// whose O(1) summary shows no lenders are never entered, and the rest run
 // an S-way merge on (free desc, ID asc), the exact single-shard order.
-// includeEmpty selects whether nodes with no free memory are visited
-// (AscendFree) or pruned — per shard, the moment its head drops to zero,
-// and whole shards up front when their summary says lenders == 0
-// (AscendLenders). Every shard it enters is flushed
-// first; a skipped shard stays dirty until a read needs it.
+// Each shard is pruned the moment its head drops to zero. Every shard the
+// walk enters is flushed first; a skipped shard stays dirty until a read
+// needs it. With one shard the merge is a plain slice scan.
 //
 //dmp:hotpath
-func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64) bool) {
+func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
 	if len(c.shards) == 1 {
-		sh := &c.shards[0]
-		sh.free.ascend(&c.flushKeys, func(local int32, free int64) bool {
-			if !includeEmpty && free <= 0 {
+		c.shards[0].free.ascend(&c.flushKeys, func(local int32, free int64) bool {
+			if free <= 0 {
 				return false
 			}
 			return yield(NodeID(local), free) //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
@@ -130,7 +134,7 @@ func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64)
 	heapIdx := c.mergeHeap[:0]
 	for i := range c.shards {
 		sh := &c.shards[i]
-		if !includeEmpty && sh.lenders == 0 {
+		if sh.lenders == 0 {
 			continue // two-level skip: summary proves no contribution
 		}
 		its[i].init(&sh.free, &c.flushKeys)
@@ -138,7 +142,7 @@ func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64)
 		if !ok {
 			continue
 		}
-		if !includeEmpty && sh.free.key[head] <= 0 {
+		if sh.free.key[head] <= 0 {
 			continue
 		}
 		its[i].head = head
@@ -154,11 +158,11 @@ func (c *Cluster) ascendAll(includeEmpty bool, yield func(id NodeID, free int64)
 		if !yield(id, free) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
 			break
 		}
-		// Advance shard i's iterator; prune it once it runs dry or (in
-		// lender mode) its next head has nothing to lend — per-shard order
-		// is free-descending, so everything after is empty too.
+		// Advance shard i's iterator; prune it once it runs dry or its
+		// next head has nothing to lend — per-shard order is
+		// free-descending, so everything after is empty too.
 		head, ok := its[i].next()
-		if ok && (includeEmpty || sh.free.key[head] > 0) {
+		if ok && sh.free.key[head] > 0 {
 			its[i].head = head
 			c.siftDown(heapIdx, 0)
 		} else {

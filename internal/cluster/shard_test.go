@@ -77,12 +77,8 @@ func TestShardedLedgerDifferential(t *testing.T) {
 		if !reflect.DeepEqual(wantLenders, wantRef) {
 			t.Fatalf("step %d: single-shard walk diverged from rescan reference", step)
 		}
-		wantIdle := append([]NodeID(nil), ref.IdleComputeNodes()...)
-		var wantFree []NodeID
-		ref.AscendFree(func(id NodeID, _ int64) bool {
-			wantFree = append(wantFree, id)
-			return true
-		})
+		wantIdle := ref.idleIDs()
+		wantTop := ref.TopIdle(ref.Len(), nil)
 		for _, c := range cs[1:] {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("step %d shards=%d: %v", step, c.ShardCount(), err)
@@ -92,16 +88,11 @@ func TestShardedLedgerDifferential(t *testing.T) {
 				t.Fatalf("step %d shards=%d: lender order diverged\n got %v\nwant %v",
 					step, c.ShardCount(), got, wantLenders)
 			}
-			if got := c.IdleComputeNodes(); !reflect.DeepEqual(append([]NodeID(nil), got...), wantIdle) {
+			if got := c.idleIDs(); !reflect.DeepEqual(got, wantIdle) {
 				t.Fatalf("step %d shards=%d: idle set diverged", step, c.ShardCount())
 			}
-			var gotFree []NodeID
-			c.AscendFree(func(id NodeID, _ int64) bool {
-				gotFree = append(gotFree, id)
-				return true
-			})
-			if !reflect.DeepEqual(gotFree, wantFree) {
-				t.Fatalf("step %d shards=%d: AscendFree order diverged", step, c.ShardCount())
+			if got := c.TopIdle(c.Len(), nil); !reflect.DeepEqual(got, wantTop) {
+				t.Fatalf("step %d shards=%d: TopIdle order diverged", step, c.ShardCount())
 			}
 			if c.TotalFreeMB() != ref.TotalFreeMB() || c.TotalLentMB() != ref.TotalLentMB() ||
 				c.IdleComputeCount() != ref.IdleComputeCount() {

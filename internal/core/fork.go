@@ -118,6 +118,9 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	f.runList = make([]*runningJob, len(s.runList))
 	for k, rj := range s.runList {
 		n := cloneRunning(rj, &f.table[rj.idx].rec)
+		if rj.onUpdate != nil {
+			n.onUpdate = f.updateAction(rj.idx)
+		}
 		f.table[rj.idx].run = n
 		f.runList[k] = n
 	}
@@ -169,8 +172,7 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 			i := tagIndex(tag)
 			return func(*sim.Engine) { f.onTimeLimit(i) }
 		case tagUpdate:
-			i := tagIndex(tag)
-			return func(*sim.Engine) { f.onMemoryUpdate(i) }
+			return f.table[tagIndex(tag)].run.onUpdate
 		case tagSample:
 			if iv := tel.SampleInterval(); iv > 0 {
 				return sim.Periodic(iv, tag, func(*sim.Engine) { f.sample() })
@@ -191,8 +193,9 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	return f, nil
 }
 
-// cloneRunning deep-copies one running job's live state. Event handles are
-// left zero; Fork re-attaches them from the engine clone's handle map. The
+// cloneRunning deep-copies one running job's live state. Event handles and
+// the update action are left zero; Fork re-attaches the handles from the
+// engine clone's handle map and binds the action to the fork. The
 // Job pointer and the usage trace behind the cursor are shared (immutable).
 func cloneRunning(rj *runningJob, rec *JobRecord) *runningJob {
 	n := &runningJob{}
@@ -200,6 +203,7 @@ func cloneRunning(rj *runningJob, rec *JobRecord) *runningJob {
 	n.rec = rec
 	n.alloc = rj.alloc.Clone()
 	n.finishEv, n.limitEv, n.updateEv = sim.Handle{}, sim.Handle{}, sim.Handle{}
+	n.onUpdate = nil
 	n.nodeTraffic = append([]float64(nil), rj.nodeTraffic...)
 	n.nodeDom = append([]int32(nil), rj.nodeDom...)
 	n.homeDoms = append([]int32(nil), rj.homeDoms...)

@@ -109,6 +109,7 @@ type runningJob struct {
 	finishEv sim.Handle
 	limitEv  sim.Handle
 	updateEv sim.Handle
+	onUpdate sim.Action // the memory-update handler, bound once per attempt
 
 	// Contention cache, valid while dirty is false. A job's per-node remote
 	// fractions depend only on its own allocation, which changes only at
@@ -695,7 +696,8 @@ func (s *Simulator) start(i int, ja *cluster.JobAllocation) {
 		rj.limitEv = s.eng.AfterTag(j.LimitSec, evTag(tagLimit, i), func(*sim.Engine) { s.onTimeLimit(i) })
 	}
 	if s.pol.Tracks() {
-		rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), func(*sim.Engine) { s.onMemoryUpdate(i) })
+		rj.onUpdate = s.updateAction(i)
+		rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), rj.onUpdate)
 	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.JobStarted(now, j, ja.TotalMB()-ja.RemoteMB(), ja.RemoteMB())
@@ -855,8 +857,15 @@ func (s *Simulator) onMemoryUpdate(i int) {
 	if s.cfg.Observer != nil && after != before {
 		s.cfg.Observer.AllocationChanged(s.eng.Now(), rj.j, before, after)
 	}
-	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), func(*sim.Engine) { s.onMemoryUpdate(i) }) //dmplint:ignore hotpath-alloc one closure per update period
+	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), rj.onUpdate)
 	s.refreshAfter(rj)
+}
+
+// updateAction binds the memory-update handler of the job at table index
+// i. start binds it once per attempt, and every update period reschedules
+// the same action.
+func (s *Simulator) updateAction(i int) sim.Action {
+	return func(*sim.Engine) { s.onMemoryUpdate(i) }
 }
 
 // oomKill applies the configured OOM handling: terminate the job, release

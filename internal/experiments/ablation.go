@@ -7,6 +7,7 @@ import (
 	"dismem/internal/core"
 	"dismem/internal/metrics"
 	"dismem/internal/policy"
+	"dismem/internal/sweep"
 	"dismem/internal/topology"
 	"dismem/internal/tracegen"
 )
@@ -342,34 +343,40 @@ type LenderRow struct {
 	NormThroughput float64
 }
 
-// RunAblationLender executes the comparison.
+// RunAblationLender executes the comparison. The six cells run as one
+// sweep on the shared pool, collected in table order.
 func RunAblationLender(p Preset) (*AblationLender, error) {
 	sc, err := p.ablationScenario()
 	if err != nil {
 		return nil, err
 	}
 	torus := topology.Design(p.SystemNodes)
-	out := &AblationLender{}
+	var tasks []sweep.Task[LenderRow]
 	for _, hp := range []float64{0, 0.25, 1.0} {
 		for _, lp := range []core.LenderPolicy{core.MostFree, core.NearestFirst} {
-			hp, lp := hp, lp
-			res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic,
-				func(cfg *core.Config) {
-					cfg.Topology = &torus
-					cfg.LenderPolicy = lp
-					cfg.HopPenalty = hp
-				})
-			if err != nil {
-				return nil, err
-			}
-			row := LenderRow{Order: lp.String(), HopPenalty: hp, NormThroughput: Infeasible}
-			if !res.Infeasible {
-				row.NormThroughput = res.Throughput() / sc.norm
-			}
-			out.Rows = append(out.Rows, row)
+			tasks = append(tasks, func() (LenderRow, error) {
+				res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic,
+					func(cfg *core.Config) {
+						cfg.Topology = &torus
+						cfg.LenderPolicy = lp
+						cfg.HopPenalty = hp
+					})
+				if err != nil {
+					return LenderRow{}, err
+				}
+				row := LenderRow{Order: lp.String(), HopPenalty: hp, NormThroughput: Infeasible}
+				if !res.Infeasible {
+					row.NormThroughput = res.Throughput() / sc.norm
+				}
+				return row, nil
+			})
 		}
 	}
-	return out, nil
+	rows, err := sweep.Values(sweep.Run(tasks))
+	if err != nil {
+		return nil, err
+	}
+	return &AblationLender{Rows: rows}, nil
 }
 
 func (a *AblationLender) String() string {

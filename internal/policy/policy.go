@@ -25,10 +25,13 @@
 //
 // Placement runs millions of times inside the event loop, so the policies
 // are stateful only in the sense of holding reusable scratch buffers. They
-// read the cluster's incremental indexes (free-memory order, idle-compute
-// bitset, capacity order) instead of rescanning and sorting the node
-// slice; only nearest-first, whose order depends on the borrower, ranks
-// the lenders per borrower. A warm Place allocates nothing but the
+// read the cluster's incremental indexes instead of rescanning and sorting
+// the node slice: the disaggregated placement picks its compute nodes from
+// the idle bitsets with a selection bounded by the job's node count
+// (Cluster.TopIdle), so it never reads or repairs the free-memory order;
+// only its borrow walks do, and only nearest-first, whose order depends on
+// the borrower, ranks the lenders per borrower. The baseline walks the
+// static capacity order. A warm Place allocates nothing but the
 // allocation it returns, and a warm Adjust allocates nothing. A Policy or
 // Adjuster is consequently not safe for concurrent use; each simulator
 // builds its own.
@@ -221,24 +224,15 @@ func (p *disaggPolicy) Place(cl *cluster.Cluster, j *job.Job) (*cluster.JobAlloc
 // choose picks the job's compute nodes and plans its memory into p.plans
 // without touching the ledger, reporting whether the job fits now.
 func (p *disaggPolicy) choose(cl *cluster.Cluster, j *job.Job) bool {
-	if cl.IdleComputeCount() < j.Nodes {
+	// Feasibility: enough idle compute nodes, and total free memory in the
+	// system that covers the job. Both are O(S) counts.
+	if cl.IdleComputeCount() < j.Nodes || cl.TotalFreeMB() < int64(j.Nodes)*j.RequestMB {
 		return false
 	}
 	// Select compute nodes by free memory descending (ties by ID) so they
 	// need as little borrowing as possible.
-	chosen := p.chosen[:0]
-	cl.AscendFree(func(id cluster.NodeID, _ int64) bool {
-		if cl.Node(id).IsComputeAvailable() {
-			chosen = append(chosen, id)
-		}
-		return len(chosen) < j.Nodes
-	})
+	chosen := cl.TopIdle(j.Nodes, p.chosen)
 	p.chosen = chosen
-
-	// Feasibility: total free memory in the system must cover the job.
-	if cl.TotalFreeMB() < int64(j.Nodes)*j.RequestMB {
-		return false
-	}
 
 	// Plan local shares first (maximising the local-to-remote ratio), then
 	// plan the borrowing; the pool may still be exhausted despite the

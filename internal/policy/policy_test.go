@@ -473,6 +473,44 @@ func TestWarmPlanAndAdjustAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWarmPlaceAllocatesOnlyItsResult asserts a warm Place allocates the
+// allocation it returns and nothing else: the JobAllocation, its PerNode
+// array and one lease array per borrowing node. Each chosen node borrows
+// from a single lender here, so its lease array is one allocation.
+func TestWarmPlaceAllocatesOnlyItsResult(t *testing.T) {
+	for _, oc := range testOrders(64) {
+		t.Run(oc.name, func(t *testing.T) {
+			cl := cluster.NewSharded(64, 32, 1000, 4)
+			pol := New(Dynamic, oc.o)
+			j := testJob(1, 4, 1500)
+			var want float64
+			cycle := func() {
+				ja, ok := pol.Place(cl, j)
+				if !ok {
+					t.Fatal("placement failed")
+				}
+				want = 2
+				for _, na := range ja.PerNode {
+					if len(na.Leases) > 1 {
+						t.Fatalf("node %d borrows from %d lenders, want at most 1", na.Node, len(na.Leases))
+					}
+					want += float64(len(na.Leases))
+				}
+				if err := ja.Release(cl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cycle()
+			if want != 6 {
+				t.Fatalf("placement borrows on %v nodes, want 4", want-2)
+			}
+			if got := testing.AllocsPerRun(50, cycle); got != want {
+				t.Fatalf("warm Place+Release allocates %v times, its result %v", got, want)
+			}
+		})
+	}
+}
+
 func BenchmarkStaticPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cl := cluster.New(128, 32, 65536)

@@ -221,16 +221,24 @@ func sameLedger(a, b *cluster.Cluster) error {
 // 3 and 8 shards through Place and Adjust — growth, shrinking and
 // out-of-memory partial growth — and the sort-based reference, under every
 // lender order, and requires identical leases and identical ledgers after
-// every operation.
+// every operation. Half the seeds keep the ledger nearly full, where the
+// idle nodes placement picks from are partial lenders and the best
+// candidates are also the best lenders, so the planner must skip the
+// job's own nodes.
 func TestPlannerMatchesReference(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		for _, oc := range testOrders(40) {
 			t.Run(fmt.Sprintf("%s/shards=%d", oc.name, shards), func(t *testing.T) {
-				var seen coverage
+				var seen, seenFull coverage
 				for seed := int64(1); seed <= 15; seed++ {
-					differential(t, seed, shards, oc.name, &seen)
+					differential(t, seed, shards, oc.name, false, &seen)
+					differential(t, seed, shards, oc.name, true, &seenFull)
 				}
 				seen.check(t, oc.name == "domain-first" && shards > 1)
+				seenFull.check(t, false)
+				if seenFull.lenderChosen == 0 || seenFull.idleLender == 0 {
+					t.Fatalf("nearly full ledgers exercised too little: %+v", seenFull)
+				}
 			})
 		}
 	}
@@ -238,8 +246,11 @@ func TestPlannerMatchesReference(t *testing.T) {
 
 // coverage counts the borrowing cases a differential run exercised, so a
 // generator that stops borrowing fails loudly instead of passing vacuously.
+// lenderChosen counts placements that picked an idle node which had lent
+// memory, idleLender leases taken from an idle node the job did not pick.
 type coverage struct {
 	sharedLender, growBorrow, oom, spill int
+	lenderChosen, idleLender             int
 }
 
 func (c *coverage) check(t *testing.T, wantSpill bool) {
@@ -249,7 +260,26 @@ func (c *coverage) check(t *testing.T, wantSpill bool) {
 	}
 }
 
-func differential(t *testing.T, seed int64, shards int, order string, seen *coverage) {
+// placeOverlap counts, for a placement just made on cl, the chosen nodes
+// that had lent memory before it and the leases whose lender is still idle.
+func placeOverlap(cl *cluster.Cluster, ja *cluster.JobAllocation) (chosen, idle int) {
+	for _, na := range ja.PerNode {
+		if cl.Node(na.Node).LentMB > 0 {
+			chosen++
+		}
+		for _, l := range na.Leases {
+			if cl.Node(l.Lender).IsComputeAvailable() {
+				idle++
+			}
+		}
+	}
+	return chosen, idle
+}
+
+// differential runs one seed's operation sequence. With full, placements
+// come twice as often and releases a third as often, so most nodes run
+// jobs or lend and the ledger stays nearly full.
+func differential(t *testing.T, seed int64, shards int, order string, full bool, seen *coverage) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 12 + rng.Intn(29)
@@ -271,10 +301,18 @@ func differential(t *testing.T, seed int64, shards int, order string, seen *cove
 		doms      []int32
 	}
 	var jobs []running
+	placeBelow, adjustBelow := 4, 9
+	if full {
+		placeBelow, adjustBelow = 8, 19
+	}
 	for op := 0; op < 250; op++ {
 		what := ""
-		switch k := rng.Intn(10); {
-		case k < 4 || len(jobs) == 0:
+		k := rng.Intn(10)
+		if full {
+			k = rng.Intn(20)
+		}
+		switch {
+		case k < placeBelow || len(jobs) == 0:
 			j := testJob(op+1, 1+rng.Intn(5), 200+rng.Int63n(2400))
 			what = fmt.Sprintf("place %d×%d MB", j.Nodes, j.RequestMB)
 			got, okGot := pol.Place(cl, j)
@@ -287,9 +325,12 @@ func differential(t *testing.T, seed int64, shards int, order string, seen *cove
 					t.Fatalf("seed %d op %d %s:\n got  %+v\n want %+v", seed, op, what, got.PerNode, want.PerNode)
 				}
 				seen.sharedLender += sharedLenders(got)
+				chosen, idle := placeOverlap(cl, got)
+				seen.lenderChosen += chosen
+				seen.idleLender += idle
 				jobs = append(jobs, running{got, want, domSet(cl, got)})
 			}
-		case k < 9:
+		case k < adjustBelow:
 			r := jobs[rng.Intn(len(jobs))]
 			i := rng.Intn(len(r.got.PerNode))
 			target := rng.Int63n(3500)

@@ -67,13 +67,14 @@ func (e *Engine) Clone(rebind func(tag uint64) Action) (*Engine, map[uint64]Hand
 	}
 	c.queue = make(eventQueue, len(e.queue))
 	handles := make(map[uint64]Handle, len(e.queue))
-	for i, ev := range e.queue {
+	for i, sl := range e.queue {
+		ev := sl.ev
 		fn := rebind(ev.tag)
 		if fn == nil {
 			panic(fmt.Sprintf("sim: Clone: no action for pending event tag %#x", ev.tag))
 		}
-		nev := &Event{at: ev.at, seq: ev.seq, index: i, gen: ev.gen, tag: ev.tag, fire: fn}
-		c.queue[i] = nev
+		nev := &Event{at: ev.at, index: i, gen: ev.gen, tag: ev.tag, fire: fn}
+		c.queue[i] = slot{at: sl.at, seq: sl.seq, ev: nev}
 		if ev.tag != 0 {
 			if _, dup := handles[ev.tag]; dup {
 				panic(fmt.Sprintf("sim: Clone: duplicate pending event tag %#x", ev.tag))

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -27,7 +26,6 @@ type Action func(e *Engine)
 // hold an *Event directly; they hold a Handle.
 type Event struct {
 	at    float64
-	seq   uint64
 	index int // heap index; -1 when not queued
 	gen   uint64
 	tag   uint64
@@ -57,33 +55,96 @@ func (h Handle) At() float64 {
 	return h.ev.at
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue []*Event
+// slot is one heap entry: the event's (at, seq) key held inline, so a
+// comparison reads the heap array and never dereferences an event.
+type slot struct {
+	at  float64
+	seq uint64
+	ev  *Event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders slots by (at, seq). seq is unique, so the order is total
+// and every heap shape pops the same sequence.
+func (a *slot) before(b *slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap of slots ordered by (at, seq). Each
+// event's index mirrors its slot position; only the slots a sift moves are
+// rewritten, the moving one once, where it lands.
+type eventQueue []slot
+
+// up sifts the slot at i toward the root.
+//
+//dmp:hotpath
+func (q eventQueue) up(i int) {
+	s := q[i]
+	for i > 0 {
+		p := (i - 1) >> 2
+		if !s.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].ev.index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = s
+	s.ev.index = i
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// down sifts the slot at i toward the leaves and reports whether it moved.
+//
+//dmp:hotpath
+func (q eventQueue) down(i int) bool {
+	s, n, i0 := q[i], len(q), i
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&s) {
+			break
+		}
+		q[i] = q[m]
+		q[i].ev.index = i
+		i = m
+	}
+	q[i] = s
+	s.ev.index = i
+	return i != i0
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+
+// push appends ev under (at, seq) and sifts it into place.
+//
+//dmp:hotpath
+func (q *eventQueue) push(at float64, seq uint64, ev *Event) {
+	*q = append(*q, slot{at: at, seq: seq, ev: ev})
+	q.up(len(*q) - 1)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+
+// remove takes the slot at i out of the heap and returns its event, with
+// index −1. The vacated tail slot is cleared so the array retains no event.
+//
+//dmp:hotpath
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	ev, last := h[i].ev, len(h)-1
+	if i != last {
+		h[i] = h[last]
+	}
+	h[last] = slot{}
+	h = h[:last]
+	*q = h
+	if i != last && !h.down(i) {
+		h.up(i)
+	}
 	ev.index = -1
-	*q = old[:n-1]
 	return ev
 }
 
@@ -159,11 +220,9 @@ func (e *Engine) ScheduleTag(at float64, tag uint64, fn Action) Handle {
 	}
 	e.seq++
 	ev.at = at
-	ev.seq = e.seq
 	ev.tag = tag
 	ev.fire = fn
-	ev.index = -1
-	heap.Push(&e.queue, ev)
+	e.queue.push(at, e.seq, ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
@@ -202,8 +261,7 @@ func (e *Engine) Cancel(h Handle) {
 	if !h.Pending() {
 		return
 	}
-	heap.Remove(&e.queue, h.ev.index)
-	e.recycle(h.ev)
+	e.recycle(e.queue.remove(h.ev.index))
 }
 
 // Reschedule cancels h and schedules its action (and tag) at a new absolute
@@ -220,14 +278,10 @@ func (e *Engine) Reschedule(h Handle, at float64) Handle {
 
 // Step fires the next event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	if len(e.queue) == 0 || e.queue[0].at > e.maxT {
 		return false
 	}
-	ev := e.queue[0]
-	if ev.at > e.maxT {
-		return false
-	}
-	heap.Pop(&e.queue)
+	ev := e.queue.remove(0)
 	e.now = ev.at
 	e.fired++
 	fn := ev.fire

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"reflect"
@@ -343,4 +344,227 @@ func TestEveryBadIntervalPanics(t *testing.T) {
 		}
 	}()
 	New().Every(0, 0, func(*Engine) {})
+}
+
+// refQueue is the engine's former queue, kept as the reference for the
+// typed 4-ary heap: container/heap over event pointers ordered by
+// (at, seq).
+type refQueue []*refEvent
+
+type refEvent struct {
+	at    float64
+	seq   uint64
+	id    int
+	index int // -1 once popped or cancelled
+}
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+func (q *refQueue) Push(x any) {
+	ev := x.(*refEvent)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	ev := old[len(old)-1]
+	ev.index = -1
+	*q = old[:len(old)-1]
+	return ev
+}
+
+// refEngine is the reference engine: a clock, a seq counter and a
+// refQueue, with events named by id.
+type refEngine struct {
+	now  float64
+	seq  uint64
+	q    refQueue
+	byID map[int]*refEvent
+}
+
+func (r *refEngine) schedule(at float64, id int) {
+	r.seq++
+	ev := &refEvent{at: at, seq: r.seq, id: id}
+	heap.Push(&r.q, ev)
+	r.byID[id] = ev
+}
+
+func (r *refEngine) cancel(id int) {
+	if ev := r.byID[id]; ev != nil {
+		heap.Remove(&r.q, ev.index)
+		delete(r.byID, id)
+	}
+}
+
+func (r *refEngine) step() (int, bool) {
+	if len(r.q) == 0 {
+		return 0, false
+	}
+	ev := heap.Pop(&r.q).(*refEvent)
+	delete(r.byID, ev.id)
+	r.now = ev.at
+	return ev.id, true
+}
+
+func (r *refEngine) clone() *refEngine {
+	c := &refEngine{now: r.now, seq: r.seq, q: make(refQueue, len(r.q)), byID: map[int]*refEvent{}}
+	for i, ev := range r.q {
+		nev := *ev
+		c.q[i] = &nev
+		c.byID[ev.id] = &nev
+	}
+	return c
+}
+
+// engineOrderCase drives the engine and the reference through one
+// operation sequence decoded from data — schedule at a small offset from
+// now (so times tie often), cancel, reschedule, step, and Clone, after
+// which the clone carries on and the original is drained — and fails on
+// the first difference in fire order, Pending or a handle's At.
+func engineOrderCase(t *testing.T, data []byte) {
+	eng, ref := New(), &refEngine{byID: map[int]*refEvent{}}
+	handles := map[int]Handle{}
+	var fired []int
+	action := func(id int) Action { return func(*Engine) { fired = append(fired, id) } }
+	check := func(op int) {
+		t.Helper()
+		if eng.Pending() != len(ref.q) {
+			t.Fatalf("op %d: Pending %d, reference %d", op, eng.Pending(), len(ref.q))
+		}
+		for id, h := range handles {
+			ev := ref.byID[id]
+			if h.Pending() != (ev != nil) {
+				t.Fatalf("op %d: event %d Pending %v, reference %v", op, id, h.Pending(), ev != nil)
+			}
+			if ev != nil && h.At() != ev.at {
+				t.Fatalf("op %d: event %d At %g, reference %g", op, id, h.At(), ev.at)
+			}
+		}
+	}
+	step := func(op int) {
+		t.Helper()
+		fired = fired[:0]
+		ok := eng.Step()
+		id, refOK := ref.step()
+		if ok != refOK || ok && (len(fired) != 1 || fired[0] != id || eng.Now() != ref.now) {
+			t.Fatalf("op %d: Step fired %v at %g (ok %v), reference %d at %g (ok %v)", op, fired, eng.Now(), ok, id, ref.now, refOK)
+		}
+		if ok {
+			delete(handles, id)
+		}
+	}
+	// pick maps a byte to one of the live events, in id order.
+	pick := func(b byte) (int, bool) {
+		if len(ref.byID) == 0 {
+			return 0, false
+		}
+		ids := make([]int, 0, len(ref.byID))
+		for id := range ref.byID {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		return ids[int(b)%len(ids)], true
+	}
+	next := 1
+	for op := 0; op+1 < len(data); op += 2 {
+		code, arg := data[op], data[op+1]
+		switch code % 8 {
+		case 0, 1, 2: // schedule
+			at := eng.Now() + float64(arg%4)
+			handles[next] = eng.ScheduleTag(at, uint64(next), action(next))
+			ref.schedule(at, next)
+			next++
+		case 3: // cancel
+			if id, ok := pick(arg); ok {
+				eng.Cancel(handles[id])
+				ref.cancel(id)
+				delete(handles, id)
+			}
+		case 4: // reschedule under the same id
+			if id, ok := pick(arg); ok {
+				at := eng.Now() + float64(arg%3)
+				handles[id] = eng.Reschedule(handles[id], at)
+				ref.cancel(id)
+				ref.schedule(at, id)
+			}
+		case 5, 6: // step
+			step(op)
+		case 7: // clone; the original drains against a copy of the reference
+			c, hs := eng.Clone(func(tag uint64) Action { return action(int(tag)) })
+			orig, origRef := eng, ref.clone()
+			eng = c
+			for id := range handles {
+				handles[id] = hs[uint64(id)]
+			}
+			for {
+				fired = fired[:0]
+				ok := orig.Step()
+				id, refOK := origRef.step()
+				if ok != refOK || ok && (len(fired) != 1 || fired[0] != id) {
+					t.Fatalf("op %d: cloned-from engine fired %v (ok %v), reference %d (ok %v)", op, fired, ok, id, refOK)
+				}
+				if !ok {
+					break
+				}
+			}
+		}
+		check(op)
+	}
+	for eng.Pending() > 0 {
+		step(len(data))
+		check(len(data))
+	}
+	if _, ok := ref.step(); ok {
+		t.Fatal("reference has events left after the engine drained")
+	}
+}
+
+// FuzzEngineOrder holds the typed event heap to the container/heap
+// reference under random schedule, cancel, reschedule, step and Clone
+// sequences with tied times.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 5, 0, 3, 1, 4, 2, 7, 0, 5, 0, 0, 3, 6, 0})
+	f.Add([]byte{0, 3, 1, 3, 2, 3, 0, 3, 0, 3, 4, 0, 4, 1, 3, 2, 5, 0, 7, 9, 4, 4, 5, 5, 5, 5})
+	f.Add([]byte{})
+	f.Fuzz(engineOrderCase)
+}
+
+// TestEngineMatchesReference runs the fuzz body over longer random
+// sequences than the seed corpus holds.
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 2*(50+rng.Intn(400)))
+		rng.Read(data)
+		engineOrderCase(t, data)
+	}
+}
+
+// TestStepAllocationFree asserts a warm Step whose action reschedules
+// itself (a pre-bound action, as the simulator binds its update events)
+// allocates nothing: the event storage is recycled and the heap array
+// keeps its capacity.
+func TestStepAllocationFree(t *testing.T) {
+	e := New()
+	var tick Action
+	tick = func(e *Engine) { e.AfterTag(1, 1, tick) }
+	for i := 0; i < 64; i++ {
+		e.Schedule(float64(i%7), tick)
+	}
+	for i := 0; i < 64; i++ {
+		e.Step()
+	}
+	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+		t.Fatalf("warm Step allocates %.1f per call, want 0", got)
+	}
 }
