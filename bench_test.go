@@ -23,10 +23,17 @@ import (
 
 func benchPreset() experiments.Preset { return experiments.Bench() }
 
+// grizzlyWeekJobs builds the first sampled Grizzly week of p at +50 %
+// overestimation.
+func grizzlyWeekJobs(p experiments.Preset) ([]*job.Job, error) {
+	weeks := p.SampledWeeks(p.GrizzlyDataset())
+	return p.GrizzlyJobs(&weeks[0], 0.5)
+}
+
 func BenchmarkTable2(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunTable2(p); err != nil {
+		if _, err := experiments.RunTable2(p, p.GrizzlyDataset()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +51,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig2(p); err != nil {
+		if _, err := experiments.RunFig2(p, p.GrizzlyDataset()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +74,7 @@ func BenchmarkFig5(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
 		tracegen.ResetCache()
-		if _, err := experiments.RunFig5(p, false); err != nil {
+		if _, err := experiments.RunFig5(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +115,7 @@ func BenchmarkFig8(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
 		tracegen.ResetCache()
-		if _, err := experiments.RunFig8(p, false); err != nil {
+		if _, err := experiments.RunFig8(p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +174,7 @@ func BenchmarkScenario(b *testing.B) {
 	b.Run("grizzly-scale", func(b *testing.B) {
 		gp := benchPreset()
 		gp.GrizzlyNodes = 1490
-		jobs, err := gp.GrizzlyTrace(0.5)
+		jobs, err := grizzlyWeekJobs(gp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +197,7 @@ func BenchmarkScenario(b *testing.B) {
 	b.Run("grizzly-scale-domains", func(b *testing.B) {
 		gp := benchPreset()
 		gp.GrizzlyNodes = 1490
-		jobs, err := gp.GrizzlyTrace(0.5)
+		jobs, err := grizzlyWeekJobs(gp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,7 +337,7 @@ func hundredKJobs() []*job.Job {
 func BenchmarkWhatIf(b *testing.B) {
 	gp := benchPreset()
 	gp.GrizzlyNodes = 1490
-	jobs, err := gp.GrizzlyTrace(0.5)
+	jobs, err := grizzlyWeekJobs(gp)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,7 +27,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"sync"
 	"time"
 
@@ -121,6 +120,7 @@ func realMain() (code int) {
 		return 2
 	}
 	p.Seed = *seed
+	opts := experiments.WalkOptions{Grizzly: *withGrizzly, Seeds: *seeds}
 
 	if *report != "" {
 		f, err := os.Create(*report)
@@ -128,11 +128,7 @@ func realMain() (code int) {
 			fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
 			return 1
 		}
-		err = experiments.WriteReport(f, p, experiments.ReportOptions{
-			Grizzly:   *withGrizzly,
-			Ablations: true,
-			Seeds:     *seeds,
-		})
+		err = experiments.WriteReport(f, p, opts)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -170,40 +166,35 @@ func realMain() (code int) {
 		return 0
 	}
 
-	names := []string{*exp}
-	switch *exp {
-	case "all":
-		names = []string{"table2", "table3", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-			"util", "xmodel", "ab-update", "ab-oom", "ab-backfill", "ab-lender", "ab-priority", "headlines"}
-	case "ablations":
-		names = []string{"ab-update", "ab-oom", "ab-backfill", "ab-lender", "ab-priority"}
+	stages, err := experiments.Stages(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
+		return 2
 	}
 	meter := startCostMeter()
 	defer meter.close()
 	var costs []stageCost
-	for _, name := range names {
-		meter.begin()
-		out, cw, err := run(name, p, *withGrizzly, *seeds)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmpexp: %s: %v\n", name, err)
-			return 1
-		}
-		cost := meter.end(name)
+	meter.begin()
+	err = experiments.Walk(p, stages, opts, func(st experiments.Stage, res fmt.Stringer) error {
+		cost := meter.end(st.Name)
 		costs = append(costs, cost)
-		fmt.Printf("=== %s (preset %s, %s) ===\n%s\n", name, p.Name, cost, out)
-		if *plot {
-			if pl, ok := cw.(interface{ Plot() string }); ok {
-				fmt.Println(pl.Plot())
-			}
+		fmt.Printf("=== %s (preset %s, %s) ===\n%s\n", st.Name, p.Name, cost, res)
+		if pl, ok := res.(interface{ Plot() string }); ok && *plot {
+			fmt.Println(pl.Plot())
 		}
-		if *csvDir != "" && cw != nil {
-			path := filepath.Join(*csvDir, name+".csv")
+		if cw, ok := res.(csvWriter); ok && *csvDir != "" {
+			path := filepath.Join(*csvDir, st.Name+".csv")
 			if err := writeCSVFile(path, cw); err != nil {
-				fmt.Fprintf(os.Stderr, "dmpexp: %s: %v\n", path, err)
-				return 1
+				return fmt.Errorf("%s: %v", path, err)
 			}
 			fmt.Printf("wrote %s\n\n", path)
 		}
+		meter.begin()
+		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
+		return 1
 	}
 	if len(costs) > 1 {
 		writeCostTable(os.Stdout, p.Name, costs)
@@ -227,108 +218,6 @@ func writeCSVFile(path string, cw csvWriter) error {
 		return err
 	}
 	return f.Close()
-}
-
-// result is what every experiment driver returns: printable and CSV-able.
-type result interface {
-	fmt.Stringer
-	csvWriter
-}
-
-// wrap folds a (result, error) pair into run's return shape.
-func wrap[T result](r T, err error) (string, csvWriter, error) {
-	if err != nil {
-		return "", nil, err
-	}
-	return r.String(), r, nil
-}
-
-func run(name string, p experiments.Preset, grizzly bool, seeds int) (string, csvWriter, error) {
-	switch name {
-	case "xmodel":
-		return wrap(experiments.RunModelComparison(p))
-	case "util":
-		return wrap(experiments.RunUtilization(p))
-	case "table2":
-		return wrap(experiments.RunTable2(p))
-	case "table3":
-		return wrap(experiments.RunTable3(p))
-	case "fig2":
-		return wrap(experiments.RunFig2(p))
-	case "fig4":
-		return wrap(experiments.RunFig4(p))
-	case "fig5":
-		return wrap(experiments.RunFig5(p, grizzly))
-	case "fig6":
-		return wrap(experiments.RunFig6(p))
-	case "fig7":
-		return wrap(experiments.RunFig7(p))
-	case "fig8":
-		return wrap(experiments.RunFig8(p, grizzly))
-	case "fig9":
-		return wrap(experiments.RunFig9(p))
-	case "ab-update":
-		return wrap(experiments.RunAblationUpdateInterval(p))
-	case "ab-oom":
-		return wrap(experiments.RunAblationOOM(p))
-	case "ab-backfill":
-		return wrap(experiments.RunAblationBackfill(p))
-	case "ab-lender":
-		return wrap(experiments.RunAblationLender(p))
-	case "ab-priority":
-		return wrap(experiments.RunAblationPriority(p))
-	case "headlines":
-		if seeds > 1 {
-			h, err := experiments.RunHeadlines(p, seeds)
-			if err != nil {
-				return "", nil, err
-			}
-			return h.String(), nil, nil
-		}
-		out, err := headlines(p)
-		return out, nil, err
-	default:
-		return "", nil, fmt.Errorf("unknown experiment %q", name)
-	}
-}
-
-// headlines reproduces the paper's headline claims in one summary.
-func headlines(p experiments.Preset) (string, error) {
-	var b strings.Builder
-	f5, err := experiments.RunFig5(p, false)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "max throughput gain (dynamic - static):          %+.1f%%  (paper: up to 8%% at +0%%, 13%% at +60%%)\n",
-		f5.DynamicAdvantage()*100)
-
-	f7, err := experiments.RunFig7(p)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "max throughput-per-dollar gain (dynamic/static): %+.1f%%  (paper: up to 38%%)\n",
-		f7.MaxDynamicGain()*100)
-
-	f6, err := experiments.RunFig6(p)
-	if err != nil {
-		return "", err
-	}
-	best := 0.0
-	for _, panel := range f6.Panels {
-		if panel.Overest > 0 && panel.Scenario == "underprovisioned" {
-			if r := panel.MedianReduction(); r > best {
-				best = r
-			}
-		}
-	}
-	fmt.Fprintf(&b, "median response-time reduction (underprov +60%%): %.0f%%  (paper: 69%%)\n", best*100)
-
-	f9, err := experiments.RunFig9(p)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "max memory saving at 95%% throughput:             %d pts (paper: ~40%%)\n", f9.MaxMemorySaving())
-	return b.String(), nil
 }
 
 // runScenarioFile loads a JSON scenario spec and executes it. When telDir

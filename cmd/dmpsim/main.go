@@ -72,7 +72,8 @@ func configure(o options) (core.Config, []*job.Job, error) {
 		}
 		jobs = out.Jobs
 	case "grizzly":
-		if jobs, err = p.GrizzlyTrace(o.overest); err != nil {
+		weeks := p.SampledWeeks(p.GrizzlyDataset())
+		if jobs, err = p.GrizzlyJobs(&weeks[0], o.overest); err != nil {
 			return cfg, nil, fmt.Errorf("grizzly trace: %v", err)
 		}
 		sysNodes = p.GrizzlyNodes

@@ -18,7 +18,7 @@ func main() {
 	p := experiments.Quick()
 
 	fmt.Println("Generating workload (50% large-memory jobs) and sweeping provisioning levels…")
-	f8, err := experiments.RunFig8(p, false)
+	f8, err := experiments.RunFig8(p, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestFig7CSV(t *testing.T) {
 
 func TestFig9CSV(t *testing.T) {
 	p := tiny()
-	f8, err := RunFig8(p, false)
+	f8, err := RunFig8(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFig9CSV(t *testing.T) {
 
 func TestTableAndFig24CSV(t *testing.T) {
 	p := tiny()
-	t2, err := RunTable2(p)
+	t2, err := RunTable2(p, p.GrizzlyDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTableAndFig24CSV(t *testing.T) {
 		t.Fatalf("table3 rows = %d", len(rows))
 	}
 
-	f2, err := RunFig2(p)
+	f2, err := RunFig2(p, p.GrizzlyDataset())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,15 @@ func tiny() Preset {
 	return p
 }
 
+// multiWeek is tiny with a Grizzly dataset large enough that the preset
+// samples three weeks (tiny's three-week dataset has one eligible week).
+func multiWeek() Preset {
+	p := tiny()
+	p.GrizzlyWeeks = 8
+	p.GrizzlySample = 3
+	return p
+}
+
 func TestMemoryConfigsMatchPaperAxis(t *testing.T) {
 	mcs := MemoryConfigs()
 	wantPct := []int{37, 43, 50, 57, 62, 75, 87, 100}
@@ -190,7 +199,7 @@ func TestFig7Runs(t *testing.T) {
 
 func TestFig8AndFig9(t *testing.T) {
 	p := tiny()
-	f8, err := RunFig8(p, false)
+	f8, err := RunFig8(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +234,7 @@ func TestFig8AndFig9(t *testing.T) {
 
 func TestTable2Shares(t *testing.T) {
 	p := tiny()
-	tb, err := RunTable2(p)
+	tb, err := RunTable2(p, p.GrizzlyDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +280,7 @@ func TestTable3Characterisation(t *testing.T) {
 
 func TestFig2Sampling(t *testing.T) {
 	p := tiny()
-	f, err := RunFig2(p)
+	f, err := RunFig2(p, p.GrizzlyDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +336,12 @@ func TestFig4Heatmap(t *testing.T) {
 }
 
 func TestGrizzlyGridMultiWeek(t *testing.T) {
-	p := tiny()
-	p.GrizzlySample = 2
-	g, err := p.GrizzlyGrid(0)
+	p := multiWeek()
+	weeks := p.SampledWeeks(p.GrizzlyDataset())
+	if len(weeks) < 2 {
+		t.Fatalf("sampled %d weeks, want several", len(weeks))
+	}
+	g, err := p.GrizzlyGrid(weeks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,31 +373,28 @@ func TestAverageGridsInfeasiblePropagates(t *testing.T) {
 }
 
 func TestGrizzlyTracesAlignedAcrossOverestimation(t *testing.T) {
-	p := tiny()
-	p.GrizzlySample = 2
-	a, err := p.GrizzlyTraces(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.GrizzlyTraces(0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("week counts differ: %d vs %d", len(a), len(b))
-	}
-	for w := range a {
-		if len(a[w]) != len(b[w]) {
+	p := multiWeek()
+	weeks := p.SampledWeeks(p.GrizzlyDataset())
+	for w := range weeks {
+		a, err := p.GrizzlyJobs(&weeks[w], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.GrizzlyJobs(&weeks[w], 0.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
 			t.Fatalf("week %d: job counts differ", w)
 		}
-		for i := range a[w] {
-			if a[w][i].ID != b[w][i].ID {
+		for i := range a {
+			if a[i].ID != b[i].ID {
 				t.Fatalf("week %d: job order differs at %d", w, i)
 			}
-			if a[w][i].PeakUsageMB() != b[w][i].PeakUsageMB() {
+			if a[i].PeakUsageMB() != b[i].PeakUsageMB() {
 				t.Fatalf("week %d job %d: peaks differ across overestimation", w, i)
 			}
-			if b[w][i].RequestMB < a[w][i].RequestMB {
+			if b[i].RequestMB < a[i].RequestMB {
 				t.Fatalf("week %d job %d: +60%% request below +0%%", w, i)
 			}
 		}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"dismem/internal/traces/grizzly"
 )
 
 // Fig2 reproduces Figure 2: every one-week period of the Grizzly dataset as
@@ -26,10 +28,10 @@ type Fig2Point struct {
 	Sampled     bool
 }
 
-// RunFig2 builds the dataset and samples seven representative weeks, as in
-// the paper.
-func RunFig2(p Preset) (*Fig2, error) {
-	d := p.GrizzlyDataset()
+// RunFig2 plots the weeks of the Grizzly dataset d
+// (Preset.GrizzlyDataset) and samples seven representative weeks, as in the
+// paper.
+func RunFig2(p Preset, d *grizzly.Dataset) (*Fig2, error) {
 	sampled, err := d.SampleWeeks(newRand(p.Seed+4000), 0.7, 7)
 	if err != nil {
 		return nil, err

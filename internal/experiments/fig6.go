@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dismem/internal/metrics"
@@ -38,6 +39,22 @@ func (p *Fig6Panel) MedianReduction() float64 {
 		return 0
 	}
 	return 1 - p.Dynamic.Median()/p.Static.Median()
+}
+
+// MaxUnderprovisionedReduction returns the largest median response-time
+// reduction over the overestimated underprovisioned panels where both
+// policies ran — the paper's headline "69 %" — or NaN when none did.
+func (f *Fig6) MaxUnderprovisionedReduction() float64 {
+	best := math.NaN()
+	for i := range f.Panels {
+		p := &f.Panels[i]
+		if p.Overest > 0 && p.Scenario == "underprovisioned" && p.Static != nil && p.Dynamic != nil {
+			if r := p.MedianReduction(); math.IsNaN(best) || r > best {
+				best = r
+			}
+		}
+	}
+	return best
 }
 
 // Fig6Scenarios maps provisioning labels to memory configurations.

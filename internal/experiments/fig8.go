@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dismem/internal/sweep"
+	"dismem/internal/traces/grizzly"
 )
 
 // Fig8 reproduces Figure 8: the effect of memory overestimation on
@@ -19,11 +20,11 @@ type Fig8 struct {
 // Fig8Overests are the paper's overestimation panels.
 var Fig8Overests = []float64{0, 0.25, 0.50, 0.60, 0.75, 1.00}
 
-// RunFig8 executes the sweep; includeGrizzly controls the bottom row. The
-// whole figure is one up-front task DAG: the shared baseline norm is a
-// future all six synthetic panels wait on, and the Grizzly rows run
-// alongside rather than after them.
-func RunFig8(p Preset, includeGrizzly bool) (*Fig8, error) {
+// RunFig8 executes the sweep; the bottom row simulates the given sampled
+// Grizzly weeks, and nil weeks skip it. The whole figure is one up-front
+// task DAG: the shared baseline norm is a future all six synthetic panels
+// wait on, and the Grizzly rows run alongside rather than after them.
+func RunFig8(p Preset, weeks []grizzly.Week) (*Fig8, error) {
 	const largeFrac = 0.50
 	pool := sweep.SharedPool()
 
@@ -49,11 +50,11 @@ func RunFig8(p Preset, includeGrizzly bool) (*Fig8, error) {
 			return p.ThroughputSweep(tr.Jobs, p.SystemNodes, n, "large 50%", ov)
 		}))
 	}
-	if includeGrizzly {
+	if weeks != nil {
 		for _, ov := range Fig8Overests {
 			ov := ov
 			griz = append(griz, sweep.Submit(pool, func() (*ThroughputGrid, error) {
-				return p.GrizzlyGrid(ov)
+				return p.GrizzlyGrid(weeks, ov)
 			}))
 		}
 	}
@@ -63,7 +64,7 @@ func RunFig8(p Preset, includeGrizzly bool) (*Fig8, error) {
 	if out.Synthetic, err = sweep.CollectValues(synth); err != nil {
 		return nil, err
 	}
-	if includeGrizzly {
+	if weeks != nil {
 		if out.Grizzly, err = sweep.CollectValues(griz); err != nil {
 			return nil, err
 		}

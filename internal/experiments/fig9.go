@@ -24,7 +24,7 @@ type Fig9Point struct {
 
 // RunFig9 derives the figure from a Figure 8 synthetic sweep.
 func RunFig9(p Preset) (*Fig9, error) {
-	f8, err := RunFig8(p, false)
+	f8, err := RunFig8(p, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -150,7 +150,7 @@ func TestGoldenPipelineDigest(t *testing.T) {
 		run  func() (string, error)
 	}{
 		{"fig5", func() (string, error) {
-			f, err := RunFig5(p, false)
+			f, err := RunFig5(p, nil)
 			if err != nil {
 				return "", err
 			}
@@ -171,7 +171,7 @@ func TestGoldenPipelineDigest(t *testing.T) {
 			return digestFig7(f), nil
 		}},
 		{"fig8", func() (string, error) {
-			f, err := RunFig8(p, false)
+			f, err := RunFig8(p, nil)
 			if err != nil {
 				return "", err
 			}
@@ -221,7 +221,7 @@ func TestFig5PipelineMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := RunFig5(p, false)
+	pooled, err := RunFig5(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,4 +266,98 @@ func runFig5Serial(p Preset) (*Fig5, error) {
 		}
 	}
 	return out, nil
+}
+
+// Golden digests of the Grizzly path at the multiWeek() preset (three
+// sampled weeks): Table 2 and Figure 2 over the dataset, and Figure 5's
+// two Grizzly panels. They were recorded when every Grizzly reader
+// generated its own dataset; reading one dataset and one copy of its
+// sampled weeks must reproduce them bit-for-bit.
+var goldenGrizzlyDigests = map[string]string{
+	"table2":          "87b8c84954c770ef3381095fabc31c40a7f45e9b78fafd0e8b05b54d61fff178",
+	"fig2":            "db3efd092e82b037586389307a82ce78b0d41518555f91abb14350872594beb9",
+	"fig5-grizzly+0":  "f0f1dda756a730d3871375ebfb27f5a7ce20dabafe7b7b6d6dbb68820ed8da85",
+	"fig5-grizzly+60": "e8d87acc95a47cded63659bf071ca7399aae60102a35b2e9259eb8e5cee7fd6b",
+}
+
+func digestTable2(t *Table2) string {
+	var b strings.Builder
+	for _, bucket := range t.Buckets {
+		fmt.Fprintf(&b, "bucket=%s,", bucket)
+	}
+	for _, group := range [][3][]float64{t.Synthetic, t.Grizzly} {
+		for _, shares := range group {
+			for _, s := range shares {
+				fbits(&b, s)
+			}
+			b.WriteString(";")
+		}
+	}
+	return seal(&b)
+}
+
+func digestFig2(f *Fig2) string {
+	var b strings.Builder
+	fbits(&b, f.MaxNodeHours)
+	fmt.Fprintf(&b, "maxmem=%d,", f.MaxMemMB)
+	for _, pt := range f.Points {
+		fmt.Fprintf(&b, "week=%d,mem=%d,sampled=%t,", pt.Week, pt.MemMB, pt.Sampled)
+		fbits(&b, pt.Utilization)
+		fbits(&b, pt.NodeHours)
+	}
+	return seal(&b)
+}
+
+// TestGoldenGrizzlyDigest holds the Grizzly readers to the digests above.
+func TestGoldenGrizzlyDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden Grizzly run; skipped with -short like the pipeline goldens")
+	}
+	p := multiWeek()
+	d := p.GrizzlyDataset()
+	weeks := p.SampledWeeks(d)
+	if len(weeks) != 3 {
+		t.Fatalf("sampled %d weeks, want 3", len(weeks))
+	}
+	grid := func(ov float64) (string, error) {
+		g, err := p.GrizzlyGrid(weeks, ov)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		digestGrid(&b, g)
+		return seal(&b), nil
+	}
+	steps := []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"table2", func() (string, error) {
+			tb, err := RunTable2(p, d)
+			if err != nil {
+				return "", err
+			}
+			return digestTable2(tb), nil
+		}},
+		{"fig2", func() (string, error) {
+			f, err := RunFig2(p, d)
+			if err != nil {
+				return "", err
+			}
+			return digestFig2(f), nil
+		}},
+		{"fig5-grizzly+0", func() (string, error) { return grid(0) }},
+		{"fig5-grizzly+60", func() (string, error) { return grid(0.6) }},
+	}
+	for _, s := range steps {
+		t.Run(s.name, func(t *testing.T) {
+			got, err := s.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := goldenGrizzlyDigests[s.name]; got != want {
+				t.Fatalf("digest mismatch for %s:\n  got  %s\n  want %s", s.name, got, want)
+			}
+		})
+	}
 }

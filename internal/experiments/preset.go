@@ -180,70 +180,51 @@ func (p Preset) syntheticParams(largeFrac, overest float64) tracegen.Params {
 	}
 }
 
-// GrizzlyDataset synthesises the LDMS dataset at the preset's scale.
+// GrizzlyDataset synthesises the LDMS dataset at the preset's scale. Every
+// call generates it afresh.
 func (p Preset) GrizzlyDataset() *grizzly.Dataset {
 	rng := newRand(p.Seed + 1000)
-	return grizzly.Generate(grizzly.Params{
+	return generateGrizzly(grizzly.Params{
 		Nodes:     p.GrizzlyNodes,
 		WeekCount: p.GrizzlyWeeks,
 	}, rng)
 }
 
-// GrizzlyTraces samples the preset's number of representative
-// high-utilisation weeks and builds one job trace per week with the given
-// overestimation (paper §3.2.1: seven sampled weeks, simulated
-// independently).
-func (p Preset) GrizzlyTraces(overest float64) ([][]*job.Job, error) {
-	return p.buildGrizzly(p.grizzlyWeeks(), overest)
-}
+// generateGrizzly is the one generator behind GrizzlyDataset; a variable so
+// the walk's tests can count its calls.
+var generateGrizzly = grizzly.Generate
 
-// grizzlyWeeks generates the dataset and samples the weeks to simulate.
-func (p Preset) grizzlyWeeks() []*grizzly.Week {
-	d := p.GrizzlyDataset()
-	n := p.GrizzlySample
-	if n <= 0 {
-		n = 1
-	}
-	weeks, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, n)
+// SampledWeeks samples the preset's number of representative
+// high-utilisation weeks of d to simulate (paper §3.2.1: seven sampled
+// weeks, simulated independently), or the busiest week when none reaches
+// the threshold. The weeks are copied out of d, so holding them does not
+// keep the rest of the dataset alive. Building jobs only reads a week, so
+// any number of overestimations and concurrent panels can share them.
+func (p Preset) SampledWeeks(d *grizzly.Dataset) []grizzly.Week {
+	sampled, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, max(p.GrizzlySample, 1))
 	if err != nil {
-		// Fall back to the single highest-utilisation week.
 		best := &d.Weeks[0]
 		for i := range d.Weeks {
 			if d.Weeks[i].Utilization > best.Utilization {
 				best = &d.Weeks[i]
 			}
 		}
-		weeks = []*grizzly.Week{best}
+		sampled = []*grizzly.Week{best}
+	}
+	weeks := make([]grizzly.Week, len(sampled))
+	for i, w := range sampled {
+		weeks[i] = *w
 	}
 	return weeks
 }
 
-// buildGrizzly builds one job trace per sampled week. Building reads the
-// weeks without changing them and the usage traces are immutable, so any
-// number of overestimations can be built from one set of weeks.
-func (p Preset) buildGrizzly(weeks []*grizzly.Week, overest float64) ([][]*job.Job, error) {
-	out := make([][]*job.Job, 0, len(weeks))
-	for _, w := range weeks {
-		jobs, err := w.BuildJobs(grizzly.BuildParams{
-			Overestimation: overest,
-			Seed:           p.Seed + 3000 + int64(w.Index),
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, jobs)
-	}
-	return out, nil
-}
-
-// GrizzlyTrace returns the first sampled week's trace (the single-week
-// convenience used by dmpsim).
-func (p Preset) GrizzlyTrace(overest float64) ([]*job.Job, error) {
-	traces, err := p.GrizzlyTraces(overest)
-	if err != nil {
-		return nil, err
-	}
-	return traces[0], nil
+// GrizzlyJobs builds one sampled week's job trace with the given
+// overestimation.
+func (p Preset) GrizzlyJobs(w *grizzly.Week, overest float64) ([]*job.Job, error) {
+	return w.BuildJobs(grizzly.BuildParams{
+		Overestimation: overest,
+		Seed:           p.Seed + 3000 + int64(w.Index),
+	})
 }
 
 // RunScenario simulates jobs on nodes under one memory configuration and

@@ -29,19 +29,30 @@ var ErrNoSamples = errors.New("experiments: no replication samples")
 // parallel and aggregates the outcomes. NaN results (infeasible scenarios)
 // are skipped; if everything is NaN the error is ErrNoSamples.
 func Replicate(p Preset, seeds int, metric func(Preset) (float64, error)) (Stat, error) {
-	if seeds < 1 {
-		seeds = 1
-	}
-	tasks := make([]sweep.Task[float64], seeds)
-	for i := 0; i < seeds; i++ {
-		q := p
-		q.Seed = p.Seed + int64(i)*7919 // distinct, deterministic seeds
-		tasks[i] = func() (float64, error) { return metric(q) }
-	}
-	values, err := sweep.Values(sweep.Run(tasks))
+	values, err := replicate(p, seeds, metric)
 	if err != nil {
 		return Stat{}, err
 	}
+	return statOf(values)
+}
+
+// replicate runs one task per seed in parallel and returns the results in
+// seed order.
+func replicate[T any](p Preset, seeds int, run func(Preset) (T, error)) ([]T, error) {
+	if seeds < 1 {
+		seeds = 1
+	}
+	tasks := make([]sweep.Task[T], seeds)
+	for i := range tasks {
+		q := p
+		q.Seed = p.Seed + int64(i)*7919 // distinct, deterministic seeds
+		tasks[i] = func() (T, error) { return run(q) }
+	}
+	return sweep.Values(sweep.Run(tasks))
+}
+
+// statOf aggregates the values that are not NaN.
+func statOf(values []float64) (Stat, error) {
 	var sum float64
 	var kept []float64
 	for _, v := range values {
@@ -66,83 +77,62 @@ func Replicate(p Preset, seeds int, metric func(Preset) (float64, error)) (Stat,
 	return Stat{Mean: mean, Stdev: stdev, N: len(kept)}, nil
 }
 
+// headlineValues are the paper's four headline claims as one walk reads
+// them off its Figures 5, 6, 7 and 9.
+type headlineValues struct {
+	ThroughputGain   float64 // Fig5.DynamicAdvantage (synthetic panels)
+	TPDGain          float64 // Fig7.MaxDynamicGain
+	MedianRespReduct float64 // Fig6.MaxUnderprovisionedReduction; NaN if no panel ran both policies
+	MemorySaving     int     // Fig9.MaxMemorySaving, percentage points
+}
+
+func (h headlineValues) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "max throughput gain (dynamic - static):          %+.1f%%  (paper: up to 8%% at +0%%, 13%% at +60%%)\n", h.ThroughputGain*100)
+	fmt.Fprintf(&b, "max throughput-per-dollar gain (dynamic/static): %+.1f%%  (paper: up to 38%%)\n", h.TPDGain*100)
+	fmt.Fprintf(&b, "median response-time reduction (underprov +60%%): %.0f%%  (paper: 69%%)\n", h.MedianRespReduct*100)
+	fmt.Fprintf(&b, "max memory saving at 95%% throughput:             %d pts (paper: ~40%%)\n", h.MemorySaving)
+	return b.String()
+}
+
 // Headlines replicates the paper's four headline metrics across seeds.
 type Headlines struct {
 	Seeds              int
-	ThroughputGainPts  Stat // max dynamic−static normalised throughput, Fig. 5 grid
+	ThroughputGainPts  Stat // max dynamic−static normalised throughput, Fig. 5 synthetic panels
 	TPDGainFrac        Stat // max dynamic/static−1 throughput per dollar, Fig. 7
 	MedianRespReduct   Stat // underprovisioned +60 % median response reduction, Fig. 6
 	MemorySavingPoints Stat // static−dynamic minimum provisioning gap, Fig. 9
 }
 
-// RunHeadlines replicates all four headline metrics. The four replications
-// are independent and run concurrently on the shared pool; within each,
-// Replicate fans the seeds out too, and every (figure, seed) trace request
-// dedupes through the tracegen cache — a replication seed generates its
-// 50 %-mix trace once, not once per figure. Errors surface in the fixed
-// metric order the serial code used.
+// RunHeadlines replicates all four headline metrics. Each seed runs the
+// headline stage alone, as dmpexp -exp headlines does, with the seeds in
+// parallel on the shared pool; every (figure, seed) trace request dedupes
+// through the tracegen cache. Each metric is aggregated over the seeds
+// where it is defined.
 func RunHeadlines(p Preset, seeds int) (*Headlines, error) {
-	pool := sweep.SharedPool()
-	throughput := sweep.Submit(pool, func() (Stat, error) {
-		return Replicate(p, seeds, func(q Preset) (float64, error) {
-			f5, err := RunFig5(q, false)
-			if err != nil {
-				return 0, err
-			}
-			return f5.DynamicAdvantage(), nil
-		})
+	values, err := replicate(p, seeds, func(q Preset) (headlineValues, error) {
+		return (&walk{p: q}).headlines()
 	})
-	tpd := sweep.Submit(pool, func() (Stat, error) {
-		return Replicate(p, seeds, func(q Preset) (float64, error) {
-			f7, err := RunFig7(q)
-			if err != nil {
-				return 0, err
-			}
-			return f7.MaxDynamicGain(), nil
-		})
-	})
-	resp := sweep.Submit(pool, func() (Stat, error) {
-		return Replicate(p, seeds, func(q Preset) (float64, error) {
-			f6, err := RunFig6(q)
-			if err != nil {
-				return 0, err
-			}
-			best := math.NaN()
-			for _, panel := range f6.Panels {
-				if panel.Overest > 0 && panel.Scenario == "underprovisioned" &&
-					panel.Static != nil && panel.Dynamic != nil {
-					r := panel.MedianReduction()
-					if math.IsNaN(best) || r > best {
-						best = r
-					}
-				}
-			}
-			return best, nil
-		})
-	})
-	saving := sweep.Submit(pool, func() (Stat, error) {
-		return Replicate(p, seeds, func(q Preset) (float64, error) {
-			f9, err := RunFig9(q)
-			if err != nil {
-				return 0, err
-			}
-			return float64(f9.MaxMemorySaving()), nil
-		})
-	})
-
+	if err != nil {
+		return nil, err
+	}
 	out := &Headlines{Seeds: seeds}
-	var err error
-	if out.ThroughputGainPts, err = throughput.Get(); err != nil {
-		return nil, err
-	}
-	if out.TPDGainFrac, err = tpd.Get(); err != nil {
-		return nil, err
-	}
-	if out.MedianRespReduct, err = resp.Get(); err != nil {
-		return nil, err
-	}
-	if out.MemorySavingPoints, err = saving.Get(); err != nil {
-		return nil, err
+	for _, m := range []struct {
+		stat *Stat
+		of   func(headlineValues) float64
+	}{
+		{&out.ThroughputGainPts, func(h headlineValues) float64 { return h.ThroughputGain }},
+		{&out.TPDGainFrac, func(h headlineValues) float64 { return h.TPDGain }},
+		{&out.MedianRespReduct, func(h headlineValues) float64 { return h.MedianRespReduct }},
+		{&out.MemorySavingPoints, func(h headlineValues) float64 { return float64(h.MemorySaving) }},
+	} {
+		xs := make([]float64, len(values))
+		for i, h := range values {
+			xs[i] = m.of(h)
+		}
+		if *m.stat, err = statOf(xs); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

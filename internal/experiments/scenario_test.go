@@ -205,7 +205,7 @@ func TestRunScenarioSpecDefaultsAndChains(t *testing.T) {
 func TestWriteReport(t *testing.T) {
 	p := tiny()
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, p, ReportOptions{Ablations: true}); err != nil {
+	if err := WriteReport(&buf, p, WalkOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dismem/internal/metrics"
+	"dismem/internal/traces/grizzly"
 	"dismem/internal/workload"
 )
 
@@ -17,9 +18,10 @@ type Table2 struct {
 	Grizzly   [3][]float64
 }
 
-// RunTable2 builds both traces at the preset scale and histograms their
-// per-node peak memory.
-func RunTable2(p Preset) (*Table2, error) {
+// RunTable2 samples the synthetic model at the preset's seed and
+// histograms its per-node peak memory beside that of the Grizzly dataset d
+// (Preset.GrizzlyDataset).
+func RunTable2(p Preset, d *grizzly.Dataset) (*Table2, error) {
 	out := &Table2{}
 	for _, b := range workload.ArcherAll {
 		out.Buckets = append(out.Buckets, fmt.Sprintf("[%g,%g)", b.LoGB, b.HiGB))
@@ -47,7 +49,6 @@ func RunTable2(p Preset) (*Table2, error) {
 	out.Synthetic[2] = workload.ArcherAll.Histogram(large)
 
 	// Grizzly: histogram the synthetic LDMS dataset.
-	d := p.GrizzlyDataset()
 	all, normal, large = nil, nil, nil
 	for _, w := range d.Weeks {
 		for i := range w.Jobs {

@@ -8,6 +8,7 @@ import (
 	"dismem/internal/job"
 	"dismem/internal/policy"
 	"dismem/internal/sweep"
+	"dismem/internal/traces/grizzly"
 )
 
 // Infeasible marks a missing bar: the scenario cannot run all jobs.
@@ -90,35 +91,34 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 	return g, nil
 }
 
-// GrizzlyGrid runs the sweep over every sampled Grizzly week and averages
+// GrizzlyGrid runs the sweep over the sampled Grizzly weeks and averages
 // the normalised throughputs point-wise, as the paper aggregates its seven
 // simulated weeks. Each week is normalised against its own +0 % baseline.
-// A cell is infeasible if any week cannot run its jobs there. The dataset is
-// generated and sampled once; both job sets are built from the same weeks.
-func (p Preset) GrizzlyGrid(overest float64) (*ThroughputGrid, error) {
-	weeks := p.grizzlyWeeks()
-	traces0, err := p.buildGrizzly(weeks, 0)
-	if err != nil {
-		return nil, err
-	}
-	tracesOv := traces0
-	if overest != 0 {
-		if tracesOv, err = p.buildGrizzly(weeks, overest); err != nil {
-			return nil, err
-		}
-	}
-	// One norm-then-sweep chain per sampled week, all weeks in flight at
+// A cell is infeasible if any week cannot run its jobs there. Both job sets
+// are built from the same weeks.
+func (p Preset) GrizzlyGrid(weeks []grizzly.Week, overest float64) (*ThroughputGrid, error) {
+	// One build-norm-sweep chain per sampled week, all weeks in flight at
 	// once on the shared pool.
 	pool := sweep.SharedPool()
-	futs := make([]*sweep.Future[*ThroughputGrid], len(traces0))
-	for i := range traces0 {
-		i := i
+	futs := make([]*sweep.Future[*ThroughputGrid], len(weeks))
+	for i := range weeks {
+		w := &weeks[i]
 		futs[i] = sweep.Submit(pool, func() (*ThroughputGrid, error) {
-			norm, err := p.BaselineNorm(traces0[i], p.GrizzlyNodes)
+			jobs0, err := p.GrizzlyJobs(w, 0)
 			if err != nil {
 				return nil, err
 			}
-			return p.ThroughputSweep(tracesOv[i], p.GrizzlyNodes, norm, "grizzly", overest)
+			norm, err := p.BaselineNorm(jobs0, p.GrizzlyNodes)
+			if err != nil {
+				return nil, err
+			}
+			jobs := jobs0
+			if overest != 0 {
+				if jobs, err = p.GrizzlyJobs(w, overest); err != nil {
+					return nil, err
+				}
+			}
+			return p.ThroughputSweep(jobs, p.GrizzlyNodes, norm, grizzlyTrace, overest)
 		})
 	}
 	grids, err := sweep.CollectValues(futs)
@@ -127,6 +127,9 @@ func (p Preset) GrizzlyGrid(overest float64) (*ThroughputGrid, error) {
 	}
 	return averageGrids(grids), nil
 }
+
+// grizzlyTrace labels the panels that simulate the sampled Grizzly weeks.
+const grizzlyTrace = "grizzly"
 
 // averageGrids averages matching cells; a cell infeasible in any input
 // stays infeasible.

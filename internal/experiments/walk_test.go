@@ -1,0 +1,106 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"dismem/internal/traces/grizzly"
+)
+
+// countGenerations counts the Grizzly datasets generated until the test
+// ends.
+func countGenerations(t *testing.T) *atomic.Int32 {
+	var n atomic.Int32
+	gen := generateGrizzly
+	generateGrizzly = func(p grizzly.Params, rng *rand.Rand) *grizzly.Dataset {
+		n.Add(1)
+		return gen(p, rng)
+	}
+	t.Cleanup(func() { generateGrizzly = gen })
+	return &n
+}
+
+// TestWalkProducesEachInputOnce writes the report, the walk of every
+// stage, with the Grizzly panels at the tiny preset. Each section must hold
+// the body of its stage walked alone, byte for byte, and the report must
+// generate the Grizzly dataset once, where its stages walked alone generate
+// it once each for Table 2, Figure 2, Figure 5 and Figure 8. It runs under
+// -short, so the race detector sees the Grizzly panels of Figures 5 and 8
+// read the shared sampled weeks concurrently.
+func TestWalkProducesEachInputOnce(t *testing.T) {
+	p := tiny()
+	opts := WalkOptions{Grizzly: true}
+	n := countGenerations(t)
+	var report bytes.Buffer
+	if err := WriteReport(&report, p, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Load(); got != 1 {
+		t.Fatalf("the report generated %d Grizzly datasets, want 1", got)
+	}
+	all, err := Stages("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := strings.Split(report.String(), "\n## ")[1:]
+	if len(sections) != len(all) {
+		t.Fatalf("report has %d sections for %d stages", len(sections), len(all))
+	}
+	for i, st := range all {
+		before := n.Load()
+		var body string
+		err := Walk(p, []Stage{st}, opts, func(_ Stage, res fmt.Stringer) error {
+			body = res.String()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := st.Title + "\n\n```\n" + body + "```\n"; !strings.HasPrefix(sections[i], want) {
+			t.Errorf("report section %d differs from stage %s walked alone:\n%s\n---\n%s", i, st.Name, sections[i], want)
+		}
+		want := int32(0)
+		if st.reads != 0 {
+			want = 1
+		}
+		if got := n.Load() - before; got != want {
+			t.Errorf("%s walked alone generated %d Grizzly datasets, want %d", st.Name, got, want)
+		}
+	}
+}
+
+func TestStagesSelection(t *testing.T) {
+	all, err := Stages("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, st := range all {
+		if seen[st.Name] {
+			t.Fatalf("stage %s listed twice", st.Name)
+		}
+		seen[st.Name] = true
+		one, err := Stages(st.Name)
+		if err != nil || len(one) != 1 || one[0].Name != st.Name {
+			t.Fatalf("Stages(%q) = %v, %v", st.Name, one, err)
+		}
+	}
+	abl, err := Stages("ablations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, st := range abl {
+		names = append(names, st.Name)
+	}
+	if got := strings.Join(names, " "); got != "ab-update ab-oom ab-backfill ab-lender ab-priority" {
+		t.Fatalf("ablations = %s", got)
+	}
+	if _, err := Stages("fig10"); err == nil {
+		t.Fatal("unknown stage accepted")
+	}
+}

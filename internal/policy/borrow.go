@@ -54,7 +54,7 @@ type planner struct {
 	order Order
 	own   []uint64        // bitset of the borrowing job's compute nodes, never lenders
 	taken []cluster.Lease // memory planned from each lender so far, sorted by lender
-	near  []nearLender    // nearest-first: one borrower's lenders, ranked
+	near  []nearLender    // nearest-first: one borrower's lenders, a heap by byNearest
 	cur   *plan           // the plan the walk is filling
 	visit func(id cluster.NodeID, free int64) bool
 }
@@ -130,12 +130,7 @@ func (p *planner) walk(cl *cluster.Cluster, doms []int32) {
 			}
 		}
 	case nearestFirst:
-		p.rankNearest(cl)
-		for _, l := range p.near {
-			if !p.take(l.id, l.free) {
-				break
-			}
-		}
+		p.walkNearest(cl)
 	}
 }
 
@@ -166,9 +161,24 @@ func (p *planner) take(id cluster.NodeID, free int64) bool {
 
 func byLender(l cluster.Lease, id cluster.NodeID) int { return int(l.Lender) - int(id) }
 
-// rankNearest ranks every node with free memory nearest-first from the
-// current borrower (take skips the job's own). The order depends on the
-// borrower, so the ranking is rebuilt for each one.
+// walkNearest offers the current plan's lenders nearest-first. The order
+// depends on the borrower, so it is rebuilt for each one, as a heap:
+// building it is linear, and the walk pops only the lenders it takes from.
+// byNearest is a total order (the node ID breaks every tie), so the pops
+// come in exactly the order a full sort would give.
+//
+//dmp:hotpath
+func (p *planner) walkNearest(cl *cluster.Cluster) {
+	p.rankNearest(cl)
+	for len(p.near) > 0 {
+		if l := p.popNearest(); !p.take(l.id, l.free) {
+			break
+		}
+	}
+}
+
+// rankNearest heaps every node with free memory nearest-first from the
+// current borrower (take skips the job's own).
 //
 //dmp:hotpath
 func (p *planner) rankNearest(cl *cluster.Cluster) {
@@ -180,8 +190,42 @@ func (p *planner) rankNearest(cl *cluster.Cluster) {
 			near = append(near, nearLender{hops: hops, free: n.FreeMB(), id: n.ID})
 		}
 	}
-	slices.SortFunc(near, byNearest)
+	for i := len(near)/2 - 1; i >= 0; i-- {
+		siftNearest(near, i)
+	}
 	p.near = near
+}
+
+// popNearest removes the nearest lender from the heap and returns it.
+//
+//dmp:hotpath
+func (p *planner) popNearest() nearLender {
+	h := p.near
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	p.near = h[:last]
+	siftNearest(p.near, 0)
+	return top
+}
+
+// siftNearest moves h[i] down to its place in the min-heap h.
+//
+//dmp:hotpath
+func siftNearest(h []nearLender, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && byNearest(h[r], h[c]) < 0 {
+			c = r
+		}
+		if byNearest(h[c], h[i]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func byNearest(a, b nearLender) int {
