@@ -21,7 +21,7 @@ func accPreset() experiments.Preset { return experiments.Bench() }
 // needs 50 %.
 func TestClaimSmallJobsFullThroughputAtLowProvisioning(t *testing.T) {
 	p := accPreset()
-	g, err := experiments.RunFig5Panel(p, 0, 0)
+	g, err := p.SyntheticGrid(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestClaimSmallJobsFullThroughputAtLowProvisioning(t *testing.T) {
 // policies still run everything at 100 % memory.
 func TestClaimBaselineInfeasibleUnderOverestimation(t *testing.T) {
 	p := accPreset()
-	g, err := experiments.RunFig5Panel(p, 0.5, 0.6)
+	g, err := p.SyntheticGrid(0.5, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestClaimBaselineInfeasibleUnderOverestimation(t *testing.T) {
 // exceeds the gap at full memory.
 func TestClaimDynamicAdvantageGrowsWhenUnderprovisioned(t *testing.T) {
 	p := accPreset()
-	g, err := experiments.RunFig5Panel(p, 0.5, 0.6)
+	g, err := p.SyntheticGrid(0.5, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}

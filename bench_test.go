@@ -85,7 +85,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig5Panel(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig5Panel(p, 0.5, 0.6); err != nil {
+		if _, err := p.SyntheticGrid(0.5, 0.6); err != nil {
 			b.Fatal(err)
 		}
 	}

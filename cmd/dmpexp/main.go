@@ -43,7 +43,12 @@ func main() {
 // realMain's named return lets the profile-flushing defers below fail the
 // process: a heap profile that didn't hit disk must not exit 0.
 func realMain() (code int) {
-	exp := flag.String("exp", "all", "experiment: table2 table3 fig2 fig4 fig5 fig6 fig7 fig8 fig9 ab-update ab-oom ab-backfill ab-lender ablations headlines all")
+	all, _ := experiments.Stages("all")
+	names := ""
+	for _, st := range all {
+		names += st.Name + " "
+	}
+	exp := flag.String("exp", "all", "experiment: "+names+"ablations all")
 	preset := flag.String("preset", "quick", "scale preset: quick or full")
 	withGrizzly := flag.Bool("grizzly", true, "include the Grizzly columns in fig5/fig8")
 	csvDir := flag.String("csv", "", "also write plot-ready CSVs into this directory")

@@ -35,18 +35,7 @@ func f2s(v float64) string {
 
 // WriteCSV emits trace,overest,mem_pct,policy,norm_throughput rows.
 func (g *ThroughputGrid) WriteCSV(w io.Writer) error {
-	var rows [][]string
-	for _, r := range g.Rows {
-		for _, pr := range []struct {
-			name string
-			v    float64
-		}{{"baseline", r.Baseline}, {"static", r.Static}, {"dynamic", r.Dynamic}} {
-			rows = append(rows, []string{
-				g.Trace, f2s(g.Overest), strconv.Itoa(r.MemPct), pr.name, f2s(pr.v),
-			})
-		}
-	}
-	return writeAll(w, []string{"trace", "overest", "mem_pct", "policy", "norm_throughput"}, rows)
+	return writeGrids(w, []*ThroughputGrid{g})
 }
 
 // WriteCSV emits all panels of Figure 5 in tidy form.
@@ -56,7 +45,7 @@ func (f *Fig5) WriteCSV(w io.Writer) error {
 
 // WriteCSV emits all panels of Figure 8 in tidy form.
 func (f *Fig8) WriteCSV(w io.Writer) error {
-	return writeGrids(w, append(append([]*ThroughputGrid{}, f.Synthetic...), f.Grizzly...))
+	return writeGrids(w, f.panels())
 }
 
 func writeGrids(w io.Writer, grids []*ThroughputGrid) error {

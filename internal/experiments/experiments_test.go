@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,7 +125,7 @@ func TestThroughputSweepShape(t *testing.T) {
 
 func TestFig5PanelHeadline(t *testing.T) {
 	p := tiny()
-	g, err := RunFig5Panel(p, 0.5, 0.6)
+	g, err := p.SyntheticGrid(0.5, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,26 +279,32 @@ func TestTable3Characterisation(t *testing.T) {
 	}
 }
 
+// TestFig2Sampling checks that Figure 2 marks exactly the weeks the
+// Grizzly panels simulate, at a preset that samples 3 of 8 weeks.
 func TestFig2Sampling(t *testing.T) {
-	p := tiny()
-	f, err := RunFig2(p, p.GrizzlyDataset())
+	p := multiWeek()
+	d := p.GrizzlyDataset()
+	f, err := RunFig2(p, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Points) != p.GrizzlyWeeks {
 		t.Fatalf("points = %d, want %d", len(f.Points), p.GrizzlyWeeks)
 	}
-	sampled := 0
+	var marked, simulated []int
 	for _, pt := range f.Points {
 		if pt.Sampled {
-			sampled++
+			marked = append(marked, pt.Week)
 			if pt.Utilization < 0.7 {
 				t.Fatalf("sampled week %d utilisation %g < 0.7", pt.Week, pt.Utilization)
 			}
 		}
 	}
-	if sampled == 0 {
-		t.Fatal("no weeks sampled")
+	for _, w := range p.SampledWeeks(d) {
+		simulated = append(simulated, w.Index)
+	}
+	if len(marked) == 0 || !slices.Equal(marked, simulated) {
+		t.Fatalf("Figure 2 marks weeks %v, the panels simulate %v", marked, simulated)
 	}
 }
 

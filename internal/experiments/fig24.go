@@ -29,15 +29,11 @@ type Fig2Point struct {
 }
 
 // RunFig2 plots the weeks of the Grizzly dataset d
-// (Preset.GrizzlyDataset) and samples seven representative weeks, as in the
-// paper.
+// (Preset.GrizzlyDataset) and marks the weeks the Grizzly panels of
+// Figures 5 and 8 simulate (Preset.SampledWeeks).
 func RunFig2(p Preset, d *grizzly.Dataset) (*Fig2, error) {
-	sampled, err := d.SampleWeeks(newRand(p.Seed+4000), 0.7, 7)
-	if err != nil {
-		return nil, err
-	}
 	chosen := map[int]bool{}
-	for _, w := range sampled {
+	for _, w := range p.sampleWeeks(d) {
 		chosen[w.Index] = true
 	}
 	out := &Fig2{}

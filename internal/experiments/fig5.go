@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-
-	"dismem/internal/sweep"
-	"dismem/internal/traces/grizzly"
-)
+import "dismem/internal/traces/grizzly"
 
 // Fig5 reproduces Figure 5: normalised throughput vs. total system memory
 // for large-job mixes 0–100 % plus the Grizzly trace, at +0 % and +60 %
@@ -21,90 +15,28 @@ var Fig5LargeFracs = []float64{0, 0.15, 0.25, 0.50, 0.75, 1.00}
 // Fig5Overests are the paper's overestimation rows.
 var Fig5Overests = []float64{0, 0.60}
 
-// RunFig5 executes the full sweep. The Grizzly column simulates the given
-// sampled weeks (Preset.SampledWeeks); nil weeks skip it.
-//
-// The whole figure is submitted to the shared pool as one task DAG up
-// front: each column's baseline-norm simulation is a future its two panels
-// wait on, trace generations dedupe through the tracegen cache, and panel
-// sweeps from different columns interleave freely — nothing waits behind a
-// barrier it does not depend on. Results are bit-identical to the serial
-// pre-pipeline driver; the golden tests enforce it.
+// RunFig5 builds the figure's panels: each job-mix column and, over the
+// given sampled weeks (Preset.SampledWeeks), the Grizzly column, at each
+// overestimation row. Nil weeks skip the Grizzly column. Every panel is one
+// task on the shared pool and normalises against its own +0 % baseline, so
+// no panel waits on another; the golden tests hold the results to the
+// serial reference in golden_pipeline_test.go.
 func RunFig5(p Preset, weeks []grizzly.Week) (*Fig5, error) {
-	pool := sweep.SharedPool()
-	var panels []*sweep.Future[*ThroughputGrid]
-	for _, lf := range Fig5LargeFracs {
-		lf := lf
-		label := fmt.Sprintf("large %.0f%%", lf*100)
-		// Normalisation uses the +0 % trace, shared by the column.
-		norm := sweep.Submit(pool, func() (float64, error) {
-			trace0, err := p.SyntheticTrace(lf, 0)
-			if err != nil {
-				return 0, err
-			}
-			return p.BaselineNorm(trace0.Jobs, p.SystemNodes)
-		})
-		for _, ov := range Fig5Overests {
-			ov := ov
-			panels = append(panels, sweep.Submit(pool, func() (*ThroughputGrid, error) {
-				tr, err := p.SyntheticTrace(lf, ov) // cache-shared with the norm task at +0 %
-				if err != nil {
-					return nil, err
-				}
-				n, err := norm.Get()
-				if err != nil {
-					return nil, err
-				}
-				return p.ThroughputSweep(tr.Jobs, p.SystemNodes, n, label, ov)
-			}))
-		}
-	}
-	if weeks != nil {
-		for _, ov := range Fig5Overests {
-			ov := ov
-			panels = append(panels, sweep.Submit(pool, func() (*ThroughputGrid, error) {
-				return p.GrizzlyGrid(weeks, ov)
-			}))
-		}
-	}
-	grids, err := sweep.CollectValues(panels)
+	return runFig5(p, weeks, nil)
+}
+
+// runFig5 is RunFig5 taking the panels in held instead of building them;
+// held gains the panels it builds.
+func runFig5(p Preset, weeks []grizzly.Week, held map[panelKey]*ThroughputGrid) (*Fig5, error) {
+	grids, err := p.panels(Fig5LargeFracs, Fig5Overests, weeks, held)
 	if err != nil {
 		return nil, err
 	}
 	return &Fig5{Panels: grids}, nil
 }
 
-// RunFig5Panel executes a single (largeFrac, overest) panel — the unit the
-// benchmarks time.
-func RunFig5Panel(p Preset, largeFrac, overest float64) (*ThroughputGrid, error) {
-	trace0, err := p.SyntheticTrace(largeFrac, 0)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := p.BaselineNorm(trace0.Jobs, p.SystemNodes)
-	if err != nil {
-		return nil, err
-	}
-	jobs := trace0.Jobs
-	if overest != 0 {
-		tr, err := p.SyntheticTrace(largeFrac, overest)
-		if err != nil {
-			return nil, err
-		}
-		jobs = tr.Jobs
-	}
-	return p.ThroughputSweep(jobs, p.SystemNodes, norm,
-		fmt.Sprintf("large %.0f%%", largeFrac*100), overest)
-}
-
 func (f *Fig5) String() string {
-	var b strings.Builder
-	b.WriteString("Figure 5: normalised throughput vs total system memory\n\n")
-	for _, g := range f.Panels {
-		b.WriteString(g.String())
-		b.WriteString("\n")
-	}
-	return b.String()
+	return gridsString("Figure 5: normalised throughput vs total system memory", f.Panels)
 }
 
 // DynamicAdvantage returns the largest (dynamic − static) normalised

@@ -275,7 +275,7 @@ func runFig5Serial(p Preset) (*Fig5, error) {
 // sampled weeks must reproduce them bit-for-bit.
 var goldenGrizzlyDigests = map[string]string{
 	"table2":          "87b8c84954c770ef3381095fabc31c40a7f45e9b78fafd0e8b05b54d61fff178",
-	"fig2":            "db3efd092e82b037586389307a82ce78b0d41518555f91abb14350872594beb9",
+	"fig2":            "c0d61ee4b2555abe9b86e76b31f261bbb44afff140af98c43b30268455c1ebc8",
 	"fig5-grizzly+0":  "f0f1dda756a730d3871375ebfb27f5a7ce20dabafe7b7b6d6dbb68820ed8da85",
 	"fig5-grizzly+60": "e8d87acc95a47cded63659bf071ca7399aae60102a35b2e9259eb8e5cee7fd6b",
 }

@@ -26,19 +26,14 @@ func (g *ThroughputGrid) Plot() string {
 }
 
 // Plot renders every panel.
-func (f *Fig5) Plot() string {
-	var sb strings.Builder
-	for _, g := range f.Panels {
-		sb.WriteString(g.Plot())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
+func (f *Fig5) Plot() string { return plotGrids(f.Panels) }
 
-// Plot renders the synthetic panels (and Grizzly when present).
-func (f *Fig8) Plot() string {
+// Plot renders every panel.
+func (f *Fig8) Plot() string { return plotGrids(f.panels()) }
+
+func plotGrids(grids []*ThroughputGrid) string {
 	var sb strings.Builder
-	for _, g := range append(append([]*ThroughputGrid{}, f.Synthetic...), f.Grizzly...) {
+	for _, g := range grids {
 		sb.WriteString(g.Plot())
 		sb.WriteByte('\n')
 	}

@@ -194,28 +194,35 @@ func (p Preset) GrizzlyDataset() *grizzly.Dataset {
 // the walk's tests can count its calls.
 var generateGrizzly = grizzly.Generate
 
-// SampledWeeks samples the preset's number of representative
-// high-utilisation weeks of d to simulate (paper §3.2.1: seven sampled
-// weeks, simulated independently), or the busiest week when none reaches
-// the threshold. The weeks are copied out of d, so holding them does not
-// keep the rest of the dataset alive. Building jobs only reads a week, so
-// any number of overestimations and concurrent panels can share them.
+// SampledWeeks returns the weeks of d the Grizzly panels simulate
+// (sampleWeeks), copied out of d, so holding them does not keep the rest of
+// the dataset alive. Building jobs only reads a week, so any number of
+// overestimations and concurrent panels can share them.
 func (p Preset) SampledWeeks(d *grizzly.Dataset) []grizzly.Week {
-	sampled, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, max(p.GrizzlySample, 1))
-	if err != nil {
-		best := &d.Weeks[0]
-		for i := range d.Weeks {
-			if d.Weeks[i].Utilization > best.Utilization {
-				best = &d.Weeks[i]
-			}
-		}
-		sampled = []*grizzly.Week{best}
-	}
+	sampled := p.sampleWeeks(d)
 	weeks := make([]grizzly.Week, len(sampled))
 	for i, w := range sampled {
 		weeks[i] = *w
 	}
 	return weeks
+}
+
+// sampleWeeks samples the preset's number of representative
+// high-utilisation weeks of d to simulate (paper §3.2.1: seven sampled
+// weeks, simulated independently), or the busiest week when none reaches
+// the threshold. Figure 2 marks these weeks.
+func (p Preset) sampleWeeks(d *grizzly.Dataset) []*grizzly.Week {
+	sampled, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, max(p.GrizzlySample, 1))
+	if err == nil {
+		return sampled
+	}
+	best := &d.Weeks[0]
+	for i := range d.Weeks {
+		if d.Weeks[i].Utilization > best.Utilization {
+			best = &d.Weeks[i]
+		}
+	}
+	return []*grizzly.Week{best}
 }
 
 // GrizzlyJobs builds one sampled week's job trace with the given

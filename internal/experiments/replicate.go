@@ -111,7 +111,7 @@ type Headlines struct {
 // where it is defined.
 func RunHeadlines(p Preset, seeds int) (*Headlines, error) {
 	values, err := replicate(p, seeds, func(q Preset) (headlineValues, error) {
-		return (&walk{p: q}).headlines()
+		return newWalk(q, WalkOptions{}).headlines()
 	})
 	if err != nil {
 		return nil, err

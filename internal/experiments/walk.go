@@ -15,9 +15,17 @@ import (
 // later readers: the Grizzly dataset is generated once for Table 2 and
 // Figure 2, the sampled weeks are copied out of it once for every Grizzly
 // panel of Figures 5 and 8, Figure 9 is read off the walk's Figure 8, and
-// the headlines off its Figures 5, 6, 7 and 9. A stage walked alone
-// computes only what it reads. The walk drops the Grizzly data after its
-// last reader.
+// the headlines off its Figures 5, 6, 7 and 9.
+//
+// Figures 5 and 8 are lists of panels, one trace at one overestimation
+// each. The walk keeps every panel a figure returned, keyed by its label,
+// and a later figure takes the panels the walk holds instead of building
+// them: Figure 8's +0 % and +60 % panels are Figure 5's. Figures are built
+// one after another on the walk's goroutine, so the walk writes its panels
+// only between figures and needs no lock.
+//
+// A stage walked alone computes only what it reads. The walk drops the
+// Grizzly data after its last reader, and its panels with the walk.
 
 // Stage is one step of the evaluation.
 type Stage struct {
@@ -99,7 +107,7 @@ func Stages(name string) ([]Stage, error) {
 // the next stage starts. The Grizzly data are already dropped when visit
 // sees the result of their last reader.
 func Walk(p Preset, stages []Stage, opts WalkOptions, visit func(Stage, fmt.Stringer) error) error {
-	w := &walk{p: p, opts: opts}
+	w := newWalk(p, opts)
 	lastDataset, lastWeeks := -1, -1
 	for i, st := range stages {
 		if st.reads&readsDataset != 0 {
@@ -159,11 +167,17 @@ type walk struct {
 	d     *grizzly.Dataset // until the last stage that reads it
 	weeks []grizzly.Week   // until the last stage that reads them
 
+	panels map[panelKey]*ThroughputGrid // every panel the walk's figures returned
+
 	f5 *Fig5
 	f6 *Fig6
 	f7 *Fig7
 	f8 *Fig8
 	f9 *Fig9
+}
+
+func newWalk(p Preset, opts WalkOptions) *walk {
+	return &walk{p: p, opts: opts, panels: map[panelKey]*ThroughputGrid{}}
 }
 
 // dataset returns the walk's Grizzly dataset, generating it on first use.
@@ -204,7 +218,7 @@ func once[T any](slot **T, run func() (*T, error)) (*T, error) {
 // none yet. The fig5 stage passes the sampled weeks; a later reader in a
 // walk without that stage passes nil and gets the synthetic panels only.
 func (w *walk) fig5(weeks []grizzly.Week) (*Fig5, error) {
-	return once(&w.f5, func() (*Fig5, error) { return RunFig5(w.p, weeks) })
+	return once(&w.f5, func() (*Fig5, error) { return runFig5(w.p, weeks, w.panels) })
 }
 
 func (w *walk) fig6() (*Fig6, error) {
@@ -217,7 +231,7 @@ func (w *walk) fig7() (*Fig7, error) {
 
 // fig8 is fig5's counterpart for Figure 8.
 func (w *walk) fig8(weeks []grizzly.Week) (*Fig8, error) {
-	return once(&w.f8, func() (*Fig8, error) { return RunFig8(w.p, weeks) })
+	return once(&w.f8, func() (*Fig8, error) { return runFig8(w.p, weeks, w.panels) })
 }
 
 // fig9 reads Figure 9 off the walk's Figure 8, running only Figure 8's
