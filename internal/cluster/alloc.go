@@ -10,24 +10,22 @@ type Lease struct {
 }
 
 // NodeAllocation is the memory a job holds for one of its compute nodes:
-// some local DRAM plus zero or more remote leases.
+// some local DRAM plus zero or more remote leases. LocalMB and Leases are
+// written only by the JobAllocation methods, which keep the cached totals
+// in step with them.
 type NodeAllocation struct {
 	Node    NodeID
 	LocalMB int64
 	Leases  []Lease
+
+	remoteMB int64 // sum of Leases[*].MB
 }
 
 // RemoteMB returns the total remote memory held via leases.
-func (a *NodeAllocation) RemoteMB() int64 {
-	var t int64
-	for _, l := range a.Leases {
-		t += l.MB
-	}
-	return t
-}
+func (a *NodeAllocation) RemoteMB() int64 { return a.remoteMB }
 
 // TotalMB returns local plus remote memory.
-func (a *NodeAllocation) TotalMB() int64 { return a.LocalMB + a.RemoteMB() }
+func (a *NodeAllocation) TotalMB() int64 { return a.LocalMB + a.remoteMB }
 
 // LocalFraction returns the local share of the allocation in [0,1]. An empty
 // allocation counts as fully local (no remote traffic).
@@ -39,37 +37,43 @@ func (a *NodeAllocation) LocalFraction() float64 {
 	return float64(a.LocalMB) / float64(t)
 }
 
-// JobAllocation is the complete memory placement of a running job.
+// JobAllocation is the complete memory placement of a running job. Its
+// methods own every change to its per-node records, so the job's totals
+// are kept as the records change rather than re-summed on every read.
 type JobAllocation struct {
 	Job     int
 	PerNode []NodeAllocation
+
+	totalMB, remoteMB int64 // sums of PerNode[*].TotalMB and RemoteMB
 }
 
 // TotalMB returns the job's total allocated memory across all its nodes.
-func (ja *JobAllocation) TotalMB() int64 {
-	var t int64
-	for i := range ja.PerNode {
-		t += ja.PerNode[i].TotalMB()
-	}
-	return t
-}
+func (ja *JobAllocation) TotalMB() int64 { return ja.totalMB }
 
 // RemoteMB returns the job's total remote memory.
-func (ja *JobAllocation) RemoteMB() int64 {
-	var t int64
-	for i := range ja.PerNode {
-		t += ja.PerNode[i].RemoteMB()
-	}
-	return t
-}
+func (ja *JobAllocation) RemoteMB() int64 { return ja.remoteMB }
 
-// NodeIDs returns the compute nodes of the job in allocation order.
-func (ja *JobAllocation) NodeIDs() []NodeID {
-	ids := make([]NodeID, len(ja.PerNode))
+// CheckTotals re-sums every node's local memory and leases and reports the
+// first cached total that disagrees with the sum.
+func (ja *JobAllocation) CheckTotals() error {
+	var total, remote int64
 	for i := range ja.PerNode {
-		ids[i] = ja.PerNode[i].Node
+		na := &ja.PerNode[i]
+		var r int64
+		for _, l := range na.Leases {
+			r += l.MB
+		}
+		if r != na.remoteMB {
+			return fmt.Errorf("job %d node %d: cached remote %d MB, leases sum to %d", ja.Job, na.Node, na.remoteMB, r)
+		}
+		total += na.LocalMB + r
+		remote += r
 	}
-	return ids
+	if total != ja.totalMB || remote != ja.remoteMB {
+		return fmt.Errorf("job %d: cached total/remote %d/%d MB, records sum to %d/%d",
+			ja.Job, ja.totalMB, ja.remoteMB, total, remote)
+	}
+	return nil
 }
 
 // Release returns every byte of the allocation to the cluster: local memory,
@@ -89,7 +93,9 @@ func (ja *JobAllocation) Release(c *Cluster) error {
 		if err := c.EndJob(na.Node); err != nil {
 			return fmt.Errorf("release job %d: %w", ja.Job, err)
 		}
-		na.LocalMB = 0
+		ja.totalMB -= na.LocalMB + na.remoteMB
+		ja.remoteMB -= na.remoteMB
+		na.LocalMB, na.remoteMB = 0, 0
 		// Truncate rather than nil out: a re-placed allocation reuses the
 		// lease capacity instead of re-growing it from scratch, so repeated
 		// adjust/restart cycles stop churning slice allocations.
@@ -105,6 +111,7 @@ func (ja *JobAllocation) GrowLocal(c *Cluster, i int, mb int64) error {
 		return err
 	}
 	ja.PerNode[i].LocalMB += mb
+	ja.totalMB += mb
 	return nil
 }
 
@@ -117,6 +124,7 @@ func (ja *JobAllocation) ShrinkLocal(c *Cluster, i int, mb int64) error {
 		return err
 	}
 	ja.PerNode[i].LocalMB -= mb
+	ja.totalMB -= mb
 	return nil
 }
 
@@ -127,6 +135,9 @@ func (ja *JobAllocation) GrowRemote(c *Cluster, i int, lender NodeID, mb int64) 
 		return err
 	}
 	na := &ja.PerNode[i]
+	na.remoteMB += mb
+	ja.totalMB += mb
+	ja.remoteMB += mb
 	for j := range na.Leases {
 		if na.Leases[j].Lender == lender {
 			na.Leases[j].MB += mb
@@ -150,6 +161,9 @@ func (ja *JobAllocation) ShrinkRemote(c *Cluster, i int, mb int64) (int64, error
 			return returned, err
 		}
 		last.MB -= take
+		na.remoteMB -= take
+		ja.totalMB -= take
+		ja.remoteMB -= take
 		mb -= take
 		returned += take
 		if last.MB == 0 {
@@ -170,9 +184,10 @@ func min64(a, b int64) int64 {
 // fork's resize and release operations must not touch the original's
 // per-node records or lease slices.
 func (ja *JobAllocation) Clone() *JobAllocation {
-	c := &JobAllocation{Job: ja.Job, PerNode: append([]NodeAllocation(nil), ja.PerNode...)}
+	c := *ja
+	c.PerNode = append([]NodeAllocation(nil), ja.PerNode...)
 	for i := range c.PerNode {
 		c.PerNode[i].Leases = append([]Lease(nil), c.PerNode[i].Leases...)
 	}
-	return c
+	return &c
 }

@@ -48,10 +48,6 @@ func (n *Node) IsComputeAvailable() bool {
 	return n.RunningJob == NoJob && n.LentMB <= n.CapacityMB/2
 }
 
-// IsMemoryNode reports whether the node has lent more than half its capacity
-// and is therefore temporarily compute-unavailable.
-func (n *Node) IsMemoryNode() bool { return n.LentMB > n.CapacityMB/2 }
-
 // Errors returned by ledger operations.
 var (
 	ErrInsufficientMemory = errors.New("cluster: insufficient free memory")
@@ -324,12 +320,6 @@ func (c *Cluster) TotalFreeMB() int64 {
 	}
 	return free
 }
-
-// TotalAllocatedMB returns the total memory currently allocated (local on
-// compute nodes plus lent to remote jobs): per node,
-// local + lent == capacity − free, so the total is the capacity total minus
-// the free total.
-func (c *Cluster) TotalAllocatedMB() int64 { return c.capTotal - c.TotalFreeMB() }
 
 // TotalLentMB returns the total memory currently lent to remote jobs across
 // all nodes (O(S) over the per-shard aggregates maintained by

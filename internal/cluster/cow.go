@@ -14,11 +14,11 @@ package cluster
 // base or fork, any number of generations deep — copies a structure before
 // its first write to it, so concurrent branches never race as long as the
 // fork itself happens before the branches start running. Ordered reads
-// repair a shard's order in place (see index.go), so Fork first flushes the
-// receiver: a shared shard is always clean, and a flush of a clean shard
-// writes nothing. Per-walk scratch (dirty lists, merge cursors, result
-// buffers) is never shared: the fork starts with fresh scratch and regrows
-// it on first use.
+// may write a dirty shard's order and marks in place (see index.go), so
+// Fork first flushes the receiver: a shared shard is always clean, and a
+// read of a clean shard writes nothing. Per-walk scratch (dirty lists,
+// merge cursors, result buffers) is never shared: the fork starts with
+// fresh scratch and regrows it on first use.
 //
 // The mutation discipline is enforced statically: every ledger write path
 // must go through own() (see the dmplint cowalias analyzer), which is the

@@ -63,8 +63,8 @@ func applyOp(c *Cluster, rng *rand.Rand, job int) error {
 // aggregate getters, shard summaries, the idle bitsets, the lender walk and
 // the idle selection.
 func fingerprint(c *Cluster) string {
-	s := fmt.Sprintf("free=%d lent=%d alloc=%d busy=%d idle=%d",
-		c.TotalFreeMB(), c.TotalLentMB(), c.TotalAllocatedMB(), c.BusyNodes(), c.IdleComputeCount())
+	s := fmt.Sprintf("free=%d lent=%d busy=%d idle=%d",
+		c.TotalFreeMB(), c.TotalLentMB(), c.BusyNodes(), c.IdleComputeCount())
 	nrm, lrg := c.IdleComputeSplit()
 	s += fmt.Sprintf(" split=%d/%d", nrm, lrg)
 	for i := range c.Nodes() {
@@ -238,6 +238,110 @@ func TestForkConcurrentBranches(t *testing.T) {
 	for i, cl := range all {
 		if err := cl.CheckInvariants(); err != nil {
 			t.Fatalf("branch %d: %v", i, err)
+		}
+	}
+}
+
+// resum re-adds an allocation's local memory and leases.
+func resum(ja *JobAllocation) (total, remote int64) {
+	for _, na := range ja.PerNode {
+		for _, l := range na.Leases {
+			remote += l.MB
+		}
+		total += na.LocalMB
+	}
+	return total + remote, remote
+}
+
+// checkTotals compares the allocation's cached totals, job and per node,
+// with a re-sum of its records.
+func checkTotals(ja *JobAllocation) error {
+	if err := ja.CheckTotals(); err != nil {
+		return err
+	}
+	if total, remote := resum(ja); ja.TotalMB() != total || ja.RemoteMB() != remote {
+		return fmt.Errorf("TotalMB/RemoteMB %d/%d, re-sum %d/%d", ja.TotalMB(), ja.RemoteMB(), total, remote)
+	}
+	return nil
+}
+
+// TestAllocationTotalsSurviveForks forks a ledger while a job holds
+// leases, clones the job's allocation with it, and drives grow, shrink and
+// release on both sides: each side's cached totals must equal a re-sum
+// after every operation, and neither side's operations may move the
+// other's.
+func TestAllocationTotalsSurviveForks(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		c := NewSharded(12, 8, 1024, shards)
+		ja := &JobAllocation{Job: 1, PerNode: []NodeAllocation{{Node: 0}, {Node: 1}}}
+		for i, na := range ja.PerNode {
+			if err := c.StartJob(na.Node, ja.Job); err != nil {
+				t.Fatal(err)
+			}
+			if err := ja.GrowLocal(c, i, 1024); err != nil {
+				t.Fatal(err)
+			}
+			for lender := NodeID(4 + 2*i); lender < NodeID(6+2*i); lender++ {
+				if err := ja.GrowRemote(c, i, lender, 300); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f, jf := c.Fork(), ja.Clone()
+		sides := []struct {
+			c  *Cluster
+			ja *JobAllocation
+		}{{c, ja}, {f, jf}}
+		for s, side := range sides {
+			other := sides[1-s].ja
+			total, remote := other.TotalMB(), other.RemoteMB()
+			rng := rand.New(rand.NewSource(int64(s)))
+			for op := 0; op < 300; op++ {
+				i := rng.Intn(len(side.ja.PerNode))
+				na := &side.ja.PerNode[i]
+				var err error
+				switch rng.Intn(4) {
+				case 0:
+					if free := side.c.Node(na.Node).FreeMB(); free > 0 {
+						err = side.ja.GrowLocal(side.c, i, 1+rng.Int63n(free))
+					}
+				case 1:
+					if na.LocalMB > 0 {
+						err = side.ja.ShrinkLocal(side.c, i, 1+rng.Int63n(na.LocalMB))
+					}
+				case 2:
+					lender := NodeID(2 + rng.Intn(side.c.Len()-2))
+					if free := side.c.Node(lender).FreeMB(); free > 0 && side.c.Node(lender).RunningJob == NoJob {
+						err = side.ja.GrowRemote(side.c, i, lender, 1+rng.Int63n(free))
+					}
+				case 3:
+					_, err = side.ja.ShrinkRemote(side.c, i, rng.Int63n(400))
+				}
+				if err != nil {
+					t.Fatalf("shards=%d side %d op %d: %v", shards, s, op, err)
+				}
+				if err := checkTotals(side.ja); err != nil {
+					t.Fatalf("shards=%d side %d op %d: %v", shards, s, op, err)
+				}
+			}
+			if other.TotalMB() != total || other.RemoteMB() != remote {
+				t.Fatalf("shards=%d: side %d moved the other side's totals from %d/%d to %d/%d",
+					shards, s, total, remote, other.TotalMB(), other.RemoteMB())
+			}
+		}
+		for s, side := range sides {
+			if err := side.ja.Release(side.c); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkTotals(side.ja); err != nil {
+				t.Fatalf("shards=%d side %d after release: %v", shards, s, err)
+			}
+			if side.ja.TotalMB() != 0 || side.c.TotalLentMB() != 0 {
+				t.Fatalf("shards=%d side %d after release: %d MB held, %d MB lent", shards, s, side.ja.TotalMB(), side.c.TotalLentMB())
+			}
+			if err := side.c.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -15,18 +15,23 @@ import (
 //     call. The ledger refiles nodes far more often than it reads them in
 //     order (the dynamic policy resizes every running job at each update
 //     interval), so a refile only records the node's new key and marks it
-//     dirty; the next ordered read flushes the shard, sorting the k dirty
-//     nodes (as packed integer keys) and merging them back into the clean
-//     ones within the window of positions they leave and enter. Walks are
-//     slice scans.
+//     dirty. An ordered read (freeIter) merges the clean entries with the
+//     best few dirty nodes, selected by packed key in one pass over the
+//     dirty list, and so serves a short walk without repairing the order.
+//     The order is repaired by a flush — sorting the k dirty nodes (as
+//     packed integer keys) and merging them back into the clean ones within
+//     the window of positions they leave and enter — only when a read
+//     outlasts its dirty buffer, when more than 1/flushShare of the shard is
+//     dirty at a read, and before a Fork.
 //   - idleSet: a bitset of compute-available nodes maintained by
 //     StartJob/EndJob and by the lending operations (lending more than half
 //     a node's capacity flips it to a memory node), making the
 //     idle-compute-count check O(1) and enumeration O(N/64).
 //
-// Determinism matters more than speed here: a flush leaves the order equal
-// to the total (free desc, ID asc) order over the current keys, whatever
-// the refile history, so every walk depends only on the ledger state. The
+// Determinism matters more than speed here: every read yields exactly the
+// total (free desc, ID asc) order over the current keys, and a flush leaves
+// the slice equal to it, whatever the refile history, so every walk
+// depends only on the ledger state. The
 // reference implementations the indexes replaced live in ref_test.go
 // (lendersByFreeDescRef, idleComputeNodesRef, idleComputeSplitRef), and the
 // differential tests assert byte-identical orderings against them.
@@ -41,7 +46,8 @@ import (
 // and order is sorted by (filed desc, index asc) at all times. A clean node
 // has filed == key, so the clean entries are in comparator order, while a
 // dirty node sits at its stale position until the next flush. dirty lists
-// the marked nodes, each once. A shard shared with a fork is always clean
+// the marked nodes, each once, and a read leaves at most 1/flushShare of
+// the shard on it. A shard shared with a fork is always clean
 // (Fork flushes first), so a flush never writes an array another fork
 // reads.
 type freeIndex struct {
@@ -135,7 +141,8 @@ func (ix *freeIndex) rank(free int64, n int32) int {
 }
 
 // update refiles local node n under its new free-memory key in O(1): the
-// node is only marked, and the next ordered read repositions it. Callers
+// node is only marked, and ordered reads merge it in at its new key until
+// a flush repositions it. Callers
 // hold shard ownership: every call chain starts at a Cluster method that
 // privatised the shard first (own → materialize → thaw).
 //
@@ -218,48 +225,134 @@ func (ix *freeIndex) flush(keys *[]uint64) {
 	ix.dirty = d[:0]
 }
 
-// ascend flushes the shard (sorting in keys) and walks all nodes in
-// (free desc, local index asc) order, stopping early when yield returns
-// false. The ledger must not be mutated during the walk.
+// readBuf is how many dirty nodes an ordered read merges into the clean
+// order before it must flush: a borrow walk reads about four lenders, so
+// eight covers nearly every read.
+const readBuf = 8
+
+// flushShare bounds the dirt a read tolerates: a read flushes first once
+// more than 1/flushShare of the shard is dirty, so the marked entries a
+// read skips stay bounded and a flush's sort stays cheap.
+const flushShare = 2
+
+// ascend walks all of the shard's nodes in (free desc, local index asc)
+// order, stopping early when yield returns false. The ledger must not be
+// mutated during the walk.
 func (ix *freeIndex) ascend(keys *[]uint64, yield func(local int32, free int64) bool) {
-	ix.flush(keys)
-	for _, n := range ix.order {
+	var it freeIter
+	it.init(ix, keys)
+	for n, ok := it.next(); ok; n, ok = it.next() {
 		if !yield(n, ix.key[n]) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
 			return
 		}
 	}
 }
 
-// freeIter is a pull-based cursor over one shard's order, the building
-// block of the cross-shard merge walk. Unlike ascend it yields one node per
-// next call, so an S-way merge can interleave shards while preserving the
-// global (free desc, ID asc) order. The ledger must not be mutated
-// mid-iteration.
+// freeIter is a pull cursor over one shard's exact (free desc, index asc)
+// order: every ordered read, ascend and each cursor of the cross-shard
+// merge walk, runs through it. The order is total, so its prefix is the
+// merge of two streams: the clean entries of order (skipping the marked
+// ones, which sit at stale positions) and the dirty nodes, of which init
+// selects the readBuf best by packed key in one pass over the dirty list.
+// A short read is served from the two without a flush. A read that
+// outlasts the buffer while more dirty nodes remain flushes and resumes
+// right after the last node it yielded; a read that finds more than
+// 1/flushShare of the shard dirty flushes first. The ledger must not be
+// mutated mid-iteration.
 type freeIter struct {
-	order []int32
-	pos   int
-	head  int32 // most recently yielded node (maintained by the merge)
+	ix   *freeIndex
+	keys *[]uint64 // the flush's sort scratch
+	pos  int       // next position of ix.order to consider
+
+	buf    [readBuf]uint64 // the best dirty nodes' packed keys, ascending
+	bi, bn int             // buf[bi:bn] are still to be yielded
+	more   bool            // dirty nodes outside buf remain
+
+	head int32 // the node most recently yielded
 }
 
-// init flushes the shard (sorting in keys) and points the cursor at its
-// first node.
+// init points the cursor at the shard's first node, flushing the shard
+// first when its dirty set passes the bound. Its pass over the dirty list
+// also drops the nodes whose key is back at the key they are filed under:
+// they already sit where the order puts them. That writes only a shard
+// with dirty nodes, which no fork shares.
 //
+//dmp:cowsafe
 //dmp:hotpath
 func (it *freeIter) init(ix *freeIndex, keys *[]uint64) {
-	ix.flush(keys)
-	it.order = ix.order
-	it.pos = 0
+	it.ix, it.keys, it.pos = ix, keys, 0
+	it.bi, it.bn, it.more = 0, 0, false
+	if len(ix.dirty) == 0 {
+		return
+	}
+	if len(ix.dirty) > len(ix.key)/flushShare {
+		ix.flush(keys)
+		return
+	}
+	dirty := ix.dirty[:0]
+	for _, n := range ix.dirty {
+		if ix.key[n] == ix.filed[n] {
+			ix.mark[n] = false
+			continue
+		}
+		dirty = append(dirty, n)
+		p, i := ix.pack(n), it.bn
+		if i == readBuf {
+			it.more = true
+			if p > it.buf[readBuf-1] {
+				continue
+			}
+			i-- // the last held node drops out
+		} else {
+			it.bn++
+		}
+		for ; i > 0 && it.buf[i-1] > p; i-- {
+			it.buf[i] = it.buf[i-1]
+		}
+		it.buf[i] = p
+	}
+	ix.dirty = dirty
+}
+
+// resume is called once the buffer is spent while unbuffered dirty nodes
+// remain, any of which may come next: it flushes the shard, which makes
+// the whole order exact, and points the cursor right after head, at its
+// rank.
+//
+//dmp:hotpath
+func (it *freeIter) resume() {
+	ix := it.ix
+	ix.flush(it.keys)
+	it.more = false
+	it.pos = ix.rank(ix.key[it.head], it.head) + 1
 }
 
 // next yields the next local node index in (free desc, index asc) order.
 //
 //dmp:hotpath
 func (it *freeIter) next() (int32, bool) {
-	if it.pos == len(it.order) {
+	ix := it.ix
+	o := ix.order
+	for it.pos < len(o) && ix.mark[o[it.pos]] {
+		it.pos++
+	}
+	if it.bi == it.bn && it.more {
+		it.resume()
+	}
+	if it.bi < it.bn {
+		d := it.buf[it.bi]
+		if it.pos == len(o) || d < ix.pack(o[it.pos]) {
+			it.bi++
+			it.head = int32(d & (1<<ix.idxBits - 1))
+			return it.head, true
+		}
+	}
+	if it.pos == len(o) {
 		return 0, false
 	}
+	it.head = o[it.pos]
 	it.pos++
-	return it.order[it.pos-1], true
+	return it.head, true
 }
 
 // idleSet tracks compute-available nodes as a bitset with a running count.

@@ -149,7 +149,7 @@ func TestDifferentialIndexes(t *testing.T) {
 					busy++
 				}
 			}
-			if c.TotalFreeMB() != freeSum || c.TotalAllocatedMB() != allocSum || c.BusyNodes() != busy {
+			if c.TotalFreeMB() != freeSum || c.TotalCapacityMB()-c.TotalFreeMB() != allocSum || c.BusyNodes() != busy {
 				t.Logf("op %d: aggregates diverged", op)
 				return false
 			}

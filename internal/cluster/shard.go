@@ -3,12 +3,12 @@ package cluster
 // This file implements the sharded ledger indexes: the node ID space is
 // partitioned into contiguous shards, each with its own free-memory order,
 // idle-compute bitset, and O(1) aggregate summary (free, lent, lender count,
-// idle count). A mutation touches exactly one shard, and a flush (see
-// index.go) is at most linear in its shard's size, which is why the default
-// layout bounds shards at defaultShardNodes nodes. The placement/borrow scans
-// consult the per-shard summaries first (the two-level lender index),
-// entering — and so flushing — a shard only when its summary says it can
-// contribute.
+// idle count). A mutation touches exactly one shard, and both a read's pass
+// over the dirty list and a flush (see index.go) are at most linear in the
+// shard's size, which is why the default layout bounds shards at
+// defaultShardNodes nodes. The placement/borrow scans consult the per-shard
+// summaries first (the two-level lender index), entering a shard only when
+// its summary says it can contribute.
 //
 // Determinism is non-negotiable: the global lender order must stay
 // bit-identical to the single-shard order — (free desc, node ID asc) — for
@@ -90,8 +90,10 @@ func (c *Cluster) Shard(i int) ShardSummary {
 
 // AscendShardLenders walks shard i's nodes with free memory in
 // (free desc, ID asc) order — the second level of the two-level lender
-// index. It flushes the shard first. The ledger must not be mutated during
-// the walk.
+// index. A short walk leaves the shard's pending refiles pending; the walk
+// flushes the shard only when it outlasts its buffer of dirty nodes or
+// finds more than half the shard dirty (see freeIter), so at most half the
+// shard is dirty after it. The ledger must not be mutated during the walk.
 func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bool) {
 	sh := &c.shards[i]
 	base := NodeID(sh.base)
@@ -114,9 +116,12 @@ func (c *Cluster) AscendShardLenders(i int, yield func(id NodeID, free int64) bo
 // With a sharded ledger the walk is the two-level lender index: shards
 // whose O(1) summary shows no lenders are never entered, and the rest run
 // an S-way merge on (free desc, ID asc), the exact single-shard order.
-// Each shard is pruned the moment its head drops to zero. Every shard the
-// walk enters is flushed first; a skipped shard stays dirty until a read
-// needs it. With one shard the merge is a plain slice scan.
+// Each shard is pruned the moment its head drops to zero. Every shard, and
+// every cursor of the merge, is read through freeIter: a short walk merges
+// a shard's best dirty nodes into its clean order without flushing, and a
+// shard is flushed only when its walk outlasts that buffer or when more
+// than half of it is dirty, so no entered shard is left more than half
+// dirty. With one shard the merge is one cursor.
 //
 //dmp:hotpath
 func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
@@ -138,14 +143,9 @@ func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
 			continue // two-level skip: summary proves no contribution
 		}
 		its[i].init(&sh.free, &c.flushKeys)
-		head, ok := its[i].next()
-		if !ok {
+		if head, ok := its[i].next(); !ok || sh.free.key[head] <= 0 {
 			continue
 		}
-		if sh.free.key[head] <= 0 {
-			continue
-		}
-		its[i].head = head
 		heapIdx = append(heapIdx, int32(i))
 		c.siftUp(heapIdx, len(heapIdx)-1)
 	}
@@ -161,9 +161,7 @@ func (c *Cluster) AscendLenders(yield func(id NodeID, free int64) bool) {
 		// Advance shard i's iterator; prune it once it runs dry or its
 		// next head has nothing to lend — per-shard order is
 		// free-descending, so everything after is empty too.
-		head, ok := its[i].next()
-		if ok && sh.free.key[head] > 0 {
-			its[i].head = head
+		if head, ok := its[i].next(); ok && sh.free.key[head] > 0 {
 			c.siftDown(heapIdx, 0)
 		} else {
 			last := len(heapIdx) - 1

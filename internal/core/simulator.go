@@ -316,11 +316,25 @@ func (s *Simulator) Finish() (*Result, error) {
 		s.res.Records = append(s.res.Records, s.table[i].rec)
 	}
 	if s.cfg.CheckInvariants {
-		if err := s.cl.CheckInvariants(); err != nil {
+		if err := s.checkInvariants(); err != nil {
 			return nil, err
 		}
 	}
 	return s.res, nil
+}
+
+// checkInvariants verifies the ledger and, for every running job, that the
+// allocation's cached totals equal a re-sum of its records.
+func (s *Simulator) checkInvariants() error {
+	if err := s.cl.CheckInvariants(); err != nil { //dmplint:ignore hotpath-reach invariant sweeps run only when cfg.CheckInvariants is set — a debug mode that trades speed for ledger auditing
+		return err
+	}
+	for _, rj := range s.runList {
+		if err := rj.alloc.CheckTotals(); err != nil { //dmplint:ignore hotpath-reach invariant sweeps run only when cfg.CheckInvariants is set — a debug mode that trades speed for ledger auditing
+			return err
+		}
+	}
+	return nil
 }
 
 // interruptStride is how many events the event loop fires between
@@ -449,7 +463,7 @@ func (s *Simulator) onTick() {
 	s.schedulePass()
 	s.ensureTick(false)
 	if s.cfg.CheckInvariants {
-		if err := s.cl.CheckInvariants(); err != nil { //dmplint:ignore hotpath-reach invariant sweeps run only when cfg.CheckInvariants is set — a debug mode that trades speed for ledger auditing
+		if err := s.checkInvariants(); err != nil {
 			panic(err)
 		}
 	}

@@ -183,7 +183,7 @@ func TestStaticLenderBecomesMemoryNode(t *testing.T) {
 	if !ok {
 		t.Fatal("placement failed")
 	}
-	if !cl.Node(1).IsMemoryNode() {
+	if n := cl.Node(1); n.LentMB <= n.CapacityMB/2 || n.IsComputeAvailable() {
 		t.Fatal("lender past half capacity must become a memory node")
 	}
 	// Next 1-node job cannot start: node 1 is a memory node.
@@ -382,7 +382,12 @@ func TestQuickPolicyLifecycleInvariants(t *testing.T) {
 					if cl.CheckInvariants() != nil {
 						return false
 					}
-					if cl.TotalFreeMB()+cl.TotalAllocatedMB() != cl.TotalCapacityMB() {
+					var held int64
+					for id := range cl.Nodes() {
+						n := cl.Node(cluster.NodeID(id))
+						held += n.LocalMB + n.LentMB
+					}
+					if cl.TotalFreeMB()+held != cl.TotalCapacityMB() {
 						return false
 					}
 				}

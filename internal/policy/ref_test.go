@@ -175,7 +175,7 @@ func refAdjust(o Order, cl *cluster.Cluster, ja *cluster.JobAllocation, i int, t
 	if need == 0 {
 		return nil
 	}
-	leases, ok := refBorrow(o, cl, []cluster.NodeID{na.Node}, []int64{need}, ja.NodeIDs(), doms)
+	leases, ok := refBorrow(o, cl, []cluster.NodeID{na.Node}, []int64{need}, nodeIDs(ja), doms)
 	for _, l := range leases[0] {
 		if err := ja.GrowRemote(cl, i, l.Lender, l.MB); err != nil {
 			return err
@@ -185,6 +185,15 @@ func refAdjust(o Order, cl *cluster.Cluster, ja *cluster.JobAllocation, i int, t
 		return ErrOutOfMemory
 	}
 	return nil
+}
+
+// nodeIDs returns the job's compute nodes in allocation order.
+func nodeIDs(ja *cluster.JobAllocation) []cluster.NodeID {
+	ids := make([]cluster.NodeID, len(ja.PerNode))
+	for i := range ja.PerNode {
+		ids[i] = ja.PerNode[i].Node
+	}
+	return ids
 }
 
 // domSet is a job's frozen pressure-domain set as the simulator computes it

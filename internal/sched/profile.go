@@ -171,6 +171,3 @@ func subtract(r Resources, d Demand) Resources {
 	}
 	return r
 }
-
-// Segments returns the number of internal segments (for tests).
-func (p *Profile) Segments() int { return len(p.times) }
