@@ -225,7 +225,7 @@ func BenchmarkScenario(b *testing.B) {
 	// benchmark isolates simulator cost, not generation cost. One iteration
 	// must stay under a minute on a single core (gated in CI).
 	b.Run("100k", func(b *testing.B) {
-		runHundredK(b, core.Config{
+		runHundredK(b, hundredKJobs(false), core.Config{
 			Cluster: cluster.Config{
 				Nodes:    100_000,
 				Cores:    32,
@@ -243,7 +243,7 @@ func BenchmarkScenario(b *testing.B) {
 	// in its shard, so this row guards the default cap: one 100k-node shard
 	// would make every ordered read pay for the whole cluster.
 	b.Run("100k-unsharded", func(b *testing.B) {
-		runHundredK(b, core.Config{
+		runHundredK(b, hundredKJobs(false), core.Config{
 			Cluster: cluster.Config{
 				Nodes:    100_000,
 				Cores:    32,
@@ -263,7 +263,7 @@ func BenchmarkScenario(b *testing.B) {
 	// three runs) 0.09-0.12 s for 100k and 0.11-0.12 s for 100k-domains.
 	// CI gates each against its own BENCH_8 median, not their ratio.
 	b.Run("100k-domains", func(b *testing.B) {
-		runHundredK(b, core.Config{
+		runHundredK(b, hundredKJobs(false), core.Config{
 			Cluster: cluster.Config{
 				Nodes:    100_000,
 				Cores:    32,
@@ -276,11 +276,29 @@ func BenchmarkScenario(b *testing.B) {
 			Seed:           1,
 		})
 	})
+
+	// 100k-borrow: the 100k run with one job in seven outgrowing its
+	// 64 GiB nodes, as in dmpbench's fleet-100k. Those jobs climb to
+	// 80 GiB per node, so Adjust borrows remote memory at their memory
+	// updates and the lender-order reads run at 100,000 nodes; the rows
+	// above never borrow.
+	b.Run("100k-borrow", func(b *testing.B) {
+		runHundredK(b, hundredKJobs(true), core.Config{
+			Cluster: cluster.Config{
+				Nodes:    100_000,
+				Cores:    32,
+				NormalMB: experiments.NormalNodeMB,
+				Shards:   64,
+			},
+			Policy:         policy.Dynamic,
+			UpdateInterval: 200,
+			Seed:           1,
+		})
+	})
 }
 
-// runHundredK times b.N full runs of the hundredKJobs trace under cfg.
-func runHundredK(b *testing.B, cfg core.Config) {
-	jobs := hundredKJobs()
+// runHundredK times b.N full runs of jobs under cfg.
+func runHundredK(b *testing.B, jobs []*job.Job, cfg core.Config) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := core.New(cfg, jobs)
@@ -298,8 +316,9 @@ func runHundredK(b *testing.B, cfg core.Config) {
 // spread 2000–4000 s so finishes don't all collide, and a growing usage
 // trace that forces periodic memory updates (and hence lender-ledger churn)
 // on every job. Everything is derived from the job index — no RNG — so the
-// workload is trivially reproducible.
-func hundredKJobs() []*job.Job {
+// workload is trivially reproducible. With borrow set, every seventh job
+// climbs to 80 GiB per node instead of 24 GiB, past its 64 GiB node.
+func hundredKJobs(borrow bool) []*job.Job {
 	prof := &slowdown.Profile{
 		Name: "bench-stream", Nodes: 1, RuntimeSec: 3000, BandwidthGBs: 8,
 		Sens: slowdown.CurveStream,
@@ -307,16 +326,20 @@ func hundredKJobs() []*job.Job {
 	jobs := make([]*job.Job, 0, 2000)
 	for i := 0; i < 2000; i++ {
 		runtime := 2000 + float64(i%200)*10 // 2000..3990 s
+		peakMB := int64(24 * 1024)
+		if borrow && i%7 == 0 {
+			peakMB = 80 * 1024
+		}
 		usage := memtrace.MustNew([]memtrace.Point{
 			{T: 0, MB: 8 * 1024},
-			{T: runtime * 0.7, MB: 20 * 1024},
-			{T: runtime, MB: 24 * 1024},
+			{T: runtime * 0.7, MB: peakMB - 4*1024},
+			{T: runtime, MB: peakMB},
 		})
 		jobs = append(jobs, &job.Job{
 			ID:          i + 1,
 			SubmitTime:  float64(i%600) + float64(i)*0.01, // staggered, few exact ties
 			Nodes:       48,
-			RequestMB:   26 * 1024,
+			RequestMB:   peakMB + 2*1024,
 			LimitSec:    runtime * 4,
 			BaseRuntime: runtime,
 			Usage:       usage,

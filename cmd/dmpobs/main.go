@@ -72,7 +72,7 @@ func main() {
 }
 
 // summarize renders the whole observability report for one decoded log.
-func summarize(w io.Writer, name string, log *telemetry.Log, width, top int) error {
+func summarize(w io.Writer, name string, log *telemetry.DecodedLog, width, top int) error {
 	counts := log.Counts()
 	span := 0.0
 	if n := len(log.Events); n > 0 {

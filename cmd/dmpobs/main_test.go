@@ -12,7 +12,7 @@ import (
 // fixtureLog drives a Recorder through a tiny run and decodes its JSONL
 // output, so the summary is tested against the same wire format dmpsim
 // writes.
-func fixtureLog(t *testing.T) *telemetry.Log {
+func fixtureLog(t *testing.T) *telemetry.DecodedLog {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := telemetry.New(telemetry.Options{Sink: telemetry.NewJSONL(&buf)})
@@ -101,7 +101,7 @@ func TestSummarize(t *testing.T) {
 
 func TestSummarizeEmptyLog(t *testing.T) {
 	var out strings.Builder
-	if err := summarize(&out, "empty", &telemetry.Log{}, 60, 4); err != nil {
+	if err := summarize(&out, "empty", &telemetry.DecodedLog{}, 60, 4); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()

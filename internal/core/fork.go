@@ -155,6 +155,7 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	// Scratch state is never shared: the fork rebuilds what it needs
 	// lazily, exactly as a fresh simulator would.
 	f.prof = nil
+	f.examined = nil
 
 	// Engine: exact heap copy with every pending action rebound to the
 	// fork. The handle map re-attaches the running jobs' retained handles.

@@ -63,6 +63,8 @@ type Simulator struct {
 	refreshEpoch uint64 // refreshAfter's job dedup stamp across touched domains
 
 	prof *sched.Profile // pooled conservative-backfill profile, reused across passes
+	// examined is the scratch behind examinedQueue, reused across passes.
+	examined []sched.Entry
 
 	// Lifecycle state for the Start/StepUntil/Finish decomposition of Run
 	// and for Fork (see fork.go). rngDraws counts Float64 draws taken from
@@ -469,6 +471,17 @@ func (s *Simulator) onTick() {
 	}
 }
 
+// examinedQueue snapshots the first QueueDepth pending entries, in
+// scheduling order, into the simulator's scratch. The passes iterate the
+// snapshot while they Remove started jobs from the queue; each pass takes
+// a fresh one, and none survives the pass that took it.
+//
+//dmp:hotpath
+func (s *Simulator) examinedQueue() []sched.Entry {
+	s.examined = s.queue.AppendItems(s.examined[:0], s.cfg.QueueDepth)
+	return s.examined
+}
+
 // schedulePass runs one main-scheduler FIFO pass followed by one backfill
 // pass, both bounded by the configured queue depth. Jobs with unsatisfied
 // dependencies are held: they neither start nor block others.
@@ -477,7 +490,7 @@ func (s *Simulator) schedulePass() {
 	// eligible job that does not fit.
 	for {
 		progressed := false
-		for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+		for _, q := range s.examinedQueue() {
 			e := &s.table[q.Job]
 			if s.dependencyState(e) != depSatisfied {
 				continue // held
@@ -511,7 +524,7 @@ backfill:
 // let later short jobs jump it.
 func (s *Simulator) easyPass() {
 	head := -1
-	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+	for _, q := range s.examinedQueue() {
 		if s.dependencyState(&s.table[q.Job]) == depSatisfied {
 			head = q.Job
 			break
@@ -523,7 +536,7 @@ func (s *Simulator) easyPass() {
 	hj := s.table[head].j
 	shadow := s.shadowTimeFor(hj)
 	s.tel.BackfillHole(hj.ID, shadow)
-	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+	for _, q := range s.examinedQueue() {
 		if q.Job == head {
 			continue
 		}
@@ -554,7 +567,7 @@ func (s *Simulator) conservativePass() {
 	}
 	profile := s.prof
 	profile.Reset(now, s.currentResources(), &s.ends)
-	for _, q := range s.queue.Items(s.cfg.QueueDepth) {
+	for _, q := range s.examinedQueue() {
 		e := &s.table[q.Job]
 		if s.dependencyState(e) != depSatisfied {
 			continue // held: no reservation until the dependency resolves

@@ -27,6 +27,15 @@ const goldenTelemetryDigest = "7ba5c0d5f85772fd962b6e15b65a64c8e3ca4e858da3f08f7
 
 func benchTelemetryLog(t *testing.T) []byte {
 	t.Helper()
+	var buf bytes.Buffer
+	benchTelemetryRun(t, telemetry.NewJSONL(&buf))
+	return buf.Bytes()
+}
+
+// benchTelemetryRun runs the Bench-preset dynamic-policy scenario with
+// telemetry flowing into sink, sampling every 300 simulated seconds.
+func benchTelemetryRun(t *testing.T, sink telemetry.Sink) {
+	t.Helper()
 	p := Bench()
 	tr, err := p.SyntheticTrace(0.25, 0.5)
 	if err != nil {
@@ -36,9 +45,8 @@ func benchTelemetryLog(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
 	rec := telemetry.New(telemetry.Options{
-		Sink:           telemetry.NewJSONL(&buf),
+		Sink:           sink,
 		SampleInterval: 300,
 	})
 	if _, err := p.RunScenarioWith(tr.Jobs, p.SystemNodes, mc, policy.Dynamic,
@@ -48,7 +56,6 @@ func benchTelemetryLog(t *testing.T) []byte {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
 }
 
 func TestGoldenTelemetryEventLog(t *testing.T) {
@@ -76,5 +83,24 @@ func TestGoldenTelemetryEventLog(t *testing.T) {
 	}
 	if len(log.Events) == 0 || log.Series.Len() == 0 {
 		t.Fatalf("decoded log empty: %d events, %d samples", len(log.Events), log.Series.Len())
+	}
+}
+
+// TestGoldenTelemetryLogRender captures the same run into a compact
+// telemetry.Log and renders it: the bytes must hash to the JSONL sink's
+// golden digest, since the daemon serves its telemetry this way.
+func TestGoldenTelemetryLogRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden telemetry digest skipped in -short mode")
+	}
+	l := &telemetry.Log{}
+	benchTelemetryRun(t, l)
+	var buf bytes.Buffer
+	if err := l.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenTelemetryDigest {
+		t.Errorf("rendered Log digest differs from the JSONL golden:\n got %s\nwant %s", got, goldenTelemetryDigest)
 	}
 }

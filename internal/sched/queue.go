@@ -67,17 +67,17 @@ func (q *Queue) Head() (Entry, bool) {
 	return q.items[0], true
 }
 
-// Items returns the queue contents in scheduling order, up to limit entries
-// (limit <= 0 means all). The paper's configuration caps the examined queue
-// and backfill window at 100 jobs.
-func (q *Queue) Items(limit int) []Entry {
+// AppendItems appends the queue contents in scheduling order, up to limit
+// entries (limit <= 0 means all), to dst and returns the extended slice.
+// The result is a snapshot: the caller may Remove entries while iterating
+// it. The paper's configuration caps the examined queue and backfill
+// window at 100 jobs.
+func (q *Queue) AppendItems(dst []Entry, limit int) []Entry {
 	n := len(q.items)
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]Entry, n)
-	copy(out, q.items[:n])
-	return out
+	return append(dst, q.items[:n]...)
 }
 
 // Remove deletes the entry for job, reporting whether it was present.

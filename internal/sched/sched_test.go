@@ -12,7 +12,7 @@ func TestQueueFIFO(t *testing.T) {
 	q.Push(Entry{Job: 1, Enqueue: 10})
 	q.Push(Entry{Job: 2, Enqueue: 5})
 	q.Push(Entry{Job: 3, Enqueue: 20})
-	got := q.Items(0)
+	got := q.AppendItems(nil, 0)
 	want := []int{2, 1, 3}
 	for i, e := range got {
 		if e.Job != want[i] {
@@ -36,7 +36,7 @@ func TestQueueStableOnTies(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		q.Push(Entry{Job: i, Enqueue: 7})
 	}
-	got := ids(q.Items(0))
+	got := ids(q.AppendItems(nil, 0))
 	for i, id := range got {
 		if id != i+1 {
 			t.Fatalf("tie order = %v, want insertion order", got)
@@ -49,13 +49,13 @@ func TestQueueItemsLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q.Push(Entry{Job: i, Enqueue: float64(i)})
 	}
-	if got := len(q.Items(3)); got != 3 {
+	if got := len(q.AppendItems(nil, 3)); got != 3 {
 		t.Fatalf("limited items = %d, want 3", got)
 	}
-	if got := len(q.Items(0)); got != 10 {
+	if got := len(q.AppendItems(nil, 0)); got != 10 {
 		t.Fatalf("unlimited items = %d, want 10", got)
 	}
-	if got := len(q.Items(100)); got != 10 {
+	if got := len(q.AppendItems(nil, 100)); got != 10 {
 		t.Fatalf("over-limit items = %d, want 10", got)
 	}
 }

@@ -30,8 +30,8 @@ type entry struct {
 	refs      int
 	completed bool
 
-	result    []byte // rendered response JSON
-	telemetry []byte // assembled JSONL stream
+	result    []byte    // rendered response JSON
+	telemetry []cellLog // per-cell telemetry in result-row order, rendered on GET
 	err       error
 
 	// spec is the scenario document this entry computed, retained because
@@ -110,7 +110,7 @@ func (st *store) leave(e *entry) {
 // complete finishes the entry: waiters wake, successes enter the LRU (with
 // eviction beyond cap), failures leave the map so the next request
 // re-runs. Idempotent fields become immutable here.
-func (st *store) complete(e *entry, result, telemetry []byte, err error) {
+func (st *store) complete(e *entry, result []byte, telemetry []cellLog, err error) {
 	st.mu.Lock()
 	e.completed = true
 	e.result, e.telemetry, e.err = result, telemetry, err

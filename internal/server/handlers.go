@@ -118,7 +118,9 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // handleTelemetry is GET /v1/scenarios/{id}/telemetry: the run's captured
 // event stream as JSONL, one cell-header line per sweep cell followed by
-// that cell's events. Deterministic for a given scenario key.
+// that cell's events. Deterministic for a given scenario key. The stream
+// is rendered from the cached per-cell logs as it is written, so its
+// length is not known up front and the response is chunked.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	e, known, done := s.store.peek(r.PathValue("id"))
 	switch {
@@ -128,8 +130,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		writeRunning(w)
 	default:
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("Content-Length", strconv.Itoa(len(e.telemetry)))
-		_, _ = w.Write(e.telemetry)
+		_ = writeTelemetry(w, e.telemetry) // a failed write means the client has gone
 	}
 }
 

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"io"
 	"strconv"
 	"sync"
 	"time"
@@ -29,18 +29,23 @@ func (s *Server) run(e *entry, spec *experiments.ScenarioSpec) {
 // Admission is taken here rather than in the handler so that joining an
 // in-flight or cached scenario never consumes a slot — single-flight
 // collapsing is what lets 64 identical requests cost one run.
-func (s *Server) execute(ctx context.Context, id string, spec *experiments.ScenarioSpec) (result, tel []byte, err error) {
+//
+// The sweep runs a private copy of spec carrying the telemetry factory:
+// the caller's spec is the one the cache entry keeps for the branch
+// endpoint, and it must not pin the capture.
+func (s *Server) execute(ctx context.Context, id string, spec *experiments.ScenarioSpec) (result []byte, tel []cellLog, err error) {
 	if err := s.adm.acquire(ctx); err != nil {
 		return nil, nil, err
 	}
 	defer s.adm.release()
 	cap := &telemetryCapture{interval: s.cfg.TelemetryInterval}
-	spec.Telemetry = cap.factory
-	res, err := s.cfg.Preset.RunScenarioSpecCtx(ctx, spec)
+	run := *spec
+	run.Telemetry = cap.factory
+	res, err := s.cfg.Preset.RunScenarioSpecCtx(ctx, &run)
 	if err != nil {
 		return nil, nil, err
 	}
-	return RenderResult(id, s.cfg.Preset.Name, res), cap.assemble(res), nil
+	return RenderResult(id, s.cfg.Preset.Name, res), cap.cells(res), nil
 }
 
 // runBranch executes one admitted branch request to completion, mirroring
@@ -70,53 +75,75 @@ func (s *Server) executeBranch(ctx context.Context, id string, spec *experiments
 	return RenderBranchResult(id, s.cfg.Preset.Name, res), nil
 }
 
-// telemetryCapture collects one JSONL stream per sweep cell. Cells run on
-// parallel sweep workers, so the factory hands each its own buffer (the
-// map is the only shared state); assembly happens after the sweep returns,
-// stitching the per-cell streams in result-row order under cell-header
-// lines. Per-cell streams are byte-deterministic and the row order is
-// fixed, so the assembled stream is too.
+// cellKey names one sweep cell.
+type cellKey struct {
+	memPct int
+	policy string
+}
+
+// cellLog is one sweep cell's captured telemetry, kept compact until a GET
+// renders it (writeTelemetry).
+type cellLog struct {
+	cellKey
+	log *telemetry.Log
+}
+
+// telemetryCapture collects one telemetry.Log per sweep cell. Cells run on
+// parallel sweep workers, so the factory hands each its own log (the map
+// is the only shared state); cells lists them in result-row order after
+// the sweep returns. Per-cell logs are deterministic and the row order is
+// fixed, so the rendered stream is too.
 type telemetryCapture struct {
 	interval float64
 	mu       sync.Mutex
-	cells    map[string]*bytes.Buffer //dmp:guardedby(mu)
-}
-
-func cellKey(memPct int, pol string) string {
-	return strconv.Itoa(memPct) + "|" + pol
+	logs     map[cellKey]*telemetry.Log //dmp:guardedby(mu)
 }
 
 func (c *telemetryCapture) factory(memPct int, pol string) *telemetry.Recorder {
-	buf := &bytes.Buffer{}
+	l := &telemetry.Log{}
 	c.mu.Lock()
-	if c.cells == nil {
-		c.cells = make(map[string]*bytes.Buffer)
+	if c.logs == nil {
+		c.logs = make(map[cellKey]*telemetry.Log)
 	}
-	c.cells[cellKey(memPct, pol)] = buf
+	c.logs[cellKey{memPct, pol}] = l
 	c.mu.Unlock()
-	return telemetry.New(telemetry.Options{
-		Sink:           telemetry.NewJSONL(buf),
-		SampleInterval: c.interval,
-	})
+	return telemetry.New(telemetry.Options{Sink: l, SampleInterval: c.interval})
 }
 
-// assemble renders the stream: for each result row, a cell-header line
-// then that cell's JSONL events. Called after every recorder is closed
-// (RunScenarioSpecCtx closes them before returning), so the buffers are
-// complete and quiescent.
-func (c *telemetryCapture) assemble(res *experiments.ScenarioResult) []byte {
+// cells returns the captured logs in result-row order. Called after every
+// recorder is closed (RunScenarioSpecCtx closes them before returning), so
+// the logs are complete and immutable. A cell that never started has a
+// nil log and renders as its header alone.
+func (c *telemetryCapture) cells(res *experiments.ScenarioResult) []cellLog {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []byte
-	for _, row := range res.Rows {
-		out = append(out, `{"cell":{"mem_pct":`...)
-		out = strconv.AppendInt(out, int64(row.MemPct), 10)
-		out = append(out, `,"policy":`...)
-		out = strconv.AppendQuote(out, row.Policy)
-		out = append(out, "}}\n"...)
-		if buf := c.cells[cellKey(row.MemPct, row.Policy)]; buf != nil {
-			out = append(out, buf.Bytes()...)
-		}
+	out := make([]cellLog, len(res.Rows))
+	for i, row := range res.Rows {
+		k := cellKey{row.MemPct, row.Policy}
+		out[i] = cellLog{cellKey: k, log: c.logs[k]}
 	}
 	return out
+}
+
+// writeTelemetry streams a scenario's telemetry: for each cell, a header
+// line then that cell's events and samples rendered from its log. It stops
+// at the first failed write (the client has gone).
+func writeTelemetry(w io.Writer, cells []cellLog) error {
+	var hdr []byte
+	for _, c := range cells {
+		hdr = append(hdr[:0], `{"cell":{"mem_pct":`...)
+		hdr = strconv.AppendInt(hdr, int64(c.memPct), 10)
+		hdr = append(hdr, `,"policy":`...)
+		hdr = strconv.AppendQuote(hdr, c.policy)
+		hdr = append(hdr, "}}\n"...)
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
+		if c.log != nil {
+			if err := c.log.WriteJSONL(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

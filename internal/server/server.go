@@ -73,7 +73,7 @@ type Server struct {
 
 	// runFn computes one scenario; New wires it to (*Server).execute.
 	// Lifecycle tests substitute a controllable stand-in.
-	runFn func(ctx context.Context, id string, spec *experiments.ScenarioSpec) (result, tel []byte, err error)
+	runFn func(ctx context.Context, id string, spec *experiments.ScenarioSpec) (result []byte, tel []cellLog, err error)
 	// branchFn computes one what-if branch of a completed scenario; New
 	// wires it to (*Server).executeBranch.
 	branchFn func(ctx context.Context, id string, spec *experiments.ScenarioSpec, br *experiments.BranchSpec) ([]byte, error)

@@ -92,7 +92,7 @@ func TestSingleFlightDeterminism(t *testing.T) {
 	s := New(Config{Preset: p, MaxInFlight: 2, TelemetryInterval: 600})
 	var runs atomic.Int32
 	prod := s.runFn
-	s.runFn = func(ctx context.Context, id string, spec *experiments.ScenarioSpec) ([]byte, []byte, error) {
+	s.runFn = func(ctx context.Context, id string, spec *experiments.ScenarioSpec) ([]byte, []cellLog, error) {
 		runs.Add(1)
 		return prod(ctx, id, spec)
 	}
@@ -191,7 +191,7 @@ func TestSingleFlightDeterminism(t *testing.T) {
 // closed or its context is cancelled.
 func stubRun(s *Server, started chan string, release chan struct{}) (cur, max *atomic.Int32) {
 	cur, max = new(atomic.Int32), new(atomic.Int32)
-	s.runFn = func(ctx context.Context, id string, _ *experiments.ScenarioSpec) ([]byte, []byte, error) {
+	s.runFn = func(ctx context.Context, id string, _ *experiments.ScenarioSpec) ([]byte, []cellLog, error) {
 		if err := s.adm.acquire(ctx); err != nil {
 			return nil, nil, err
 		}

@@ -166,7 +166,7 @@ func (p *PromSink) WriteText(w io.Writer) error {
 
 // AggregateFromLog rebuilds a PromSink from a decoded log, so dmpobs can
 // export aggregates for a run that only wrote JSONL.
-func AggregateFromLog(l *Log) *PromSink {
+func AggregateFromLog(l *DecodedLog) *PromSink {
 	p := NewPromSink()
 	for i := range l.Events {
 		_ = p.Event(&l.Events[i])

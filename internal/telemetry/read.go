@@ -8,10 +8,10 @@ import (
 	"strconv"
 )
 
-// Log is a decoded event log: the typed events and the sampled time series,
-// each in stream order. cmd/dmpobs builds its summaries and timelines from
-// it.
-type Log struct {
+// DecodedLog is a JSONL event log read back: the typed events and the
+// sampled time series, each in stream order. cmd/dmpobs builds its
+// summaries and timelines from it. (Log is the compact capture sink.)
+type DecodedLog struct {
 	Events []Event
 	Series Series
 }
@@ -38,10 +38,10 @@ type record struct {
 // ReadLog decodes a JSONL event log written by the JSONL sink. Unknown
 // event names are an error: the log format is versioned by its names, and
 // silently dropping records would make summaries lie.
-func ReadLog(r io.Reader) (*Log, error) {
+func ReadLog(r io.Reader) (*DecodedLog, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	log := &Log{}
+	log := &DecodedLog{}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -84,7 +84,7 @@ func ReadLog(r io.Reader) (*Log, error) {
 }
 
 // Counts tallies the decoded events per kind.
-func (l *Log) Counts() [KindCount]uint64 {
+func (l *DecodedLog) Counts() [KindCount]uint64 {
 	var c [KindCount]uint64
 	for i := range l.Events {
 		c[l.Events[i].Kind]++

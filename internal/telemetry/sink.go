@@ -98,7 +98,21 @@ func NewJSONL(w io.Writer) *JSONL {
 }
 
 func (j *JSONL) Event(e *Event) error {
-	b := j.buf[:0]
+	j.buf = appendEvent(j.buf[:0], e)
+	_, err := j.w.Write(j.buf)
+	return err
+}
+
+func (j *JSONL) Sample(s *Sample) error {
+	j.buf = appendSample(j.buf[:0], s)
+	_, err := j.w.Write(j.buf)
+	return err
+}
+
+// appendEvent and appendSample are the package's one encoder: the JSONL
+// sink and Log.WriteJSONL both render through them, so a line reads the
+// same whichever road it took.
+func appendEvent(b []byte, e *Event) []byte {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
 	b = append(b, `,"ev":"`...)
@@ -117,14 +131,10 @@ func (j *JSONL) Event(e *Event) error {
 	b = strconv.AppendFloat(b, e.V, 'g', -1, 64)
 	b = append(b, `","detail":`...)
 	b = strconv.AppendQuote(b, e.Detail)
-	b = append(b, "}\n"...)
-	j.buf = b
-	_, err := j.w.Write(b)
-	return err
+	return append(b, "}\n"...)
 }
 
-func (j *JSONL) Sample(s *Sample) error {
-	b := j.buf[:0]
+func appendSample(b []byte, s *Sample) []byte {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
 	b = append(b, `,"ev":"pool_sample","free_mb":`...)
@@ -137,10 +147,7 @@ func (j *JSONL) Sample(s *Sample) error {
 	b = strconv.AppendInt(b, int64(s.Busy), 10)
 	b = append(b, `,"running":`...)
 	b = strconv.AppendInt(b, int64(s.Running), 10)
-	b = append(b, "}\n"...)
-	j.buf = b
-	_, err := j.w.Write(b)
-	return err
+	return append(b, "}\n"...)
 }
 
 func (j *JSONL) Close() error {
@@ -157,4 +164,5 @@ var (
 	_ Sink = (*MemorySink)(nil)
 	_ Sink = (MultiSink)(nil)
 	_ Sink = (*JSONL)(nil)
+	_ Sink = (*Log)(nil)
 )

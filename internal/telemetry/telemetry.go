@@ -42,6 +42,12 @@ type Recorder struct {
 	counts [KindCount]uint64
 	series Series
 	err    error // first sink error; surfaced by Err/Close
+
+	// ev and sm are the records handed to the sink. A sink takes them by
+	// pointer through an interface, so a local would move to the heap on
+	// every emit; these stay put.
+	ev Event
+	sm Sample
 }
 
 // New builds a Recorder from opts.
@@ -92,10 +98,11 @@ func (r *Recorder) Now() float64 {
 
 // emit stamps, counts, and forwards one event.
 func (r *Recorder) emit(e Event) {
-	e.T = r.now
 	r.counts[e.Kind]++
 	if r.sink != nil {
-		if err := r.sink.Event(&e); err != nil && r.err == nil {
+		r.ev = e
+		r.ev.T = r.now
+		if err := r.sink.Event(&r.ev); err != nil && r.err == nil {
 			r.err = err
 		}
 	}
@@ -291,10 +298,10 @@ func (r *Recorder) Sample(t float64, freeMB, lentMB int64, queue, busy, running 
 	if r == nil {
 		return
 	}
-	sm := Sample{T: t, FreeMB: freeMB, LentMB: lentMB, Queue: queue, Busy: busy, Running: running}
-	r.series.append(sm)
+	r.sm = Sample{T: t, FreeMB: freeMB, LentMB: lentMB, Queue: queue, Busy: busy, Running: running}
+	r.series.append(r.sm)
 	if r.sink != nil {
-		if err := r.sink.Sample(&sm); err != nil && r.err == nil {
+		if err := r.sink.Sample(&r.sm); err != nil && r.err == nil {
 			r.err = err
 		}
 	}

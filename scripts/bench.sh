@@ -14,8 +14,9 @@
 # Grizzly dataset generation and the RDP reduction it runs per job, the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
 # grizzly-scale, its domains twin, and the same-trace 100k, 100k-unsharded
-# (default shard count) and 100k-domains rows separately at 1x — one
-# iteration is a full cluster-scale run), the refresh
+# (default shard count) and 100k-domains rows, plus 100k-borrow (one job
+# in seven outgrows its node), separately at 1x — one iteration is a full
+# cluster-scale run), the refresh
 # micro-benchmark (incremental and elided modes), the per-domain
 # refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
 # read path, first-write materialisation) and the what-if branching headline
@@ -59,6 +60,7 @@ run .                    'BenchmarkScenario$/^grizzly-scale-domains$' 1x 3
 run .                    'BenchmarkScenario$/^100k$'    1x 3
 run .                    'BenchmarkScenario$/^100k-unsharded$' 1x 3
 run .                    'BenchmarkScenario$/^100k-domains$' 1x 3
+run .                    'BenchmarkScenario$/^100k-borrow$' 1x 3
 run .                    'BenchmarkWhatIf$'             1x 3
 run ./internal/core      'BenchmarkRefresh$'            1s 3
 run ./internal/core      'BenchmarkRefreshDomains'      1s 3

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for the dmpd daemon: start it at the Quick preset,
-# POST the committed scenario, and require the response digest to match the
-# committed golden (cmd/dmpd/testdata/smoke.sha256). The daemon's answer
-# must be byte-identical to an offline run of the same spec — this is the
+# End-to-end smoke test for the dmpd daemon: start it at the Quick preset
+# with pool sampling every 600 simulated seconds, POST the committed
+# scenario, and require the response digest to match the committed golden
+# (cmd/dmpd/testdata/smoke.sha256). The daemon's answer must be
+# byte-identical to an offline run of the same spec — this is the
 # determinism contract of the service boundary, checked at the cheapest
-# possible scale. Also exercises the telemetry and metrics endpoints and a
-# graceful SIGTERM shutdown.
+# possible scale. The telemetry stream, events and pool samples, is pinned
+# the same way (cmd/dmpd/testdata/smoke_telemetry.sha256). Also exercises
+# the metrics endpoint and a graceful SIGTERM shutdown.
 #
-# Usage: scripts/smoke_dmpd.sh   (from anywhere; re-record the golden by
-# deleting smoke.sha256 and piping a fresh response through sha256sum)
+# Usage: scripts/smoke_dmpd.sh   (from anywhere; re-record a golden by
+# piping a fresh response or stream through sha256sum)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +19,7 @@ BIN="$(mktemp -t dmpd.XXXXXX)"
 trap 'kill "$DMPD_PID" 2>/dev/null || true; rm -f "$BIN"' EXIT
 
 go build -o "$BIN" ./cmd/dmpd
-"$BIN" -addr "127.0.0.1:$PORT" -preset quick &
+"$BIN" -addr "127.0.0.1:$PORT" -preset quick -telemetry-interval 600 &
 DMPD_PID=$!
 
 for _ in $(seq 1 100); do
@@ -39,8 +41,12 @@ ID="$(printf '%s' "$RESP" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')"
 # No -q on the greps: under pipefail, grep -q's early exit would SIGPIPE
 # curl and fail the healthy pipeline.
 curl -sf "127.0.0.1:$PORT/v1/scenarios/$ID" >/dev/null
-curl -sf "127.0.0.1:$PORT/v1/scenarios/$ID/telemetry" | grep '"ev":"job_submit"' >/dev/null \
-  || { echo "telemetry stream empty"; exit 1; }
+TEL="$(curl -sf "127.0.0.1:$PORT/v1/scenarios/$ID/telemetry" | sha256sum | awk '{print $1}')"
+TELWANT="$(cat cmd/dmpd/testdata/smoke_telemetry.sha256)"
+if [ "$TEL" != "$TELWANT" ]; then
+  echo "telemetry digest mismatch: got $TEL want $TELWANT"
+  exit 1
+fi
 curl -sf "127.0.0.1:$PORT/metrics" | grep '^dmpd_result_cache_misses_total 1$' >/dev/null \
   || { echo "metrics missing cache counters"; exit 1; }
 
