@@ -101,17 +101,6 @@ func (tl *Timeline) AllocationChanged(t float64, j *job.Job, before, after int64
 	tl.snap(t)
 }
 
-// PeakAllocMB returns the highest allocated-memory sample.
-func (tl *Timeline) PeakAllocMB() int64 {
-	var m int64
-	for _, s := range tl.Samples {
-		if s.AllocMB > m {
-			m = s.AllocMB
-		}
-	}
-	return m
-}
-
 // PeakQueued returns the deepest queue observed.
 func (tl *Timeline) PeakQueued() int {
 	m := 0
@@ -121,20 +110,6 @@ func (tl *Timeline) PeakQueued() int {
 		}
 	}
 	return m
-}
-
-// Downsample returns at most n samples evenly spread over the recording
-// (always including the last); n <= 0 or n ≥ len returns all samples.
-func (tl *Timeline) Downsample(n int) []TimelineSample {
-	total := len(tl.Samples)
-	if n <= 0 || n >= total {
-		return tl.Samples
-	}
-	out := make([]TimelineSample, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, tl.Samples[(i+1)*total/n-1])
-	}
-	return out
 }
 
 // WriteCSV emits t,alloc_mb,busy_nodes,queued,running rows.

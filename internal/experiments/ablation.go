@@ -19,25 +19,22 @@ import (
 // All run on the underprovisioned, overestimated scenario where the dynamic
 // policy matters most (50 % large jobs, +60 %, 50 % memory).
 
-// ablationScenario fixes the common workload and system.
-func (p Preset) ablationScenario() (jobsAndSystem, error) {
-	tr, err := p.SyntheticTrace(0.5, 0.6)
+// ablationScenario fixes the common workload on the system with memPct %
+// memory. Its norm is the norm of Figure 5's 50 % panels.
+func (c *cells) ablationScenario(memPct int) (jobsAndSystem, error) {
+	tr, err := c.p.SyntheticTrace(0.5, 0.6)
 	if err != nil {
 		return jobsAndSystem{}, err
 	}
-	tr0, err := p.SyntheticTrace(0.5, 0)
+	n, err := norm(c.get(normCell(c.synthetic(0.5, 0))))
 	if err != nil {
 		return jobsAndSystem{}, err
 	}
-	norm, err := p.BaselineNorm(tr0.Jobs, p.SystemNodes)
+	mc, err := MemConfigByPct(memPct)
 	if err != nil {
 		return jobsAndSystem{}, err
 	}
-	mc, err := MemConfigByPct(50)
-	if err != nil {
-		return jobsAndSystem{}, err
-	}
-	return jobsAndSystem{trace: tr, mc: mc, norm: norm}, nil
+	return jobsAndSystem{trace: tr, mc: mc, norm: n}, nil
 }
 
 type jobsAndSystem struct {
@@ -65,7 +62,12 @@ var UpdateIntervals = []float64{60, 300, 900, 1800}
 
 // RunAblationUpdateInterval executes the sweep.
 func RunAblationUpdateInterval(p Preset) (*AblationUpdateInterval, error) {
-	sc, err := p.ablationScenario()
+	return runAblationUpdateInterval(newCells(p))
+}
+
+func runAblationUpdateInterval(c *cells) (*AblationUpdateInterval, error) {
+	p := c.p
+	sc, err := c.ablationScenario(50)
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +121,11 @@ type OOMRow struct {
 }
 
 // RunAblationOOM executes the comparison.
-func RunAblationOOM(p Preset) (*AblationOOM, error) {
-	sc, err := p.ablationScenario()
+func RunAblationOOM(p Preset) (*AblationOOM, error) { return runAblationOOM(newCells(p)) }
+
+func runAblationOOM(c *cells) (*AblationOOM, error) {
+	p := c.p
+	sc, err := c.ablationScenario(50)
 	if err != nil {
 		return nil, err
 	}
@@ -140,12 +145,12 @@ func RunAblationOOM(p Preset) (*AblationOOM, error) {
 		}},
 	}
 	out := &AblationOOM{}
-	for _, c := range configs {
-		res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic, c.mutate)
+	for _, k := range configs {
+		res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic, k.mutate)
 		if err != nil {
 			return nil, err
 		}
-		row := OOMRow{Label: c.label, NormThroughput: Infeasible}
+		row := OOMRow{Label: k.label, NormThroughput: Infeasible}
 		if !res.Infeasible {
 			row.NormThroughput = res.Throughput() / sc.norm
 			row.OOMKills = res.OOMKills
@@ -194,7 +199,12 @@ func (r BackfillRow) Backfill() bool { return r.Mode != "none" }
 
 // RunAblationBackfill executes the comparison for static and dynamic.
 func RunAblationBackfill(p Preset) (*AblationBackfill, error) {
-	sc, err := p.ablationScenario()
+	return runAblationBackfill(newCells(p))
+}
+
+func runAblationBackfill(c *cells) (*AblationBackfill, error) {
+	p := c.p
+	sc, err := c.ablationScenario(50)
 	if err != nil {
 		return nil, err
 	}
@@ -256,22 +266,15 @@ type PriorityRow struct {
 	Fairness       float64 // Jain's index over response times (1 = equal)
 }
 
-// RunAblationPriority executes the comparison on a tighter system (37 %
+// RunAblationPriority executes the comparison on a tighter system (43 %
 // memory) where OOM restarts actually occur.
 func RunAblationPriority(p Preset) (*AblationPriority, error) {
-	tr, err := p.SyntheticTrace(0.5, 0.6)
-	if err != nil {
-		return nil, err
-	}
-	tr0, err := p.SyntheticTrace(0.5, 0)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := p.BaselineNorm(tr0.Jobs, p.SystemNodes)
-	if err != nil {
-		return nil, err
-	}
-	mc, err := MemConfigByPct(43)
+	return runAblationPriority(newCells(p))
+}
+
+func runAblationPriority(c *cells) (*AblationPriority, error) {
+	p := c.p
+	sc, err := c.ablationScenario(43)
 	if err != nil {
 		return nil, err
 	}
@@ -284,16 +287,15 @@ func RunAblationPriority(p Preset) (*AblationPriority, error) {
 		{"never boost", 1 << 30},
 	}
 	out := &AblationPriority{}
-	for _, c := range configs {
-		boost := c.boost
-		res, err := p.RunScenarioWith(tr.Jobs, p.SystemNodes, mc, policy.Dynamic,
-			func(cfg *core.Config) { cfg.PriorityBoost = boost })
+	for _, k := range configs {
+		res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic,
+			func(cfg *core.Config) { cfg.PriorityBoost = k.boost })
 		if err != nil {
 			return nil, err
 		}
-		row := PriorityRow{Label: c.label, NormThroughput: Infeasible}
+		row := PriorityRow{Label: k.label, NormThroughput: Infeasible}
 		if !res.Infeasible {
-			row.NormThroughput = res.Throughput() / norm
+			row.NormThroughput = res.Throughput() / sc.norm
 			row.OOMKills = res.OOMKills
 			for i := range res.Records {
 				if r := res.Records[i].Restarts; r > row.MaxRestarts {
@@ -345,8 +347,11 @@ type LenderRow struct {
 
 // RunAblationLender executes the comparison. The six cells run as one
 // sweep on the shared pool, collected in table order.
-func RunAblationLender(p Preset) (*AblationLender, error) {
-	sc, err := p.ablationScenario()
+func RunAblationLender(p Preset) (*AblationLender, error) { return runAblationLender(newCells(p)) }
+
+func runAblationLender(c *cells) (*AblationLender, error) {
+	p := c.p
+	sc, err := c.ablationScenario(50)
 	if err != nil {
 		return nil, err
 	}

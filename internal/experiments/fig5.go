@@ -17,18 +17,13 @@ var Fig5Overests = []float64{0, 0.60}
 
 // RunFig5 builds the figure's panels: each job-mix column and, over the
 // given sampled weeks (Preset.SampledWeeks), the Grizzly column, at each
-// overestimation row. Nil weeks skip the Grizzly column. Every panel is one
-// task on the shared pool and normalises against its own +0 % baseline, so
-// no panel waits on another; the golden tests hold the results to the
-// serial reference in golden_pipeline_test.go.
-func RunFig5(p Preset, weeks []grizzly.Week) (*Fig5, error) {
-	return runFig5(p, weeks, nil)
-}
+// overestimation row. Nil weeks skip the Grizzly column. Each panel
+// normalises against its own +0 % baseline; the golden tests hold the
+// results to the serial reference in golden_pipeline_test.go.
+func RunFig5(p Preset, weeks []grizzly.Week) (*Fig5, error) { return runFig5(newCells(p), weeks) }
 
-// runFig5 is RunFig5 taking the panels in held instead of building them;
-// held gains the panels it builds.
-func runFig5(p Preset, weeks []grizzly.Week, held map[panelKey]*ThroughputGrid) (*Fig5, error) {
-	grids, err := p.panels(Fig5LargeFracs, Fig5Overests, weeks, held)
+func runFig5(c *cells, weeks []grizzly.Week) (*Fig5, error) {
+	grids, err := c.panels(Fig5LargeFracs, Fig5Overests, weeks)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +41,7 @@ func (f *Fig5) String() string {
 func (f *Fig5) DynamicAdvantage() float64 {
 	best := 0.0
 	for _, g := range f.Panels {
-		if g.Trace == grizzlyTrace {
+		if g.Trace == grizzlyLabel {
 			continue
 		}
 		for _, r := range g.Rows {

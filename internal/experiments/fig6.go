@@ -67,63 +67,51 @@ var Fig6Scenarios = []struct {
 	{"underprovisioned", 50},
 }
 
-// RunFig6 executes the six panels. All twelve simulations are submitted
-// to the shared pool up front — each fetches its trace from the tracegen
-// cache, so the two policies of a panel share one generation and the
-// figure shares its traces with Fig. 5's 50 %-mix column.
-func RunFig6(p Preset) (*Fig6, error) {
-	const largeFrac = 0.50
-	pool := sweep.SharedPool()
-	mcs := make([]MemConfig, len(Fig6Scenarios))
-	for i, sc := range Fig6Scenarios {
-		mc, err := MemConfigByPct(sc.MemPct)
-		if err != nil {
-			return nil, err
-		}
-		mcs[i] = mc
-	}
-	pols := []policy.Kind{policy.Static, policy.Dynamic}
-	var futs []*sweep.Future[*metrics.ECDF]
+// RunFig6 executes the six panels.
+func RunFig6(p Preset) (*Fig6, error) { return runFig6(newCells(p)) }
+
+// fig6Cells are the cells Figure 6 reads, in panel order: the static and
+// then the dynamic cell of each scenario at each overestimation, all on the
+// 50 % mix. They are Figure 5's cells; the table keeps their response
+// times.
+func (c *cells) fig6Cells() ([]cellRef, error) {
+	var refs []cellRef
 	for _, ov := range Fig5Overests {
-		ov := ov
-		for _, mc := range mcs {
-			mc := mc
-			for _, pol := range pols {
-				pol := pol
-				futs = append(futs, sweep.Submit(pool, func() (*metrics.ECDF, error) {
-					trace, err := p.SyntheticTrace(largeFrac, ov)
-					if err != nil {
-						return nil, err
-					}
-					res, err := p.RunScenario(trace.Jobs, p.SystemNodes, mc, pol)
-					if err != nil {
-						return nil, err
-					}
-					if res.Infeasible {
-						return nil, nil
-					}
-					rts := res.ResponseTimes()
-					if len(rts) == 0 {
-						return nil, nil
-					}
-					return metrics.NewECDF(rts)
-				}))
+		tr := c.synthetic(0.50, ov)
+		for _, sc := range Fig6Scenarios {
+			mc, err := MemConfigByPct(sc.MemPct)
+			if err != nil {
+				return nil, err
 			}
+			refs = append(refs, cellRef{tr, mc, policy.Static}, cellRef{tr, mc, policy.Dynamic})
 		}
 	}
-	ecdfs, err := sweep.CollectValues(futs)
+	return refs, nil
+}
+
+func runFig6(c *cells) (*Fig6, error) {
+	refs, err := c.fig6Cells()
 	if err != nil {
 		return nil, err
+	}
+	outs, err := sweep.CollectValues(c.getAll(refs))
+	if err != nil {
+		return nil, err
+	}
+	ecdf := func(o outcome) *metrics.ECDF {
+		if len(o.responses) == 0 {
+			return nil
+		}
+		e, _ := metrics.NewECDF(o.responses) // never empty here
+		return e
 	}
 	out := &Fig6{}
 	i := 0
 	for _, ov := range Fig5Overests {
 		for _, sc := range Fig6Scenarios {
-			panel := Fig6Panel{Scenario: sc.Name, MemPct: sc.MemPct, Overest: ov}
-			panel.Static = ecdfs[i]
-			panel.Dynamic = ecdfs[i+1]
+			out.Panels = append(out.Panels, Fig6Panel{Scenario: sc.Name, MemPct: sc.MemPct, Overest: ov,
+				Static: ecdf(outs[i]), Dynamic: ecdf(outs[i+1])})
 			i += 2
-			out.Panels = append(out.Panels, panel)
 		}
 	}
 	return out, nil

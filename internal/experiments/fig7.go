@@ -52,45 +52,34 @@ func Fig7SysConfigs() []struct {
 // Fig7LargeFracs are the job-mix points on the x axis.
 var Fig7LargeFracs = []float64{0, 0.25, 0.50, 0.75, 1.00}
 
-// RunFig7 executes the sweep: all 80 simulations are submitted to the
-// shared pool up front. Each job mix is generated once per overestimation
-// level and shared across the four system panels — the per-figure memo map
-// this code used to carry is now the process-wide tracegen cache, which
-// also shares the mixes with Fig. 5 and the replication harness.
-func RunFig7(p Preset) (*Fig7, error) {
-	pool := sweep.SharedPool()
+// RunFig7 executes the sweep.
+func RunFig7(p Preset) (*Fig7, error) { return runFig7(newCells(p)) }
+
+// runFig7 is RunFig7 reading its cells from c. Its 100, 75 and 50 %
+// systems are Figure 5's memory configurations.
+func runFig7(c *cells) (*Fig7, error) {
+	p := c.p
 	pols := []policy.Kind{policy.Static, policy.Dynamic}
-	var futs []*sweep.Future[float64]
+	var refs []cellRef
 	for _, sys := range Fig7SysConfigs() {
-		sys := sys
 		for _, ov := range Fig5Overests {
-			ov := ov
 			for _, lf := range Fig7LargeFracs {
-				lf := lf
+				tr := c.synthetic(lf, ov)
 				for _, pol := range pols {
-					pol := pol
-					futs = append(futs, sweep.Submit(pool, func() (float64, error) {
-						tr, err := p.SyntheticTrace(lf, ov)
-						if err != nil {
-							return 0, err
-						}
-						res, err := p.RunScenario(tr.Jobs, p.SystemNodes, sys.MC, pol)
-						if err != nil {
-							return 0, err
-						}
-						if res.Infeasible {
-							return math.NaN(), nil
-						}
-						totalMem := sys.MC.TotalMemMB(p.SystemNodes)
-						return metrics.ThroughputPerDollar(res.Throughput(), p.SystemNodes, totalMem), nil
-					}))
+					refs = append(refs, cellRef{tr, sys.MC, pol})
 				}
 			}
 		}
 	}
-	values, err := sweep.CollectValues(futs)
+	outs, err := sweep.CollectValues(c.getAll(refs))
 	if err != nil {
 		return nil, err
+	}
+	perDollar := func(o outcome, mc MemConfig) float64 {
+		if o.infeasible {
+			return math.NaN()
+		}
+		return metrics.ThroughputPerDollar(o.throughput, p.SystemNodes, mc.TotalMemMB(p.SystemNodes))
 	}
 	out := &Fig7{}
 	i := 0
@@ -100,8 +89,8 @@ func RunFig7(p Preset) (*Fig7, error) {
 			for _, lf := range Fig7LargeFracs {
 				panel.Points = append(panel.Points, Fig7Point{
 					LargePct: int(lf * 100),
-					Static:   values[i],
-					Dynamic:  values[i+1],
+					Static:   perDollar(outs[i], sys.MC),
+					Dynamic:  perDollar(outs[i+1], sys.MC),
 				})
 				i += 2
 			}

@@ -20,16 +20,11 @@ var Fig8Overests = []float64{0, 0.25, 0.50, 0.60, 0.75, 1.00}
 
 // RunFig8 builds the figure's panels: the 50 % synthetic mix and, over the
 // given sampled Grizzly weeks, the Grizzly trace, at each overestimation.
-// Nil weeks skip the Grizzly row. Its +0 % and +60 % panels are Figure 5's,
-// label and norm alike, so a walk that holds Figure 5 reuses them.
-func RunFig8(p Preset, weeks []grizzly.Week) (*Fig8, error) {
-	return runFig8(p, weeks, nil)
-}
+// Nil weeks skip the Grizzly row. Its +0 % and +60 % panels are Figure 5's.
+func RunFig8(p Preset, weeks []grizzly.Week) (*Fig8, error) { return runFig8(newCells(p), weeks) }
 
-// runFig8 is RunFig8 taking the panels in held instead of building them;
-// held gains the panels it builds.
-func runFig8(p Preset, weeks []grizzly.Week, held map[panelKey]*ThroughputGrid) (*Fig8, error) {
-	grids, err := p.panels([]float64{0.50}, Fig8Overests, weeks, held)
+func runFig8(c *cells, weeks []grizzly.Week) (*Fig8, error) {
+	grids, err := c.panels([]float64{0.50}, Fig8Overests, weeks)
 	if err != nil {
 		return nil, err
 	}

@@ -23,8 +23,10 @@ type Fig9Point struct {
 }
 
 // RunFig9 derives the figure from a Figure 8 synthetic sweep.
-func RunFig9(p Preset) (*Fig9, error) {
-	f8, err := RunFig8(p, nil)
+func RunFig9(p Preset) (*Fig9, error) { return runFig9(newCells(p)) }
+
+func runFig9(c *cells) (*Fig9, error) {
+	f8, err := runFig8(c, nil)
 	if err != nil {
 		return nil, err
 	}

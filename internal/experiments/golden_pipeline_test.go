@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"dismem/internal/job"
 	"dismem/internal/metrics"
+	"dismem/internal/policy"
+	"dismem/internal/sweep"
 )
 
 // Golden digests of the whole figure pipeline at the Quick() preset,
@@ -266,6 +269,39 @@ func runFig5Serial(p Preset) (*Fig5, error) {
 		}
 	}
 	return out, nil
+}
+
+// ThroughputSweep runs all three policies over every memory configuration
+// on jobs and normalises by norm: one panel of the serial reference, its 24
+// scenarios run in parallel.
+func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace string, overest float64) (*ThroughputGrid, error) {
+	mcs := MemoryConfigs()
+	pols := []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}
+	tasks := make([]sweep.Task[float64], 0, len(mcs)*len(pols))
+	for _, mc := range mcs {
+		for _, pol := range pols {
+			tasks = append(tasks, func() (float64, error) {
+				res, err := p.RunScenario(jobs, nodes, mc, pol)
+				if err != nil {
+					return 0, err
+				}
+				if res.Infeasible {
+					return Infeasible, nil
+				}
+				return res.Throughput() / norm, nil
+			})
+		}
+	}
+	values, err := sweep.Values(sweep.Run(tasks))
+	if err != nil {
+		return nil, err
+	}
+	g := &ThroughputGrid{Trace: trace, Overest: overest}
+	for i, mc := range mcs {
+		v := values[i*len(pols):]
+		g.Rows = append(g.Rows, ThroughputRow{MemPct: mc.LabelPct, Baseline: v[0], Static: v[1], Dynamic: v[2]})
+	}
+	return g, nil
 }
 
 // Golden digests of the Grizzly path at the multiWeek() preset (three

@@ -137,9 +137,13 @@ func MemoryConfigs() []MemConfig {
 		{62, NormalNodeMB, 0.25}, // 62.5 %
 		{75, NormalNodeMB, 0.50},
 		{87, NormalNodeMB, 0.75}, // 87.5 %
-		{100, NormalNodeMB, 1},
+		fullMemory,
 	}
 }
+
+// fullMemory is the 100 % configuration that every panel normalises
+// against.
+var fullMemory = MemConfig{100, NormalNodeMB, 1}
 
 // MemConfigByPct returns the configuration with the given axis label.
 func MemConfigByPct(pct int) (MemConfig, error) {
@@ -263,8 +267,12 @@ func (p Preset) RunScenarioWith(jobs []*job.Job, nodes int, mc MemConfig, pol po
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return run(cfg, jobs)
+	return simulate(cfg, jobs)
 }
+
+// simulate runs every simulation of the evaluation; a variable so the
+// walk's tests can count them. The ScenarioSpec path calls run directly.
+var simulate = run
 
 // run simulates jobs under cfg to completion.
 func run(cfg core.Config, jobs []*job.Job) (*core.Result, error) {

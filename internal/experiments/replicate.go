@@ -111,7 +111,7 @@ type Headlines struct {
 // where it is defined.
 func RunHeadlines(p Preset, seeds int) (*Headlines, error) {
 	values, err := replicate(p, seeds, func(q Preset) (headlineValues, error) {
-		return newWalk(q, WalkOptions{}).headlines()
+		return headlines(newCells(q))
 	})
 	if err != nil {
 		return nil, err

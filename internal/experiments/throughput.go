@@ -7,7 +7,6 @@ import (
 
 	"dismem/internal/job"
 	"dismem/internal/policy"
-	"dismem/internal/sweep"
 	"dismem/internal/traces/grizzly"
 )
 
@@ -36,11 +35,7 @@ type ThroughputGrid struct {
 // every panel against it; per its methodology the denominator uses the
 // accurate (+0 % overestimation) variant of the trace.
 func (p Preset) BaselineNorm(jobs0 []*job.Job, nodes int) (float64, error) {
-	mc, err := MemConfigByPct(100)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.RunScenario(jobs0, nodes, mc, policy.Baseline)
+	res, err := p.RunScenario(jobs0, nodes, fullMemory, policy.Baseline)
 	if err != nil {
 		return 0, err
 	}
@@ -50,170 +45,36 @@ func (p Preset) BaselineNorm(jobs0 []*job.Job, nodes int) (float64, error) {
 	return res.Throughput(), nil
 }
 
-// ThroughputSweep runs all three policies over every memory configuration
-// and normalises by norm. The 24 scenarios are independent simulations and
-// run in parallel across the available cores.
-func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace string, overest float64) (*ThroughputGrid, error) {
-	mcs := MemoryConfigs()
-	pols := []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}
-
-	tasks := make([]sweep.Task[float64], 0, len(mcs)*len(pols))
-	for _, mc := range mcs {
-		for _, pol := range pols {
-			mc, pol := mc, pol
-			tasks = append(tasks, func() (float64, error) {
-				res, err := p.RunScenario(jobs, nodes, mc, pol)
-				if err != nil {
-					return 0, err
-				}
-				if res.Infeasible {
-					return Infeasible, nil
-				}
-				return res.Throughput() / norm, nil
-			})
-		}
-	}
-	values, err := sweep.Values(sweep.Run(tasks))
-	if err != nil {
-		return nil, err
-	}
-
-	g := &ThroughputGrid{Trace: trace, Overest: overest}
-	for i, mc := range mcs {
-		base := i * len(pols)
-		g.Rows = append(g.Rows, ThroughputRow{
-			MemPct:   mc.LabelPct,
-			Baseline: values[base],
-			Static:   values[base+1],
-			Dynamic:  values[base+2],
-		})
-	}
-	return g, nil
-}
-
-// panelSweep runs ThroughputSweep on the jobs that build returns at
-// overest, normalised against the baseline on the accurate (+0 %) jobs —
-// the chain behind every panel.
-func (p Preset) panelSweep(build func(overest float64) ([]*job.Job, error), nodes int, trace string, overest float64) (*ThroughputGrid, error) {
-	jobs0, err := build(0)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := p.BaselineNorm(jobs0, nodes)
-	if err != nil {
-		return nil, err
-	}
-	jobs := jobs0
-	if overest != 0 {
-		if jobs, err = build(overest); err != nil {
-			return nil, err
-		}
-	}
-	return p.ThroughputSweep(jobs, nodes, norm, trace, overest)
-}
-
 // SyntheticGrid runs the panel of the synthetic mix with largeFrac large
 // jobs at one overestimation.
 func (p Preset) SyntheticGrid(largeFrac, overest float64) (*ThroughputGrid, error) {
-	return p.panelSweep(func(ov float64) ([]*job.Job, error) {
-		tr, err := p.SyntheticTrace(largeFrac, ov)
-		if err != nil {
-			return nil, err
-		}
-		return tr.Jobs, nil
-	}, p.SystemNodes, syntheticTrace(largeFrac), overest)
+	grids, err := newCells(p).panels([]float64{largeFrac}, []float64{overest}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return grids[0], nil
 }
 
-// syntheticTrace labels the panels of the mix with largeFrac large jobs.
-func syntheticTrace(largeFrac float64) string {
+// syntheticLabel labels the panels of the mix with largeFrac large jobs.
+func syntheticLabel(largeFrac float64) string {
 	return fmt.Sprintf("large %.0f%%", largeFrac*100)
 }
 
-// GrizzlyGrid runs the sweep over the sampled Grizzly weeks and averages
-// the normalised throughputs point-wise, as the paper aggregates its seven
-// simulated weeks. Each week is normalised against its own +0 % baseline.
-// A cell is infeasible if any week cannot run its jobs there. Both job sets
-// are built from the same weeks.
+// GrizzlyGrid runs the panel of the sampled Grizzly weeks at one
+// overestimation and averages the normalised throughputs point-wise, as
+// the paper aggregates its seven simulated weeks. Each week is normalised
+// against its own +0 % baseline. A cell is infeasible if any week cannot
+// run its jobs there.
 func (p Preset) GrizzlyGrid(weeks []grizzly.Week, overest float64) (*ThroughputGrid, error) {
-	// One panel chain per sampled week, all weeks in flight at once on the
-	// shared pool.
-	tasks := make([]sweep.Task[*ThroughputGrid], len(weeks))
-	for i := range weeks {
-		w := &weeks[i]
-		tasks[i] = func() (*ThroughputGrid, error) {
-			return p.panelSweep(func(ov float64) ([]*job.Job, error) { return p.GrizzlyJobs(w, ov) },
-				p.GrizzlyNodes, grizzlyTrace, overest)
-		}
-	}
-	grids, err := sweep.Values(sweep.Run(tasks))
+	grids, err := newCells(p).panels(nil, []float64{overest}, weeks)
 	if err != nil {
 		return nil, err
 	}
-	return averageGrids(grids), nil
+	return grids[0], nil
 }
 
-// grizzlyTrace labels the panels that simulate the sampled Grizzly weeks.
-const grizzlyTrace = "grizzly"
-
-// panelKey names a panel as its grid labels it: one trace at one
-// overestimation. Every figure that shows a panel labels it alike.
-type panelKey struct {
-	trace   string
-	overest float64
-}
-
-// panel is one panel a figure shows: the synthetic mix with largeFrac large
-// jobs, or the sampled Grizzly weeks when its trace is grizzlyTrace.
-type panel struct {
-	panelKey
-	largeFrac float64
-}
-
-// buildPanel builds one panel; a variable so the walk's tests can count its
-// calls.
-var buildPanel = func(p Preset, pn panel, weeks []grizzly.Week) (*ThroughputGrid, error) {
-	if pn.trace == grizzlyTrace {
-		return p.GrizzlyGrid(weeks, pn.overest)
-	}
-	return p.SyntheticGrid(pn.largeFrac, pn.overest)
-}
-
-// panels returns the panels of each synthetic mix in largeFracs and then,
-// unless weeks is nil, of the Grizzly weeks, each at every overestimation
-// in overests, in that order. They are built concurrently on the shared
-// pool. A panel already in held is taken from there instead of built, and
-// a non-nil held gains the panels built once they all are.
-func (p Preset) panels(largeFracs, overests []float64, weeks []grizzly.Week, held map[panelKey]*ThroughputGrid) ([]*ThroughputGrid, error) {
-	var list []panel
-	for _, lf := range largeFracs {
-		for _, ov := range overests {
-			list = append(list, panel{panelKey{syntheticTrace(lf), ov}, lf})
-		}
-	}
-	if weeks != nil {
-		for _, ov := range overests {
-			list = append(list, panel{panelKey: panelKey{grizzlyTrace, ov}})
-		}
-	}
-	tasks := make([]sweep.Task[*ThroughputGrid], len(list))
-	for i, pn := range list {
-		if g := held[pn.panelKey]; g != nil {
-			tasks[i] = func() (*ThroughputGrid, error) { return g, nil }
-			continue
-		}
-		tasks[i] = func() (*ThroughputGrid, error) { return buildPanel(p, pn, weeks) }
-	}
-	grids, err := sweep.Values(sweep.Run(tasks))
-	if err != nil {
-		return nil, err
-	}
-	if held != nil {
-		for i, pn := range list {
-			held[pn.panelKey] = grids[i]
-		}
-	}
-	return grids, nil
-}
+// grizzlyLabel labels the panels that simulate the sampled Grizzly weeks.
+const grizzlyLabel = "grizzly"
 
 // averageGrids averages matching cells; a cell infeasible in any input
 // stays infeasible.

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dismem/internal/policy"
 	"dismem/internal/sweep"
 )
 
@@ -34,37 +33,30 @@ func (r UtilizationRow) Stranded() float64 { return r.Allocated - r.Used }
 
 // RunUtilization measures the 50 % large-job, +60 % overestimation
 // workload under all three policies.
-func RunUtilization(p Preset) (*Utilization, error) {
+func RunUtilization(p Preset) (*Utilization, error) { return runUtilization(newCells(p)) }
+
+// runUtilization is RunUtilization reading its cells from c. They are the
+// cells of Figure 5's 50 %, +60 % panel.
+func runUtilization(c *cells) (*Utilization, error) {
 	const overest = 0.6
-	tr, err := p.SyntheticTrace(0.5, overest)
-	if err != nil {
-		return nil, err
-	}
-	mcs := MemoryConfigs()
-	pols := []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}
-	tasks := make([]sweep.Task[UtilizationRow], 0, len(mcs)*len(pols))
-	for _, mc := range mcs {
-		for _, pol := range pols {
-			mc, pol := mc, pol
-			tasks = append(tasks, func() (UtilizationRow, error) {
-				row := UtilizationRow{MemPct: mc.LabelPct, Policy: pol.String(),
-					Allocated: Infeasible, Used: Infeasible, Nodes: Infeasible}
-				res, err := p.RunScenario(tr.Jobs, p.SystemNodes, mc, pol)
-				if err != nil {
-					return row, err
-				}
-				if !res.Infeasible {
-					row.Allocated = res.AllocationUtilisation()
-					row.Used = res.MemoryUtilisation()
-					row.Nodes = res.NodeUtilisation()
-				}
-				return row, nil
-			})
+	tr := c.synthetic(0.5, overest)
+	var refs []cellRef
+	for _, mc := range MemoryConfigs() {
+		for _, pol := range panelPolicies {
+			refs = append(refs, cellRef{tr, mc, pol})
 		}
 	}
-	rows, err := sweep.Values(sweep.Run(tasks))
+	outs, err := sweep.CollectValues(c.getAll(refs))
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]UtilizationRow, len(refs))
+	for i, r := range refs {
+		rows[i] = UtilizationRow{MemPct: r.mc.LabelPct, Policy: r.pol.String(),
+			Allocated: Infeasible, Used: Infeasible, Nodes: Infeasible}
+		if o := outs[i]; !o.infeasible {
+			rows[i].Allocated, rows[i].Used, rows[i].Nodes = o.alloc, o.used, o.busy
+		}
 	}
 	return &Utilization{Overest: overest, Rows: rows}, nil
 }

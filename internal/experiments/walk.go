@@ -14,18 +14,12 @@ import (
 // walk it. A walk produces each input and result once and hands it to its
 // later readers: the Grizzly dataset is generated once for Table 2 and
 // Figure 2, the sampled weeks are copied out of it once for every Grizzly
-// panel of Figures 5 and 8, Figure 9 is read off the walk's Figure 8, and
-// the headlines off its Figures 5, 6, 7 and 9.
-//
-// Figures 5 and 8 are lists of panels, one trace at one overestimation
-// each. The walk keeps every panel a figure returned, keyed by its label,
-// and a later figure takes the panels the walk holds instead of building
-// them: Figure 8's +0 % and +60 % panels are Figure 5's. Figures are built
-// one after another on the walk's goroutine, so the walk writes its panels
-// only between figures and needs no lock.
+// panel of Figures 5 and 8, and every simulated cell is kept in the walk's
+// table (cells.go) for each figure that reads it. Figure 9 and the
+// headlines are read off figures whose cells the walk already holds.
 //
 // A stage walked alone computes only what it reads. The walk drops the
-// Grizzly data after its last reader, and its panels with the walk.
+// Grizzly data after its last reader, and its cells with the walk.
 
 // Stage is one step of the evaluation.
 type Stage struct {
@@ -54,38 +48,36 @@ type WalkOptions struct {
 var evaluation = []Stage{
 	{Name: "table2", Title: "Table 2 — max memory per node", reads: readsDataset,
 		run: func(w *walk) (fmt.Stringer, error) { return RunTable2(w.p, w.dataset()) }},
-	{Name: "table3", Title: "Table 3 — job characteristics", run: byPreset(RunTable3)},
+	{Name: "table3", Title: "Table 3 — job characteristics",
+		run: func(w *walk) (fmt.Stringer, error) { return RunTable3(w.p) }},
 	{Name: "fig2", Title: "Figure 2 — Grizzly week sampling", reads: readsDataset,
 		run: func(w *walk) (fmt.Stringer, error) { return RunFig2(w.p, w.dataset()) }},
-	{Name: "fig4", Title: "Figure 4 — usage heatmaps", run: byPreset(RunFig4)},
+	{Name: "fig4", Title: "Figure 4 — usage heatmaps", run: func(w *walk) (fmt.Stringer, error) { return RunFig4(w.p) }},
 	{Name: "fig5", Title: "Figure 5 — throughput vs provisioned memory", reads: readsWeeks,
-		run: func(w *walk) (fmt.Stringer, error) { return w.fig5(w.sampledWeeks()) }},
-	{Name: "fig6", Title: "Figure 6 — response-time distributions",
-		run: func(w *walk) (fmt.Stringer, error) { return w.fig6() }},
-	{Name: "fig7", Title: "Figure 7 — throughput per dollar",
-		run: func(w *walk) (fmt.Stringer, error) { return w.fig7() }},
+		run: func(w *walk) (fmt.Stringer, error) { return runFig5(w.cells, w.sampledWeeks()) }},
+	{Name: "fig6", Title: "Figure 6 — response-time distributions", run: byCells(runFig6)},
+	{Name: "fig7", Title: "Figure 7 — throughput per dollar", run: byCells(runFig7)},
 	{Name: "fig8", Title: "Figure 8 — overestimation sweep", reads: readsWeeks,
-		run: func(w *walk) (fmt.Stringer, error) { return w.fig8(w.sampledWeeks()) }},
-	{Name: "fig9", Title: "Figure 9 — minimum provisioning for 95% throughput",
-		run: func(w *walk) (fmt.Stringer, error) { return w.fig9() }},
-	{Name: "util", Title: "Memory utilisation by policy", run: byPreset(RunUtilization)},
-	{Name: "xmodel", Title: "Cross-model robustness — CIRNE vs Lublin", run: byPreset(RunModelComparison)},
-	{Name: "ab-update", Title: "Ablations — memory-update interval", run: byPreset(RunAblationUpdateInterval)},
-	{Name: "ab-oom", Title: "Ablations — out-of-memory handling", run: byPreset(RunAblationOOM)},
-	{Name: "ab-backfill", Title: "Ablations — backfill algorithm", run: byPreset(RunAblationBackfill)},
-	{Name: "ab-lender", Title: "Ablations — lender selection", run: byPreset(RunAblationLender)},
-	{Name: "ab-priority", Title: "Ablations — priority boost after OOM", run: byPreset(RunAblationPriority)},
+		run: func(w *walk) (fmt.Stringer, error) { return runFig8(w.cells, w.sampledWeeks()) }},
+	{Name: "fig9", Title: "Figure 9 — minimum provisioning for 95% throughput", run: byCells(runFig9)},
+	{Name: "util", Title: "Memory utilisation by policy", run: byCells(runUtilization)},
+	{Name: "xmodel", Title: "Cross-model robustness — CIRNE vs Lublin", run: byCells(runModelComparison)},
+	{Name: "ab-update", Title: "Ablations — memory-update interval", run: byCells(runAblationUpdateInterval)},
+	{Name: "ab-oom", Title: "Ablations — out-of-memory handling", run: byCells(runAblationOOM)},
+	{Name: "ab-backfill", Title: "Ablations — backfill algorithm", run: byCells(runAblationBackfill)},
+	{Name: "ab-lender", Title: "Ablations — lender selection", run: byCells(runAblationLender)},
+	{Name: "ab-priority", Title: "Ablations — priority boost after OOM", run: byCells(runAblationPriority)},
 	{Name: "headlines", Title: "Headline metrics", run: func(w *walk) (fmt.Stringer, error) {
 		if w.opts.Seeds > 1 { // every seed afresh, the walk's own included
 			return RunHeadlines(w.p, w.opts.Seeds)
 		}
-		return w.headlines()
+		return headlines(w.cells)
 	}},
 }
 
-// byPreset adapts a driver that reads only the preset into a stage.
-func byPreset[T fmt.Stringer](run func(Preset) (T, error)) func(*walk) (fmt.Stringer, error) {
-	return func(w *walk) (fmt.Stringer, error) { return run(w.p) }
+// byCells adapts a driver that reads cells into a stage.
+func byCells[T fmt.Stringer](run func(*cells) (T, error)) func(*walk) (fmt.Stringer, error) {
+	return func(w *walk) (fmt.Stringer, error) { return run(w.cells) }
 }
 
 // Stages returns the stages a dmpexp -exp name selects, in evaluation
@@ -107,7 +99,7 @@ func Stages(name string) ([]Stage, error) {
 // the next stage starts. The Grizzly data are already dropped when visit
 // sees the result of their last reader.
 func Walk(p Preset, stages []Stage, opts WalkOptions, visit func(Stage, fmt.Stringer) error) error {
-	w := newWalk(p, opts)
+	w := &walk{p: p, opts: opts, cells: newCells(p)}
 	lastDataset, lastWeeks := -1, -1
 	for i, st := range stages {
 		if st.reads&readsDataset != 0 {
@@ -167,17 +159,7 @@ type walk struct {
 	d     *grizzly.Dataset // until the last stage that reads it
 	weeks []grizzly.Week   // until the last stage that reads them
 
-	panels map[panelKey]*ThroughputGrid // every panel the walk's figures returned
-
-	f5 *Fig5
-	f6 *Fig6
-	f7 *Fig7
-	f8 *Fig8
-	f9 *Fig9
-}
-
-func newWalk(p Preset, opts WalkOptions) *walk {
-	return &walk{p: p, opts: opts, panels: map[panelKey]*ThroughputGrid{}}
+	cells *cells // every cell the walk's stages have read
 }
 
 // dataset returns the walk's Grizzly dataset, generating it on first use.
@@ -202,66 +184,22 @@ func (w *walk) sampledWeeks() []grizzly.Week {
 	return w.weeks
 }
 
-// once returns *slot, filling it with run's result first if it is empty.
-func once[T any](slot **T, run func() (*T, error)) (*T, error) {
-	if *slot == nil {
-		v, err := run()
-		if err != nil {
-			return nil, err
-		}
-		*slot = v
-	}
-	return *slot, nil
-}
-
-// fig5 returns the walk's Figure 5, running it over weeks if the walk has
-// none yet. The fig5 stage passes the sampled weeks; a later reader in a
-// walk without that stage passes nil and gets the synthetic panels only.
-func (w *walk) fig5(weeks []grizzly.Week) (*Fig5, error) {
-	return once(&w.f5, func() (*Fig5, error) { return runFig5(w.p, weeks, w.panels) })
-}
-
-func (w *walk) fig6() (*Fig6, error) {
-	return once(&w.f6, func() (*Fig6, error) { return RunFig6(w.p) })
-}
-
-func (w *walk) fig7() (*Fig7, error) {
-	return once(&w.f7, func() (*Fig7, error) { return RunFig7(w.p) })
-}
-
-// fig8 is fig5's counterpart for Figure 8.
-func (w *walk) fig8(weeks []grizzly.Week) (*Fig8, error) {
-	return once(&w.f8, func() (*Fig8, error) { return runFig8(w.p, weeks, w.panels) })
-}
-
-// fig9 reads Figure 9 off the walk's Figure 8, running only Figure 8's
-// synthetic row when the walk has no Figure 8.
-func (w *walk) fig9() (*Fig9, error) {
-	return once(&w.f9, func() (*Fig9, error) {
-		f8, err := w.fig8(nil)
-		if err != nil {
-			return nil, err
-		}
-		return Fig9FromFig8(f8, 0.95)
-	})
-}
-
-// headlines reads the paper's four headline claims off the walk's Figures
-// 5, 6, 7 and 9.
-func (w *walk) headlines() (headlineValues, error) {
-	f5, err := w.fig5(nil)
+// headlines reads the paper's four headline claims off Figures 5, 6, 7 and
+// 9, each read from c: in a walk, off the cells its figures simulated.
+func headlines(c *cells) (headlineValues, error) {
+	f5, err := runFig5(c, nil)
 	if err != nil {
 		return headlineValues{}, err
 	}
-	f6, err := w.fig6()
+	f6, err := runFig6(c)
 	if err != nil {
 		return headlineValues{}, err
 	}
-	f7, err := w.fig7()
+	f7, err := runFig7(c)
 	if err != nil {
 		return headlineValues{}, err
 	}
-	f9, err := w.fig9()
+	f9, err := runFig9(c)
 	if err != nil {
 		return headlineValues{}, err
 	}

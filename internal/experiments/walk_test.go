@@ -2,12 +2,19 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"dismem/internal/core"
+	"dismem/internal/job"
+	"dismem/internal/policy"
 	"dismem/internal/traces/grizzly"
 )
 
@@ -24,33 +31,89 @@ func countGenerations(t *testing.T) *atomic.Int32 {
 	return &n
 }
 
-// countPanels counts the throughput panels built until the test ends.
-func countPanels(t *testing.T) *atomic.Int32 {
-	var n atomic.Int32
-	build := buildPanel
-	buildPanel = func(p Preset, pn panel, weeks []grizzly.Week) (*ThroughputGrid, error) {
-		n.Add(1)
-		return build(p, pn, weeks)
+// simulations counts the simulations run while it is installed, and the
+// ones that repeat an earlier simulation of the same content since the last
+// take.
+type simulations struct {
+	mu      sync.Mutex
+	seen    map[[32]byte]bool
+	n       int
+	repeats []core.Config
+}
+
+// countSimulations counts every simulation run until the test ends.
+func countSimulations(t *testing.T) *simulations {
+	s := &simulations{seen: map[[32]byte]bool{}}
+	sim := simulate
+	simulate = func(cfg core.Config, jobs []*job.Job) (*core.Result, error) {
+		k := simContent(cfg, jobs)
+		s.mu.Lock()
+		s.n++
+		if s.seen[k] {
+			s.repeats = append(s.repeats, cfg)
+		}
+		s.seen[k] = true
+		s.mu.Unlock()
+		return sim(cfg, jobs)
 	}
-	t.Cleanup(func() { buildPanel = build })
-	return &n
+	t.Cleanup(func() { simulate = sim })
+	return s
+}
+
+// take returns the count and the repeats so far and starts afresh.
+func (s *simulations) take() (int, []core.Config) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, repeats := s.n, s.repeats
+	s.seen, s.n, s.repeats = map[[32]byte]bool{}, 0, nil
+	return n, repeats
+}
+
+// simContent hashes what a simulation depends on: its configuration, with
+// the observer that the update-interval ablation attaches left out and the
+// topology taken by value, and every job's scheduler and ground-truth
+// fields.
+func simContent(cfg core.Config, jobs []*job.Job) [32]byte {
+	var b strings.Builder
+	topo := cfg.Topology
+	cfg.Observer, cfg.Topology = nil, nil
+	fmt.Fprintf(&b, "%+v|", cfg)
+	if topo != nil {
+		fmt.Fprintf(&b, "%+v", *topo)
+	}
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "|%d %x %d %d %x %d %x %d", j.ID, math.Float64bits(j.SubmitTime), j.Nodes, j.RequestMB,
+			math.Float64bits(j.LimitSec), j.DependsOn, math.Float64bits(j.BaseRuntime), j.Usage.Peak())
+	}
+	return sha256.Sum256([]byte(b.String()))
+}
+
+// simulationsAlone is how many simulations each stage that simulates ran
+// walked alone before the walk kept a table of cells. No stage may run
+// more.
+var simulationsAlone = map[string]int{
+	"fig5": 350, "fig6": 12, "fig7": 80, "fig8": 300, "fig9": 150, "util": 24, "xmodel": 50,
+	"ab-update": 5, "ab-oom": 5, "ab-backfill": 7, "ab-lender": 7, "ab-priority": 4, "headlines": 492,
 }
 
 // TestWalkProducesEachInputOnce writes the report, the walk of every
 // stage, with the Grizzly panels at the tiny preset. Each section must hold
 // the body of its stage walked alone, byte for byte. The report must
 // generate the Grizzly dataset once, where its stages walked alone generate
-// it once each for Table 2, Figure 2, Figure 5 and Figure 8, and must build
-// each (trace, overestimation) panel once: Figure 5's 12 synthetic and 2
-// Grizzly panels, and the 4 synthetic and 4 Grizzly panels of Figure 8 that
-// Figure 5 lacks. It runs under -short, so the race detector sees the
-// Grizzly panels of Figures 5 and 8 read the shared sampled weeks
-// concurrently.
+// it once each for Table 2, Figure 2, Figure 5 and Figure 8, and must
+// simulate each cell once: 596 simulations, where 744 ran before the walk
+// kept a table of cells. The only repeats left are the four ablation arms
+// that set a knob to its default and so run a cell of Figure 5 again, on
+// the ablations' 50 % system: the 300 s update interval, fail/restart, and
+// EASY backfill under static and dynamic. No stage walked alone repeats a
+// simulation or runs more than it did before the table. It runs under
+// -short, so the race detector sees the stages read the table and the
+// Grizzly panels read the shared sampled weeks concurrently.
 func TestWalkProducesEachInputOnce(t *testing.T) {
 	p := tiny()
 	opts := WalkOptions{Grizzly: true}
 	n := countGenerations(t)
-	built := countPanels(t)
+	sims := countSimulations(t)
 	var report bytes.Buffer
 	if err := WriteReport(&report, p, opts); err != nil {
 		t.Fatal(err)
@@ -58,8 +121,21 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 	if got := n.Load(); got != 1 {
 		t.Fatalf("the report generated %d Grizzly datasets, want 1", got)
 	}
-	if got := built.Load(); got != 22 {
-		t.Fatalf("the report built %d panels, want 22", got)
+	ran, repeats := sims.take()
+	if ran != 596 {
+		t.Errorf("the report ran %d simulations, want 596", ran)
+	}
+	var pols []string
+	for _, cfg := range repeats {
+		pol := cfg.Policy.String()
+		if cfg.Cluster.NormalMB != NormalNodeMB || cfg.Cluster.LargeFrac != 0 {
+			pol += " off the 50% system"
+		}
+		pols = append(pols, pol)
+	}
+	slices.Sort(pols)
+	if got := strings.Join(pols, ", "); got != "dynamic, dynamic, dynamic, static" {
+		t.Errorf("the report repeated simulations (%s), want only the four default-knob ablation arms (dynamic, dynamic, dynamic, static)", got)
 	}
 	all, err := Stages("all")
 	if err != nil {
@@ -69,12 +145,8 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 	if len(sections) != len(all) {
 		t.Fatalf("report has %d sections for %d stages", len(sections), len(all))
 	}
-	// The panels each stage builds walked alone: Figure 9 builds Figure 8's
-	// synthetic row, and the headlines Figure 5's synthetic panels and the
-	// 4 of Figure 8's synthetic row that Figure 5 lacks.
-	panelsAlone := map[string]int32{"fig5": 14, "fig8": 12, "fig9": 6, "headlines": 16}
 	for i, st := range all {
-		before, builtBefore := n.Load(), built.Load()
+		before := n.Load()
 		var body string
 		err := Walk(p, []Stage{st}, opts, func(_ Stage, res fmt.Stringer) error {
 			body = res.String()
@@ -93,9 +165,62 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 		if got := n.Load() - before; got != want {
 			t.Errorf("%s walked alone generated %d Grizzly datasets, want %d", st.Name, got, want)
 		}
-		if got, want := built.Load()-builtBefore, panelsAlone[st.Name]; got != want {
-			t.Errorf("%s walked alone built %d panels, want %d", st.Name, got, want)
+		ran, repeats := sims.take()
+		if ran > simulationsAlone[st.Name] {
+			t.Errorf("%s walked alone ran %d simulations, more than the %d it ran before", st.Name, ran, simulationsAlone[st.Name])
 		}
+		if len(repeats) != 0 {
+			t.Errorf("%s walked alone repeated %d simulations", st.Name, len(repeats))
+		}
+	}
+}
+
+// TestCellsSingleFlight asks for one cell from several goroutines at once.
+// The table must simulate it once and hand every reader its outcome, and a
+// reference to the same content through another trace value must read the
+// same cell. The table keeps the response times of Figure 6's cells only.
+func TestCellsSingleFlight(t *testing.T) {
+	sims := countSimulations(t)
+	c := newCells(tiny())
+	ref := cellRef{c.synthetic(0.5, 0.6), fullMemory, policy.Dynamic}
+	outs := make([]outcome, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			o, err := c.get(ref).Get()
+			if err != nil {
+				t.Error(err)
+			}
+			outs[i] = o
+		}()
+	}
+	close(start)
+	wg.Wait()
+	again := cellRef{c.synthetic(0.5, 0.6), MemConfig{NormalMB: fullMemory.NormalMB, LargeFrac: fullMemory.LargeFrac}, policy.Dynamic}
+	if c.get(again) != c.get(ref) {
+		t.Fatal("a reference to the same content read another cell")
+	}
+	if ran, _ := sims.take(); ran != 1 {
+		t.Fatalf("%d readers of one cell ran %d simulations, want 1", len(outs), ran)
+	}
+	for i, o := range outs {
+		if o.infeasible || o.throughput != outs[0].throughput || len(o.responses) != len(outs[0].responses) {
+			t.Fatalf("reader %d read %+v, reader 0 %+v", i, o, outs[0])
+		}
+	}
+	if len(outs[0].responses) == 0 {
+		t.Fatal("a cell of Figure 6 kept no response times")
+	}
+	base, err := c.get(cellRef{ref.tr, fullMemory, policy.Baseline}).Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.responses != nil {
+		t.Fatal("a cell outside Figure 6 kept its response times")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"dismem/internal/tracegen"
 	"dismem/internal/workload"
 )
 
@@ -22,8 +21,13 @@ type ModelComparison struct {
 var ModelNames = []string{"cirne", "lublin"}
 
 // RunModelComparison executes the comparison.
-func RunModelComparison(p Preset) (*ModelComparison, error) {
-	out := &ModelComparison{Grids: map[string]*ThroughputGrid{}}
+func RunModelComparison(p Preset) (*ModelComparison, error) { return runModelComparison(newCells(p)) }
+
+// runModelComparison is RunModelComparison reading its cells from c. The
+// CIRNE arm's traces are the synthetic mix's, so its cells are Figure 5's
+// 50 %, +60 % panel and norm.
+func runModelComparison(c *cells) (*ModelComparison, error) {
+	p := c.p
 	// Scale the Lublin model to the preset like the CIRNE override does:
 	// job sizes and runtimes must fit the (possibly tiny) system.
 	lp := workload.NewLublinParams(p.SystemNodes, p.Load, p.Days)
@@ -38,39 +42,21 @@ func RunModelComparison(p Preset) (*ModelComparison, error) {
 	if lp.UMed > lp.UHi {
 		lp.UMed = lp.UHi / 2
 	}
-	for _, model := range ModelNames {
-		gen := func(overest float64) (*tracegen.Output, error) {
-			return tracegen.Run(tracegen.Params{
-				SystemNodes:       p.SystemNodes,
-				Load:              p.Load,
-				Days:              p.Days,
-				LargeFrac:         0.5,
-				Overestimation:    overest,
-				NormalNodeMB:      NormalNodeMB,
-				GoogleCollections: p.GoogleCollections,
-				Model:             model,
-				Cirne:             p.Cirne,
-				Lublin:            &lp,
-				Seed:              p.Seed,
-			})
-		}
-		tr0, err := gen(0)
-		if err != nil {
-			return nil, err
-		}
-		norm, err := p.BaselineNorm(tr0.Jobs, p.SystemNodes)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := gen(0.6)
-		if err != nil {
-			return nil, err
-		}
-		grid, err := p.ThroughputSweep(tr.Jobs, p.SystemNodes, norm, model+" large 50%", 0.6)
-		if err != nil {
-			return nil, err
-		}
-		out.Grids[model] = grid
+	views := make([]func() (*ThroughputGrid, error), len(ModelNames))
+	for i, model := range ModelNames {
+		views[i] = c.panel(model+" large 50%", 0.6, func(overest float64) trace {
+			params := p.syntheticParams(0.5, overest)
+			params.Model, params.Lublin = model, &lp
+			return c.generated(params)
+		})
+	}
+	grids, err := waitPanels(views)
+	if err != nil {
+		return nil, err
+	}
+	out := &ModelComparison{Grids: map[string]*ThroughputGrid{}}
+	for i, model := range ModelNames {
+		out.Grids[model] = grids[i]
 	}
 	return out, nil
 }

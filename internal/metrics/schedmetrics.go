@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"math"
-	"sort"
-)
-
 // Scheduling-quality metrics standard in the parallel job scheduling
 // literature (Feitelson et al.), computed over per-job (wait, runtime)
 // pairs.
@@ -33,25 +28,6 @@ func BoundedSlowdown(wait, runtime, tau float64) float64 {
 	return s
 }
 
-// MeanBoundedSlowdown averages BoundedSlowdown over jobs. Pairs with
-// negative wait (never started) are skipped; it returns 0 for no valid
-// pairs.
-func MeanBoundedSlowdown(waits, runtimes []float64, tau float64) float64 {
-	var sum float64
-	n := 0
-	for i := range waits {
-		if i >= len(runtimes) || waits[i] < 0 {
-			continue
-		}
-		sum += BoundedSlowdown(waits[i], runtimes[i], tau)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // JainFairness returns Jain's fairness index over a set of non-negative
 // allocations: (Σx)² / (n·Σx²), which is 1 for perfectly equal values and
 // 1/n when one value holds everything. An empty or all-zero input yields 0.
@@ -68,43 +44,4 @@ func JainFairness(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// Gini returns the Gini coefficient of a non-negative sample: 0 for
-// perfect equality, approaching 1 for extreme concentration.
-func Gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	for i, v := range s {
-		if v < 0 {
-			s[i] = 0
-		}
-	}
-	sort.Float64s(s)
-	var cum, total float64
-	for i, v := range s {
-		cum += float64(i+1) * v
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	n := float64(len(s))
-	return (2*cum - (n+1)*total) / (n * total)
-}
-
-// Percentile returns the p-th percentile (0–100) of xs using nearest-rank;
-// it returns NaN for an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	e, err := NewECDF(xs)
-	if err != nil {
-		return math.NaN()
-	}
-	return e.Quantile(p / 100)
 }

@@ -31,23 +31,6 @@ func TestBoundedSlowdown(t *testing.T) {
 	}
 }
 
-func TestMeanBoundedSlowdown(t *testing.T) {
-	waits := []float64{0, 100, -1, 50}
-	runs := []float64{100, 100, 100, 50}
-	// Valid pairs: (0,100)=1, (100,100)=2, (50,50)=2 → mean 5/3.
-	got := MeanBoundedSlowdown(waits, runs, 10)
-	if math.Abs(got-5.0/3.0) > 1e-9 {
-		t.Fatalf("got %g, want %g", got, 5.0/3.0)
-	}
-	if MeanBoundedSlowdown(nil, nil, 10) != 0 {
-		t.Fatal("empty input must give 0")
-	}
-	// Ragged input: extra waits without runtimes are skipped.
-	if got := MeanBoundedSlowdown([]float64{1, 2}, []float64{10}, 10); got == 0 {
-		t.Fatal("ragged input dropped everything")
-	}
-}
-
 func TestJainFairness(t *testing.T) {
 	if got := JainFairness([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("equal shares: %g, want 1", got)
@@ -64,32 +47,6 @@ func TestJainFairness(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{1, 1, 1}); math.Abs(got) > 1e-12 {
-		t.Fatalf("equal: %g, want 0", got)
-	}
-	// One holder of everything among n: G = (n-1)/n.
-	if got := Gini([]float64{0, 0, 0, 12}); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("concentrated: %g, want 0.75", got)
-	}
-	if Gini(nil) != 0 || Gini([]float64{0}) != 0 {
-		t.Fatal("degenerate inputs must give 0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40, 50}
-	if got := Percentile(xs, 50); got != 30 {
-		t.Fatalf("p50 = %g", got)
-	}
-	if got := Percentile(xs, 100); got != 50 {
-		t.Fatalf("p100 = %g", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("empty percentile must be NaN")
-	}
-}
-
 // Property: Jain's index lies in [1/n, 1] for any positive sample.
 func TestQuickJainRange(t *testing.T) {
 	f := func(seed int64) bool {
@@ -101,31 +58,6 @@ func TestQuickJainRange(t *testing.T) {
 		}
 		j := JainFairness(xs)
 		return j >= 1/float64(n)-1e-9 && j <= 1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Gini lies in [0, 1) and is scale-invariant.
-func TestQuickGiniScaleInvariant(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-		}
-		g := Gini(xs)
-		if g < -1e-9 || g >= 1 {
-			return false
-		}
-		scaled := make([]float64, n)
-		k := 0.5 + rng.Float64()*10
-		for i := range xs {
-			scaled[i] = xs[i] * k
-		}
-		return math.Abs(Gini(scaled)-g) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -149,23 +81,14 @@ func TestQuickBoundedSlowdownMonotone(t *testing.T) {
 	}
 }
 
-// TestSingleElementEdgeCases pins the degenerate single-sample behaviour of
-// every fairness/quantile metric: one job is trivially fair and is its own
-// every percentile.
+// TestSingleElementEdgeCases pins the degenerate behaviour of Jain's
+// index: one job is trivially fair, and all-negative input clamps to the
+// all-zero result.
 func TestSingleElementEdgeCases(t *testing.T) {
-	if got := Gini([]float64{42}); got != 0 {
-		t.Fatalf("single-element Gini = %g, want 0", got)
-	}
 	if got := JainFairness([]float64{42}); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("single-element Jain = %g, want 1", got)
 	}
-	for _, p := range []float64{0, 50, 100} {
-		if got := Percentile([]float64{7}, p); got != 7 {
-			t.Fatalf("single-element p%g = %g, want 7", p, got)
-		}
-	}
-	// All-negative input clamps to all-zero → the defined 0 results.
-	if Gini([]float64{-1, -2}) != 0 || JainFairness([]float64{-1, -2}) != 0 {
+	if JainFairness([]float64{-1, -2}) != 0 {
 		t.Fatal("all-negative inputs must clamp to the all-zero result")
 	}
 }
