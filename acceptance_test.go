@@ -7,6 +7,7 @@ package dismem
 // absolute numbers.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,15 +17,30 @@ import (
 
 func accPreset() experiments.Preset { return experiments.Bench() }
 
+// fig5Panel returns Figure 5's panel of the synthetic mix with largeFrac
+// large jobs at overest.
+func fig5Panel(t *testing.T, p experiments.Preset, largeFrac, overest float64) *experiments.ThroughputGrid {
+	t.Helper()
+	f, err := experiments.RunFig5(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := fmt.Sprintf("large %.0f%%", largeFrac*100)
+	for _, g := range f.Panels {
+		if g.Trace == label && g.Overest == overest {
+			return g
+		}
+	}
+	t.Fatalf("Figure 5 has no %s panel at +%.0f%%", label, overest*100)
+	return nil
+}
+
 // Claim (§4.1): with accurate requests and no large jobs, the disaggregated
 // policies maintain full performance at 37 % memory while the baseline
 // needs 50 %.
 func TestClaimSmallJobsFullThroughputAtLowProvisioning(t *testing.T) {
 	p := accPreset()
-	g, err := p.SyntheticGrid(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fig5Panel(t, p, 0, 0)
 	for _, r := range g.Rows {
 		if r.MemPct != 37 {
 			continue
@@ -43,10 +59,7 @@ func TestClaimSmallJobsFullThroughputAtLowProvisioning(t *testing.T) {
 // policies still run everything at 100 % memory.
 func TestClaimBaselineInfeasibleUnderOverestimation(t *testing.T) {
 	p := accPreset()
-	g, err := p.SyntheticGrid(0.5, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fig5Panel(t, p, 0.5, 0.6)
 	for _, r := range g.Rows {
 		if !math.IsNaN(r.Baseline) {
 			t.Fatalf("baseline feasible at %d%% despite +60%% overestimation on large jobs", r.MemPct)
@@ -63,10 +76,7 @@ func TestClaimBaselineInfeasibleUnderOverestimation(t *testing.T) {
 // exceeds the gap at full memory.
 func TestClaimDynamicAdvantageGrowsWhenUnderprovisioned(t *testing.T) {
 	p := accPreset()
-	g, err := p.SyntheticGrid(0.5, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := fig5Panel(t, p, 0.5, 0.6)
 	gapAt := func(pct int) float64 {
 		for _, r := range g.Rows {
 			if r.MemPct == pct && !math.IsNaN(r.Dynamic) && !math.IsNaN(r.Static) {

@@ -80,17 +80,6 @@ func BenchmarkFig5(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Panel times one panel (job mix 50 %, +60 % overestimation)
-// — the unit cell of the figure's grid.
-func BenchmarkFig5Panel(b *testing.B) {
-	p := benchPreset()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SyntheticGrid(0.5, 0.6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig6(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
@@ -239,9 +228,8 @@ func BenchmarkScenario(b *testing.B) {
 	})
 
 	// 100k-unsharded: the 100k run with Cluster.Shards unset, which picks
-	// ⌈100000/2048⌉ = 49 shards. A flush of the free-memory order is linear
-	// in its shard, so this row guards the default cap: one 100k-node shard
-	// would make every ordered read pay for the whole cluster.
+	// ⌈100000/2048⌉ = 49 shards, so this row measures the default shard
+	// layout.
 	b.Run("100k-unsharded", func(b *testing.B) {
 		runHundredK(b, hundredKJobs(false), core.Config{
 			Cluster: cluster.Config{

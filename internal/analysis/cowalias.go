@@ -11,22 +11,17 @@ import (
 // shared ledger structures: either it IS the shared→private transition
 // (Cluster.own/materialize/thaw), it builds the arrays before any fork can
 // exist (constructors, index init), or it is an index mutator whose callers
-// established ownership first (the free-memory refile and flush and the
-// bitset write paths, reached only through own() or on a shard Fork keeps
-// clean).
+// established ownership first (the lender-tree refile and the bitset write
+// paths, reached only through own()).
 const CowSafeDirective = "dmp:cowsafe"
 
 // cowSharedFields are the ledger structures a cluster fork shares with its
-// base until thawed: the node ledger slice, the per-shard free-memory index
-// arrays (exact and filed keys, the (free desc, ID asc) order and its dirty
-// marks), and the idle bitset words. Matching is by field name, like domainmerge's, so the
-// fixture can define lightweight stand-ins.
+// base until thawed: the node ledger slice, the per-shard lender tree, and
+// the idle bitset words. Matching is by field name, like domainmerge's, so
+// the fixture can define lightweight stand-ins.
 var cowSharedFields = map[string]bool{
 	"nodes": true, // node ledger rows
-	"key":   true, // free-memory keys
-	"filed": true, // keys the order is sorted by
-	"order": true, // free-memory order
-	"mark":  true, // dirty marks
+	"tree":  true, // lender-tree keys
 	"bits":  true, // idle bitset words
 }
 
@@ -37,12 +32,12 @@ var cowSharedFields = map[string]bool{
 // privatise a structure before its first write. Two write shapes are
 // therefore restricted to functions annotated //dmp:cowsafe:
 //
-//   - element stores into a shared array (c.nodes[i] = …, ix.order[k] = …,
+//   - element stores into a shared array (c.nodes[i] = …, sh.tree[p] = …,
 //     s.bits[w] |= …, including compound assignment and ++/--), and
 //   - writes through an alias taken with &shared[i] in the same function
 //     (n := &c.nodes[id]; n.LocalMB += mb), which bypass own() entirely.
 //
-// Re-pointing a whole slice header (c.nodes = append(…), sh.free.key = …)
+// Re-pointing a whole slice header (c.nodes = append(…), sh.tree = …)
 // is allowed anywhere: it replaces the header without touching the shared
 // backing array — it is how the CoW copies themselves are installed. Reads,
 // including read-only &shared[i] preludes, are free.
@@ -54,8 +49,8 @@ var cowSharedFields = map[string]bool{
 // reported as stale.
 var CowAlias = &Analyzer{
 	Name: "cowalias",
-	Doc: "writes to copy-on-write shared ledger structures (node rows, free-memory key/filed/order/mark " +
-		"arrays, idle bitset words) must go through the CoW mutation helpers: element stores " +
+	Doc: "writes to copy-on-write shared ledger structures (node rows, lender-tree keys, " +
+		"idle bitset words) must go through the CoW mutation helpers: element stores " +
 		"and &elem alias writes are allowed only in functions annotated //dmp:cowsafe",
 	PathFilter: cowClusterPath,
 	Run:        runCowAlias,

@@ -1,6 +1,6 @@
 // Package cowalias is the analysistest fixture for the cowalias analyzer.
 // The ledger struct stands in for cluster.Cluster; only the CoW-shared
-// array fields (nodes, key, filed, order, mark, bits) are name-matched.
+// array fields (nodes, tree, bits) are name-matched.
 package cowalias
 
 type row struct {
@@ -8,12 +8,9 @@ type row struct {
 	LentMB  int64
 }
 
-type freeOrder struct {
-	key   []int64
-	filed []int64
-	order []int32
-	mark  []bool
-	dirty []int32 // per-fork scratch, never shared: not a CoW field
+type shard struct {
+	tree []uint64
+	heap []uint64 // per-fork scratch, never shared: not a CoW field
 }
 
 type bitset struct {
@@ -22,7 +19,7 @@ type bitset struct {
 
 type ledger struct {
 	nodes []row
-	free  freeOrder
+	shard shard
 	idle  bitset
 }
 
@@ -30,10 +27,7 @@ type ledger struct {
 // published, and it never touches shared backing. Allowed anywhere.
 func (l *ledger) install(n int) {
 	l.nodes = make([]row, n)
-	l.free.key = make([]int64, n)
-	l.free.filed = make([]int64, n)
-	l.free.order = make([]int32, n)
-	l.free.mark = make([]bool, n)
+	l.shard.tree = make([]uint64, 2*n)
 	l.idle.bits = make([]uint64, (n+63)/64)
 }
 
@@ -49,13 +43,11 @@ func (l *ledger) poke(i int, mb int64) {
 	l.nodes[i].LocalMB = mb // want `element write to CoW-shared nodes in poke`
 }
 
-// refile writes the free-memory order, filed key, dirty mark and key
-// outside any helper.
-func (l *ledger) refile(k int, n int32) {
-	l.free.order[k] = n   // want `element write to CoW-shared order in refile`
-	l.free.filed[n] = 0   // want `element write to CoW-shared filed in refile`
-	l.free.mark[n] = true // want `element write to CoW-shared mark in refile`
-	l.free.key[n]++       // want `element write to CoW-shared key in refile`
+// refile writes a lender-tree leaf and its parent outside any helper.
+func (l *ledger) refile(p int, k uint64) {
+	l.shard.tree[p] = k     // want `element write to CoW-shared tree in refile`
+	l.shard.tree[p>>1] |= k // want `element write to CoW-shared tree in refile`
+	l.shard.tree[p^1]++     // want `element write to CoW-shared tree in refile`
 }
 
 // mask compound-assigns a bitset word: reads old, writes new, both on the
@@ -88,9 +80,9 @@ func (l *ledger) rebind(i int, spare *row, mb int64) {
 	n.LocalMB = mb
 }
 
-// scratchStore writes the per-fork dirty list, which is not CoW state.
-func (l *ledger) scratchStore(k int, n int32) {
-	l.free.dirty[k] = n
+// scratchStore writes the per-fork walk heap, which is not CoW state.
+func (l *ledger) scratchStore(k int, n uint64) {
+	l.shard.heap[k] = n
 }
 
 // thaw is a sanctioned helper: annotated, it may store elements after

@@ -60,7 +60,7 @@ var (
 // Cluster owns the node ledgers and enforces the accounting invariants.
 //
 // Alongside the flat ledger it maintains incremental indexes (see index.go):
-// a lazily repaired free-memory order, a compute-available bitset, a static
+// a lender tree in free-memory order, a compute-available bitset, a static
 // capacity ordering, and O(1) running aggregates. Every mutating method
 // keeps them in sync, so the placement and dynamic-adjustment hot paths read
 // them instead of rescanning the node slice.
@@ -68,16 +68,18 @@ type Cluster struct {
 	nodes []Node
 
 	// The node ID space is partitioned into contiguous shards (see
-	// shard.go), each with its own free-memory order, idle bitset, and
-	// aggregate summary. shardSize is the owned range of every shard but
-	// the last. Every walk is identical for every shard count; with one
-	// shard the merge walk is a plain slice scan.
+	// shard.go), each with its own lender tree, idle bitset, and aggregate
+	// summary. shardSize is the owned range of every shard but the last.
+	// Every walk is identical for every shard count.
 	shards    []shardIx
 	shardSize int
-	mergeIts  []freeIter // per-shard merge iterators, persistent scratch
-	mergeHeap []int32    // merge-heap scratch (shard indices)
-	flushKeys []uint64   // every shard's flush-sort scratch (see freeIndex.flush)
-	topFree   []int64    // TopIdle's selection scratch: the held nodes' free MB
+	front     frontier // the lender walk's scratch heap (see walk)
+	topFree   []int64  // TopIdle's selection scratch: the held nodes' free MB
+
+	// Lender keys pack a node's free memory above idBits bits of its ID
+	// (see index.go); idMask is the largest ID they hold. Immutable.
+	idBits uint
+	idMask uint64
 
 	// boundFrom[s] is the largest node capacity in shards s.. (and 0 at
 	// len(shards)): no node TopIdle has yet to scan can have more free
@@ -105,9 +107,10 @@ type Cluster struct {
 }
 
 // defaultShardNodes bounds the shard size when the caller leaves the shard
-// count unset. A flush costs up to linear time in its shard (see index.go),
-// so one unbounded shard lets an ordered read of a large cluster pay for
-// the whole node range.
+// count unset. A shard is the unit of copy-on-write (a fork's first write
+// to a shard copies its tree and bitset) and of concurrent disjoint-shard
+// mutation, so one unbounded shard would make a large cluster's first
+// write after a fork copy its whole index.
 const defaultShardNodes = 2048
 
 // initIndexes builds the incremental indexes from the freshly constructed
@@ -119,27 +122,31 @@ func (c *Cluster) initIndexes(nShards int) {
 	c.shardSize = shardSize(n, nShards)
 	nShards = (n + c.shardSize - 1) / c.shardSize // drop empty tail shards
 	c.shards = make([]shardIx, nShards)
-	c.mergeIts = make([]freeIter, nShards)
 	c.capOrder = make([]NodeID, n)
+	var maxCap int64
 	for i := range c.nodes {
 		c.capTotal += c.nodes[i].CapacityMB
 		c.capOrder[i] = NodeID(i)
+		maxCap = max(maxCap, c.nodes[i].CapacityMB)
 	}
+	if err := packRoom(maxCap, n); err != nil {
+		panic("cluster: node capacity " + err.Error())
+	}
+	c.idBits = uint(bits.Len(uint(n - 1)))
+	c.idMask = 1<<c.idBits - 1
 	for s := range c.shards {
 		sh := &c.shards[s]
 		sh.base = s * c.shardSize
 		sh.n = minInt(c.shardSize, n-sh.base)
-		frees := make([]int64, sh.n)
 		for i := 0; i < sh.n; i++ {
 			node := &c.nodes[sh.base+i]
-			frees[i] = node.FreeMB()
-			sh.freeMB += frees[i]
+			sh.freeMB += node.FreeMB()
 			sh.lentMB += node.LentMB
-			if frees[i] > 0 {
+			if node.FreeMB() > 0 {
 				sh.lenders++
 			}
 		}
-		sh.free.init(frees)
+		c.initTree(sh)
 		sh.idle.init(sh.n)
 		for i := 0; i < sh.n; i++ {
 			if d := sh.idle.setTo(i, c.nodes[sh.base+i].IsComputeAvailable()); d != 0 {
@@ -149,7 +156,11 @@ func (c *Cluster) initIndexes(nShards int) {
 	}
 	c.boundFrom = make([]int64, nShards+1)
 	for s := nShards - 1; s >= 0; s-- {
-		c.boundFrom[s] = max(c.boundFrom[s+1], c.shards[s].free.bound)
+		sh := &c.shards[s]
+		c.boundFrom[s] = c.boundFrom[s+1]
+		for i := sh.base; i < sh.base+sh.n; i++ {
+			c.boundFrom[s] = max(c.boundFrom[s], c.nodes[i].CapacityMB)
+		}
 	}
 	sort.Slice(c.capOrder, func(a, b int) bool {
 		ca, cb := c.nodes[c.capOrder[a]].CapacityMB, c.nodes[c.capOrder[b]].CapacityMB
@@ -179,15 +190,15 @@ func minInt(a, b int) int {
 	return b
 }
 
-// reindexMem refiles node n in its shard's free-memory index and folds the
-// delta into the shard and cluster aggregates. delta is the change in
-// allocated memory (positive = memory taken).
+// reindexMem refiles node n in its shard's lender tree and folds the
+// delta into the shard's aggregates. delta is the change in allocated
+// memory (positive = memory taken).
 //
 //dmp:hotpath
 func (c *Cluster) reindexMem(n *Node, delta int64) {
 	sh := &c.shards[int(n.ID)/c.shardSize]
 	sh.freeMB -= delta
-	sh.refile(int32(int(n.ID)-sh.base), n.FreeMB())
+	sh.refile(int32(int(n.ID)-sh.base), c.key(int(n.ID), n.FreeMB()))
 }
 
 // reindexIdle refreshes node n's compute-availability bit and the
@@ -219,18 +230,18 @@ type Config struct {
 	NormalMB  int64 // capacity of a normal node
 	LargeFrac float64
 	// Shards partitions the ledger indexes into this many contiguous
-	// shards (see shard.go). 0 picks ⌈Nodes/2048⌉ shards, so no shard's
-	// flush spans more than 2048 nodes (one shard up to 2048 nodes, which
-	// covers every paper-scale preset); values above Nodes are clamped.
-	// Results are identical for every shard count — only the index
-	// update and scan costs change.
+	// shards (see shard.go), the units of pressure domains and of
+	// copy-on-write copies. 0 picks ⌈Nodes/2048⌉ shards (one shard up to
+	// 2048 nodes, which covers every paper-scale preset); values above
+	// Nodes are clamped. Results are identical for every shard count —
+	// only the index costs change.
 	Shards int
 }
 
 // Validate reports a configuration whose ledger indexes cannot be built:
-// there must be nodes, and the largest node capacity must fit a shard's
-// packed flush-sort key beside its index bits (see freeIndex). Any NormalMB a real machine has
-// passes by many orders of magnitude.
+// there must be nodes, and the largest node capacity must fit a lender key
+// beside the bits of every node ID (see index.go). Any NormalMB a real
+// machine has passes by many orders of magnitude.
 func (cfg Config) Validate() error {
 	if cfg.Nodes <= 0 {
 		return fmt.Errorf("cluster: Nodes %d: a ledger needs at least one node", cfg.Nodes)
@@ -242,7 +253,7 @@ func (cfg Config) Validate() error {
 		}
 		maxMB = 2 * cfg.NormalMB
 	}
-	if err := packRoom(maxMB, shardSize(cfg.Nodes, cfg.Shards)); err != nil {
+	if err := packRoom(maxMB, cfg.Nodes); err != nil {
 		return fmt.Errorf("cluster: NormalMB %d: largest node capacity %w", cfg.NormalMB, err)
 	}
 	return nil
@@ -463,12 +474,11 @@ func (c *Cluster) ReturnLend(id NodeID, mb int64) error {
 
 // TopIdle returns the k compute-available nodes with the most free memory
 // in (free desc, ID asc) order — all of them when fewer than k are idle —
-// in dst's storage. It reads the idle bitsets and the exact free keys, not
-// the free-memory order, so it flushes nothing: it scans idle nodes in ID
-// order, keeps the best k seen in a bounded insertion buffer (a tie keeps
-// the earlier node, which has the lower ID), and stops once the k-th held
-// node has at least as much free memory as any unscanned node could
-// (boundFrom). A mostly idle, untouched cluster is answered from its first
+// in dst's storage. It reads the idle bitsets and the trees' leaves, not
+// the lender order: it scans idle nodes in ID order, keeps the best k seen
+// in a bounded insertion buffer (a tie keeps the earlier node, which has
+// the lower ID), and stops once the k-th held node has at least as much
+// free memory as any unscanned node could (boundFrom). A mostly idle, untouched cluster is answered from its first
 // k idle nodes. The selection scratch is the cluster's, so a warm call
 // allocates nothing.
 //
@@ -484,11 +494,11 @@ scan:
 		if sh.idle.count == 0 {
 			continue
 		}
-		key := sh.free.key
+		leaves := sh.tree[sh.n:]
 		for w, word := range sh.idle.bits {
 			for ; word != 0; word &= word - 1 {
 				local := w<<6 | bits.TrailingZeros64(word)
-				f := key[local]
+				f := int64(leaves[local] >> c.idBits)
 				i := len(dst)
 				if i == k {
 					if f <= free[k-1] {
@@ -551,8 +561,8 @@ func (c *Cluster) CheckInvariants() error {
 		n := &c.nodes[i]
 		sh := &c.shards[i/c.shardSize]
 		local := i - sh.base
-		if got := sh.free.key[local]; got != n.FreeMB() {
-			return fmt.Errorf("index: node %d filed under %d MB free, ledger has %d", i, got, n.FreeMB())
+		if got := sh.tree[sh.n+local]; got != c.key(i, n.FreeMB()) {
+			return fmt.Errorf("index: node %d filed under %d MB free, ledger has %d", i, got>>c.idBits, n.FreeMB())
 		}
 		avail := n.IsComputeAvailable()
 		if avail {
@@ -611,50 +621,17 @@ func (c *Cluster) CheckInvariants() error {
 	return nil
 }
 
-// checkFreeOrder verifies shard s's free-memory order without flushing it:
-// order is a permutation of the shard sorted strictly by filed pairs,
-// exactly the nodes on the dirty list are marked, every clean node is filed
-// under its exact key (so the clean entries are in (free desc, ID asc)
-// order), and a shard still shared with a fork is clean.
+// checkFreeOrder verifies shard s's lender tree: it has a leaf per node,
+// and every inner node is its children's max.
 func (c *Cluster) checkFreeOrder(s int) error {
-	ix := &c.shards[s].free
-	n := len(ix.key)
-	if len(ix.filed) != n || len(ix.order) != n || len(ix.mark) != n {
-		return fmt.Errorf("index: shard %d filed/order/mark lengths %d/%d/%d, %d nodes",
-			s, len(ix.filed), len(ix.order), len(ix.mark), n)
+	sh := &c.shards[s]
+	if len(sh.tree) != 2*sh.n {
+		return fmt.Errorf("index: shard %d tree has %d entries, %d nodes", s, len(sh.tree), sh.n)
 	}
-	seen := make([]bool, n)
-	for i, x := range ix.order {
-		if x < 0 || int(x) >= n || seen[x] {
-			return fmt.Errorf("index: shard %d order is not a permutation (entry %d)", s, x)
+	for p := 1; p < sh.n; p++ {
+		if m := max(sh.tree[2*p], sh.tree[2*p+1]); sh.tree[p] != m {
+			return fmt.Errorf("index: shard %d tree node %d holds %#x, its children's max is %#x", s, p, sh.tree[p], m)
 		}
-		seen[x] = true
-		if i > 0 && !ix.filedBefore(ix.order[i-1], x) {
-			return fmt.Errorf("index: shard %d nodes %d (filed %d) and %d (filed %d) out of order",
-				s, ix.order[i-1], ix.filed[ix.order[i-1]], x, ix.filed[x])
-		}
-		if !ix.mark[x] && ix.filed[x] != ix.key[x] {
-			return fmt.Errorf("index: shard %d clean node %d filed under %d, key %d", s, x, ix.filed[x], ix.key[x])
-		}
-	}
-	marked := 0
-	for _, m := range ix.mark {
-		if m {
-			marked++
-		}
-	}
-	onList := make([]bool, n)
-	for _, x := range ix.dirty {
-		if x < 0 || int(x) >= n || !ix.mark[x] || onList[x] {
-			return fmt.Errorf("index: shard %d dirty list entry %d is unmarked or repeated", s, x)
-		}
-		onList[x] = true
-	}
-	if marked != len(ix.dirty) {
-		return fmt.Errorf("index: shard %d has %d marked nodes, %d on the dirty list", s, marked, len(ix.dirty))
-	}
-	if c.cow.shardShared != nil && c.cow.shardShared[s] && len(ix.dirty) > 0 {
-		return fmt.Errorf("index: shard %d is shared with a fork but has %d dirty nodes", s, len(ix.dirty))
 	}
 	return nil
 }

@@ -4,21 +4,19 @@ package cluster
 // foundation of simulation snapshots and what-if branching.
 //
 // A fork is O(S) in the shard count: both sides of the fork keep the exact
-// same index arrays (free-memory key/filed/order/mark, idle bitset, node
-// ledger slice) and merely mark them shared. The first mutation on either
-// side copies the touched structure — the whole node slice once, and each
-// shard's index arrays on first touch — so a branch that diverges late pays
-// only for the shards it actually dirties.
+// same index arrays (lender tree, idle bitset, node ledger slice) and
+// merely mark them shared. The first mutation on either side copies the
+// touched structure — the whole node slice once, and each shard's index
+// arrays on first touch — so a branch that diverges late pays only for the
+// shards it actually writes.
 //
 // Safety model: frozen (shared) arrays are only ever read. Every writer —
 // base or fork, any number of generations deep — copies a structure before
 // its first write to it, so concurrent branches never race as long as the
 // fork itself happens before the branches start running. Ordered reads
-// may write a dirty shard's order and marks in place (see index.go), so
-// Fork first flushes the receiver: a shared shard is always clean, and a
-// read of a clean shard writes nothing. Per-walk scratch (dirty lists,
-// merge cursors, result buffers) is never shared: the fork starts with
-// fresh scratch and regrows it on first use.
+// write nothing but per-walk scratch (the lender walk's heap, TopIdle's
+// buffer), which is never shared: the fork starts with fresh scratch and
+// regrows it on first use.
 //
 // The mutation discipline is enforced statically: every ledger write path
 // must go through own() (see the dmplint cowalias analyzer), which is the
@@ -46,26 +44,16 @@ type cowState struct {
 // keep reading the now-frozen arrays; whichever side mutates a structure
 // first pays a one-time copy of that structure (the node slice, or one
 // shard's index arrays). Any number of forks may be taken, including forks
-// of forks; all of them may run concurrently afterwards. The receiver's
-// pending refiles are flushed first, so nothing shared is ever dirty.
+// of forks; all of them may run concurrently afterwards.
 func (c *Cluster) Fork() *Cluster {
-	for i := range c.shards {
-		c.shards[i].free.flush(&c.flushKeys)
-	}
 	f := &Cluster{}
 	*f = *c
 	// Each side owns its shard headers and aggregates (freeMB, lentMB,
 	// lender/idle counts are plain struct fields), but the array backing of
-	// the free-memory indexes and bitsets stays shared until thawed.
+	// the lender trees and bitsets stays shared until thawed.
 	f.shards = append([]shardIx(nil), c.shards...)
-	// Scratch is never shared across forks: the branch regrows its own
-	// dirty lists (both sides append to theirs after thawing).
-	for i := range f.shards {
-		f.shards[i].free.dirty = nil
-	}
-	f.mergeIts = make([]freeIter, len(f.shards))
-	f.mergeHeap = nil
-	f.flushKeys = nil
+	// Scratch is never shared across forks: the branch regrows its own.
+	f.front = nil
 	f.topFree = nil
 	// Mark everything shared on both sides; the first writer copies.
 	c.markShared()
@@ -136,16 +124,11 @@ func (c *Cluster) materialize(s int) {
 	}
 }
 
-// thaw copies shard s's index arrays — free-memory keys, filed keys, order
-// and dirty marks, idle bitset — so this fork can write them. A shared
-// shard is clean, so the copied order is flushed and the marks all false;
-// the dirty list is per-fork scratch and needs no copy.
+// thaw copies shard s's index arrays — lender tree and idle bitset — so
+// this fork can write them.
 func (c *Cluster) thaw(s int) {
 	sh := &c.shards[s]
-	sh.free.key = append([]int64(nil), sh.free.key...)
-	sh.free.filed = append([]int64(nil), sh.free.filed...)
-	sh.free.order = append([]int32(nil), sh.free.order...)
-	sh.free.mark = append([]bool(nil), sh.free.mark...)
+	sh.tree = append([]uint64(nil), sh.tree...)
 	sh.idle.bits = append([]uint64(nil), sh.idle.bits...)
 	c.cow.shardShared[s] = false
 	c.cow.sharedLeft--

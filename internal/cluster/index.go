@@ -3,356 +3,204 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // This file implements the incrementally maintained indexes that replace the
 // full-cluster rescans on the simulator's hot paths:
 //
-//   - freeIndex: one shard's nodes kept in (free memory descending, node ID
-//     ascending) order — exactly the order the lender ranking and the
-//     static-placement candidate sort used to produce with a fresh sort per
-//     call. The ledger refiles nodes far more often than it reads them in
-//     order (the dynamic policy resizes every running job at each update
-//     interval), so a refile only records the node's new key and marks it
-//     dirty. An ordered read (freeIter) merges the clean entries with the
-//     best few dirty nodes, selected by packed key in one pass over the
-//     dirty list, and so serves a short walk without repairing the order.
-//     The order is repaired by a flush — sorting the k dirty nodes (as
-//     packed integer keys) and merging them back into the clean ones within
-//     the window of positions they leave and enter — only when a read
-//     outlasts its dirty buffer, when more than 1/flushShare of the shard is
-//     dirty at a read, and before a Fork.
+//   - the lender tree: one implicit max tree per shard (shardIx.tree) over
+//     packed keys that order the cluster's nodes by (free memory
+//     descending, node ID ascending) — exactly the order the lender ranking
+//     and the static-placement candidate sort used to produce with a fresh
+//     sort per call. A refile rewrites one leaf and the ancestors whose
+//     maximum it changes, and an ordered read (walk) pops the best of a few
+//     subtrees at a time, so a read writes nothing and a short read touches
+//     O(answer · depth) entries.
 //   - idleSet: a bitset of compute-available nodes maintained by
 //     StartJob/EndJob and by the lending operations (lending more than half
 //     a node's capacity flips it to a memory node), making the
 //     idle-compute-count check O(1) and enumeration O(N/64).
 //
 // Determinism matters more than speed here: every read yields exactly the
-// total (free desc, ID asc) order over the current keys, and a flush leaves
-// the slice equal to it, whatever the refile history, so every walk
-// depends only on the ledger state. The
-// reference implementations the indexes replaced live in ref_test.go
-// (lendersByFreeDescRef, idleComputeNodesRef, idleComputeSplitRef), and the
-// differential tests assert byte-identical orderings against them.
+// total (free desc, ID asc) order over the current ledger, whatever the
+// refile history. The reference implementations the indexes replaced live
+// in ref_test.go (lendersByFreeDescRef, idleComputeNodesRef,
+// idleComputeSplitRef), and the differential tests assert byte-identical
+// orderings against them.
 
-// freeIndex orders one shard's dense local index space [0, len(key)). All
-// nodes are always present. The owning shard translates local indices to
-// global node IDs by adding its base; within a shard local order and global
-// ID order coincide, so the comparator below still realises
-// (free desc, ID asc).
+// A node's key is free << idBits | (idMask − id), or 0 when it has no free
+// memory: keys order nodes by (free desc, ID asc), every lender's key is
+// nonzero and unique across the cluster, and free is key >> idBits.
 //
-// key is always exact; filed is the key each node had at the last flush,
-// and order is sorted by (filed desc, index asc) at all times. A clean node
-// has filed == key, so the clean entries are in comparator order, while a
-// dirty node sits at its stale position until the next flush. dirty lists
-// the marked nodes, each once, and a read leaves at most 1/flushShare of
-// the shard on it. A shard shared with a fork is always clean
-// (Fork flushes first), so a flush never writes an array another fork
-// reads.
-type freeIndex struct {
-	key   []int64 // the node's free MB
-	filed []int64 // the free MB the node is positioned under in order
-	order []int32 // local indices by (filed desc, index asc)
-	mark  []bool  // mark[n]: n was refiled since the last flush
-	dirty []int32 // the marked nodes; scratch, never shared across forks
+// A shard of n nodes keeps its keys in tree, 2n words: leaf n+i holds local
+// node i's key, and every inner node p in [1, n) holds the larger of its
+// children 2p and 2p+1, so tree[1] is the shard's best key.
 
-	// The flush sorts each dirty node n as one packed integer,
-	// (bound − key[n]) << idxBits | n: ascending packed order is
-	// (free desc, index asc). bound is the shard's largest capacity, so no
-	// free value exceeds it, and idxBits holds every local index.
-	bound   int64
-	idxBits uint
-}
-
-// packRoom reports whether every (bound − free, local index) pair of a
-// shard of n nodes whose capacities are at most bound fits one uint64, and
-// if not, why.
+// packRoom reports whether a free-memory value up to bound fits a key
+// beside the ID bits of an n-node cluster, and if not, why.
 func packRoom(bound int64, n int) error {
 	idx := bits.Len(uint(n - 1))
 	if bits.Len64(uint64(bound)) > 64-idx {
-		return fmt.Errorf("%d MB needs %d bits, and a %d-node ledger shard leaves %d beside its %d index bits",
+		return fmt.Errorf("%d MB needs %d bits, and a %d-node ledger leaves %d beside its %d ID bits",
 			bound, bits.Len64(uint64(bound)), n, 64-idx, idx)
 	}
 	return nil
 }
 
-// init files every node under its initial free memory, which is its
-// capacity: frees' maximum bounds every later free value.
-//
-//dmp:cowsafe
-func (ix *freeIndex) init(frees []int64) {
-	n := len(frees)
-	ix.bound = slices.Max(frees)
-	if err := packRoom(ix.bound, n); err != nil {
-		panic("cluster: node capacity " + err.Error())
-	}
-	ix.idxBits = uint(bits.Len(uint(n - 1)))
-	ix.key = frees
-	ix.filed = append([]int64(nil), frees...)
-	ix.order = make([]int32, n)
-	ix.mark = make([]bool, n)
-	for i := range ix.order {
-		ix.order[i] = int32(i)
-	}
-	slices.SortFunc(ix.order, ix.cmp)
-}
-
-// cmp orders node a before node b when it has more free memory, ties by
-// ascending ID — the exact comparator of the retired sort.
-func (ix *freeIndex) cmp(a, b int32) int {
-	if ka, kb := ix.key[a], ix.key[b]; ka != kb {
-		if ka > kb {
-			return -1
-		}
-		return 1
-	}
-	return int(a - b)
-}
-
-// pack is node n's flush sort key: ascending pack order is the cmp order.
+// key packs node id's free memory into its lender-tree key.
 //
 //dmp:hotpath
-func (ix *freeIndex) pack(n int32) uint64 {
-	return uint64(ix.bound-ix.key[n])<<ix.idxBits | uint64(n)
-}
-
-// filedBefore reports whether node a is positioned before node b in order.
-func (ix *freeIndex) filedBefore(a, b int32) bool {
-	fa, fb := ix.filed[a], ix.filed[b]
-	return fa > fb || fa == fb && a < b
-}
-
-// rank returns how many entries of order are positioned strictly before
-// the pair (free, n): binary search over the filed pairs, which order
-// keeps sorted, dirty nodes included.
-func (ix *freeIndex) rank(free int64, n int32) int {
-	o := ix.order
-	lo, hi := 0, len(o)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if x := o[m]; ix.filed[x] > free || ix.filed[x] == free && x < n {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+func (c *Cluster) key(id int, free int64) uint64 {
+	if free <= 0 {
+		return 0
 	}
-	return lo
+	return uint64(free)<<c.idBits | (c.idMask - uint64(id))
 }
 
-// update refiles local node n under its new free-memory key in O(1): the
-// node is only marked, and ordered reads merge it in at its new key until
-// a flush repositions it. Callers
-// hold shard ownership: every call chain starts at a Cluster method that
-// privatised the shard first (own → materialize → thaw).
+// initTree builds the shard's tree over its nodes' current free memory.
+// The array is freshly allocated, so no fork can share it yet.
 //
 //dmp:cowsafe
-func (ix *freeIndex) update(n int32, newFree int64) {
-	if ix.key[n] == newFree {
-		return
+func (c *Cluster) initTree(sh *shardIx) {
+	sh.tree = make([]uint64, 2*sh.n)
+	for i := 0; i < sh.n; i++ {
+		sh.tree[sh.n+i] = c.key(sh.base+i, c.nodes[sh.base+i].FreeMB())
 	}
-	ix.key[n] = newFree
-	if !ix.mark[n] {
-		ix.mark[n] = true
-		ix.dirty = append(ix.dirty, n)
+	for p := sh.n - 1; p > 0; p-- {
+		sh.tree[p] = max(sh.tree[2*p], sh.tree[2*p+1])
 	}
 }
 
-// flush restores order to the exact comparator order. Only the window
-// [lo, hi) can change: it spans every dirty node's stale position and
-// every position a dirty node moves to, and the clean nodes outside it
-// already sit where the result puts them. Within the window the clean
-// nodes are compacted (keeping their relative order, which is already
-// correct), the k dirty nodes are sorted, and the two runs are merged from
-// the back: O(k log k + log n + window). The sort and the merge compare
-// packed integer keys (see pack), the sort's held in keys, the owning
-// cluster's scratch: machine words, not comparator calls. A clean shard
-// returns at once without writing, which is what makes ordered reads of a
-// fork-shared shard safe.
+// refile files local node i under key k, keeping the shard's lender count
+// in sync: it rewrites the leaf, then each ancestor up to the first whose
+// maximum does not change. Callers hold shard ownership: every call chain
+// starts at a Cluster method that privatised the shard first (own →
+// materialize → thaw).
 //
 //dmp:cowsafe
 //dmp:hotpath
-func (ix *freeIndex) flush(keys *[]uint64) {
-	d := ix.dirty
-	if len(d) == 0 {
+func (sh *shardIx) refile(i int32, k uint64) {
+	p := sh.n + int(i)
+	old := sh.tree[p]
+	if old == k {
 		return
 	}
-	packed := (*keys)[:0]
-	for _, n := range d {
-		packed = append(packed, ix.pack(n))
-	}
-	slices.Sort(packed)
-	mask := uint64(1)<<ix.idxBits - 1
-	for i, k := range packed {
-		d[i] = int32(k & mask)
-	}
-	*keys = packed
-	first, last := d[0], d[0] // the dirty nodes positioned first and last
-	for _, n := range d[1:] {
-		if ix.filedBefore(n, first) {
-			first = n
-		}
-		if ix.filedBefore(last, n) {
-			last = n
-		}
-	}
-	top, bottom := d[0], d[len(d)-1]
-	lo := min(ix.rank(ix.filed[first], first), ix.rank(ix.key[top], top))
-	hi := max(ix.rank(ix.filed[last], last)+1, ix.rank(ix.key[bottom], bottom))
-
-	o, mark := ix.order[lo:hi], ix.mark
-	w := 0
-	for _, n := range o {
-		if !mark[n] {
-			o[w] = n
-			w++
-		}
-	}
-	i, j := w-1, len(d)-1
-	for k := len(o) - 1; j >= 0; k-- {
-		if i >= 0 && packed[j] < ix.pack(o[i]) {
-			o[k] = o[i]
-			i--
+	if (old > 0) != (k > 0) {
+		if k > 0 {
+			sh.lenders++
 		} else {
-			o[k] = d[j]
-			j--
+			sh.lenders--
 		}
 	}
-	for _, n := range d {
-		ix.filed[n] = ix.key[n]
-		ix.mark[n] = false
-	}
-	ix.dirty = d[:0]
-}
-
-// readBuf is how many dirty nodes an ordered read merges into the clean
-// order before it must flush: a borrow walk reads about four lenders, so
-// eight covers nearly every read.
-const readBuf = 8
-
-// flushShare bounds the dirt a read tolerates: a read flushes first once
-// more than 1/flushShare of the shard is dirty, so the marked entries a
-// read skips stay bounded and a flush's sort stays cheap.
-const flushShare = 2
-
-// ascend walks all of the shard's nodes in (free desc, local index asc)
-// order, stopping early when yield returns false. The ledger must not be
-// mutated during the walk.
-func (ix *freeIndex) ascend(keys *[]uint64, yield func(local int32, free int64) bool) {
-	var it freeIter
-	it.init(ix, keys)
-	for n, ok := it.next(); ok; n, ok = it.next() {
-		if !yield(n, ix.key[n]) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
+	sh.tree[p] = k
+	for ; p > 1; p >>= 1 {
+		m := max(sh.tree[p], sh.tree[p^1])
+		if sh.tree[p>>1] == m {
 			return
 		}
+		sh.tree[p>>1] = m
 	}
 }
 
-// freeIter is a pull cursor over one shard's exact (free desc, index asc)
-// order: every ordered read, ascend and each cursor of the cross-shard
-// merge walk, runs through it. The order is total, so its prefix is the
-// merge of two streams: the clean entries of order (skipping the marked
-// ones, which sit at stale positions) and the dirty nodes, of which init
-// selects the readBuf best by packed key in one pass over the dirty list.
-// A short read is served from the two without a flush. A read that
-// outlasts the buffer while more dirty nodes remain flushes and resumes
-// right after the last node it yielded; a read that finds more than
-// 1/flushShare of the shard dirty flushes first. The ledger must not be
-// mutated mid-iteration.
-type freeIter struct {
-	ix   *freeIndex
-	keys *[]uint64 // the flush's sort scratch
-	pos  int       // next position of ix.order to consider
-
-	buf    [readBuf]uint64 // the best dirty nodes' packed keys, ascending
-	bi, bn int             // buf[bi:bn] are still to be yielded
-	more   bool            // dirty nodes outside buf remain
-
-	head int32 // the node most recently yielded
+// subtree is one entry of a walk's frontier: tree node pos of shard shard,
+// whose key is the largest in its subtree.
+type subtree struct {
+	key   uint64
+	shard int32
+	pos   int32
 }
 
-// init points the cursor at the shard's first node, flushing the shard
-// first when its dirty set passes the bound. Its pass over the dirty list
-// also drops the nodes whose key is back at the key they are filed under:
-// they already sit where the order puts them. That writes only a shard
-// with dirty nodes, which no fork shares.
+// walk yields, in (free desc, ID asc) order, every lender below the
+// frontier h, which the caller seeds with shard roots, stopping when yield
+// returns false. h is a max-heap of disjoint subtrees by key: each step
+// takes the best, whose key names its leaf, yields that leaf, and files in
+// its place the sibling of every node on the path from the leaf up to the
+// subtree's root, so the frontier always holds the next lender. It writes
+// only h, the cluster's scratch, so a walk over a shard shared with a fork
+// is safe, and a warm walk allocates nothing. The ledger must not be
+// mutated during the walk.
 //
-//dmp:cowsafe
 //dmp:hotpath
-func (it *freeIter) init(ix *freeIndex, keys *[]uint64) {
-	it.ix, it.keys, it.pos = ix, keys, 0
-	it.bi, it.bn, it.more = 0, 0, false
-	if len(ix.dirty) == 0 {
-		return
+func (c *Cluster) walk(h frontier, yield func(id NodeID, free int64) bool) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	if len(ix.dirty) > len(ix.key)/flushShare {
-		ix.flush(keys)
-		return
-	}
-	dirty := ix.dirty[:0]
-	for _, n := range ix.dirty {
-		if ix.key[n] == ix.filed[n] {
-			ix.mark[n] = false
-			continue
-		}
-		dirty = append(dirty, n)
-		p, i := ix.pack(n), it.bn
-		if i == readBuf {
-			it.more = true
-			if p > it.buf[readBuf-1] {
+	for len(h) > 0 {
+		top := h[0]
+		sh := &c.shards[top.shard]
+		t := sh.tree
+		id := int(c.idMask - top.key&c.idMask)
+		leaf := sh.n + id - sh.base
+		filled := false // whether h[0] holds a sibling yet
+		// Top down: the larger subtrees, whose keys are likelier to lead
+		// the frontier, take the popped slot first.
+		for d := bits.Len(uint(leaf)) - bits.Len(uint(top.pos)); d > 0; d-- {
+			p := leaf >> (d - 1)
+			k := t[p^1]
+			if k == 0 {
 				continue
 			}
-			i-- // the last held node drops out
-		} else {
-			it.bn++
+			// The first sibling takes the popped entry's slot.
+			if e := (subtree{k, top.shard, int32(p ^ 1)}); filled {
+				h = append(h, e)
+				h.up(len(h) - 1)
+			} else {
+				h[0], filled = e, true
+				h.down(0)
+			}
 		}
-		for ; i > 0 && it.buf[i-1] > p; i-- {
-			it.buf[i] = it.buf[i-1]
+		if !filled {
+			last := len(h) - 1
+			h[0] = h[last]
+			h = h[:last]
+			h.down(0)
 		}
-		it.buf[i] = p
+		if !yield(NodeID(id), int64(top.key>>c.idBits)) { //dmplint:ignore hotpath-reach yield is the caller's iterator body; every in-tree caller passes a prebuilt non-allocating visitor
+			break
+		}
 	}
-	ix.dirty = dirty
+	c.front = h[:0]
 }
 
-// resume is called once the buffer is spent while unbuffered dirty nodes
-// remain, any of which may come next: it flushes the shard, which makes
-// the whole order exact, and points the cursor right after head, at its
-// rank.
-//
+// frontier is a max-heap of subtrees by key; keys of distinct lenders
+// differ, so the order is total.
+type frontier []subtree
+
 //dmp:hotpath
-func (it *freeIter) resume() {
-	ix := it.ix
-	ix.flush(it.keys)
-	it.more = false
-	it.pos = ix.rank(ix.key[it.head], it.head) + 1
+func (h frontier) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].key >= e.key {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
 }
 
-// next yields the next local node index in (free desc, index asc) order.
-//
 //dmp:hotpath
-func (it *freeIter) next() (int32, bool) {
-	ix := it.ix
-	o := ix.order
-	for it.pos < len(o) && ix.mark[o[it.pos]] {
-		it.pos++
+func (h frontier) down(i int) {
+	if i >= len(h) {
+		return
 	}
-	if it.bi == it.bn && it.more {
-		it.resume()
-	}
-	if it.bi < it.bn {
-		d := it.buf[it.bi]
-		if it.pos == len(o) || d < ix.pack(o[it.pos]) {
-			it.bi++
-			it.head = int32(d & (1<<ix.idxBits - 1))
-			return it.head, true
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
+		if r := c + 1; r < len(h) && h[r].key > h[c].key {
+			c = r
+		}
+		if h[c].key <= e.key {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	if it.pos == len(o) {
-		return 0, false
-	}
-	it.head = o[it.pos]
-	it.pos++
-	return it.head, true
+	h[i] = e
 }
 
 // idleSet tracks compute-available nodes as a bitset with a running count.

@@ -10,21 +10,11 @@ import (
 	"testing"
 )
 
-// dirtyNodes counts the refiles waiting for a flush across all shards.
-func (c *Cluster) dirtyNodes() int {
-	k := 0
-	for i := range c.shards {
-		k += len(c.shards[i].free.dirty)
-	}
-	return k
-}
-
 // checkOrderedRead performs one random ordered read — AscendLenders,
 // TopIdle, AscendShardLenders, or a full AscendLenders walk skipping a
 // random exclusion set — stopping the first three after a random number of
-// nodes, and compares what it saw with the sort-based references. TopIdle
-// must also leave every pending refile pending. It returns an error instead of failing so
-// concurrent branches can call it.
+// nodes, and compares what it saw with the sort-based references. It
+// returns an error instead of failing so concurrent branches can call it.
 func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 	limit := 1 + rng.Intn(c.Len()+1)
 	var got []NodeID
@@ -45,12 +35,8 @@ func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 		want = c.freeOrderRef(0, NodeID(c.Len()), true)
 	case 1:
 		what = "TopIdle"
-		dirty := c.dirtyNodes()
 		got = c.TopIdle(limit, nil)
 		want = c.topIdleRef(limit)
-		if c.dirtyNodes() != dirty {
-			bad = fmt.Errorf("flushed: %d dirty nodes before, %d after", dirty, c.dirtyNodes())
-		}
 	case 2:
 		s := rng.Intn(c.ShardCount())
 		what = fmt.Sprintf("AscendShardLenders(%d)", s)
@@ -79,8 +65,7 @@ func checkOrderedRead(c *Cluster, rng *rand.Rand) error {
 }
 
 // mutateAndRead interleaves random ledger operations with early-stopping
-// ordered reads and an invariant check (which never flushes, so it sees
-// the dirty state) before every read.
+// ordered reads and an invariant check before every read.
 func mutateAndRead(c *Cluster, rng *rand.Rand, rounds int) error {
 	for r := 0; r < rounds; r++ {
 		for k := rng.Intn(40); k > 0; k-- {
@@ -98,11 +83,11 @@ func mutateAndRead(c *Cluster, rng *rand.Rand, rounds int) error {
 	return c.CheckInvariants()
 }
 
-// dirtyWholeShard refiles every node of shard s without flushing: a node
-// with free memory lends it down to 0, 256 or 512 MB (whichever is below
-// what it has), and an exhausted node gets its loans or its local memory
-// back, so most keys land on a few shared values.
-func dirtyWholeShard(c *Cluster, s int, rng *rand.Rand) error {
+// refileWholeShard refiles every node of shard s: a node with free memory
+// lends it down to 0, 256 or 512 MB (whichever is below what it has), and
+// an exhausted node gets its loans or its local memory back, so most keys
+// land on a few shared values.
+func refileWholeShard(c *Cluster, s int, rng *rand.Rand) error {
 	sum := c.Shard(s)
 	for id := sum.Base; id < sum.Base+NodeID(sum.Nodes); id++ {
 		n := c.Node(id)
@@ -123,20 +108,16 @@ func dirtyWholeShard(c *Cluster, s int, rng *rand.Rand) error {
 			return fmt.Errorf("node %d: %w", id, err)
 		}
 	}
-	if k := len(c.shards[s].free.dirty); k != sum.Nodes {
-		return fmt.Errorf("shard %d: %d of %d nodes dirty", s, k, sum.Nodes)
-	}
 	return nil
 }
 
-// TestLazyOrderDifferential is the oracle for the lazily repaired
-// free-memory order: refiles only mark nodes, so every ordered read must
-// flush the shards it enters and see exactly the order a fresh sort gives.
-// Reads stop early at random, whole shards are read with every node dirty,
-// forks are taken while nodes are still dirty, and both sides of each fork — and concurrent sibling branches, under
-// -race — keep mutating and reading.
+// TestLazyOrderDifferential is the oracle for the lender trees: every
+// ordered read must see exactly the order a fresh sort gives. Reads stop
+// early at random, whole shards are refiled between reads, and both sides
+// of each fork — and concurrent sibling branches, under -race — keep
+// mutating and reading.
 func TestLazyOrderDifferential(t *testing.T) {
-	for _, shards := range []int{1, 2, 7, 64} {
+	for _, shards := range []int{1, 2, 3, 7, 64} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(shards)))
 			c := NewMixed(Config{Nodes: 192, Cores: 8, NormalMB: 2048, LargeFrac: 0.25, Shards: shards})
@@ -147,11 +128,11 @@ func TestLazyOrderDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Every node of every shard dirty at once, most of them on a
-			// few shared free values (runs of equal keys) or on 0.
+			// Every node of every shard refiled at once, most of them onto
+			// a few shared free values (runs of equal free memory) or 0.
 			for r := 0; r < 10; r++ {
 				for s := 0; s < c.ShardCount(); s++ {
-					if err := dirtyWholeShard(c, s, rng); err != nil {
+					if err := refileWholeShard(c, s, rng); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -159,24 +140,19 @@ func TestLazyOrderDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := checkOrderedRead(c, rng); err != nil {
-					t.Fatalf("all-dirty round %d: %v", r, err)
+					t.Fatalf("whole-shard round %d: %v", r, err)
 				}
 			}
 
-			// Fork with refiles pending: Fork flushes the receiver, so
-			// nothing shared is dirty, and each side then dirties and
-			// reads its own copies.
-			for c.dirtyNodes() == 0 {
-				if err := applyOp(c, rng, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// Fork, read both sides while they still share every shard,
+			// then let each side refile and read its own copies.
 			f := c.Fork()
-			if c.dirtyNodes() != 0 {
-				t.Fatalf("Fork left %d dirty nodes on the receiver", c.dirtyNodes())
-			}
-			for name, cl := range map[string]*Cluster{"base": c, "fork": f} {
+			for i, cl := range []*Cluster{c, f} {
+				name := []string{"base", "fork"}[i]
 				if err := cl.CheckInvariants(); err != nil {
+					t.Fatalf("%s right after Fork: %v", name, err)
+				}
+				if err := checkOrderedRead(cl, rng); err != nil {
 					t.Fatalf("%s right after Fork: %v", name, err)
 				}
 			}
@@ -187,12 +163,7 @@ func TestLazyOrderDifferential(t *testing.T) {
 				t.Fatalf("base: %v", err)
 			}
 
-			// Concurrent branches of a dirty base, plus a fork of a fork.
-			for c.dirtyNodes() == 0 {
-				if err := applyOp(c, rng, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// Concurrent branches of the base, plus a fork of a fork.
 			all := []*Cluster{c, f}
 			for i := 0; i < 4; i++ {
 				all = append(all, c.Fork())
@@ -214,41 +185,6 @@ func TestLazyOrderDifferential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLazyOrderReadsSeeDirtyNodes guards the differential above against
-// passing vacuously: with the same operation mix, reads must regularly
-// find refiles still pending, some reads must be served without a flush
-// (refiles still pending afterwards), and no read may leave more dirty
-// nodes than the flush bound.
-func TestLazyOrderReadsSeeDirtyNodes(t *testing.T) {
-	c := NewSharded(64, 8, 2048, 1)
-	rng := rand.New(rand.NewSource(5))
-	dirtyReads, lazyReads := 0, 0
-	for r := 0; r < 100; r++ {
-		for k := 0; k < 10; k++ {
-			if err := applyOp(c, rng, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c.dirtyNodes() > 0 {
-			dirtyReads++
-		}
-		c.AscendLenders(func(NodeID, int64) bool { return false })
-		k := c.dirtyNodes()
-		if k > 0 {
-			lazyReads++
-		}
-		if k > c.Len()/flushShare {
-			t.Fatalf("round %d: %d nodes dirty after an ordered read, bound %d", r, k, c.Len()/flushShare)
-		}
-	}
-	if dirtyReads < 50 {
-		t.Fatalf("only %d of 100 reads found pending refiles", dirtyReads)
-	}
-	if lazyReads < 25 {
-		t.Fatalf("only %d of 100 reads were served without a flush", lazyReads)
 	}
 }
 
@@ -281,9 +217,8 @@ func nearlyFull(shards int) *Cluster {
 // return, allocate, release, start, end, or fork one of up to four
 // ledgers. After every operation it reads the mutated ledger's lenders
 // stopped at k and in full, and checks both against the sort-based
-// reference. It returns how many full reads outlasted a shard's dirty
-// buffer and so flushed and resumed mid-walk.
-func ledgerOrderOps(t *testing.T, shards int, ops []byte) (resumes int) {
+// reference.
+func ledgerOrderOps(t *testing.T, shards int, ops []byte) {
 	cls := []*Cluster{nearlyFull(shards)}
 	for ; len(ops) >= 4; ops = ops[4:] {
 		c := cls[int(ops[1])%len(cls)]
@@ -336,24 +271,10 @@ func ledgerOrderOps(t *testing.T, shards int, ops []byte) (resumes int) {
 		if !equalIDs(got, want[:min(k, len(want))]) {
 			t.Fatalf("read stopped at %d = %v, reference %v", k, got, want)
 		}
-		var before []int
-		for s := range c.shards {
-			before = append(before, len(c.shards[s].free.dirty))
-		}
 		if got := c.collectLenders(nil); !equalIDs(got, want) {
 			t.Fatalf("full read = %v, reference %v", got, want)
 		}
-		for s := range c.shards {
-			sh := &c.shards[s]
-			if b := before[s]; b > readBuf && b <= sh.n/flushShare && sh.lenders > 0 && len(sh.free.dirty) == 0 {
-				resumes++
-			}
-			if k := len(sh.free.dirty); k > sh.n/flushShare {
-				t.Fatalf("shard %d: %d nodes dirty after a read, bound %d", s, k, sh.n/flushShare)
-			}
-		}
 	}
-	return resumes
 }
 
 // ledgerOrderSeed is a deterministic operation stream: mostly lends,
@@ -373,18 +294,6 @@ func ledgerOrderSeed(seed int64, nOps int) []byte {
 	return ops
 }
 
-// TestLedgerOrderSeedsResume runs FuzzLedgerOrder's seeds and checks that
-// each, at each shard count, reaches the flush-and-resume path.
-func TestLedgerOrderSeedsResume(t *testing.T) {
-	for seed := int64(1); seed <= 2; seed++ {
-		for _, shards := range []int{1, 3} {
-			if r := ledgerOrderOps(t, shards, ledgerOrderSeed(seed, 150)); r == 0 {
-				t.Errorf("seed %d, %d shards: no read flushed and resumed", seed, shards)
-			}
-		}
-	}
-}
-
 // FuzzLedgerOrder checks the ordered reads against the sort-based
 // reference after every operation of an arbitrary mutation sequence, at 1
 // and 3 shards (odd shard byte).
@@ -398,10 +307,12 @@ func FuzzLedgerOrder(f *testing.F) {
 	})
 }
 
-// TestPackedKeyRoom pins the capacity bound of the flush's packed sort key
-// at its boundary: the largest capacity whose (bound − free) fits beside a
-// shard's index bits is accepted, one more MB is not, and Config.Validate
-// names the field that set it.
+// TestPackedKeyRoom pins the capacity bound of the lender key at its
+// boundary: the largest capacity that fits beside the ID bits of the whole
+// cluster, whatever its shard count, is accepted, one more MB is not, and
+// Config.Validate names the field that set it. A ledger built at the limit
+// orders free values at both ends of the range, and in equal runs, exactly
+// as the sort-based reference does.
 func TestPackedKeyRoom(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 2048, 2049} {
 		idx := bits.Len(uint(n - 1))
@@ -421,10 +332,11 @@ func TestPackedKeyRoom(t *testing.T) {
 		{Config{Nodes: 2048, NormalMB: 1 << 53}, false},
 		{Config{Nodes: 2048, NormalMB: 1<<52 - 1, LargeFrac: 0.5}, true},
 		{Config{Nodes: 2048, NormalMB: 1 << 52, LargeFrac: 0.5}, false},
-		{Config{Nodes: 2048, NormalMB: 1 << 62, LargeFrac: 0.5}, false},        // 2× overflows
-		{Config{Nodes: 4096, NormalMB: 1 << 53, Shards: 2}, false},             // 2048-node shards
-		{Config{Nodes: 4096, NormalMB: 1<<52 - 1, Shards: 1}, true},            // one 4096-node shard
-		{Config{Nodes: 4096, NormalMB: 1 << 52, Shards: 1}, false},             // ... one bit short
+		{Config{Nodes: 2048, NormalMB: 1 << 62, LargeFrac: 0.5}, false}, // 2× overflows
+		{Config{Nodes: 4096, NormalMB: 1<<52 - 1, Shards: 2}, true},     // 4096 IDs, in any shards
+		{Config{Nodes: 4096, NormalMB: 1 << 52, Shards: 2}, false},      // ... one bit short
+		{Config{Nodes: 4096, NormalMB: 1<<52 - 1, Shards: 1}, true},
+		{Config{Nodes: 4096, NormalMB: 1 << 52, Shards: 1}, false},
 		{Config{Nodes: 192, NormalMB: 2048, LargeFrac: 0.25, Shards: 7}, true}, // the tests' usual ledger
 		{Config{Nodes: 0, NormalMB: 2048}, false},
 	} {
@@ -440,95 +352,94 @@ func TestPackedKeyRoom(t *testing.T) {
 			t.Errorf("%+v: error %q does not name %s", tc.cfg, err, field)
 		}
 	}
-}
 
-// TestFlushAtKeyBound flushes a shard whose capacity is the largest the
-// packed key admits, with keys at both ends of the range (0 and the full
-// capacity) and in equal runs, and checks the order against the
-// comparator sort.
-func TestFlushAtKeyBound(t *testing.T) {
 	const n = 37
-	bound := int64(1)<<(64-bits.Len(uint(n-1))) - 1
-	frees := make([]int64, n)
-	for i := range frees {
-		frees[i] = bound
+	limit := int64(1)<<(64-bits.Len(uint(n-1))) - 1
+	if err := (Config{Nodes: n, NormalMB: limit, Shards: 3}).Validate(); err != nil {
+		t.Fatalf("%d nodes at capacity %d: %v", n, limit, err)
 	}
-	var ix freeIndex
-	ix.init(frees)
+	c := NewSharded(n, 8, limit, 3)
 	rng := rand.New(rand.NewSource(7))
-	values := []int64{0, 1, bound / 2, bound - 1, bound}
-	var keys []uint64
+	values := []int64{0, 1, limit / 2, limit - 1, limit}
 	for r := 0; r < 200; r++ {
-		for k := rng.Intn(n + 1); k > 0; k-- {
-			ix.update(int32(rng.Intn(n)), values[rng.Intn(len(values))])
+		id := NodeID(rng.Intn(n))
+		target := values[rng.Intn(len(values))]
+		var err error
+		if free := c.Node(id).FreeMB(); target < free {
+			err = c.Lend(id, free-target)
+		} else {
+			err = c.ReturnLend(id, target-free)
 		}
-		ix.flush(&keys)
-		want := make([]int32, n)
-		for i := range want {
-			want[i] = int32(i)
+		if err != nil {
+			t.Fatal(err)
 		}
-		slices.SortFunc(want, ix.cmp)
-		if !slices.Equal(ix.order, want) {
-			t.Fatalf("round %d: order %v, comparator sort %v", r, ix.order, want)
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.collectLenders(nil), c.lendersByFreeDescRef(nil); !equalIDs(got, want) {
+			t.Fatalf("round %d: lenders %v, reference %v", r, got, want)
 		}
 	}
 }
 
-// TestLedgerFlushAllocationFree asserts a warm flush of a whole dirty
-// shard allocates nothing: the packed keys reuse the cluster's scratch.
-func TestLedgerFlushAllocationFree(t *testing.T) {
-	c := NewSharded(512, 8, 2048, 2)
-	rng := rand.New(rand.NewSource(4))
-	var err error
-	flush := func() {
-		for s := 0; s < c.ShardCount() && err == nil; s++ {
-			err = dirtyWholeShard(c, s, rng)
-		}
-		c.AscendLenders(func(NodeID, int64) bool { return false })
-		if err == nil && c.dirtyNodes() != 0 {
-			err = fmt.Errorf("%d nodes still dirty after the read", c.dirtyNodes())
-		}
-	}
-	flush() // size the scratch
-	if got := testing.AllocsPerRun(20, flush); got != 0 {
-		t.Fatalf("dirtying and flushing every shard allocates %.1f per round, want 0", got)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// BenchmarkLedgerFlush measures the ordered read that a placement forces
-// after a scheduling tick's worth of refiles: dirty nodes of one
-// grizzly-sized shard are refiled (each lends or gets back one MB) and an
-// AscendLenders read of one node flushes them. 282 is the mean dirty count
-// per flush of the grizzly-week workload.
-func BenchmarkLedgerFlush(b *testing.B) {
-	for _, dirty := range []int{16, 282, 1490} {
-		b.Run(fmt.Sprintf("dirty=%d", dirty), func(b *testing.B) {
-			const nodes = 1490
-			c := NewSharded(nodes, 8, 2048, 1)
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < nodes; i++ {
-				if err := c.Lend(NodeID(i), rng.Int63n(2048)); err != nil {
-					b.Fatal(err)
+// TestReadsWriteNothing asserts that an ordered read writes no shared
+// state: walks of every kind on a fresh fork leave both sides' CowStats
+// unchanged and every shard's tree byte-identical and still shared, and a
+// warm walk allocates nothing.
+func TestReadsWriteNothing(t *testing.T) {
+	for _, shards := range []int{1, 3, 64} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := NewMixed(Config{Nodes: 192, Cores: 8, NormalMB: 2048, LargeFrac: 0.25, Shards: shards})
+			rng := rand.New(rand.NewSource(int64(shards)))
+			for i := 0; i < 400; i++ {
+				if err := applyOp(c, rng, i); err != nil {
+					t.Fatal(err)
 				}
 			}
-			ids := rng.Perm(nodes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := 0; k < dirty; k++ {
-					id := NodeID(ids[(i*dirty+k)%nodes])
-					if n := c.Node(id); n.FreeMB() > 0 {
-						if err := c.Lend(id, 1); err != nil {
-							b.Fatal(err)
-						}
-					} else if err := c.ReturnLend(id, 1); err != nil {
-						b.Fatal(err)
-					}
+			f := c.Fork()
+			var trees [][]uint64
+			for s := range c.shards {
+				trees = append(trees, slices.Clone(c.shards[s].tree))
+			}
+			baseNodes, baseThaws := c.CowStats()
+			forkNodes, forkThaws := f.CowStats()
+
+			n := 0
+			visit := func(NodeID, int64) bool { n++; return true }
+			short := func(NodeID, int64) bool { n++; return n%4 != 0 }
+			var buf []NodeID
+			read := func() {
+				f.AscendLenders(visit)
+				f.AscendLenders(short)
+				for s := 0; s < f.ShardCount(); s++ {
+					f.AscendShardLenders(s, visit)
+					f.AscendShardLenders(s, short)
 				}
-				c.AscendLenders(func(NodeID, int64) bool { return false })
+				buf = f.TopIdle(8, buf)
+			}
+			read() // grow the scratch
+			if got := testing.AllocsPerRun(20, read); got != 0 {
+				t.Errorf("warm walks on a fork allocate %.1f per round, want 0", got)
+			}
+			for i := 0; i < 20; i++ {
+				if err := checkOrderedRead(f, rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if nodes, thaws := c.CowStats(); nodes != baseNodes || thaws != baseThaws {
+				t.Errorf("base CowStats (%d, %d) after the fork's reads, want (%d, %d)", nodes, thaws, baseNodes, baseThaws)
+			}
+			if nodes, thaws := f.CowStats(); nodes != forkNodes || thaws != forkThaws {
+				t.Errorf("fork CowStats (%d, %d) after its reads, want (%d, %d)", nodes, thaws, forkNodes, forkThaws)
+			}
+			for s, want := range trees {
+				if !slices.Equal(c.shards[s].tree, want) || !slices.Equal(f.shards[s].tree, want) {
+					t.Fatalf("shard %d: a read changed the tree", s)
+				}
+				if &c.shards[s].tree[0] != &f.shards[s].tree[0] {
+					t.Fatalf("shard %d: a read copied the shared tree", s)
+				}
 			}
 		})
 	}

@@ -16,9 +16,10 @@ func shardCountsFor(nodes int) []int {
 // through clusters built with different shard counts and asserts every
 // derived ordering and aggregate stays byte-identical to the single-shard
 // (serial) ledger after every mutation. This is the shard-boundary oracle:
-// the S-way merge must reproduce the single-shard (free desc, ID asc) order
-// exactly, the two-level skip must never hide a lender, and shard count 1
-// must be exactly the serial ledger (it runs the same code path).
+// the walk over every shard root must reproduce the single-shard
+// (free desc, ID asc) order exactly, the two-level skip must never hide a
+// lender, and shard count 1 must be exactly the serial ledger (it runs the
+// same code path).
 func TestShardedLedgerDifferential(t *testing.T) {
 	const nodes = 23 // odd: exercises an uneven tail shard
 	rng := rand.New(rand.NewSource(42))
@@ -169,10 +170,9 @@ func (c *Cluster) AllocLocalForTest(id NodeID, mb int64) error {
 	return c.AllocLocal(id, mb)
 }
 
-// TestShardedWalkAllocationFree asserts the merge walk allocates nothing at
-// steady state: the per-shard cursors, the merge heap and the dirty lists
-// are persistent scratch, so a walk that first flushes pending refiles
-// allocates nothing either.
+// TestShardedWalkAllocationFree asserts the lender walk allocates nothing
+// at steady state: its heap is persistent scratch, and a refile writes the
+// tree in place, so a walk after refiles allocates nothing either.
 func TestShardedWalkAllocationFree(t *testing.T) {
 	c := NewSharded(256, 8, 2048, 8)
 	for i := 0; i < 64; i++ {
@@ -187,7 +187,7 @@ func TestShardedWalkAllocationFree(t *testing.T) {
 			return true
 		})
 	}
-	walk() // grow the merge heap once
+	walk() // grow the walk's heap once
 	if got := testing.AllocsPerRun(20, walk); got != 0 {
 		t.Fatalf("sharded AscendLenders allocates %.1f per walk, want 0", got)
 	}
@@ -203,9 +203,9 @@ func TestShardedWalkAllocationFree(t *testing.T) {
 		}
 		walk()
 	}
-	refileAndWalk() // grow the dirty lists once
+	refileAndWalk()
 	if got := testing.AllocsPerRun(20, refileAndWalk); got != 0 {
-		t.Fatalf("refile + flushing AscendLenders allocates %.1f per walk, want 0", got)
+		t.Fatalf("refile + AscendLenders allocates %.1f per walk, want 0", got)
 	}
 }
 

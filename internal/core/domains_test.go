@@ -138,7 +138,7 @@ func TestDomainsConfigValidation(t *testing.T) {
 }
 
 // TestConfigRejectsUnindexableCapacity checks that Normalize turns a node
-// capacity the ledger's packed flush key cannot hold into an error naming
+// capacity the ledger's packed lender key cannot hold into an error naming
 // the field, rather than a panic in the cluster constructor.
 func TestConfigRejectsUnindexableCapacity(t *testing.T) {
 	cfg := baseConfig(8, 1<<61, policy.Dynamic)

@@ -135,9 +135,20 @@ func TestAblationPriority(t *testing.T) {
 	}
 }
 
+// replicateStat evaluates metric under `seeds` different preset seeds in
+// parallel and aggregates the outcomes. NaN results (infeasible scenarios)
+// are skipped; if everything is NaN the error is ErrNoSamples.
+func replicateStat(p Preset, seeds int, metric func(Preset) (float64, error)) (Stat, error) {
+	values, err := replicate(p, seeds, metric)
+	if err != nil {
+		return Stat{}, err
+	}
+	return statOf(values)
+}
+
 func TestReplicate(t *testing.T) {
 	p := tiny()
-	s, err := Replicate(p, 4, func(q Preset) (float64, error) {
+	s, err := replicateStat(p, 4, func(q Preset) (float64, error) {
 		return float64(q.Seed % 10), nil
 	})
 	if err != nil {
@@ -150,7 +161,7 @@ func TestReplicate(t *testing.T) {
 		t.Fatalf("stdev = %g", s.Stdev)
 	}
 	// NaN samples are dropped.
-	s, err = Replicate(p, 3, func(q Preset) (float64, error) {
+	s, err = replicateStat(p, 3, func(q Preset) (float64, error) {
 		if q.Seed != p.Seed {
 			return Infeasible, nil
 		}
@@ -163,7 +174,7 @@ func TestReplicate(t *testing.T) {
 		t.Fatalf("stat = %+v, want single sample of 5", s)
 	}
 	// All-NaN is an error.
-	if _, err := Replicate(p, 2, func(Preset) (float64, error) { return Infeasible, nil }); err != ErrNoSamples {
+	if _, err := replicateStat(p, 2, func(Preset) (float64, error) { return Infeasible, nil }); err != ErrNoSamples {
 		t.Fatalf("err = %v, want ErrNoSamples", err)
 	}
 }
@@ -172,7 +183,7 @@ func TestReplicateSeedsDiffer(t *testing.T) {
 	p := tiny()
 	seen := map[int64]bool{}
 	var mu sync.Mutex
-	_, err := Replicate(p, 5, func(q Preset) (float64, error) {
+	_, err := replicateStat(p, 5, func(q Preset) (float64, error) {
 		mu.Lock()
 		seen[q.Seed] = true
 		mu.Unlock()

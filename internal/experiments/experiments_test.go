@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dismem/internal/policy"
+	"dismem/internal/traces/grizzly"
 )
 
 // tiny returns a preset even smaller than Quick for unit tests.
@@ -123,9 +124,30 @@ func TestThroughputSweepShape(t *testing.T) {
 	}
 }
 
+// syntheticGrid runs the panel of the synthetic mix with largeFrac large
+// jobs at one overestimation.
+func (p Preset) syntheticGrid(largeFrac, overest float64) (*ThroughputGrid, error) {
+	grids, err := newCells(p).panels([]float64{largeFrac}, []float64{overest}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return grids[0], nil
+}
+
+// BenchmarkFig5Panel times one panel (job mix 50 %, +60 % overestimation)
+// — the unit cell of the figure's grid — at the Bench preset.
+func BenchmarkFig5Panel(b *testing.B) {
+	p := Bench()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.syntheticGrid(0.5, 0.6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestFig5PanelHeadline(t *testing.T) {
 	p := tiny()
-	g, err := p.SyntheticGrid(0.5, 0.6)
+	g, err := p.syntheticGrid(0.5, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,13 +364,26 @@ func TestFig4Heatmap(t *testing.T) {
 	}
 }
 
+// grizzlyGrid runs the panel of the sampled Grizzly weeks at one
+// overestimation and averages the normalised throughputs point-wise, as
+// the paper aggregates its seven simulated weeks. Each week is normalised
+// against its own +0 % baseline. A cell is infeasible if any week cannot
+// run its jobs there.
+func (p Preset) grizzlyGrid(weeks []grizzly.Week, overest float64) (*ThroughputGrid, error) {
+	grids, err := newCells(p).panels(nil, []float64{overest}, weeks)
+	if err != nil {
+		return nil, err
+	}
+	return grids[0], nil
+}
+
 func TestGrizzlyGridMultiWeek(t *testing.T) {
 	p := multiWeek()
 	weeks := p.SampledWeeks(p.GrizzlyDataset())
 	if len(weeks) < 2 {
 		t.Fatalf("sampled %d weeks, want several", len(weeks))
 	}
-	g, err := p.GrizzlyGrid(weeks, 0)
+	g, err := p.grizzlyGrid(weeks, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

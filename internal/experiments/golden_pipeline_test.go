@@ -356,7 +356,7 @@ func TestGoldenGrizzlyDigest(t *testing.T) {
 		t.Fatalf("sampled %d weeks, want 3", len(weeks))
 	}
 	grid := func(ov float64) (string, error) {
-		g, err := p.GrizzlyGrid(weeks, ov)
+		g, err := p.grizzlyGrid(weeks, ov)
 		if err != nil {
 			return "", err
 		}

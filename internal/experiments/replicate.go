@@ -25,17 +25,6 @@ func (s Stat) String() string {
 // ErrNoSamples is returned when every replication failed or none ran.
 var ErrNoSamples = errors.New("experiments: no replication samples")
 
-// Replicate evaluates metric under `seeds` different preset seeds in
-// parallel and aggregates the outcomes. NaN results (infeasible scenarios)
-// are skipped; if everything is NaN the error is ErrNoSamples.
-func Replicate(p Preset, seeds int, metric func(Preset) (float64, error)) (Stat, error) {
-	values, err := replicate(p, seeds, metric)
-	if err != nil {
-		return Stat{}, err
-	}
-	return statOf(values)
-}
-
 // replicate runs one task per seed in parallel and returns the results in
 // seed order.
 func replicate[T any](p Preset, seeds int, run func(Preset) (T, error)) ([]T, error) {

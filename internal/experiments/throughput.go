@@ -7,7 +7,6 @@ import (
 
 	"dismem/internal/job"
 	"dismem/internal/policy"
-	"dismem/internal/traces/grizzly"
 )
 
 // Infeasible marks a missing bar: the scenario cannot run all jobs.
@@ -45,32 +44,9 @@ func (p Preset) BaselineNorm(jobs0 []*job.Job, nodes int) (float64, error) {
 	return res.Throughput(), nil
 }
 
-// SyntheticGrid runs the panel of the synthetic mix with largeFrac large
-// jobs at one overestimation.
-func (p Preset) SyntheticGrid(largeFrac, overest float64) (*ThroughputGrid, error) {
-	grids, err := newCells(p).panels([]float64{largeFrac}, []float64{overest}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return grids[0], nil
-}
-
 // syntheticLabel labels the panels of the mix with largeFrac large jobs.
 func syntheticLabel(largeFrac float64) string {
 	return fmt.Sprintf("large %.0f%%", largeFrac*100)
-}
-
-// GrizzlyGrid runs the panel of the sampled Grizzly weeks at one
-// overestimation and averages the normalised throughputs point-wise, as
-// the paper aggregates its seven simulated weeks. Each week is normalised
-// against its own +0 % baseline. A cell is infeasible if any week cannot
-// run its jobs there.
-func (p Preset) GrizzlyGrid(weeks []grizzly.Week, overest float64) (*ThroughputGrid, error) {
-	grids, err := newCells(p).panels(nil, []float64{overest}, weeks)
-	if err != nil {
-		return nil, err
-	}
-	return grids[0], nil
 }
 
 // grizzlyLabel labels the panels that simulate the sampled Grizzly weeks.

@@ -13,23 +13,6 @@ import (
 	"dismem/internal/slowdown"
 )
 
-// Class partitions jobs by their memory demand relative to a normal node,
-// as in the paper: a job is Large if it needs a large-capacity node under
-// the baseline policy, Normal if a normal node suffices.
-type Class int
-
-const (
-	Normal Class = iota
-	Large
-)
-
-func (c Class) String() string {
-	if c == Large {
-		return "large"
-	}
-	return "normal"
-}
-
 // Job is one trace entry. Fields above the comment are visible to the
 // resource manager; fields below are simulation ground truth only.
 type Job struct {
@@ -80,15 +63,6 @@ func (j *Job) TotalRequestMB() int64 { return int64(j.Nodes) * j.RequestMB }
 
 // PeakUsageMB returns the true per-node peak from the usage trace.
 func (j *Job) PeakUsageMB() int64 { return j.Usage.Peak() }
-
-// ClassFor returns the job's class given the capacity of a normal node:
-// Large when its per-node request exceeds a normal node's capacity.
-func (j *Job) ClassFor(normalMB int64) Class {
-	if j.RequestMB > normalMB {
-		return Large
-	}
-	return Normal
-}
 
 // NodeHours returns the job's size·runtime product in node-hours, the
 // utilisation currency used throughout the paper's methodology.

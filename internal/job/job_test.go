@@ -90,3 +90,29 @@ func TestQuickTotalRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Class partitions jobs by their memory demand relative to a normal node,
+// as in the paper: a job is Large if it needs a large-capacity node under
+// the baseline policy, Normal if a normal node suffices.
+type Class int
+
+const (
+	Normal Class = iota
+	Large
+)
+
+func (c Class) String() string {
+	if c == Large {
+		return "large"
+	}
+	return "normal"
+}
+
+// ClassFor returns the job's class given the capacity of a normal node:
+// Large when its per-node request exceeds a normal node's capacity.
+func (j *Job) ClassFor(normalMB int64) Class {
+	if j.RequestMB > normalMB {
+		return Large
+	}
+	return Normal
+}

@@ -66,27 +66,6 @@ func TestTraceProducersOwnExactStorage(t *testing.T) {
 		for i := range w.Jobs {
 			check(t, "grizzly.Generate", w.Jobs[i].Usage)
 		}
-		placed, err := w.Place(d.Nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var records []grizzly.Record
-		emit := func(r grizzly.Record) error { records = append(records, r); return nil }
-		if err := grizzly.EmitRecords(placed, d.Nodes, 600, 7*24*3600, emit); err != nil {
-			t.Fatal(err)
-		}
-		for _, eps := range []float64{0, 0.02} {
-			jobs, err := grizzly.ReconstructJobs(records, 600, eps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(jobs) == 0 {
-				t.Fatal("LDMS importer reconstructed no jobs")
-			}
-			for i := range jobs {
-				check(t, "grizzly.ReconstructJobs", jobs[i].Usage)
-			}
-		}
 	})
 	t.Run("google", func(t *testing.T) {
 		lib, err := google.NewShapeLibrary(google.Generate(rand.New(rand.NewSource(3)), 500), 0.05)

@@ -174,28 +174,6 @@ func (tr *Trace) Scale(toDuration float64) (*Trace, error) {
 	return New(dedup)
 }
 
-// Resample returns per-window (max, avg) summaries over [0, duration] with
-// the given window size, mimicking the Google trace's 5-minute records.
-func (tr *Trace) Resample(window, duration float64) (maxs, avgs []int64, err error) {
-	if window <= 0 || duration <= 0 {
-		return nil, nil, ErrBadWindow
-	}
-	n := int(math.Ceil(duration / window))
-	maxs = make([]int64, n)
-	avgs = make([]int64, n)
-	for w := 0; w < n; w++ {
-		t0 := float64(w) * window
-		t1 := math.Min(t0+window, duration)
-		maxs[w] = tr.MaxIn(t0, t1)
-		mean, merr := tr.meanIn(t0, t1)
-		if merr != nil {
-			return nil, nil, merr
-		}
-		avgs[w] = int64(mean + 0.5)
-	}
-	return maxs, avgs, nil
-}
-
 // MeanIn returns the time-weighted mean usage over [t0, t1].
 func (tr *Trace) MeanIn(t0, t1 float64) (float64, error) { return tr.meanIn(t0, t1) }
 

@@ -315,3 +315,25 @@ func TestQuickScalePreservesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Resample returns per-window (max, avg) summaries over [0, duration] with
+// the given window size, mimicking the Google trace's 5-minute records.
+func (tr *Trace) Resample(window, duration float64) (maxs, avgs []int64, err error) {
+	if window <= 0 || duration <= 0 {
+		return nil, nil, ErrBadWindow
+	}
+	n := int(math.Ceil(duration / window))
+	maxs = make([]int64, n)
+	avgs = make([]int64, n)
+	for w := 0; w < n; w++ {
+		t0 := float64(w) * window
+		t1 := math.Min(t0+window, duration)
+		maxs[w] = tr.MaxIn(t0, t1)
+		mean, merr := tr.meanIn(t0, t1)
+		if merr != nil {
+			return nil, nil, merr
+		}
+		avgs[w] = int64(mean + 0.5)
+	}
+	return maxs, avgs, nil
+}

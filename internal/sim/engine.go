@@ -189,9 +189,6 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // exactly t still fire.
 func (e *Engine) SetHorizon(t float64) { e.maxT = t }
 
-// Halt stops the run after the current event handler returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // Schedule enqueues fn to fire at absolute time at. Scheduling in the past
 // panics: it always indicates a logic error in the caller, and silently
 // clamping would corrupt causality.
@@ -293,8 +290,8 @@ func (e *Engine) Step() bool {
 }
 
 // Run fires events until the queue is empty, the horizon is reached, the
-// event budget is exhausted, or Halt is called. It returns the final
-// simulated time.
+// event budget is exhausted, or a handler sets halted (the tests' Halt). It
+// returns the final simulated time.
 func (e *Engine) Run() float64 {
 	e.halted = false
 	e.exhausted = false

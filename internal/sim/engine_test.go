@@ -568,3 +568,6 @@ func TestStepAllocationFree(t *testing.T) {
 		t.Fatalf("warm Step allocates %.1f per call, want 0", got)
 	}
 }
+
+// Halt stops the run after the current event handler returns.
+func (e *Engine) Halt() { e.halted = true }

@@ -131,49 +131,15 @@ func NodeTraffic(p *Profile, remoteFrac float64) float64 {
 	return p.BandwidthGBs * clamp01(remoteFrac)
 }
 
-// NodeSlowdown returns the slowdown factor (≥1) for one node of the app.
-func NodeSlowdown(p *Profile, remoteFrac, rho float64) float64 {
-	rf := clamp01(remoteFrac)
-	if rf == 0 {
-		return 1
-	}
-	return 1 + rf*p.Sens.Penalty(rho)
-}
-
-// JobSlowdown returns the slowdown of a multi-node job: the maximum of its
-// per-node slowdowns, since bulk-synchronous applications advance at the
-// pace of the slowest node.
-func JobSlowdown(p *Profile, remoteFracs []float64, rho float64) float64 {
-	s := 1.0
-	for _, rf := range remoteFracs {
-		if v := NodeSlowdown(p, rf, rho); v > s {
-			s = v
-		}
-	}
-	return s
-}
-
 // NodeSlowdownWeighted computes a node's slowdown from a distance-weighted
-// remote fraction (Σ lease·hopWeight / allocation). Unlike NodeSlowdown the
-// fraction is not clamped at 1: leases several hops away legitimately cost
-// more than an all-remote single-hop placement.
+// remote fraction (Σ lease·hopWeight / allocation): 1 + frac·penalty(rho).
+// The fraction is not clamped at 1: leases several hops away legitimately
+// cost more than an all-remote single-hop placement.
 func NodeSlowdownWeighted(p *Profile, weightedFrac, rho float64) float64 {
 	if weightedFrac <= 0 || math.IsNaN(weightedFrac) {
 		return 1
 	}
 	return 1 + weightedFrac*p.Sens.Penalty(rho)
-}
-
-// JobSlowdownWeighted is the multi-node maximum over distance-weighted
-// per-node fractions.
-func JobSlowdownWeighted(p *Profile, weightedFracs []float64, rho float64) float64 {
-	s := 1.0
-	for _, wf := range weightedFracs {
-		if v := NodeSlowdownWeighted(p, wf, rho); v > s {
-			s = v
-		}
-	}
-	return s
 }
 
 // MaxWeightedFrac reduces a job's per-node weighted remote fractions to the
@@ -195,13 +161,15 @@ func MaxWeightedFrac(weightedFracs []float64) float64 {
 }
 
 // JobSlowdownFromMax returns the job slowdown given only the maximum weighted
-// remote fraction (as produced by MaxWeightedFrac). It is bit-identical to
-// JobSlowdownWeighted over the full fraction vector: for a non-negative
-// penalty, 1 + wf·penalty is monotone in wf under IEEE-754 round-to-nearest,
-// so the per-node maximum is attained at the maximum fraction; the final
-// max-with-1 guards the degenerate negative-penalty case the same way
-// JobSlowdownWeighted's running maximum (seeded at 1) does. A property test
-// asserts the bit equality over randomized curves and fraction vectors.
+// remote fraction (as produced by MaxWeightedFrac). A bulk-synchronous job
+// advances at the pace of its slowest node, so this is bit-identical to the
+// maximum of NodeSlowdownWeighted over the full fraction vector
+// (JobSlowdownWeighted, the tests' reference): for a non-negative penalty,
+// 1 + wf·penalty is monotone in wf under IEEE-754 round-to-nearest, so the
+// per-node maximum is attained at the maximum fraction; the final
+// max-with-1 guards the degenerate negative-penalty case the same way the
+// reference's running maximum (seeded at 1) does. A property test asserts
+// the bit equality over randomized curves and fraction vectors.
 func JobSlowdownFromMax(p *Profile, maxFrac, rho float64) float64 {
 	if maxFrac <= 0 || math.IsNaN(maxFrac) {
 		return 1

@@ -233,3 +233,37 @@ func TestQuickSlowdownMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// JobSlowdown returns the slowdown of a multi-node job: the maximum of its
+// per-node slowdowns, since bulk-synchronous applications advance at the
+// pace of the slowest node.
+func JobSlowdown(p *Profile, remoteFracs []float64, rho float64) float64 {
+	s := 1.0
+	for _, rf := range remoteFracs {
+		if v := NodeSlowdown(p, rf, rho); v > s {
+			s = v
+		}
+	}
+	return s
+}
+
+// JobSlowdownWeighted is the multi-node maximum over distance-weighted
+// per-node fractions.
+func JobSlowdownWeighted(p *Profile, weightedFracs []float64, rho float64) float64 {
+	s := 1.0
+	for _, wf := range weightedFracs {
+		if v := NodeSlowdownWeighted(p, wf, rho); v > s {
+			s = v
+		}
+	}
+	return s
+}
+
+// NodeSlowdown returns the slowdown factor (≥1) for one node of the app.
+func NodeSlowdown(p *Profile, remoteFrac, rho float64) float64 {
+	rf := clamp01(remoteFrac)
+	if rf == 0 {
+		return 1
+	}
+	return 1 + rf*p.Sens.Penalty(rho)
+}

@@ -1,10 +1,6 @@
 package swf
 
-import (
-	"fmt"
-
-	"dismem/internal/job"
-)
+import "dismem/internal/job"
 
 // FromJobs converts simulator jobs to SWF records. Processors = nodes ×
 // coresPerNode; memory fields are KB per processor, so the per-node request
@@ -41,40 +37,4 @@ func FromJobs(jobs []*job.Job, coresPerNode int, header ...string) *File {
 		})
 	}
 	return f
-}
-
-// ToJobs converts SWF records back into partially filled simulator jobs.
-// Usage traces and profiles are not representable in SWF, so the caller
-// must attach them afterwards (the trace pipeline does this); Validate will
-// fail until then.
-func ToJobs(f *File, coresPerNode int) ([]*job.Job, error) {
-	if coresPerNode <= 0 {
-		return nil, fmt.Errorf("swf: non-positive cores per node %d", coresPerNode)
-	}
-	jobs := make([]*job.Job, 0, len(f.Records))
-	for i := range f.Records {
-		r := &f.Records[i]
-		nodes := r.ReqProcs / coresPerNode
-		if r.ReqProcs%coresPerNode != 0 || nodes == 0 {
-			nodes++ // partial node still occupies a whole one (exclusive)
-		}
-		limit := r.ReqTime
-		if limit < r.RunTime {
-			limit = r.RunTime
-		}
-		dependsOn := 0
-		if r.PrecedingJobID > 0 {
-			dependsOn = r.PrecedingJobID
-		}
-		jobs = append(jobs, &job.Job{
-			ID:          r.JobID,
-			SubmitTime:  r.SubmitTime,
-			Nodes:       nodes,
-			RequestMB:   r.ReqMemKB * int64(coresPerNode) / 1024,
-			LimitSec:    limit,
-			BaseRuntime: r.RunTime,
-			DependsOn:   dependsOn,
-		})
-	}
-	return jobs, nil
 }

@@ -3,6 +3,7 @@ package swf
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -219,4 +220,39 @@ func TestDependencyRoundTrip(t *testing.T) {
 	if f.Records[0].PrecedingJobID != -1 {
 		t.Fatalf("preceding = %d, want -1", f.Records[0].PrecedingJobID)
 	}
+}
+
+// ToJobs converts SWF records back into partially filled simulator jobs,
+// the reference the round-trip tests hold FromJobs to. Usage traces and
+// profiles are not representable in SWF, so Validate fails on its jobs.
+func ToJobs(f *File, coresPerNode int) ([]*job.Job, error) {
+	if coresPerNode <= 0 {
+		return nil, fmt.Errorf("swf: non-positive cores per node %d", coresPerNode)
+	}
+	jobs := make([]*job.Job, 0, len(f.Records))
+	for i := range f.Records {
+		r := &f.Records[i]
+		nodes := r.ReqProcs / coresPerNode
+		if r.ReqProcs%coresPerNode != 0 || nodes == 0 {
+			nodes++ // partial node still occupies a whole one (exclusive)
+		}
+		limit := r.ReqTime
+		if limit < r.RunTime {
+			limit = r.RunTime
+		}
+		dependsOn := 0
+		if r.PrecedingJobID > 0 {
+			dependsOn = r.PrecedingJobID
+		}
+		jobs = append(jobs, &job.Job{
+			ID:          r.JobID,
+			SubmitTime:  r.SubmitTime,
+			Nodes:       nodes,
+			RequestMB:   r.ReqMemKB * int64(coresPerNode) / 1024,
+			LimitSec:    limit,
+			BaseRuntime: r.RunTime,
+			DependsOn:   dependsOn,
+		})
+	}
+	return jobs, nil
 }

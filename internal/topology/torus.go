@@ -9,7 +9,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Torus is a 3D torus with dimensions X×Y×Z. Node IDs are dense in
@@ -149,22 +148,6 @@ func ringMean(n int) float64 {
 		sum += ringDist(0, d, n)
 	}
 	return float64(sum) / float64(n)
-}
-
-// RankByHops orders candidates by hop distance from node from (ties by
-// candidate ID). The topology-aware lender policy borrows from the nearest
-// lenders first to minimise remote-access latency.
-func (t Torus) RankByHops(from int, candidates []int) []int {
-	out := make([]int, len(candidates))
-	copy(out, candidates)
-	sort.Slice(out, func(i, j int) bool {
-		hi, hj := t.Hops(from, out[i]), t.Hops(from, out[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return out[i] < out[j]
-	})
-	return out
 }
 
 // BisectionLinks returns the number of links crossing the worst-case

@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -171,4 +172,19 @@ func TestQuickDesignAndHops(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// RankByHops orders candidates by hop distance from node from (ties by
+// candidate ID), the rule the nearest-first lender order applies to hops.
+func (t Torus) RankByHops(from int, candidates []int) []int {
+	out := make([]int, len(candidates))
+	copy(out, candidates)
+	sort.Slice(out, func(i, j int) bool {
+		hi, hj := t.Hops(from, out[i]), t.Hops(from, out[j])
+		if hi != hj {
+			return hi < hj
+		}
+		return out[i] < out[j]
+	})
+	return out
 }

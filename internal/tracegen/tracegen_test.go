@@ -109,13 +109,10 @@ func TestWriteSWF(t *testing.T) {
 	if len(f.Records) != len(out.Jobs) {
 		t.Fatalf("SWF records = %d, want %d", len(f.Records), len(out.Jobs))
 	}
-	back, err := swf.ToJobs(f, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range back {
-		if back[i].Nodes != out.Jobs[i].Nodes {
-			t.Fatalf("job %d: node count lost in SWF round trip", i)
+	cores := out.Params.CoresPerNode
+	for i, r := range f.Records {
+		if r.ReqProcs != out.Jobs[i].Nodes*cores {
+			t.Fatalf("job %d: %d processors in SWF, want %d nodes × %d cores", i, r.ReqProcs, out.Jobs[i].Nodes, cores)
 		}
 	}
 }

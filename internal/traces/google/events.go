@@ -1,9 +1,6 @@
 package google
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // The 2019 trace records collection lifecycles as event streams; a job may
 // be evicted and rescheduled several times before finishing, being killed,
@@ -113,45 +110,4 @@ func synthesiseEvents(rng *rand.Rand, c *Collection) []Event {
 		events = append(events, Event{TimeSec: t, Type: EvEvict})
 		t += rng.Float64() * 1800 // requeue delay
 	}
-}
-
-// ValidateEvents checks an event stream is well-formed: time-ordered,
-// starting with SUBMIT, alternating SCHEDULE/(EVICT|terminal), ending with
-// a terminal event.
-func ValidateEvents(events []Event) bool {
-	if len(events) < 3 {
-		return false
-	}
-	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].TimeSec < events[j].TimeSec }) {
-		return false
-	}
-	if events[0].Type != EvSubmit {
-		return false
-	}
-	if !events[len(events)-1].Type.Terminal() {
-		return false
-	}
-	running := false
-	for _, ev := range events[1:] {
-		switch ev.Type {
-		case EvSchedule:
-			if running {
-				return false
-			}
-			running = true
-		case EvEvict:
-			if !running {
-				return false
-			}
-			running = false
-		case EvFinish, EvKill, EvFail:
-			if !running {
-				return false
-			}
-			running = false
-		case EvSubmit:
-			return false
-		}
-	}
-	return !running
 }

@@ -2,6 +2,7 @@ package google
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -129,4 +130,45 @@ func TestQuickSynthesisedEventsValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ValidateEvents checks an event stream is well-formed: time-ordered,
+// starting with SUBMIT, alternating SCHEDULE/(EVICT|terminal), ending with
+// a terminal event.
+func ValidateEvents(events []Event) bool {
+	if len(events) < 3 {
+		return false
+	}
+	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].TimeSec < events[j].TimeSec }) {
+		return false
+	}
+	if events[0].Type != EvSubmit {
+		return false
+	}
+	if !events[len(events)-1].Type.Terminal() {
+		return false
+	}
+	running := false
+	for _, ev := range events[1:] {
+		switch ev.Type {
+		case EvSchedule:
+			if running {
+				return false
+			}
+			running = true
+		case EvEvict:
+			if !running {
+				return false
+			}
+			running = false
+		case EvFinish, EvKill, EvFail:
+			if !running {
+				return false
+			}
+			running = false
+		case EvSubmit:
+			return false
+		}
+	}
+	return !running
 }

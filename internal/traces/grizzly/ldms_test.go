@@ -179,6 +179,18 @@ func TestReconstructJobsMatchesSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	for _, eps := range []float64{0, 0.02} {
+		jobs, err := ReconstructJobs(records, interval, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A reduced trace must not pin the raw series' backing array.
+		for i := range jobs {
+			if pts := jobs[i].Usage.Points(); len(pts) != cap(pts) {
+				t.Fatalf("eps %g, job %d: %d points in storage of %d", eps, jobs[i].ID, len(pts), cap(pts))
+			}
+		}
+	}
 	rec, err := ReconstructJobs(records, interval, 0.02)
 	if err != nil {
 		t.Fatal(err)

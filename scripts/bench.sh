@@ -21,8 +21,8 @@
 # refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
 # read path, first-write materialisation) and the what-if branching headline
 # (branched vs nine full runs), and the micro-benchmarks for each indexed
-# structure (lender ranking, sharded ascend, ledger-order flush, dynamic
-# placement, engine schedule/cancel, trace cursor).
+# structure (lender ranking, sharded ascend, dynamic placement, engine
+# schedule/cancel, trace cursor).
 #
 # The JSON header records the machine: nproc, GOMAXPROCS (the value the
 # benchmarks ran with; unset means nproc) and the CPU model, so a recorded
@@ -67,7 +67,6 @@ run ./internal/core      'BenchmarkRefreshDomains'      1s 3
 run ./internal/cluster   'BenchmarkFork$'               1s 3
 run ./internal/cluster   'BenchmarkLenderRank'          1s 3
 run ./internal/cluster   'BenchmarkShardedAscend'       1s 3
-run ./internal/cluster   'BenchmarkLedgerFlush'         1s 3
 run ./internal/policy    'BenchmarkPlaceDynamic'        1s 3
 run ./internal/sim       'BenchmarkEngineScheduleCancel' 1s 3
 run ./internal/memtrace  'BenchmarkTraceAtSequential'   1s 3
