@@ -9,6 +9,7 @@
 package dismem
 
 import (
+	"slices"
 	"testing"
 
 	"dismem/internal/cluster"
@@ -474,15 +475,29 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkGrizzlyDataset generates the synthetic Grizzly dataset that the
-// grizzly-scale scenario samples its week from (Bench preset, 1490 nodes):
-// the raw series drawn from the dataset RNG and their RDP reductions on the
-// shared pool.
+// BenchmarkGrizzlyDataset generates the synthetic Grizzly dataset's
+// skeleton that the grizzly-scale scenario samples its week from (Bench
+// preset, 1490 nodes): every week and job, without usage traces.
 func BenchmarkGrizzlyDataset(b *testing.B) {
 	p := benchPreset()
 	p.GrizzlyNodes = 1490
 	for i := 0; i < b.N; i++ {
 		p.GrizzlyDataset()
+	}
+}
+
+// BenchmarkGrizzlyWeekBuild builds the usage traces of the week the
+// grizzly-scale scenario simulates: each job's raw series drawn from its
+// own substream and RDP-reduced, one task per job on the shared pool.
+func BenchmarkGrizzlyWeekBuild(b *testing.B) {
+	p := benchPreset()
+	p.GrizzlyNodes = 1490
+	week := p.PickWeeks(p.GrizzlyDataset())[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := *week
+		w.Jobs = slices.Clone(week.Jobs)
+		w.Build()
 	}
 }
 

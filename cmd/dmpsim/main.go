@@ -72,8 +72,9 @@ func configure(o options) (core.Config, []*job.Job, error) {
 		}
 		jobs = out.Jobs
 	case "grizzly":
-		weeks := p.SampledWeeks(p.GrizzlyDataset())
-		if jobs, err = p.GrizzlyJobs(&weeks[0], o.overest); err != nil {
+		// The first sampled week, its traces built into the jobs only.
+		week := p.PickWeeks(p.GrizzlyDataset())[0]
+		if jobs, err = p.GrizzlyJobs(week, o.overest); err != nil {
 			return cfg, nil, fmt.Errorf("grizzly trace: %v", err)
 		}
 		sysNodes = p.GrizzlyNodes

@@ -34,13 +34,16 @@ var cowSharedFields = map[string]bool{
 //
 //   - element stores into a shared array (c.nodes[i] = …, sh.tree[p] = …,
 //     s.bits[w] |= …, including compound assignment and ++/--), and
-//   - writes through an alias taken with &shared[i] in the same function
-//     (n := &c.nodes[id]; n.LocalMB += mb), which bypass own() entirely.
+//   - writes through an alias taken in the same function, either with
+//     &shared[i] (n := &c.nodes[id]; n.LocalMB += mb) or as a copy of the
+//     shared slice header (t := sh.tree; t[p] = k), which bypass own()
+//     entirely.
 //
 // Re-pointing a whole slice header (c.nodes = append(…), sh.tree = …)
 // is allowed anywhere: it replaces the header without touching the shared
 // backing array — it is how the CoW copies themselves are installed. Reads,
-// including read-only &shared[i] preludes, are free.
+// including read-only &shared[i] preludes and header copies that are only
+// read through (Cluster.walk's t := sh.tree), are free.
 //
 // A write outside an annotated function is a latent cross-branch race: it
 // mutates memory another branch may be reading, exactly the bug class the
@@ -80,26 +83,35 @@ func checkCowAlias(pass *Pass, fn *ast.FuncDecl) {
 	annotated := funcDocHasDirective(fn, CowSafeDirective)
 	writes := 0
 
-	// Pre-pass: identifiers bound to &shared[i] in this function. Writes
-	// through them are writes to the shared array under another name.
-	aliases := make(map[types.Object]string)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
+	// Pre-pass: identifiers bound in this function to &shared[i] or to a
+	// copy of a shared slice header. Writes through them are writes to the
+	// shared array under another name; reads through them are free.
+	aliases := make(map[types.Object]cowAliasOf)
+	bind := func(lhs, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok {
+			return
 		}
-		for i, rhs := range as.Rhs {
-			un, ok := rhs.(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				continue
+		a, ok := cowAliasSource(pass, rhs)
+		if !ok {
+			return
+		}
+		if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+			aliases[obj] = a
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch st := n.(type) {
+		case *ast.AssignStmt:
+			if len(st.Lhs) == len(st.Rhs) {
+				for i := range st.Rhs {
+					bind(st.Lhs[i], st.Rhs[i])
+				}
 			}
-			sel := cowElementTarget(pass, un.X)
-			if sel == nil {
-				continue
-			}
-			if id, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-					aliases[obj] = sel.Sel.Name
+		case *ast.ValueSpec:
+			if len(st.Names) == len(st.Values) {
+				for i := range st.Values {
+					bind(st.Names[i], st.Values[i])
 				}
 			}
 		}
@@ -125,10 +137,45 @@ func checkCowAlias(pass *Pass, fn *ast.FuncDecl) {
 	}
 }
 
+// cowAliasOf is what an alias variable stands for: the shared field it
+// aliases, and whether it holds a copy of the field's slice header rather
+// than a pointer to one element.
+type cowAliasOf struct {
+	field  string
+	header bool
+}
+
+// cowAliasSource reports whether rhs yields an alias of a CoW-shared array:
+// &shared[i] (or deeper, &c.nodes[i].LocalMB), or a copy of the shared
+// slice header itself, whole or resliced (sh.tree, sh.tree[n:]).
+func cowAliasSource(pass *Pass, rhs ast.Expr) (cowAliasOf, bool) {
+	if un, ok := rhs.(*ast.UnaryExpr); ok && un.Op == token.AND {
+		if sel := cowElementTarget(pass, un.X); sel != nil {
+			return cowAliasOf{field: sel.Sel.Name}, true
+		}
+		return cowAliasOf{}, false
+	}
+	for {
+		switch x := rhs.(type) {
+		case *ast.ParenExpr:
+			rhs = x.X
+		case *ast.SliceExpr:
+			rhs = x.X
+		case *ast.SelectorExpr:
+			if isCowSharedField(pass, x) {
+				return cowAliasOf{field: x.Sel.Name, header: true}, true
+			}
+			return cowAliasOf{}, false
+		default:
+			return cowAliasOf{}, false
+		}
+	}
+}
+
 // checkCowWrite classifies one assignment target and reports it when it
 // stores into CoW-shared backing outside an annotated function. Returns 1
 // for a restricted write (reported or sanctioned), 0 otherwise.
-func checkCowWrite(pass *Pass, fn *ast.FuncDecl, annotated bool, lhs ast.Expr, aliases map[types.Object]string) int {
+func checkCowWrite(pass *Pass, fn *ast.FuncDecl, annotated bool, lhs ast.Expr, aliases map[types.Object]cowAliasOf) int {
 	if sel := cowElementTarget(pass, lhs); sel != nil {
 		if !annotated {
 			pass.Reportf(lhs.Pos(),
@@ -139,12 +186,20 @@ func checkCowWrite(pass *Pass, fn *ast.FuncDecl, annotated bool, lhs ast.Expr, a
 		}
 		return 1
 	}
-	if id, field := cowAliasWriteBase(pass, lhs, aliases); id != nil {
-		if !annotated {
+	if id, a := cowAliasWriteBase(pass, lhs, aliases); id != nil {
+		switch {
+		case annotated:
+		case a.header:
+			pass.Reportf(lhs.Pos(),
+				"write through %s, a copy of CoW-shared %s's slice header, in %s: the copy shares "+
+					"the backing a forked branch may still read; privatise via own/thaw first and "+
+					"annotate the helper //dmp:cowsafe",
+				id.Name, a.field, fn.Name.Name)
+		default:
 			pass.Reportf(lhs.Pos(),
 				"write through %s, an alias of CoW-shared %s, in %s: taking &%s[i] bypasses the "+
 					"shared→private transition; obtain the row from own() or annotate //dmp:cowsafe",
-				id.Name, field, fn.Name.Name, field)
+				id.Name, a.field, fn.Name.Name, a.field)
 		}
 		return 1
 	}
@@ -177,10 +232,10 @@ func cowElementTarget(pass *Pass, e ast.Expr) *ast.SelectorExpr {
 }
 
 // cowAliasWriteBase resolves an assignment target to the alias variable it
-// writes through, when the base identifier was bound to &shared[i] earlier
-// in the function. A bare identifier target is a rebinding of the variable,
-// not a write through it, and resolves to nil.
-func cowAliasWriteBase(pass *Pass, lhs ast.Expr, aliases map[types.Object]string) (*ast.Ident, string) {
+// writes through, when the base identifier was bound to an alias of a
+// shared array earlier in the function. A bare identifier target is a
+// rebinding of the variable, not a write through it, and resolves to nil.
+func cowAliasWriteBase(pass *Pass, lhs ast.Expr, aliases map[types.Object]cowAliasOf) (*ast.Ident, cowAliasOf) {
 	indirect := false
 	for {
 		switch x := lhs.(type) {
@@ -197,19 +252,19 @@ func cowAliasWriteBase(pass *Pass, lhs ast.Expr, aliases map[types.Object]string
 			indirect = true
 		case *ast.Ident:
 			if !indirect {
-				return nil, ""
+				return nil, cowAliasOf{}
 			}
 			// The types.Object disambiguates shadowed names, so a
 			// read-only prelude alias in one scope never taints a
 			// same-named owned row in another.
 			if obj := pass.TypesInfo.ObjectOf(x); obj != nil {
-				if field, ok := aliases[obj]; ok {
-					return x, field
+				if a, ok := aliases[obj]; ok {
+					return x, a
 				}
 			}
-			return nil, ""
+			return nil, cowAliasOf{}
 		default:
-			return nil, ""
+			return nil, cowAliasOf{}
 		}
 	}
 }

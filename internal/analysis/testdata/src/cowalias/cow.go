@@ -80,6 +80,24 @@ func (l *ledger) rebind(i int, spare *row, mb int64) {
 	n.LocalMB = mb
 }
 
+// refileCopy stores through a local copy of the shared tree's slice header:
+// the copy shares the backing a forked branch may still read.
+func (l *ledger) refileCopy(p int, k uint64) {
+	t := l.shard.tree
+	t[p] = k // want `write through t, a copy of CoW-shared tree's slice header, in refileCopy`
+	var leaves = l.shard.tree[len(l.shard.tree)/2:]
+	leaves[0]++ // want `write through leaves, a copy of CoW-shared tree's slice header, in refileCopy`
+}
+
+// walk reads through a header copy, as Cluster.walk does: free.
+func (l *ledger) walk(p int) uint64 {
+	t := l.shard.tree
+	for p > 1 && t[p] != t[p^1] {
+		p >>= 1
+	}
+	return t[p]
+}
+
 // scratchStore writes the per-fork walk heap, which is not CoW state.
 func (l *ledger) scratchStore(k int, n uint64) {
 	l.shard.heap[k] = n
@@ -92,6 +110,15 @@ func (l *ledger) scratchStore(k int, n uint64) {
 func (l *ledger) thaw(i int, r row) {
 	l.nodes = append([]row(nil), l.nodes...)
 	l.nodes[i] = r
+}
+
+// refileOwned is a sanctioned helper whose only restricted write goes
+// through a header copy: the write counts, so the directive is not stale.
+//
+//dmp:cowsafe
+func (l *ledger) refileOwned(p int, k uint64) {
+	t := l.shard.tree
+	t[p] = k
 }
 
 // idleFixture is annotated but performs no restricted write: the stale

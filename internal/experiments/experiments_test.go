@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -438,6 +439,35 @@ func TestGrizzlyTracesAlignedAcrossOverestimation(t *testing.T) {
 			}
 			if b[i].RequestMB < a[i].RequestMB {
 				t.Fatalf("week %d job %d: +60%% request below +0%%", w, i)
+			}
+		}
+	}
+}
+
+// TestGrizzlyJobsFromPickedWeek holds dmpsim's route, the jobs of a picked
+// week built without building the week, to the walk's, the jobs of the same
+// week out of SampledWeeks. SampledWeeks must not write the dataset.
+func TestGrizzlyJobsFromPickedWeek(t *testing.T) {
+	p := multiWeek()
+	d := p.GrizzlyDataset()
+	weeks := p.SampledWeeks(d)
+	for i, w := range p.PickWeeks(d) {
+		for _, ov := range []float64{0, 0.6} {
+			picked, err := p.GrizzlyJobs(w, ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampled, err := p.GrizzlyJobs(&weeks[i], ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(picked, sampled) {
+				t.Fatalf("week %d +%g: the picked week's jobs differ from the sampled week's", w.Index, ov)
+			}
+		}
+		for _, tj := range w.Jobs {
+			if tj.Usage != nil {
+				t.Fatalf("week %d: job %d of the dataset holds a trace", w.Index, tj.ID)
 			}
 		}
 	}

@@ -29,11 +29,11 @@ type Fig2Point struct {
 }
 
 // RunFig2 plots the weeks of the Grizzly dataset d
-// (Preset.GrizzlyDataset) and marks the weeks the Grizzly panels of
-// Figures 5 and 8 simulate (Preset.SampledWeeks).
+// (Preset.GrizzlyDataset), which it reads as skeletons, and marks the
+// weeks the Grizzly panels of Figures 5 and 8 simulate (Preset.PickWeeks).
 func RunFig2(p Preset, d *grizzly.Dataset) (*Fig2, error) {
 	chosen := map[int]bool{}
-	for _, w := range p.sampleWeeks(d) {
+	for _, w := range p.PickWeeks(d) {
 		chosen[w.Index] = true
 	}
 	out := &Fig2{}

@@ -305,15 +305,15 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 }
 
 // Golden digests of the Grizzly path at the multiWeek() preset (three
-// sampled weeks): Table 2 and Figure 2 over the dataset, and Figure 5's
-// two Grizzly panels. They were recorded when every Grizzly reader
-// generated its own dataset; reading one dataset and one copy of its
-// sampled weeks must reproduce them bit-for-bit.
+// sampled weeks): Table 2 and Figure 2 over the dataset's skeleton, and
+// Figure 5's two Grizzly panels over the built weeks. They were re-recorded
+// when the dataset came to draw job skeletons and each usage trace from its
+// own substream, reduced with its peak sample kept.
 var goldenGrizzlyDigests = map[string]string{
-	"table2":          "87b8c84954c770ef3381095fabc31c40a7f45e9b78fafd0e8b05b54d61fff178",
-	"fig2":            "c0d61ee4b2555abe9b86e76b31f261bbb44afff140af98c43b30268455c1ebc8",
-	"fig5-grizzly+0":  "f0f1dda756a730d3871375ebfb27f5a7ce20dabafe7b7b6d6dbb68820ed8da85",
-	"fig5-grizzly+60": "e8d87acc95a47cded63659bf071ca7399aae60102a35b2e9259eb8e5cee7fd6b",
+	"table2":          "84b91c4a69e4599616cda924f0168e2666fd0ee3122b0e8881855a72504ebcc6",
+	"fig2":            "26fae4410ffade5a635fe046ef1c8f10508368142dc0e61579b8efa52cf58f0d",
+	"fig5-grizzly+0":  "40394b06c5e46015b5ed58fc1997fe2a9e935d3b263829bd185ebf4d306ee77a",
+	"fig5-grizzly+60": "04939eca3c1e8a988b30070fb3b7c7b7127960ab3a7a3edec75de349ce48c2a2",
 }
 
 func digestTable2(t *Table2) string {

@@ -1,8 +1,8 @@
 //go:build paperscale
 
-// The paper-scale memory guard builds the Full-preset Grizzly dataset,
-// which takes tens of seconds and hundreds of MiB, and reads the process's
-// live heap. It is kept out of the default test binary so it runs once, in
+// The paper-scale memory guard builds the Full-preset Grizzly dataset and
+// its sampled weeks' usage traces, which takes seconds and over a hundred
+// MiB, and reads the process's live heap. It is kept out of the default test binary so it runs once, in
 // a process of its own:
 //
 //	go test -tags paperscale -run '^TestFullGrizzlyDatasetHeap$' -v ./internal/experiments/
@@ -17,42 +17,49 @@ import (
 )
 
 // TestFullGrizzlyDatasetHeap bounds the memory of the paper-scale synthetic
-// Grizzly dataset (26 weeks at 1490 nodes, about 80k jobs). Reduced traces
-// own exact-size storage, and the generator keeps at most a small window of
-// raw series in flight while their reductions run on the pool, so the
-// dataset measures about 466 MiB live. A reduced trace that pinned its raw
-// series' array took the same dataset past 3 GiB; an unbounded in-flight
-// window would pin every raw series until the end of generation. The test
-// checks both the live heap once the dataset is built and the largest live
-// heap any garbage collection marked while building it.
+// Grizzly data a walk holds: the dataset's skeleton (26 weeks at 1490
+// nodes, about 80k jobs) and the seven sampled weeks with their usage
+// traces built (Preset.SampledWeeks). Reduced traces own exact-size storage,
+// and a raw series lives only inside the pool task that reduces it. A
+// reduced trace that pinned its raw series' array took the whole dataset
+// past 3 GiB, and a build that kept raw series until its end would hold
+// every one of them. The test checks both the live heap once the weeks are
+// built and the largest live heap any garbage collection marked while
+// building them.
 func TestFullGrizzlyDatasetHeap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates the paper-scale Grizzly dataset")
+		t.Skip("builds the paper-scale Grizzly weeks")
 	}
-	const limitMiB = 600
+	const limitMiB = 215
+	p := Full()
 	base := liveHeapAfterGC()
 	stop := peakLiveHeap()
-	d := Full().GrizzlyDataset()
+	d := p.GrizzlyDataset()
+	weeks := p.SampledWeeks(d)
 	peak := stop()
 	live := liveHeapAfterGC()
-	jobs := 0
+	jobs, built := 0, 0
 	for i := range d.Weeks {
 		jobs += len(d.Weeks[i].Jobs)
 	}
+	for i := range weeks {
+		built += len(weeks[i].Jobs)
+	}
 	runtime.KeepAlive(d)
+	runtime.KeepAlive(weeks)
 	mib := func(b uint64) float64 {
 		if b < base {
 			return 0
 		}
 		return float64(b-base) / (1 << 20)
 	}
-	t.Logf("%d weeks, %d jobs: %.0f MiB live, %.0f MiB largest live heap during generation",
-		len(d.Weeks), jobs, mib(live), mib(peak))
+	t.Logf("%d weeks, %d jobs; %d weeks built, %d jobs: %.0f MiB live, %.0f MiB largest live heap during the build",
+		len(d.Weeks), jobs, len(weeks), built, mib(live), mib(peak))
 	if mib(live) > limitMiB {
-		t.Errorf("dataset holds %.0f MiB live, want <= %d MiB", mib(live), limitMiB)
+		t.Errorf("dataset and built weeks hold %.0f MiB live, want <= %d MiB", mib(live), limitMiB)
 	}
 	if mib(peak) > limitMiB {
-		t.Errorf("generation held %.0f MiB live at a collection, want <= %d MiB", mib(peak), limitMiB)
+		t.Errorf("the build held %.0f MiB live at a collection, want <= %d MiB", mib(peak), limitMiB)
 	}
 }
 

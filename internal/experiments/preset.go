@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dismem/internal/cluster"
 	"dismem/internal/core"
@@ -184,7 +185,8 @@ func (p Preset) syntheticParams(largeFrac, overest float64) tracegen.Params {
 	}
 }
 
-// GrizzlyDataset synthesises the LDMS dataset at the preset's scale. Every
+// GrizzlyDataset synthesises the LDMS dataset's skeleton at the preset's
+// scale: every week and job, without usage traces (grizzly.Generate). Every
 // call generates it afresh.
 func (p Preset) GrizzlyDataset() *grizzly.Dataset {
 	rng := newRand(p.Seed + 1000)
@@ -194,28 +196,36 @@ func (p Preset) GrizzlyDataset() *grizzly.Dataset {
 	}, rng)
 }
 
-// generateGrizzly is the one generator behind GrizzlyDataset; a variable so
-// the walk's tests can count its calls.
-var generateGrizzly = grizzly.Generate
+// generateGrizzly is the one generator behind GrizzlyDataset, and
+// buildWeek the one builder of a sampled week's usage traces; variables so
+// the walk's tests can count their calls.
+var (
+	generateGrizzly = grizzly.Generate
+	buildWeek       = (*grizzly.Week).Build
+)
 
 // SampledWeeks returns the weeks of d the Grizzly panels simulate
-// (sampleWeeks), copied out of d, so holding them does not keep the rest of
-// the dataset alive. Building jobs only reads a week, so any number of
-// overestimations and concurrent panels can share them.
+// (PickWeeks), copied out of d with their usage traces built. d is not
+// written, and holding the copies does not keep the rest of it alive. Each
+// week is built once, here: building jobs only reads a week, so every
+// overestimation and every concurrent panel shares its traces.
 func (p Preset) SampledWeeks(d *grizzly.Dataset) []grizzly.Week {
-	sampled := p.sampleWeeks(d)
-	weeks := make([]grizzly.Week, len(sampled))
-	for i, w := range sampled {
+	picked := p.PickWeeks(d)
+	weeks := make([]grizzly.Week, len(picked))
+	for i, w := range picked {
 		weeks[i] = *w
+		weeks[i].Jobs = slices.Clone(w.Jobs)
+		buildWeek(&weeks[i])
 	}
 	return weeks
 }
 
-// sampleWeeks samples the preset's number of representative
-// high-utilisation weeks of d to simulate (paper §3.2.1: seven sampled
-// weeks, simulated independently), or the busiest week when none reaches
-// the threshold. Figure 2 marks these weeks.
-func (p Preset) sampleWeeks(d *grizzly.Dataset) []*grizzly.Week {
+// PickWeeks samples the preset's number of representative high-utilisation
+// weeks of d to simulate (paper §3.2.1: seven sampled weeks, simulated
+// independently), or the busiest week when none reaches the threshold. The
+// weeks are d's own, unbuilt: GrizzlyJobs builds the traces of one into the
+// jobs it returns. Figure 2 marks these weeks.
+func (p Preset) PickWeeks(d *grizzly.Dataset) []*grizzly.Week {
 	sampled, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, max(p.GrizzlySample, 1))
 	if err == nil {
 		return sampled
@@ -230,7 +240,8 @@ func (p Preset) sampleWeeks(d *grizzly.Dataset) []*grizzly.Week {
 }
 
 // GrizzlyJobs builds one sampled week's job trace with the given
-// overestimation.
+// overestimation. It uses the week's usage traces and builds any it lacks
+// into the jobs only.
 func (p Preset) GrizzlyJobs(w *grizzly.Week, overest float64) ([]*job.Job, error) {
 	return w.BuildJobs(grizzly.BuildParams{
 		Overestimation: overest,

@@ -12,30 +12,24 @@ import (
 // The evaluation is one ordered list of stages (every table, figure,
 // ablation and the headlines), and dmpexp -exp and the markdown report both
 // walk it. A walk produces each input and result once and hands it to its
-// later readers: the Grizzly dataset is generated once for Table 2 and
-// Figure 2, the sampled weeks are copied out of it once for every Grizzly
-// panel of Figures 5 and 8, and every simulated cell is kept in the walk's
-// table (cells.go) for each figure that reads it. Figure 9 and the
-// headlines are read off figures whose cells the walk already holds.
+// later readers: the Grizzly dataset's skeleton is generated once for
+// Table 2, Figure 2 and the week sample, the sampled weeks' usage traces are
+// built once for every Grizzly panel of Figures 5 and 8, and every simulated
+// cell is kept in the walk's table (cells.go) for each figure that reads it.
+// Figure 9 and the headlines are read off figures whose cells the walk
+// already holds.
 //
-// A stage walked alone computes only what it reads. The walk drops the
-// Grizzly data after its last reader, and its cells with the walk.
+// A stage walked alone computes only what it reads: Table 2 and Figure 2
+// build no trace. The walk drops the Grizzly data after their last reader,
+// and its cells with the walk.
 
 // Stage is one step of the evaluation.
 type Stage struct {
-	Name  string // the dmpexp -exp name
-	Title string // the report's section heading
-	reads reads  // the Grizzly data the stage reads
-	run   func(*walk) (fmt.Stringer, error)
+	Name    string // the dmpexp -exp name
+	Title   string // the report's section heading
+	grizzly bool   // reads the Grizzly dataset or its sampled weeks
+	run     func(*walk) (fmt.Stringer, error)
 }
-
-// reads is the set of Grizzly inputs a stage reads.
-type reads uint8
-
-const (
-	readsDataset reads = 1 << iota // the whole dataset
-	readsWeeks                     // the sampled weeks, when the walk has Grizzly panels
-)
 
 // WalkOptions selects what a walk includes.
 type WalkOptions struct {
@@ -46,18 +40,18 @@ type WalkOptions struct {
 // evaluation is every stage in order. A stage that reads another's result
 // comes after it.
 var evaluation = []Stage{
-	{Name: "table2", Title: "Table 2 — max memory per node", reads: readsDataset,
+	{Name: "table2", Title: "Table 2 — max memory per node", grizzly: true,
 		run: func(w *walk) (fmt.Stringer, error) { return RunTable2(w.p, w.dataset()) }},
 	{Name: "table3", Title: "Table 3 — job characteristics",
 		run: func(w *walk) (fmt.Stringer, error) { return RunTable3(w.p) }},
-	{Name: "fig2", Title: "Figure 2 — Grizzly week sampling", reads: readsDataset,
+	{Name: "fig2", Title: "Figure 2 — Grizzly week sampling", grizzly: true,
 		run: func(w *walk) (fmt.Stringer, error) { return RunFig2(w.p, w.dataset()) }},
 	{Name: "fig4", Title: "Figure 4 — usage heatmaps", run: func(w *walk) (fmt.Stringer, error) { return RunFig4(w.p) }},
-	{Name: "fig5", Title: "Figure 5 — throughput vs provisioned memory", reads: readsWeeks,
+	{Name: "fig5", Title: "Figure 5 — throughput vs provisioned memory", grizzly: true,
 		run: func(w *walk) (fmt.Stringer, error) { return runFig5(w.cells, w.sampledWeeks()) }},
 	{Name: "fig6", Title: "Figure 6 — response-time distributions", run: byCells(runFig6)},
 	{Name: "fig7", Title: "Figure 7 — throughput per dollar", run: byCells(runFig7)},
-	{Name: "fig8", Title: "Figure 8 — overestimation sweep", reads: readsWeeks,
+	{Name: "fig8", Title: "Figure 8 — overestimation sweep", grizzly: true,
 		run: func(w *walk) (fmt.Stringer, error) { return runFig8(w.cells, w.sampledWeeks()) }},
 	{Name: "fig9", Title: "Figure 9 — minimum provisioning for 95% throughput", run: byCells(runFig9)},
 	{Name: "util", Title: "Memory utilisation by policy", run: byCells(runUtilization)},
@@ -100,13 +94,10 @@ func Stages(name string) ([]Stage, error) {
 // sees the result of their last reader.
 func Walk(p Preset, stages []Stage, opts WalkOptions, visit func(Stage, fmt.Stringer) error) error {
 	w := &walk{p: p, opts: opts, cells: newCells(p)}
-	lastDataset, lastWeeks := -1, -1
+	last := -1
 	for i, st := range stages {
-		if st.reads&readsDataset != 0 {
-			lastDataset = i
-		}
-		if st.reads&readsWeeks != 0 {
-			lastWeeks = i
+		if st.grizzly {
+			last = i
 		}
 	}
 	for i, st := range stages {
@@ -114,14 +105,8 @@ func Walk(p Preset, stages []Stage, opts WalkOptions, visit func(Stage, fmt.Stri
 		if err != nil {
 			return fmt.Errorf("%s: %w", st.Name, err)
 		}
-		if i == lastDataset {
-			if lastWeeks > i {
-				w.sampledWeeks() // copied out before the dataset goes
-			}
-			w.d = nil
-		}
-		if i == lastWeeks {
-			w.weeks = nil
+		if i == last {
+			w.d, w.weeks = nil, nil
 		}
 		if err := visit(st, res); err != nil {
 			return err
@@ -156,8 +141,11 @@ type walk struct {
 	p    Preset
 	opts WalkOptions
 
-	d     *grizzly.Dataset // until the last stage that reads it
-	weeks []grizzly.Week   // until the last stage that reads them
+	// The Grizzly data, until the last stage that reads them: the
+	// dataset's skeleton (a few MiB at Full) and the sampled weeks with
+	// their traces.
+	d     *grizzly.Dataset
+	weeks []grizzly.Week
 
 	cells *cells // every cell the walk's stages have read
 }
@@ -170,16 +158,11 @@ func (w *walk) dataset() *grizzly.Dataset {
 	return w.d
 }
 
-// sampledWeeks returns the weeks the Grizzly panels simulate, or nil when
-// the walk leaves those panels out. They come from the walk's dataset if it
-// holds one, or else from a dataset generated for them and not kept.
+// sampledWeeks returns the weeks the Grizzly panels simulate, built on
+// first use, or nil when the walk leaves those panels out.
 func (w *walk) sampledWeeks() []grizzly.Week {
 	if w.weeks == nil && w.opts.Grizzly {
-		d := w.d
-		if d == nil {
-			d = w.p.GrizzlyDataset()
-		}
-		w.weeks = w.p.SampledWeeks(d)
+		w.weeks = w.p.SampledWeeks(w.dataset())
 	}
 	return w.weeks
 }

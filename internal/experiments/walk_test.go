@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -14,7 +15,9 @@ import (
 
 	"dismem/internal/core"
 	"dismem/internal/job"
+	"dismem/internal/memtrace"
 	"dismem/internal/policy"
+	"dismem/internal/tracegen"
 	"dismem/internal/traces/grizzly"
 )
 
@@ -29,6 +32,58 @@ func countGenerations(t *testing.T) *atomic.Int32 {
 	}
 	t.Cleanup(func() { generateGrizzly = gen })
 	return &n
+}
+
+// weekBuilds counts the sampled weeks whose usage traces are built, by
+// week index, and checks that every Grizzly simulation reads traces they
+// built: that building a week's jobs built none.
+type weekBuilds struct {
+	mu     sync.Mutex
+	n      map[int]int
+	traces map[*memtrace.Trace]bool
+	stray  int // Grizzly simulations that read a trace no week build made
+}
+
+// countWeekBuilds counts the week builds until the test ends. Install it
+// before countSimulations, so the simulations it checks are counted too.
+func countWeekBuilds(t *testing.T, p Preset) *weekBuilds {
+	b := &weekBuilds{n: map[int]int{}, traces: map[*memtrace.Trace]bool{}}
+	build := buildWeek
+	buildWeek = func(w *grizzly.Week) {
+		build(w)
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.n[w.Index]++
+		for i := range w.Jobs {
+			b.traces[w.Jobs[i].Usage] = true
+		}
+	}
+	sim := simulate
+	simulate = func(cfg core.Config, jobs []*job.Job) (*core.Result, error) {
+		if cfg.Cluster.Nodes == p.GrizzlyNodes {
+			b.mu.Lock()
+			for _, j := range jobs {
+				if !b.traces[j.Usage] {
+					b.stray++
+					break
+				}
+			}
+			b.mu.Unlock()
+		}
+		return sim(cfg, jobs)
+	}
+	t.Cleanup(func() { buildWeek, simulate = build, sim })
+	return b
+}
+
+// take returns the builds by week index and the stray simulations so far
+// and starts the count afresh; the built traces stay known.
+func (b *weekBuilds) take() (map[int]int, int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n, stray := b.n, b.stray
+	b.n, b.stray = map[int]int{}, 0
+	return n, stray
 }
 
 // simulations counts the simulations run while it is installed, and the
@@ -100,8 +155,12 @@ var simulationsAlone = map[string]int{
 // stage, with the Grizzly panels at the tiny preset. Each section must hold
 // the body of its stage walked alone, byte for byte. The report must
 // generate the Grizzly dataset once, where its stages walked alone generate
-// it once each for Table 2, Figure 2, Figure 5 and Figure 8, and must
-// simulate each cell once: 596 simulations, where 744 ran before the walk
+// it once each for Table 2, Figure 2, Figure 5 and Figure 8. It must build
+// each sampled week's usage traces once, and every Grizzly simulation must
+// read those traces; Table 2 and Figure 2 walked alone build none, and
+// Figures 5 and 8 each build every sampled week once. The report and the
+// stages alone must generate each synthetic trace once: nothing the walk
+// asks for is evicted from the trace cache. It must simulate each cell once: 596 simulations, where 744 ran before the walk
 // kept a table of cells. The only repeats left are the four ablation arms
 // that set a knob to its default and so run a cell of Figure 5 again, on
 // the ablations' 50 % system: the 300 s update interval, fail/restart, and
@@ -113,7 +172,9 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 	p := tiny()
 	opts := WalkOptions{Grizzly: true}
 	n := countGenerations(t)
+	builds := countWeekBuilds(t, p)
 	sims := countSimulations(t)
+	tracegen.ResetCache()
 	var report bytes.Buffer
 	if err := WriteReport(&report, p, opts); err != nil {
 		t.Fatal(err)
@@ -121,6 +182,25 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 	if got := n.Load(); got != 1 {
 		t.Fatalf("the report generated %d Grizzly datasets, want 1", got)
 	}
+	var sampled []int
+	for _, w := range p.PickWeeks(p.GrizzlyDataset()) {
+		sampled = append(sampled, w.Index)
+	}
+	onceEach := func(what string) {
+		t.Helper()
+		built, stray := builds.take()
+		want := map[int]int{}
+		for _, i := range sampled {
+			want[i] = 1
+		}
+		if !maps.Equal(built, want) {
+			t.Errorf("%s built weeks %v (index: builds), want each sampled week %v once", what, built, sampled)
+		}
+		if stray != 0 {
+			t.Errorf("%s ran %d Grizzly simulations on traces no week build made", what, stray)
+		}
+	}
+	onceEach("the report")
 	ran, repeats := sims.take()
 	if ran != 596 {
 		t.Errorf("the report ran %d simulations, want 596", ran)
@@ -159,11 +239,19 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 			t.Errorf("report section %d differs from stage %s walked alone:\n%s\n---\n%s", i, st.Name, sections[i], want)
 		}
 		want := int32(0)
-		if st.reads != 0 {
+		if st.grizzly {
 			want = 1
 		}
 		if got := n.Load() - before; got != want {
 			t.Errorf("%s walked alone generated %d Grizzly datasets, want %d", st.Name, got, want)
+		}
+		switch st.Name {
+		case "fig5", "fig8":
+			onceEach(st.Name + " walked alone")
+		default:
+			if built, _ := builds.take(); len(built) != 0 {
+				t.Errorf("%s walked alone built weeks %v, want none", st.Name, built)
+			}
 		}
 		ran, repeats := sims.take()
 		if ran > simulationsAlone[st.Name] {
@@ -172,6 +260,11 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 		if len(repeats) != 0 {
 			t.Errorf("%s walked alone repeated %d simulations", st.Name, len(repeats))
 		}
+	}
+	// An LRU evicts nothing below its bound, so misses equal the entries
+	// kept exactly when no trace the walk asked for was generated twice.
+	if entries, _, misses := tracegen.CacheStats(); misses != int64(entries) {
+		t.Errorf("the walks generated %d synthetic traces and kept %d: a trace was evicted and generated again", misses, entries)
 	}
 }
 

@@ -63,8 +63,9 @@ func TestTraceProducersOwnExactStorage(t *testing.T) {
 	t.Run("grizzly", func(t *testing.T) {
 		d := grizzly.Generate(grizzly.Params{Nodes: 48, WeekCount: 1}, rand.New(rand.NewSource(1)))
 		w := &d.Weeks[0]
+		w.Build()
 		for i := range w.Jobs {
-			check(t, "grizzly.Generate", w.Jobs[i].Usage)
+			check(t, "grizzly.Week.Build", w.Jobs[i].Usage)
 		}
 	})
 	t.Run("google", func(t *testing.T) {

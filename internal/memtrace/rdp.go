@@ -18,13 +18,19 @@ const rdpBlock = 32
 // length, in which every removed point deviates vertically by at most epsMB
 // from the line joining the retained neighbours. The first and last points
 // are always kept. epsMB <= 0 returns the trace unchanged.
-func (tr *Trace) RDP(epsMB float64) *Trace {
+func (tr *Trace) RDP(epsMB float64) *Trace { return tr.RDPKeep(epsMB, 0) }
+
+// RDPKeep is RDP that keeps the point at index at (0 <= at < Len()) as
+// well: the spans on either side of it are reduced separately, each keeping
+// its ends, so that point survives whatever its deviation. At 0 it is RDP.
+func (tr *Trace) RDPKeep(epsMB float64, at int) *Trace {
 	if epsMB <= 0 || len(tr.pts) <= 2 {
 		return tr
 	}
+	last := len(tr.pts) - 1
 	keep := make([]bool, len(tr.pts))
-	keep[0], keep[len(tr.pts)-1] = true, true
-	rdpMark(tr.pts, 0, len(tr.pts)-1, epsMB, keep)
+	keep[0], keep[at], keep[last] = true, true, true
+	rdpMark(tr.pts, epsMB, keep, span{0, at}, span{at, last})
 	n := 0
 	for _, k := range keep {
 		if k {
@@ -42,9 +48,13 @@ func (tr *Trace) RDP(epsMB float64) *Trace {
 	return &Trace{pts: out}
 }
 
-// rdpMark marks the points to keep between indices lo and hi (exclusive
-// interior), recursing on the point of maximum vertical deviation. An
-// explicit stack avoids deep recursion on very long traces.
+// span is a stretch of a trace between two kept points, lo and hi.
+type span struct{ lo, hi int }
+
+// rdpMark marks the points to keep inside each span (exclusive of its
+// ends), recursing on the point of maximum vertical deviation. What a span
+// keeps depends only on its ends, so the spans may be taken in any order.
+// An explicit stack avoids deep recursion on very long traces.
 //
 // Each span's maximum is the one a plain left-to-right scan finds (first
 // index of the maximum, strict >), but a whole block of rdpBlock points is
@@ -56,7 +66,7 @@ func (tr *Trace) RDP(epsMB float64) *Trace {
 // the running maximum holds no point that a strict > would take, so
 // skipping it changes neither the index found nor the worst > eps test. A
 // NaN bound is never <=, so its block is scanned.
-func rdpMark(pts []Point, lo, hi int, eps float64, keep []bool) {
+func rdpMark(pts []Point, eps float64, keep []bool, spans ...span) {
 	nb := len(pts) / rdpBlock
 	minMB, maxMB := make([]float64, nb), make([]float64, nb)
 	for k := range nb {
@@ -73,8 +83,7 @@ func rdpMark(pts []Point, lo, hi int, eps float64, keep []bool) {
 		minMB[k], maxMB[k] = float64(mn), float64(mx)
 	}
 
-	type span struct{ lo, hi int }
-	stack := []span{{lo, hi}}
+	stack := spans
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -3,6 +3,7 @@ package memtrace
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -10,7 +11,6 @@ import (
 // of its interior points. It is the oracle the block-pruned rdpMark must
 // match kept point for kept point.
 func rdpMarkRef(pts []Point, lo, hi int, eps float64, keep []bool) {
-	type span struct{ lo, hi int }
 	stack := []span{{lo, hi}}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
@@ -46,7 +46,7 @@ func rdpMarkRef(pts []Point, lo, hi int, eps float64, keep []bool) {
 func checkRDPSpan(t testing.TB, what string, pts []Point, lo, hi int, eps float64) {
 	t.Helper()
 	got, want := make([]bool, len(pts)), make([]bool, len(pts))
-	rdpMark(pts, lo, hi, eps, got)
+	rdpMark(pts, eps, got, span{lo, hi})
 	rdpMarkRef(pts, lo, hi, eps, want)
 	for i := range got {
 		if got[i] != want[i] {
@@ -181,6 +181,42 @@ func TestRDPMatchesReferenceOnAlignedSpans(t *testing.T) {
 						checkRDPSpan(t, "aligned span", pts, lo, hi, eps)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRDPKeepKeepsThePeak reduces generator-shaped series split at their
+// exact peak sample, at tolerances wide enough to flatten the whole peak
+// plateau. The kept sample must survive, the reduced peak must be the raw
+// one, and each side must keep exactly what the reference keeps on its own.
+func TestRDPKeepKeepsThePeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(3000)
+		peak := 1 + rng.Int63n(128*1024)
+		pts := ldmsShaped(rng, n, peak)
+		at := slices.IndexFunc(pts, func(p Point) bool { return p.MB == peak })
+		tr := MustNew(pts)
+		for _, frac := range []float64{0.02, 0.5, 2} {
+			eps := frac * float64(peak)
+			got := tr.RDPKeep(eps, at)
+			if got.Peak() != peak || !slices.Contains(got.Points(), pts[at]) {
+				t.Fatalf("n=%d, eps=%g: reduced peak %d, raw %d; sample %d kept: %v",
+					n, eps, got.Peak(), peak, at, slices.Contains(got.Points(), pts[at]))
+			}
+			want := make([]bool, n)
+			want[0], want[at], want[n-1] = true, true, true
+			rdpMarkRef(pts, 0, at, eps, want)
+			rdpMarkRef(pts, at, n-1, eps, want)
+			var wantPts []Point
+			for i, k := range want {
+				if k {
+					wantPts = append(wantPts, pts[i])
+				}
+			}
+			if !slices.Equal(got.Points(), wantPts) {
+				t.Fatalf("n=%d, eps=%g, at=%d: kept %d points, the split reference %d", n, eps, at, got.Len(), len(wantPts))
 			}
 		}
 	}

@@ -190,14 +190,22 @@ type disaggPolicy struct {
 func (p *disaggPolicy) Kind() Kind   { return p.kind }
 func (p *disaggPolicy) Tracks() bool { return p.kind == Dynamic }
 
-// CanEverRun: on an empty cluster the job needs enough compute nodes and,
-// across the whole pool, enough total memory. Each compute node's local
-// share plus everything borrowed must exist somewhere.
+// CanEverRun: on an empty cluster the job needs enough compute nodes and
+// enough memory for each of them. A compute node serves its own share up to
+// the request and lends nothing to the job's other nodes (borrow skips
+// them), so its memory above the request is out of the job's reach. The
+// job can run only if, with the compute nodes that strand the least memory
+// (the smallest), the pool less what they strand covers the request on
+// every node.
 func (*disaggPolicy) CanEverRun(cl *cluster.Cluster, j *job.Job) bool {
 	if cl.Len() < j.Nodes {
 		return false
 	}
-	return cl.TotalCapacityMB() >= j.TotalRequestMB()
+	var stranded int64
+	for _, id := range cl.CapacityOrder()[:j.Nodes] {
+		stranded += max(0, cl.Node(id).CapacityMB-j.RequestMB)
+	}
+	return cl.TotalCapacityMB()-stranded >= j.TotalRequestMB()
 }
 
 // Place honours the submission request for both policies; only later usage

@@ -139,6 +139,27 @@ func TestStaticCanEverRunUsesPool(t *testing.T) {
 	}
 }
 
+// TestDisaggCanEverRunOwnNodesLendNothing: a job's compute nodes lend
+// nothing to its other nodes, so memory they hold above the request does
+// not count. On 3×1000 + 2×2000 MB, 4×1700 MB fits the 7000 MB pool but
+// not the 6700 MB its compute nodes leave within its reach, while 4×1500 MB
+// can run, and places on the empty cluster.
+func TestDisaggCanEverRunOwnNodesLendNothing(t *testing.T) {
+	cl := cluster.NewMixed(cluster.Config{Nodes: 5, Cores: 32, NormalMB: 1000, LargeFrac: 0.4})
+	for _, k := range []Kind{Static, Dynamic} {
+		p := New(k, Order{})
+		if p.CanEverRun(cl, testJob(1, 4, 1700)) {
+			t.Fatalf("%v: 4x1700MB runnable, but its nodes can reach only 6700MB", k)
+		}
+		if !p.CanEverRun(cl, testJob(2, 4, 1500)) {
+			t.Fatalf("%v: 4x1500MB reported unrunnable", k)
+		}
+	}
+	if _, ok := New(Dynamic, Order{}).Place(cl, testJob(2, 4, 1500)); !ok {
+		t.Fatal("4x1500MB does not place on the empty cluster")
+	}
+}
+
 func TestStaticPlaceWithoutBorrowing(t *testing.T) {
 	cl := cluster.New(2, 32, 1000)
 	p := New(Static, Order{})

@@ -62,7 +62,6 @@ func (e *Engine) Clone(rebind func(tag uint64) Action) (*Engine, map[uint64]Hand
 		fired:     e.fired,
 		maxT:      e.maxT,
 		maxEvents: e.maxEvents,
-		halted:    e.halted,
 		exhausted: e.exhausted,
 	}
 	c.queue = make(eventQueue, len(e.queue))

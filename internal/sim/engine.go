@@ -159,7 +159,6 @@ type Engine struct {
 	fired     uint64
 	maxT      float64
 	maxEvents uint64
-	halted    bool
 	exhausted bool
 }
 
@@ -289,13 +288,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty, the horizon is reached, the
-// event budget is exhausted, or a handler sets halted (the tests' Halt). It
-// returns the final simulated time.
+// Run fires events until the queue is empty, the horizon is reached or the
+// event budget is exhausted. It returns the final simulated time.
 func (e *Engine) Run() float64 {
-	e.halted = false
 	e.exhausted = false
-	for !e.halted {
+	for {
 		if e.maxEvents > 0 && e.fired >= e.maxEvents {
 			e.exhausted = true
 			break

@@ -125,18 +125,20 @@ func TestHorizon(t *testing.T) {
 	}
 }
 
+// TestHalt stops a run after one event with the event budget, the
+// backstop production runs set, and resumes it with the budget lifted.
 func TestHalt(t *testing.T) {
 	e := New()
 	n := 0
-	e.Schedule(1, func(e *Engine) { n++; e.Halt() })
+	e.Schedule(1, func(*Engine) { n++ })
 	e.Schedule(2, func(*Engine) { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("fired %d events, want 1 (halted)", n)
+	e.SetMaxEvents(1)
+	if now := e.Run(); n != 1 || now != 1 || !e.Exhausted() {
+		t.Fatalf("fired %d events to t=%g (exhausted %v), want 1 to t=1, exhausted", n, now, e.Exhausted())
 	}
-	e.Run()
-	if n != 2 {
-		t.Fatalf("fired %d events after resume, want 2", n)
+	e.SetMaxEvents(0)
+	if now := e.Run(); n != 2 || now != 2 || e.Exhausted() {
+		t.Fatalf("fired %d events to t=%g after resume (exhausted %v), want 2 to t=2", n, now, e.Exhausted())
 	}
 }
 
@@ -568,6 +570,3 @@ func TestStepAllocationFree(t *testing.T) {
 		t.Fatalf("warm Step allocates %.1f per call, want 0", got)
 	}
 }
-
-// Halt stops the run after the current event handler returns.
-func (e *Engine) Halt() { e.halted = true }

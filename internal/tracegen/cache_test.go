@@ -296,3 +296,52 @@ func TestResetCache(t *testing.T) {
 		t.Fatal("reset did not force a fresh generation")
 	}
 }
+
+// TestCacheEvictsLeastRecentlyUsed fills the cache past its bound. The
+// least recently used trace goes and is generated afresh when asked for
+// again; one used since stays; and an entry still in flight is never
+// evicted, however many traces complete after it.
+func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	ResetCache()
+	t.Cleanup(ResetCache)
+	inFlight := &cacheEntry{key: "in flight", done: make(chan struct{})}
+	cache.mu.Lock()
+	cache.m[inFlight.key] = inFlight
+	cache.mu.Unlock()
+	outs := map[int64]*Output{}
+	get := func(seed int64) *Output {
+		t.Helper()
+		out, err := Cached(benchParams(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for seed := int64(1); seed <= cacheCap; seed++ {
+		outs[seed] = get(seed)
+	}
+	get(1) // seed 1 is now the most recently used; seed 2 the least
+	get(cacheCap + 1)
+	entries, _, misses := CacheStats()
+	if entries != cacheCap+1 || misses != cacheCap+1 {
+		t.Fatalf("%d entries after %d misses, want %d generated and one in flight", entries, misses, cacheCap)
+	}
+	if get(1) != outs[1] {
+		t.Fatal("a recently used trace was evicted")
+	}
+	if _, _, m := CacheStats(); m != cacheCap+1 {
+		t.Fatalf("a hit counted as a miss: %d misses", m)
+	}
+	if get(2) == outs[2] {
+		t.Fatal("the least recently used trace was kept past the bound")
+	}
+	if _, _, m := CacheStats(); m != cacheCap+2 {
+		t.Fatalf("the evicted trace was not generated afresh: %d misses", m)
+	}
+	cache.mu.Lock()
+	kept := cache.m[inFlight.key] == inFlight
+	cache.mu.Unlock()
+	if !kept {
+		t.Fatal("an in-flight entry was evicted")
+	}
+}

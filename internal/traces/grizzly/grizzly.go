@@ -34,16 +34,22 @@ const (
 )
 
 // TraceJob is one job observed in the dataset: what LDMS can tell us,
-// without scheduler-side fields.
+// without scheduler-side fields. A dataset holds each job's skeleton (size,
+// duration, peak and trace seed); its usage trace is built only for a week
+// that is simulated (Week.Build, Week.BuildJobs).
 type TraceJob struct {
 	ID       int
 	Nodes    int
 	Duration float64
-	Usage    *memtrace.Trace // per-node usage over the job's duration
+	Usage    *memtrace.Trace // per-node usage over the job's duration; nil until built
+
+	peak int64 // per-node peak memory, MB: Usage.Peak() once built
+	seed int64 // seeds the job's own usage-trace substream
 }
 
-// PeakMB returns the job's per-node peak memory.
-func (j *TraceJob) PeakMB() int64 { return j.Usage.Peak() }
+// PeakMB returns the job's per-node peak memory, which is also the peak of
+// its usage trace once that is built.
+func (j *TraceJob) PeakMB() int64 { return j.peak }
 
 // NodeHours returns size × duration in node-hours.
 func (j *TraceJob) NodeHours() float64 { return float64(j.Nodes) * j.Duration / 3600 }
@@ -53,6 +59,8 @@ type Week struct {
 	Index       int
 	Utilization float64 // CPU utilisation: job node-hours over system node-hours
 	Jobs        []TraceJob
+
+	rdpEpsilonFrac float64 // Params.RDPEpsilonFrac, for building the traces
 }
 
 // MaxJobNodeHours returns the largest job node-hours in the week.
@@ -115,32 +123,16 @@ func (p *Params) normalize() {
 	}
 }
 
-// Generate synthesises the dataset. Every job's skeleton and raw usage
-// series are drawn from rng in one serial stream; the RDP reduction of each
-// series uses no randomness, so it runs as a task on the shared sweep pool
-// and its result is stored back by index. At most 2 × the pool size
-// reductions are in flight: before submitting job k the generator waits on
-// job k − window, and a wait on a task that has not started runs it inline,
-// so raw series never pile up and a Generate nested inside a pool task
-// cannot deadlock. The dataset is identical to a serial reduction.
+// Generate synthesises the dataset's skeleton. Each week's utilisation and
+// each job's size, duration, per-node peak and trace seed are drawn from rng
+// in one serial stream; no usage trace is drawn. Table 2 and Figure 2 read
+// only skeletons, and Week.Build and Week.BuildJobs build the traces of the
+// weeks that are simulated.
 func Generate(p Params, rng *rand.Rand) *Dataset {
 	p.normalize()
-	d := &Dataset{Nodes: p.Nodes, Weeks: make([]Week, 0, p.WeekCount)}
-	pool := sweep.SharedPool()
-	type reduction struct {
-		week, job int
-		f         *sweep.Future[*memtrace.Trace]
-	}
-	ring := make([]reduction, 2*pool.Size())
-	settle := func(r reduction) {
-		res := r.f.Wait()
-		if res.Err != nil {
-			panic(res.Err)
-		}
-		d.Weeks[r.week].Jobs[r.job].Usage = res.Value
-	}
+	d := &Dataset{Nodes: p.Nodes, Weeks: make([]Week, p.WeekCount)}
 	id := 1
-	for w := 0; w < p.WeekCount; w++ {
+	for w := range d.Weeks {
 		util := p.MeanUtil + rng.NormFloat64()*p.UtilSigma
 		if util < 0.2 {
 			util = 0.2
@@ -148,42 +140,29 @@ func Generate(p Params, rng *rand.Rand) *Dataset {
 		if util > 0.95 {
 			util = 0.95
 		}
-		d.Weeks = append(d.Weeks, Week{Index: w, Utilization: util})
 		week := &d.Weeks[w]
+		*week = Week{Index: w, rdpEpsilonFrac: p.RDPEpsilonFrac}
 		target := util * float64(p.Nodes) * WeekSec
 		var accum float64
 		for accum < target {
-			tj, raw, eps := generateJob(rng, id, p)
-			slot := &ring[(id-1)%len(ring)]
-			if slot.f != nil {
-				settle(*slot)
-			}
-			*slot = reduction{w, len(week.Jobs), sweep.Submit(pool, func() (*memtrace.Trace, error) {
-				return raw.RDP(eps), nil
-			})}
+			tj := drawJob(rng, id, p.Nodes)
 			id++
 			week.Jobs = append(week.Jobs, tj)
 			accum += float64(tj.Nodes) * tj.Duration
 		}
-		// Recompute the achieved utilisation (the last job overshoots).
+		// The achieved utilisation: the last job overshoots the target.
 		week.Utilization = accum / (float64(p.Nodes) * WeekSec)
-	}
-	for i := range ring {
-		if r := ring[(id-1+i)%len(ring)]; r.f != nil {
-			settle(r)
-		}
 	}
 	return d
 }
 
-// generateJob draws one LDMS job: CIRNE-like size/duration, Table 2
-// (Grizzly column) memory by size class, and a raw 10-second usage trace,
-// returned with the RDP tolerance that reduces it. The job's Usage is left
-// for the caller to fill with the reduction.
-func generateJob(rng *rand.Rand, id int, p Params) (tj TraceJob, raw *memtrace.Trace, eps float64) {
+// drawJob draws one LDMS job's skeleton: CIRNE-like size and duration,
+// Table 2 (Grizzly column) memory by size class, and the seed of its usage
+// trace.
+func drawJob(rng *rand.Rand, id, systemNodes int) TraceJob {
 	nodes := sampleSize(rng)
-	if nodes > p.Nodes {
-		nodes = p.Nodes // a job cannot outsize the system it ran on
+	if nodes > systemNodes {
+		nodes = systemNodes // a job cannot outsize the system it ran on
 	}
 	duration := sampleDuration(rng)
 	var peak int64
@@ -195,8 +174,54 @@ func generateJob(rng *rand.Rand, id int, p Params) (tj TraceJob, raw *memtrace.T
 	if peak > NodeMemMB {
 		peak = NodeMemMB
 	}
-	raw = ldmsTrace(rng, peak, duration)
-	return TraceJob{ID: id, Nodes: nodes, Duration: duration}, raw, p.RDPEpsilonFrac * float64(peak)
+	return TraceJob{ID: id, Nodes: nodes, Duration: duration, peak: peak, seed: rng.Int63()}
+}
+
+// Build builds the usage traces of w's jobs in place, unless w is built
+// already. It writes the week, so it must finish before the week is shared.
+func (w *Week) Build() {
+	usage, err := w.usages()
+	if err != nil {
+		panic(err)
+	}
+	for i := range w.Jobs {
+		w.Jobs[i].Usage = usage[i]
+	}
+}
+
+// built reports whether w holds its jobs' usage traces. A week is built
+// whole or not at all: a dataset's weeks hold skeletons, and Week.Build
+// fills every job.
+func (w *Week) built() bool { return len(w.Jobs) > 0 && w.Jobs[0].Usage != nil }
+
+// usages returns each job's usage trace by job index: the ones a built
+// week holds, or else all of them built afresh. Each trace is drawn from
+// the job's own substream and reduced in one task on the shared pool, so
+// the raw series lives only inside its task, and the traces are the same
+// whatever the pool's size or order. usages only reads w.
+func (w *Week) usages() ([]*memtrace.Trace, error) {
+	if w.built() {
+		out := make([]*memtrace.Trace, len(w.Jobs))
+		for i := range w.Jobs {
+			out[i] = w.Jobs[i].Usage
+		}
+		return out, nil
+	}
+	tasks := make([]sweep.Task[*memtrace.Trace], len(w.Jobs))
+	for i := range w.Jobs {
+		tj := &w.Jobs[i]
+		tasks[i] = func() (*memtrace.Trace, error) { return tj.buildUsage(w.rdpEpsilonFrac), nil }
+	}
+	return sweep.Values(sweep.Run(tasks))
+}
+
+// buildUsage draws the job's raw LDMS series from its own substream and
+// RDP-reduces it with a tolerance of epsFrac × its peak, keeping the peak
+// sample. Every raw sample is at most the peak and the kept one equals it
+// (ldmsTrace), so the reduced trace's Peak() is PeakMB() exactly.
+func (j *TraceJob) buildUsage(epsFrac float64) *memtrace.Trace {
+	raw, at := ldmsTrace(rand.New(rand.NewSource(j.seed)), j.peak, j.Duration)
+	return raw.RDPKeep(epsFrac*float64(j.peak), at)
 }
 
 func sampleSize(rng *rand.Rand) int {
@@ -226,10 +251,12 @@ func sampleDuration(rng *rand.Rand) float64 {
 }
 
 // ldmsTrace builds a raw 10-second-cadence usage series with an HPC phase
-// structure (low mean, occasional peak phase). The series is capped at 20k
-// samples; longer jobs are sampled proportionally coarser, which RDP would
-// do anyway.
-func ldmsTrace(rng *rand.Rand, peak int64, duration float64) *memtrace.Trace {
+// structure (low mean, occasional peak phase) and returns it with the index
+// of a sample that equals peak. No sample exceeds peak: the peak phase sits
+// at it, and the walk outside it is clamped to it. The series is capped at
+// 20k samples; longer jobs are sampled proportionally coarser, which RDP
+// would do anyway.
+func ldmsTrace(rng *rand.Rand, peak int64, duration float64) (*memtrace.Trace, int) {
 	n := int(duration / SampleInterval)
 	if n < 2 {
 		n = 2
@@ -260,7 +287,7 @@ func ldmsTrace(rng *rand.Rand, peak int64, duration float64) *memtrace.Trace {
 		pts[i] = memtrace.Point{T: float64(i) * step, MB: int64(level)}
 	}
 	pts[peakStart].MB = peak // the peak value is exact
-	return memtrace.MustNew(pts)
+	return memtrace.MustNew(pts), peakStart
 }
 
 // SampleWeeks implements the paper's Fig. 2 sampling: keep weeks with
@@ -295,8 +322,14 @@ type BuildParams struct {
 	Seed         int64
 }
 
-// BuildJobs converts a sampled week into simulator-ready jobs.
+// BuildJobs converts a sampled week into simulator-ready jobs. It uses the
+// usage traces the week holds and builds any missing one into the jobs it
+// returns, never into the week, so any number of builds may share a week.
 func (w *Week) BuildJobs(p BuildParams) ([]*job.Job, error) {
+	usage, err := w.usages()
+	if err != nil {
+		return nil, err
+	}
 	if p.LimitPadding < 1 {
 		p.LimitPadding = 2
 	}
@@ -315,7 +348,7 @@ func (w *Week) BuildJobs(p BuildParams) ([]*job.Job, error) {
 			RequestMB:   workload.Overestimate(tj.PeakMB(), p.Overestimation),
 			LimitSec:    tj.Duration * p.LimitPadding,
 			BaseRuntime: tj.Duration,
-			Usage:       tj.Usage,
+			Usage:       usage[i],
 			Profile:     p.Matcher.Match(tj.Nodes, tj.Duration),
 		}
 		if err := j.Validate(); err != nil {

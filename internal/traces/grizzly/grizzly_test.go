@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,42 +16,24 @@ func smallParams(weeks int) Params {
 	return Params{Nodes: 64, WeekCount: weeks}
 }
 
-// generateSerialRef is Generate with every job's RDP reduction run inline,
-// in draw order: the oracle for the pool pipeline.
-func generateSerialRef(p Params, rng *rand.Rand) *Dataset {
-	p.normalize()
-	d := &Dataset{Nodes: p.Nodes}
-	id := 1
-	for w := 0; w < p.WeekCount; w++ {
-		util := p.MeanUtil + rng.NormFloat64()*p.UtilSigma
-		if util < 0.2 {
-			util = 0.2
+// buildSerialRef builds every job's usage trace of d inline, in job
+// order: the oracle for the pool build.
+func buildSerialRef(d *Dataset) {
+	for w := range d.Weeks {
+		week := &d.Weeks[w]
+		for i := range week.Jobs {
+			week.Jobs[i].Usage = week.Jobs[i].buildUsage(week.rdpEpsilonFrac)
 		}
-		if util > 0.95 {
-			util = 0.95
-		}
-		week := Week{Index: w, Utilization: util}
-		target := util * float64(p.Nodes) * WeekSec
-		var accum float64
-		for accum < target {
-			tj, raw, eps := generateJob(rng, id, p)
-			tj.Usage = raw.RDP(eps)
-			id++
-			week.Jobs = append(week.Jobs, tj)
-			accum += float64(tj.Nodes) * tj.Duration
-		}
-		week.Utilization = accum / (float64(p.Nodes) * WeekSec)
-		d.Weeks = append(d.Weeks, week)
 	}
-	return d
 }
 
-// TestGenerateMatchesSerial holds the pipelined generator to the serial
-// reference: the same weeks, job IDs, sizes, durations, utilisations and
-// reduced points, at several system sizes and week counts, both from a
-// plain caller and from inside a pool task (the nesting Fig 5 and Fig 8
-// use, where the waits must help rather than block).
-func TestGenerateMatchesSerial(t *testing.T) {
+// TestBuildMatchesSerial holds the pool build of a week to the serial
+// reference: the same traces at the same job indices, at several system
+// sizes, week counts and tolerances, both from a plain caller and from
+// inside pool tasks (the nesting Figures 5 and 8 use, where the waits must
+// help rather than block). BuildJobs on an unbuilt week must build the same
+// traces into its jobs and leave the week unbuilt.
+func TestBuildMatchesSerial(t *testing.T) {
 	cases := []Params{
 		{Nodes: 16, WeekCount: 1},
 		{Nodes: 64, WeekCount: 3},
@@ -59,28 +42,89 @@ func TestGenerateMatchesSerial(t *testing.T) {
 	}
 	for i, p := range cases {
 		seed := int64(100 + i)
-		want := generateSerialRef(p, rand.New(rand.NewSource(seed)))
+		want := Generate(p, rand.New(rand.NewSource(seed)))
+		buildSerialRef(want)
 		got := Generate(p, rand.New(rand.NewSource(seed)))
+		for w := range got.Weeks {
+			got.Weeks[w].Build()
+		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%+v: pipelined dataset differs from the serial reference", p)
+			t.Fatalf("%+v: pool-built dataset differs from the serial reference", p)
 		}
-		// Nested: two generations at once, each inside a pool task.
-		futs := make([]*sweep.Future[*Dataset], 2)
-		for k := range futs {
-			futs[k] = sweep.Submit(sweep.SharedPool(), func() (*Dataset, error) {
-				return Generate(p, rand.New(rand.NewSource(seed))), nil
-			})
-		}
-		for k, f := range futs {
-			d, err := f.Get()
-			if err != nil {
-				t.Fatal(err)
+		// Nested: two builds of each week at once, each inside a pool task.
+		skel := Generate(p, rand.New(rand.NewSource(seed)))
+		for w := range skel.Weeks {
+			futs := make([]*sweep.Future[Week], 2)
+			for k := range futs {
+				futs[k] = sweep.Submit(sweep.SharedPool(), func() (Week, error) {
+					week := skel.Weeks[w]
+					week.Jobs = slices.Clone(week.Jobs)
+					week.Build()
+					return week, nil
+				})
 			}
-			if !reflect.DeepEqual(d, want) {
-				t.Fatalf("%+v: nested generation %d differs from the serial reference", p, k)
+			for k, f := range futs {
+				week, err := f.Get()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(week, want.Weeks[w]) {
+					t.Fatalf("%+v: nested build %d of week %d differs from the serial reference", p, k, w)
+				}
+			}
+		}
+		// BuildJobs on the skeleton builds into its jobs only.
+		bp := BuildParams{Overestimation: 0.3, Seed: seed}
+		fromSkel, err := skel.Weeks[0].BuildJobs(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBuilt, err := want.Weeks[0].BuildJobs(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fromSkel, fromBuilt) {
+			t.Fatalf("%+v: jobs built from the skeleton differ from those of the built week", p)
+		}
+		for _, tj := range skel.Weeks[0].Jobs {
+			if tj.Usage != nil {
+				t.Fatalf("%+v: BuildJobs wrote job %d's trace into the week", p, tj.ID)
 			}
 		}
 	}
+}
+
+// TestSkeletonPeakIsTracePeak builds every week of a multi-week dataset,
+// at the default tolerance and at ones wide enough to flatten a whole peak
+// plateau, and requires each job's skeleton peak, which Table 2 and
+// Figure 2 read, to be the peak of the trace that is simulated.
+func TestSkeletonPeakIsTracePeak(t *testing.T) {
+	for _, eps := range []float64{0, 0.5, 3} {
+		d := Generate(Params{Nodes: 144, WeekCount: 6, RDPEpsilonFrac: eps}, rand.New(rand.NewSource(12)))
+		jobs := 0
+		for w := range d.Weeks {
+			week := &d.Weeks[w]
+			week.Build()
+			for i := range week.Jobs {
+				tj := &week.Jobs[i]
+				if got := tj.Usage.Peak(); got != tj.PeakMB() {
+					t.Fatalf("eps %g, week %d, job %d: trace peak %d, skeleton peak %d", eps, w, tj.ID, got, tj.PeakMB())
+				}
+				jobs++
+			}
+		}
+		if jobs < 1000 {
+			t.Fatalf("eps %g: only %d jobs checked", eps, jobs)
+		}
+	}
+}
+
+// buildAll builds every week of d.
+func buildAll(d *Dataset) *Dataset {
+	for w := range d.Weeks {
+		d.Weeks[w].Build()
+	}
+	return d
 }
 
 func TestGenerateWeeks(t *testing.T) {
@@ -108,7 +152,7 @@ func TestGenerateWeeks(t *testing.T) {
 }
 
 func TestJobShapes(t *testing.T) {
-	d := Generate(smallParams(3), rand.New(rand.NewSource(2)))
+	d := buildAll(Generate(smallParams(3), rand.New(rand.NewSource(2))))
 	for _, w := range d.Weeks {
 		for i := range w.Jobs {
 			j := &w.Jobs[i]
@@ -155,7 +199,7 @@ func TestMemoryDistributionMatchesTable2(t *testing.T) {
 func TestMeanMemoryUtilisationLow(t *testing.T) {
 	// Panwar et al. report ~18 % average node memory utilisation; our
 	// generator must keep the average well below the peak.
-	d := Generate(smallParams(4), rand.New(rand.NewSource(4)))
+	d := buildAll(Generate(smallParams(4), rand.New(rand.NewSource(4))))
 	var meanSum, peakSum float64
 	var n int
 	for _, w := range d.Weeks {

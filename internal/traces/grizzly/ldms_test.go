@@ -13,7 +13,9 @@ import (
 func tinyWeek(t *testing.T, nodes int) *Week {
 	t.Helper()
 	d := Generate(Params{Nodes: nodes, WeekCount: 1, MeanUtil: 0.5}, rand.New(rand.NewSource(11)))
-	return &d.Weeks[0]
+	w := &d.Weeks[0]
+	w.Build()
+	return w
 }
 
 func TestPlaceAssignsAllJobs(t *testing.T) {
@@ -152,11 +154,15 @@ func TestReconstructJobsMatchesSource(t *testing.T) {
 		}
 		return memtrace.MustNew(pts)
 	}
+	observed := func(id, nodes int, duration float64, levels ...int64) TraceJob {
+		tr := mkTrace(levels...)
+		return TraceJob{ID: id, Nodes: nodes, Duration: duration, Usage: tr, peak: tr.Peak()}
+	}
 	w := &Week{Jobs: []TraceJob{
-		{ID: 1, Nodes: 4, Duration: 4800, Usage: mkTrace(1000, 25000, 9000, 2000)},
-		{ID: 2, Nodes: 1, Duration: 2400, Usage: mkTrace(500, 7000)},
-		{ID: 3, Nodes: 8, Duration: 3600, Usage: mkTrace(12000, 60000, 12000)},
-		{ID: 4, Nodes: 2, Duration: 7200, Usage: mkTrace(3000, 3000, 40000, 3000, 3000, 3000)},
+		observed(1, 4, 4800, 1000, 25000, 9000, 2000),
+		observed(2, 1, 2400, 500, 7000),
+		observed(3, 8, 3600, 12000, 60000, 12000),
+		observed(4, 2, 7200, 3000, 3000, 40000, 3000, 3000, 3000),
 	}}
 	placed, err := w.Place(nodes)
 	if err != nil {

@@ -197,6 +197,7 @@ func ReconstructJobs(records []Record, interval, rdpEpsilonFrac float64) ([]Trac
 			Nodes:    len(a.nodes),
 			Duration: a.lastT - a.firstT + interval, // last sample covers one period
 			Usage:    tr,
+			peak:     tr.Peak(),
 		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })

@@ -11,7 +11,8 @@
 # and CPU).
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5, the
 # replicated headlines, trace generation vs cache hit), the 1490-node
-# Grizzly dataset generation and the RDP reduction it runs per job, the
+# Grizzly dataset's skeleton and the build of its simulated week's usage
+# traces (a raw series and its RDP reduction per job), the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
 # grizzly-scale, its domains twin, and the same-trace 100k, 100k-unsharded
 # (default shard count) and 100k-domains rows, plus 100k-borrow (one job
@@ -50,6 +51,7 @@ run .                    'BenchmarkHeadlines$'          3x
 run .                    'BenchmarkTraceGeneration$'    1s 3
 run .                    'BenchmarkTraceCacheHit$'      1s 3
 run .                    'BenchmarkGrizzlyDataset$'     1x 3
+run .                    'BenchmarkGrizzlyWeekBuild$'   1x 3
 run .                    'BenchmarkScenario$/^(baseline|static|dynamic)$' 100x 5
 # The cluster-scale scenarios record the median of three single-iteration
 # runs: one shot of a multi-second benchmark tracks recorder load as much
