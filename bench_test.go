@@ -197,12 +197,14 @@ func BenchmarkScenario(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := gp.RunScenarioWith(jobs, gp.GrizzlyNodes, gmc, policy.Dynamic,
-				func(c *core.Config) {
-					c.Pressure = core.PressureDomains
-					c.Domains = 16
-				})
+			cfg := gp.ConfigFor(gp.GrizzlyNodes, gmc, policy.Dynamic)
+			cfg.Pressure = core.PressureDomains
+			cfg.Domains = 16
+			s, err := core.New(cfg, jobs)
 			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -250,6 +250,9 @@ type Config struct {
 	Interrupt func() error
 }
 
+// DefaultPriorityBoost is the PriorityBoost that Normalize fills in.
+const DefaultPriorityBoost = 3
+
 // Normalize fills unset fields with the paper's defaults and validates the
 // configuration.
 func (c *Config) Normalize() error {
@@ -281,7 +284,7 @@ func (c *Config) Normalize() error {
 		c.MaxRestarts = 50
 	}
 	if c.PriorityBoost <= 0 {
-		c.PriorityBoost = 3
+		c.PriorityBoost = DefaultPriorityBoost
 	}
 	if c.PerNodeRemoteBW <= 0 {
 		c.PerNodeRemoteBW = 10

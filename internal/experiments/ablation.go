@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"dismem/internal/core"
-	"dismem/internal/metrics"
 	"dismem/internal/policy"
 	"dismem/internal/sweep"
-	"dismem/internal/topology"
-	"dismem/internal/tracegen"
 )
 
 // The ablation experiments probe the design choices the paper discusses in
@@ -19,28 +16,27 @@ import (
 // All run on the underprovisioned, overestimated scenario where the dynamic
 // policy matters most (50 % large jobs, +60 %, 50 % memory).
 
-// ablationScenario fixes the common workload on the system with memPct %
-// memory. Its norm is the norm of Figure 5's 50 % panels.
-func (c *cells) ablationScenario(memPct int) (jobsAndSystem, error) {
-	tr, err := c.p.SyntheticTrace(0.5, 0.6)
-	if err != nil {
-		return jobsAndSystem{}, err
-	}
-	n, err := norm(c.get(normCell(c.synthetic(0.5, 0))))
-	if err != nil {
-		return jobsAndSystem{}, err
-	}
+// ablation requests the cell of every arm, a policy and the knobs it sets,
+// on the common workload on the system with memPct % memory, and their
+// norm, the norm of Figure 5's 50 % panels, before it waits for any of
+// them. An arm that sets a knob to its default reads a cell of Figure 5.
+func (c *cells) ablation(memPct int, arms []cellRef) ([]outcome, float64, error) {
 	mc, err := MemConfigByPct(memPct)
 	if err != nil {
-		return jobsAndSystem{}, err
+		return nil, 0, err
 	}
-	return jobsAndSystem{trace: tr, mc: mc, norm: n}, nil
-}
-
-type jobsAndSystem struct {
-	trace *tracegen.Output
-	mc    MemConfig
-	norm  float64
+	normF := c.get(normCell(c.synthetic(0.5, 0)))
+	tr := c.synthetic(0.5, 0.6)
+	for i := range arms {
+		arms[i].tr, arms[i].mc = tr, mc
+	}
+	futs := c.getAll(arms)
+	n, err := norm(normF)
+	if err != nil {
+		return nil, 0, err
+	}
+	outs, err := sweep.CollectValues(futs)
+	return outs, n, err
 }
 
 // AblationUpdateInterval sweeps the Monitor's update period.
@@ -66,30 +62,18 @@ func RunAblationUpdateInterval(p Preset) (*AblationUpdateInterval, error) {
 }
 
 func runAblationUpdateInterval(c *cells) (*AblationUpdateInterval, error) {
-	p := c.p
-	sc, err := c.ablationScenario(50)
+	arms := make([]cellRef, len(UpdateIntervals))
+	for i, iv := range UpdateIntervals {
+		arms[i] = cellRef{pol: policy.Dynamic, k: knobs{update: iv}}
+	}
+	outs, n, err := c.ablation(50, arms)
 	if err != nil {
 		return nil, err
 	}
 	out := &AblationUpdateInterval{}
-	for _, iv := range UpdateIntervals {
-		var tally core.Tally
-		res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic,
-			func(cfg *core.Config) {
-				cfg.UpdateInterval = iv
-				cfg.Observer = &tally
-			})
-		if err != nil {
-			return nil, err
-		}
-		row := UpdateIntervalRow{IntervalSec: iv, NormThroughput: Infeasible}
-		if !res.Infeasible {
-			row.NormThroughput = res.Throughput() / sc.norm
-			row.OOMKills = res.OOMKills
-			row.Resizes = tally.Resizes
-			row.ReclaimedGB = float64(tally.ReclaimedMB) / 1024
-		}
-		out.Rows = append(out.Rows, row)
+	for i, o := range outs {
+		out.Rows = append(out.Rows, UpdateIntervalRow{IntervalSec: UpdateIntervals[i], NormThroughput: o.relative(n),
+			OOMKills: o.oomKills, Resizes: o.resizes, ReclaimedGB: float64(o.reclaimedMB) / 1024})
 	}
 	return out, nil
 }
@@ -124,46 +108,21 @@ type OOMRow struct {
 func RunAblationOOM(p Preset) (*AblationOOM, error) { return runAblationOOM(newCells(p)) }
 
 func runAblationOOM(c *cells) (*AblationOOM, error) {
-	p := c.p
-	sc, err := c.ablationScenario(50)
+	labels := []string{"fail/restart", "c/r ideal", "c/r 10min", "c/r 1h"}
+	arms := []cellRef{
+		{pol: policy.Dynamic, k: knobs{oom: core.FailRestart}},
+		{pol: policy.Dynamic, k: knobs{oom: core.CheckpointRestart}},
+		{pol: policy.Dynamic, k: knobs{oom: core.CheckpointRestart, checkpoint: 600}},
+		{pol: policy.Dynamic, k: knobs{oom: core.CheckpointRestart, checkpoint: 3600}},
+	}
+	outs, n, err := c.ablation(50, arms)
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		label  string
-		mutate func(*core.Config)
-	}{
-		{"fail/restart", func(cfg *core.Config) { cfg.OOM = core.FailRestart }},
-		{"c/r ideal", func(cfg *core.Config) { cfg.OOM = core.CheckpointRestart }},
-		{"c/r 10min", func(cfg *core.Config) {
-			cfg.OOM = core.CheckpointRestart
-			cfg.CheckpointInterval = 600
-		}},
-		{"c/r 1h", func(cfg *core.Config) {
-			cfg.OOM = core.CheckpointRestart
-			cfg.CheckpointInterval = 3600
-		}},
-	}
 	out := &AblationOOM{}
-	for _, k := range configs {
-		res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic, k.mutate)
-		if err != nil {
-			return nil, err
-		}
-		row := OOMRow{Label: k.label, NormThroughput: Infeasible}
-		if !res.Infeasible {
-			row.NormThroughput = res.Throughput() / sc.norm
-			row.OOMKills = res.OOMKills
-			row.Abandoned = res.Abandoned
-			if rts := res.ResponseTimes(); len(rts) > 0 {
-				e, err := metrics.NewECDF(rts)
-				if err != nil {
-					return nil, err
-				}
-				row.MedianResponse = e.Median()
-			}
-		}
-		out.Rows = append(out.Rows, row)
+	for i, o := range outs {
+		out.Rows = append(out.Rows, OOMRow{Label: labels[i], NormThroughput: o.relative(n),
+			OOMKills: o.oomKills, Abandoned: o.abandoned, MedianResponse: o.medianResponse})
 	}
 	return out, nil
 }
@@ -193,49 +152,26 @@ type BackfillRow struct {
 	MedianWait     float64
 }
 
-// Backfill reports whether the row used any backfill (kept for the CSV
-// consumers that predate the three-way comparison).
-func (r BackfillRow) Backfill() bool { return r.Mode != "none" }
-
 // RunAblationBackfill executes the comparison for static and dynamic.
 func RunAblationBackfill(p Preset) (*AblationBackfill, error) {
 	return runAblationBackfill(newCells(p))
 }
 
 func runAblationBackfill(c *cells) (*AblationBackfill, error) {
-	p := c.p
-	sc, err := c.ablationScenario(50)
+	var arms []cellRef
+	for _, pol := range []policy.Kind{policy.Static, policy.Dynamic} {
+		for _, mode := range []core.BackfillMode{core.EASYBackfill, core.ConservativeBackfill, core.NoBackfill} {
+			arms = append(arms, cellRef{pol: pol, k: knobs{backfill: mode}})
+		}
+	}
+	outs, n, err := c.ablation(50, arms)
 	if err != nil {
 		return nil, err
 	}
 	out := &AblationBackfill{}
-	for _, pol := range []policy.Kind{policy.Static, policy.Dynamic} {
-		for _, mode := range []core.BackfillMode{core.EASYBackfill, core.ConservativeBackfill, core.NoBackfill} {
-			mode := mode
-			res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, pol,
-				func(cfg *core.Config) { cfg.Backfill = mode })
-			if err != nil {
-				return nil, err
-			}
-			row := BackfillRow{Policy: pol.String(), Mode: mode.String(), NormThroughput: Infeasible}
-			if !res.Infeasible {
-				row.NormThroughput = res.Throughput() / sc.norm
-				var waits []float64
-				for i := range res.Records {
-					if w := res.Records[i].WaitTime(); w >= 0 {
-						waits = append(waits, w)
-					}
-				}
-				if len(waits) > 0 {
-					e, err := metrics.NewECDF(waits)
-					if err != nil {
-						return nil, err
-					}
-					row.MedianWait = e.Median()
-				}
-			}
-			out.Rows = append(out.Rows, row)
-		}
+	for i, o := range outs {
+		out.Rows = append(out.Rows, BackfillRow{Policy: arms[i].pol.String(), Mode: arms[i].k.backfill.String(),
+			NormThroughput: o.relative(n), MedianWait: o.medianWait})
 	}
 	return out, nil
 }
@@ -273,52 +209,22 @@ func RunAblationPriority(p Preset) (*AblationPriority, error) {
 }
 
 func runAblationPriority(c *cells) (*AblationPriority, error) {
-	p := c.p
-	sc, err := c.ablationScenario(43)
+	labels := []string{"boost after 1", "boost after 3", "never boost"}
+	arms := []cellRef{
+		{pol: policy.Dynamic, k: knobs{boost: 1}},
+		{pol: policy.Dynamic, k: knobs{boost: 3}},
+		{pol: policy.Dynamic, k: knobs{boost: 1 << 30}},
+	}
+	outs, n, err := c.ablation(43, arms)
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		label string
-		boost int
-	}{
-		{"boost after 1", 1},
-		{"boost after 3", 3},
-		{"never boost", 1 << 30},
-	}
 	out := &AblationPriority{}
-	for _, k := range configs {
-		res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic,
-			func(cfg *core.Config) { cfg.PriorityBoost = k.boost })
-		if err != nil {
-			return nil, err
-		}
-		row := PriorityRow{Label: k.label, NormThroughput: Infeasible}
-		if !res.Infeasible {
-			row.NormThroughput = res.Throughput() / sc.norm
-			row.OOMKills = res.OOMKills
-			for i := range res.Records {
-				if r := res.Records[i].Restarts; r > row.MaxRestarts {
-					row.MaxRestarts = r
-				}
-			}
-			row.Fairness = metrics.JainFairness(invert(res.ResponseTimes()))
-		}
-		out.Rows = append(out.Rows, row)
+	for i, o := range outs {
+		out.Rows = append(out.Rows, PriorityRow{Label: labels[i], NormThroughput: o.relative(n),
+			OOMKills: o.oomKills, MaxRestarts: o.maxRestarts, Fairness: o.fairness})
 	}
 	return out, nil
-}
-
-// invert maps response times to rates so Jain's index rewards uniformly
-// low response times.
-func invert(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if x > 0 {
-			out[i] = 1 / x
-		}
-	}
-	return out
 }
 
 func (a *AblationPriority) String() string {
@@ -345,43 +251,26 @@ type LenderRow struct {
 	NormThroughput float64
 }
 
-// RunAblationLender executes the comparison. The six cells run as one
-// sweep on the shared pool, collected in table order.
+// RunAblationLender executes the comparison.
 func RunAblationLender(p Preset) (*AblationLender, error) { return runAblationLender(newCells(p)) }
 
 func runAblationLender(c *cells) (*AblationLender, error) {
-	p := c.p
-	sc, err := c.ablationScenario(50)
-	if err != nil {
-		return nil, err
-	}
-	torus := topology.Design(p.SystemNodes)
-	var tasks []sweep.Task[LenderRow]
+	var arms []cellRef
 	for _, hp := range []float64{0, 0.25, 1.0} {
 		for _, lp := range []core.LenderPolicy{core.MostFree, core.NearestFirst} {
-			tasks = append(tasks, func() (LenderRow, error) {
-				res, err := p.RunScenarioWith(sc.trace.Jobs, p.SystemNodes, sc.mc, policy.Dynamic,
-					func(cfg *core.Config) {
-						cfg.Topology = &torus
-						cfg.LenderPolicy = lp
-						cfg.HopPenalty = hp
-					})
-				if err != nil {
-					return LenderRow{}, err
-				}
-				row := LenderRow{Order: lp.String(), HopPenalty: hp, NormThroughput: Infeasible}
-				if !res.Infeasible {
-					row.NormThroughput = res.Throughput() / sc.norm
-				}
-				return row, nil
-			})
+			arms = append(arms, cellRef{pol: policy.Dynamic, k: knobs{lender: lp, torus: true, hopPenalty: hp}})
 		}
 	}
-	rows, err := sweep.Values(sweep.Run(tasks))
+	outs, n, err := c.ablation(50, arms)
 	if err != nil {
 		return nil, err
 	}
-	return &AblationLender{Rows: rows}, nil
+	out := &AblationLender{}
+	for i, o := range outs {
+		out.Rows = append(out.Rows, LenderRow{Order: arms[i].k.lender.String(), HopPenalty: arms[i].k.hopPenalty,
+			NormThroughput: o.relative(n)})
+	}
+	return out, nil
 }
 
 func (a *AblationLender) String() string {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"strings"
 
 	"dismem/internal/core"
@@ -324,12 +325,17 @@ func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSp
 	if err != nil {
 		return nil, err
 	}
-	jobs, params, err := p.scenarioJobs(ctx, s)
+	tr, err := p.scenarioTrace(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	jobs, err := tr.jobs()
 	if err != nil {
 		return nil, err
 	}
 
-	cfg := m.config(ctx, p, params.SystemNodes, mc, pol)
+	cfg := p.cellConfig(tr.nodes, mc, pol, m.knobs)
+	cfg.Interrupt = interrupt(ctx)
 	base, err := core.New(cfg, jobs)
 	if err != nil {
 		return nil, err
@@ -358,32 +364,38 @@ func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSp
 // infTime is "after every event": StepUntil fires the whole timeline.
 const infTime = 1e300
 
-// scenarioJobs resolves the spec's trace (cached) and overlays dependency
-// chains, exactly as RunScenarioSpecCtx does for the sweep cells; the two
-// share this helper so a branched cell replays the sweep's precise workload.
-func (p Preset) scenarioJobs(ctx context.Context, s *ScenarioSpec) ([]*job.Job, tracegen.Params, error) {
+// scenarioTrace resolves the spec's trace (cached) and overlays dependency
+// chains: the one trace of every cell of RunScenarioSpecCtx and of the
+// cell RunBranchSpec branches, so a branched cell replays the sweep's
+// precise workload. Dependency chains are a BuildJobs option the pipeline
+// does not thread through, so they are drawn over clones of the cached
+// jobs, which are shared and never written.
+func (p Preset) scenarioTrace(ctx context.Context, s *ScenarioSpec) (trace, error) {
 	params := p.scenarioTraceParams(s)
 	if err := ctx.Err(); err != nil {
-		return nil, params, err
+		return trace{}, err
 	}
-	tr, err := tracegen.Cached(params)
+	out, err := tracegen.Cached(params)
 	if err != nil {
-		return nil, params, err
+		return trace{}, err
 	}
-	jobs := tr.Jobs
-	if s.Trace.ChainFrac > 0 {
-		jobs = make([]*job.Job, len(tr.Jobs))
-		for i, jb := range tr.Jobs {
-			clone := *jb
-			jobs[i] = &clone
-		}
-		chainRng := newRand(params.Seed + 99)
-		for i := range jobs {
-			if i > 0 && chainRng.Float64() < s.Trace.ChainFrac {
-				back := 1 + chainRng.Intn(min(i, 5))
-				jobs[i].DependsOn = jobs[i].ID - back
-			}
+	tr := trace{tracegen.Key(params), params.SystemNodes, func() ([]*job.Job, error) { return out.Jobs, nil }}
+	if s.Trace.ChainFrac == 0 {
+		return tr, nil
+	}
+	jobs := make([]*job.Job, len(out.Jobs))
+	for i, jb := range out.Jobs {
+		clone := *jb
+		jobs[i] = &clone
+	}
+	chainRng := newRand(params.Seed + 99)
+	for i := range jobs {
+		if i > 0 && chainRng.Float64() < s.Trace.ChainFrac {
+			back := 1 + chainRng.Intn(min(i, 5))
+			jobs[i].DependsOn = jobs[i].ID - back
 		}
 	}
-	return jobs, params, nil
+	tr.id += " chains " + strconv.FormatFloat(s.Trace.ChainFrac, 'g', -1, 64)
+	tr.jobs = func() ([]*job.Job, error) { return jobs, nil }
+	return tr, nil
 }

@@ -25,7 +25,11 @@ func pausedBase(t *testing.T, tel *telemetry.Recorder, at float64) *core.Simulat
 	t.Helper()
 	p := Bench()
 	s := branchTestSpec()
-	jobs, params, err := p.scenarioJobs(context.Background(), s)
+	tr, err := p.scenarioTrace(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := tr.jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +37,7 @@ func pausedBase(t *testing.T, tel *telemetry.Recorder, at float64) *core.Simulat
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := p.ConfigFor(params.SystemNodes, mc, corePolicy(t, "dynamic"))
+	cfg := p.ConfigFor(tr.nodes, mc, corePolicy(t, "dynamic"))
 	cfg.Telemetry = tel
 	base, err := core.New(cfg, jobs)
 	if err != nil {

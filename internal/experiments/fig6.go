@@ -83,7 +83,7 @@ func (c *cells) fig6Cells() ([]cellRef, error) {
 			if err != nil {
 				return nil, err
 			}
-			refs = append(refs, cellRef{tr, mc, policy.Static}, cellRef{tr, mc, policy.Dynamic})
+			refs = append(refs, cellRef{tr: tr, mc: mc, pol: policy.Static}, cellRef{tr: tr, mc: mc, pol: policy.Dynamic})
 		}
 	}
 	return refs, nil

@@ -66,7 +66,7 @@ func runFig7(c *cells) (*Fig7, error) {
 			for _, lf := range Fig7LargeFracs {
 				tr := c.synthetic(lf, ov)
 				for _, pol := range pols {
-					refs = append(refs, cellRef{tr, sys.MC, pol})
+					refs = append(refs, cellRef{tr: tr, mc: sys.MC, pol: pol})
 				}
 			}
 		}

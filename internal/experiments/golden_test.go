@@ -10,7 +10,6 @@ import (
 
 	"dismem/internal/core"
 	"dismem/internal/policy"
-	"dismem/internal/topology"
 )
 
 // Golden digests of one Bench()-preset scenario per policy (job mix 50 %,
@@ -88,35 +87,28 @@ func TestGoldenScenarioDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	domains := func(c *core.Config) {
-		c.Pressure = core.PressureDomains
-		c.Domains = 16
-	}
-	torus := topology.Design(p.SystemNodes)
-	nearest := func(c *core.Config) {
-		c.Topology = &torus
-		c.LenderPolicy = core.NearestFirst
-		c.HopPenalty = 0.5
-	}
+	domains := knobs{pressure: core.PressureDomains, domains: 16}
+	nearest := knobs{lender: core.NearestFirst, torus: true, hopPenalty: 0.5}
 	for _, row := range []struct {
-		name   string
-		kind   policy.Kind
-		mutate func(*core.Config)
+		name string
+		kind policy.Kind
+		k    knobs
 	}{
-		{"baseline", policy.Baseline, nil},
-		{"static", policy.Static, nil},
-		{"dynamic", policy.Dynamic, nil},
+		{"baseline", policy.Baseline, knobs{}},
+		{"static", policy.Static, knobs{}},
+		{"dynamic", policy.Dynamic, knobs{}},
 		{"static-domains", policy.Static, domains},
 		{"dynamic-domains", policy.Dynamic, domains},
 		{"static-nearest", policy.Static, nearest},
 		{"dynamic-nearest", policy.Dynamic, nearest},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			res1, err := p.RunScenarioWith(trace.Jobs, p.SystemNodes, mc, row.kind, row.mutate)
+			cfg := p.cellConfig(p.SystemNodes, mc, row.kind, row.k)
+			res1, err := simulate(cfg, trace.Jobs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res2, err := p.RunScenarioWith(trace.Jobs, p.SystemNodes, mc, row.kind, row.mutate)
+			res2, err := simulate(cfg, trace.Jobs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -252,7 +252,7 @@ func (p Preset) GrizzlyJobs(w *grizzly.Week, overest float64) ([]*job.Job, error
 // RunScenario simulates jobs on nodes under one memory configuration and
 // policy.
 func (p Preset) RunScenario(jobs []*job.Job, nodes int, mc MemConfig, pol policy.Kind) (*core.Result, error) {
-	return p.RunScenarioWith(jobs, nodes, mc, pol, nil)
+	return simulate(p.ConfigFor(nodes, mc, pol), jobs)
 }
 
 // ConfigFor returns the simulator configuration a scenario run uses; the
@@ -271,22 +271,9 @@ func (p Preset) ConfigFor(nodes int, mc MemConfig, pol policy.Kind) core.Config 
 	}
 }
 
-// RunScenarioWith is RunScenario with a configuration hook, used by the
-// ablation experiments to flip individual simulator switches.
-func (p Preset) RunScenarioWith(jobs []*job.Job, nodes int, mc MemConfig, pol policy.Kind, mutate func(*core.Config)) (*core.Result, error) {
-	cfg := p.ConfigFor(nodes, mc, pol)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return simulate(cfg, jobs)
-}
-
-// simulate runs every simulation of the evaluation; a variable so the
-// walk's tests can count them. The ScenarioSpec path calls run directly.
-var simulate = run
-
-// run simulates jobs under cfg to completion.
-func run(cfg core.Config, jobs []*job.Job) (*core.Result, error) {
+// simulate runs every simulation of the evaluation and of the scenario
+// sweeps to completion; a variable so the walk's tests can count them.
+var simulate = func(cfg core.Config, jobs []*job.Job) (*core.Result, error) {
 	s, err := core.New(cfg, jobs)
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"dismem/internal/core"
-	"dismem/internal/metrics"
 	"dismem/internal/policy"
 	"dismem/internal/sweep"
 	"dismem/internal/telemetry"
@@ -127,13 +126,11 @@ func (s *ScenarioSpec) Validate() error {
 
 // specModes is a spec's mode names parsed once. Validate, ScenarioKey,
 // RunScenarioSpecCtx and RunBranchSpec all read the spec's modes through
-// it, and every cell's core.Config is built by its config method.
+// it: its policy axis and the knobs every cell of the spec sets, so a
+// branch replays exactly the configuration of the cell it branched from.
 type specModes struct {
-	spec     *ScenarioSpec
 	policies []policy.Kind
-	backfill core.BackfillMode
-	oom      core.OOMMode
-	pressure core.PressureMode
+	knobs    knobs
 }
 
 // allPolicies is the policy axis of a spec that names none. Read only.
@@ -141,7 +138,8 @@ var allPolicies = []policy.Kind{policy.Baseline, policy.Static, policy.Dynamic}
 
 // resolve parses the spec's mode names, naming the JSON field in each error.
 func (s *ScenarioSpec) resolve() (specModes, error) {
-	m := specModes{spec: s, policies: allPolicies}
+	m := specModes{policies: allPolicies, knobs: knobs{
+		domains: s.Domains, update: s.UpdateInterval, enforce: s.EnforceTimeLimit}}
 	if len(s.Policies) > 0 {
 		m.policies = make([]policy.Kind, len(s.Policies))
 	}
@@ -151,51 +149,23 @@ func (s *ScenarioSpec) resolve() (specModes, error) {
 			return m, fmt.Errorf("scenario: field %q: %v", fmt.Sprintf("policies[%d]", i), err)
 		}
 	}
-	if m.backfill, err = core.ParseBackfill(s.Backfill); err != nil {
+	if m.knobs.backfill, err = core.ParseBackfill(s.Backfill); err != nil {
 		return m, fmt.Errorf("scenario: field %q: %v", "backfill", err)
 	}
-	if m.oom, err = core.ParseOOM(s.OOM); err != nil {
+	if m.knobs.oom, err = core.ParseOOM(s.OOM); err != nil {
 		return m, fmt.Errorf("scenario: field %q: %v", "oom", err)
 	}
-	if m.pressure, err = core.ParsePressure(s.Pressure); err != nil {
+	if m.knobs.pressure, err = core.ParsePressure(s.Pressure); err != nil {
 		return m, fmt.Errorf("scenario: field %q: %v", "pressure", err)
 	}
 	switch {
-	case m.pressure == core.PressureGlobal && s.Domains != 0:
+	case m.knobs.pressure == core.PressureGlobal && s.Domains != 0:
 		return m, fmt.Errorf("scenario: field %q: set to %d without %q: %q",
 			"domains", s.Domains, "pressure", "domains")
 	case s.Domains < 0:
 		return m, fmt.Errorf("scenario: field %q: negative count %d", "domains", s.Domains)
 	}
 	return m, nil
-}
-
-// updateInterval is the mean memory-update period the spec's cells run with.
-func (m specModes) updateInterval(p Preset) float64 {
-	if m.spec.UpdateInterval > 0 {
-		return m.spec.UpdateInterval
-	}
-	return p.UpdateInterval
-}
-
-// config is the core.Config of one (memory, policy) cell: the preset's
-// ConfigFor with the spec's simulator knobs on top. A sweep cell and a
-// branch of it both build their configuration here, so a branch replays
-// exactly the configuration of the cell it branched from.
-func (m specModes) config(ctx context.Context, p Preset, nodes int, mc MemConfig, pol policy.Kind) core.Config {
-	cfg := p.ConfigFor(nodes, mc, pol)
-	cfg.Backfill = m.backfill
-	cfg.OOM = m.oom
-	cfg.Pressure = m.pressure
-	cfg.Domains = m.spec.Domains
-	cfg.EnforceTimeLimit = m.spec.EnforceTimeLimit
-	cfg.UpdateInterval = m.updateInterval(p)
-	if ctx.Done() != nil {
-		// ctx.Err is nil until cancellation, so an uncancelled run is
-		// provably unperturbed (core's nil-interrupt purity test).
-		cfg.Interrupt = ctx.Err
-	}
-	return cfg
 }
 
 // ScenarioResult is the sweep outcome: one row per (memory, policy).
@@ -274,6 +244,7 @@ func (p Preset) ScenarioKey(s *ScenarioSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	k := m.knobs.resolved(p)
 	c := tracegen.NewCanon("dismem/scenario/v1")
 	c.Str("name", s.Name)
 	c.Str("trace", tracegen.Key(p.scenarioTraceParams(s)))
@@ -284,13 +255,13 @@ func (p Preset) ScenarioKey(s *ScenarioSpec) (string, error) {
 	for _, pol := range m.policies {
 		c.Str("pol", pol.String())
 	}
-	c.Str("backfill", m.backfill.String())
-	c.Str("oom", m.oom.String())
-	c.Str("pressure", m.pressure.String())
-	c.Int("domains", int64(s.Domains))
-	c.Float("update", m.updateInterval(p))
+	c.Str("backfill", k.backfill.String())
+	c.Str("oom", k.oom.String())
+	c.Str("pressure", k.pressure.String())
+	c.Int("domains", int64(k.domains))
+	c.Float("update", k.update)
 	enforce := int64(0)
-	if s.EnforceTimeLimit {
+	if k.enforce {
 		enforce = 1
 	}
 	c.Int("enforce", enforce)
@@ -305,74 +276,55 @@ func (p Preset) RunScenarioSpec(s *ScenarioSpec) (*ScenarioResult, error) {
 // RunScenarioSpecCtx is RunScenarioSpec under a context: cancellation
 // aborts in-flight cell simulations (polled between events via
 // core.Config.Interrupt) and skips cells not yet started, returning the
-// context's error. The sweep itself still runs every cell to a result or
-// error before returning, so a cancelled run never leaks tasks into the
-// shared pool. An uncancelled context changes nothing — results are
-// byte-identical to RunScenarioSpec.
+// context's error. The sweep is a view over a table of its own, which
+// still runs every cell to a result or error before returning, so a
+// cancelled run never leaks tasks into the shared pool. An uncancelled
+// context changes nothing — results are byte-identical to RunScenarioSpec.
 func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*ScenarioResult, error) {
 	m, err := s.resolve()
 	if err != nil {
 		return nil, err
 	}
-	mems := s.resolvedMemPcts()
-	// Dependency chains are a BuildJobs option the pipeline does not
-	// thread through; scenarioJobs regenerates the dependency layer over
-	// cloned jobs when asked (the cached trace is shared, so the chains
-	// are never written through the shared pointers).
-	jobs, params, err := p.scenarioJobs(ctx, s)
+	tr, err := p.scenarioTrace(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	nodes := params.SystemNodes
-
-	var tasks []sweep.Task[ScenarioRow]
-	for _, pct := range mems {
+	var refs []cellRef
+	for _, pct := range s.resolvedMemPcts() {
 		mc, err := MemConfigByPct(pct)
 		if err != nil {
 			return nil, err
 		}
 		for _, pol := range m.policies {
-			mc, pol := mc, pol
-			tasks = append(tasks, func() (ScenarioRow, error) {
-				row := ScenarioRow{MemPct: mc.LabelPct, Policy: pol.String(),
-					Throughput: Infeasible, MedianResponse: Infeasible, MeanStretch: Infeasible}
-				if err := ctx.Err(); err != nil {
-					return row, err // cancelled before this cell started
-				}
-				var rec *telemetry.Recorder
-				if s.Telemetry != nil {
-					rec = s.Telemetry(mc.LabelPct, pol.String())
-				}
-				cfg := m.config(ctx, p, nodes, mc, pol)
-				cfg.Telemetry = rec
-				res, err := run(cfg, jobs)
-				if cerr := rec.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-				if err != nil {
-					return row, err
-				}
-				if !res.Infeasible {
-					row.Throughput = res.Throughput()
-					row.OOMKills = res.OOMKills
-					row.MeanStretch = res.MeanStretch()
-					if rts := res.ResponseTimes(); len(rts) > 0 {
-						e, err := metrics.NewECDF(rts)
-						if err != nil {
-							return row, err
-						}
-						row.MedianResponse = e.Median()
-					}
-				}
-				return row, nil
-			})
+			refs = append(refs, cellRef{tr: tr, mc: mc, pol: pol, k: m.knobs})
 		}
 	}
-	rows, err := sweep.Values(sweep.Run(tasks))
+	c := &cells{p: p, interrupt: interrupt(ctx), telemetry: s.Telemetry, m: map[cellKey]*sweep.Future[outcome]{}}
+	outs, err := sweep.CollectValues(c.getAll(refs))
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]ScenarioRow, len(refs))
+	for i, r := range refs {
+		rows[i] = ScenarioRow{MemPct: r.mc.LabelPct, Policy: r.pol.String(),
+			Throughput: Infeasible, MedianResponse: Infeasible, MeanStretch: Infeasible}
+		if o := outs[i]; !o.infeasible {
+			rows[i].Throughput, rows[i].MedianResponse = o.throughput, o.medianResponse
+			rows[i].OOMKills, rows[i].MeanStretch = o.oomKills, o.meanStretch
+		}
+	}
 	return &ScenarioResult{Name: s.Name, Rows: rows}, nil
+}
+
+// interrupt is the core.Config.Interrupt of a run under ctx. It is nil
+// when ctx cannot be cancelled: ctx.Err is nil until cancellation, so an
+// uncancelled run is provably unperturbed (core's nil-interrupt purity
+// test).
+func interrupt(ctx context.Context) func() error {
+	if ctx.Done() == nil {
+		return nil
+	}
+	return ctx.Err
 }
 
 func (r *ScenarioResult) String() string {

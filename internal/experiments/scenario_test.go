@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
+
+	"dismem/internal/telemetry"
 )
 
 const sampleSpec = `{
@@ -125,6 +128,28 @@ func TestScenarioKey(t *testing.T) {
 			t.Errorf("changing %s did not change the key", name)
 		}
 	}
+	// The keys are pinned: they are dmpd's cache IDs, so a change to how a
+	// spec's knobs resolve must not move them.
+	for _, tc := range []struct{ spec, want string }{
+		{sampleSpec, "8a35eba220730a1a421808342d2613ccfa4feb10592a134017ddcfe93ee325d9"},
+		{`{
+  "name": "every-knob",
+  "trace": {"large_frac": 0.5, "overestimation": 0.6},
+  "mem_pcts": [50],
+  "policies": ["dynamic"],
+  "backfill": "conservative",
+  "oom": "checkpoint_restart",
+  "pressure": "domains",
+  "domains": 4,
+  "update_interval_s": 60,
+  "enforce_time_limit": true
+}`, "259feb97e94556e109386aa8e13f9550b5309422f35775c09df8d3d0a77fc547"},
+	} {
+		s := load(tc.spec)
+		if k, err := p.ScenarioKey(s); err != nil || k != tc.want {
+			t.Errorf("spec %q keys as %s (%v), want %s", s.Name, k, err, tc.want)
+		}
+	}
 	// The key validates: a spec that cannot run cannot be keyed.
 	bad := load(sampleSpec)
 	bad.Policies = []string{"magic"}
@@ -185,6 +210,54 @@ func TestRunScenarioSpec(t *testing.T) {
 		t.Fatalf("csv rows = %d", len(rows))
 	}
 }
+
+// TestRunScenarioSpecReadsItsTable sweeps a spec whose axes name one cell
+// twice. The sweep must simulate each cell once, build one recorder per
+// simulated cell and close it, and print the repeated cell's row twice.
+func TestRunScenarioSpecReadsItsTable(t *testing.T) {
+	p := tiny()
+	s, err := LoadScenario(strings.NewReader(`{"trace": {"large_frac": 0.5, "overestimation": 0.6},
+		"mem_pcts": [50, 100, 50], "policies": ["dynamic", "static"], "oom": "checkpoint_restart"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var sinks []*closedSink
+	s.Telemetry = func(int, string) *telemetry.Recorder {
+		sink := &closedSink{}
+		mu.Lock()
+		sinks = append(sinks, sink)
+		mu.Unlock()
+		return telemetry.New(telemetry.Options{Sink: sink})
+	}
+	sims := countSimulations(t)
+	res, err := p.RunScenarioSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran, repeats := sims.take(); ran != 4 || len(repeats) != 0 {
+		t.Fatalf("the sweep ran %d simulations with %d repeats, want 4 and none", ran, len(repeats))
+	}
+	if len(sinks) != 4 {
+		t.Fatalf("the sweep built %d recorders, want one per simulated cell (4)", len(sinks))
+	}
+	for i, sink := range sinks {
+		if len(sink.Events) == 0 || !sink.closed {
+			t.Fatalf("recorder %d recorded %d events and was closed: %v", i, len(sink.Events), sink.closed)
+		}
+	}
+	if len(res.Rows) != 6 || res.Rows[0] != res.Rows[4] || res.Rows[1] != res.Rows[5] {
+		t.Fatalf("rows = %+v, want the 50%% rows repeated", res.Rows)
+	}
+}
+
+// closedSink is a MemorySink that notes its Close.
+type closedSink struct {
+	telemetry.MemorySink
+	closed bool
+}
+
+func (s *closedSink) Close() error { s.closed = true; return nil }
 
 func TestRunScenarioSpecDefaultsAndChains(t *testing.T) {
 	p := tiny()

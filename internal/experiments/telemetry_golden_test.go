@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"dismem/internal/core"
 	"dismem/internal/policy"
 	"dismem/internal/telemetry"
 )
@@ -49,8 +48,9 @@ func benchTelemetryRun(t *testing.T, sink telemetry.Sink) {
 		Sink:           sink,
 		SampleInterval: 300,
 	})
-	if _, err := p.RunScenarioWith(tr.Jobs, p.SystemNodes, mc, policy.Dynamic,
-		func(cfg *core.Config) { cfg.Telemetry = rec }); err != nil {
+	cfg := p.ConfigFor(p.SystemNodes, mc, policy.Dynamic)
+	cfg.Telemetry = rec
+	if _, err := simulate(cfg, tr.Jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {

@@ -43,7 +43,7 @@ func runUtilization(c *cells) (*Utilization, error) {
 	var refs []cellRef
 	for _, mc := range MemoryConfigs() {
 		for _, pol := range panelPolicies {
-			refs = append(refs, cellRef{tr, mc, pol})
+			refs = append(refs, cellRef{tr: tr, mc: mc, pol: pol})
 		}
 	}
 	outs, err := sweep.CollectValues(c.getAll(refs))

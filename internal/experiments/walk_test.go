@@ -7,7 +7,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,14 +123,19 @@ func (s *simulations) take() (int, []core.Config) {
 	return n, repeats
 }
 
-// simContent hashes what a simulation depends on: its configuration, with
-// the observer that the update-interval ablation attaches left out and the
-// topology taken by value, and every job's scheduler and ground-truth
+// simContent hashes what a simulation depends on: its configuration with
+// the defaults core.Config.Normalize applies filled in, so a configuration
+// that spells a default hashes like one that leaves it unset, with the
+// observer, the telemetry recorder and the interrupt left out and the
+// topology taken by value; and every job's scheduler and ground-truth
 // fields.
 func simContent(cfg core.Config, jobs []*job.Job) [32]byte {
 	var b strings.Builder
+	if err := cfg.Normalize(); err != nil { // on the copy the hook was handed
+		fmt.Fprintf(&b, "invalid: %v|", err)
+	}
 	topo := cfg.Topology
-	cfg.Observer, cfg.Topology = nil, nil
+	cfg.Observer, cfg.Telemetry, cfg.Interrupt, cfg.Topology = nil, nil, nil, nil
 	fmt.Fprintf(&b, "%+v|", cfg)
 	if topo != nil {
 		fmt.Fprintf(&b, "%+v", *topo)
@@ -160,14 +164,16 @@ var simulationsAlone = map[string]int{
 // read those traces; Table 2 and Figure 2 walked alone build none, and
 // Figures 5 and 8 each build every sampled week once. The report and the
 // stages alone must generate each synthetic trace once: nothing the walk
-// asks for is evicted from the trace cache. It must simulate each cell once: 596 simulations, where 744 ran before the walk
-// kept a table of cells. The only repeats left are the four ablation arms
-// that set a knob to its default and so run a cell of Figure 5 again, on
-// the ablations' 50 % system: the 300 s update interval, fail/restart, and
-// EASY backfill under static and dynamic. No stage walked alone repeats a
-// simulation or runs more than it did before the table. It runs under
-// -short, so the race detector sees the stages read the table and the
-// Grizzly panels read the shared sampled weeks concurrently.
+// asks for is evicted from the trace cache. It must simulate each cell once,
+// counted by content with every default filled in: 591 simulations, where
+// 744 ran before the walk kept a table of cells and 596 before the
+// ablations read it. The five ablation arms that set a knob to its default
+// (the 300 s update interval, fail/restart, EASY backfill under static and
+// dynamic, and the priority boost after 3 restarts) read cells of Figure 5.
+// No stage walked alone repeats a simulation or runs more than it did
+// before the table. It runs under -short, so the race detector sees the
+// stages read the table and the Grizzly panels read the shared sampled
+// weeks concurrently.
 func TestWalkProducesEachInputOnce(t *testing.T) {
 	p := tiny()
 	opts := WalkOptions{Grizzly: true}
@@ -202,20 +208,12 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 	}
 	onceEach("the report")
 	ran, repeats := sims.take()
-	if ran != 596 {
-		t.Errorf("the report ran %d simulations, want 596", ran)
+	if ran != 591 {
+		t.Errorf("the report ran %d simulations, want 591", ran)
 	}
-	var pols []string
 	for _, cfg := range repeats {
-		pol := cfg.Policy.String()
-		if cfg.Cluster.NormalMB != NormalNodeMB || cfg.Cluster.LargeFrac != 0 {
-			pol += " off the 50% system"
-		}
-		pols = append(pols, pol)
-	}
-	slices.Sort(pols)
-	if got := strings.Join(pols, ", "); got != "dynamic, dynamic, dynamic, static" {
-		t.Errorf("the report repeated simulations (%s), want only the four default-knob ablation arms (dynamic, dynamic, dynamic, static)", got)
+		t.Errorf("the report repeated a simulation: %s at %d MB normal nodes, large fraction %g",
+			cfg.Policy, cfg.Cluster.NormalMB, cfg.Cluster.LargeFrac)
 	}
 	all, err := Stages("all")
 	if err != nil {
@@ -270,12 +268,13 @@ func TestWalkProducesEachInputOnce(t *testing.T) {
 
 // TestCellsSingleFlight asks for one cell from several goroutines at once.
 // The table must simulate it once and hand every reader its outcome, and a
-// reference to the same content through another trace value must read the
-// same cell. The table keeps the response times of Figure 6's cells only.
+// reference to the same content through another trace value, or with knobs
+// that spell the defaults, must read the same cell. The table keeps the
+// response times of Figure 6's cells only.
 func TestCellsSingleFlight(t *testing.T) {
 	sims := countSimulations(t)
 	c := newCells(tiny())
-	ref := cellRef{c.synthetic(0.5, 0.6), fullMemory, policy.Dynamic}
+	ref := cellRef{tr: c.synthetic(0.5, 0.6), mc: fullMemory, pol: policy.Dynamic}
 	outs := make([]outcome, 8)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -293,9 +292,14 @@ func TestCellsSingleFlight(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	again := cellRef{c.synthetic(0.5, 0.6), MemConfig{NormalMB: fullMemory.NormalMB, LargeFrac: fullMemory.LargeFrac}, policy.Dynamic}
+	again := cellRef{tr: c.synthetic(0.5, 0.6), mc: MemConfig{NormalMB: fullMemory.NormalMB, LargeFrac: fullMemory.LargeFrac}, pol: policy.Dynamic}
 	if c.get(again) != c.get(ref) {
 		t.Fatal("a reference to the same content read another cell")
+	}
+	spelled := ref
+	spelled.k = knobs{update: c.p.UpdateInterval, boost: core.DefaultPriorityBoost}
+	if c.get(spelled) != c.get(ref) {
+		t.Fatal("knobs that spell the defaults read another cell")
 	}
 	if ran, _ := sims.take(); ran != 1 {
 		t.Fatalf("%d readers of one cell ran %d simulations, want 1", len(outs), ran)
@@ -308,7 +312,7 @@ func TestCellsSingleFlight(t *testing.T) {
 	if len(outs[0].responses) == 0 {
 		t.Fatal("a cell of Figure 6 kept no response times")
 	}
-	base, err := c.get(cellRef{ref.tr, fullMemory, policy.Baseline}).Get()
+	base, err := c.get(cellRef{tr: ref.tr, mc: fullMemory, pol: policy.Baseline}).Get()
 	if err != nil {
 		t.Fatal(err)
 	}
