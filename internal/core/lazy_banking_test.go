@@ -57,13 +57,19 @@ type bankingScenario struct {
 	jobs func() []*job.Job
 }
 
+// eagerUsageKinds is the number of usage shapes differentialScenario drew
+// from when the eager recording was made. Later shapes change every
+// scenario's draws, and the eager simulator is gone, so the recording
+// keeps the first four.
+const eagerUsageKinds = 4
+
 // bankingScenarios enumerates the differential scenarios (policies ×
 // backfill × OOM mode × topology) under both the global contention model
-// and three pressure domains.
+// and three pressure domains, with the recording's usage shapes.
 func bankingScenarios() []bankingScenario {
 	var out []bankingScenario
 	for seed := int64(0); seed < 30; seed++ {
-		cfg, mkJobs := differentialScenario(seed)
+		cfg, mkJobs := differentialScenarioKinds(seed, eagerUsageKinds)
 		dc := cfg
 		dc.Pressure = PressureDomains
 		dc.Domains = 3

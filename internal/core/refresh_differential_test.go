@@ -15,10 +15,20 @@ import (
 	"dismem/internal/topology"
 )
 
+// usageKinds is the number of per-job usage shapes differentialScenario
+// draws from.
+const usageKinds = 5
+
 // differentialScenario builds one randomized configuration and a job
 // generator that produces identical traces on every call, so the same
 // scenario can be run through both refresh implementations.
 func differentialScenario(seed int64) (Config, func() []*job.Job) {
+	return differentialScenarioKinds(seed, usageKinds)
+}
+
+// differentialScenarioKinds is differentialScenario with each job's usage
+// drawn from the first kinds shapes only.
+func differentialScenarioKinds(seed int64, kinds int) (Config, func() []*job.Job) {
 	rng := rand.New(rand.NewSource(seed*7919 + 17))
 	nodes := 4 + rng.Intn(9)
 	capMB := int64(800 + rng.Intn(5)*400)
@@ -50,7 +60,7 @@ func differentialScenario(seed int64) (Config, func() []*job.Job) {
 			req := int64(150 + jr.Intn(int(capMB)))
 			runtime := 100 + float64(jr.Intn(900))
 			var usage *memtrace.Trace
-			switch jr.Intn(4) {
+			switch jr.Intn(kinds) {
 			case 0:
 				usage = memtrace.Constant(req)
 			case 1: // shrinks: the dynamic policy returns memory mid-run
@@ -61,9 +71,15 @@ func differentialScenario(seed int64) (Config, func() []*job.Job) {
 				usage = memtrace.MustNew([]memtrace.Point{
 					{T: 0, MB: req / 2}, {T: runtime, MB: req + capMB/2},
 				})
-			default: // grows past the whole pool: OOM kills and restarts
+			case 3: // grows past the whole pool: OOM kills and restarts
 				usage = memtrace.MustNew([]memtrace.Point{
 					{T: 0, MB: req / 2}, {T: runtime, MB: 4 * capMB * int64(nodes)},
+				})
+			default: // borrows, then falls back below node capacity: the
+				// leases are returned mid-run, and local-only resizes follow
+				usage = memtrace.MustNew([]memtrace.Point{
+					{T: 0, MB: req / 2}, {T: runtime / 4, MB: capMB + capMB/2},
+					{T: runtime / 2, MB: capMB / 2}, {T: 3 * runtime / 4, MB: capMB / 4},
 				})
 			}
 			j := mkJob(i, float64(jr.Intn(600)), 1+jr.Intn(3), req, runtime, usage)
@@ -91,10 +107,56 @@ func runVariant(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result,
 	return res, log
 }
 
-// runChecked is runVariant that also counts the events after which some
-// running job was slowed by contention, so a suite can tell that its
-// scenarios exercised the refresh.
-func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result, []byte, int) {
+// exercised counts what a checked run put the refresh through, so a suite
+// can tell that its scenarios reached every path the oracles guard.
+type exercised struct {
+	contended int // events after which some running job was slowed by contention
+	// Node resizes of a job that ran across the event, by remote memory
+	// before → after: a local-only resize (0 → 0), a borrow (0 → >0) and a
+	// return of the node's last lease (>0 → 0).
+	local, borrow, giveBack int
+}
+
+// nodeMB is one compute node's allocation: total and remote MB.
+type nodeMB struct{ total, remote int64 }
+
+// snapshotNodes records every running job's per-node allocation.
+func snapshotNodes(s *Simulator) map[*runningJob][]nodeMB {
+	m := make(map[*runningJob][]nodeMB, len(s.runList))
+	for _, rj := range s.runList {
+		ns := make([]nodeMB, len(rj.alloc.PerNode))
+		for i := range rj.alloc.PerNode {
+			na := &rj.alloc.PerNode[i]
+			ns[i] = nodeMB{na.TotalMB(), na.RemoteMB()}
+		}
+		m[rj] = ns
+	}
+	return m
+}
+
+// count adds the node resizes of every job running across one event.
+func (x *exercised) count(s *Simulator, before map[*runningJob][]nodeMB) {
+	for _, rj := range s.runList {
+		ns, ok := before[rj]
+		if !ok {
+			continue
+		}
+		for i := range rj.alloc.PerNode {
+			na, b := &rj.alloc.PerNode[i], ns[i]
+			switch {
+			case b.remote == 0 && na.RemoteMB() == 0 && na.TotalMB() != b.total:
+				x.local++
+			case b.remote == 0 && na.RemoteMB() > 0:
+				x.borrow++
+			case b.remote > 0 && na.RemoteMB() == 0:
+				x.giveBack++
+			}
+		}
+	}
+}
+
+// runChecked is runVariant that also reports what the run exercised.
+func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result, []byte, exercised) {
 	t.Helper()
 	var buf bytes.Buffer
 	c := cfg
@@ -108,16 +170,17 @@ func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result,
 		t.Fatal(err)
 	}
 	s.Start()
-	contended := 0
+	var x exercised
 	for {
-		before := snapshotBanking(s)
+		before, nodes := snapshotBanking(s), snapshotNodes(s)
 		if !s.eng.Step() {
 			break
 		}
 		checkBankingContract(t, s, before)
 		if checkRescanOracles(t, s) {
-			contended++
+			x.contended++
 		}
+		x.count(s, nodes)
 	}
 	res, err := s.Finish()
 	if err != nil {
@@ -126,7 +189,7 @@ func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result,
 	if err := c.Telemetry.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes(), contended
+	return res, buf.Bytes(), x
 }
 
 // TestDifferentialRefreshIncrementalVsRescan runs randomized scenarios —
@@ -135,10 +198,14 @@ func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result,
 // pressure domains, and after every event checks the incremental refresh,
 // the O(1) resource summary and the reused release scratch against the
 // full-rescan oracles (rescan_test.go): every domain's pressure and every
-// running job's slowdown must match the rescan bit for bit. Each scenario
-// also runs twice and must reproduce its Result and telemetry exactly.
+// running job's slowdown must match the rescan bit for bit, and every
+// contention cache its allocation. Each scenario also runs twice and must
+// reproduce its Result and telemetry exactly. Over the 30 seeds, each
+// pressure model must see a contended job, a local-only node resize, a
+// borrow and a return of a node's last lease: the resizes that do and do
+// not refresh the contention model.
 func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
-	contended := map[PressureMode]int{}
+	seen := map[PressureMode]exercised{}
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -147,8 +214,13 @@ func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
 			dc.Pressure = PressureDomains
 			dc.Domains = 3
 			for _, c := range []Config{cfg, dc} {
-				res, log, n := runChecked(t, c, mkJobs(), 0)
-				contended[c.Pressure] += n
+				res, log, x := runChecked(t, c, mkJobs(), 0)
+				sum := seen[c.Pressure]
+				sum.contended += x.contended
+				sum.local += x.local
+				sum.borrow += x.borrow
+				sum.giveBack += x.giveBack
+				seen[c.Pressure] = sum
 				again, againLog := runVariant(t, c, mkJobs(), 0)
 				if !reflect.DeepEqual(res, again) || !bytes.Equal(log, againLog) {
 					t.Fatalf("%s: two identical runs diverged", c.Pressure)
@@ -160,9 +232,16 @@ func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
 		})
 	}
 	for _, m := range []PressureMode{PressureGlobal, PressureDomains} {
-		if contended[m] == 0 {
+		x := seen[m]
+		if x.contended == 0 {
 			t.Errorf("%s: no event left a job slowed by contention; the oracles compared nothing but slowdown 1", m)
 		}
+		if x.local == 0 || x.borrow == 0 || x.giveBack == 0 {
+			t.Errorf("%s: node resizes local-only %d, borrowing %d, returning the last lease %d; want each at least once",
+				m, x.local, x.borrow, x.giveBack)
+		}
+		t.Logf("%s: %d contended events; node resizes local-only %d, borrowing %d, returning the last lease %d",
+			m, x.contended, x.local, x.borrow, x.giveBack)
 	}
 }
 

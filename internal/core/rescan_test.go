@@ -70,7 +70,11 @@ func refreshAllRescan(s *Simulator) (rho []float64, slow map[int]float64) {
 		v := 1.0
 		for i := range rj.alloc.PerNode {
 			na := &rj.alloc.PerNode[i]
-			if x := slowdown.NodeSlowdownWeighted(rj.j.Profile, s.remoteFraction(na), rho[rescanDomain(s, na.Node)]); x > v {
+			wf := s.remoteFraction(na)
+			if wf <= 0 {
+				continue // no remote memory: the node runs at slowdown 1
+			}
+			if x := 1 + wf*rj.j.Profile.Sens.Penalty(rho[rescanDomain(s, na.Node)]); x > v {
 				v = x
 			}
 		}
@@ -122,14 +126,41 @@ func releasesRescan(s *Simulator) ([]*runningJob, []sched.Release) {
 	return live, out
 }
 
+// checkContentionCache compares a running job's contention cache with a
+// recomputation from its allocation, bit for bit: between events no job is
+// dirty, so a cache that a refresh did not rebuild must still be exact. It
+// also checks the invariant an unchanged update target relies on: after
+// the job's first memory update, every compute node holds that target.
+func checkContentionCache(t *testing.T, s *Simulator, rj *runningJob) {
+	t.Helper()
+	if rj.dirty {
+		t.Fatalf("t=%v job %d: dirty between events", s.eng.Now(), rj.j.ID)
+	}
+	fracs := make([]float64, len(rj.alloc.PerNode))
+	for i := range rj.alloc.PerNode {
+		na := &rj.alloc.PerNode[i]
+		if want := slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()); math.Float64bits(rj.nodeTraffic[i]) != math.Float64bits(want) {
+			t.Fatalf("t=%v job %d node %d: cached traffic %v, allocation gives %v", s.eng.Now(), rj.j.ID, na.Node, rj.nodeTraffic[i], want)
+		}
+		fracs[i] = s.remoteFraction(na)
+		if rj.target >= 0 && na.TotalMB() != rj.target {
+			t.Fatalf("t=%v job %d node %d: holds %d MB, last update target %d", s.eng.Now(), rj.j.ID, na.Node, na.TotalMB(), rj.target)
+		}
+	}
+	if want := slowdown.MaxWeightedFrac(fracs); math.Float64bits(rj.maxFrac) != math.Float64bits(want) {
+		t.Fatalf("t=%v job %d: cached max fraction %v, allocation gives %v", s.eng.Now(), rj.j.ID, rj.maxFrac, want)
+	}
+}
+
 // checkRescanOracles compares the simulator's incremental state with the
 // rescan references between events: every running job's slowdown and the
 // pressure of every domain with a running resident must match bit for bit,
-// every running job must have a pending finish event, the running list must
-// hold the table's live entries in ID order, the release order must hold
-// them in (start + limit, ID) order, and the resource summary and every
-// release must be equal. It reports whether some running job is slowed
-// by contention.
+// every running job's contention cache must match its allocation
+// (checkContentionCache), every running job must have a pending finish
+// event, the running list must hold the table's live entries in ID order,
+// the release order must hold them in (start + limit, ID) order, and the
+// resource summary and every release must be equal. It reports whether
+// some running job is slowed by contention.
 func checkRescanOracles(t *testing.T, s *Simulator) (contended bool) {
 	t.Helper()
 	rho, slow := refreshAllRescan(s)
@@ -154,6 +185,7 @@ func checkRescanOracles(t *testing.T, s *Simulator) (contended bool) {
 		if !rj.finishEv.Pending() {
 			t.Fatalf("t=%v job %d: running without a finish event", s.eng.Now(), id)
 		}
+		checkContentionCache(t, s, rj)
 		contended = contended || rj.slow > 1
 		for i := range rj.alloc.PerNode {
 			resident[rescanDomain(s, rj.alloc.PerNode[i].Node)] = true

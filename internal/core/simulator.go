@@ -55,10 +55,13 @@ type Simulator struct {
 	domRho    []float64       // per-domain contention pressure
 	domRemote [][]*runningJob // per-domain resident jobs holding remote memory, ascending job ID
 	domCapMB  []int64         // per-domain memory capacity (immutable)
-	// stale is set whenever the running set or a running job's allocation
-	// changes, and cleared by the refresh that rebuilds the touched
-	// domains. While it is clear, every rho and slowdown is a pure function
-	// of state that has not moved, and the refresh returns at once.
+	// stale is set whenever the running set changes or a running job's
+	// remote share can have moved, and cleared by the refresh that rebuilds
+	// the touched domains. A resize of nodes that hold no remote memory
+	// before or after leaves it clear: such a node's remote share is 0
+	// whatever its size. While it is clear, every rho and slowdown is a
+	// pure function of state that has not moved, and the refresh returns at
+	// once.
 	stale        bool
 	refreshEpoch uint64 // refreshAfter's job dedup stamp across touched domains
 
@@ -108,6 +111,14 @@ type runningJob struct {
 	// NormalMB or not), fixed at dispatch: the node counts of its release.
 	normal, large int
 
+	// target is the per-node allocation every compute node holds after the
+	// last memory update, or -1 before the first. A non-OOM update leaves
+	// every node at exactly its target (growth is all-or-OOM, a shrink
+	// always completes), an OOM ends the attempt, and nothing else edits a
+	// running allocation, so an update whose target equals it has no node
+	// to resize.
+	target int64
+
 	finishEv sim.Handle
 	limitEv  sim.Handle
 	updateEv sim.Handle
@@ -118,10 +129,13 @@ type runningJob struct {
 	// dispatch and in its own memory-update handler — never when other jobs
 	// borrow from or return memory to the same lenders — so the cache is
 	// invalidated exactly there and the refresh does no per-node work for
-	// untouched jobs.
+	// untouched jobs. A resize invalidates it only when some node's remote
+	// share can have moved: its remote memory changed, or it holds remote
+	// memory and its total changed. A node with no remote memory before and
+	// after keeps traffic 0 and fraction 0 whatever its size.
 	nodeTraffic []float64 // per alloc.PerNode entry: slowdown.NodeTraffic value
 	maxFrac     float64   // max distance-weighted remote fraction over nodes
-	dirty       bool      // allocation changed since recontend last ran
+	dirty       bool      // a node's remote share can have moved since recontend last ran
 	remote      bool      // holds remote memory: listed in domRemote of every home domain
 
 	// Pressure-domain footprint, frozen at dispatch by domainize: the home
@@ -700,6 +714,7 @@ func (s *Simulator) start(i int, ja *cluster.JobAllocation) {
 		slow:     1,
 		period:   s.cfg.UpdateInterval * (1 + s.cfg.UpdateJitter*(2*s.randFloat()-1)),
 		use:      j.Usage.Cursor(),
+		target:   -1,
 		end:      now + j.LimitSec,
 		dirty:    true,
 	}
@@ -845,36 +860,11 @@ func (s *Simulator) onMemoryUpdate(i int) {
 
 	before := rj.alloc.TotalMB()
 	oom := false
-	changed := false
-	for i := range rj.alloc.PerNode {
-		na := &rj.alloc.PerNode[i]
-		nodeBefore, remoteBefore := na.TotalMB(), na.RemoteMB()
-		err := s.adj.Adjust(s.cl, rj.alloc, i, target, rj.domSet)
-		if na.TotalMB() != nodeBefore || na.RemoteMB() != remoteBefore {
-			// One Adjust call either grows or shrinks a node's allocation,
-			// so an unchanged (total, remote) pair means untouched leases —
-			// the contention cache stays exact.
-			changed = true
-		}
-		if s.tel != nil {
-			if d := na.TotalMB() - nodeBefore; d != 0 {
-				s.tel.LeaseAdjust(rj.j.ID, int(na.Node), d, na.RemoteMB()-remoteBefore)
-			}
-		}
-		if err != nil {
-			if err == policy.ErrOutOfMemory {
-				oom = true
-				break
-			}
-			panic(err)
-		}
+	if target != rj.target { // an unchanged target leaves every node as it is
+		oom = s.resize(rj, target)
 	}
 	after := rj.alloc.TotalMB()
 	s.curAllocMB += after - before
-	if changed {
-		rj.dirty = true
-		s.stale = true
-	}
 	s.poolCheck(rj)
 
 	if oom {
@@ -886,6 +876,40 @@ func (s *Simulator) onMemoryUpdate(i int) {
 	}
 	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), rj.onUpdate)
 	s.refreshAfter(rj)
+}
+
+// resize adjusts every compute node of rj to target and reports whether the
+// job ran out of memory. It marks rj dirty and the model stale only when a
+// node's remote share can have moved: its remote memory changed, or it held
+// remote memory and its total changed. One Adjust call either grows or
+// shrinks a node, so an unchanged (total, remote) pair means untouched
+// leases, and a node without remote memory before and after has remote
+// share 0 at any size; either way the contention cache stays exact.
+//
+//dmp:hotpath
+func (s *Simulator) resize(rj *runningJob, target int64) (oom bool) {
+	for i := range rj.alloc.PerNode {
+		na := &rj.alloc.PerNode[i]
+		nodeBefore, remoteBefore := na.TotalMB(), na.RemoteMB()
+		err := s.adj.Adjust(s.cl, rj.alloc, i, target, rj.domSet)
+		if na.RemoteMB() != remoteBefore || remoteBefore > 0 && na.TotalMB() != nodeBefore {
+			rj.dirty = true
+			s.stale = true
+		}
+		if s.tel != nil {
+			if d := na.TotalMB() - nodeBefore; d != 0 {
+				s.tel.LeaseAdjust(rj.j.ID, int(na.Node), d, na.RemoteMB()-remoteBefore)
+			}
+		}
+		if err != nil {
+			if err == policy.ErrOutOfMemory {
+				return true
+			}
+			panic(err)
+		}
+	}
+	rj.target = target
+	return false
 }
 
 // updateAction binds the memory-update handler of the job at table index
@@ -1134,17 +1158,21 @@ func (s *Simulator) recontend(rj *runningJob) {
 // change to memory placements. The global model is its one-domain case.
 //
 // Only the domains rj calls home can have changed: every site that sets
-// stale (dispatch, teardown, a resize) changes rj's own allocation, and a
-// job's traffic lands in its nodes' home domains. Jobs outside those domains
-// keep their rho, and with it their slowdown, banked progress and pending
-// finish event. Inside them, a job without remote memory injects no traffic
-// and runs at slowdown exactly 1 whatever the pressure, so the refresh walks
-// only the touched domains' remote holders plus rj:
+// stale (dispatch, teardown, a resize that moves a node's remote share)
+// changes rj's own allocation, and a job's traffic lands in its nodes' home
+// domains. Jobs outside those domains keep their rho, and with it their
+// slowdown, banked progress and pending finish event. Inside them, a job
+// without remote memory injects no traffic and runs at slowdown exactly 1
+// whatever the pressure, so the refresh walks only the touched domains'
+// remote holders plus rj:
 //
-//   - With stale clear — nothing started, finished or resized since the
-//     last refresh — it returns at once: O(1).
-//   - Otherwise rj's contention cache is rebuilt if its allocation changed
-//     (at any refresh rj is the only job that can be dirty); each touched
+//   - With stale clear — nothing started or finished, and no node's remote
+//     share moved, since the last refresh — it returns at once: O(1). A
+//     resize of nodes that hold no remote memory before and after leaves
+//     stale clear: their traffic and fraction are 0 at any size, so no
+//     rho, cache entry or remote-holder list can change.
+//   - Otherwise rj's contention cache is rebuilt if it is dirty (at any
+//     refresh rj is the only job that can be dirty); each touched
 //     domain's traffic is summed over its remote holders' nodes resident
 //     there, in (job ID, node) order; and each touched domain's remote
 //     holders plus rj are reslowed, domains ascending and jobs in ascending

@@ -131,17 +131,6 @@ func NodeTraffic(p *Profile, remoteFrac float64) float64 {
 	return p.BandwidthGBs * clamp01(remoteFrac)
 }
 
-// NodeSlowdownWeighted computes a node's slowdown from a distance-weighted
-// remote fraction (Σ lease·hopWeight / allocation): 1 + frac·penalty(rho).
-// The fraction is not clamped at 1: leases several hops away legitimately
-// cost more than an all-remote single-hop placement.
-func NodeSlowdownWeighted(p *Profile, weightedFrac, rho float64) float64 {
-	if weightedFrac <= 0 || math.IsNaN(weightedFrac) {
-		return 1
-	}
-	return 1 + weightedFrac*p.Sens.Penalty(rho)
-}
-
 // MaxWeightedFrac reduces a job's per-node weighted remote fractions to the
 // single number its slowdown depends on: the largest contention-relevant
 // fraction. NaN and non-positive entries contribute nothing (their node
@@ -163,8 +152,11 @@ func MaxWeightedFrac(weightedFracs []float64) float64 {
 // JobSlowdownFromMax returns the job slowdown given only the maximum weighted
 // remote fraction (as produced by MaxWeightedFrac). A bulk-synchronous job
 // advances at the pace of its slowest node, so this is bit-identical to the
-// maximum of NodeSlowdownWeighted over the full fraction vector
-// (JobSlowdownWeighted, the tests' reference): for a non-negative penalty,
+// maximum of the per-node slowdowns 1 + wf·penalty(rho) over the full
+// fraction vector (JobSlowdownWeighted, the tests' reference). A weighted
+// fraction (Σ lease·hopWeight / allocation) is not clamped at 1: leases
+// several hops away legitimately cost more than an all-remote single-hop
+// placement. For a non-negative penalty,
 // 1 + wf·penalty is monotone in wf under IEEE-754 round-to-nearest, so the
 // per-node maximum is attained at the maximum fraction; the final
 // max-with-1 guards the degenerate negative-penalty case the same way the

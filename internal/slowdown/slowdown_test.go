@@ -259,6 +259,16 @@ func JobSlowdownWeighted(p *Profile, weightedFracs []float64, rho float64) float
 	return s
 }
 
+// NodeSlowdownWeighted is one node's slowdown from a distance-weighted
+// remote fraction: 1 + frac·penalty(rho), and exactly 1 without remote
+// memory.
+func NodeSlowdownWeighted(p *Profile, weightedFrac, rho float64) float64 {
+	if weightedFrac <= 0 || math.IsNaN(weightedFrac) {
+		return 1
+	}
+	return 1 + weightedFrac*p.Sens.Penalty(rho)
+}
+
 // NodeSlowdown returns the slowdown factor (≥1) for one node of the app.
 func NodeSlowdown(p *Profile, remoteFrac, rho float64) float64 {
 	rf := clamp01(remoteFrac)
