@@ -5,8 +5,10 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // randomValue draws an int64 that is often an edge: zero, ±1, the int32
@@ -36,42 +38,122 @@ var randomDetails = []string{"", "", "", "completed", "oom-killed", "repack", "g
 
 // TestLogRendersAsJSONL is the Log's byte-identity property: any sequence
 // of events and samples, fed through a Log and rendered, reads exactly as
-// the JSONL sink writes it.
+// the JSONL sink writes it. Random lengths stay within the first chunks;
+// the fixed ones sit on and around the ends of the first eight chunks,
+// the last two of full size.
 func TestLogRendersAsJSONL(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var want bytes.Buffer
-		j := NewJSONL(&want)
+		checkLogRendersAsJSONL(t, rng, rng.Intn(2000))
+	}
+	counts := []int{0, 1, maxChunk - 1, maxChunk, maxChunk + 1, 3*maxChunk + 7}
+	for _, end := range chunkEnds(8) {
+		counts = append(counts, end-1, end, end+1)
+	}
+	for i, n := range counts {
+		checkLogRendersAsJSONL(t, rand.New(rand.NewSource(int64(100+i))), n)
+	}
+}
+
+// chunkEnds returns the record counts at which a log's first n chunks
+// fill.
+func chunkEnds(n int) []int {
+	ends := make([]int, 0, n)
+	total, size := 0, firstChunk
+	for range n {
+		total += size
+		ends = append(ends, total)
+		size = min(2*size, maxChunk)
+	}
+	return ends
+}
+
+// checkLogRendersAsJSONL feeds n random records to a Log and to the JSONL
+// sink and compares the bytes.
+func checkLogRendersAsJSONL(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	var want bytes.Buffer
+	j := NewJSONL(&want)
+	l := &Log{}
+	for i := 0; i < n; i++ {
+		if rng.Intn(4) == 0 {
+			s := Sample{T: randomFloat(rng), FreeMB: randomValue(rng), LentMB: randomValue(rng),
+				Queue: int(randomValue(rng)), Busy: int(randomValue(rng)), Running: int(randomValue(rng))}
+			_ = j.Sample(&s)
+			_ = l.Sample(&s)
+			continue
+		}
+		e := Event{T: randomFloat(rng), Kind: Kind(rng.Intn(int(KindCount) + 1)),
+			Job: int(randomValue(rng)), Node: int(randomValue(rng)), Lender: int(randomValue(rng)),
+			MB: randomValue(rng), Aux: randomValue(rng), V: randomFloat(rng),
+			Detail: randomDetails[rng.Intn(len(randomDetails))]}
+		_ = j.Event(&e)
+		_ = l.Event(&e)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := l.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%d records: rendered log differs from the JSONL sink (%d vs %d bytes)",
+			n, got.Len(), want.Len())
+	}
+}
+
+// TestLogCaptureDoesNotCopy bounds what recording n events allocates, the
+// closing trim included: 64 bytes a record, plus at most one chunk of
+// spare capacity, plus a small constant for the chunk list. A log that
+// re-copies its records as it grows allocates several times n·64.
+func TestLogCaptureDoesNotCopy(t *testing.T) {
+	const n = 100_000
+	const slack = 16 << 10
+	if unsafe.Sizeof(logRecord{}) != 64 {
+		t.Fatalf("logRecord is %d bytes; want 64", unsafe.Sizeof(logRecord{}))
+	}
+	l := &Log{}
+	e := Event{Kind: KindLeaseGrant, Job: 1, Node: 2, Lender: 3, MB: 64}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		e.T = float64(i)
+		_ = l.Event(&e)
+	}
+	_ = l.Close()
+	runtime.ReadMemStats(&after)
+	limit := uint64((n+maxChunk)*64 + slack)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("recording %d events allocated %d bytes; want at most %d", n, got, limit)
+	}
+}
+
+// TestLogCloseTrimsLastChunk checks that a closed log holds no spare
+// capacity: every chunk before the last is full, and Close trims the last.
+func TestLogCloseTrimsLastChunk(t *testing.T) {
+	counts := []int{1, 3*maxChunk + 7}
+	for _, end := range chunkEnds(8) {
+		counts = append(counts, end-1, end, end+1)
+	}
+	for _, n := range counts {
 		l := &Log{}
-		n := rng.Intn(2000)
 		for i := 0; i < n; i++ {
-			if rng.Intn(4) == 0 {
-				s := Sample{T: randomFloat(rng), FreeMB: randomValue(rng), LentMB: randomValue(rng),
-					Queue: int(randomValue(rng)), Busy: int(randomValue(rng)), Running: int(randomValue(rng))}
-				_ = j.Sample(&s)
-				_ = l.Sample(&s)
-				continue
+			_ = l.Sample(&Sample{T: float64(i)})
+		}
+		_ = l.Close()
+		total := 0
+		for k, c := range l.chunks {
+			if len(c) != cap(c) {
+				t.Fatalf("%d records: chunk %d of %d has len %d, cap %d", n, k, len(l.chunks), len(c), cap(c))
 			}
-			e := Event{T: randomFloat(rng), Kind: Kind(rng.Intn(int(KindCount) + 1)),
-				Job: int(randomValue(rng)), Node: int(randomValue(rng)), Lender: int(randomValue(rng)),
-				MB: randomValue(rng), Aux: randomValue(rng), V: randomFloat(rng),
-				Detail: randomDetails[rng.Intn(len(randomDetails))]}
-			_ = j.Event(&e)
-			_ = l.Event(&e)
+			total += len(c)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := l.WriteJSONL(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("seed %d: rendered log differs from the JSONL sink (%d vs %d bytes)",
-				seed, got.Len(), want.Len())
+		if total != n {
+			t.Fatalf("%d records: chunks hold %d", n, total)
 		}
 	}
 }

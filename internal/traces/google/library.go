@@ -19,10 +19,23 @@ type ShapeLibrary struct {
 	RDPEpsilonFrac float64
 }
 
+// shape is one mined usage shape. logPeak and logRuntime are log(peakMB+1)
+// and log(runtime+1), the shape's side of the match distance, computed once
+// when the library is built.
 type shape struct {
-	trace   *memtrace.Trace
-	peakMB  int64
-	runtime float64
+	trace      *memtrace.Trace
+	peakMB     int64
+	runtime    float64
+	logPeak    float64
+	logRuntime float64
+}
+
+// newShape returns a shape with its side of the match distance computed.
+func newShape(tr *memtrace.Trace, peakMB int64, runtime float64) shape {
+	return shape{
+		trace: tr, peakMB: peakMB, runtime: runtime,
+		logPeak: math.Log(float64(peakMB) + 1), logRuntime: math.Log(runtime + 1),
+	}
 }
 
 // ErrEmptyLibrary reports that filtering left no usable shapes.
@@ -45,7 +58,7 @@ func NewShapeLibrary(d *Dataset, rdpEpsilonFrac float64) (*ShapeLibrary, error) 
 			continue
 		}
 		tr = tr.RDP(rdpEpsilonFrac * float64(peak))
-		lib.shapes = append(lib.shapes, shape{trace: tr, peakMB: peak, runtime: c.RuntimeSec})
+		lib.shapes = append(lib.shapes, newShape(tr, peak, c.RuntimeSec))
 	}
 	if len(lib.shapes) == 0 {
 		return nil, ErrEmptyLibrary
@@ -66,11 +79,12 @@ func (l *ShapeLibrary) TraceFor(rng *rand.Rand, peakMB int64, runtime float64) *
 	// Randomised tie-breaking start avoids always reusing shape 0 for
 	// equidistant candidates.
 	offset := rng.Intn(len(l.shapes))
+	logPeak, logRuntime := math.Log(float64(peakMB)+1), math.Log(runtime+1)
 	for k := range l.shapes {
 		i := (k + offset) % len(l.shapes)
 		s := &l.shapes[i]
-		dm := math.Log(float64(s.peakMB)+1) - math.Log(float64(peakMB)+1)
-		dr := math.Log(s.runtime+1) - math.Log(runtime+1)
+		dm := s.logPeak - logPeak
+		dr := s.logRuntime - logRuntime
 		d := dm*dm + dr*dr
 		if d < bestD {
 			bestD = d
