@@ -12,9 +12,9 @@ func (r *Recorder) Now() float64  { return 0 }
 
 type Engine struct{}
 
-func (e *Engine) Schedule(at float64)                {}
-func (e *Engine) ScheduleTag(at float64, tag uint64) {}
-func (e *Engine) Now() float64                       { return 0 }
+func (e *Engine) Schedule(at float64, tag uint64)           {}
+func (e *Engine) Every(start, interval float64, tag uint64) {}
+func (e *Engine) Now() float64                              { return 0 }
 
 func appendUnsorted(m map[int]string) []int {
 	var keys []int
@@ -92,14 +92,14 @@ func intAccum(m map[int]int) int {
 }
 
 func schedule(m map[int]float64, e *Engine) {
-	for _, at := range m {
-		e.Schedule(at) // want `Engine\.Schedule called inside range over map m`
+	for id, at := range m {
+		e.Schedule(at, uint64(id)) // want `Engine\.Schedule called inside range over map m`
 	}
 }
 
-func scheduleTagged(m map[int]float64, e *Engine) {
-	for id, at := range m {
-		e.ScheduleTag(at, uint64(id)) // want `Engine\.ScheduleTag called inside range over map m`
+func every(m map[int]float64, e *Engine) {
+	for id, iv := range m {
+		e.Every(0, iv, uint64(id)) // want `Engine\.Every called inside range over map m`
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"dismem/internal/policy"
-	"dismem/internal/sched"
-)
+import "dismem/internal/policy"
 
 // This file holds the what-if overlay hooks a branched simulator applies
 // between Fork and Finish. Each hook changes only how the future is
@@ -59,19 +56,13 @@ func (s *Simulator) DescheduleRepack() {
 		s.bank(rj, now)
 		s.teardown(rj)
 		s.closeAttempt(rj.rec, AttemptPreempted)
-		id := rj.j.ID
-		s.tel.JobAttemptEnd(id, AttemptPreempted.String(), rj.rec.Restarts)
+		s.tel.JobAttemptEnd(rj.j.ID, AttemptPreempted.String(), rj.rec.Restarts)
 		// Full progress is retained regardless of the OOM mode: the branch
 		// models a coordinated checkpoint-then-migrate, not a crash.
-		e := &s.table[rj.idx]
 		if rj.progress > 0 {
-			e.banked = rj.progress
+			s.table[rj.idx].banked = rj.progress
 		}
-		s.queue.Push(sched.Entry{Job: rj.idx, Enqueue: now, Priority: e.prio})
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobSubmitted(now, rj.j, true)
-		}
-		s.tel.JobSubmit(id, true)
+		s.enqueue(rj.idx, true)
 	}
 	// teardown marked the contention model stale; the next dispatch's
 	// refresh rebuilds its domains from the now-empty running set.

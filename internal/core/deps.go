@@ -90,13 +90,6 @@ func (s *Simulator) cancelDependents(failed int) {
 			continue // running, finished, or not yet submitted
 		}
 		s.queue.Remove(i)
-		e.rec.Outcome = Abandoned
-		e.rec.Finish = s.eng.Now()
-		s.res.Abandoned++
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobFinished(s.eng.Now(), e.j, Abandoned)
-		}
-		s.tel.JobEnd(e.j.ID, Abandoned.String(), e.rec.Restarts)
-		s.cancelDependents(i)
+		s.conclude(i, Abandoned) // cascades to i's own queued dependents
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"dismem/internal/job"
@@ -54,20 +52,6 @@ func TestObserverOOMEvents(t *testing.T) {
 	}
 	if tally.Finished != 1 {
 		t.Fatalf("finished = %d, want 1 (the abandonment)", tally.Finished)
-	}
-}
-
-func TestEventLoggerOutput(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := baseConfig(2, 1000, policy.Dynamic)
-	cfg.Observer = &EventLogger{W: &buf}
-	j := mkJob(1, 0, 1, 500, 1000, memtrace.Constant(100))
-	runSim(t, cfg, []*job.Job{j})
-	out := buf.String()
-	for _, want := range []string{"submit", "start", "resize", "finish", "job=1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("event log missing %q:\n%s", want, out)
-		}
 	}
 }
 

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"io"
-
-	"dismem/internal/job"
-)
+import "dismem/internal/job"
 
 // Observer receives simulator lifecycle events. All callbacks run
 // synchronously inside the event loop — implementations must not call back
@@ -25,46 +20,6 @@ type Observer interface {
 	// AllocationChanged fires when a memory update resizes a running
 	// job's allocation.
 	AllocationChanged(t float64, j *job.Job, beforeMB, afterMB int64)
-}
-
-// NopObserver implements Observer with no-ops; embed it to implement only
-// some callbacks.
-type NopObserver struct{}
-
-func (NopObserver) JobSubmitted(float64, *job.Job, bool)              {}
-func (NopObserver) JobStarted(float64, *job.Job, int64, int64)        {}
-func (NopObserver) JobFinished(float64, *job.Job, Outcome)            {}
-func (NopObserver) JobKilledOOM(float64, *job.Job, int)               {}
-func (NopObserver) AllocationChanged(float64, *job.Job, int64, int64) {}
-
-// EventLogger is an Observer that writes one line per event, suitable for
-// debugging and replay analysis.
-type EventLogger struct {
-	W io.Writer
-}
-
-func (l *EventLogger) JobSubmitted(t float64, j *job.Job, resubmit bool) {
-	verb := "submit"
-	if resubmit {
-		verb = "resubmit"
-	}
-	fmt.Fprintf(l.W, "%12.1f %-9s job=%d nodes=%d req=%dMB\n", t, verb, j.ID, j.Nodes, j.RequestMB)
-}
-
-func (l *EventLogger) JobStarted(t float64, j *job.Job, localMB, remoteMB int64) {
-	fmt.Fprintf(l.W, "%12.1f %-9s job=%d local=%dMB remote=%dMB\n", t, "start", j.ID, localMB, remoteMB)
-}
-
-func (l *EventLogger) JobFinished(t float64, j *job.Job, outcome Outcome) {
-	fmt.Fprintf(l.W, "%12.1f %-9s job=%d outcome=%s\n", t, "finish", j.ID, outcome)
-}
-
-func (l *EventLogger) JobKilledOOM(t float64, j *job.Job, restarts int) {
-	fmt.Fprintf(l.W, "%12.1f %-9s job=%d restarts=%d\n", t, "oom-kill", j.ID, restarts)
-}
-
-func (l *EventLogger) AllocationChanged(t float64, j *job.Job, before, after int64) {
-	fmt.Fprintf(l.W, "%12.1f %-9s job=%d %dMB -> %dMB\n", t, "resize", j.ID, before, after)
 }
 
 // Tally is an Observer counting events, handy in tests and summaries.
@@ -93,8 +48,4 @@ func (c *Tally) AllocationChanged(_ float64, _ *job.Job, before, after int64) {
 	}
 }
 
-var (
-	_ Observer = NopObserver{}
-	_ Observer = (*EventLogger)(nil)
-	_ Observer = (*Tally)(nil)
-)
+var _ Observer = (*Tally)(nil)

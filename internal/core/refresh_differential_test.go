@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,7 +174,7 @@ func runChecked(t *testing.T, cfg Config, jobs []*job.Job, shards int) (*Result,
 	var x exercised
 	for {
 		before, nodes := snapshotBanking(s), snapshotNodes(s)
-		if !s.eng.Step() {
+		if !s.eng.Step(math.Inf(1)) {
 			break
 		}
 		checkBankingContract(t, s, before)

@@ -218,12 +218,14 @@ func (s *Simulator) Run() (*Result, error) {
 }
 
 // Start schedules the scenario without firing any events: the result shell,
-// the feasibility pre-check, every job's submit event, the telemetry
-// sampler, and the horizon/budget limits. After Start the caller may advance
-// the run piecewise with StepUntil, fork it, and complete it with Finish —
-// Run is exactly Start followed by Finish, and the decomposition fires the
-// same events in the same order, so results are byte-identical however the
-// run is driven. Start must be called exactly once.
+// the feasibility pre-check, every job's submit event and the telemetry
+// sampler. After Start the caller may advance the run piecewise with
+// StepUntil, fork it, and complete it with Finish — Run is exactly Start
+// followed by Finish. StepUntil and Finish drive the one event loop, which
+// honours Horizon, MaxEvents and Interrupt whichever calls it, so the
+// decomposition fires the same events in the same order and results are
+// byte-identical however the run is driven. Start must be called exactly
+// once.
 func (s *Simulator) Start() {
 	if s.started {
 		panic("core: Simulator.Start called twice")
@@ -248,7 +250,7 @@ func (s *Simulator) Start() {
 	}
 
 	for i := range s.table {
-		s.eng.ScheduleTag(s.table[i].j.SubmitTime, evTag(tagSubmit, i), func(*sim.Engine) { s.onSubmit(i) })
+		s.eng.Schedule(s.table[i].j.SubmitTime, evTag(tagSubmit, i), func(*sim.Engine) { s.onSubmit(i) })
 	}
 	if iv := s.tel.SampleInterval(); iv > 0 {
 		// The sampler reads state and emits; it mutates nothing, so results
@@ -256,20 +258,15 @@ func (s *Simulator) Start() {
 		// rescheduling once it is the only queued event, so it cannot keep
 		// the run alive on its own. The tick carries tagSample so Fork can
 		// rebind it.
-		s.eng.EveryTag(0, iv, evTag(tagSample, 0), func(*sim.Engine) { s.sample() })
-	}
-	if s.cfg.Horizon > 0 {
-		s.eng.SetHorizon(s.cfg.Horizon)
-	}
-	if s.cfg.MaxEvents > 0 {
-		s.eng.SetMaxEvents(s.cfg.MaxEvents)
+		s.eng.Every(0, iv, evTag(tagSample, 0), func(*sim.Engine) { s.sample() })
 	}
 }
 
-// StepUntil fires every event due at or before t and returns with the clock
-// at the last fired event (≤ t). It is the pause point for forking: after
-// StepUntil the engine is between events, which is the only state a Fork
-// may be taken in.
+// StepUntil fires every event due at or before t (and Horizon) and returns
+// with the clock at the last fired event. It is the pause point for
+// forking: after StepUntil the engine is between events, which is the only
+// state a Fork may be taken in. An exhausted event budget or a failing
+// Interrupt stops it with an error, as it stops Finish.
 func (s *Simulator) StepUntil(t float64) error {
 	if !s.started {
 		panic("core: StepUntil before Start")
@@ -277,12 +274,7 @@ func (s *Simulator) StepUntil(t float64) error {
 	if s.res.Infeasible || s.finished {
 		return nil
 	}
-	s.eng.RunUntil(t)
-	if s.eng.Exhausted() {
-		return fmt.Errorf("core: event budget (%d) exhausted at t=%.0f — runaway simulation",
-			s.cfg.MaxEvents, s.eng.Now())
-	}
-	return nil
+	return s.advance(t)
 }
 
 // Finish drives the run to completion and returns the Result. It must be
@@ -298,21 +290,8 @@ func (s *Simulator) Finish() (*Result, error) {
 	if s.res.Infeasible {
 		return s.res, nil
 	}
-	// The event loop: Engine.Run's, plus an Interrupt poll every
-	// interruptStride events when a hook is set.
-	for n := uint64(0); ; n++ {
-		if s.cfg.MaxEvents > 0 && s.eng.Fired() >= s.cfg.MaxEvents {
-			return nil, fmt.Errorf("core: event budget (%d) exhausted at t=%.0f — runaway simulation",
-				s.cfg.MaxEvents, s.eng.Now())
-		}
-		if s.cfg.Interrupt != nil && n%interruptStride == 0 {
-			if err := s.cfg.Interrupt(); err != nil {
-				return nil, fmt.Errorf("core: run interrupted at t=%.0f: %w", s.eng.Now(), err)
-			}
-		}
-		if !s.eng.Step() {
-			break
-		}
+	if err := s.advance(math.Inf(1)); err != nil {
+		return nil, err
 	}
 	// The clock may sit on a trailing sampler tick; the makespan is the time
 	// of the last *simulation* event, which every handler recorded in
@@ -351,6 +330,30 @@ func (s *Simulator) checkInvariants() error {
 		}
 	}
 	return nil
+}
+
+// advance is the event loop behind StepUntil and Finish: it fires, in
+// order, every event due at or before t and Horizon (events exactly at the
+// limit fire), checks the event budget before each event, and polls
+// Interrupt every interruptStride events, first before any fires.
+func (s *Simulator) advance(t float64) error {
+	if h := s.cfg.Horizon; h > 0 && h < t {
+		t = h
+	}
+	for n := uint64(0); ; n++ {
+		if s.cfg.MaxEvents > 0 && s.eng.Fired() >= s.cfg.MaxEvents {
+			return fmt.Errorf("core: event budget (%d) exhausted at t=%.0f — runaway simulation",
+				s.cfg.MaxEvents, s.eng.Now())
+		}
+		if s.cfg.Interrupt != nil && n%interruptStride == 0 {
+			if err := s.cfg.Interrupt(); err != nil {
+				return fmt.Errorf("core: run interrupted at t=%.0f: %w", s.eng.Now(), err)
+			}
+		}
+		if !s.eng.Step(t) {
+			return nil
+		}
+	}
 }
 
 // interruptStride is how many events the event loop fires between
@@ -435,25 +438,62 @@ func tagIndex(tag uint64) int { return int(uint32(tag)) }
 
 func (s *Simulator) onSubmit(i int) {
 	s.accrue()
-	e := &s.table[i]
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.JobSubmitted(s.eng.Now(), e.j, false)
-	}
-	s.tel.JobSubmit(e.j.ID, false)
-	if s.dependencyState(e) == depFailed {
+	if s.dependencyState(&s.table[i]) == depFailed {
 		// The predecessor already failed: the job can never run.
-		e.rec.Outcome = Abandoned
-		e.rec.Finish = s.eng.Now()
-		s.res.Abandoned++
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobFinished(s.eng.Now(), e.j, Abandoned)
-		}
-		s.tel.JobEnd(e.j.ID, Abandoned.String(), e.rec.Restarts)
-		s.cancelDependents(i)
+		s.submitted(i, false)
+		s.conclude(i, Abandoned)
 		return
 	}
-	s.queue.Push(sched.Entry{Job: i, Enqueue: s.eng.Now(), Priority: e.prio})
+	s.enqueue(i, false)
 	s.ensureTick(true)
+}
+
+// ------------------------------------------------------- job lifecycle
+//
+// Every submission is announced by submitted, every queue entry made by
+// enqueue and every terminal outcome recorded by conclude, so the job
+// table, the Result counters, the Observer and the telemetry stream see
+// each transition in one order wherever it happens.
+
+// submitted announces a submission of the job at table index i to the
+// Observer and the telemetry stream; resubmit marks a requeue.
+func (s *Simulator) submitted(i int, resubmit bool) {
+	j := s.table[i].j
+	if s.cfg.Observer != nil {
+		s.cfg.Observer.JobSubmitted(s.eng.Now(), j, resubmit)
+	}
+	s.tel.JobSubmit(j.ID, resubmit)
+}
+
+// enqueue queues the job at table index i at its priority and announces it.
+// resubmit marks a requeue: an OOM restart or a repack.
+func (s *Simulator) enqueue(i int, resubmit bool) {
+	s.queue.Push(sched.Entry{Job: i, Enqueue: s.eng.Now(), Priority: s.table[i].prio})
+	s.submitted(i, resubmit)
+}
+
+// conclude records the terminal outcome of the job at table index i, which
+// is neither queued nor running, counts it and announces it. A job that
+// ends without completing fails its queued dependents.
+func (s *Simulator) conclude(i int, out Outcome) {
+	e := &s.table[i]
+	e.rec.Outcome = out
+	e.rec.Finish = s.eng.Now()
+	switch out {
+	case Completed:
+		s.res.Completed++
+	case TimedOut:
+		s.res.TimedOut++
+	case Abandoned:
+		s.res.Abandoned++
+	}
+	if s.cfg.Observer != nil {
+		s.cfg.Observer.JobFinished(s.eng.Now(), e.j, out)
+	}
+	s.tel.JobEnd(e.j.ID, out.String(), e.rec.Restarts)
+	if out != Completed {
+		s.cancelDependents(i)
+	}
 }
 
 // ensureTick guarantees a scheduling pass is queued. immediate requests a
@@ -470,7 +510,7 @@ func (s *Simulator) ensureTick(immediate bool) {
 	if immediate {
 		delay = 0
 	}
-	s.eng.AfterTag(delay, evTag(tagTick, 0), func(*sim.Engine) { s.onTick() }) //dmplint:ignore hotpath-alloc one scheduling closure per quiescent-to-active transition, amortized over the whole tick it schedules
+	s.eng.After(delay, evTag(tagTick, 0), func(*sim.Engine) { s.onTick() }) //dmplint:ignore hotpath-alloc one scheduling closure per quiescent-to-active transition, amortized over the whole tick it schedules
 }
 
 func (s *Simulator) onTick() {
@@ -735,11 +775,11 @@ func (s *Simulator) start(i int, ja *cluster.JobAllocation) {
 	s.curBusyNodes += len(ja.PerNode)
 
 	if s.cfg.EnforceTimeLimit {
-		rj.limitEv = s.eng.AfterTag(j.LimitSec, evTag(tagLimit, i), func(*sim.Engine) { s.onTimeLimit(i) })
+		rj.limitEv = s.eng.After(j.LimitSec, evTag(tagLimit, i), func(*sim.Engine) { s.onTimeLimit(i) })
 	}
 	if s.pol.Tracks() {
 		rj.onUpdate = s.updateAction(i)
-		rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), rj.onUpdate)
+		rj.updateEv = s.eng.After(rj.period, evTag(tagUpdate, i), rj.onUpdate)
 	}
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.JobStarted(now, j, ja.TotalMB()-ja.RemoteMB(), ja.RemoteMB())
@@ -757,27 +797,13 @@ func (s *Simulator) start(i int, ja *cluster.JobAllocation) {
 	s.refreshAfter(rj)
 }
 
-func (s *Simulator) onFinish(i int) {
-	s.accrue()
-	rj := s.table[i].run
-	if rj == nil {
-		return
-	}
-	s.bank(rj, s.eng.Now())
-	s.teardown(rj)
-	s.closeAttempt(rj.rec, AttemptCompleted)
-	rj.rec.Outcome = Completed
-	rj.rec.Finish = s.eng.Now()
-	s.res.Completed++
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, Completed)
-	}
-	s.tel.JobEnd(rj.j.ID, Completed.String(), rj.rec.Restarts)
-	s.refreshAfter(rj)
-	s.ensureTick(true)
-}
+func (s *Simulator) onFinish(i int)    { s.finishJob(i, AttemptCompleted, Completed) }
+func (s *Simulator) onTimeLimit(i int) { s.finishJob(i, AttemptTimedOut, TimedOut) }
 
-func (s *Simulator) onTimeLimit(i int) {
+// finishJob closes the running attempt of the job at table index i as how
+// and concludes the job with out: the shared body of its finish and
+// time-limit events, whichever fires first (teardown cancels the other).
+func (s *Simulator) finishJob(i int, how AttemptEnd, out Outcome) {
 	s.accrue()
 	rj := s.table[i].run
 	if rj == nil {
@@ -785,15 +811,8 @@ func (s *Simulator) onTimeLimit(i int) {
 	}
 	s.bank(rj, s.eng.Now())
 	s.teardown(rj)
-	s.closeAttempt(rj.rec, AttemptTimedOut)
-	rj.rec.Outcome = TimedOut
-	rj.rec.Finish = s.eng.Now()
-	s.res.TimedOut++
-	if s.cfg.Observer != nil {
-		s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, TimedOut)
-	}
-	s.tel.JobEnd(rj.j.ID, TimedOut.String(), rj.rec.Restarts)
-	s.cancelDependents(i)
+	s.closeAttempt(rj.rec, how)
+	s.conclude(i, out)
 	s.refreshAfter(rj)
 	s.ensureTick(true)
 }
@@ -874,7 +893,7 @@ func (s *Simulator) onMemoryUpdate(i int) {
 	if s.cfg.Observer != nil && after != before {
 		s.cfg.Observer.AllocationChanged(s.eng.Now(), rj.j, before, after)
 	}
-	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, i), rj.onUpdate)
+	rj.updateEv = s.eng.After(rj.period, evTag(tagUpdate, i), rj.onUpdate)
 	s.refreshAfter(rj)
 }
 
@@ -932,17 +951,9 @@ func (s *Simulator) oomKill(rj *runningJob) {
 		s.cfg.Observer.JobKilledOOM(s.eng.Now(), rj.j, rj.rec.Restarts)
 	}
 
-	id := rj.j.ID
-	s.tel.JobAttemptEnd(id, AttemptOOMKilled.String(), rj.rec.Restarts)
+	s.tel.JobAttemptEnd(rj.j.ID, AttemptOOMKilled.String(), rj.rec.Restarts)
 	if rj.rec.Restarts >= s.cfg.MaxRestarts {
-		rj.rec.Outcome = Abandoned
-		rj.rec.Finish = s.eng.Now()
-		s.res.Abandoned++
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, Abandoned)
-		}
-		s.tel.JobEnd(id, Abandoned.String(), rj.rec.Restarts)
-		s.cancelDependents(rj.idx)
+		s.conclude(rj.idx, Abandoned)
 	} else {
 		e := &s.table[rj.idx]
 		if s.cfg.OOM == CheckpointRestart {
@@ -957,11 +968,7 @@ func (s *Simulator) oomKill(rj *runningJob) {
 		if rj.rec.Restarts >= s.cfg.PriorityBoost {
 			e.prio = rj.rec.Restarts
 		}
-		s.queue.Push(sched.Entry{Job: rj.idx, Enqueue: s.eng.Now(), Priority: e.prio})
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.JobSubmitted(s.eng.Now(), rj.j, true)
-		}
-		s.tel.JobSubmit(id, true)
+		s.enqueue(rj.idx, true)
 	}
 	s.refreshAfter(rj)
 	s.ensureTick(true)
@@ -1290,7 +1297,7 @@ func (s *Simulator) refinish(rj *runningJob, now float64) {
 	}
 	if !rj.finishEv.Pending() {
 		i := rj.idx
-		rj.finishEv = s.eng.ScheduleTag(at, evTag(tagFinish, i), func(*sim.Engine) { s.onFinish(i) }) //dmplint:ignore hotpath-alloc scheduled once per finish-time move, not per refresh step; Reschedule reuses the handle below
+		rj.finishEv = s.eng.Schedule(at, evTag(tagFinish, i), func(*sim.Engine) { s.onFinish(i) }) //dmplint:ignore hotpath-alloc scheduled once per finish-time move, not per refresh step; Reschedule reuses the handle below
 	} else if rj.finishEv.At() != at {
 		rj.finishEv = s.eng.Reschedule(rj.finishEv, at)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -483,5 +484,72 @@ func TestInterruptNilIsPure(t *testing.T) {
 	withPoll := runSim(t, cfg2, jobs2)
 	if !reflect.DeepEqual(base, withPoll) {
 		t.Fatal("a nil-returning Interrupt changed the Result")
+	}
+}
+
+// StepUntil drives the event loop Finish drives: a failing Interrupt stops
+// a paused run before any event fires and surfaces the cause wrapped, so a
+// branch prefix can be cancelled.
+func TestStepUntilHonoursInterrupt(t *testing.T) {
+	cfg, jobs := interruptScenario()
+	cfg.Interrupt = func() error { return errInterruptTest }
+	s, err := New(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	if err := s.StepUntil(math.Inf(1)); !errors.Is(err, errInterruptTest) {
+		t.Fatalf("StepUntil = %v, want the interrupt cause wrapped", err)
+	}
+	if n := s.eng.Fired(); n != 0 {
+		t.Fatalf("fired %d events, want 0", n)
+	}
+}
+
+// StepUntil spends the event budget Finish spends, and reports it the same
+// way.
+func TestStepUntilHonoursMaxEvents(t *testing.T) {
+	cfg, jobs := interruptScenario()
+	cfg.MaxEvents = 3
+	s, err := New(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	err = s.StepUntil(math.Inf(1))
+	if err == nil || !strings.Contains(err.Error(), "event budget (3) exhausted") {
+		t.Fatalf("StepUntil = %v, want the event-budget error", err)
+	}
+	if n := s.eng.Fired(); n != 3 {
+		t.Fatalf("fired %d events, want 3", n)
+	}
+}
+
+// A run paused at times past its Horizon and then finished stops at the
+// Horizon, exactly as Run does.
+func TestStepUntilPastHorizonMatchesRun(t *testing.T) {
+	cfg, jobs := interruptScenario()
+	cfg.Horizon = 100
+	want := runSim(t, cfg, jobs)
+
+	cfg, jobs = interruptScenario()
+	cfg.Horizon = 100
+	s, err := New(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for _, at := range []float64{60, 150, 1e4} {
+		if err := s.StepUntil(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("stepped past the horizon: makespan %g, completed %d; Run: makespan %g, completed %d",
+			got.Makespan, got.Completed, want.Makespan, want.Completed)
 	}
 }

@@ -26,7 +26,7 @@ type Timeline struct {
 
 	alloc   int64
 	busy    int
-	queued  int
+	queued  map[int]bool // IDs of the jobs waiting in the queue
 	running map[int]jobFootprint
 }
 
@@ -37,7 +37,7 @@ type jobFootprint struct {
 
 // NewTimeline returns an empty recorder.
 func NewTimeline() *Timeline {
-	return &Timeline{running: make(map[int]jobFootprint)}
+	return &Timeline{queued: make(map[int]bool), running: make(map[int]jobFootprint)}
 }
 
 func (tl *Timeline) snap(t float64) {
@@ -45,20 +45,20 @@ func (tl *Timeline) snap(t float64) {
 		T:         t,
 		AllocMB:   tl.alloc,
 		BusyNodes: tl.busy,
-		Queued:    tl.queued,
+		Queued:    len(tl.queued),
 		Running:   len(tl.running),
 	})
 }
 
 // JobSubmitted implements Observer.
-func (tl *Timeline) JobSubmitted(t float64, _ *job.Job, _ bool) {
-	tl.queued++
+func (tl *Timeline) JobSubmitted(t float64, j *job.Job, _ bool) {
+	tl.queued[j.ID] = true
 	tl.snap(t)
 }
 
 // JobStarted implements Observer.
 func (tl *Timeline) JobStarted(t float64, j *job.Job, localMB, remoteMB int64) {
-	tl.queued--
+	delete(tl.queued, j.ID)
 	total := localMB + remoteMB
 	tl.running[j.ID] = jobFootprint{allocMB: total, nodes: j.Nodes}
 	tl.alloc += total
@@ -66,9 +66,11 @@ func (tl *Timeline) JobStarted(t float64, j *job.Job, localMB, remoteMB int64) {
 	tl.snap(t)
 }
 
-// JobFinished implements Observer. Abandonment follows an OOM kill that
-// already released the footprint, so the removal is guarded.
+// JobFinished implements Observer. A job abandoned while queued (its
+// predecessor failed) leaves the queue; one abandoned after an OOM kill
+// already released its footprint, so the removal is guarded.
 func (tl *Timeline) JobFinished(t float64, j *job.Job, _ Outcome) {
+	delete(tl.queued, j.ID)
 	tl.remove(j.ID)
 	tl.snap(t)
 }

@@ -76,6 +76,38 @@ func TestTimelineOOMAccounting(t *testing.T) {
 	}
 }
 
+// TestTimelineQueueAfterAbandonment abandons jobs while they wait: two
+// queued dependents when their predecessor's OOM kill abandons it, and one
+// submitted after that. None of them ever starts, and each must leave the
+// queue count when it is abandoned.
+func TestTimelineQueueAfterAbandonment(t *testing.T) {
+	tl := NewTimeline()
+	usage := memtrace.MustNew([]memtrace.Point{{T: 0, MB: 100}, {T: 400, MB: 5000}})
+	jobs := []*job.Job{
+		mkJob(1, 0, 1, 200, 2000, usage),
+		mkJob(2, 0, 1, 200, 100, memtrace.Constant(100)),
+		mkJob(3, 10, 1, 200, 100, memtrace.Constant(100)),
+		mkJob(4, 50000, 1, 200, 100, memtrace.Constant(100)),
+	}
+	for _, j := range jobs[1:] {
+		j.DependsOn = 1
+	}
+	cfg := baseConfig(2, 1000, policy.Dynamic)
+	cfg.MaxRestarts = 1
+	cfg.Observer = tl
+	res := runSim(t, cfg, jobs)
+	if res.Abandoned != 4 {
+		t.Fatalf("abandoned = %d, want all 4", res.Abandoned)
+	}
+	if res.Records[3].Finish < 50000 {
+		t.Fatalf("job 4 ended at %g, before its submission", res.Records[3].Finish)
+	}
+	last := tl.Samples[len(tl.Samples)-1]
+	if last.Queued != 0 || last.Running != 0 || last.AllocMB != 0 {
+		t.Fatalf("final sample not empty: %+v", last)
+	}
+}
+
 func TestTimelineCSV(t *testing.T) {
 	tl := NewTimeline()
 	cfg := baseConfig(2, 1000, policy.Static)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"dismem/internal/job"
@@ -14,11 +15,15 @@ import (
 // contention refresh: whether the resized job was marked dirty and the
 // model stale.
 type flagObserver struct {
-	NopObserver
 	s            *Simulator
 	seen         bool
 	dirty, stale bool
 }
+
+func (*flagObserver) JobSubmitted(float64, *job.Job, bool)       {}
+func (*flagObserver) JobStarted(float64, *job.Job, int64, int64) {}
+func (*flagObserver) JobFinished(float64, *job.Job, Outcome)     {}
+func (*flagObserver) JobKilledOOM(float64, *job.Job, int)        {}
 
 func (o *flagObserver) AllocationChanged(_ float64, j *job.Job, _, _ int64) {
 	for _, rj := range o.s.runList {
@@ -92,7 +97,7 @@ func TestMemoryUpdateTouchesOnlyWhatCanChange(t *testing.T) {
 			}
 		}
 		obs.seen = false
-		if !s.eng.Step() {
+		if !s.eng.Step(math.Inf(1)) {
 			break
 		}
 		checkRescanOracles(t, s)

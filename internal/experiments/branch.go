@@ -314,7 +314,8 @@ func branchRow(name string, res *core.Result, st core.BranchStats) BranchRow {
 // of zero (or past the cell's last event) brands the final state: every
 // event fires in the prefix and the branches replay only their overlays'
 // consequences — useful with repack variants. Cancellation via ctx aborts
-// the prefix between events; the concurrent branch runs are not
+// the prefix between events: StepUntil polls it through the simulator's one
+// event loop, as Finish does. The concurrent branch runs are not
 // interruptible (they own no connection state and finish in bounded time).
 func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSpec) (*BranchResult, error) {
 	m, pol, err := br.cellOf(s)

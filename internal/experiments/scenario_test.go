@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dismem/internal/telemetry"
+	"dismem/internal/tracegen"
 )
 
 const sampleSpec = `{
@@ -272,6 +273,41 @@ func TestRunScenarioSpecDefaultsAndChains(t *testing.T) {
 	// Defaults: all eight memory configs × three policies.
 	if len(res.Rows) != 8*3 {
 		t.Fatalf("rows = %d, want 24", len(res.Rows))
+	}
+
+	// The chain overlay gives some jobs a predecessor among the few
+	// submitted just before them, on clones: the cached trace's jobs, which
+	// every other cell and spec shares, keep no dependency.
+	tr, err := p.scenarioTrace(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := tr.jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := tracegen.Cached(p.scenarioTraceParams(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(cached.Jobs) {
+		t.Fatalf("overlay has %d jobs, the cached trace %d", len(jobs), len(cached.Jobs))
+	}
+	chained := 0
+	for i, j := range jobs {
+		if c := cached.Jobs[i]; j == c || c.DependsOn != 0 {
+			t.Fatalf("job %d: overlay shares or wrote the cached job (DependsOn %d)", c.ID, c.DependsOn)
+		}
+		if j.DependsOn == 0 {
+			continue
+		}
+		chained++
+		if back := j.ID - j.DependsOn; back < 1 || back > 5 {
+			t.Fatalf("job %d depends on job %d, %d back; want 1 to 5", j.ID, j.DependsOn, back)
+		}
+	}
+	if chained == 0 {
+		t.Fatal("chain_frac 0.3 gave no job a dependency")
 	}
 }
 

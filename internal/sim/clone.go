@@ -10,12 +10,12 @@ import (
 // cloned engine cannot reuse them: the caller supplies a rebind function
 // that maps each pending event's tag to a fresh action bound to the forked
 // simulator. Everything else — clock, seq counter, heap layout, generation
-// stamps, horizon, budget — is copied exactly, so the clone fires the same
-// events at the same times in the same order as the original would.
+// stamps — is copied exactly, so the clone fires the same events at the
+// same times in the same order as the original would.
 
 // Periodic returns a self-rescheduling action: each firing runs fn and, if
 // other events remain pending, schedules the next tick interval seconds
-// later under the same tag. It is the action form of Every — EveryTag
+// later under the same tag. It is the action form of Every — Every
 // schedules it, and a forked simulator rebinds a pending tick by scheduling
 // a fresh Periodic with the original interval and tag.
 func Periodic(interval float64, tag uint64, fn Action) Action {
@@ -25,19 +25,23 @@ func Periodic(interval float64, tag uint64, fn Action) Action {
 		// The firing tick has already been popped, so Pending counts only
 		// other work; reschedule only while there is some.
 		if e.Pending() > 0 {
-			e.ScheduleTag(e.now+interval, tag, tick)
+			e.Schedule(e.now+interval, tag, tick)
 		}
 	}
 	return tick
 }
 
-// EveryTag is Every with a classification tag on the tick events, so a fork
-// can rebind them.
-func (e *Engine) EveryTag(start, interval float64, tag uint64, fn Action) {
+// Every schedules fn at absolute time start and then every interval seconds
+// for as long as other events remain queued, each tick under tag so a fork
+// can rebind it. The self-rescheduling stops as soon as the tick is the only
+// thing left, so a periodic task (telemetry sampling, progress reporting)
+// never keeps the queue from draining or the run from terminating. A
+// non-positive interval panics.
+func (e *Engine) Every(start, interval float64, tag uint64, fn Action) {
 	if interval <= 0 || math.IsNaN(interval) {
-		panic(fmt.Sprintf("sim: EveryTag with interval %g", interval))
+		panic(fmt.Sprintf("sim: Every with interval %g", interval))
 	}
-	e.ScheduleTag(start, tag, Periodic(interval, tag, fn))
+	e.Schedule(start, tag, Periodic(interval, tag, fn))
 }
 
 // Clone returns a deep copy of the engine with every pending event's action
@@ -45,8 +49,7 @@ func (e *Engine) EveryTag(start, interval float64, tag uint64, fn Action) {
 // retained Handles: for every pending event with a nonzero tag, the map
 // holds the clone's replacement handle under that tag.
 //
-// The copy is exact — clock, seq counter, fired count, horizon, event
-// budget, and the heap array element-for-element (at, seq, tag, generation,
+// The copy is exact — clock, seq counter, fired count, and the heap array element-for-element (at, seq, tag, generation,
 // position) — so the clone's future pop order, seq assignment, and Pending
 // counts are indistinguishable from the original's. The event pool is not
 // copied; the clone re-grows its own storage.
@@ -56,14 +59,7 @@ func (e *Engine) EveryTag(start, interval float64, tag uint64, fn Action) {
 // pending events — both panic otherwise, because a silently dropped or
 // misbound event would corrupt the branch's timeline.
 func (e *Engine) Clone(rebind func(tag uint64) Action) (*Engine, map[uint64]Handle) {
-	c := &Engine{
-		now:       e.now,
-		seq:       e.seq,
-		fired:     e.fired,
-		maxT:      e.maxT,
-		maxEvents: e.maxEvents,
-		exhausted: e.exhausted,
-	}
+	c := &Engine{now: e.now, seq: e.seq, fired: e.fired}
 	c.queue = make(eventQueue, len(e.queue))
 	handles := make(map[uint64]Handle, len(e.queue))
 	for i, sl := range e.queue {

@@ -19,22 +19,22 @@ func TestCloneReplaysIdentically(t *testing.T) {
 		rec := func(tag uint64) Action {
 			return func(e *Engine) { *log = append(*log, firing{e.Now(), tag}) }
 		}
-		e.ScheduleTag(1, 100, rec(100))
-		e.ScheduleTag(5, 101, rec(101))
-		e.ScheduleTag(5, 102, rec(102)) // same time: seq order matters
-		e.ScheduleTag(9, 103, rec(103))
-		e.EveryTag(0, 2, 200, rec(200))
+		e.Schedule(1, 100, rec(100))
+		e.Schedule(5, 101, rec(101))
+		e.Schedule(5, 102, rec(102)) // same time: seq order matters
+		e.Schedule(9, 103, rec(103))
+		e.Every(0, 2, 200, rec(200))
 		return e
 	}
 
 	var refLog []firing
 	ref := build(&refLog)
-	ref.Run()
+	run(ref)
 
 	// Same construction, but stop at t=4, clone, and let the clone finish.
 	var baseLog, cloneLog []firing
 	base := build(&baseLog)
-	base.RunUntil(4)
+	runUntil(base, 4)
 	clone, handles := base.Clone(func(tag uint64) Action {
 		if tag == 200 {
 			return Periodic(2, 200, func(e *Engine) { cloneLog = append(cloneLog, firing{e.Now(), 200}) })
@@ -50,7 +50,7 @@ func TestCloneReplaysIdentically(t *testing.T) {
 	if got, want := clone.Now(), base.Now(); got != want {
 		t.Fatalf("clone clock %g, base %g", got, want)
 	}
-	clone.Run()
+	run(clone)
 
 	want := append(append([]firing{}, baseLog...), cloneLog...)
 	if !reflect.DeepEqual(refLog, want) {
@@ -58,7 +58,7 @@ func TestCloneReplaysIdentically(t *testing.T) {
 	}
 
 	// The base is untouched by the clone's run and finishes on its own.
-	base.Run()
+	run(base)
 	if !reflect.DeepEqual(refLog, baseLog) {
 		t.Fatalf("base perturbed by clone:\nref  %v\nbase %v", refLog, baseLog)
 	}
@@ -69,17 +69,17 @@ func TestCloneReplaysIdentically(t *testing.T) {
 func TestCloneHandleReschedule(t *testing.T) {
 	e := New()
 	fired := ""
-	e.ScheduleTag(3, 7, func(*Engine) { fired += "orig" })
+	e.Schedule(3, 7, func(*Engine) { fired += "orig" })
 	clone, handles := e.Clone(func(tag uint64) Action {
 		return func(*Engine) { fired += fmt.Sprintf("clone@%d", tag) }
 	})
 	h := handles[7]
 	clone.Reschedule(h, 10)
-	clone.Run()
+	run(clone)
 	if clone.Now() != 10 || fired != "clone@7" {
 		t.Fatalf("clone: now=%g fired=%q", clone.Now(), fired)
 	}
-	e.Run()
+	run(e)
 	if e.Now() != 3 || fired != "clone@7orig" {
 		t.Fatalf("original: now=%g fired=%q", e.Now(), fired)
 	}
@@ -87,7 +87,7 @@ func TestCloneHandleReschedule(t *testing.T) {
 
 func TestCloneRejectsUnboundTag(t *testing.T) {
 	e := New()
-	e.ScheduleTag(1, 9, func(*Engine) {})
+	e.Schedule(1, 9, func(*Engine) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Clone with nil rebind result did not panic")

@@ -150,30 +150,18 @@ func (q *eventQueue) remove(i int) *Event {
 
 // Engine is a discrete-event simulator clock and event queue.
 // It is not safe for concurrent use; the simulation is single-threaded by
-// design so results are reproducible.
+// design so results are reproducible. The engine keeps no horizon, budget
+// or run loop: its driver steps it, and owns every limit on the run.
 type Engine struct {
-	now       float64
-	seq       uint64
-	queue     eventQueue
-	free      []*Event // recycled event storage
-	fired     uint64
-	maxT      float64
-	maxEvents uint64
-	exhausted bool
+	now   float64
+	seq   uint64
+	queue eventQueue
+	free  []*Event // recycled event storage
+	fired uint64
 }
 
-// New returns an engine with the clock at time zero and no horizon.
-func New() *Engine {
-	return &Engine{maxT: math.Inf(1)}
-}
-
-// SetMaxEvents installs a runaway backstop: Run halts once n events have
-// fired, and Exhausted reports it. Zero (the default) means unlimited.
-func (e *Engine) SetMaxEvents(n uint64) { e.maxEvents = n }
-
-// Exhausted reports whether a Run stopped because the event budget was
-// spent rather than because the queue drained or the horizon was reached.
-func (e *Engine) Exhausted() bool { return e.exhausted }
+// New returns an engine with the clock at time zero.
+func New() *Engine { return &Engine{} }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -184,22 +172,12 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of events still queued to fire.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// SetHorizon stops the run when the clock would pass t. Events scheduled at
-// exactly t still fire.
-func (e *Engine) SetHorizon(t float64) { e.maxT = t }
-
-// Schedule enqueues fn to fire at absolute time at. Scheduling in the past
-// panics: it always indicates a logic error in the caller, and silently
-// clamping would corrupt causality.
-func (e *Engine) Schedule(at float64, fn Action) Handle {
-	return e.ScheduleTag(at, 0, fn)
-}
-
-// ScheduleTag is Schedule with an opaque classification tag attached to the
-// event. The engine never interprets tags; Clone hands them back so a fork
-// can rebind each pending event's action. Plain Schedule leaves the tag
-// zero ("unclassified").
-func (e *Engine) ScheduleTag(at float64, tag uint64, fn Action) Handle {
+// Schedule enqueues fn to fire at absolute time at, under an opaque
+// classification tag. The engine never interprets tags; Clone hands them
+// back so a fork can rebind each pending event's action, and zero means
+// "unclassified". Scheduling in the past panics: it always indicates a
+// logic error in the caller, and silently clamping would corrupt causality.
+func (e *Engine) Schedule(at float64, tag uint64, fn Action) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}
@@ -222,23 +200,9 @@ func (e *Engine) ScheduleTag(at float64, tag uint64, fn Action) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// After enqueues fn to fire d seconds from now.
-func (e *Engine) After(d float64, fn Action) Handle {
-	return e.ScheduleTag(e.now+d, 0, fn)
-}
-
-// AfterTag enqueues fn to fire d seconds from now with a classification tag.
-func (e *Engine) AfterTag(d float64, tag uint64, fn Action) Handle {
-	return e.ScheduleTag(e.now+d, tag, fn)
-}
-
-// Every schedules fn at absolute time start and then every interval seconds
-// for as long as other events remain queued. The self-rescheduling stops as
-// soon as the tick is the only thing left, so a periodic task (telemetry
-// sampling, progress reporting) never keeps the queue from draining or the
-// run from terminating. A non-positive interval panics.
-func (e *Engine) Every(start, interval float64, fn Action) {
-	e.EveryTag(start, interval, 0, fn)
+// After enqueues fn to fire d seconds from now under tag.
+func (e *Engine) After(d float64, tag uint64, fn Action) Handle {
+	return e.Schedule(e.now+d, tag, fn)
 }
 
 // recycle marks ev spent (invalidating every Handle stamped with the old
@@ -269,12 +233,13 @@ func (e *Engine) Reschedule(h Handle, at float64) Handle {
 	fn := h.ev.fire
 	tag := h.ev.tag
 	e.Cancel(h)
-	return e.ScheduleTag(at, tag, fn)
+	return e.Schedule(at, tag, fn)
 }
 
-// Step fires the next event, if any, and reports whether one fired.
-func (e *Engine) Step() bool {
-	if len(e.queue) == 0 || e.queue[0].at > e.maxT {
+// Step fires the next event if it is due at or before limit, and reports
+// whether one fired. Events due exactly at limit fire.
+func (e *Engine) Step(limit float64) bool {
+	if len(e.queue) == 0 || e.queue[0].at > limit {
 		return false
 	}
 	ev := e.queue.remove(0)
@@ -286,30 +251,4 @@ func (e *Engine) Step() bool {
 	fn(e)
 	e.recycle(ev)
 	return true
-}
-
-// Run fires events until the queue is empty, the horizon is reached or the
-// event budget is exhausted. It returns the final simulated time.
-func (e *Engine) Run() float64 {
-	e.exhausted = false
-	for {
-		if e.maxEvents > 0 && e.fired >= e.maxEvents {
-			e.exhausted = true
-			break
-		}
-		if !e.Step() {
-			break
-		}
-	}
-	return e.now
-}
-
-// RunUntil runs the engine, stopping before any event later than t fires.
-// The clock is left at the time of the last fired event.
-func (e *Engine) RunUntil(t float64) float64 {
-	old := e.maxT
-	e.maxT = t
-	e.Run()
-	e.maxT = old
-	return e.now
 }

@@ -13,10 +13,10 @@ import (
 func TestScheduleOrder(t *testing.T) {
 	e := New()
 	var got []int
-	e.Schedule(3, func(*Engine) { got = append(got, 3) })
-	e.Schedule(1, func(*Engine) { got = append(got, 1) })
-	e.Schedule(2, func(*Engine) { got = append(got, 2) })
-	e.Run()
+	e.Schedule(3, 0, func(*Engine) { got = append(got, 3) })
+	e.Schedule(1, 0, func(*Engine) { got = append(got, 1) })
+	e.Schedule(2, 0, func(*Engine) { got = append(got, 2) })
+	run(e)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired out of order: %v", got)
 	}
@@ -28,10 +28,10 @@ func TestScheduleOrder(t *testing.T) {
 func TestTieBreakByInsertion(t *testing.T) {
 	e := New()
 	var got []string
-	e.Schedule(5, func(*Engine) { got = append(got, "a") })
-	e.Schedule(5, func(*Engine) { got = append(got, "b") })
-	e.Schedule(5, func(*Engine) { got = append(got, "c") })
-	e.Run()
+	e.Schedule(5, 0, func(*Engine) { got = append(got, "a") })
+	e.Schedule(5, 0, func(*Engine) { got = append(got, "b") })
+	e.Schedule(5, 0, func(*Engine) { got = append(got, "c") })
+	run(e)
 	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("tie-break violated insertion order: %v", got)
 	}
@@ -40,10 +40,10 @@ func TestTieBreakByInsertion(t *testing.T) {
 func TestAfterUsesCurrentTime(t *testing.T) {
 	e := New()
 	var at float64
-	e.Schedule(10, func(e *Engine) {
-		e.After(5, func(e *Engine) { at = e.Now() })
+	e.Schedule(10, 0, func(e *Engine) {
+		e.After(5, 0, func(e *Engine) { at = e.Now() })
 	})
-	e.Run()
+	run(e)
 	if at != 15 {
 		t.Fatalf("After fired at %g, want 15", at)
 	}
@@ -52,9 +52,9 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
-	h := e.Schedule(1, func(*Engine) { fired = true })
+	h := e.Schedule(1, 0, func(*Engine) { fired = true })
 	e.Cancel(h)
-	e.Run()
+	run(e)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -68,7 +68,7 @@ func TestCancel(t *testing.T) {
 
 func TestCancelRemovesFromQueue(t *testing.T) {
 	e := New()
-	h := e.Schedule(1, func(*Engine) {})
+	h := e.Schedule(1, 0, func(*Engine) {})
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
@@ -81,12 +81,12 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 func TestReschedule(t *testing.T) {
 	e := New()
 	var at float64
-	h := e.Schedule(10, func(e *Engine) { at = e.Now() })
+	h := e.Schedule(10, 0, func(e *Engine) { at = e.Now() })
 	h = e.Reschedule(h, 20)
 	if got := h.At(); got != 20 {
 		t.Fatalf("At() = %g after reschedule, want 20", got)
 	}
-	e.Run()
+	run(e)
 	if at != 20 {
 		t.Fatalf("rescheduled event fired at %g, want 20", at)
 	}
@@ -97,48 +97,42 @@ func TestReschedule(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.Schedule(10, func(*Engine) {})
-	e.Run()
+	e.Schedule(10, 0, func(*Engine) {})
+	run(e)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func(*Engine) {})
+	e.Schedule(5, 0, func(*Engine) {})
 }
 
+// runUntil fires every event due at or before limit and returns the clock.
+func runUntil(e *Engine, limit float64) float64 {
+	for e.Step(limit) {
+	}
+	return e.Now()
+}
+
+// run fires events until the queue drains and returns the clock.
+func run(e *Engine) float64 { return runUntil(e, math.Inf(1)) }
+
+// TestHorizon steps to a limit between events: the events due at or before
+// it fire, the later ones stay queued.
 func TestHorizon(t *testing.T) {
 	e := New()
 	var got []float64
 	for _, at := range []float64{1, 2, 3, 4} {
 		at := at
-		e.Schedule(at, func(*Engine) { got = append(got, at) })
+		e.Schedule(at, 0, func(*Engine) { got = append(got, at) })
 	}
-	e.RunUntil(2.5)
-	if len(got) != 2 {
-		t.Fatalf("fired %v, want events at 1 and 2 only", got)
+	if now := runUntil(e, 2.5); len(got) != 2 || now != 2 {
+		t.Fatalf("fired %v to t=%g, want events at 1 and 2 only", got, now)
 	}
-	// Remaining events still fire on an unbounded Run.
-	e.Run()
+	// Remaining events still fire with the limit lifted.
+	run(e)
 	if len(got) != 4 {
 		t.Fatalf("fired %v after resume, want all 4", got)
-	}
-}
-
-// TestHalt stops a run after one event with the event budget, the
-// backstop production runs set, and resumes it with the budget lifted.
-func TestHalt(t *testing.T) {
-	e := New()
-	n := 0
-	e.Schedule(1, func(*Engine) { n++ })
-	e.Schedule(2, func(*Engine) { n++ })
-	e.SetMaxEvents(1)
-	if now := e.Run(); n != 1 || now != 1 || !e.Exhausted() {
-		t.Fatalf("fired %d events to t=%g (exhausted %v), want 1 to t=1, exhausted", n, now, e.Exhausted())
-	}
-	e.SetMaxEvents(0)
-	if now := e.Run(); n != 2 || now != 2 || e.Exhausted() {
-		t.Fatalf("fired %d events to t=%g after resume (exhausted %v), want 2 to t=2", n, now, e.Exhausted())
 	}
 }
 
@@ -149,11 +143,11 @@ func TestRecurringEvent(t *testing.T) {
 	tick = func(e *Engine) {
 		count++
 		if count < 5 {
-			e.After(30, tick)
+			e.After(30, 0, tick)
 		}
 	}
-	e.After(30, tick)
-	e.Run()
+	e.After(30, 0, tick)
+	run(e)
 	if count != 5 {
 		t.Fatalf("ticks = %d, want 5", count)
 	}
@@ -168,8 +162,8 @@ func TestRecurringEvent(t *testing.T) {
 func TestStaleHandleIsInert(t *testing.T) {
 	e := New()
 	var stale Handle
-	stale = e.Schedule(1, func(*Engine) {})
-	e.Run()
+	stale = e.Schedule(1, 0, func(*Engine) {})
+	run(e)
 	if stale.Pending() {
 		t.Fatal("handle still pending after its event fired")
 	}
@@ -179,9 +173,9 @@ func TestStaleHandleIsInert(t *testing.T) {
 
 	// The next Schedule reuses the fired event's storage (pool of one).
 	fired := false
-	fresh := e.Schedule(2, func(*Engine) { fired = true })
+	fresh := e.Schedule(2, 0, func(*Engine) { fired = true })
 	e.Cancel(stale) // must NOT cancel the fresh event
-	e.Run()
+	run(e)
 	if !fired {
 		t.Fatal("stale Cancel killed a recycled event")
 	}
@@ -195,12 +189,12 @@ func TestCancelDuringHandler(t *testing.T) {
 	e := New()
 	firedB := false
 	var ha, hb Handle
-	ha = e.Schedule(1, func(e *Engine) {
+	ha = e.Schedule(1, 0, func(e *Engine) {
 		e.Cancel(ha) // self: already popped, must be inert
 		e.Cancel(hb)
 	})
-	hb = e.Schedule(2, func(*Engine) { firedB = true })
-	e.Run()
+	hb = e.Schedule(2, 0, func(*Engine) { firedB = true })
+	run(e)
 	if firedB {
 		t.Fatal("event cancelled from a handler still fired")
 	}
@@ -214,8 +208,8 @@ func TestCancelDuringHandler(t *testing.T) {
 // other event's action.
 func TestReschedulePanicsOnSpentHandle(t *testing.T) {
 	e := New()
-	h := e.Schedule(1, func(*Engine) {})
-	e.Run()
+	h := e.Schedule(1, 0, func(*Engine) {})
+	run(e)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("rescheduling a spent handle did not panic")
@@ -232,9 +226,9 @@ func TestQuickFiringOrder(t *testing.T) {
 		var fired []float64
 		for _, r := range raw {
 			at := float64(r)
-			e.Schedule(at, func(e *Engine) { fired = append(fired, e.Now()) })
+			e.Schedule(at, 0, func(e *Engine) { fired = append(fired, e.Now()) })
 		}
-		e.Run()
+		run(e)
 		if len(fired) != len(raw) {
 			return false
 		}
@@ -253,14 +247,14 @@ func TestQuickCancelSubset(t *testing.T) {
 		want := 0
 		fired := 0
 		for _, r := range raw {
-			h := e.Schedule(float64(r), func(*Engine) { fired++ })
+			h := e.Schedule(float64(r), 0, func(*Engine) { fired++ })
 			if rng.Intn(2) == 0 {
 				e.Cancel(h)
 			} else {
 				want++
 			}
 		}
-		e.Run()
+		run(e)
 		return fired == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -272,9 +266,9 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New()
 		for j := 0; j < 1000; j++ {
-			e.Schedule(float64(j%97), func(*Engine) {})
+			e.Schedule(float64(j%97), 0, func(*Engine) {})
 		}
-		e.Run()
+		run(e)
 	}
 }
 
@@ -287,14 +281,14 @@ func BenchmarkEngineScheduleCancel(b *testing.B) {
 	// Warm the pool and keep a rolling window of pending events.
 	var hs [64]Handle
 	for i := range hs {
-		hs[i] = e.Schedule(float64(i)+1e6, func(*Engine) {})
+		hs[i] = e.Schedule(float64(i)+1e6, 0, func(*Engine) {})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		slot := i % len(hs)
 		e.Cancel(hs[slot])
-		hs[slot] = e.Schedule(float64(i)+1e6, func(*Engine) {})
+		hs[slot] = e.Schedule(float64(i)+1e6, 0, func(*Engine) {})
 		hs[slot] = e.Reschedule(hs[slot], float64(i)+2e6)
 	}
 	b.StopTimer()
@@ -308,10 +302,10 @@ func TestEveryStopsWhenQueueDrains(t *testing.T) {
 	var work, ticks []float64
 	for _, at := range []float64{5, 12, 29} {
 		at := at
-		e.Schedule(at, func(*Engine) { work = append(work, at) })
+		e.Schedule(at, 0, func(*Engine) { work = append(work, at) })
 	}
-	e.Every(0, 10, func(e *Engine) { ticks = append(ticks, e.Now()) })
-	e.Run()
+	e.Every(0, 10, 0, func(e *Engine) { ticks = append(ticks, e.Now()) })
+	run(e)
 
 	if want := []float64{5, 12, 29}; !reflect.DeepEqual(work, want) {
 		t.Fatalf("work fired at %v, want %v", work, want)
@@ -329,8 +323,8 @@ func TestEveryStopsWhenQueueDrains(t *testing.T) {
 func TestEveryAloneFiresOnce(t *testing.T) {
 	e := New()
 	n := 0
-	e.Every(3, 10, func(*Engine) { n++ })
-	e.Run()
+	e.Every(3, 10, 0, func(*Engine) { n++ })
+	run(e)
 	if n != 1 {
 		t.Fatalf("lone periodic fired %d times, want 1", n)
 	}
@@ -342,10 +336,10 @@ func TestEveryAloneFiresOnce(t *testing.T) {
 func TestEveryBadIntervalPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Every(_, 0, _) did not panic")
+			t.Fatal("Every(_, 0, _, _) did not panic")
 		}
 	}()
-	New().Every(0, 0, func(*Engine) {})
+	New().Every(0, 0, 0, func(*Engine) {})
 }
 
 // refQueue is the engine's former queue, kept as the reference for the
@@ -456,7 +450,7 @@ func engineOrderCase(t *testing.T, data []byte) {
 	step := func(op int) {
 		t.Helper()
 		fired = fired[:0]
-		ok := eng.Step()
+		ok := eng.Step(math.Inf(1))
 		id, refOK := ref.step()
 		if ok != refOK || ok && (len(fired) != 1 || fired[0] != id || eng.Now() != ref.now) {
 			t.Fatalf("op %d: Step fired %v at %g (ok %v), reference %d at %g (ok %v)", op, fired, eng.Now(), ok, id, ref.now, refOK)
@@ -483,7 +477,7 @@ func engineOrderCase(t *testing.T, data []byte) {
 		switch code % 8 {
 		case 0, 1, 2: // schedule
 			at := eng.Now() + float64(arg%4)
-			handles[next] = eng.ScheduleTag(at, uint64(next), action(next))
+			handles[next] = eng.Schedule(at, uint64(next), action(next))
 			ref.schedule(at, next)
 			next++
 		case 3: // cancel
@@ -510,7 +504,7 @@ func engineOrderCase(t *testing.T, data []byte) {
 			}
 			for {
 				fired = fired[:0]
-				ok := orig.Step()
+				ok := orig.Step(math.Inf(1))
 				id, refOK := origRef.step()
 				if ok != refOK || ok && (len(fired) != 1 || fired[0] != id) {
 					t.Fatalf("op %d: cloned-from engine fired %v (ok %v), reference %d (ok %v)", op, fired, ok, id, refOK)
@@ -559,14 +553,14 @@ func TestEngineMatchesReference(t *testing.T) {
 func TestStepAllocationFree(t *testing.T) {
 	e := New()
 	var tick Action
-	tick = func(e *Engine) { e.AfterTag(1, 1, tick) }
+	tick = func(e *Engine) { e.After(1, 1, tick) }
 	for i := 0; i < 64; i++ {
-		e.Schedule(float64(i%7), tick)
+		e.Schedule(float64(i%7), 0, tick)
 	}
 	for i := 0; i < 64; i++ {
-		e.Step()
+		e.Step(math.Inf(1))
 	}
-	if got := testing.AllocsPerRun(1000, func() { e.Step() }); got != 0 {
+	if got := testing.AllocsPerRun(1000, func() { e.Step(math.Inf(1)) }); got != 0 {
 		t.Fatalf("warm Step allocates %.1f per call, want 0", got)
 	}
 }

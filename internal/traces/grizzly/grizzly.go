@@ -315,12 +315,11 @@ func (d *Dataset) SampleWeeks(rng *rand.Rand, minUtil float64, n int) ([]*Week, 
 // the overestimation factor, exactly as the paper does (§3.2.1).
 type BuildParams struct {
 	Overestimation float64
-	// LimitPadding multiplies the duration into the wallclock request
-	// (default 2).
-	LimitPadding float64
-	Matcher      *slowdown.Matcher
-	Seed         int64
+	Seed           int64
 }
+
+// limitPadding multiplies a job's duration into its wallclock request.
+const limitPadding = 2
 
 // BuildJobs converts a sampled week into simulator-ready jobs. It uses the
 // usage traces the week holds and builds any missing one into the jobs it
@@ -330,12 +329,7 @@ func (w *Week) BuildJobs(p BuildParams) ([]*job.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.LimitPadding < 1 {
-		p.LimitPadding = 2
-	}
-	if p.Matcher == nil {
-		p.Matcher = slowdown.NewMatcher(nil)
-	}
+	matcher := slowdown.NewMatcher(nil)
 	rng := rand.New(rand.NewSource(p.Seed))
 	arr := workload.NewCirneParams(SystemNodes, 0.7, 7)
 	jobs := make([]*job.Job, 0, len(w.Jobs))
@@ -346,10 +340,10 @@ func (w *Week) BuildJobs(p BuildParams) ([]*job.Job, error) {
 			SubmitTime:  cirneArrival(rng, &arr),
 			Nodes:       tj.Nodes,
 			RequestMB:   workload.Overestimate(tj.PeakMB(), p.Overestimation),
-			LimitSec:    tj.Duration * p.LimitPadding,
+			LimitSec:    tj.Duration * limitPadding,
 			BaseRuntime: tj.Duration,
 			Usage:       usage[i],
-			Profile:     p.Matcher.Match(tj.Nodes, tj.Duration),
+			Profile:     matcher.Match(tj.Nodes, tj.Duration),
 		}
 		if err := j.Validate(); err != nil {
 			return nil, err

@@ -29,13 +29,8 @@ type BuildParams struct {
 	// NormalNodeMB is the normal node capacity that separates normal-
 	// from large-memory jobs.
 	NormalNodeMB int64
-	// ChainFrac makes a fraction of jobs depend on an earlier job
-	// (workflow chains, Slurm --dependency=afterok). Zero, the paper's
-	// setting, generates independent jobs.
-	ChainFrac float64
-	Source    UsageSource
-	Matcher   *slowdown.Matcher
-	Seed      int64
+	Source       UsageSource
+	Seed         int64
 }
 
 // ErrNoSource reports a missing usage source.
@@ -52,9 +47,7 @@ func BuildJobs(specs []Spec, p BuildParams) ([]*job.Job, error) {
 	if p.NormalNodeMB <= 0 {
 		p.NormalNodeMB = 64 * 1024
 	}
-	if p.Matcher == nil {
-		p.Matcher = slowdown.NewMatcher(nil)
-	}
+	matcher := slowdown.NewMatcher(nil)
 	rng := rand.New(rand.NewSource(p.Seed))
 	normal := NormalMemorySampler()
 	large := LargeMemorySampler()
@@ -71,13 +64,6 @@ func BuildJobs(specs []Spec, p BuildParams) ([]*job.Job, error) {
 			}
 		}
 		usage := p.Source.TraceFor(rng, peak, sp.Runtime)
-		dependsOn := 0
-		if p.ChainFrac > 0 && i > 0 && rng.Float64() < p.ChainFrac {
-			// Chain onto one of the few preceding submissions, as a
-			// user resubmitting the next stage of a workflow would.
-			back := 1 + rng.Intn(minInt(i, 5))
-			dependsOn = i + 1 - back
-		}
 		j := &job.Job{
 			ID:          i + 1,
 			SubmitTime:  sp.Submit,
@@ -85,9 +71,8 @@ func BuildJobs(specs []Spec, p BuildParams) ([]*job.Job, error) {
 			RequestMB:   Overestimate(peak, p.Overestimation),
 			LimitSec:    sp.Limit,
 			BaseRuntime: sp.Runtime,
-			DependsOn:   dependsOn,
 			Usage:       usage,
-			Profile:     p.Matcher.Match(sp.Nodes, sp.Runtime),
+			Profile:     matcher.Match(sp.Nodes, sp.Runtime),
 		}
 		if err := j.Validate(); err != nil {
 			return nil, err
@@ -139,11 +124,4 @@ func (s PhasedUsage) TraceFor(rng *rand.Rand, peakMB int64, runtime float64) *me
 		pts = append(pts, memtrace.Point{T: at, MB: mb})
 	}
 	return memtrace.MustNew(pts)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -377,44 +377,3 @@ func TestCharacterize(t *testing.T) {
 		t.Fatal("empty trace accepted")
 	}
 }
-
-func TestBuildJobsChains(t *testing.T) {
-	p := NewCirneParams(64, 0.7, 1)
-	specs, err := Generate(p, rand.New(rand.NewSource(41)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := BuildJobs(specs, BuildParams{
-		LargeFrac: 0.2, ChainFrac: 0.4,
-		Source: PhasedUsage{}, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chained := 0
-	for i, j := range jobs {
-		if j.DependsOn != 0 {
-			chained++
-			if j.DependsOn >= j.ID {
-				t.Fatalf("job %d depends forward on %d", j.ID, j.DependsOn)
-			}
-			if j.ID-j.DependsOn > 5 {
-				t.Fatalf("job %d depends too far back (%d)", j.ID, j.DependsOn)
-			}
-		}
-		_ = i
-	}
-	if len(jobs) > 10 && chained == 0 {
-		t.Fatal("ChainFrac produced no chains")
-	}
-	// Zero ChainFrac (the paper's setting) produces none.
-	plain, err := BuildJobs(specs, BuildParams{Source: PhasedUsage{}, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range plain {
-		if j.DependsOn != 0 {
-			t.Fatal("dependency generated with ChainFrac=0")
-		}
-	}
-}
