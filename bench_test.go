@@ -394,7 +394,7 @@ func BenchmarkWhatIf(b *testing.B) {
 			if err := base.StepUntil(branchAt); err != nil {
 				b.Fatal(err)
 			}
-			_, runs, err := experiments.Branch(base, variants, nil)
+			_, runs, err := experiments.Branch(base, variants)
 			if err != nil {
 				b.Fatal(err)
 			}

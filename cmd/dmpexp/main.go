@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,11 +28,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sync"
+	"strings"
 	"time"
 
 	"dismem/internal/experiments"
-	"dismem/internal/telemetry"
 )
 
 func main() {
@@ -162,7 +162,7 @@ func realMain() (code int) {
 		fmt.Printf("=== scenario %s (preset %s, %.1fs) ===\n%s\n", *scenario, p.Name, time.Since(start).Seconds(), out)
 		if *csvDir != "" && cw != nil {
 			path := filepath.Join(*csvDir, "scenario.csv")
-			if err := writeCSVFile(path, cw); err != nil {
+			if err := writeFile(path, cw.WriteCSV); err != nil {
 				fmt.Fprintf(os.Stderr, "dmpexp: %s: %v\n", path, err)
 				return 1
 			}
@@ -189,7 +189,7 @@ func realMain() (code int) {
 		}
 		if cw, ok := res.(csvWriter); ok && *csvDir != "" {
 			path := filepath.Join(*csvDir, st.Name+".csv")
-			if err := writeCSVFile(path, cw); err != nil {
+			if err := writeFile(path, cw.WriteCSV); err != nil {
 				return fmt.Errorf("%s: %v", path, err)
 			}
 			fmt.Printf("wrote %s\n\n", path)
@@ -213,12 +213,13 @@ type csvWriter interface {
 	WriteCSV(w io.Writer) error
 }
 
-func writeCSVFile(path string, cw csvWriter) error {
+// writeFile creates the file at path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := cw.WriteCSV(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -226,8 +227,9 @@ func writeCSVFile(path string, cw csvWriter) error {
 }
 
 // runScenarioFile loads a JSON scenario spec and executes it. When telDir
-// is non-empty, every (memory, policy) cell of the sweep streams its own
-// JSONL event log into that directory.
+// is non-empty, the sweep captures every (memory, policy) cell's telemetry,
+// and each result row's log is written after the sweep to
+// <name>_mem<pct>_<policy>.jsonl in that directory.
 func runScenarioFile(path string, p experiments.Preset, telDir string, telEvery float64) (string, csvWriter, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -238,39 +240,29 @@ func runScenarioFile(path string, p experiments.Preset, telDir string, telEvery 
 	if err != nil {
 		return "", nil, err
 	}
-	// Cells run on parallel sweep workers; the factory hands each cell a
-	// private recorder so the per-cell logs stay byte-deterministic. File
-	// creation errors are collected here (the factory cannot return one)
-	// and surfaced after the sweep.
-	var mu sync.Mutex
-	var telErr error
-	if telDir != "" {
-		if err := os.MkdirAll(telDir, 0o755); err != nil {
+	if telDir == "" {
+		res, err := p.RunScenarioSpec(spec)
+		if err != nil {
 			return "", nil, err
 		}
-		spec.Telemetry = func(memPct int, pol string) *telemetry.Recorder {
-			name := fmt.Sprintf("%s_mem%03d_%s.jsonl", spec.Name, memPct, pol)
-			out, err := os.Create(filepath.Join(telDir, name))
-			if err != nil {
-				mu.Lock()
-				if telErr == nil {
-					telErr = err
-				}
-				mu.Unlock()
-				return nil
-			}
-			return telemetry.New(telemetry.Options{
-				Sink:           telemetry.NewJSONL(out),
-				SampleInterval: telEvery,
-			})
-		}
+		return res.String(), res, nil
 	}
-	res, err := p.RunScenarioSpec(spec)
+	// The spec's name heads every file name, so it must name no directory.
+	if strings.ContainsAny(spec.Name, "/"+string(os.PathSeparator)) {
+		return "", nil, fmt.Errorf("scenario: field %q: %q contains a path separator; with -telemetry it names files in %s", "name", spec.Name, telDir)
+	}
+	if err := os.MkdirAll(telDir, 0o755); err != nil {
+		return "", nil, err
+	}
+	res, err := p.RunScenarioSpecCtx(context.Background(), spec, telEvery)
 	if err != nil {
 		return "", nil, err
 	}
-	if telErr != nil {
-		return "", nil, fmt.Errorf("telemetry: %v", telErr)
+	for _, row := range res.Rows {
+		name := fmt.Sprintf("%s_mem%03d_%s.jsonl", spec.Name, row.MemPct, row.Policy)
+		if err := writeFile(filepath.Join(telDir, name), row.Telemetry.WriteJSONL); err != nil {
+			return "", nil, fmt.Errorf("telemetry: %v", err)
+		}
 	}
 	return res.String(), res, nil
 }

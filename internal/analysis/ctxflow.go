@@ -14,8 +14,10 @@ import (
 // http.ResponseWriter and a *http.Request — and the reachable set is computed
 // over the module call graph, including goroutines the handler starts and
 // calls made through function-typed struct fields (resolved via the graph's
-// field-wiring table, which is how the server's runFn/branchFn seams are
-// followed into the experiment runners). On that set, two things are flagged:
+// field-wiring table, which is how the server's runFn seam is followed; the
+// work it runs is a function literal, whose calls count as those of the
+// function that builds it, so the experiment runners are reached too). On
+// that set, two things are flagged:
 //
 //   - context.Background() / context.TODO(): a fresh root context detaches
 //     the work from the request's cancellation and deadline;

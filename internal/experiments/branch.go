@@ -14,7 +14,6 @@ import (
 	"dismem/internal/job"
 	"dismem/internal/policy"
 	"dismem/internal/sweep"
-	"dismem/internal/telemetry"
 	"dismem/internal/tracegen"
 )
 
@@ -102,22 +101,16 @@ type BranchRun struct {
 // overlay, and finishes the base and every branch concurrently on the sweep
 // pool. The base must be started, stepped to the desired branch point
 // (core.Simulator.StepUntil), and not finished. On return the base's Result
-// is first, branch runs follow in variant order. sinks, when non-nil, maps a
-// variant name to the telemetry sink its branch records its suffix through
-// (forked from the base's recorder, so prefix+suffix is a complete stream);
-// variants absent from the map run without telemetry.
-func Branch(base *core.Simulator, variants []BranchVariant,
-	sinks map[string]telemetry.Sink) (*core.Result, []BranchRun, error) {
+// is first, branch runs follow in variant order. Branches record no
+// telemetry of their own; the base's stream records each branch's fork
+// economics.
+func Branch(base *core.Simulator, variants []BranchVariant) (*core.Result, []BranchRun, error) {
 	forks := make([]*core.Simulator, len(variants))
 	for i, v := range variants {
 		if err := v.Validate(); err != nil {
 			return nil, nil, err
 		}
-		var tel *telemetry.Recorder
-		if sink, ok := sinks[v.Name]; ok {
-			tel = base.Telemetry().Fork(sink)
-		}
-		f, err := base.Fork(tel)
+		f, err := base.Fork(nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -349,7 +342,7 @@ func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSp
 	if err := base.StepUntil(at); err != nil {
 		return nil, err
 	}
-	baseRes, runs, err := Branch(base, br.Variants, nil)
+	baseRes, runs, err := Branch(base, br.Variants)
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func TestBranchNoopAndVariants(t *testing.T) {
 		{Name: "repack", Repack: true},
 		{Name: "fast-updates", UpdateInterval: 60},
 	}
-	baseRes, runs, err := Branch(base, variants, nil)
+	baseRes, runs, err := Branch(base, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,33 +111,6 @@ func TestBranchNoopAndVariants(t *testing.T) {
 	for _, r := range runs {
 		if r.Result.Completed == 0 {
 			t.Fatalf("branch %q completed no jobs: %+v", r.Name, r.Result)
-		}
-	}
-}
-
-// TestBranchSuffixTelemetry: a branch recording through a sink forked from
-// the base's recorder emits a parseable JSONL suffix.
-func TestBranchSuffixTelemetry(t *testing.T) {
-	var baseLog, suffix bytes.Buffer
-	tel := telemetry.New(telemetry.Options{Sink: telemetry.NewJSONL(&baseLog)})
-	base := pausedBase(t, tel, 3600)
-	_, runs, err := Branch(base, []BranchVariant{{Name: "noop"}},
-		map[string]telemetry.Sink{"noop": telemetry.NewJSONL(&suffix)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs[0].Result == nil {
-		t.Fatal("branch returned no result")
-	}
-	if err := tel.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if suffix.Len() == 0 {
-		t.Fatal("branch suffix telemetry is empty")
-	}
-	for _, line := range strings.Split(strings.TrimSpace(suffix.String()), "\n") {
-		if !strings.HasPrefix(line, `{"t":`) {
-			t.Fatalf("malformed suffix line: %s", line)
 		}
 	}
 }

@@ -23,8 +23,9 @@ import (
 // the table lacks is simulated once, as a single-flight future on the
 // shared pool, so readers that ask for it concurrently wait on one
 // simulation. The table keeps a scalar summary per cell, plus the response
-// times of the cells Figure 6 declares (fig6Cells), and lives as long as
-// its walk or request.
+// times of the cells Figure 6 declares (fig6Cells) and, for a scenario
+// request that captures telemetry, each cell's event log, and lives as long
+// as its walk or request.
 
 // trace is one job trace a cell simulates.
 type trace struct {
@@ -121,7 +122,8 @@ type outcome struct {
 	maxRestarts       int     // of the worst single job
 	fairness          float64 // Jain's index over response rates
 	meanStretch       float64
-	responses         []float64 // response times, for Figure 6's cells only
+	responses         []float64      // response times, for Figure 6's cells only
+	log               *telemetry.Log // the cell's telemetry, when its table captures; kept for infeasible cells too
 }
 
 // relative is the cell's throughput over the norm n, or Infeasible.
@@ -183,9 +185,12 @@ type cells struct {
 	// interrupt, when non-nil, is the request's cancellation: each cell
 	// polls it before it starts and between events (core.Config.Interrupt).
 	interrupt func() error
-	// telemetry, when non-nil, builds each cell's recorder
-	// (ScenarioSpec.Telemetry); the cell closes it when it finishes.
-	telemetry func(memPct int, pol string) *telemetry.Recorder
+	// capture records each simulated cell into its own telemetry.Log,
+	// sampling the pool every sampleEvery simulated seconds (0 = events
+	// only). Cells run on parallel sweep workers; a log per cell keeps each
+	// cell's stream byte-deterministic.
+	capture     bool
+	sampleEvery float64
 
 	mu sync.Mutex
 	m  map[cellKey]*sweep.Future[outcome] //dmp:guardedby(mu)
@@ -232,17 +237,21 @@ func (c *cells) simulate(r cellRef, keep bool) (outcome, error) {
 	cfg.Interrupt = c.interrupt
 	var tally core.Tally
 	cfg.Observer = &tally
-	if c.telemetry != nil {
-		cfg.Telemetry = c.telemetry(r.mc.LabelPct, r.pol.String())
+	var log *telemetry.Log
+	if c.capture {
+		log = &telemetry.Log{}
+		cfg.Telemetry = telemetry.New(telemetry.Options{Sink: log, SampleInterval: c.sampleEvery})
 	}
 	res, err := simulate(cfg, jobs)
 	if cerr := cfg.Telemetry.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil || res.Infeasible {
-		return outcome{infeasible: true}, err
+		return outcome{infeasible: true, log: log}, err
 	}
-	return summarise(res, &tally, keep), nil
+	o := summarise(res, &tally, keep)
+	o.log = log
+	return o, nil
 }
 
 // getAll returns the futures of refs in order.

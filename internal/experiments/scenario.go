@@ -52,16 +52,6 @@ type ScenarioSpec struct {
 	EnforceTimeLimit bool     `json:"enforce_time_limit"`
 	Pressure         string   `json:"pressure"` // global (default) | domains
 	Domains          int      `json:"domains"`  // pressure-domain count (0 = derive; needs pressure=domains)
-
-	// Telemetry, when non-nil, builds one private recorder per
-	// (memory, policy) cell. Cells run on parallel sweep workers, so a
-	// shared recorder would interleave nondeterministically; a
-	// recorder-per-cell keeps each cell's event log byte-deterministic.
-	// The factory is called from the cell's worker; the recorder is closed
-	// when that cell's simulation finishes. Returning nil disables
-	// telemetry for the cell. Set programmatically (dmpexp -telemetry);
-	// not part of the JSON schema.
-	Telemetry func(memPct int, pol string) *telemetry.Recorder `json:"-"`
 }
 
 // LoadScenario parses and validates a spec. Unknown fields are rejected
@@ -183,6 +173,11 @@ type ScenarioRow struct {
 	MedianResponse float64
 	OOMKills       int
 	MeanStretch    float64
+	// Telemetry is the cell's captured event log, infeasible cells
+	// included: set by RunScenarioSpecCtx, nil from RunScenarioSpec. Rows
+	// that name one cell share its log. It is closed, so any number of
+	// WriteJSONL calls may render it concurrently.
+	Telemetry *telemetry.Log
 }
 
 // scenarioTraceParams resolves the preset/spec overlay into the trace
@@ -268,19 +263,29 @@ func (p Preset) ScenarioKey(s *ScenarioSpec) (string, error) {
 	return c.Sum(), nil
 }
 
-// RunScenarioSpec executes the spec at the preset's scale.
+// RunScenarioSpec executes the spec at the preset's scale. It captures no
+// telemetry.
 func (p Preset) RunScenarioSpec(s *ScenarioSpec) (*ScenarioResult, error) {
-	return p.RunScenarioSpecCtx(context.Background(), s)
+	return p.runScenario(context.Background(), s, false, 0)
 }
 
-// RunScenarioSpecCtx is RunScenarioSpec under a context: cancellation
-// aborts in-flight cell simulations (polled between events via
+// RunScenarioSpecCtx is RunScenarioSpec under a context, capturing each
+// simulated cell's telemetry into its own log (ScenarioRow.Telemetry), with
+// pool samples every sampleEvery simulated seconds (0 = events only).
+// Cancellation aborts in-flight cell simulations (polled between events via
 // core.Config.Interrupt) and skips cells not yet started, returning the
 // context's error. The sweep is a view over a table of its own, which
 // still runs every cell to a result or error before returning, so a
 // cancelled run never leaks tasks into the shared pool. An uncancelled
-// context changes nothing — results are byte-identical to RunScenarioSpec.
-func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*ScenarioResult, error) {
+// context changes nothing, and capture perturbs no result: the rows'
+// metrics are byte-identical to RunScenarioSpec's.
+func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec, sampleEvery float64) (*ScenarioResult, error) {
+	return p.runScenario(ctx, s, true, sampleEvery)
+}
+
+// runScenario sweeps the spec's cells through a table of its own, which
+// captures each cell's telemetry when capture is set.
+func (p Preset) runScenario(ctx context.Context, s *ScenarioSpec, capture bool, sampleEvery float64) (*ScenarioResult, error) {
 	m, err := s.resolve()
 	if err != nil {
 		return nil, err
@@ -299,16 +304,18 @@ func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*Scena
 			refs = append(refs, cellRef{tr: tr, mc: mc, pol: pol, k: m.knobs})
 		}
 	}
-	c := &cells{p: p, interrupt: interrupt(ctx), telemetry: s.Telemetry, m: map[cellKey]*sweep.Future[outcome]{}}
+	c := &cells{p: p, interrupt: interrupt(ctx), capture: capture, sampleEvery: sampleEvery,
+		m: map[cellKey]*sweep.Future[outcome]{}}
 	outs, err := sweep.CollectValues(c.getAll(refs))
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]ScenarioRow, len(refs))
 	for i, r := range refs {
+		o := outs[i]
 		rows[i] = ScenarioRow{MemPct: r.mc.LabelPct, Policy: r.pol.String(),
-			Throughput: Infeasible, MedianResponse: Infeasible, MeanStretch: Infeasible}
-		if o := outs[i]; !o.infeasible {
+			Throughput: Infeasible, MedianResponse: Infeasible, MeanStretch: Infeasible, Telemetry: o.log}
+		if !o.infeasible {
 			rows[i].Throughput, rows[i].MedianResponse = o.throughput, o.medianResponse
 			rows[i].OOMKills, rows[i].MeanStretch = o.oomKills, o.meanStretch
 		}

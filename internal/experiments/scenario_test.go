@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"dismem/internal/telemetry"
@@ -168,7 +167,7 @@ func TestRunScenarioSpecCtxCancelled(t *testing.T) {
 	s.Trace.SystemNodes = p.SystemNodes
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.RunScenarioSpecCtx(ctx, s); !errors.Is(err, context.Canceled) {
+	if _, err := p.RunScenarioSpecCtx(ctx, s, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -213,8 +212,9 @@ func TestRunScenarioSpec(t *testing.T) {
 }
 
 // TestRunScenarioSpecReadsItsTable sweeps a spec whose axes name one cell
-// twice. The sweep must simulate each cell once, build one recorder per
-// simulated cell and close it, and print the repeated cell's row twice.
+// twice. The sweep must simulate each cell once, capture one telemetry log
+// per simulated cell, share it between the rows that name the cell, and
+// leave every metric as a sweep without capture computes it.
 func TestRunScenarioSpecReadsItsTable(t *testing.T) {
 	p := tiny()
 	s, err := LoadScenario(strings.NewReader(`{"trace": {"large_frac": 0.5, "overestimation": 0.6},
@@ -222,43 +222,43 @@ func TestRunScenarioSpecReadsItsTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var sinks []*closedSink
-	s.Telemetry = func(int, string) *telemetry.Recorder {
-		sink := &closedSink{}
-		mu.Lock()
-		sinks = append(sinks, sink)
-		mu.Unlock()
-		return telemetry.New(telemetry.Options{Sink: sink})
-	}
 	sims := countSimulations(t)
-	res, err := p.RunScenarioSpec(s)
+	res, err := p.RunScenarioSpecCtx(context.Background(), s, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ran, repeats := sims.take(); ran != 4 || len(repeats) != 0 {
 		t.Fatalf("the sweep ran %d simulations with %d repeats, want 4 and none", ran, len(repeats))
 	}
-	if len(sinks) != 4 {
-		t.Fatalf("the sweep built %d recorders, want one per simulated cell (4)", len(sinks))
+	if len(res.Rows) != 6 || res.Rows[0] != res.Rows[4] || res.Rows[1] != res.Rows[5] {
+		t.Fatalf("rows = %+v, want the 50%% rows repeated, sharing their logs", res.Rows)
 	}
-	for i, sink := range sinks {
-		if len(sink.Events) == 0 || !sink.closed {
-			t.Fatalf("recorder %d recorded %d events and was closed: %v", i, len(sink.Events), sink.closed)
+	logs := map[*telemetry.Log]bool{}
+	for i, row := range res.Rows {
+		var b bytes.Buffer
+		if err := row.Telemetry.WriteJSONL(&b); err != nil || !bytes.Contains(b.Bytes(), []byte(`"ev":"job_submit"`)) {
+			t.Fatalf("row %d: log renders %d bytes without a job_submit event (%v)", i, b.Len(), err)
+		}
+		logs[row.Telemetry] = true
+	}
+	if len(logs) != 4 {
+		t.Fatalf("the sweep captured %d logs, want one per simulated cell (4)", len(logs))
+	}
+
+	plain, err := p.RunScenarioSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range plain.Rows {
+		if row.Telemetry != nil {
+			t.Fatalf("row %d: RunScenarioSpec captured telemetry", i)
+		}
+		row.Telemetry = res.Rows[i].Telemetry
+		if row != res.Rows[i] {
+			t.Fatalf("row %d: %+v with capture, %+v without", i, res.Rows[i], row)
 		}
 	}
-	if len(res.Rows) != 6 || res.Rows[0] != res.Rows[4] || res.Rows[1] != res.Rows[5] {
-		t.Fatalf("rows = %+v, want the 50%% rows repeated", res.Rows)
-	}
 }
-
-// closedSink is a MemorySink that notes its Close.
-type closedSink struct {
-	telemetry.MemorySink
-	closed bool
-}
-
-func (s *closedSink) Close() error { s.closed = true; return nil }
 
 func TestRunScenarioSpecDefaultsAndChains(t *testing.T) {
 	p := tiny()

@@ -11,8 +11,8 @@ import (
 
 // entry is one scenario in the store: first a single-flight computation —
 // every request for the same canonical key joins it — then, on success, a
-// cached result. done is closed exactly once, after which result,
-// telemetry, and err are immutable; waiters therefore read them without a
+// cached result. done is closed exactly once, after which result, rows,
+// and err are immutable; waiters therefore read them without a
 // lock.
 //
 // Cancellation is refcounted: each waiting request holds one reference,
@@ -30,16 +30,17 @@ type entry struct {
 	refs      int
 	completed bool
 
-	result    []byte    // rendered response JSON
-	telemetry []cellLog // per-cell telemetry in result-row order, rendered on GET
-	err       error
+	result []byte                    // rendered response JSON
+	rows   []experiments.ScenarioRow // a scenario's result rows; their logs render on the telemetry GET
+	err    error
 
 	// spec is the scenario document this entry computed, retained because
 	// the branch endpoint needs it to re-simulate a cached result's prefix
 	// (the id is a hash and cannot be inverted). Written by the submitting
 	// handler before the run goroutine starts; readers observe it only
 	// after completed, so the go statement and store.mu order the accesses.
-	// Nil for branch entries: branches of branches are rejected.
+	// Nil for branch entries, which can be neither branched nor asked for
+	// telemetry (completedScenario).
 	spec *experiments.ScenarioSpec
 
 	elem *list.Element // LRU position; non-nil only for cached successes
@@ -110,10 +111,10 @@ func (st *store) leave(e *entry) {
 // complete finishes the entry: waiters wake, successes enter the LRU (with
 // eviction beyond cap), failures leave the map so the next request
 // re-runs. Idempotent fields become immutable here.
-func (st *store) complete(e *entry, result []byte, telemetry []cellLog, err error) {
+func (st *store) complete(e *entry, result []byte, rows []experiments.ScenarioRow, err error) {
 	st.mu.Lock()
 	e.completed = true
-	e.result, e.telemetry, e.err = result, telemetry, err
+	e.result, e.rows, e.err = result, rows, err
 	if st.m[e.id] != e {
 		// Abandoned while running: nobody is waiting and a fresh entry may
 		// already own the key. Discard quietly.

@@ -30,34 +30,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	e, started := s.store.join(s.base, id) //dmplint:ignore ctxflow deliberate: a scenario run outlives any one request; join refcounts waiters and derives per-entry cancellation from the daemon context
-	if started {
-		e.spec = spec // retained for the branch endpoint
-		s.metricsMu.Lock()
-		s.started++
-		s.metricsMu.Unlock()
-		go s.run(e, spec)
-	}
-	s.await(w, r, e)
-}
-
-// await blocks on one joined entry and writes its outcome — the shared tail
-// of every single-flight handler.
-func (s *Server) await(w http.ResponseWriter, r *http.Request, e *entry) {
-	select {
-	case <-e.done:
-	case <-r.Context().Done():
-		// Client gone: drop our reference. If we were the last interested
-		// party the run is cancelled and its slot freed; the response
-		// writer is dead either way.
-		s.store.leave(e)
-		return
-	}
-	if e.err != nil {
-		writeRunError(w, e.err)
-		return
-	}
-	writeResult(w, e.result)
+	s.submit(w, r, id, spec, func() work { return s.scenarioWork(id, spec) })
 }
 
 // handleBranch is POST /v1/scenarios/{id}/branch: fork a completed
@@ -76,30 +49,65 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	parent, known, done := s.store.peek(id)
-	switch {
-	case !known:
-		writeError(w, http.StatusNotFound, errors.New("server: unknown scenario id"))
-		return
-	case !done:
-		writeRunning(w)
-		return
-	case parent.spec == nil:
-		writeError(w, http.StatusConflict, errors.New("server: id names a branch result, not a scenario"))
+	parent := s.completedScenario(w, id)
+	if parent == nil {
 		return
 	}
 	if err := br.ValidateFor(parent.spec); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	e, started := s.store.join(s.base, experiments.BranchKey(id, br)) //dmplint:ignore ctxflow deliberate: a branch run outlives any one request; join refcounts waiters and derives per-entry cancellation from the daemon context
+	bid := experiments.BranchKey(id, br)
+	s.submit(w, r, bid, nil, func() work { return s.branchWork(bid, parent.spec, br) })
+}
+
+// submit joins the single-flight entry for id and blocks until its outcome
+// (or this client's disconnect) — the shared step of both POST handlers.
+// The request that starts the entry retains spec on it for the branch
+// endpoint (nil for a branch), counts the start, and hands run the work
+// that build makes; a request that joins builds nothing.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, spec *experiments.ScenarioSpec, build func() work) {
+	e, started := s.store.join(s.base, id) //dmplint:ignore ctxflow deliberate: a run outlives any one request; join refcounts waiters and derives per-entry cancellation from the daemon context
 	if started {
+		e.spec = spec
 		s.metricsMu.Lock()
 		s.started++
 		s.metricsMu.Unlock()
-		go s.runBranch(e, parent.spec, br)
+		go s.run(e, build())
 	}
-	s.await(w, r, e)
+	select {
+	case <-e.done:
+	case <-r.Context().Done():
+		// Client gone: drop our reference. If we were the last interested
+		// party the run is cancelled and its slot freed; the response
+		// writer is dead either way.
+		s.store.leave(e)
+		return
+	}
+	if e.err != nil {
+		writeRunError(w, e.err)
+		return
+	}
+	writeResult(w, e.result)
+}
+
+// completedScenario looks up id for an endpoint that needs a completed
+// scenario: the branch POST and the telemetry GET. When id names none, it
+// answers for the endpoint — 404 unknown, 202 still running, 409 a branch
+// result — and returns nil.
+func (s *Server) completedScenario(w http.ResponseWriter, id string) *entry {
+	e, known, done := s.store.peek(id)
+	switch {
+	case !known:
+		writeError(w, http.StatusNotFound, errors.New("server: unknown scenario id"))
+	case !done:
+		writeRunning(w)
+	case e.spec == nil:
+		writeError(w, http.StatusConflict, errors.New("server: id names a branch result, not a scenario"))
+	default:
+		return e
+	}
+	return nil
 }
 
 // handleGet is GET /v1/scenarios/{id}: a non-blocking peek. Unknown keys
@@ -120,17 +128,12 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // event stream as JSONL, one cell-header line per sweep cell followed by
 // that cell's events. Deterministic for a given scenario key. The stream
 // is rendered from the cached per-cell logs as it is written, so its
-// length is not known up front and the response is chunked.
+// length is not known up front and the response is chunked. A branch id
+// has no stream and answers 409.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	e, known, done := s.store.peek(r.PathValue("id"))
-	switch {
-	case !known:
-		writeError(w, http.StatusNotFound, errors.New("server: unknown scenario id"))
-	case !done:
-		writeRunning(w)
-	default:
+	if e := s.completedScenario(w, r.PathValue("id")); e != nil {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = writeTelemetry(w, e.telemetry) // a failed write means the client has gone
+		_ = writeTelemetry(w, e.rows) // a failed write means the client has gone
 	}
 }
 

@@ -71,12 +71,10 @@ type Server struct {
 	base   context.Context // parent of every run; Abort cancels it
 	cancel context.CancelFunc
 
-	// runFn computes one scenario; New wires it to (*Server).execute.
-	// Lifecycle tests substitute a controllable stand-in.
-	runFn func(ctx context.Context, id string, spec *experiments.ScenarioSpec) (result []byte, tel []cellLog, err error)
-	// branchFn computes one what-if branch of a completed scenario; New
-	// wires it to (*Server).executeBranch.
-	branchFn func(ctx context.Context, id string, spec *experiments.ScenarioSpec, br *experiments.BranchSpec) ([]byte, error)
+	// runFn takes a run slot and does one request's work, for both request
+	// kinds; New wires it to (*Server).execute. Lifecycle tests substitute
+	// a controllable stand-in.
+	runFn func(ctx context.Context, id string, w work) (result []byte, rows []experiments.ScenarioRow, err error)
 
 	metricsMu sync.Mutex
 	runMS     *telemetry.Histogram //dmp:guardedby(metricsMu) scenario wall time, milliseconds
@@ -98,7 +96,6 @@ func New(cfg Config) *Server {
 	}
 	s.store = newStore(cfg.CacheEntries)
 	s.runFn = s.execute
-	s.branchFn = s.executeBranch
 	return s
 }
 

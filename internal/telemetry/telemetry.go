@@ -221,24 +221,7 @@ func (r *Recorder) PoolCheck(freeMB, capacityMB int64) {
 	if r == nil || capacityMB <= 0 {
 		return
 	}
-	level := 0
-	for _, pct := range r.marks {
-		if freeMB*100 <= capacityMB*int64(pct) {
-			level++
-		} else {
-			break
-		}
-	}
-	if level > r.level {
-		for i := r.level; i < level; i++ {
-			r.emit(Event{
-				Kind: KindPoolWatermark, Job: -1, Node: -1, Lender: -1,
-				MB: freeMB, Aux: int64(r.marks[i]),
-				V: float64(freeMB) / float64(capacityMB),
-			})
-		}
-	}
-	r.level = level
+	r.level = r.watermarks(-1, r.level, freeMB, capacityMB)
 }
 
 // PoolCheckDomain is PoolCheck scoped to one pressure domain: the same
@@ -254,24 +237,31 @@ func (r *Recorder) PoolCheckDomain(dom int, freeMB, capacityMB int64) {
 	for len(r.domLevels) <= dom {
 		r.domLevels = append(r.domLevels, 0)
 	}
-	level := 0
+	r.domLevels[dom] = r.watermarks(dom, r.domLevels[dom], freeMB, capacityMB)
+}
+
+// watermarks is the walk behind PoolCheck and PoolCheckDomain: it counts
+// the thresholds freeMB is at or below, emits a KindPoolWatermark event
+// (node in its Node field) for each one crossed beyond level, and returns
+// the new crossing level.
+//
+//dmp:hotpath
+func (r *Recorder) watermarks(node, level int, freeMB, capacityMB int64) int {
+	crossed := 0
 	for _, pct := range r.marks {
-		if freeMB*100 <= capacityMB*int64(pct) {
-			level++
-		} else {
+		if freeMB*100 > capacityMB*int64(pct) {
 			break
 		}
+		crossed++
 	}
-	if level > r.domLevels[dom] {
-		for i := r.domLevels[dom]; i < level; i++ {
-			r.emit(Event{
-				Kind: KindPoolWatermark, Job: -1, Node: dom, Lender: -1,
-				MB: freeMB, Aux: int64(r.marks[i]),
-				V: float64(freeMB) / float64(capacityMB),
-			})
-		}
+	for i := level; i < crossed; i++ {
+		r.emit(Event{
+			Kind: KindPoolWatermark, Job: -1, Node: node, Lender: -1,
+			MB: freeMB, Aux: int64(r.marks[i]),
+			V: float64(freeMB) / float64(capacityMB),
+		})
 	}
-	r.domLevels[dom] = level
+	return crossed
 }
 
 // Branch records a what-if branch forking off this run: name identifies the

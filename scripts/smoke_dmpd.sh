@@ -6,7 +6,9 @@
 # byte-identical to an offline run of the same spec — this is the
 # determinism contract of the service boundary, checked at the cheapest
 # possible scale. The telemetry stream, events and pool samples, is pinned
-# the same way (cmd/dmpd/testdata/smoke_telemetry.sha256). Also exercises
+# the same way (cmd/dmpd/testdata/smoke_telemetry.sha256), and so is the
+# offline copy of it: dmpexp -telemetry's file for the same cell, under the
+# daemon's cell header line, must hash to the same golden. Also exercises
 # the metrics endpoint and a graceful SIGTERM shutdown.
 #
 # Usage: scripts/smoke_dmpd.sh   (from anywhere; re-record a golden by
@@ -16,9 +18,12 @@ cd "$(dirname "$0")/.."
 
 PORT="${DMPD_PORT:-18231}"
 BIN="$(mktemp -t dmpd.XXXXXX)"
-trap 'kill "$DMPD_PID" 2>/dev/null || true; rm -f "$BIN"' EXIT
+EXP="$(mktemp -t dmpexp.XXXXXX)"
+TELDIR="$(mktemp -d -t dmpexp-tel.XXXXXX)"
+trap 'kill "$DMPD_PID" 2>/dev/null || true; rm -rf "$BIN" "$EXP" "$TELDIR"' EXIT
 
 go build -o "$BIN" ./cmd/dmpd
+go build -o "$EXP" ./cmd/dmpexp
 "$BIN" -addr "127.0.0.1:$PORT" -preset quick -telemetry-interval 600 &
 DMPD_PID=$!
 
@@ -52,5 +57,12 @@ curl -sf "127.0.0.1:$PORT/metrics" | grep '^dmpd_result_cache_misses_total 1$' >
 
 kill -TERM "$DMPD_PID"
 wait "$DMPD_PID" || { echo "dmpd exited non-zero on SIGTERM"; exit 1; }
-trap 'rm -f "$BIN"' EXIT
-echo "dmpd smoke OK (digest $GOT)"
+trap 'rm -rf "$BIN" "$EXP" "$TELDIR"' EXIT
+
+"$EXP" -preset quick -scenario cmd/dmpd/testdata/smoke.json -telemetry "$TELDIR" -telemetry-interval 600 >/dev/null
+OFF="$({ printf '%s\n' '{"cell":{"mem_pct":100,"policy":"dynamic"}}'; cat "$TELDIR/smoke_mem100_dynamic.jsonl"; } | sha256sum | awk '{print $1}')"
+if [ "$OFF" != "$TELWANT" ]; then
+  echo "offline telemetry digest mismatch: got $OFF want $TELWANT"
+  exit 1
+fi
+echo "dmpd smoke OK (digest $GOT, telemetry $TEL)"
