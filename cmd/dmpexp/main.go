@@ -153,7 +153,7 @@ func realMain() (code int) {
 		start := time.Now()
 		out, cw, err := runScenarioFile(*scenario, p, *telDir, *telEvery)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmpexp: scenario: %v\n", err)
+			fmt.Fprintf(os.Stderr, "dmpexp: %v\n", err)
 			return 1
 		}
 		if *telDir != "" {
@@ -229,8 +229,15 @@ func writeFile(path string, write func(io.Writer) error) error {
 // runScenarioFile loads a JSON scenario spec and executes it. When telDir
 // is non-empty, the sweep captures every (memory, policy) cell's telemetry,
 // and each result row's log is written after the sweep to
-// <name>_mem<pct>_<policy>.jsonl in that directory.
-func runScenarioFile(path string, p experiments.Preset, telDir string, telEvery float64) (string, csvWriter, error) {
+// <name>_mem<pct>_<policy>.jsonl in that directory. Every error it returns
+// reads "scenario: <path>: ...".
+func runScenarioFile(path string, p experiments.Preset, telDir string, telEvery float64) (_ string, _ csvWriter, err error) {
+	defer func() {
+		if err != nil {
+			// The spec loader's errors begin "scenario: " already.
+			err = fmt.Errorf("scenario: %s: %s", path, strings.TrimPrefix(err.Error(), "scenario: "))
+		}
+	}()
 	f, err := os.Open(path)
 	if err != nil {
 		return "", nil, err
@@ -249,7 +256,7 @@ func runScenarioFile(path string, p experiments.Preset, telDir string, telEvery 
 	}
 	// The spec's name heads every file name, so it must name no directory.
 	if strings.ContainsAny(spec.Name, "/"+string(os.PathSeparator)) {
-		return "", nil, fmt.Errorf("scenario: field %q: %q contains a path separator; with -telemetry it names files in %s", "name", spec.Name, telDir)
+		return "", nil, fmt.Errorf("field %q: %q contains a path separator; with -telemetry it names files in %s", "name", spec.Name, telDir)
 	}
 	if err := os.MkdirAll(telDir, 0o755); err != nil {
 		return "", nil, err

@@ -72,3 +72,45 @@ func TestScenarioTelemetryFilePerRow(t *testing.T) {
 		}
 	}
 }
+
+// A failed scenario is reported once, as "dmpexp: scenario: <path>: ...",
+// whichever step failed: the spec's own validation, opening the file, or
+// making the telemetry directory. realMain defines its flags on the
+// process's flag set, so this is the one test that calls it.
+func TestScenarioErrorSaysScenarioOnce(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeSpec(t, dir, `{"name": "bad", "mem_pcts": [25], "policies": ["static"]}`)
+	if _, _, err := runScenarioFile(filepath.Join(dir, "missing.json"), experiments.Bench(), "", 0); err == nil ||
+		!strings.HasPrefix(err.Error(), "scenario: "+filepath.Join(dir, "missing.json")+": ") {
+		t.Fatalf("missing spec: err = %v, want it to begin with scenario: and the path", err)
+	}
+	good := writeSpec(t, t.TempDir(), `{"name": "ok", "mem_pcts": [100], "policies": ["static"]}`)
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := runScenarioFile(good, experiments.Bench(), filepath.Join(blocker, "tel"), 0); err == nil ||
+		!strings.HasPrefix(err.Error(), "scenario: "+good+": ") {
+		t.Fatalf("telemetry directory under a file: err = %v, want it to begin with scenario: and the path", err)
+	}
+
+	stderr, err := os.CreateTemp(dir, "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	oldArgs, oldStderr := os.Args, os.Stderr
+	defer func() { os.Args, os.Stderr = oldArgs, oldStderr }()
+	os.Args, os.Stderr = []string{"dmpexp", "-preset", "quick", "-scenario", spec}, stderr
+	code := realMain()
+	os.Args, os.Stderr = oldArgs, oldStderr
+	out, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := string(out)
+	if code != 1 || !strings.HasPrefix(msg, "dmpexp: scenario: "+spec+`: field "mem_pcts": `) ||
+		strings.Count(msg, "scenario:") != 1 {
+		t.Fatalf("exit %d, stderr %q; want 1 and one \"dmpexp: scenario: <path>: field ...\" line", code, msg)
+	}
+}

@@ -34,6 +34,9 @@ var goldenScenarioDigests = map[string]string{
 
 	"static-nearest":  "be7b760322319617a6a0a1681c24eb5bedd7f13de6877b0bbc7b8133ff05cf1b",
 	"dynamic-nearest": "151656e76337784ead8bb65be7258374f8617e9a2750866baf3b1708fa8ab064",
+
+	"static-conservative":  "0a2fa1e09224d67189e472f1e06cd7d8d271ccb948f76b2cb99057f0e1a7720a",
+	"dynamic-conservative": "9860090d458ad0626eca82dab48ec4c515fb6285cc39fa57dc5b54bf7779bbf8",
 }
 
 // digestResult folds every determinism-relevant field of a Result — job
@@ -76,7 +79,10 @@ func digestResult(r *core.Result) string {
 // one-domain case of the domain refresh, and pin the D>1 path the same way.
 // The "-nearest" rows borrow nearest-first on the designed torus with a
 // 0.5 hop penalty; they were recorded before placement and growth became
-// one borrow planner, and pin the nearest-first lender order.
+// one borrow planner, and pin the nearest-first lender order. The
+// "-conservative" rows give every examined queued job a reservation in the
+// availability profile; they were recorded before the profile's earliest
+// fit became one forward sweep, and pin the conservative backfill pass.
 func TestGoldenScenarioDigest(t *testing.T) {
 	p := Bench()
 	trace, err := p.SyntheticTrace(0.5, 0.6)
@@ -89,6 +95,7 @@ func TestGoldenScenarioDigest(t *testing.T) {
 	}
 	domains := knobs{pressure: core.PressureDomains, domains: 16}
 	nearest := knobs{lender: core.NearestFirst, torus: true, hopPenalty: 0.5}
+	conservative := knobs{backfill: core.ConservativeBackfill}
 	for _, row := range []struct {
 		name string
 		kind policy.Kind
@@ -101,6 +108,8 @@ func TestGoldenScenarioDigest(t *testing.T) {
 		{"dynamic-domains", policy.Dynamic, domains},
 		{"static-nearest", policy.Static, nearest},
 		{"dynamic-nearest", policy.Dynamic, nearest},
+		{"static-conservative", policy.Static, conservative},
+		{"dynamic-conservative", policy.Dynamic, conservative},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := p.cellConfig(p.SystemNodes, mc, row.kind, row.k)

@@ -54,17 +54,19 @@ func (p *Profile) Reset(now float64, current Resources, releases Releases) {
 	}
 }
 
-// splitAt inserts a breakpoint at t if none exists.
+// splitAt inserts a breakpoint at t if none exists and returns its index.
+// A t before the profile start is clamped: nothing is inserted, and the
+// index is 0.
 //
 //dmp:hotpath
-func (p *Profile) splitAt(t float64) {
+func (p *Profile) splitAt(t float64) int {
 	i := sort.SearchFloat64s(p.times, t)
 	if i < len(p.times) && p.times[i] == t {
-		return
+		return i
 	}
 	if i == 0 {
 		// t before the profile start: clamp (callers pass t >= now).
-		return
+		return 0
 	}
 	p.times = append(p.times, 0)
 	copy(p.times[i+1:], p.times[i:])
@@ -72,58 +74,48 @@ func (p *Profile) splitAt(t float64) {
 	p.avail = append(p.avail, Resources{})
 	copy(p.avail[i+1:], p.avail[i:])
 	p.avail[i] = p.avail[i-1]
-}
-
-// fitsOver reports whether demand d fits continuously over [start,
-// start+duration) given the profile.
-//
-//dmp:hotpath
-func (p *Profile) fitsOver(d Demand, start, duration float64) bool {
-	end := start + duration
-	for i := range p.times {
-		segStart := p.times[i]
-		segEnd := math.Inf(1)
-		if i+1 < len(p.times) {
-			segEnd = p.times[i+1]
-		}
-		if segEnd <= start || segStart >= end {
-			continue
-		}
-		if !d.Fits(p.avail[i]) {
-			return false
-		}
-	}
-	return true
+	return i
 }
 
 // EarliestFit returns the earliest time ≥ after at which demand d fits for
 // the whole duration. It returns +Inf when the demand never fits (even on
-// the final, steady-state segment).
+// the final, steady-state segment). Neither after nor duration is NaN.
+//
+// The candidate starts are after and every later breakpoint. A candidate
+// start s needs d to fit on each segment i that [s, s+duration) overlaps:
+// from the segment that holds s, up to the last one with times[i] <
+// s+duration. A zero duration that starts on a breakpoint overlaps none.
+// When segment i does not fit, every candidate up to times[i] still
+// overlaps it, so the next candidate is times[i+1], whose segment is i+1:
+// the search is one binary search and one forward sweep over the profile.
 //
 //dmp:hotpath
 func (p *Profile) EarliestFit(d Demand, after, duration float64) float64 {
 	if after < p.times[0] {
 		after = p.times[0]
 	}
-	// Candidate start times: `after` and every later breakpoint.
-	if p.fitsOver(d, after, duration) {
-		return after
+	i := sort.SearchFloat64s(p.times, after)
+	if i == len(p.times) || p.times[i] != after {
+		i-- // after lies inside segment i-1
 	}
-	for i := range p.times {
-		t := p.times[i]
-		if t <= after {
+	start, end := after, after+duration
+	for ; i < len(p.times) && p.times[i] < end; i++ {
+		if d.Fits(p.avail[i]) {
 			continue
 		}
-		if p.fitsOver(d, t, duration) {
-			return t
+		if i+1 == len(p.times) {
+			return math.Inf(1)
 		}
+		start = p.times[i+1]
+		end = start + duration
 	}
-	return math.Inf(1)
+	return start
 }
 
 // Reserve subtracts demand d from the profile over [start, start+duration).
 // Reservations may drive a segment negative only if the caller reserves
 // without checking EarliestFit first; conservative backfill never does.
+// Only the segments between the window's two breakpoints are touched.
 //
 //dmp:hotpath
 func (p *Profile) Reserve(d Demand, start, duration float64) {
@@ -131,19 +123,11 @@ func (p *Profile) Reserve(d Demand, start, duration float64) {
 	if start < p.times[0] {
 		start = p.times[0]
 	}
-	p.splitAt(start)
+	first, last := p.splitAt(start), len(p.times)
 	if !math.IsInf(end, 1) {
-		p.splitAt(end)
+		last = p.splitAt(end) // an end at or before start: last <= first
 	}
-	for i := range p.times {
-		segStart := p.times[i]
-		segEnd := math.Inf(1)
-		if i+1 < len(p.times) {
-			segEnd = p.times[i+1]
-		}
-		if segEnd <= start || segStart >= end {
-			continue
-		}
+	for i := first; i < last; i++ {
 		p.avail[i] = subtract(p.avail[i], d)
 	}
 }

@@ -429,7 +429,7 @@ func TestValidationAndLookups(t *testing.T) {
 }
 
 // postBranch POSTs a branch document against a scenario id.
-func postBranch(t *testing.T, client *http.Client, url, id, doc string) (*http.Response, []byte) {
+func postBranch(t testing.TB, client *http.Client, url, id, doc string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := client.Post(url+"/v1/scenarios/"+id+"/branch", "application/json", strings.NewReader(doc))
 	if err != nil {

@@ -109,16 +109,17 @@ func (l *Log) Close() error {
 
 // WriteJSONL renders the log's chunks in order to w, byte for byte as a
 // JSONL sink would have written the same emissions, through the same
-// encoder. The scratch buffer is the call's own, so concurrent renderings
-// of a closed log share nothing writable.
+// encoder. The scratch buffer and the encoder are the call's own, so
+// concurrent renderings of a closed log share nothing writable.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	const flushAt = 32 << 10
 	buf := make([]byte, 0, flushAt+1024)
+	var enc encoder
 	for _, c := range l.chunks {
 		for i := range c {
 			r := &c[i]
 			if r.sample {
-				buf = appendSample(buf, &Sample{
+				buf = enc.appendSample(buf, &Sample{
 					T: r.t, FreeMB: r.w[0], LentMB: r.w[1],
 					Queue: int(r.w[2]), Busy: int(r.w[3]), Running: int(r.w[4]),
 				})
@@ -127,7 +128,7 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 				if r.detail != 0 {
 					detail = l.details[r.detail-1]
 				}
-				buf = appendEvent(buf, &Event{
+				buf = enc.appendEvent(buf, &Event{
 					T: r.t, Kind: r.kind, Job: int(r.w[0]), Node: int(r.w[1]), Lender: int(r.w[2]),
 					MB: r.w[3], Aux: r.w[4], V: math.Float64frombits(uint64(r.w[5])),
 					Detail: detail,

@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"unsafe"
@@ -38,7 +40,7 @@ var randomDetails = []string{"", "", "", "completed", "oom-killed", "repack", "g
 
 // TestLogRendersAsJSONL is the Log's byte-identity property: any sequence
 // of events and samples, fed through a Log and rendered, reads exactly as
-// the JSONL sink writes it. Random lengths stay within the first chunks;
+// the JSONL sink writes it, and both read as the cache-free reference. Random lengths stay within the first chunks;
 // the fixed ones sit on and around the ends of the first eight chunks,
 // the last two of full size.
 func TestLogRendersAsJSONL(t *testing.T) {
@@ -69,26 +71,48 @@ func chunkEnds(n int) []int {
 }
 
 // checkLogRendersAsJSONL feeds n random records to a Log and to the JSONL
-// sink and compares the bytes.
+// sink and compares the bytes with the cache-free reference.
 func checkLogRendersAsJSONL(t *testing.T, rng *rand.Rand, n int) {
 	t.Helper()
-	var want bytes.Buffer
-	j := NewJSONL(&want)
-	l := &Log{}
-	for i := 0; i < n; i++ {
+	recs := make([]emission, n)
+	for i := range recs {
 		if rng.Intn(4) == 0 {
-			s := Sample{T: randomFloat(rng), FreeMB: randomValue(rng), LentMB: randomValue(rng),
+			recs[i].s = &Sample{T: randomFloat(rng), FreeMB: randomValue(rng), LentMB: randomValue(rng),
 				Queue: int(randomValue(rng)), Busy: int(randomValue(rng)), Running: int(randomValue(rng))}
-			_ = j.Sample(&s)
-			_ = l.Sample(&s)
 			continue
 		}
-		e := Event{T: randomFloat(rng), Kind: Kind(rng.Intn(int(KindCount) + 1)),
+		recs[i].e = &Event{T: randomFloat(rng), Kind: Kind(rng.Intn(int(KindCount) + 1)),
 			Job: int(randomValue(rng)), Node: int(randomValue(rng)), Lender: int(randomValue(rng)),
 			MB: randomValue(rng), Aux: randomValue(rng), V: randomFloat(rng),
 			Detail: randomDetails[rng.Intn(len(randomDetails))]}
-		_ = j.Event(&e)
-		_ = l.Event(&e)
+	}
+	checkRenders(t, recs)
+}
+
+// emission is one event or one sample.
+type emission struct {
+	e *Event
+	s *Sample
+}
+
+// checkRenders feeds recs to the JSONL sink and to a Log, renders the log,
+// and requires both streams to equal the cache-free reference's bytes.
+func checkRenders(t *testing.T, recs []emission) {
+	t.Helper()
+	var want []byte
+	var sinkOut, logOut bytes.Buffer
+	j := NewJSONL(&sinkOut)
+	l := &Log{}
+	for _, r := range recs {
+		if r.s != nil {
+			want = appendSampleRef(want, r.s)
+			_ = j.Sample(r.s)
+			_ = l.Sample(r.s)
+			continue
+		}
+		want = appendEventRef(want, r.e)
+		_ = j.Event(r.e)
+		_ = l.Event(r.e)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -96,13 +120,112 @@ func checkLogRendersAsJSONL(t *testing.T, rng *rand.Rand, n int) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var got bytes.Buffer
-	if err := l.WriteJSONL(&got); err != nil {
+	if err := l.WriteJSONL(&logOut); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("%d records: rendered log differs from the JSONL sink (%d vs %d bytes)",
-			n, got.Len(), want.Len())
+	if !bytes.Equal(sinkOut.Bytes(), want) {
+		t.Fatalf("%d records: JSONL sink differs from the reference:\n%s", len(recs), firstDiff(sinkOut.Bytes(), want))
+	}
+	if !bytes.Equal(logOut.Bytes(), want) {
+		t.Fatalf("%d records: rendered log differs from the reference:\n%s", len(recs), firstDiff(logOut.Bytes(), want))
+	}
+}
+
+// firstDiff quotes the first line where got and want differ.
+func firstDiff(got, want []byte) string {
+	g, w := bytes.SplitAfter(got, []byte("\n")), bytes.SplitAfter(want, []byte("\n"))
+	for i := 0; i < min(len(g), len(w)); i++ {
+		if !bytes.Equal(g[i], w[i]) {
+			return fmt.Sprintf("line %d: got %q, want %q", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
+}
+
+// appendEventRef and appendSampleRef are the cache-free encoder, which
+// formats every float afresh: the oracle the encoder's last-text caches
+// are held to.
+func appendEventRef(b []byte, e *Event) []byte {
+	b = append(b, `{"t":`...)
+	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
+	b = append(b, `,"ev":"`...)
+	b = append(b, e.Kind.String()...)
+	b = append(b, `","job":`...)
+	b = strconv.AppendInt(b, int64(e.Job), 10)
+	b = append(b, `,"node":`...)
+	b = strconv.AppendInt(b, int64(e.Node), 10)
+	b = append(b, `,"lender":`...)
+	b = strconv.AppendInt(b, int64(e.Lender), 10)
+	b = append(b, `,"mb":`...)
+	b = strconv.AppendInt(b, e.MB, 10)
+	b = append(b, `,"aux":`...)
+	b = strconv.AppendInt(b, e.Aux, 10)
+	b = append(b, `,"v":"`...)
+	b = strconv.AppendFloat(b, e.V, 'g', -1, 64)
+	b = append(b, `","detail":`...)
+	b = strconv.AppendQuote(b, e.Detail)
+	return append(b, "}\n"...)
+}
+
+func appendSampleRef(b []byte, s *Sample) []byte {
+	b = append(b, `{"t":`...)
+	b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
+	b = append(b, `,"ev":"pool_sample","free_mb":`...)
+	b = strconv.AppendInt(b, s.FreeMB, 10)
+	b = append(b, `,"lent_mb":`...)
+	b = strconv.AppendInt(b, s.LentMB, 10)
+	b = append(b, `,"queue":`...)
+	b = strconv.AppendInt(b, int64(s.Queue), 10)
+	b = append(b, `,"busy":`...)
+	b = strconv.AppendInt(b, int64(s.Busy), 10)
+	b = append(b, `,"running":`...)
+	b = strconv.AppendInt(b, int64(s.Running), 10)
+	return append(b, "}\n"...)
+}
+
+// TestEncoderMatchesReference holds the encoder's last-text caches to the
+// cache-free reference on streams whose floats repeat. A fixed stream
+// walks the cases one by one; random ones draw T and V from small pools,
+// so that most lines hit a cache, at lengths on and around the ends of the
+// log's first eight chunks.
+func TestEncoderMatchesReference(t *testing.T) {
+	negZero, nan, inf := math.Copysign(0, -1), math.NaN(), math.Inf(1)
+	ev := func(tm, v float64) emission { return emission{e: &Event{T: tm, Kind: KindBackfillHole, Job: 1, V: v}} }
+	sample := func(tm float64) emission { return emission{s: &Sample{T: tm, FreeMB: 64}} }
+	checkRenders(t, []emission{
+		ev(10, 43200), ev(10, 0), ev(10, 43200), // a non-zero V repeats past a zero
+		sample(10), // an event's T shared by the sample after it
+		sample(10), ev(10, 1),
+		ev(20, negZero), ev(20, 0), ev(20, negZero), // -0 is not the +0 fast path
+		ev(20, inf), ev(20, inf), ev(20, -inf), ev(20, inf),
+		ev(30, nan), ev(30, nan), ev(30, math.Float64frombits(0x7ff8000000000001)),
+		ev(negZero, 0), ev(0, 0), sample(negZero), sample(nan), sample(nan), sample(inf),
+		ev(-2.2250738585072014e-308, -2.2250738585072014e-308), // the longest text, 24 bytes
+		ev(-2.2250738585072014e-308, math.SmallestNonzeroFloat64),
+		ev(1e21, 1e21), ev(1e20, 0.1), ev(1e21, 0.1),
+	})
+
+	tPool := []float64{0, 1, 1.5, 300, 300.00000000000006, 86400.25, 1e21, negZero}
+	vPool := []float64{0, 0, 0, negZero, inf, -inf, nan, 43200, 43200, 43200.5, 1.5e-7, -2.2250738585072014e-308}
+	counts := []int{1, 2, 3, 100, 1000}
+	for _, end := range chunkEnds(8) {
+		counts = append(counts, end-1, end, end+1)
+	}
+	for i, n := range counts {
+		rng := rand.New(rand.NewSource(int64(200 + i)))
+		recs := make([]emission, n)
+		tm := tPool[0]
+		for k := range recs {
+			if rng.Intn(3) == 0 {
+				tm = tPool[rng.Intn(len(tPool))]
+			}
+			if rng.Intn(4) == 0 {
+				recs[k] = sample(tm)
+				continue
+			}
+			recs[k] = ev(tm, vPool[rng.Intn(len(vPool))])
+		}
+		checkRenders(t, recs)
 	}
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -85,6 +86,7 @@ type JSONL struct {
 	w   *bufio.Writer
 	c   io.Closer // closed on Close when the destination is a closer
 	buf []byte
+	enc encoder
 }
 
 // NewJSONL returns a buffered JSONL sink writing to w. Close flushes and,
@@ -98,23 +100,49 @@ func NewJSONL(w io.Writer) *JSONL {
 }
 
 func (j *JSONL) Event(e *Event) error {
-	j.buf = appendEvent(j.buf[:0], e)
+	j.buf = j.enc.appendEvent(j.buf[:0], e)
 	_, err := j.w.Write(j.buf)
 	return err
 }
 
 func (j *JSONL) Sample(s *Sample) error {
-	j.buf = appendSample(j.buf[:0], s)
+	j.buf = j.enc.appendSample(j.buf[:0], s)
 	_, err := j.w.Write(j.buf)
 	return err
 }
 
-// appendEvent and appendSample are the package's one encoder: the JSONL
-// sink and Log.WriteJSONL both render through them, so a line reads the
-// same whichever road it took.
-func appendEvent(b []byte, e *Event) []byte {
+// encoder is the package's one line encoder: the JSONL sink and
+// Log.WriteJSONL both render through it, so a line reads the same whichever
+// road it took. Each stream holds its own. A stream repeats most of its
+// floats from one line to the next (events at one instant share T, and a
+// run's backfill holes mostly repeat one reservation time), so the encoder
+// keeps the text it last wrote for T and for a non-zero V and copies it
+// when the bits repeat. Equal bits always format to the same text, so the
+// caches cannot change a byte.
+type encoder struct {
+	t, v floatText
+}
+
+// floatText is the shortest 'g' text of the float whose bits it last
+// formatted. That text is at most 24 bytes ("-2.2250738585072014e-308").
+type floatText struct {
+	bits uint64
+	n    uint8 // text length; 0 until the first float
+	text [24]byte
+}
+
+// append appends f's shortest 'g' text to b, formatting it only when its
+// bits differ from the last float's.
+func (c *floatText) append(b []byte, f float64) []byte {
+	if bits := math.Float64bits(f); c.n == 0 || bits != c.bits {
+		c.bits, c.n = bits, uint8(len(strconv.AppendFloat(c.text[:0], f, 'g', -1, 64)))
+	}
+	return append(b, c.text[:c.n]...)
+}
+
+func (c *encoder) appendEvent(b []byte, e *Event) []byte {
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
+	b = c.t.append(b, e.T)
 	b = append(b, `,"ev":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, `","job":`...)
@@ -128,15 +156,19 @@ func appendEvent(b []byte, e *Event) []byte {
 	b = append(b, `,"aux":`...)
 	b = strconv.AppendInt(b, e.Aux, 10)
 	b = append(b, `,"v":"`...)
-	b = strconv.AppendFloat(b, e.V, 'g', -1, 64)
+	if math.Float64bits(e.V) == 0 { // +0, most events' V; -0 is formatted
+		b = append(b, '0')
+	} else {
+		b = c.v.append(b, e.V)
+	}
 	b = append(b, `","detail":`...)
 	b = strconv.AppendQuote(b, e.Detail)
 	return append(b, "}\n"...)
 }
 
-func appendSample(b []byte, s *Sample) []byte {
+func (c *encoder) appendSample(b []byte, s *Sample) []byte {
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, s.T, 'g', -1, 64)
+	b = c.t.append(b, s.T)
 	b = append(b, `,"ev":"pool_sample","free_mb":`...)
 	b = strconv.AppendInt(b, s.FreeMB, 10)
 	b = append(b, `,"lent_mb":`...)

@@ -8,8 +8,10 @@
 # possible scale. The telemetry stream, events and pool samples, is pinned
 # the same way (cmd/dmpd/testdata/smoke_telemetry.sha256), and so is the
 # offline copy of it: dmpexp -telemetry's file for the same cell, under the
-# daemon's cell header line, must hash to the same golden. Also exercises
-# the metrics endpoint and a graceful SIGTERM shutdown.
+# daemon's cell header line, must hash to the same golden. A what-if branch
+# of the cell (a static, a conservative-backfill and a repack variant) is
+# pinned too (cmd/dmpd/testdata/smoke_branch.sha256). Also exercises the
+# metrics endpoint and a graceful SIGTERM shutdown.
 #
 # Usage: scripts/smoke_dmpd.sh   (from anywhere; re-record a golden by
 # piping a fresh response or stream through sha256sum)
@@ -54,6 +56,13 @@ if [ "$TEL" != "$TELWANT" ]; then
 fi
 curl -sf "127.0.0.1:$PORT/metrics" | grep '^dmpd_result_cache_misses_total 1$' >/dev/null \
   || { echo "metrics missing cache counters"; exit 1; }
+BRANCH='{"mem_pct":100,"policy":"dynamic","at_time_s":43200,"variants":[{"name":"static","policy":"static"},{"name":"conservative","backfill":"conservative"},{"name":"repack","repack":true}]}'
+BR="$(curl -sf -XPOST "127.0.0.1:$PORT/v1/scenarios/$ID/branch" -d "$BRANCH" | sha256sum | awk '{print $1}')"
+BRWANT="$(cat cmd/dmpd/testdata/smoke_branch.sha256)"
+if [ "$BR" != "$BRWANT" ]; then
+  echo "branch digest mismatch: got $BR want $BRWANT"
+  exit 1
+fi
 
 kill -TERM "$DMPD_PID"
 wait "$DMPD_PID" || { echo "dmpd exited non-zero on SIGTERM"; exit 1; }
@@ -65,4 +74,4 @@ if [ "$OFF" != "$TELWANT" ]; then
   echo "offline telemetry digest mismatch: got $OFF want $TELWANT"
   exit 1
 fi
-echo "dmpd smoke OK (digest $GOT, telemetry $TEL)"
+echo "dmpd smoke OK (digest $GOT, telemetry $TEL, branch $BR)"
