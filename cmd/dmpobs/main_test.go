@@ -2,17 +2,22 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
 
+	"dismem/internal/core"
+	"dismem/internal/experiments"
+	"dismem/internal/policy"
 	"dismem/internal/telemetry"
 )
 
 // fixtureLog drives a Recorder through a tiny run and decodes its JSONL
 // output, so the summary is tested against the same wire format dmpsim
 // writes.
-func fixtureLog(t *testing.T) *telemetry.DecodedLog {
+func fixtureLog(t *testing.T) *telemetry.Log {
 	t.Helper()
 	var buf bytes.Buffer
 	rec := telemetry.New(telemetry.Options{Sink: telemetry.NewJSONL(&buf)})
@@ -101,7 +106,7 @@ func TestSummarize(t *testing.T) {
 
 func TestSummarizeEmptyLog(t *testing.T) {
 	var out strings.Builder
-	if err := summarize(&out, "empty", &telemetry.DecodedLog{}, 60, 4); err != nil {
+	if err := summarize(&out, "empty", &telemetry.Log{}, 60, 4); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -126,5 +131,99 @@ func TestTopBarsOrderAndCap(t *testing.T) {
 	}
 	if bars[0].Value != 2.0 {
 		t.Fatalf("GB conversion wrong: %v", bars[0].Value)
+	}
+}
+
+// TestSummarizePoolSamples checks the pool figures the report derives from
+// the samples: the lowest free pool, the peak lent memory and queue depth,
+// and the final sample.
+func TestSummarizePoolSamples(t *testing.T) {
+	l := &telemetry.Log{}
+	rec := telemetry.New(telemetry.Options{Sink: l})
+	rec.Sample(0, 100<<10, 0, 3, 2, 1)
+	rec.Sample(10, 40<<10, 60<<10, 7, 5, 4)
+	rec.Sample(20, 80<<10, 20<<10, 1, 2, 2)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := summarize(&out, "samples", l, 60, 4); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{
+		"samples: 0 events, 3 samples, 20 simulated seconds",
+		"min free        40.0 GB   peak lent       60.0 GB   peak queue 7",
+		"final           80.0 GB free, 20.0 GB lent, 1 queued, 2 running",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("summary missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// The report and Prometheus aggregates of the Bench golden telemetry
+// stream (internal/experiments, digest 7ba5c0d5…), as dmpobs printed and
+// wrote them when it read the log as separate event and sample lists.
+const (
+	goldenReportDigest = "d647a3c163c45588d9aa81b8ff49c117c34a6ec994d923c453f5e1a63b46f005"
+	goldenPromDigest   = "c91932952b50e25f0829c165843fc0a07682c7ce61b732956f873b82cb4a72bf"
+)
+
+// TestSummarizeGoldenStream regenerates the Bench golden stream — the
+// Bench preset's synthetic trace at 25 % large jobs and 50 % overestimate,
+// 62 % memory, the dynamic policy, a 300 s sampler — reads it back, and
+// pins the digests of `dmpobs -` and of its -prom aggregates.
+func TestSummarizeGoldenStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden telemetry run skipped in -short mode")
+	}
+	p := experiments.Bench()
+	tr, err := p.SyntheticTrace(0.25, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := experiments.MemConfigByPct(62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	cfg := p.ConfigFor(p.SystemNodes, mc, policy.Dynamic)
+	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: telemetry.NewJSONL(&buf), SampleInterval: 300})
+	sim, err := core.New(cfg, tr.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Telemetry.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := telemetry.ReadLog(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var report, prom bytes.Buffer
+	if err := summarize(&report, "(stdin)", log, 72, 8); err != nil {
+		t.Fatal(err)
+	}
+	agg := telemetry.NewPromSink()
+	if err := log.Replay(agg); err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.WriteText(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		out  []byte
+		want string
+	}{{"report", report.Bytes(), goldenReportDigest}, {"-prom aggregates", prom.Bytes(), goldenPromDigest}} {
+		sum := sha256.Sum256(c.out)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s digest changed:\n got %s\nwant %s\n%s", c.what, got, c.want, c.out)
+		}
 	}
 }

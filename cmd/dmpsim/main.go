@@ -189,7 +189,7 @@ func main() {
 	if rec != nil {
 		// Close before reporting: it flushes the JSONL stream and surfaces
 		// the first write error of the whole run.
-		events, samples := rec.TotalEvents(), rec.Series().Len()
+		events, samples := rec.TotalEvents(), rec.Samples()
 		if err := rec.Close(); err != nil {
 			fail("telemetry: %v", err)
 		}

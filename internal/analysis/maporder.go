@@ -29,7 +29,7 @@ var MapOrder = &Analyzer{
 // calling them in map order is harmless.
 var recorderReadOnly = map[string]bool{
 	"Now": true, "SampleInterval": true, "Count": true,
-	"TotalEvents": true, "Err": true, "Series": true,
+	"TotalEvents": true, "Err": true, "Samples": true,
 }
 
 // engineScheduling lists the Engine methods that enqueue or move events;

@@ -32,6 +32,27 @@ func telemetryConfig(pol policy.Kind) Config {
 	return cfg
 }
 
+// collector gathers a replayed log's events and samples.
+type collector struct {
+	events  []telemetry.Event
+	samples []telemetry.Sample
+}
+
+func (c *collector) Event(e *telemetry.Event) error   { c.events = append(c.events, *e); return nil }
+func (c *collector) Sample(s *telemetry.Sample) error { c.samples = append(c.samples, *s); return nil }
+func (c *collector) Close() error                     { return nil }
+
+// collect replays l and returns its events and samples, each in emission
+// order.
+func collect(t *testing.T, l *telemetry.Log) ([]telemetry.Event, []telemetry.Sample) {
+	t.Helper()
+	c := &collector{}
+	if err := l.Replay(c); err != nil {
+		t.Fatal(err)
+	}
+	return c.events, c.samples
+}
+
 // TestTelemetryDoesNotPerturbResults locks the core guarantee: attaching a
 // recorder (with sampling on) must leave the simulation Result bit-identical
 // to a telemetry-off run.
@@ -53,10 +74,11 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 // the Result and the ledger laws: submit/end pairing, grant/revoke balance,
 // and sample sanity.
 func TestTelemetryEventStreamConsistency(t *testing.T) {
-	mem := &telemetry.MemorySink{}
+	l := &telemetry.Log{}
 	cfg := telemetryConfig(policy.Dynamic)
-	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: mem, SampleInterval: 30})
+	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: l, SampleInterval: 30})
 	res := runSim(t, cfg, telemetryWorkload())
+	events, samples := collect(t, l)
 
 	rec := cfg.Telemetry
 	if got := rec.Count(telemetry.KindJobEnd); got < uint64(res.Completed) {
@@ -69,7 +91,7 @@ func TestTelemetryEventStreamConsistency(t *testing.T) {
 
 	var completedEnds, oomEnds int
 	var grantMB, revokeMB, shrunkMB int64
-	for _, e := range mem.Events {
+	for _, e := range events {
 		switch e.Kind {
 		case telemetry.KindJobEnd:
 			if e.Detail == "completed" {
@@ -105,24 +127,25 @@ func TestTelemetryEventStreamConsistency(t *testing.T) {
 			grantMB, revokeMB, shrunkMB)
 	}
 
-	s := rec.Series()
-	if s.Len() == 0 {
+	if len(samples) == 0 {
 		t.Fatal("sampler recorded nothing")
 	}
-	for i := 0; i < s.Len(); i++ {
-		sm := s.At(i)
+	if rec.Samples() != uint64(len(samples)) {
+		t.Fatalf("recorder counted %d samples, sink saw %d", rec.Samples(), len(samples))
+	}
+	for i, sm := range samples {
 		if sm.FreeMB < 0 || sm.LentMB < 0 || sm.Queue < 0 || sm.Busy < 0 || sm.Running < 0 {
 			t.Fatalf("negative sample at t=%g: %+v", sm.T, sm)
 		}
-		if i > 0 && sm.T <= s.At(i-1).T {
-			t.Fatalf("samples out of order at %d: %g after %g", i, sm.T, s.At(i-1).T)
+		if i > 0 && sm.T <= samples[i-1].T {
+			t.Fatalf("samples out of order at %d: %g after %g", i, sm.T, samples[i-1].T)
 		}
 	}
 	// Events and samples carry monotonically non-decreasing timestamps.
-	for i := 1; i < len(mem.Events); i++ {
-		if mem.Events[i].T < mem.Events[i-1].T {
+	for i := 1; i < len(events); i++ {
+		if events[i].T < events[i-1].T {
 			t.Fatalf("event timestamps regress at %d: %+v after %+v",
-				i, mem.Events[i], mem.Events[i-1])
+				i, events[i], events[i-1])
 		}
 	}
 	if err := rec.Close(); err != nil {
@@ -137,10 +160,10 @@ func TestTelemetryEventStreamConsistency(t *testing.T) {
 // a terminal outcome emits exactly one job_end, and each OOM kill emits one
 // job_attempt_end.
 func TestTelemetryOneFinalEndPerJob(t *testing.T) {
-	mem := &telemetry.MemorySink{}
+	l := &telemetry.Log{}
 	cfg := telemetryConfig(policy.Dynamic)
 	cfg.MaxRestarts = 2 // the second OOM kill abandons: the old double-emit case
-	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: mem})
+	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: l})
 	// Job 6 grows past the whole pool, so every attempt OOMs until the
 	// restart cap abandons it; the rest of the workload completes normally.
 	jobs := telemetryWorkload()
@@ -153,7 +176,8 @@ func TestTelemetryOneFinalEndPerJob(t *testing.T) {
 
 	ends := map[int]int{}
 	attemptEnds := 0
-	for _, e := range mem.Events {
+	events, _ := collect(t, l)
+	for _, e := range events {
 		switch e.Kind {
 		case telemetry.KindJobEnd:
 			if e.Detail == "oom-killed" {
@@ -182,17 +206,18 @@ func TestTelemetryOneFinalEndPerJob(t *testing.T) {
 // neither keeps the run alive nor moves the makespan.
 func TestTelemetrySamplerDoesNotExtendRun(t *testing.T) {
 	cfg := baseConfig(2, 1000, policy.Static)
-	cfg.Telemetry = telemetry.New(telemetry.Options{SampleInterval: 7})
+	l := &telemetry.Log{}
+	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: l, SampleInterval: 7})
 	j := mkJob(1, 10, 1, 500, 1000, memtrace.Constant(400))
 	res := runSim(t, cfg, []*job.Job{j})
 	if math.Abs(res.Makespan-1010) > 1e-6 {
 		t.Fatalf("makespan = %g, want 1010 (sampler must not extend it)", res.Makespan)
 	}
-	s := cfg.Telemetry.Series()
-	if s.Len() == 0 {
+	_, samples := collect(t, l)
+	if len(samples) == 0 {
 		t.Fatal("no samples")
 	}
-	if last := s.T[s.Len()-1]; last > 1010+7 {
+	if last := samples[len(samples)-1].T; last > 1010+7 {
 		t.Fatalf("sampler ran to %g, long past the last event at 1010", last)
 	}
 }
@@ -221,13 +246,21 @@ func TestTelemetryByteIdenticalLogs(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed and parameters produced different event logs")
 	}
-	// And the log round-trips through the reader.
+	// And the log round-trips through the reader, byte for byte.
 	log, err := telemetry.ReadLog(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(log.Events) == 0 || log.Series.Len() == 0 {
-		t.Fatalf("decoded log empty: %d events, %d samples", len(log.Events), log.Series.Len())
+	events, samples := collect(t, log)
+	if len(events) == 0 || len(samples) == 0 {
+		t.Fatalf("decoded log empty: %d events, %d samples", len(events), len(samples))
+	}
+	var back bytes.Buffer
+	if err := log.WriteJSONL(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), a) {
+		t.Fatal("the log read back renders differently from the JSONL it was read from")
 	}
 }
 
@@ -245,14 +278,15 @@ func TestTelemetryBackfillEvents(t *testing.T) {
 	}
 	cfg := baseConfig(2, 1000, policy.Static)
 	cfg.EnforceTimeLimit = true
-	mem := &telemetry.MemorySink{}
-	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: mem})
+	l := &telemetry.Log{}
+	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: l})
 	runSim(t, cfg, jobs)
 	if cfg.Telemetry.Count(telemetry.KindBackfillHole) == 0 {
 		t.Fatal("no backfill_hole events for a blocked head")
 	}
 	placed := false
-	for _, e := range mem.Events {
+	events, _ := collect(t, l)
+	for _, e := range events {
 		if e.Kind == telemetry.KindBackfillPlace && e.Job == 3 {
 			placed = true
 		}
@@ -264,9 +298,8 @@ func TestTelemetryBackfillEvents(t *testing.T) {
 
 // TestTelemetryWatermarksFire drives the pool low and expects crossings.
 func TestTelemetryWatermarksFire(t *testing.T) {
-	mem := &telemetry.MemorySink{}
 	cfg := baseConfig(2, 1000, policy.Static)
-	cfg.Telemetry = telemetry.New(telemetry.Options{Sink: mem})
+	cfg.Telemetry = telemetry.New(telemetry.Options{})
 	jobs := []*job.Job{
 		mkJob(1, 0, 1, 950, 200, memtrace.Constant(900)),
 		mkJob(2, 0, 1, 950, 200, memtrace.Constant(900)),

@@ -76,13 +76,18 @@ func TestGoldenTelemetryEventLog(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed and parameters produced different event logs")
 	}
-	// And the log must round-trip through the reader.
+	// And the log must round-trip through the reader byte for byte: events
+	// and samples come back in the order the lines hold them.
 	log, err := telemetry.ReadLog(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(log.Events) == 0 || log.Series.Len() == 0 {
-		t.Fatalf("decoded log empty: %d events, %d samples", len(log.Events), log.Series.Len())
+	var back bytes.Buffer
+	if err := log.WriteJSONL(&back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), a) {
+		t.Fatalf("the log read back renders %d bytes that differ from the %d it was read from", back.Len(), len(a))
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's observability layer: a typed event
-// stream, a fixed-interval time-series sampler, and pluggable sinks.
+// stream, a fixed-interval pool sampler, and pluggable sinks.
 //
 // The package is deliberately dependency-free (stdlib only, no other dismem
 // packages) so every layer of the simulator — engine, scheduler, cluster
@@ -14,9 +14,10 @@
 //     loop, and the JSONL encoding is hand-rolled with a fixed field order,
 //     so the same seed and parameters produce a byte-identical event log.
 //     A golden SHA-256 digest test in internal/core locks this down.
-//  3. Compactness. The time series is stored in columnar buffers (one slice
-//     per column), not a slice of structs, so a week-long run samples into
-//     a few flat arrays.
+//  3. One store. The Recorder only stamps, counts and forwards; a run held
+//     in memory is a Log of fixed-size, pointer-free records in emission
+//     order, which renders to JSONL or replays into any other sink, and
+//     ReadLog decodes a JSONL log back into one.
 package telemetry
 
 // Kind enumerates the typed events of the stream.

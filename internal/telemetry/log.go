@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// Log is a compact in-memory capture of one run's telemetry: every event
-// and pool sample in emission order, as fixed-size, pointer-free records,
-// rendered to JSONL only when WriteJSONL asks. Holding a run this way costs
+// Log is the one in-memory form of a run's telemetry: every event and pool
+// sample in emission order, as fixed-size, pointer-free records, rendered
+// to JSONL only when WriteJSONL asks and fed to another sink by Replay.
+// ReadLog decodes a JSONL log back into one. Holding a run this way costs
 // 64 bytes a record instead of a ~120-byte encoded line, puts no encoding
 // on the run's path, and gives the garbage collector nothing to scan.
 // Detail strings are interned in a per-log table.
@@ -18,8 +19,8 @@ import (
 //
 // Like every Sink, a Log is written from one goroutine. Close trims the
 // last chunk to its exact length (every earlier chunk is full); a closed
-// log is immutable, and any number of WriteJSONL calls may then run
-// concurrently.
+// log is immutable, and any number of WriteJSONL and Replay calls may then
+// run concurrently.
 type Log struct {
 	chunks  [][]logRecord     // full chunks, then the one being filled
 	details []string          // interned non-empty Detail strings
@@ -107,6 +108,52 @@ func (l *Log) Close() error {
 	return nil
 }
 
+// event and sample decode one record; WriteJSONL and Replay both read the
+// log through them.
+func (l *Log) event(r *logRecord) Event {
+	var detail string
+	if r.detail != 0 {
+		detail = l.details[r.detail-1]
+	}
+	return Event{
+		T: r.t, Kind: r.kind, Job: int(r.w[0]), Node: int(r.w[1]), Lender: int(r.w[2]),
+		MB: r.w[3], Aux: r.w[4], V: math.Float64frombits(uint64(r.w[5])),
+		Detail: detail,
+	}
+}
+
+func sample(r *logRecord) Sample {
+	return Sample{
+		T: r.t, FreeMB: r.w[0], LentMB: r.w[1],
+		Queue: int(r.w[2]), Busy: int(r.w[3]), Running: int(r.w[4]),
+	}
+}
+
+// Replay feeds every record to s in emission order and returns the first
+// error s reports. It does not close s.
+func (l *Log) Replay(s Sink) error {
+	// One event and one sample serve the whole replay: a sink takes them
+	// by pointer through an interface, so they live on the heap.
+	var e Event
+	var sm Sample
+	for _, c := range l.chunks {
+		for i := range c {
+			var err error
+			if r := &c[i]; r.sample {
+				sm = sample(r)
+				err = s.Sample(&sm)
+			} else {
+				e = l.event(r)
+				err = s.Event(&e)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // WriteJSONL renders the log's chunks in order to w, byte for byte as a
 // JSONL sink would have written the same emissions, through the same
 // encoder. The scratch buffer and the encoder are the call's own, so
@@ -117,22 +164,12 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 	var enc encoder
 	for _, c := range l.chunks {
 		for i := range c {
-			r := &c[i]
-			if r.sample {
-				buf = enc.appendSample(buf, &Sample{
-					T: r.t, FreeMB: r.w[0], LentMB: r.w[1],
-					Queue: int(r.w[2]), Busy: int(r.w[3]), Running: int(r.w[4]),
-				})
+			if r := &c[i]; r.sample {
+				sm := sample(r)
+				buf = enc.appendSample(buf, &sm)
 			} else {
-				var detail string
-				if r.detail != 0 {
-					detail = l.details[r.detail-1]
-				}
-				buf = enc.appendEvent(buf, &Event{
-					T: r.t, Kind: r.kind, Job: int(r.w[0]), Node: int(r.w[1]), Lender: int(r.w[2]),
-					MB: r.w[3], Aux: r.w[4], V: math.Float64frombits(uint64(r.w[5])),
-					Detail: detail,
-				})
+				e := l.event(r)
+				buf = enc.appendEvent(buf, &e)
 			}
 			if len(buf) >= flushAt {
 				if _, err := w.Write(buf); err != nil {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -95,8 +96,9 @@ type emission struct {
 	s *Sample
 }
 
-// checkRenders feeds recs to the JSONL sink and to a Log, renders the log,
-// and requires both streams to equal the cache-free reference's bytes.
+// checkRenders feeds recs to the JSONL sink and to a Log, renders the log
+// and replays it into a second JSONL sink, and requires all three streams
+// to equal the cache-free reference's bytes.
 func checkRenders(t *testing.T, recs []emission) {
 	t.Helper()
 	var want []byte
@@ -129,6 +131,17 @@ func checkRenders(t *testing.T, recs []emission) {
 	if !bytes.Equal(logOut.Bytes(), want) {
 		t.Fatalf("%d records: rendered log differs from the reference:\n%s", len(recs), firstDiff(logOut.Bytes(), want))
 	}
+	var replayOut bytes.Buffer
+	rj := NewJSONL(&replayOut)
+	if err := l.Replay(rj); err != nil {
+		t.Fatal(err)
+	}
+	if err := rj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replayOut.Bytes(), want) {
+		t.Fatalf("%d records: replayed log differs from the reference:\n%s", len(recs), firstDiff(replayOut.Bytes(), want))
+	}
 }
 
 // firstDiff quotes the first line where got and want differ.
@@ -143,8 +156,9 @@ func firstDiff(got, want []byte) string {
 }
 
 // appendEventRef and appendSampleRef are the cache-free encoder, which
-// formats every float afresh: the oracle the encoder's last-text caches
-// are held to.
+// formats every float afresh and quotes Detail through encoding/json: the
+// oracle the encoder's last-text caches and its string escaping are held
+// to.
 func appendEventRef(b []byte, e *Event) []byte {
 	b = append(b, `{"t":`...)
 	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
@@ -163,8 +177,20 @@ func appendEventRef(b []byte, e *Event) []byte {
 	b = append(b, `,"v":"`...)
 	b = strconv.AppendFloat(b, e.V, 'g', -1, 64)
 	b = append(b, `","detail":`...)
-	b = strconv.AppendQuote(b, e.Detail)
+	b = appendStringRef(b, e.Detail)
 	return append(b, "}\n"...)
+}
+
+// appendStringRef appends s as encoding/json writes a string with HTML
+// escaping off.
+func appendStringRef(b []byte, s string) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(s); err != nil {
+		panic(err)
+	}
+	return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
 }
 
 func appendSampleRef(b []byte, s *Sample) []byte {
@@ -335,9 +361,7 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, emitAll); allocs != 0 {
 		t.Fatalf("emit allocated %v times per run; want 0", allocs)
 	}
-	// Sample also appends to the recorder's own series, whose doubling
-	// growth AllocsPerRun's integer mean reads as 0; a sample moved to the
-	// heap on its way to the sink would read 1.
+	// A sample moved to the heap on its way to the sink would read 1.
 	if allocs := testing.AllocsPerRun(1000, func() { r.Sample(1, 2, 3, 4, 5, 6) }); allocs != 0 {
 		t.Fatalf("Sample allocated %v times per run", allocs)
 	}

@@ -164,18 +164,4 @@ func (p *PromSink) WriteText(w io.Writer) error {
 	return p.queue.WriteText(w, "dismem_queue_depth")
 }
 
-// AggregateFromLog rebuilds a PromSink from a decoded log, so dmpobs can
-// export aggregates for a run that only wrote JSONL.
-func AggregateFromLog(l *DecodedLog) *PromSink {
-	p := NewPromSink()
-	for i := range l.Events {
-		_ = p.Event(&l.Events[i])
-	}
-	for i := 0; i < l.Series.Len(); i++ {
-		s := l.Series.At(i)
-		_ = p.Sample(&s)
-	}
-	return p
-}
-
 var _ Sink = (*PromSink)(nil)

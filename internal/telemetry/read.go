@@ -8,14 +8,6 @@ import (
 	"strconv"
 )
 
-// DecodedLog is a JSONL event log read back: the typed events and the
-// sampled time series, each in stream order. cmd/dmpobs builds its
-// summaries and timelines from it. (Log is the compact capture sink.)
-type DecodedLog struct {
-	Events []Event
-	Series Series
-}
-
 // record is the union wire shape of one JSONL line.
 type record struct {
 	T      float64 `json:"t"`
@@ -35,13 +27,15 @@ type record struct {
 	Running int   `json:"running"`
 }
 
-// ReadLog decodes a JSONL event log written by the JSONL sink. Unknown
-// event names are an error: the log format is versioned by its names, and
-// silently dropping records would make summaries lie.
-func ReadLog(r io.Reader) (*DecodedLog, error) {
+// ReadLog decodes a JSONL event log written by the JSONL sink into a closed
+// Log, events and samples in the order the lines hold them, so the log
+// renders back through WriteJSONL byte for byte. Unknown event names are an
+// error: the log format is versioned by its names, and silently dropping
+// records would make summaries lie.
+func ReadLog(r io.Reader) (*Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	log := &DecodedLog{}
+	log := &Log{}
 	line := 0
 	for sc.Scan() {
 		line++
@@ -54,7 +48,7 @@ func ReadLog(r io.Reader) (*DecodedLog, error) {
 			return nil, fmt.Errorf("telemetry: line %d: %v", line, err)
 		}
 		if rec.Ev == "pool_sample" {
-			log.Series.append(Sample{
+			_ = log.Sample(&Sample{
 				T: rec.T, FreeMB: rec.FreeMB, LentMB: rec.LentMB,
 				Queue: rec.Queue, Busy: rec.Busy, Running: rec.Running,
 			})
@@ -72,7 +66,7 @@ func ReadLog(r io.Reader) (*DecodedLog, error) {
 			}
 			v = parsed
 		}
-		log.Events = append(log.Events, Event{
+		_ = log.Event(&Event{
 			T: rec.T, Kind: kind, Job: rec.Job, Node: rec.Node, Lender: rec.Lender,
 			MB: rec.MB, Aux: rec.Aux, V: v, Detail: rec.Detail,
 		})
@@ -80,14 +74,5 @@ func ReadLog(r io.Reader) (*DecodedLog, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("telemetry: %v", err)
 	}
-	return log, nil
-}
-
-// Counts tallies the decoded events per kind.
-func (l *DecodedLog) Counts() [KindCount]uint64 {
-	var c [KindCount]uint64
-	for i := range l.Events {
-		c[l.Events[i].Kind]++
-	}
-	return c
+	return log, log.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // Sink receives the event stream and the sampler output. Calls arrive in
@@ -16,19 +17,6 @@ type Sink interface {
 	Sample(s *Sample) error
 	Close() error
 }
-
-// ------------------------------------------------------------- MemorySink
-
-// MemorySink retains everything in memory — the sink tests and experiments
-// use to inspect a run programmatically.
-type MemorySink struct {
-	Events  []Event
-	Samples []Sample
-}
-
-func (m *MemorySink) Event(e *Event) error   { m.Events = append(m.Events, *e); return nil }
-func (m *MemorySink) Sample(s *Sample) error { m.Samples = append(m.Samples, *s); return nil }
-func (m *MemorySink) Close() error           { return nil }
 
 // --------------------------------------------------------------- MultiSink
 
@@ -73,7 +61,8 @@ func (m MultiSink) Close() error {
 // byte-identical logs — the determinism guarantee the golden digest test
 // locks. The non-finite reservation times a BackfillHole can carry are
 // encoded in the "v" field as a JSON string ("+Inf"), which ParseFloat
-// round-trips.
+// round-trips, and Detail is escaped as encoding/json escapes a string, so
+// ReadLog reads back every line the encoder writes.
 //
 // Event lines:
 //
@@ -162,7 +151,7 @@ func (c *encoder) appendEvent(b []byte, e *Event) []byte {
 		b = c.v.append(b, e.V)
 	}
 	b = append(b, `","detail":`...)
-	b = strconv.AppendQuote(b, e.Detail)
+	b = appendString(b, e.Detail)
 	return append(b, "}\n"...)
 }
 
@@ -182,6 +171,59 @@ func (c *encoder) appendSample(b []byte, s *Sample) []byte {
 	return append(b, "}\n"...)
 }
 
+// appendString appends s to b as a JSON string, escaped byte for byte as
+// encoding/json escapes it with HTML escaping off: '"', '\' and control
+// characters are escaped, U+2028 and U+2029 are written as \u escapes, and
+// each byte of invalid UTF-8 becomes \ufffd. Plain ASCII, every detail the
+// simulator emits, is scanned once and copied whole.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+			start = i + size
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
 func (j *JSONL) Close() error {
 	err := j.w.Flush()
 	if j.c != nil {
@@ -193,7 +235,6 @@ func (j *JSONL) Close() error {
 }
 
 var (
-	_ Sink = (*MemorySink)(nil)
 	_ Sink = (MultiSink)(nil)
 	_ Sink = (*JSONL)(nil)
 	_ Sink = (*Log)(nil)

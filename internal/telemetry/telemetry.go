@@ -8,7 +8,7 @@ import (
 // Options configures a Recorder.
 type Options struct {
 	// Sink receives every event and sample as it is emitted; nil keeps
-	// the run in memory only (counters + series + MemorySink-less).
+	// only the recorder's counts. A Log sink holds the run in memory.
 	Sink Sink
 	// SampleInterval is the time-series sampling period in simulated
 	// seconds; 0 disables the sampler (the event stream still flows).
@@ -38,10 +38,10 @@ type Recorder struct {
 	level     int   // how many marks are currently crossed
 	domLevels []int // per-domain crossing levels (pressure-domains mode)
 
-	now    float64
-	counts [KindCount]uint64
-	series Series
-	err    error // first sink error; surfaced by Err/Close
+	now     float64
+	counts  [KindCount]uint64
+	samples uint64
+	err     error // first sink error; surfaced by Err/Close
 
 	// ev and sm are the records handed to the sink. A sink takes them by
 	// pointer through an interface, so a local would move to the heap on
@@ -280,29 +280,28 @@ func (r *Recorder) Branch(name string, sharedEvents uint64, nodeCopies, shardTha
 	})
 }
 
-// Sample records one fixed-interval snapshot into the columnar series and
-// forwards it to the sink.
+// Sample counts one fixed-interval snapshot and forwards it to the sink.
 //
 //dmp:hotpath
 func (r *Recorder) Sample(t float64, freeMB, lentMB int64, queue, busy, running int) {
 	if r == nil {
 		return
 	}
-	r.sm = Sample{T: t, FreeMB: freeMB, LentMB: lentMB, Queue: queue, Busy: busy, Running: running}
-	r.series.append(r.sm)
+	r.samples++
 	if r.sink != nil {
+		r.sm = Sample{T: t, FreeMB: freeMB, LentMB: lentMB, Queue: queue, Busy: busy, Running: running}
 		if err := r.sink.Sample(&r.sm); err != nil && r.err == nil {
 			r.err = err
 		}
 	}
 }
 
-// Series returns the sampled time series (empty when sampling is off).
-func (r *Recorder) Series() *Series {
+// Samples returns the number of samples recorded so far.
+func (r *Recorder) Samples() uint64 {
 	if r == nil {
-		return &Series{}
+		return 0
 	}
-	return &r.series
+	return r.samples
 }
 
 // Count returns the number of events of kind k emitted so far.
@@ -352,8 +351,8 @@ func (r *Recorder) Close() error {
 // the same watermark crossing levels (global and per-domain). A branched
 // simulation records through a fork, so the branch's suffix stream is
 // byte-identical to the suffix a fresh run would have emitted past the fork
-// point. Event counts and the sampled series start empty — they describe the
-// branch's own emissions. Forking a nil recorder yields nil.
+// point. Event and sample counts start at zero — they describe the branch's
+// own emissions. Forking a nil recorder yields nil.
 func (r *Recorder) Fork(sink Sink) *Recorder {
 	if r == nil {
 		return nil

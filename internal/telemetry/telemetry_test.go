@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,8 +44,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Now() != 0 || r.SampleInterval() != 0 || r.TotalEvents() != 0 || r.Count(KindJobEnd) != 0 {
 		t.Fatal("nil recorder leaked state")
 	}
-	if r.Series().Len() != 0 {
-		t.Fatal("nil recorder returned samples")
+	if r.Samples() != 0 {
+		t.Fatal("nil recorder counted samples")
 	}
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -76,9 +77,30 @@ func TestNilRecorderEmitAllocates(t *testing.T) {
 	}
 }
 
+// collector gathers a replayed log's events and samples, each in emission
+// order, for tests to inspect.
+type collector struct {
+	events  []Event
+	samples []Sample
+}
+
+func (c *collector) Event(e *Event) error   { c.events = append(c.events, *e); return nil }
+func (c *collector) Sample(s *Sample) error { c.samples = append(c.samples, *s); return nil }
+func (c *collector) Close() error           { return nil }
+
+// collect replays l into a collector.
+func collect(t *testing.T, l *Log) *collector {
+	t.Helper()
+	c := &collector{}
+	if err := l.Replay(c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestRecorderCountsAndClock(t *testing.T) {
-	mem := &MemorySink{}
-	r := New(Options{Sink: mem})
+	l := &Log{}
+	r := New(Options{Sink: l})
 	r.SetNow(10)
 	r.JobSubmit(1, false)
 	r.SetNow(20)
@@ -96,13 +118,14 @@ func TestRecorderCountsAndClock(t *testing.T) {
 	if r.Count(KindCount) != 0 {
 		t.Fatal("out-of-range Count must be 0")
 	}
-	if len(mem.Events) != 4 {
-		t.Fatalf("sink saw %d events, want 4", len(mem.Events))
+	events := collect(t, l).events
+	if len(events) != 4 {
+		t.Fatalf("sink saw %d events, want 4", len(events))
 	}
-	if mem.Events[0].T != 10 || mem.Events[1].T != 20 || mem.Events[3].T != 30 {
-		t.Fatalf("event timestamps wrong: %+v", mem.Events)
+	if events[0].T != 10 || events[1].T != 20 || events[3].T != 30 {
+		t.Fatalf("event timestamps wrong: %+v", events)
 	}
-	if e := mem.Events[1]; e.Node != 4 || e.MB != 1024 || e.Aux != 256 {
+	if e := events[1]; e.Node != 4 || e.MB != 1024 || e.Aux != 256 {
 		t.Fatalf("JobStart fields wrong: %+v", e)
 	}
 	if err := r.Close(); err != nil {
@@ -111,32 +134,33 @@ func TestRecorderCountsAndClock(t *testing.T) {
 }
 
 func TestWatermarks(t *testing.T) {
-	mem := &MemorySink{}
-	r := New(Options{Sink: mem}) // default {50, 25, 10, 0}
+	l := &Log{}
+	r := New(Options{Sink: l}) // default {50, 25, 10, 0}
+	events := func() []Event { return collect(t, l).events }
 
 	r.PoolCheck(100, 100) // full: nothing
-	if len(mem.Events) != 0 {
-		t.Fatalf("no watermark expected at full pool, got %d", len(mem.Events))
+	if ev := events(); len(ev) != 0 {
+		t.Fatalf("no watermark expected at full pool, got %d", len(ev))
 	}
 	r.PoolCheck(50, 100) // exactly 50%: crosses 50
-	if len(mem.Events) != 1 || mem.Events[0].Aux != 50 {
-		t.Fatalf("want one 50%% crossing, got %+v", mem.Events)
+	if ev := events(); len(ev) != 1 || ev[0].Aux != 50 {
+		t.Fatalf("want one 50%% crossing, got %+v", ev)
 	}
 	r.PoolCheck(9, 100) // plunge: crosses 25 and 10 in order
-	if len(mem.Events) != 3 || mem.Events[1].Aux != 25 || mem.Events[2].Aux != 10 {
-		t.Fatalf("want 25 then 10, got %+v", mem.Events)
+	if ev := events(); len(ev) != 3 || ev[1].Aux != 25 || ev[2].Aux != 10 {
+		t.Fatalf("want 25 then 10, got %+v", ev)
 	}
 	r.PoolCheck(60, 100) // recover: re-arms silently
-	if len(mem.Events) != 3 {
+	if len(events()) != 3 {
 		t.Fatal("recovery must not emit")
 	}
 	r.PoolCheck(40, 100) // re-cross 50
-	if len(mem.Events) != 4 || mem.Events[3].Aux != 50 {
-		t.Fatalf("re-armed 50%% crossing missing: %+v", mem.Events)
+	if ev := events(); len(ev) != 4 || ev[3].Aux != 50 {
+		t.Fatalf("re-armed 50%% crossing missing: %+v", ev)
 	}
 	r.PoolCheck(0, 100) // bottom: 25, 10, 0
-	if len(mem.Events) != 7 || mem.Events[6].Aux != 0 {
-		t.Fatalf("want crossings down to 0, got %+v", mem.Events)
+	if ev := events(); len(ev) != 7 || ev[6].Aux != 0 {
+		t.Fatalf("want crossings down to 0, got %+v", ev)
 	}
 	if r.Count(KindPoolWatermark) != 7 {
 		t.Fatalf("watermark count = %d, want 7", r.Count(KindPoolWatermark))
@@ -144,42 +168,43 @@ func TestWatermarks(t *testing.T) {
 }
 
 func TestWatermarksCustomAndDisabled(t *testing.T) {
-	mem := &MemorySink{}
-	r := New(Options{Sink: mem, Watermarks: []int{30}})
+	l := &Log{}
+	r := New(Options{Sink: l, Watermarks: []int{30}})
 	r.PoolCheck(31, 100)
 	r.PoolCheck(30, 100)
-	if len(mem.Events) != 1 || mem.Events[0].Aux != 30 {
-		t.Fatalf("custom watermark: got %+v", mem.Events)
+	if ev := collect(t, l).events; len(ev) != 1 || ev[0].Aux != 30 {
+		t.Fatalf("custom watermark: got %+v", ev)
 	}
 
-	mem2 := &MemorySink{}
-	r2 := New(Options{Sink: mem2, Watermarks: []int{}})
+	l2 := &Log{}
+	r2 := New(Options{Sink: l2, Watermarks: []int{}})
 	r2.PoolCheck(0, 100)
-	if len(mem2.Events) != 0 {
+	if len(collect(t, l2).events) != 0 {
 		t.Fatal("explicit empty watermark list must disable crossings")
 	}
 }
 
+// TestSeries checks the sampled series a recorder forwards: every sample,
+// field for field and in order, and the recorder's sample count.
 func TestSeries(t *testing.T) {
-	r := New(Options{})
-	r.Sample(0, 100, 0, 3, 2, 1)
-	r.Sample(10, 40, 60, 7, 5, 4)
-	r.Sample(20, 80, 20, 1, 2, 2)
-
-	s := r.Series()
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	l := &Log{}
+	r := New(Options{Sink: l})
+	want := []Sample{
+		{T: 0, FreeMB: 100, LentMB: 0, Queue: 3, Busy: 2, Running: 1},
+		{T: 10, FreeMB: 40, LentMB: 60, Queue: 7, Busy: 5, Running: 4},
+		{T: 20, FreeMB: 80, LentMB: 20, Queue: 1, Busy: 2, Running: 2},
 	}
-	if got := s.At(1); got.T != 10 || got.FreeMB != 40 || got.LentMB != 60 || got.Queue != 7 || got.Busy != 5 || got.Running != 4 {
-		t.Fatalf("At(1) = %+v", got)
+	for _, sm := range want {
+		r.Sample(sm.T, sm.FreeMB, sm.LentMB, sm.Queue, sm.Busy, sm.Running)
 	}
-	if s.MinFreeMB() != 40 || s.PeakLentMB() != 60 || s.PeakQueue() != 7 {
-		t.Fatalf("aggregates wrong: min=%d peakLent=%d peakQueue=%d",
-			s.MinFreeMB(), s.PeakLentMB(), s.PeakQueue())
+	if r.Samples() != 3 {
+		t.Fatalf("Samples = %d, want 3", r.Samples())
 	}
-	empty := &Series{}
-	if empty.MinFreeMB() != 0 || empty.PeakLentMB() != 0 || empty.PeakQueue() != 0 {
-		t.Fatal("empty-series aggregates must be 0")
+	if got := collect(t, l).samples; !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples = %+v, want %+v", got, want)
+	}
+	if r.TotalEvents() != 0 {
+		t.Fatal("samples counted as events")
 	}
 }
 
@@ -215,28 +240,39 @@ func TestJSONLByteDeterminismAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(log.Events) != 7 {
-		t.Fatalf("decoded %d events, want 7", len(log.Events))
+	// The fixture interleaves samples with events and carries a +Inf
+	// reservation: the log read back renders to the same bytes.
+	var back bytes.Buffer
+	if err := log.WriteJSONL(&back); err != nil {
+		t.Fatal(err)
 	}
-	if log.Series.Len() != 2 {
-		t.Fatalf("decoded %d samples, want 2", log.Series.Len())
+	if !bytes.Equal(back.Bytes(), buf1.Bytes()) {
+		t.Fatalf("log read back renders differently:\n%s", firstDiff(back.Bytes(), buf1.Bytes()))
+	}
+	c := collect(t, log)
+	if len(c.events) != 7 {
+		t.Fatalf("decoded %d events, want 7", len(c.events))
+	}
+	if len(c.samples) != 2 {
+		t.Fatalf("decoded %d samples, want 2", len(c.samples))
 	}
 	// The +Inf reservation must survive the string encoding round trip.
 	var hole *Event
-	for i := range log.Events {
-		if log.Events[i].Kind == KindBackfillHole {
-			hole = &log.Events[i]
+	var counts [KindCount]int
+	for i := range c.events {
+		counts[c.events[i].Kind]++
+		if c.events[i].Kind == KindBackfillHole {
+			hole = &c.events[i]
 		}
 	}
 	if hole == nil || !math.IsInf(hole.V, 1) {
 		t.Fatalf("backfill hole V did not round-trip +Inf: %+v", hole)
 	}
-	counts := log.Counts()
 	if counts[KindJobSubmit] != 1 || counts[KindPoolWatermark] != 1 || counts[KindJobEnd] != 1 {
 		t.Fatalf("decoded counts wrong: %v", counts)
 	}
-	if log.Events[5].Detail != "oom-killed" || log.Events[5].Aux != 1 {
-		t.Fatalf("JobEnd detail lost: %+v", log.Events[5])
+	if c.events[5].Detail != "oom-killed" || c.events[5].Aux != 1 {
+		t.Fatalf("JobEnd detail lost: %+v", c.events[5])
 	}
 }
 
@@ -247,7 +283,7 @@ func TestReadLogRejectsUnknownEvent(t *testing.T) {
 	}
 }
 
-type failSink struct{ MemorySink }
+type failSink struct{ Log }
 
 func (f *failSink) Event(e *Event) error { return errors.New("disk full") }
 
@@ -267,12 +303,13 @@ func TestSinkErrorSurfacedOnce(t *testing.T) {
 }
 
 func TestMultiSinkFanOut(t *testing.T) {
-	a, b := &MemorySink{}, &MemorySink{}
+	a, b := &Log{}, &Log{}
 	m := MultiSink{a, b}
 	r := New(Options{Sink: m})
 	r.JobSubmit(1, false)
 	r.Sample(0, 1, 2, 3, 4, 5)
-	if len(a.Events) != 1 || len(b.Events) != 1 || len(a.Samples) != 1 || len(b.Samples) != 1 {
+	ca, cb := collect(t, a), collect(t, b)
+	if len(ca.events) != 1 || len(cb.events) != 1 || len(ca.samples) != 1 || len(cb.samples) != 1 {
 		t.Fatal("fan-out missed a child")
 	}
 }
@@ -326,9 +363,13 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestAggregateFromLog rebuilds the run-level aggregates from a JSONL log
+// read back and replayed into a PromSink: they match the aggregates the
+// sink gathered live.
 func TestAggregateFromLog(t *testing.T) {
 	var buf bytes.Buffer
-	r := New(Options{Sink: NewJSONL(&buf)})
+	live := NewPromSink()
+	r := New(Options{Sink: MultiSink{NewJSONL(&buf), live}})
 	emitFixture(r)
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -337,12 +378,21 @@ func TestAggregateFromLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := AggregateFromLog(log)
-	var out bytes.Buffer
+	p := NewPromSink()
+	if err := log.Replay(p); err != nil {
+		t.Fatal(err)
+	}
+	var out, want bytes.Buffer
 	if err := p.WriteText(&out); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.WriteText(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), `dismem_pool_samples_total 2`) {
 		t.Fatalf("rebuilt aggregates wrong:\n%s", out.String())
+	}
+	if out.String() != want.String() {
+		t.Fatalf("rebuilt aggregates differ from the live ones:\n%s\nwant\n%s", out.String(), want.String())
 	}
 }
