@@ -36,9 +36,31 @@ func TestRunPipeline(t *testing.T) {
 			t.Fatalf("job %d: request %d below peak %d", j.ID, j.RequestMB, j.PeakUsageMB())
 		}
 	}
-	// Achieved large-memory mix near the requested 50 %.
-	if f := out.LargeJobFraction(); math.Abs(f-0.5) > 0.15 {
-		t.Fatalf("large fraction = %g, want ≈0.5", f)
+}
+
+// TestLargeJobMix checks Step 7: each job is large with probability
+// LargeFrac, so the achieved share is binomial and must land within four
+// standard deviations of the requested one. A 10-job trace has an sd near
+// 0.16 and could not tell a mix from noise, so each trace here holds at
+// least 1,000 jobs (sd at most 0.016). Three mixes, far apart, catch a
+// generator that ignores LargeFrac whatever fixed share it draws instead.
+func TestLargeJobMix(t *testing.T) {
+	for _, frac := range []float64{0.1, 0.5, 0.9} {
+		p := smallParams()
+		p.Days = 150
+		p.LargeFrac = frac
+		out, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(out.Jobs)
+		if n < 1000 {
+			t.Fatalf("LargeFrac %g: %d jobs, want at least 1,000 for a tight band", frac, n)
+		}
+		tol := 4 * math.Sqrt(frac*(1-frac)/float64(n))
+		if f := out.LargeJobFraction(); math.Abs(f-frac) > tol {
+			t.Errorf("LargeFrac %g: achieved %.4f over %d jobs, want within ±%.4f", frac, f, n, tol)
+		}
 	}
 }
 
