@@ -163,11 +163,11 @@ func TestSummarizePoolSamples(t *testing.T) {
 }
 
 // The report and Prometheus aggregates of the Bench golden telemetry
-// stream (internal/experiments, digest 7ba5c0d5…), as dmpobs printed and
-// wrote them when it read the log as separate event and sample lists.
+// stream (internal/experiments, digest 1602a03c…), as dmpobs prints and
+// writes them.
 const (
-	goldenReportDigest = "d647a3c163c45588d9aa81b8ff49c117c34a6ec994d923c453f5e1a63b46f005"
-	goldenPromDigest   = "c91932952b50e25f0829c165843fc0a07682c7ce61b732956f873b82cb4a72bf"
+	goldenReportDigest = "5494a55ad7c0aff0d8d2f6099af23953065ca63a8d54e5e3b9ca3e7d43da67cf"
+	goldenPromDigest   = "97015dd3eaec79d3a9b54ce382d2bdd453f246caf6f2a65370224083a41e03af"
 )
 
 // TestSummarizeGoldenStream regenerates the Bench golden stream — the

@@ -23,17 +23,20 @@ import (
 // not drift. fig5–fig8 were re-recorded once, deliberately, when progress
 // banking became lazy (a job is banked only when its slowdown changes): the
 // float rounding of progress moved, the schedule did not — see
-// core.TestLazyBankingMatchesEager.
+// core.TestLazyBankingMatchesEager. All six were re-recorded, deliberately,
+// when every synthetic trace began reading one shape library mined from a
+// fixed Borg cell instead of drawing a cell from its own seed: every
+// synthetic job's peak and usage shape moved.
 //
 // To regenerate after an intentional behaviour change, run the test and
 // copy the "got" digests it prints on failure.
 var goldenPipelineDigests = map[string]string{
-	"fig5":      "67ea21da33904ce82b3885860d6897336164ed296bdd0bc2ae0261d3aea2203b",
-	"fig6":      "4b1b4d1f23865d0a89af92788247ff8dee409786cb62c7d9109b0be151493b2c",
-	"fig7":      "a2e975cdb22fab1a2b67057d28ec5d9879df516dd0e327f70ce0eb1efb6db4af",
-	"fig8":      "fe20eed8b3698ca42ee2ac51ee3f1d24e75cab923588ec89e02be672c0c9b5e6",
-	"fig9":      "ce9ae7b21d3df63535ca85f3f17340e0b3ffcc9cf85a0ca81ff7b5c5326ae24e",
-	"headlines": "c053fa812dafe93933bdc0659af80f3df0b94bdfdf437afe57f48ab5684ec905",
+	"fig5":      "68d96ce5b676ef7fd988192ba93159cb141fcac5f1881dd9f5682360102046fa",
+	"fig6":      "37b4b940f2c9a7c1e4b0fc35338cfeeb0f0e673b693fe142f14674289b572a66",
+	"fig7":      "4135bff71c3b6f533df4c6434f307466226003c46d901b588e652e184f9e6a2d",
+	"fig8":      "bb42f454889334edbccd777ebca21dc63a2ec027b7b6ffdcef375f3d69110f03",
+	"fig9":      "22a9d79a45b43a5bc44313a75280e7e19c21f7e42a976bf248888e4c95a80dc4",
+	"headlines": "6d5f01c68beb892d2ad5a2fc76a6b516cb450973d3072e3037102b9c98a93141",
 }
 
 // fbits folds a float64 into the digest as its exact IEEE-754 bit pattern.

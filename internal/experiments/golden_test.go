@@ -20,23 +20,26 @@ import (
 // here means an optimisation altered scheduling behaviour and is a bug, not
 // drift. static and dynamic were re-recorded once, deliberately, when
 // progress banking became lazy: finish times moved in the last bits, start
-// times did not (core.TestLazyBankingMatchesEager bounds the drift).
+// times did not (core.TestLazyBankingMatchesEager bounds the drift). Every
+// row was re-recorded, deliberately, when synthetic traces began reading one
+// shape library mined from a fixed Borg cell instead of drawing a cell from
+// their own seed.
 //
 // To regenerate after an intentional behaviour change, run the test and
 // copy the "got" digests it prints on failure.
 var goldenScenarioDigests = map[string]string{
-	"baseline": "d3e5ba7b5ade33f87867007770910bdfd98be75793b6878f4cb9bbad0ed91b15",
-	"static":   "11ea89970ee0ed1e001f04abecb38328b2ec065eebd2733db5c848979969af60",
-	"dynamic":  "224167f5d7db675aa0228999ada8e0511559e5ae85659fda4c3defdd8eb8f1a9",
+	"baseline": "d10d9ead137aac1b55aec3041b8ecbe423a5c2828f91b3b8340bd7b6b48bf48c",
+	"static":   "7979e1e4f084def4c5e22915809c9ee6c100a4cabc00f935243dbf9fcd7ec302",
+	"dynamic":  "9568e2f5f99d9eb16a1cee88ec81425b1e099dfb32815118fad9b0855392320d",
 
-	"static-domains":  "02e3dc1b202ce60c3420d9dea6a94b9f54e75ff49096effe66295084458dd58b",
-	"dynamic-domains": "7279d64395088b2b8e96e339115b426aed948056d80fe0d9f844abb6350f044b",
+	"static-domains":  "c438b87804b9cddf6e81e66e10e119bd6508ee6426b137d6806112dc1beba780",
+	"dynamic-domains": "ad13ba95c5c676e46fb3ac956fb7d82ff100b9a9c7eea53224c46b65fc76e0a6",
 
-	"static-nearest":  "be7b760322319617a6a0a1681c24eb5bedd7f13de6877b0bbc7b8133ff05cf1b",
-	"dynamic-nearest": "151656e76337784ead8bb65be7258374f8617e9a2750866baf3b1708fa8ab064",
+	"static-nearest":  "89a251bf435107a6b1957711ea3d3b2812c0961d66218037af19523324ed82e3",
+	"dynamic-nearest": "0b72704995385cbdf32f467ee4c31e6a4a8cf390fc9bbc5ca4d6c5e88d30bae7",
 
-	"static-conservative":  "0a2fa1e09224d67189e472f1e06cd7d8d271ccb948f76b2cb99057f0e1a7720a",
-	"dynamic-conservative": "9860090d458ad0626eca82dab48ec4c515fb6285cc39fa57dc5b54bf7779bbf8",
+	"static-conservative":  "5f728ba30ae2166b464304e41cde2339abb685766685d95b585f117221fa2b08",
+	"dynamic-conservative": "e832621bf3f24c1bd0a5ce4eee69bbf94628243be3e0d22c100343ff6a73d81e",
 }
 
 // digestResult folds every determinism-relevant field of a Result — job

@@ -61,10 +61,13 @@ func newBenchServer(b *testing.B) *httptest.Server {
 // BenchmarkColdStudy is the cold path of a dmpd study: each iteration
 // POSTs a Quick-preset spec with a trace seed no earlier iteration used,
 // so the trace cache and the result cache both miss and the request pays
-// for trace generation, the sweep and its telemetry capture.
+// for trace generation, the sweep and its telemetry capture. It draws no
+// Borg cell: every seed reads the preset's one shape library, mined at most
+// once in the process.
 func BenchmarkColdStudy(b *testing.B) {
 	ts := newBenchServer(b)
 	_, _, misses0 := tracegen.CacheStats()
+	libs0 := tracegen.ShapeLibraries()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		postStudy(b, ts)
@@ -72,6 +75,9 @@ func BenchmarkColdStudy(b *testing.B) {
 	b.StopTimer()
 	if _, _, misses := tracegen.CacheStats(); misses-misses0 != int64(b.N) {
 		b.Fatalf("%d POSTs missed the trace cache %d times", b.N, misses-misses0)
+	}
+	if libs := tracegen.ShapeLibraries(); libs > max(libs0, 1) {
+		b.Fatalf("%d POSTs left %d shape libraries (%d before), want one for the preset", b.N, libs, libs0)
 	}
 }
 

@@ -56,7 +56,7 @@ func Key(p Params) string {
 	if model == "" {
 		model = "cirne"
 	}
-	c := NewCanon("tracegen/v1")
+	c := NewCanon("tracegen/v2")
 	c.Str("model", model)
 	c.Int("nodes", int64(p.SystemNodes))
 	c.Float("load", p.Load)

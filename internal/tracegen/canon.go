@@ -20,7 +20,7 @@ type Canon struct {
 	b strings.Builder
 }
 
-// NewCanon starts a canonical encoding under a domain label ("tracegen/v1").
+// NewCanon starts a canonical encoding under a domain label ("tracegen/v2").
 // Distinct domains can never collide, whatever their fields.
 func NewCanon(domain string) *Canon {
 	c := &Canon{}
