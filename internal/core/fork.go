@@ -83,6 +83,7 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	f.cfg.Telemetry = tel
 	f.tel = tel
 	f.forkEvents = s.eng.Fired()
+	f.tick = f.tickAction()
 
 	// Shared immutable state: domBW, domCapMB — the struct copy above
 	// already aliases them, which is correct because no code path writes
@@ -165,7 +166,7 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 			i := tagIndex(tag)
 			return func(*sim.Engine) { f.onSubmit(i) }
 		case tagTick:
-			return func(*sim.Engine) { f.onTick() }
+			return f.tick
 		case tagFinish:
 			i := tagIndex(tag)
 			return func(*sim.Engine) { f.onFinish(i) }

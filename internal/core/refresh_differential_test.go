@@ -353,6 +353,58 @@ func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWarmSchedulingPassAllocationFree asserts a scheduling pass that
+// cannot start its queued job allocates nothing, the rescheduled tick
+// included: each simulator binds its tick action once, and a fork binds
+// its own. A two-node job holds the cluster for a simulated week while a
+// second one waits, so every event stepped below is one pass.
+func TestWarmSchedulingPassAllocationFree(t *testing.T) {
+	for _, bf := range []BackfillMode{EASYBackfill, ConservativeBackfill} {
+		cfg := baseConfig(2, 4096, policy.Dynamic)
+		cfg.CheckInvariants = false
+		cfg.Backfill = bf
+		cfg.UpdateInterval = 1e9
+		jobs := []*job.Job{
+			mkJob(1, 0, 2, 2048, 7*86400, memtrace.Constant(2048)),
+			mkJob(2, 1, 2, 2048, 3600, memtrace.Constant(2048)),
+		}
+		s, err := New(cfg, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		if err := s.StepUntil(300); err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			sim  *Simulator
+		}{{"base", s}, {"fork", f}} {
+			name, sim := c.name, c.sim
+			if sim.queue.Len() != 1 || len(sim.runList) != 1 {
+				t.Fatalf("%v %s: %d queued, %d running; want 1 and 1", bf, name, sim.queue.Len(), len(sim.runList))
+			}
+			pass := func() {
+				fired := sim.eng.Fired()
+				if err := sim.StepUntil(sim.eng.Now() + sim.cfg.SchedInterval); err != nil {
+					t.Fatal(err)
+				}
+				if sim.eng.Fired() != fired+1 || !sim.tickScheduled {
+					t.Fatalf("%v %s: stepped %d events, want one pass that queues the next", bf, name, sim.eng.Fired()-fired)
+				}
+			}
+			pass() // warm the pass's scratch
+			if got := testing.AllocsPerRun(50, pass); got != 0 {
+				t.Fatalf("%v %s: a warm scheduling pass allocates %.1f, want 0", bf, name, got)
+			}
+		}
+	}
+}
+
 // BenchmarkRefresh isolates one global-model contention refresh — the unit
 // of work every start/finish/adjust/OOM event pays — at a high
 // concurrent-running count: the incremental path with the model marked

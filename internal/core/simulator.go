@@ -44,6 +44,7 @@ type Simulator struct {
 	curAllocMB    int64
 	curBusyNodes  int
 	tickScheduled bool
+	tick          sim.Action // the scheduling pass, bound once per simulator
 
 	// Contention state. Pressure is scoped to domains: the global model is
 	// the one-domain case (nDom 1, every node in domain 0, whatever the
@@ -186,6 +187,7 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.adj.Tel = cfg.Telemetry
+	s.tick = s.tickAction()
 	// The global model is one domain over the whole fabric; domains mode
 	// has one per ledger shard (Normalize forced Cluster.Shards == Domains).
 	// A domain's bandwidth budget scales with the nodes it contains, the
@@ -510,9 +512,18 @@ func (s *Simulator) ensureTick(immediate bool) {
 	if immediate {
 		delay = 0
 	}
-	s.eng.After(delay, evTag(tagTick, 0), func(*sim.Engine) { s.onTick() }) //dmplint:ignore hotpath-alloc one scheduling closure per quiescent-to-active transition, amortized over the whole tick it schedules
+	s.eng.After(delay, evTag(tagTick, 0), s.tick)
 }
 
+// tickAction binds the scheduling pass. New and Fork bind it once, and
+// every pass reschedules the same action.
+func (s *Simulator) tickAction() sim.Action {
+	return func(*sim.Engine) { s.onTick() }
+}
+
+// onTick runs one scheduling pass and queues the next while jobs wait.
+//
+//dmp:hotpath
 func (s *Simulator) onTick() {
 	s.accrue()
 	s.tickScheduled = false

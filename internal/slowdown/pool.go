@@ -73,14 +73,26 @@ func DefaultPool() []*Profile {
 // magnitude; without it runtime would dominate the distance entirely.
 type Matcher struct {
 	pool []*Profile
+	logs []profileLogs // logs[i] is pool[i]'s side of the distance
 }
 
-// NewMatcher returns a matcher over the given pool (DefaultPool if nil).
+// profileLogs is log2(Nodes+1) and log2(RuntimeSec+1) of one profile, its
+// side of the match distance, computed once when the matcher is built.
+type profileLogs struct {
+	nodes, runtime float64
+}
+
+// NewMatcher returns a matcher over the given pool (DefaultPool if nil). It
+// reads each profile's size and runtime once, here.
 func NewMatcher(pool []*Profile) *Matcher {
 	if pool == nil {
 		pool = DefaultPool()
 	}
-	return &Matcher{pool: pool}
+	logs := make([]profileLogs, len(pool))
+	for i, p := range pool {
+		logs[i] = profileLogs{math.Log2(float64(p.Nodes) + 1), math.Log2(p.RuntimeSec + 1)}
+	}
+	return &Matcher{pool: pool, logs: logs}
 }
 
 // Pool returns the matcher's profile pool.
@@ -89,20 +101,16 @@ func (m *Matcher) Pool() []*Profile { return m.pool }
 // Match returns the profile nearest to a job with the given node count and
 // runtime. Ties break toward the earlier pool entry for determinism.
 func (m *Matcher) Match(nodes int, runtimeSec float64) *Profile {
-	best := m.pool[0]
+	logNodes, logRuntime := math.Log2(float64(nodes)+1), math.Log2(runtimeSec+1)
+	best := 0
 	bestD := math.Inf(1)
-	for _, p := range m.pool {
-		d := dist2(nodes, runtimeSec, p)
-		if d < bestD {
+	for i, l := range m.logs {
+		dn := logNodes - l.nodes
+		dr := logRuntime - l.runtime
+		if d := dn*dn + dr*dr; d < bestD {
 			bestD = d
-			best = p
+			best = i
 		}
 	}
-	return best
-}
-
-func dist2(nodes int, runtime float64, p *Profile) float64 {
-	dn := math.Log2(float64(nodes)+1) - math.Log2(float64(p.Nodes)+1)
-	dr := math.Log2(runtime+1) - math.Log2(p.RuntimeSec+1)
-	return dn*dn + dr*dr
+	return m.pool[best]
 }

@@ -124,6 +124,65 @@ func TestMatcherExactAndNearest(t *testing.T) {
 	}
 }
 
+// dist2 is the squared match distance from a job to p, each logarithm
+// computed on every call: Match's distance before the matcher kept each
+// profile's side.
+func dist2(nodes int, runtime float64, p *Profile) float64 {
+	dn := math.Log2(float64(nodes)+1) - math.Log2(float64(p.Nodes)+1)
+	dr := math.Log2(runtime+1) - math.Log2(p.RuntimeSec+1)
+	return dn*dn + dr*dr
+}
+
+// matchRef is the test oracle for Match: the loop that recomputed both of
+// every profile's logarithms on every call.
+func matchRef(pool []*Profile, nodes int, runtimeSec float64) *Profile {
+	best := pool[0]
+	bestD := math.Inf(1)
+	for _, p := range pool {
+		if d := dist2(nodes, runtimeSec, p); d < bestD {
+			bestD = d
+			best = p
+		}
+	}
+	return best
+}
+
+// Match, with each profile's logarithms kept, picks exactly the profile the
+// recomputing loop picks: the operands are the same, so every distance and
+// every tie is too. The queries cover the default pool's sizes and
+// runtimes, exact pool points (zero distance) and ties between them.
+func TestMatchMatchesReference(t *testing.T) {
+	m := NewMatcher(nil)
+	rng := rand.New(rand.NewSource(7))
+	check := func(nodes int, rt float64) {
+		if got, want := m.Match(nodes, rt), matchRef(m.Pool(), nodes, rt); got != want {
+			t.Fatalf("Match(%d, %g) = %q, the reference picks %q", nodes, rt, got.Name, want.Name)
+		}
+	}
+	for _, p := range m.Pool() {
+		check(p.Nodes, p.RuntimeSec)
+	}
+	for i := 0; i < 20000; i++ {
+		nodes := 1 + int(math.Exp(rng.Float64()*math.Log(4096)))
+		rt := math.Exp(rng.Float64() * math.Log(30*86400))
+		if i%4 == 0 {
+			rt = math.Round(rt) // whole seconds, as traces mostly hold
+		}
+		check(nodes, rt)
+	}
+	// A profile pool with duplicate points: the tie goes to the earlier.
+	twin := []*Profile{{Name: "a", Nodes: 4, RuntimeSec: 600}, {Name: "b", Nodes: 4, RuntimeSec: 600}, {Name: "c", Nodes: 16, RuntimeSec: 600}}
+	mt := NewMatcher(twin)
+	for _, q := range []struct {
+		nodes int
+		rt    float64
+	}{{4, 600}, {8, 600}, {1, 1}, {1000, 1e6}} {
+		if got, want := mt.Match(q.nodes, q.rt), matchRef(twin, q.nodes, q.rt); got != want {
+			t.Fatalf("Match(%d, %g) over twins = %q, the reference picks %q", q.nodes, q.rt, got.Name, want.Name)
+		}
+	}
+}
+
 // Property: matching returns a pool member and is scale-monotone in the
 // sense that the returned distance is minimal.
 func TestQuickMatcherIsNearest(t *testing.T) {
